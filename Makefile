@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-all fuzz stress stress-smoke verify
+.PHONY: all build test test-benchmark race bench bench-all fuzz stress stress-smoke verify
 
 all: build test
 
@@ -9,6 +9,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# test-benchmark tests the repository benchmark (BENCHMARK.json): a nested
+# module, so `go test ./...` above does not reach it. It checks the
+# declarations against BENCHMARK.json and smokes all four workloads.
+test-benchmark:
+	$(GO) test -C benchmark ./...
 
 # race runs the data-race detector over the packages with real concurrency:
 # the broker's dispatch engines (sharded fast path included), the lock-free
@@ -26,7 +32,9 @@ race:
 # a go test failure is not swallowed by a pipe. -maxallocs pins the
 # zero-allocation wire-path rows to their designed budgets (batch decode:
 # message + body slab; batch encode and delivery: pooled,
-# allocation-free); -maxmetric pins the subscription store's marginal
+# allocation-free; the mesh rows: one publish through three members with
+# pooled FORWARD frames and waiters, measured 13 per serial publish and 4
+# per windowed message); -maxmetric pins the subscription store's marginal
 # memory footprint at the 10^5 population and the flight recorder's
 # end-to-end throughput cost at its 5% acceptance ceiling. All are hard
 # ceilings.
@@ -34,7 +42,7 @@ bench:
 	@mkdir -p bench
 	$(GO) test -run xxx -bench BenchmarkRegression -benchtime 1s -benchmem . | tee bench/latest.txt
 	$(GO) run ./cmd/benchjson -in bench/latest.txt -dir bench \
-		-maxallocs 'RegressionBatchDecode=2,RegressionBatchEncode=2,RegressionDeliver=0' \
+		-maxallocs 'RegressionBatchDecode=2,RegressionBatchEncode=2,RegressionDeliver=0,RegressionMesh=15,RegressionMeshWindowed=5' \
 		-maxmetric 'RegressionSubscriptionStore:bytes/sub=1024,RegressionEndToEndTraced:overhead_pct=5'
 
 # bench-all runs every benchmark (figure regenerations + ablations) once.
@@ -64,5 +72,5 @@ stress:
 stress-smoke:
 	$(GO) test -short ./internal/stress/
 
-# verify is the tier-1 gate plus the race pass.
-verify: build test race
+# verify is the tier-1 gate plus the benchmark module's tests and the race pass.
+verify: build test test-benchmark race

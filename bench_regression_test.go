@@ -14,6 +14,7 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -403,13 +404,10 @@ func BenchmarkRegressionEndToEndTraced(b *testing.B) {
 	b.ReportMetric(float64(total)/tracedTotal.Seconds()/float64(runtime.GOMAXPROCS(0)), "msgs/s/core")
 }
 
-// BenchmarkRegressionMesh is the replication-mesh hot path: a publish
-// entering a 3-member SSR wire mesh is re-encoded as FORWARD frames,
-// flooded to both peers over TCP loopback, and dispatched to one
-// subscriber per member. ns/op is the per-publish cost including the
-// forwarding fan-out and all three deliveries — the distributed
-// counterpart of BenchmarkRegressionEndToEnd.
-func BenchmarkRegressionMesh(b *testing.B) {
+// meshFixture boots the 3-member SSR wire mesh the mesh rows share: one
+// broker, wire server and mesh forwarder per member on TCP loopback, one
+// subscriber per member, and a publisher connection to member 0.
+func meshFixture(b *testing.B) (pub *client.Client, subs []*client.Subscription) {
 	const members = 3
 	lns := make([]net.Listener, members)
 	addrs := make([]string, members)
@@ -421,7 +419,7 @@ func BenchmarkRegressionMesh(b *testing.B) {
 		lns[i] = ln
 		addrs[i] = ln.Addr().String()
 	}
-	subs := make([]*client.Subscription, members)
+	subs = make([]*client.Subscription, members)
 	ctx := context.Background()
 	for i := range lns {
 		br := broker.New(broker.Options{InFlight: 1024, SubscriberBuffer: 1 << 15})
@@ -456,21 +454,46 @@ func BenchmarkRegressionMesh(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { _ = pub.Close() })
+	return pub, subs
+}
 
-	b.ReportAllocs()
-	b.ResetTimer()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for _, sub := range subs {
-			for n := 0; n < b.N; {
+// drainMesh returns a channel closed once every subscriber has received n
+// messages. The subscribers drain side by side: left undrained, one would
+// push back through its member into the origin's forward window.
+func drainMesh(subs []*client.Subscription, n int) <-chan struct{} {
+	var wg sync.WaitGroup
+	for _, sub := range subs {
+		wg.Add(1)
+		go func(sub *client.Subscription) {
+			defer wg.Done()
+			for got := 0; got < n; got++ {
 				if _, ok := <-sub.Chan(); !ok {
 					return
 				}
-				n++
 			}
-		}
+		}(sub)
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
 	}()
+	return done
+}
+
+// BenchmarkRegressionMesh is the replication-mesh round trip: one publish
+// at a time enters a 3-member SSR wire mesh, is wrapped in FORWARD frames,
+// flooded to both peers over TCP loopback, and dispatched to one
+// subscriber per member. With a single publish outstanding nothing can
+// share a syscall, so ns/op is the cost of one forward round trip plus all
+// three deliveries — the latency floor of the forward hop.
+// BenchmarkRegressionMeshWindowed is the throughput row.
+func BenchmarkRegressionMesh(b *testing.B) {
+	pub, subs := meshFixture(b)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	done := drainMesh(subs, b.N)
 	for i := 0; i < b.N; i++ {
 		if err := pub.Publish(ctx, jms.NewMessage("t")); err != nil {
 			b.Fatal(err)
@@ -480,6 +503,48 @@ func BenchmarkRegressionMesh(b *testing.B) {
 	b.StopTimer()
 	if s := b.Elapsed().Seconds(); s > 0 {
 		b.ReportMetric(float64(b.N)/s/float64(runtime.GOMAXPROCS(0)), "msgs/s/core")
+	}
+}
+
+// BenchmarkRegressionMeshWindowed drives the same mesh the way a loaded
+// publisher does: 8 PublishBatch(16) calls outstanding on the one publisher
+// connection, so the forwards of successive batches share the peer links'
+// vectored writes and the peers work while the origin matches and
+// delivers. One op is one message.
+func BenchmarkRegressionMeshWindowed(b *testing.B) {
+	pub, subs := meshFixture(b)
+	const lanes, batchSize = 8, 16
+	batches := (b.N + batchSize - 1) / batchSize
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	done := drainMesh(subs, batches*batchSize)
+	var claimed atomic.Int64
+	var wg sync.WaitGroup
+	for lane := 0; lane < lanes; lane++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for claimed.Add(1) <= int64(batches) {
+				msgs := make([]*jms.Message, batchSize)
+				for i := range msgs {
+					msgs[i] = jms.NewMessage("t")
+				}
+				if err := pub.PublishBatch(ctx, msgs); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if b.Failed() {
+		return
+	}
+	<-done
+	b.StopTimer()
+	if s := b.Elapsed().Seconds(); s > 0 {
+		b.ReportMetric(float64(batches*batchSize)/s/float64(runtime.GOMAXPROCS(0)), "msgs/s/core")
 	}
 }
 

@@ -234,6 +234,8 @@ func TestDaemonMesh(t *testing.T) {
 		"jms_mesh_peers 1",
 		"jms_mesh_forwarded_out_total 1",
 		"jms_mesh_forward_errors_total 0",
+		// The publish was acked, so its forward window has emptied.
+		"jms_mesh_forward_inflight 0",
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/metrics missing %q", want)

@@ -16,19 +16,22 @@ package cluster
 //     forwards to the owner and only publishes locally when it owns the
 //     topic itself.
 //
-// Forwarding is synchronous: the Forwarder hook returns only after every
-// required peer acked its FORWARD, so a PUB_ACK to the client means the
-// message is accepted everywhere it must be. A peer failure rejects the
-// publish instead — the client's retry path re-offers it, and the
-// publisher-stamped dedupe identity makes the retry idempotent on peers
-// that did accept the first attempt. That is what makes "zero acked
-// messages lost" checkable across broker kill/restart.
+// Forwarding is pipelined: StartPublish/StartBatch queue one FORWARD frame
+// per required peer on that peer's wire.PeerLink and return at once with a
+// wire.ForwardAck; the wire server parks the publish, keeps reading, and
+// publishes locally and acks the client only when the last forward-ack is
+// in. A PUB_ACK to the client therefore still means the message is
+// accepted everywhere it must be, while the forwards of successive
+// publishes share the link's vectored writes and the peers work in
+// parallel with the origin. A peer failure rejects the publish instead —
+// the client's retry path re-offers it, and the publisher-stamped dedupe
+// identity makes the retry idempotent on peers that did accept the first
+// attempt. That is what makes "zero acked messages lost" checkable across
+// broker kill/restart.
 
 import (
 	"fmt"
-	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/jms"
@@ -47,8 +50,9 @@ func meshMemberID(i int) string { return fmt.Sprintf("m%d", i) }
 // set (or a nil set) fall back to pure rendezvous hashing, which every
 // member still computes identically.
 type HashRouter struct {
-	n    int
-	ring *Ring // nil when no static topic set was given
+	ids   []string       // member IDs by mesh index
+	index map[string]int // member ID → mesh index
+	ring  *Ring          // nil when no static topic set was given
 }
 
 // NewHashRouter builds a router for an n-member mesh. topics may be nil.
@@ -56,13 +60,13 @@ func NewHashRouter(n int, topics []string) (*HashRouter, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("%w: mesh needs at least one member", ErrParams)
 	}
-	hr := &HashRouter{n: n}
+	hr := &HashRouter{ids: make([]string, n), index: make(map[string]int, n)}
+	for i := range hr.ids {
+		hr.ids[i] = meshMemberID(i)
+		hr.index[hr.ids[i]] = i
+	}
 	if len(topics) > 0 {
-		members := make([]string, n)
-		for i := range members {
-			members[i] = meshMemberID(i)
-		}
-		ring, err := NewRing(members, topics)
+		ring, err := NewRing(hr.ids, topics)
 		if err != nil {
 			return nil, err
 		}
@@ -75,17 +79,13 @@ func NewHashRouter(n int, topics []string) (*HashRouter, error) {
 func (hr *HashRouter) Owner(topic string) int {
 	if hr.ring != nil {
 		if owner, ok := hr.ring.Owner(topic); ok {
-			for i := 0; i < hr.n; i++ {
-				if meshMemberID(i) == owner {
-					return i
-				}
-			}
+			return hr.index[owner]
 		}
 	}
 	// Pure rendezvous fallback: argmax score, ties to the lower index.
 	best, bestScore := 0, uint64(0)
-	for i := 0; i < hr.n; i++ {
-		if s := ringScore(meshMemberID(i), topic); i == 0 || s > bestScore {
+	for i, id := range hr.ids {
+		if s := ringScore(id, topic); i == 0 || s > bestScore {
 			best, bestScore = i, s
 		}
 	}
@@ -123,21 +123,19 @@ type WireMeshStats struct {
 	ForwardErrors uint64
 	// Reconnects counts re-dials after an established peer connection broke.
 	Reconnects uint64
+	// ForwardInflight is the number of FORWARD frames sent and not yet
+	// acked or failed, over all peers: the occupancy of the forward window.
+	ForwardInflight int64
 }
 
 // WireMesh replicates publishes to peer jmsd servers. It implements
 // wire.Forwarder; attach it via wire.ServeOptions.Forwarder.
 type WireMesh struct {
-	kind       TopologyKind
-	self       int
-	router     *HashRouter
-	ackTimeout time.Duration
+	kind   TopologyKind
+	self   int
+	router *HashRouter
 
-	peers []*meshPeer // indexed like Addrs; nil at self
-
-	forwardedOut  atomic.Uint64
-	forwardErrors atomic.Uint64
-	reconnects    atomic.Uint64
+	links []*wire.PeerLink // indexed like Addrs; nil at self
 
 	mu     sync.Mutex
 	closed bool
@@ -165,11 +163,10 @@ func NewWireMesh(cfg WireMeshConfig) (*WireMesh, error) {
 		return nil, err
 	}
 	wm := &WireMesh{
-		kind:       cfg.Kind,
-		self:       cfg.Self,
-		router:     router,
-		ackTimeout: cfg.AckTimeout,
-		peers:      make([]*meshPeer, len(cfg.Addrs)),
+		kind:   cfg.Kind,
+		self:   cfg.Self,
+		router: router,
+		links:  make([]*wire.PeerLink, len(cfg.Addrs)),
 	}
 	for i, addr := range cfg.Addrs {
 		if i == cfg.Self {
@@ -178,27 +175,25 @@ func NewWireMesh(cfg WireMeshConfig) (*WireMesh, error) {
 		if addr == "" {
 			return nil, fmt.Errorf("%w: empty address for member %d", ErrParams, i)
 		}
-		wm.peers[i] = &meshPeer{mesh: wm, addr: addr, dialTimeout: cfg.DialTimeout}
+		wm.links[i] = wire.NewPeerLink(addr, uint32(cfg.Self), cfg.DialTimeout, cfg.AckTimeout)
 	}
 	return wm, nil
 }
 
-// Stats returns a snapshot of the mesh counters.
+// Stats returns a snapshot of the mesh counters, summed over the peer links.
 func (wm *WireMesh) Stats() WireMeshStats {
-	peers := 0
-	for _, p := range wm.peers {
-		if p != nil {
-			peers++
+	st := WireMeshStats{Kind: wm.kind, Self: wm.self, Peers: len(wm.links) - 1}
+	for _, l := range wm.links {
+		if l == nil {
+			continue
 		}
+		ls := l.Stats()
+		st.ForwardedOut += ls.Acked
+		st.ForwardErrors += ls.Failed
+		st.Reconnects += ls.Reconnects
+		st.ForwardInflight += ls.Inflight
 	}
-	return WireMeshStats{
-		Kind:          wm.kind,
-		Self:          wm.self,
-		Peers:         peers,
-		ForwardedOut:  wm.forwardedOut.Load(),
-		ForwardErrors: wm.forwardErrors.Load(),
-		Reconnects:    wm.reconnects.Load(),
-	}
+	return st
 }
 
 // Kind returns the mesh's topology kind.
@@ -207,7 +202,8 @@ func (wm *WireMesh) Kind() TopologyKind { return wm.kind }
 // Self returns this member's mesh index.
 func (wm *WireMesh) Self() int { return wm.self }
 
-// Close tears down all peer connections. In-flight forwards fail.
+// Close tears down all peer connections. Outstanding forwards fail at
+// once, which rejects the publishes waiting on them.
 func (wm *WireMesh) Close() error {
 	wm.mu.Lock()
 	if wm.closed {
@@ -216,48 +212,41 @@ func (wm *WireMesh) Close() error {
 	}
 	wm.closed = true
 	wm.mu.Unlock()
-	for _, p := range wm.peers {
-		if p != nil {
-			p.close()
+	for _, l := range wm.links {
+		if l != nil {
+			l.Close()
 		}
 	}
 	return nil
 }
 
-// ForwardPublish implements wire.Forwarder for single publishes.
-func (wm *WireMesh) ForwardPublish(m *jms.Message, raw []byte) (bool, error) {
+// StartPublish implements wire.Forwarder for single publishes.
+func (wm *WireMesh) StartPublish(m *jms.Message, raw []byte) (bool, *wire.ForwardAck) {
 	switch wm.kind {
 	case TopologyPSR:
 		// Publisher-side replication partitions publishers by the address
 		// they dialed; nothing to forward.
 		return true, nil
 	case TopologySSR:
-		if err := wm.flood(false, raw); err != nil {
-			return false, err
-		}
-		return true, nil
+		return true, wm.flood(false, raw)
 	default: // TopologyHash
 		owner := wm.router.Owner(m.Header.Topic)
 		if owner == wm.self {
 			return true, nil
 		}
-		if err := wm.forwardTo(owner, false, raw); err != nil {
-			return false, err
-		}
-		return false, nil
+		ack := wire.NewForwardAck(1)
+		wm.links[owner].Forward(ack, false, raw)
+		return false, ack
 	}
 }
 
-// ForwardBatch implements wire.Forwarder for batch publishes.
-func (wm *WireMesh) ForwardBatch(msgs []*jms.Message, raw []byte) (bool, error) {
+// StartBatch implements wire.Forwarder for batch publishes.
+func (wm *WireMesh) StartBatch(msgs []*jms.Message, raw []byte) (bool, *wire.ForwardAck) {
 	switch wm.kind {
 	case TopologyPSR:
 		return true, nil
 	case TopologySSR:
-		if err := wm.flood(true, raw); err != nil {
-			return false, err
-		}
-		return true, nil
+		return true, wm.flood(true, raw)
 	default: // TopologyHash
 		// Group the batch by owner. The common case — a router-aware
 		// client sent a homogeneous batch — forwards the raw bytes
@@ -283,214 +272,47 @@ func (wm *WireMesh) ForwardBatch(msgs []*jms.Message, raw []byte) (bool, error) 
 		if groups == nil {
 			return true, nil
 		}
-		if !anySelf && len(groups) == 1 {
-			for owner := range groups {
-				if err := wm.forwardTo(owner, true, raw); err != nil {
-					return false, err
-				}
-			}
-			return false, nil
-		}
+		ack := wire.NewForwardAck(len(groups))
 		for owner, group := range groups {
-			if err := wm.forwardTo(owner, true, wire.EncodeBatch(group)); err != nil {
-				return false, err
+			inner := raw
+			if anySelf || len(groups) > 1 {
+				inner = wire.EncodeBatch(group)
 			}
+			wm.links[owner].Forward(ack, true, inner)
 		}
-		return anySelf, nil
+		return anySelf, ack
 	}
 }
 
-// flood forwards the payload to every peer, concurrently, and fails if
-// any peer failed — the publish is then rejected as a whole and the
-// client's retry is deduped by the peers that did accept it.
-func (wm *WireMesh) flood(batch bool, inner []byte) error {
-	var wg sync.WaitGroup
-	errs := make([]error, len(wm.peers))
-	for i, p := range wm.peers {
-		if p == nil {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, p *meshPeer) {
-			defer wg.Done()
-			errs[i] = wm.track(p.forward(batch, inner))
-		}(i, p)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+// flood queues the payload for every peer. If any of them fails, the
+// publish is rejected as a whole and the client's retry is deduped by the
+// peers that did accept it.
+func (wm *WireMesh) flood(batch bool, inner []byte) *wire.ForwardAck {
+	ack := wire.NewForwardAck(len(wm.links) - 1)
+	for _, l := range wm.links {
+		if l != nil {
+			l.Forward(ack, batch, inner)
 		}
 	}
-	return nil
+	return ack
 }
 
-// forwardTo forwards the payload to one member.
-func (wm *WireMesh) forwardTo(member int, batch bool, inner []byte) error {
-	p := wm.peers[member]
-	if p == nil {
-		return fmt.Errorf("cluster: forward to self (member %d)", member)
+// ForwardPublish forwards one publish and waits for the outcome: StartPublish
+// plus the wait the wire server does in its commit loop. It reports whether
+// the message is also to be published locally.
+func (wm *WireMesh) ForwardPublish(m *jms.Message, raw []byte) (bool, error) {
+	local, ack := wm.StartPublish(m, raw)
+	if err := ack.Wait(); err != nil {
+		return false, err
 	}
-	return wm.track(p.forward(batch, inner))
+	return local, nil
 }
 
-// track folds one forward outcome into the mesh counters.
-func (wm *WireMesh) track(err error) error {
-	if err != nil {
-		wm.forwardErrors.Add(1)
-		return err
+// ForwardBatch is ForwardPublish for a batch.
+func (wm *WireMesh) ForwardBatch(msgs []*jms.Message, raw []byte) (bool, error) {
+	local, ack := wm.StartBatch(msgs, raw)
+	if err := ack.Wait(); err != nil {
+		return false, err
 	}
-	wm.forwardedOut.Add(1)
-	return nil
-}
-
-// meshPeer is one lazily-dialed, pipelined connection to a peer server.
-// Concurrent forwards share the connection: each registers a waiter under
-// its request ID, the acks complete them in whatever order they return.
-type meshPeer struct {
-	mesh        *WireMesh
-	addr        string
-	dialTimeout time.Duration
-
-	// mu guards the connection identity and the waiter table; wmu
-	// serializes frame writes so a blocked write never holds up ack
-	// completion.
-	mu            sync.Mutex
-	wmu           sync.Mutex
-	conn          net.Conn
-	gen           uint64
-	nextReq       uint64
-	waiters       map[uint64]chan error
-	everConnected bool
-	closed        bool
-}
-
-// forward sends one FORWARD frame and waits for the peer's ack.
-func (p *meshPeer) forward(batch bool, inner []byte) error {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return ErrClosed
-	}
-	if p.conn == nil {
-		conn, err := net.DialTimeout("tcp", p.addr, p.dialTimeout)
-		if err != nil {
-			p.mu.Unlock()
-			return fmt.Errorf("cluster: dial peer %s: %w", p.addr, err)
-		}
-		if p.everConnected {
-			p.mesh.reconnects.Add(1)
-		}
-		p.everConnected = true
-		p.conn = conn
-		p.gen++
-		p.waiters = make(map[uint64]chan error)
-		go p.readLoop(conn, p.gen)
-	}
-	conn, gen := p.conn, p.gen
-	p.nextReq++
-	req := p.nextReq
-	ch := make(chan error, 1)
-	p.waiters[req] = ch
-	p.mu.Unlock()
-
-	payload := wire.EncodeForward(req, wire.ForwardHeader{
-		Origin: uint32(p.mesh.self),
-		Hops:   1,
-		Batch:  batch,
-	}, inner)
-
-	p.wmu.Lock()
-	err := wire.WriteFrame(conn, wire.Frame{Type: wire.FrameForward, Payload: payload})
-	p.wmu.Unlock()
-	if err != nil {
-		p.fail(gen, err)
-		return fmt.Errorf("cluster: forward to %s: %w", p.addr, err)
-	}
-
-	select {
-	case err := <-ch:
-		if err != nil {
-			return fmt.Errorf("cluster: peer %s rejected forward: %w", p.addr, err)
-		}
-		return nil
-	case <-time.After(p.mesh.ackTimeout):
-		// Leave the waiter registered: a late ack completes into the
-		// buffered channel, a connection failure sweeps it. Either way no
-		// goroutine leaks — but the connection is suspect, so drop it.
-		p.fail(gen, fmt.Errorf("cluster: peer %s ack timeout", p.addr))
-		return fmt.Errorf("cluster: peer %s ack timeout after %s", p.addr, p.mesh.ackTimeout)
-	}
-}
-
-// readLoop drains acks for one connection generation.
-func (p *meshPeer) readLoop(conn net.Conn, gen uint64) {
-	for {
-		f, err := wire.ReadFrame(conn)
-		if err != nil {
-			p.fail(gen, err)
-			return
-		}
-		switch f.Type {
-		case wire.FramePubAck:
-			req, err := wire.DecodeU64(f.Payload)
-			if err != nil {
-				p.fail(gen, err)
-				return
-			}
-			p.complete(gen, req, nil)
-		case wire.FrameError:
-			req, msg, err := wire.DecodeError(f.Payload)
-			if err != nil {
-				p.fail(gen, err)
-				return
-			}
-			p.complete(gen, req, fmt.Errorf("%s", msg))
-		default:
-			// Unexpected frame on a forward-only connection.
-			p.fail(gen, fmt.Errorf("cluster: unexpected %v from peer", f.Type))
-			return
-		}
-	}
-}
-
-// complete resolves one waiter of the given connection generation.
-func (p *meshPeer) complete(gen, req uint64, err error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.gen != gen || p.waiters == nil {
-		return
-	}
-	if ch, ok := p.waiters[req]; ok {
-		delete(p.waiters, req)
-		ch <- err
-	}
-}
-
-// fail tears down one connection generation, sweeping every waiter with
-// the error. Later generations are untouched.
-func (p *meshPeer) fail(gen uint64, err error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.gen != gen || p.conn == nil {
-		return
-	}
-	_ = p.conn.Close()
-	p.conn = nil
-	for req, ch := range p.waiters {
-		delete(p.waiters, req)
-		ch <- err
-	}
-	p.waiters = nil
-}
-
-// close shuts the peer down for good.
-func (p *meshPeer) close() {
-	p.mu.Lock()
-	p.closed = true
-	conn, gen := p.conn, p.gen
-	p.mu.Unlock()
-	if conn != nil {
-		p.fail(gen, ErrClosed)
-	}
+	return local, nil
 }

@@ -300,6 +300,7 @@ func WriteMetrics(w io.Writer, opts Options) {
 		WriteCounter(bw, "jms_mesh_forwarded_out_total", "FORWARD frames acked by mesh peers.", ms.ForwardedOut)
 		WriteCounter(bw, "jms_mesh_forward_errors_total", "Forwards that failed and rejected the triggering publish.", ms.ForwardErrors)
 		WriteCounter(bw, "jms_mesh_reconnects_total", "Peer re-dials after an established mesh connection broke.", ms.Reconnects)
+		WriteGauge(bw, "jms_mesh_forward_inflight", "FORWARD frames sent to mesh peers and not yet acked or failed (forward window occupancy).", float64(ms.ForwardInflight))
 	}
 
 	if d := opts.Drift; d != nil {
@@ -364,6 +365,9 @@ type MeshStats struct {
 	ForwardedIn   uint64 `json:"forwarded_in"`
 	ForwardErrors uint64 `json:"forward_errors"`
 	Reconnects    uint64 `json:"reconnects"`
+	// ForwardInflight is the forward window's occupancy: FORWARD frames
+	// sent and not yet acked or failed.
+	ForwardInflight int64 `json:"forward_inflight"`
 }
 
 // WireStats are the wire server's counters in the /stats payload.
@@ -399,12 +403,13 @@ func CollectStats(opts Options) Stats {
 	if wm := opts.Mesh; wm != nil {
 		ms := wm.Stats()
 		out.Mesh = &MeshStats{
-			Kind:          ms.Kind.String(),
-			Self:          ms.Self,
-			Peers:         ms.Peers,
-			ForwardedOut:  ms.ForwardedOut,
-			ForwardErrors: ms.ForwardErrors,
-			Reconnects:    ms.Reconnects,
+			Kind:            ms.Kind.String(),
+			Self:            ms.Self,
+			Peers:           ms.Peers,
+			ForwardedOut:    ms.ForwardedOut,
+			ForwardErrors:   ms.ForwardErrors,
+			Reconnects:      ms.Reconnects,
+			ForwardInflight: ms.ForwardInflight,
 		}
 		if s := opts.Wire; s != nil {
 			out.Mesh.ForwardedIn = s.ForwardsIn()

@@ -468,6 +468,7 @@ func TestMeshMetricsExposed(t *testing.T) {
 			"jms_mesh_forwarded_in_total ",
 			"jms_mesh_forward_errors_total 0",
 			"jms_mesh_reconnects_total 0",
+			"jms_mesh_forward_inflight 0",
 		} {
 			if !strings.Contains(body, want) {
 				t.Errorf("member %d: missing %q in exposition", i, want)

@@ -56,15 +56,6 @@ func AppendForward(buf []byte, h ForwardHeader, inner []byte) []byte {
 	return e.buf
 }
 
-// EncodeForward builds a complete FORWARD payload: request id u64, routing
-// header, inner bytes verbatim.
-func EncodeForward(reqID uint64, h ForwardHeader, inner []byte) []byte {
-	buf := make([]byte, 0, 8+forwardHeaderSize+len(inner))
-	e := encoder{buf: buf}
-	e.u64(reqID)
-	return AppendForward(e.buf, h, inner)
-}
-
 // DecodeForward parses a FORWARD payload body (after the request ID) into
 // its routing header and the inner publish bytes. The inner slice views
 // the input; it is only valid as long as payload is.
@@ -103,25 +94,35 @@ func DecodeForward(payload []byte) (ForwardHeader, []byte, error) {
 // consults it at PUBLISH/BATCH ingress — after decoding, before the local
 // broker publish — with both the decoded messages and the raw payload
 // bytes (after the request ID), so a forwarding implementation can
-// re-encapsulate without re-encoding. The raw slice views the
-// connection's read window and is only valid for the duration of the
-// call; an asynchronous forwarder must copy it.
+// re-encapsulate without re-encoding.
+//
+// Forwarding is asynchronous. A Start call queues whatever FORWARD frames
+// the publish needs (PeerLink.Forward does, and copies raw — it views the
+// connection's read window and is only valid for the duration of the call)
+// and returns without waiting for any peer. The connection's read loop goes
+// straight on to the next frame; the publish is parked, in arrival order,
+// until the returned ForwardAck completes, and only then published locally
+// and acknowledged. Any failed forward rejects the publish: the client sees
+// an ERROR frame and nothing is published locally. So a PUB_ACK still
+// means every required peer accepted the message and the local broker
+// admitted it, and per-publisher order holds on every member: forwards
+// leave in read order on one connection per peer, local publishes happen
+// in read order.
 //
 // The returned local flag selects whether the message is also published
 // on this broker (false for the hash topology's non-owner entry broker).
-// A returned error rejects the publish: the client sees an ERROR frame
-// and nothing is published locally. Best-effort forwarders (SSR flood)
-// swallow per-peer failures and report them through their own counters
-// instead.
+// A nil ForwardAck means nothing was sent for this publish (PSR, a
+// self-owned hash topic); with nothing parked ahead of it, such a publish
+// is handled inline exactly as on a server without a Forwarder.
 //
 // FORWARD frames themselves never reach the Forwarder: a forwarded
 // publish is applied locally only, which suppresses forwarding loops
 // structurally.
 type Forwarder interface {
-	// ForwardPublish handles one client publish. raw is the encoded
+	// StartPublish handles one client publish. raw is the encoded
 	// message body.
-	ForwardPublish(m *jms.Message, raw []byte) (local bool, err error)
-	// ForwardBatch handles one client batch publish. raw is the encoded
+	StartPublish(m *jms.Message, raw []byte) (local bool, ack *ForwardAck)
+	// StartBatch handles one client batch publish. raw is the encoded
 	// BATCH body (count + length-prefixed messages).
-	ForwardBatch(msgs []*jms.Message, raw []byte) (local bool, err error)
+	StartBatch(msgs []*jms.Message, raw []byte) (local bool, ack *ForwardAck)
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"net"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -36,15 +37,6 @@ func TestForwardCodecRoundTrip(t *testing.T) {
 			t.Fatal("inner bytes changed")
 		}
 	}
-
-	// EncodeForward prepends the request ID the raw form omits.
-	full := EncodeForward(42, ForwardHeader{Origin: 3, Hops: 1}, inner)
-	if got := binary.BigEndian.Uint64(full[:8]); got != 42 {
-		t.Fatalf("reqID = %d", got)
-	}
-	if !bytes.Equal(full[8:], AppendForward(nil, ForwardHeader{Origin: 3, Hops: 1}, inner)) {
-		t.Fatal("EncodeForward body diverges from AppendForward")
-	}
 }
 
 func TestForwardDecodeErrors(t *testing.T) {
@@ -64,28 +56,41 @@ func TestForwardDecodeErrors(t *testing.T) {
 }
 
 // recordingForwarder captures ingress-hook invocations and vetoes the
-// local publish when local is false.
+// local publish when local is false. Its forwards complete on their own:
+// at once, or when the test sends on hold if that is set.
 type recordingForwarder struct {
 	publishes atomic.Uint64
 	batches   atomic.Uint64
 	local     atomic.Bool
 	fail      atomic.Bool
+	hold      chan struct{} // nil: complete synchronously
 }
 
-func (f *recordingForwarder) ForwardPublish(m *jms.Message, raw []byte) (bool, error) {
+func (f *recordingForwarder) start() (bool, *ForwardAck) {
+	var err error
+	if f.fail.Load() {
+		err = errors.New("forward path down")
+	}
+	ack := NewForwardAck(1)
+	if f.hold == nil {
+		ack.complete(err)
+	} else {
+		go func() {
+			<-f.hold
+			ack.complete(err)
+		}()
+	}
+	return f.local.Load(), ack
+}
+
+func (f *recordingForwarder) StartPublish(m *jms.Message, raw []byte) (bool, *ForwardAck) {
 	f.publishes.Add(1)
-	if f.fail.Load() {
-		return false, errors.New("forward path down")
-	}
-	return f.local.Load(), nil
+	return f.start()
 }
 
-func (f *recordingForwarder) ForwardBatch(msgs []*jms.Message, raw []byte) (bool, error) {
+func (f *recordingForwarder) StartBatch(msgs []*jms.Message, raw []byte) (bool, *ForwardAck) {
 	f.batches.Add(1)
-	if f.fail.Load() {
-		return false, errors.New("forward path down")
-	}
-	return f.local.Load(), nil
+	return f.start()
 }
 
 func startForwardServer(t *testing.T, fw Forwarder) (*rawConn, *broker.Broker, *Server) {
@@ -215,5 +220,170 @@ func TestServerForwarderHook(t *testing.T) {
 	rc.expectError(rc.request(FrameBatch, EncodeBatch([]*jms.Message{m})))
 	if got := b.Stats().Received; got != 2 {
 		t.Fatalf("failed publish reached the broker: received %d", got)
+	}
+}
+
+// stamped returns a message carrying a publish-dedupe identity.
+func stamped(pub string, seq int64, body string) *jms.Message {
+	m := jms.NewMessage("t")
+	_ = m.SetStringProperty(PubIDProperty, pub)
+	_ = m.SetInt64Property(PubSeqProperty, seq)
+	m.SetBody([]byte(body))
+	return m
+}
+
+// TestServerParkedPublishes drives the window with a forwarder whose
+// forwards complete only when the test says so: parked publishes are
+// neither acked nor published before their forward completes, PING is
+// answered past them, SUBSCRIBE waits for them, commits and acks come in
+// arrival order, and a publish with nothing to
+// forward queues behind parked ones instead of overtaking them.
+func TestServerParkedPublishes(t *testing.T) {
+	fw := &recordingForwarder{hold: make(chan struct{})}
+	fw.local.Store(true)
+	rc, b, _ := startForwardServer(t, fw)
+
+	first := rc.request(FramePublish, EncodeMessage(stamped("p", 1, "one")))
+	second := rc.request(FrameBatch, EncodeBatch([]*jms.Message{stamped("p", 2, "two"), stamped("p", 3, "three")}))
+	// A forwarded frame never has forwards of its own; it still may not
+	// overtake the two parked publishes.
+	third := rc.request(FrameForward, AppendForward(nil, ForwardHeader{Origin: 1, Hops: 1}, EncodeMessage(stamped("q", 1, "four"))))
+	if err := WriteFrame(rc.conn, Frame{Type: FramePing}); err != nil {
+		t.Fatal(err)
+	}
+	sub := rc.request(FrameSubscribe, EncodeSubscribe("t", FilterSpec{Mode: FilterNone}))
+
+	if f := rc.read(); f.Type != FramePong {
+		t.Fatalf("first reply = %v, want PONG past the parked publishes", f.Type)
+	}
+	if got := b.Stats().Received; got != 0 {
+		t.Fatalf("broker received %d messages before any forward completed", got)
+	}
+
+	fw.hold <- struct{}{}
+	fw.hold <- struct{}{}
+	for _, want := range []uint64{first, second, third} {
+		f := rc.read()
+		if f.Type != FramePubAck || binary.BigEndian.Uint64(f.Payload) != want {
+			t.Fatalf("reply = %v for %d, want PUB_ACK for %d", f.Type, binary.BigEndian.Uint64(f.Payload), want)
+		}
+	}
+	// SUBSCRIBE waited for the parked publishes, so its reply follows their
+	// acks. (The broker acks at admission, so the new subscription may still
+	// be handed some of them — as it may without a forwarder.)
+	f := rc.read()
+	for f.Type == FrameMessage {
+		f = rc.read()
+	}
+	if f.Type != FrameSubscribeOK || binary.BigEndian.Uint64(f.Payload) != sub {
+		t.Fatalf("reply = %v, want SUBSCRIBE_OK", f.Type)
+	}
+	if got := b.Stats().Received; got != 4 {
+		t.Fatalf("broker received %d, want 4", got)
+	}
+}
+
+// TestServerParkedPublishRejected fails a parked publish's forward: the
+// client gets ERROR, nothing reaches the broker, and the dedupe claims are
+// released — the retry of the same sequences is published, not swallowed.
+func TestServerParkedPublishRejected(t *testing.T) {
+	fw := &recordingForwarder{hold: make(chan struct{})}
+	fw.local.Store(true)
+	fw.fail.Store(true)
+	rc, b, srv := startForwardServer(t, fw)
+
+	single := rc.request(FramePublish, EncodeMessage(stamped("p", 1, "one")))
+	batch := rc.request(FrameBatch, EncodeBatch([]*jms.Message{stamped("p", 2, "two"), stamped("p", 3, "three")}))
+	fw.hold <- struct{}{}
+	fw.hold <- struct{}{}
+	rc.expectError(single)
+	rc.expectError(batch)
+	if got := b.Stats().Received; got != 0 {
+		t.Fatalf("rejected publishes reached the broker: received %d", got)
+	}
+
+	fw.fail.Store(false)
+	single = rc.request(FramePublish, EncodeMessage(stamped("p", 1, "one")))
+	batch = rc.request(FrameBatch, EncodeBatch([]*jms.Message{stamped("p", 2, "two"), stamped("p", 3, "three")}))
+	fw.hold <- struct{}{}
+	fw.hold <- struct{}{}
+	for _, want := range []uint64{single, batch} {
+		if f := rc.read(); f.Type != FramePubAck || binary.BigEndian.Uint64(f.Payload) != want {
+			t.Fatalf("retry reply = %v, want PUB_ACK for %d", f.Type, want)
+		}
+	}
+	if got := b.Stats().Received; got != 3 {
+		t.Fatalf("broker received %d of the 3 retried messages", got)
+	}
+	if got := srv.DuplicatesSuppressed(); got != 0 {
+		t.Fatalf("%d retries swallowed as duplicates", got)
+	}
+}
+
+// TestServerTeardownCommitsParked cuts the client connection with publishes
+// parked: teardown waits for their forwards and commits them — an admitted
+// publish is never abandoned — and only then does Close return.
+func TestServerTeardownCommitsParked(t *testing.T) {
+	fw := &recordingForwarder{hold: make(chan struct{})}
+	fw.local.Store(true)
+	rc, b, srv := startForwardServer(t, fw)
+
+	rc.request(FramePublish, EncodeMessage(stamped("p", 1, "one")))
+	rc.request(FrameBatch, EncodeBatch([]*jms.Message{stamped("p", 2, "two")}))
+	for fw.publishes.Load()+fw.batches.Load() < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	_ = rc.conn.Close()
+
+	closed := make(chan struct{})
+	go func() {
+		_ = srv.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("server closed with publishes still parked")
+	case <-time.After(50 * time.Millisecond):
+	}
+	fw.hold <- struct{}{}
+	fw.hold <- struct{}{}
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("server did not close after the parked publishes completed")
+	}
+	if got := b.Stats().Received; got != 2 {
+		t.Fatalf("broker received %d of the 2 parked messages", got)
+	}
+}
+
+// nothingToForward is the PSR shape of a Forwarder: consulted, never sends.
+type nothingToForward struct{}
+
+func (nothingToForward) StartPublish(*jms.Message, []byte) (bool, *ForwardAck) { return true, nil }
+func (nothingToForward) StartBatch([]*jms.Message, []byte) (bool, *ForwardAck) { return true, nil }
+
+// TestServerNothingToForwardStaysInline pins the inline path: a forwarder
+// that never sends anything costs the connection no commit loop.
+func TestServerNothingToForwardStaysInline(t *testing.T) {
+	rc, b, _ := startForwardServer(t, nothingToForward{})
+	m := jms.NewMessage("t")
+	rc.request(FramePublish, EncodeMessage(m))
+	rc.read()
+	before := runtime.NumGoroutine()
+	for i := 0; i < 8; i++ {
+		rc.request(FramePublish, EncodeMessage(m))
+		rc.request(FrameBatch, EncodeBatch([]*jms.Message{m, m}))
+	}
+	for i := 0; i < 16; i++ {
+		if f := rc.read(); f.Type != FramePubAck {
+			t.Fatalf("reply = %v", f.Type)
+		}
+	}
+	if got := runtime.NumGoroutine(); got > before {
+		t.Fatalf("goroutines grew from %d to %d on the inline path", before, got)
+	}
+	if got := b.Stats().Received; got != 25 {
+		t.Fatalf("broker received %d, want 25", got)
 	}
 }

@@ -218,6 +218,15 @@ type serverConn struct {
 	frameStartNs int64
 	frameReadNs  int64
 
+	// parked is the FIFO of client publishes whose forwards are still
+	// outstanding (see forward.go); the read loop appends, commitLoop
+	// finishes them in arrival order. Nil — no goroutine, no channel —
+	// until the connection's first forwarded publish. nParked counts the
+	// entries not yet finished; committed is closed when commitLoop exits.
+	parked    chan parkedPublish
+	nParked   atomic.Int32
+	committed chan struct{}
+
 	subMu sync.Mutex
 	subs  map[uint64]*connSub
 	// nextSubID allocates connection-local subscription IDs; broker IDs
@@ -293,6 +302,8 @@ func (s *Server) handleConn(conn net.Conn) {
 	// Close the connection before waiting for the pumps: one of them may
 	// be blocked mid-write on the dead peer.
 	_ = conn.Close()
+	// Every parked publish is committed or rejected, none abandoned.
+	sc.drainParked()
 
 	// Tear down this connection's subscriptions. Non-durable mode: a
 	// disconnected subscriber is forgotten. Acked durable subscriptions:
@@ -376,6 +387,7 @@ func (sc *serverConn) handleFrame(f Frame) error {
 		return sc.write(Frame{Type: FramePong})
 
 	case FrameConfigureTopic:
+		sc.drainParked()
 		name, err := DecodeString(rest)
 		if err != nil {
 			return err
@@ -407,6 +419,7 @@ func (sc *serverConn) handleFrame(f Frame) error {
 		return sc.handlePublishBody(reqID, inner, false)
 
 	case FrameSubscribe:
+		sc.drainParked()
 		topicName, spec, err := DecodeSubscribe(rest)
 		if err != nil {
 			return err
@@ -456,6 +469,7 @@ func (sc *serverConn) handleFrame(f Frame) error {
 		return sc.write(Frame{Type: FrameSubscribeOK, Payload: e.buf})
 
 	case FrameUnsubscribe:
+		sc.drainParked()
 		subID, err := DecodeU64(rest)
 		if err != nil {
 			return err
@@ -494,6 +508,7 @@ func (sc *serverConn) handleFrame(f Frame) error {
 		return nil
 
 	case FrameDeleteDurable:
+		sc.drainParked()
 		d := decoder{buf: rest}
 		topicName, err := d.str()
 		if err != nil {
@@ -549,30 +564,11 @@ func (sc *serverConn) handlePublishBody(reqID uint64, body []byte, fromClient bo
 		sc.server.duplicates.Add(1)
 		return sc.write(Frame{Type: FramePubAck, Payload: EncodeU64(reqID)})
 	}
-	local := true
+	p := parkedPublish{reqID: reqID, local: true, m: m}
 	if fw := sc.server.forwarder; fw != nil && fromClient {
-		if local, err = fw.ForwardPublish(m, body); err != nil {
-			if stamped {
-				sc.server.dedupe.unrecord(pub, seq)
-			}
-			sc.writeErr(reqID, err)
-			return nil
-		}
+		p.local, p.ack = fw.StartPublish(m, body)
 	}
-	if local {
-		// Blocking Publish implements push-back: the ack is delayed while
-		// the topic window is full, which throttles the remote publisher.
-		if err := sc.server.broker.Publish(context.Background(), m); err != nil {
-			// The sequence was claimed but never published; release it so
-			// a retry of this message is not swallowed as a duplicate.
-			if stamped {
-				sc.server.dedupe.unrecord(pub, seq)
-			}
-			sc.writeErr(reqID, err)
-			return nil
-		}
-	}
-	return sc.write(Frame{Type: FramePubAck, Payload: EncodeU64(reqID)})
+	return sc.admit(p)
 }
 
 // handleBatchBody applies one encoded BATCH body (after its request ID, or
@@ -605,57 +601,128 @@ func (sc *serverConn) handleBatchBody(reqID uint64, body []byte, fromClient bool
 	// The forwarder sees the batch before dedupe compaction, so the raw
 	// bytes and the decoded messages agree; peers suppress any duplicate
 	// members with their own dedupe tables.
-	local := true
+	p := parkedPublish{reqID: reqID, local: true, c: c}
 	if fw := sc.server.forwarder; fw != nil && fromClient {
-		if local, err = fw.ForwardBatch(c.Msgs, body); err != nil {
-			c.Release()
-			sc.writeErr(reqID, err)
-			return nil
-		}
+		p.local, p.ack = fw.StartBatch(c.Msgs, body)
 	}
 	// Per-message dedupe: a redelivered batch (its shared ack was lost
 	// in a reconnect) may overlap already-claimed sequences. Duplicates
 	// are compacted out in place, the fresh remainder is published as
 	// one unit, and the single PUB_ACK covers the whole batch either
 	// way.
-	type claim struct {
-		pub string
-		seq int64
-	}
-	var claimScratch [16]claim
-	claims := claimScratch[:0]
 	fresh := c.Msgs[:0]
 	for _, m := range c.Msgs {
-		pub, seq, stamped := pubIdentity(m)
-		if stamped {
-			if !sc.server.dedupe.record(pub, seq) {
-				sc.server.duplicates.Add(1)
-				continue
-			}
-			claims = append(claims, claim{pub: pub, seq: seq})
+		if pub, seq, stamped := pubIdentity(m); stamped && !sc.server.dedupe.record(pub, seq) {
+			sc.server.duplicates.Add(1)
+			continue
 		}
 		fresh = append(fresh, m)
 	}
 	c.Msgs = fresh
-	if !local {
-		// The forwarder owns delivery (hash topology, non-owner entry):
-		// nothing is published here, and the claims stand — the ack below
-		// covers the batch.
-		c.Release()
-		return sc.write(Frame{Type: FramePubAck, Payload: EncodeU64(reqID)})
+	return sc.admit(p)
+}
+
+// forwardWindow bounds how many publishes one connection may have parked
+// behind their forwards. A full window blocks the read loop, which is the
+// push-back chain of a forwarding server: commitLoop blocked in the broker
+// publish → window full → read loop stops reading → TCP throttles the
+// publisher.
+const forwardWindow = 64
+
+// parkedPublish is one decoded client publish — a single message or a
+// batch carrier — with its dedupe sequences claimed, waiting to be
+// committed.
+type parkedPublish struct {
+	reqID uint64
+	ack   *ForwardAck // nil when nothing was forwarded
+	local bool        // publish on this broker too
+	m     *jms.Message
+	c     *broker.BatchCarrier // set instead of m for a batch
+}
+
+// admit commits p inline when there is nothing to wait for — no forward of
+// its own, nothing parked ahead of it — and parks it otherwise.
+func (sc *serverConn) admit(p parkedPublish) error {
+	if p.ack == nil && sc.nParked.Load() == 0 {
+		return sc.commit(p)
 	}
-	if err := sc.server.broker.PublishBatchCarrier(context.Background(), c); err != nil {
-		// Claimed but never published; release every claim so a retry
-		// of the batch is not swallowed as duplicates, and reclaim the
-		// carrier (ownership stayed with us on error).
-		for _, cl := range claims {
-			sc.server.dedupe.unrecord(cl.pub, cl.seq)
+	if sc.parked == nil {
+		sc.parked = make(chan parkedPublish, forwardWindow)
+		sc.committed = make(chan struct{})
+		go sc.commitLoop(sc.parked, sc.committed)
+	}
+	sc.nParked.Add(1)
+	sc.parked <- p
+	return nil
+}
+
+// commitLoop commits parked publishes in arrival order.
+func (sc *serverConn) commitLoop(parked <-chan parkedPublish, committed chan<- struct{}) {
+	defer close(committed)
+	for p := range parked {
+		// Queuing the reply cannot fail here: the egress writer outlives
+		// this loop (teardown drains the parked publishes before stopping
+		// it) and swallows frames for a dead connection itself.
+		_ = sc.commit(p)
+		sc.nParked.Add(-1)
+	}
+}
+
+// drainParked waits until every parked publish has been committed. The
+// read loop calls it before a frame that changes subscription state, so
+// the effects of one connection's frames stay in the order it sent them,
+// and at teardown.
+func (sc *serverConn) drainParked() {
+	if sc.parked == nil {
+		return
+	}
+	close(sc.parked)
+	<-sc.committed
+	sc.parked = nil
+}
+
+// commit finishes one admitted publish: wait for its forwards, publish it
+// locally if it is to be, and reply. A failed forward or a refused publish
+// rejects it — ERROR reply, nothing published here, its dedupe claims
+// released so a retry is not swallowed as a duplicate.
+func (sc *serverConn) commit(p parkedPublish) error {
+	err := p.ack.Wait()
+	published := false
+	if err == nil && p.local {
+		// The blocking publish implements push-back: the ack is delayed
+		// while the topic window is full, which throttles the publisher.
+		if p.c != nil {
+			err = sc.server.broker.PublishBatchCarrier(context.Background(), p.c)
+		} else {
+			err = sc.server.broker.Publish(context.Background(), p.m)
 		}
-		c.Release()
-		sc.writeErr(reqID, err)
+		published = err == nil
+	}
+	if err != nil {
+		if p.c != nil {
+			for _, m := range p.c.Msgs {
+				sc.server.unclaim(m)
+			}
+		} else {
+			sc.server.unclaim(p.m)
+		}
+	}
+	// A published carrier belongs to the broker; otherwise it is still ours.
+	if p.c != nil && !published {
+		p.c.Release()
+	}
+	if err != nil {
+		sc.writeErr(p.reqID, err)
 		return nil
 	}
-	return sc.write(Frame{Type: FramePubAck, Payload: EncodeU64(reqID)})
+	return sc.write(Frame{Type: FramePubAck, Payload: EncodeU64(p.reqID)})
+}
+
+// unclaim releases the dedupe sequence m claimed at ingress, if it is stamped.
+func (s *Server) unclaim(m *jms.Message) {
+	if pub, seq, ok := pubIdentity(m); ok {
+		s.dedupe.unrecord(pub, seq)
+	}
 }
 
 // deliveryCoalesce bounds how many queued deliveries one pump iteration
