@@ -31,10 +31,11 @@ race:
 # regression against the previous point. The two commands are separate so
 # a go test failure is not swallowed by a pipe. -maxallocs pins the
 # zero-allocation wire-path rows to their designed budgets (batch decode:
-# message + body slab; batch encode and delivery: pooled,
-# allocation-free; the mesh rows: one publish through three members with
-# pooled FORWARD frames and waiters, measured 13 per serial publish and 4
-# per windowed message); -maxmetric pins the subscription store's marginal
+# at most one chunk each of messages, property entries and bytes; delivery
+# decode: chunks amortized across deliveries; batch encode and delivery:
+# pooled, allocation-free; the mesh rows: one publish through three members
+# with pooled FORWARD frames and waiters, measured 13 per serial publish and
+# 4 per windowed message); -maxmetric pins the subscription store's marginal
 # memory footprint at the 10^5 population and the flight recorder's
 # end-to-end throughput cost at its 5% acceptance ceiling. All are hard
 # ceilings.
@@ -42,7 +43,7 @@ bench:
 	@mkdir -p bench
 	$(GO) test -run xxx -bench BenchmarkRegression -benchtime 1s -benchmem . | tee bench/latest.txt
 	$(GO) run ./cmd/benchjson -in bench/latest.txt -dir bench \
-		-maxallocs 'RegressionBatchDecode=2,RegressionBatchEncode=2,RegressionDeliver=0,RegressionMesh=15,RegressionMeshWindowed=5' \
+		-maxallocs 'RegressionBatchDecode=3,RegressionDeliveryDecode=1,RegressionBatchEncode=2,RegressionDeliver=0,RegressionMesh=15,RegressionMeshWindowed=5' \
 		-maxmetric 'RegressionSubscriptionStore:bytes/sub=1024,RegressionEndToEndTraced:overhead_pct=5'
 
 # bench-all runs every benchmark (figure regenerations + ablations) once.

@@ -548,18 +548,32 @@ func BenchmarkRegressionMeshWindowed(b *testing.B) {
 	}
 }
 
+// decodeBenchMessage is the anatomy the repository benchmark publishes and
+// the paper's two filter families match on: a correlation ID, one string
+// property and a 128-byte body.
+func decodeBenchMessage(b *testing.B) *jms.Message {
+	m := jms.NewMessage("t")
+	if err := m.SetCorrelationID("dev-000042"); err != nil {
+		b.Fatal(err)
+	}
+	if err := m.SetStringProperty("region", "eu"); err != nil {
+		b.Fatal(err)
+	}
+	m.SetBody(make([]byte, 128))
+	return m
+}
+
 // BenchmarkRegressionBatchDecode measures the decode side as the server
 // actually runs it: view-parse + validate the 16-message batch frame, then
 // materialize through a connection arena into a reused destination slice.
-// Steady state is two allocations per batch (the message slab and the body
-// slab — GC-owned because subscribers retain the messages), gated by
-// cmd/benchjson -maxallocs.
+// The arena carves messages, property sections and bytes from chunks, so a
+// batch costs at most one chunk of each kind — three allocations, GC-owned
+// because subscribers retain the messages — gated by cmd/benchjson
+// -maxallocs.
 func BenchmarkRegressionBatchDecode(b *testing.B) {
 	msgs := make([]*jms.Message, 16)
 	for i := range msgs {
-		m := jms.NewMessage("t")
-		m.SetBody(make([]byte, 128))
-		msgs[i] = m
+		msgs[i] = decodeBenchMessage(b)
 	}
 	payload := wire.EncodeBatch(msgs)
 	arena := wire.NewMessageArena()
@@ -574,6 +588,25 @@ func BenchmarkRegressionBatchDecode(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRegressionDeliveryDecode is the client read loop's share: one
+// MESSAGE frame payload materialized through the connection arena. Chunks
+// amortize across deliveries, so the ceiling is one allocation per delivery.
+func BenchmarkRegressionDeliveryDecode(b *testing.B) {
+	payload := wire.EncodeDelivery(7, 0, decodeBenchMessage(b))
+	arena := wire.NewMessageArena()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, _, m, err := arena.DecodeDeliveryArena(payload)
+		if err != nil {
+			b.Fatal(err)
+		}
+		decodeSink = m
+	}
+}
+
+var decodeSink *jms.Message
 
 // BenchmarkRegressionSubscriptionStore pins the subscription store's two
 // scale numbers at the 10^5 population: ns/op is the epoch-snapshot index

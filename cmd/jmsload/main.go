@@ -287,6 +287,19 @@ func run(args []string, stdout io.Writer) error {
 			published.Add(1)
 		}
 	}
+	// Publishers stop on stopPub, between calls. pubCtx only bounds the
+	// call that is outstanding at that moment: cancelling it right away
+	// would abandon a publish the server has already accepted — delivered,
+	// but never counted in acked.
+	stopPub := make(chan struct{})
+	stopped := func() bool {
+		select {
+		case <-stopPub:
+			return true
+		default:
+			return false
+		}
+	}
 	pubCtx, cancelPub := context.WithCancel(context.Background())
 	defer cancelPub()
 	var pubWG sync.WaitGroup
@@ -321,18 +334,18 @@ func run(args []string, stdout io.Writer) error {
 			defer close(due)
 			start := time.Now()
 			var at float64
-			for pubCtx.Err() == nil {
+			for !stopped() {
 				at += rng.Exp(*rate)
 				if d := time.Until(start.Add(time.Duration(at * float64(time.Second)))); d > 0 {
 					select {
 					case <-time.After(d):
-					case <-pubCtx.Done():
+					case <-stopPub:
 						return
 					}
 				}
 				select {
 				case due <- struct{}{}:
-				case <-pubCtx.Done():
+				case <-stopPub:
 					return
 				}
 			}
@@ -355,6 +368,9 @@ func run(args []string, stdout io.Writer) error {
 					defer pubWG.Done()
 					defer connWG.Done()
 					for range due {
+						if stopped() {
+							return
+						}
 						m := template.Clone()
 						stamp(m)
 						if err := c.Publish(pubCtx, m); err != nil {
@@ -380,7 +396,7 @@ func run(args []string, stdout io.Writer) error {
 			go func(c *client.Client) {
 				defer pubWG.Done()
 				defer func() { _ = c.Close() }()
-				for pubCtx.Err() == nil {
+				for !stopped() {
 					msgs := make([]*jms.Message, *batch)
 					for i := range msgs {
 						msgs[i] = template.Clone()
@@ -400,7 +416,7 @@ func run(args []string, stdout io.Writer) error {
 			go func(c *client.Client) {
 				defer pubWG.Done()
 				defer func() { _ = c.Close() }()
-				for pubCtx.Err() == nil {
+				for !stopped() {
 					m := template.Clone()
 					stamp(m)
 					if err := c.Publish(pubCtx, m); err != nil {
@@ -455,8 +471,10 @@ func run(args []string, stdout io.Writer) error {
 
 	cancelChurn()
 	churnWG.Wait()
-	cancelPub()
+	close(stopPub)
+	grace := time.AfterFunc(2*time.Second, cancelPub)
 	pubWG.Wait()
+	grace.Stop()
 
 	// Lost-delivery accounting: every acked publish owes one delivery per
 	// matching subscriber, whatever the topology (PSR dispatches on the

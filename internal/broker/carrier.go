@@ -28,7 +28,7 @@ import (
 //   - Only the carrier and its scratch recycle. The messages themselves are
 //     never pooled: subscribers retain them indefinitely, so they stay
 //     ordinary GC-owned values (the wire layer's MessageArena gives them
-//     slab locality instead). Recycling zeroes every retained pointer so a
+//     chunk locality instead). Recycling zeroes every retained pointer so a
 //     pooled carrier never pins the previous batch's messages.
 type BatchCarrier struct {
 	// Msgs is the batch, in publish order. The broker retains it until the

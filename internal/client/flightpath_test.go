@@ -30,6 +30,42 @@ func startTracedServer(t testing.TB) (addr string, rec *trace.Recorder) {
 	return ln.Addr().String(), rec
 }
 
+// awaitTrace waits until the still-active trace holds the broker's
+// completion and the egress-write span of every delivery, then commits and
+// returns it. Receiving a delivery does
+// not order after that span — the connection's writer records it once the
+// write call has returned, which the client's read can overtake — and a
+// Flush before it lands would freeze the trace without it for good: a late
+// span starts a new fragment, it does not reopen a committed trace.
+func awaitTrace(t *testing.T, rec *trace.Recorder, id uint64, deliveries int) *trace.Trace {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		got, _ := rec.Get(id)
+		egressWrites := 0
+		if got != nil {
+			for _, sp := range got.Spans {
+				if sp.Stage == trace.StageEgressWrite {
+					egressWrites++
+				}
+			}
+		}
+		if egressWrites >= deliveries && got.SojournNs > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("trace %#x: %d of %d egress-write spans appeared (got %+v)", id, egressWrites, deliveries, got)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	rec.Flush()
+	tr, ok := rec.Get(id)
+	if !ok || !tr.Complete {
+		t.Fatalf("trace %#x not committed by Flush (got %+v)", id, tr)
+	}
+	return tr
+}
+
 // TestEndToEndSpanTree drives one traced message over the real TCP path
 // and asserts the flight record contains the complete span tree: wire
 // ingress and decode, the broker's queue/match/replicate/transmit, and
@@ -60,22 +96,7 @@ func TestEndToEndSpanTree(t *testing.T) {
 		}
 	}
 
-	// Both deliveries were received, so every span — including the
-	// post-commit egress ones — has been recorded. Commit and inspect.
-	var tr *trace.Trace
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		rec.Flush()
-		got, ok := rec.Get(id)
-		if ok && got.Complete && got.StageNs(trace.StageEgressWrite) > 0 {
-			tr = got
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("complete trace with egress spans never appeared (got %+v)", got)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	tr := awaitTrace(t, rec, id, 2)
 
 	if tr.Topic != "t" || tr.R != 2 || tr.SojournNs <= 0 {
 		t.Errorf("trace header: topic=%q R=%d sojourn=%d", tr.Topic, tr.R, tr.SojournNs)
@@ -133,25 +154,13 @@ func TestBatchSpanTree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
 	for i := range msgs {
-		id := msgs[i].Header.TraceID
-		for {
-			rec.Flush()
-			tr, ok := rec.Get(id)
-			if ok && tr.Complete && tr.StageNs(trace.StageEgressWrite) > 0 {
-				if tr.StageNs(trace.StageIngress) <= 0 && tr.StageNs(trace.StageDecode) <= 0 {
-					t.Errorf("member %d: no ingress/decode span", i)
-				}
-				if tr.SojournNs <= 0 {
-					t.Errorf("member %d: no sojourn", i)
-				}
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("member %d: complete trace never appeared", i)
-			}
-			time.Sleep(5 * time.Millisecond)
+		tr := awaitTrace(t, rec, msgs[i].Header.TraceID, 1)
+		if tr.StageNs(trace.StageIngress) <= 0 && tr.StageNs(trace.StageDecode) <= 0 {
+			t.Errorf("member %d: no ingress/decode span", i)
+		}
+		if tr.SojournNs <= 0 {
+			t.Errorf("member %d: no sojourn", i)
 		}
 	}
 }

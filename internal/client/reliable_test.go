@@ -161,9 +161,18 @@ func TestChaosExactlyOnce(t *testing.T) {
 			break
 		}
 		// Cut every live connection. Both clients have one: the publisher
-		// just completed an acked publish, the subscriber holds its
-		// delivery stream. So every batch boundary cuts both, giving each
-		// client at least batches-1 = 3 kills.
+		// just completed an acked publish, and the subscriber is waited for
+		// until it has come back from the previous cut — a connection killed
+		// while it is still re-subscribing is a failed redial attempt, not a
+		// new loss, and would leave the counters below one short. So every
+		// batch boundary cuts both, giving each client at least
+		// batches-1 = 3 kills.
+		for deadline := time.Now().Add(10 * time.Second); sub.Metrics().Counter(MetricReconnects).Value() < uint64(batch); {
+			if time.Now().After(deadline) {
+				t.Fatalf("batch %d: subscriber never came back from the previous cut", batch)
+			}
+			time.Sleep(time.Millisecond)
+		}
 		waitConns(t, fn, 2)
 		if killed := fn.KillAll(); killed < 2 {
 			t.Fatalf("batch %d: KillAll cut %d connections, want >= 2", batch, killed)

@@ -131,16 +131,31 @@ type Header struct {
 	TraceID uint64
 }
 
+// PropertyEntry is one named value of a message's property section. Its
+// fields are private to this package: code outside it only ever allocates
+// entries as backing storage for ReserveProperties.
+type PropertyEntry struct {
+	name  string
+	value Property
+}
+
 // Message is a JMS message: header, property section, payload.
+//
+// The property section is a slice of entries kept sorted by name — a JMS
+// message carries a handful of properties, so a short binary search beats a
+// hash probe, the sorted order is the wire order, and the section costs one
+// allocation (none when its storage was reserved, see ReserveProperties).
+// Setting names in ascending order appends; any other order moves the
+// entries behind the new one, so bulk loaders sort first.
 type Message struct {
 	Header     Header
-	properties map[string]Property
+	properties []PropertyEntry
 	// Body is the opaque payload. The paper's default body size is 0 bytes
 	// (all information in the headers).
 	Body []byte
 	// shared is non-zero while the property section may be aliased by a
 	// copy-on-write view (see Shared). The first mutation through a setter
-	// copies the map before writing, so views never observe it.
+	// copies the section before writing, so views never observe it.
 	shared uint32
 	// EnqueuedAt is the broker-local enqueue stamp: the instant the broker
 	// accepted the message into its topic queue. It is not part of the wire
@@ -189,24 +204,57 @@ func validPropertyName(name string) bool {
 	return true
 }
 
+// search returns the position of name in the sorted property section and
+// whether it is present; when absent, the position is where it belongs. A
+// binary search: a name past the end — every set of a decoder replaying the
+// wire's ascending order — costs log n compares and no move.
+func (m *Message) search(name string) (int, bool) {
+	lo, hi := 0, len(m.properties)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if m.properties[mid].name < name {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(m.properties) && m.properties[lo].name == name
+}
+
 func (m *Message) setProperty(name string, p Property) error {
 	if !validPropertyName(name) {
 		return fmt.Errorf("%w: %q", ErrBadPropertyName, name)
 	}
 	if atomic.LoadUint32(&m.shared) != 0 {
-		// Copy-on-write: the map may be read concurrently through Shared
-		// views, so detach before the first mutation.
-		props := make(map[string]Property, len(m.properties)+1)
-		for k, v := range m.properties {
-			props[k] = v
-		}
+		// Copy-on-write: the section may be read concurrently through
+		// Shared views, so detach before the first mutation.
+		props := make([]PropertyEntry, len(m.properties), len(m.properties)+1)
+		copy(props, m.properties)
 		m.properties = props
 		atomic.StoreUint32(&m.shared, 0)
-	} else if m.properties == nil {
-		m.properties = make(map[string]Property, 4)
 	}
-	m.properties[name] = p
+	i, found := m.search(name)
+	if found {
+		m.properties[i].value = p
+		return nil
+	}
+	if m.properties == nil {
+		m.properties = make([]PropertyEntry, 0, 4)
+	}
+	m.properties = append(m.properties, PropertyEntry{})
+	copy(m.properties[i+1:], m.properties[i:])
+	m.properties[i] = PropertyEntry{name: name, value: p}
 	return nil
+}
+
+// ReserveProperties replaces the property section with an empty one backed
+// by buf: setters fill it in place, without allocating, until more than
+// cap(buf) distinct names are set. The message takes ownership of buf's
+// spare capacity — the caller must not touch it again. The wire decoder
+// uses it to carve the sections of many messages from one allocation.
+func (m *Message) ReserveProperties(buf []PropertyEntry) {
+	m.properties = buf[:0]
+	atomic.StoreUint32(&m.shared, 0)
 }
 
 // SetBoolProperty sets a boolean property.
@@ -236,13 +284,15 @@ func (m *Message) SetStringProperty(name string, v string) error {
 
 // Property returns the raw property and whether it exists.
 func (m *Message) Property(name string) (Property, bool) {
-	p, ok := m.properties[name]
-	return p, ok
+	if i, ok := m.search(name); ok {
+		return m.properties[i].value, true
+	}
+	return Property{}, false
 }
 
 // BoolProperty returns a boolean property.
 func (m *Message) BoolProperty(name string) (bool, error) {
-	p, ok := m.properties[name]
+	p, ok := m.Property(name)
 	if !ok {
 		return false, fmt.Errorf("%w: %q", ErrNoSuchProperty, name)
 	}
@@ -254,7 +304,7 @@ func (m *Message) BoolProperty(name string) (bool, error) {
 
 // Int64Property returns an integer property (either 32- or 64-bit).
 func (m *Message) Int64Property(name string) (int64, error) {
-	p, ok := m.properties[name]
+	p, ok := m.Property(name)
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", ErrNoSuchProperty, name)
 	}
@@ -266,7 +316,7 @@ func (m *Message) Int64Property(name string) (int64, error) {
 
 // Float64Property returns a floating-point property.
 func (m *Message) Float64Property(name string) (float64, error) {
-	p, ok := m.properties[name]
+	p, ok := m.Property(name)
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", ErrNoSuchProperty, name)
 	}
@@ -278,7 +328,7 @@ func (m *Message) Float64Property(name string) (float64, error) {
 
 // StringProperty returns a string property.
 func (m *Message) StringProperty(name string) (string, error) {
-	p, ok := m.properties[name]
+	p, ok := m.Property(name)
 	if !ok {
 		return "", fmt.Errorf("%w: %q", ErrNoSuchProperty, name)
 	}
@@ -293,32 +343,22 @@ func (m *Message) PropertyNames() []string {
 	if len(m.properties) == 0 {
 		return nil
 	}
-	return m.AppendPropertyNames(make([]string, 0, len(m.properties)))
-}
-
-// AppendPropertyNames appends the property names to dst in sorted order
-// and returns the extended slice. It is the allocation-free form of
-// PropertyNames for hot paths that bring their own scratch: when dst has
-// capacity for every name, nothing escapes to the heap (the wire encoder
-// passes a stack array).
-func (m *Message) AppendPropertyNames(dst []string) []string {
-	base := len(dst)
-	for name := range m.properties {
-		dst = append(dst, name)
+	names := make([]string, len(m.properties))
+	for i := range m.properties {
+		names[i] = m.properties[i].name
 	}
-	// Insertion sort instead of sort.Strings: the sort interface would
-	// force dst onto the heap, and property sections are small.
-	s := dst[base:]
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-	return dst
+	return names
 }
 
 // NumProperties returns the number of properties.
 func (m *Message) NumProperties() int { return len(m.properties) }
+
+// PropertyAt returns the i-th property in name order, 0 <= i <
+// NumProperties: the allocation-free way to walk the section.
+func (m *Message) PropertyAt(i int) (string, Property) {
+	e := &m.properties[i]
+	return e.name, e.value
+}
 
 // ClearProperties removes all properties.
 func (m *Message) ClearProperties() {
@@ -336,11 +376,8 @@ func (m *Message) SetBody(b []byte) { m.Body = b }
 // of that replication.
 func (m *Message) Clone() *Message {
 	c := &Message{Header: m.Header, EnqueuedAt: m.EnqueuedAt}
-	if m.properties != nil {
-		c.properties = make(map[string]Property, len(m.properties))
-		for k, v := range m.properties {
-			c.properties[k] = v
-		}
+	if len(m.properties) > 0 {
+		c.properties = append([]PropertyEntry(nil), m.properties...)
 	}
 	if m.Body != nil {
 		c.Body = make([]byte, len(m.Body))
@@ -357,7 +394,7 @@ func (m *Message) Clone() *Message {
 //
 // Safety contract: after Shared is called, mutating either the original or
 // a view through the property setters (SetStringProperty etc.) or
-// ClearProperties copies the property map first, so holders of other views
+// ClearProperties copies the property section first, so holders of other views
 // never observe the change and concurrent readers do not race. Body bytes
 // are aliased and must be treated as immutable; replace the payload with
 // SetBody instead of writing into the Body slice. Shared itself must only
@@ -394,8 +431,8 @@ func (m *Message) Validate() error {
 	if m.Header.Priority < 0 || m.Header.Priority > 9 {
 		return fmt.Errorf("jms: priority %d out of range [0,9]", m.Header.Priority)
 	}
-	for name := range m.properties {
-		if !validPropertyName(name) {
+	for i := range m.properties {
+		if name := m.properties[i].name; !validPropertyName(name) {
 			return fmt.Errorf("%w: %q", ErrBadPropertyName, name)
 		}
 	}
@@ -407,8 +444,9 @@ func (m *Message) Validate() error {
 // network utilization the way the paper's testbed monitored it with sar.
 func (m *Message) Size() int {
 	size := 8 /* id */ + len(m.Header.CorrelationID) + len(m.Header.Topic) + 1 /* mode */ + 1 /* prio */ + 16 /* timestamps */ + 8 /* trace ID */
-	for name, p := range m.properties {
-		size += len(name) + 1
+	for i := range m.properties {
+		p := &m.properties[i].value
+		size += len(m.properties[i].name) + 1
 		switch p.Type {
 		case TypeBool:
 			size++

@@ -7,6 +7,7 @@
 package leakcheck
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"runtime"
@@ -25,6 +26,11 @@ const settleWithin = 5 * time.Second
 func Main(m *testing.M) {
 	before := runtime.NumGoroutine()
 	code := m.Run()
+	// A -fuzz run leaves the fuzzing engine's own signal watcher behind;
+	// `make fuzz` is not where leaks are looked for.
+	if f := flag.Lookup("test.fuzz"); f != nil && f.Value.String() != "" {
+		os.Exit(code)
+	}
 	deadline := time.Now().Add(settleWithin)
 	for code == 0 && runtime.NumGoroutine() > before {
 		if time.Now().After(deadline) {

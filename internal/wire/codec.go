@@ -173,13 +173,11 @@ func AppendMessage(buf []byte, m *jms.Message) []byte {
 		e.i64(m.Header.Expiration.UnixNano())
 	}
 	e.u64(m.Header.TraceID)
-	// Stack scratch keeps the sorted-name pass allocation-free for the
-	// common property counts; only messages with >16 properties spill.
-	var nameScratch [16]string
-	names := m.AppendPropertyNames(nameScratch[:0])
-	e.u32(uint32(len(names)))
-	for _, name := range names {
-		p, _ := m.Property(name)
+	// The property section is kept in name order, which is the wire order.
+	n := m.NumProperties()
+	e.u32(uint32(n))
+	for i := 0; i < n; i++ {
+		name, p := m.PropertyAt(i)
 		e.str(name)
 		e.u8(uint8(p.Type))
 		switch p.Type {
@@ -251,7 +249,26 @@ func DecodeMessage(payload []byte) (*jms.Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i := uint32(0); i < nProps; i++ {
+	// Check the section first, then set the properties in the order that
+	// appends to the message's sorted section: wire order when the names
+	// arrive ascending, as the encoder writes them.
+	propsOff := d.off
+	ordered, _, err := d.skipProperties(int(nProps))
+	if err != nil {
+		return nil, err
+	}
+	propsEnd := d.off
+	n := int(nProps)
+	var order []int
+	if !ordered {
+		order = propertyOrder(payload, propsOff, n)
+		n = len(order)
+	}
+	d.off = propsOff
+	for i := 0; i < n; i++ {
+		if order != nil {
+			d.off = order[i]
+		}
 		name, err := d.str()
 		if err != nil {
 			return nil, err
@@ -305,6 +322,7 @@ func DecodeMessage(payload []byte) (*jms.Message, error) {
 			return nil, fmt.Errorf("wire: unknown property type %d", typ)
 		}
 	}
+	d.off = propsEnd
 	if m.Body, err = d.bytesField(); err != nil {
 		return nil, err
 	}

@@ -3,7 +3,10 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/jms"
@@ -244,6 +247,39 @@ func FuzzDecodeMessageView(f *testing.F) {
 	e.u8(1)
 	e.u32(0)
 	f.Add(e.buf)
+	// Names out of order and repeated with different types: the section
+	// must come out sorted, the last value of each name winning.
+	e = encoder{}
+	e.u64(0)
+	e.str("t")
+	e.str("")
+	e.u8(1)
+	e.u8(4)
+	e.i64(0)
+	e.i64(0)
+	e.u64(0)
+	e.u32(4)
+	e.str("zeta")
+	e.u8(uint8(jms.TypeInt64))
+	e.i64(1)
+	e.str("alpha")
+	e.u8(uint8(jms.TypeString))
+	e.str("first")
+	e.str("zeta")
+	e.u8(uint8(jms.TypeBool))
+	e.u8(1)
+	e.str("alpha")
+	e.u8(uint8(jms.TypeString))
+	e.str("last")
+	e.u32(0)
+	f.Add(e.buf)
+	// A longer section, descending with every name twice: the decoders'
+	// sort-then-set path (TestDecodeManyPropertiesScales holds its cost).
+	var names []string
+	for i := 40; i > 0; i-- {
+		names = append(names, fmt.Sprintf("p%02d", i), fmt.Sprintf("p%02d", i))
+	}
+	f.Add(manyPropertiesPayload(names))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ref, refErr := DecodeMessage(data)
@@ -273,14 +309,37 @@ func FuzzDecodeMessageView(f *testing.F) {
 			t.Fatalf("view body %x diverges from DecodeMessage body %x", v.Body(), ref.Body)
 		}
 		// Wire order can carry duplicate names; the view counts entries,
-		// the materialized map collapses them.
+		// the materialized section collapses them.
 		if v.NumProperties() < ref.NumProperties() {
 			t.Fatalf("view NumProperties %d < materialized %d", v.NumProperties(), ref.NumProperties())
 		}
+		// The oracle for the property section is a map filled in wire
+		// order, independent of either decoder and of the encoder.
 		var walked int
-		v.EachProperty(func(PropertyView) bool { walked++; return true })
+		want := map[string]jms.Property{}
+		v.EachProperty(func(p PropertyView) bool {
+			walked++
+			want[string(p.Name)] = jms.Property{Type: p.Type, B: p.Bool, I: p.Int, F: p.F, S: string(p.Str)}
+			return true
+		})
 		if walked != v.NumProperties() {
 			t.Fatalf("EachProperty walked %d of %d", walked, v.NumProperties())
+		}
+		for who, m := range map[string]*jms.Message{"DecodeMessage": ref, "arena": got} {
+			names := m.PropertyNames()
+			if len(names) != len(want) || !sort.StringsAreSorted(names) {
+				t.Fatalf("%s: property names %q, want the %d of %v sorted", who, names, len(want), want)
+			}
+			for name, w := range want {
+				p, ok := m.Property(name)
+				if w.Type == jms.TypeInt32 {
+					w.I = int64(int32(w.I)) // the wire carries 64 bits, the type keeps 32
+				}
+				if !ok || p.Type != w.Type || p.B != w.B || p.I != w.I || p.S != w.S ||
+					math.Float64bits(p.F) != math.Float64bits(w.F) {
+					t.Fatalf("%s: property %q = (%+v, %v), want last-wins %+v", who, name, p, ok, w)
+				}
+			}
 		}
 
 		// Both materializations must agree canonically.

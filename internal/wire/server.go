@@ -576,9 +576,9 @@ func (sc *serverConn) handlePublishBody(reqID uint64, body []byte, fromClient bo
 // contract.
 func (sc *serverConn) handleBatchBody(reqID uint64, body []byte, fromClient bool) error {
 	// Decode into a pooled carrier through the arena: the carrier's
-	// message slice, the arena's slabs and the match-stage scratch
-	// travel the pipeline as one unit and the carrier recycles after
-	// the batch's last transmit.
+	// message slice and the match-stage scratch travel the pipeline as
+	// one unit and the carrier recycles after the batch's last transmit;
+	// the messages, carved from the arena's chunks, stay GC-owned.
 	var err error
 	c := broker.GetBatchCarrier()
 	c.Msgs, err = sc.arena.AppendBatchMessages(c.Msgs[:0], body)

@@ -1,19 +1,26 @@
 package wire
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"time"
+	"unsafe"
 
 	"repro/internal/jms"
 )
 
 // This file is the lazy half of the codec: ParseMessageView validates a
 // message payload in place without materializing a *jms.Message, and
-// MessageArena materializes validated views in bulk so a whole batch costs
-// two allocations (one message slab, one body slab) instead of several per
+// MessageArena materializes validated views out of chunked storage, so a
+// whole batch costs at most three allocations instead of several per
 // message. The view parser accepts exactly the payloads DecodeMessage
 // accepts and rejects exactly the ones it rejects — FuzzDecodeMessageView
-// holds the two implementations byte-for-byte equivalent.
+// holds the two byte-for-byte equivalent, and both to a map oracle. They
+// share the check of the property section (skipProperties) and the order
+// out-of-order names are set in (propertyOrder); header parsing, the jms
+// setters' own name check and storage are separate.
 
 // MessageView is a validated, zero-copy view over an encoded message
 // payload. The view and every accessor result alias the payload bytes: they
@@ -31,6 +38,11 @@ type MessageView struct {
 	nProps             int
 	propsOff           int
 	bodyOff, bodyLen   int
+	// ordered: the property names arrive strictly ascending, the order the
+	// encoder writes and the order the message keeps them in.
+	ordered bool
+	// strLen is the total length of the string property values.
+	strLen int
 }
 
 // strView consumes a length-prefixed string field, returning its offset and
@@ -69,6 +81,84 @@ func validPropertyNameBytes(b []byte) bool {
 		}
 	}
 	return true
+}
+
+// skipProperties checks a section of n encoded properties: names, types,
+// and that every value is all there. It reports whether the names arrive
+// strictly ascending — then setting them in wire order appends each to the
+// message's sorted section, and no name repeats — and the total length of
+// the string values.
+func (d *decoder) skipProperties(n int) (ordered bool, strLen int, err error) {
+	ordered = true
+	var prev []byte
+	for i := 0; i < n; i++ {
+		nameOff, nameLen, err := d.strView()
+		if err != nil {
+			return false, 0, err
+		}
+		name := d.buf[nameOff : nameOff+nameLen]
+		if !validPropertyNameBytes(name) {
+			return false, 0, fmt.Errorf("%w: %q", jms.ErrBadPropertyName, name)
+		}
+		if i > 0 && bytes.Compare(prev, name) >= 0 {
+			ordered = false
+		}
+		prev = name
+		typ, err := d.u8()
+		if err != nil {
+			return false, 0, err
+		}
+		switch jms.PropertyType(typ) {
+		case jms.TypeBool:
+			_, err = d.u8()
+		case jms.TypeInt32, jms.TypeInt64:
+			_, err = d.i64()
+		case jms.TypeFloat64:
+			_, err = d.f64()
+		case jms.TypeString:
+			var ln int
+			_, ln, err = d.strView()
+			strLen += ln
+		default:
+			err = fmt.Errorf("wire: unknown property type %d", typ)
+		}
+		if err != nil {
+			return false, 0, err
+		}
+	}
+	return ordered, strLen, nil
+}
+
+// propertyOrder is the decoders' path for a validated section of n
+// properties at buf[off:] whose names do not arrive strictly ascending,
+// which the encoder never writes: it returns the offsets of the properties
+// to set, ascending by name and only the last of each repeated name.
+// Setting them in that order appends, where wire order would move the
+// section once per property — quadratic in a count only the frame size
+// bounds. The cost is one sort and one word per encoded property.
+func propertyOrder(buf []byte, off, n int) []int {
+	name := func(o int) []byte {
+		return buf[o+4 : o+4+int(binary.BigEndian.Uint32(buf[o:]))]
+	}
+	offs := make([]int, n)
+	d := decoder{buf: buf, off: off}
+	for i := range offs {
+		offs[i] = d.off
+		d.property()
+	}
+	slices.SortFunc(offs, func(x, y int) int {
+		if c := bytes.Compare(name(x), name(y)); c != 0 {
+			return c
+		}
+		return x - y
+	})
+	last := offs[:0]
+	for i, o := range offs {
+		if i+1 == len(offs) || !bytes.Equal(name(o), name(offs[i+1])) {
+			last = append(last, o)
+		}
+	}
+	return last
 }
 
 // ParseMessageView validates payload as one encoded message and returns a
@@ -112,33 +202,8 @@ func ParseMessageView(payload []byte) (MessageView, error) {
 	}
 	v.nProps = int(nProps)
 	v.propsOff = d.off
-	for i := 0; i < v.nProps; i++ {
-		nameOff, nameLen, err := d.strView()
-		if err != nil {
-			return v, err
-		}
-		if !validPropertyNameBytes(payload[nameOff : nameOff+nameLen]) {
-			return v, fmt.Errorf("%w: %q", jms.ErrBadPropertyName, payload[nameOff:nameOff+nameLen])
-		}
-		typ, err := d.u8()
-		if err != nil {
-			return v, err
-		}
-		switch jms.PropertyType(typ) {
-		case jms.TypeBool:
-			_, err = d.u8()
-		case jms.TypeInt32, jms.TypeInt64:
-			_, err = d.i64()
-		case jms.TypeFloat64:
-			_, err = d.f64()
-		case jms.TypeString:
-			_, _, err = d.strView()
-		default:
-			return v, fmt.Errorf("wire: unknown property type %d", typ)
-		}
-		if err != nil {
-			return v, err
-		}
+	if v.ordered, v.strLen, err = d.skipProperties(v.nProps); err != nil {
+		return v, err
 	}
 	bodyLen, err := d.u32()
 	if err != nil {
@@ -209,31 +274,33 @@ type PropertyView struct {
 	Str  []byte
 }
 
+// property decodes the property at d. The section was bounds-checked at
+// parse time, so the decode cannot fail.
+func (d *decoder) property() (p PropertyView) {
+	nameOff, nameLen, _ := d.strView()
+	p.Name = d.buf[nameOff : nameOff+nameLen]
+	typ, _ := d.u8()
+	p.Type = jms.PropertyType(typ)
+	switch p.Type {
+	case jms.TypeBool:
+		b, _ := d.u8()
+		p.Bool = b != 0
+	case jms.TypeInt32, jms.TypeInt64:
+		p.Int, _ = d.i64()
+	case jms.TypeFloat64:
+		p.F, _ = d.f64()
+	case jms.TypeString:
+		off, n, _ := d.strView()
+		p.Str = d.buf[off : off+n]
+	}
+	return p
+}
+
 // EachProperty calls fn for each property in wire order until fn returns
-// false. The view was bounds-checked at parse time, so the walk cannot
-// fail.
+// false.
 func (v *MessageView) EachProperty(fn func(PropertyView) bool) {
 	d := decoder{buf: v.payload, off: v.propsOff}
-	for i := 0; i < v.nProps; i++ {
-		nameOff, nameLen, _ := d.strView()
-		p := PropertyView{Name: d.buf[nameOff : nameOff+nameLen]}
-		typ, _ := d.u8()
-		p.Type = jms.PropertyType(typ)
-		switch p.Type {
-		case jms.TypeBool:
-			b, _ := d.u8()
-			p.Bool = b != 0
-		case jms.TypeInt32, jms.TypeInt64:
-			p.Int, _ = d.i64()
-		case jms.TypeFloat64:
-			p.F, _ = d.f64()
-		case jms.TypeString:
-			off, n, _ := d.strView()
-			p.Str = d.buf[off : off+n]
-		}
-		if !fn(p) {
-			return
-		}
+	for i := 0; i < v.nProps && fn(d.property()); i++ {
 	}
 }
 
@@ -243,23 +310,49 @@ func (v *MessageView) EachProperty(fn func(PropertyView) bool) {
 // one string allocation per unique name.
 const internCacheMax = 1024
 
-// MessageArena materializes MessageViews into *jms.Message values in bulk.
-// Each batch draws its Message structs from one slab allocation and its
-// body bytes from a second, and topic/property-name strings are interned
-// across batches, so the steady-state decode cost of an n-message batch is
-// two allocations instead of O(n).
+// Chunk sizes, per kind of storage a message needs. A chunk serves a few
+// dozen small messages; a message that needs over a quarter of a chunk gets
+// its own allocations, so an abandoned chunk tail wastes at most that
+// quarter.
+const (
+	msgChunk  = 32      // jms.Message structs
+	propChunk = 64      // property entries
+	byteChunk = 8 << 10 // runs of correlation ID + string property values + body
+)
+
+// MessageArena materializes MessageViews into *jms.Message values without
+// a per-message allocation: the Message struct, its property section and
+// one run of bytes (correlation ID, string property values, body) are carved
+// from chunks — one per kind, allocated on first use and replaced when used
+// up — and topic/property-name strings are interned for the arena's
+// lifetime. A 16-message batch costs at most one chunk of each kind, three
+// allocations; a stream of single deliveries costs a fraction of one each.
 //
 // Ownership contract: the returned messages are ordinary GC-owned values —
-// subscribers retain them indefinitely, so slabs are never pooled or
-// recycled. The slab layout only means one batch's messages keep each
-// other's body bytes reachable; a batch payload is bounded by MaxFrameSize,
-// so that coupling is bounded too. An arena is not safe for concurrent use;
-// each connection (or pipeline stage) owns its own.
+// subscribers retain them indefinitely. A chunk is written once, front to
+// back, and never recycled or pooled: the arena only ever writes the part it
+// has not handed out yet, which is what makes the strings aliasing a byte
+// chunk immutable. The price is coupling: a retained message keeps its chunk
+// of 32 structs reachable, and through its 31 neighbours the byte and
+// property chunks they were carved from. That is bounded because only small
+// messages share a struct chunk: one whose body, byte run or property
+// section is over a quarter chunk gets a struct, and that part, allocated on
+// their own, and no chunk-mate to pin them. For the paper's messages (about 150 bytes, a
+// property or two) a retained message pins one chunk of each kind, two
+// where its neighbours straddle a boundary — 18 to 30 KiB; the worst case,
+// 32 neighbours each just under the quarter-chunk limits, is about 150 KiB,
+// whatever the body sizes on the connection. An arena is not safe for
+// concurrent use; each connection (or pipeline stage) owns its own.
 type MessageArena struct {
 	cache map[string]string
+	// The unused tails of the current chunks.
+	msgs  []jms.Message
+	props []jms.PropertyEntry
+	bytes []byte
 }
 
-// NewMessageArena returns an empty arena.
+// NewMessageArena returns an empty arena. It holds no chunk until the first
+// message is materialized.
 func NewMessageArena() *MessageArena {
 	return &MessageArena{cache: make(map[string]string, 16)}
 }
@@ -278,16 +371,73 @@ func (a *MessageArena) intern(b []byte) string {
 	return s
 }
 
-// materialize fills m from v, appending body bytes to slab. It returns the
-// extended slab.
-func (a *MessageArena) materialize(m *jms.Message, v *MessageView, slab []byte) ([]byte, error) {
+// carve cuts n zero elements off the front of *tail, the unused part of the
+// current chunk, starting a new chunk when they do not fit. The result is
+// capacity-limited, so an append by its holder reallocates instead of
+// running into the next carving.
+func carve[T any](tail *[]T, n, chunk int) []T {
+	if n > len(*tail) {
+		if n > chunk/4 {
+			return make([]T, n)
+		}
+		*tail = make([]T, chunk)
+	}
+	s := (*tail)[:n:n]
+	*tail = (*tail)[n:]
+	return s
+}
+
+// cut copies b to the front of *run, the unwritten part of one message's
+// byte run, and returns the copy, capacity-limited like every carving.
+func cut(run *[]byte, b []byte) []byte {
+	c := (*run)[:len(b):len(b)]
+	*run = (*run)[len(b):]
+	copy(c, b)
+	return c
+}
+
+// cutString is cut for a value handed out as a string. The bytes are never
+// written again (see the ownership contract), so the string is as immutable
+// as one the runtime allocated.
+func cutString(run *[]byte, b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	c := cut(run, b)
+	return unsafe.String(&c[0], len(c))
+}
+
+// materialize carves a message and fills it from v.
+func (a *MessageArena) materialize(v *MessageView) (*jms.Message, error) {
+	// The properties to set: all of them in wire order, or, for an order the
+	// encoder never writes, the surviving ones in name order.
+	n := v.nProps
+	var order []int
+	if !v.ordered {
+		order = propertyOrder(v.payload, v.propsOff, n)
+		n = len(order)
+	}
+	// One run holds the correlation ID, the string values and the body; a
+	// body too large for the chunks is an allocation of its own instead,
+	// exactly sized.
+	runLen, ownBody := v.corrLen+v.strLen, v.bodyLen > byteChunk/4
+	if !ownBody {
+		runLen += v.bodyLen
+	}
+	var m *jms.Message
+	if ownBody || runLen > byteChunk/4 || n > propChunk/4 {
+		// Too large for the chunks: this message is allocated on its own, so
+		// the messages that do share a chunk only ever reference chunks.
+		m = new(jms.Message)
+	} else {
+		m = &carve(&a.msgs, 1, msgChunk)[0]
+	}
+	run := carve(&a.bytes, runLen, byteChunk)
+
 	m.Header.MessageID = v.msgID
 	m.Header.Topic = a.intern(v.TopicBytes())
-	if v.corrLen > 0 {
-		if err := m.SetCorrelationID(string(v.CorrelationIDBytes())); err != nil {
-			return slab, err
-		}
-	}
+	// Length-checked by ParseMessageView.
+	m.Header.CorrelationID = cutString(&run, v.CorrelationIDBytes())
 	m.Header.DeliveryMode = jms.DeliveryMode(v.mode)
 	m.Header.Priority = int(v.prio)
 	if v.ts != 0 {
@@ -298,57 +448,49 @@ func (a *MessageArena) materialize(m *jms.Message, v *MessageView, slab []byte) 
 	}
 	m.Header.TraceID = v.traceID
 
+	if n > 0 {
+		m.ReserveProperties(carve(&a.props, n, propChunk))
+	}
 	d := decoder{buf: v.payload, off: v.propsOff}
-	for i := 0; i < v.nProps; i++ {
-		nameOff, nameLen, _ := d.strView()
-		name := a.intern(d.buf[nameOff : nameOff+nameLen])
-		typ, _ := d.u8()
+	for i := 0; i < n; i++ {
+		if order != nil {
+			d.off = order[i]
+		}
+		p := d.property()
+		name := a.intern(p.Name)
 		var err error
-		switch jms.PropertyType(typ) {
+		switch p.Type {
 		case jms.TypeBool:
-			var b uint8
-			b, _ = d.u8()
-			err = m.SetBoolProperty(name, b != 0)
+			err = m.SetBoolProperty(name, p.Bool)
 		case jms.TypeInt32:
-			var iv int64
-			iv, _ = d.i64()
-			err = m.SetInt32Property(name, int32(iv))
+			err = m.SetInt32Property(name, int32(p.Int))
 		case jms.TypeInt64:
-			var iv int64
-			iv, _ = d.i64()
-			err = m.SetInt64Property(name, iv)
+			err = m.SetInt64Property(name, p.Int)
 		case jms.TypeFloat64:
-			var fv float64
-			fv, _ = d.f64()
-			err = m.SetFloat64Property(name, fv)
+			err = m.SetFloat64Property(name, p.F)
 		case jms.TypeString:
-			off, n, _ := d.strView()
-			err = m.SetStringProperty(name, string(d.buf[off:off+n]))
+			err = m.SetStringProperty(name, cutString(&run, p.Str))
 		}
 		if err != nil {
-			return slab, err
+			return nil, err
 		}
 	}
-	if v.bodyLen > 0 {
-		off := len(slab)
-		slab = append(slab, v.Body()...)
-		m.Body = slab[off:len(slab):len(slab)]
+	if ownBody {
+		m.Body = append([]byte(nil), v.Body()...)
+	} else if v.bodyLen > 0 {
+		m.Body = cut(&run, v.Body())
 	}
-	return slab, nil
+	return m, nil
 }
 
 // DecodeMessageArena materializes one message payload through the arena,
-// equivalent to DecodeMessage but with interned topic/property names.
+// equivalent to DecodeMessage.
 func (a *MessageArena) DecodeMessageArena(payload []byte) (*jms.Message, error) {
 	v, err := ParseMessageView(payload)
 	if err != nil {
 		return nil, err
 	}
-	m := new(jms.Message)
-	if _, err := a.materialize(m, &v, nil); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return a.materialize(&v)
 }
 
 // DecodeDeliveryArena parses a MESSAGE payload like DecodeDelivery,
@@ -379,11 +521,7 @@ func (a *MessageArena) AppendBatchMessages(dst []*jms.Message, payload []byte) (
 	if int64(n)*4 > int64(d.remain()) {
 		return dst, fmt.Errorf("%w: batch count %d exceeds payload", ErrTruncated, n)
 	}
-	msgs := make([]jms.Message, n)
-	// Bodies in the payload can total at most the payload length, so the
-	// slab never regrows.
-	slab := make([]byte, 0, len(payload))
-	for i := range msgs {
+	for i := 0; i < int(n); i++ {
 		sz, err := d.u32()
 		if err != nil {
 			return dst, err
@@ -391,15 +529,12 @@ func (a *MessageArena) AppendBatchMessages(dst []*jms.Message, payload []byte) (
 		if d.remain() < int(sz) {
 			return dst, ErrTruncated
 		}
-		v, err := ParseMessageView(d.buf[d.off : d.off+int(sz)])
+		m, err := a.DecodeMessageArena(d.buf[d.off : d.off+int(sz)])
 		if err != nil {
 			return dst, fmt.Errorf("wire: batch message %d: %w", i, err)
 		}
-		if slab, err = a.materialize(&msgs[i], &v, slab); err != nil {
-			return dst, fmt.Errorf("wire: batch message %d: %w", i, err)
-		}
 		d.off += int(sz)
-		dst = append(dst, &msgs[i])
+		dst = append(dst, m)
 	}
 	if d.remain() != 0 {
 		return dst, fmt.Errorf("wire: %d trailing bytes in batch payload", d.remain())

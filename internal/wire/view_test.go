@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/jms"
 )
@@ -364,5 +368,278 @@ func TestAppendBatchMessagesRejects(t *testing.T) {
 	}
 	if _, err := arena.AppendBatchMessages(nil, valid[:len(valid)-1]); !errors.Is(err, ErrTruncated) {
 		t.Errorf("truncated member error = %v, want ErrTruncated", err)
+	}
+}
+
+// anatomyMessage is the message the paper's filters match on, as the
+// repository benchmark publishes it: correlation ID, string properties, a
+// small body.
+func anatomyMessage(t testing.TB, id int) *jms.Message {
+	t.Helper()
+	m := jms.NewMessage("orders")
+	m.Header.MessageID = uint64(id)
+	if err := m.SetCorrelationID(fmt.Sprintf("dev-%06d", id)); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.SetStringProperty("region", "emea"); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.SetInt64Property("qty", int64(id)); err != nil {
+		t.Fatal(err)
+	}
+	m.SetBody(bytes.Repeat([]byte{byte(id)}, 128))
+	return m
+}
+
+// TestArenaAllocationBudget is the tier-1 form of the -maxallocs ceilings:
+// a 16-message batch costs at most one chunk of each kind, and single
+// deliveries amortize their chunks to a small fraction of an allocation
+// each (a per-delivery allocation would show as 64 or more).
+func TestArenaAllocationBudget(t *testing.T) {
+	batch := make([]*jms.Message, 16)
+	for i := range batch {
+		batch[i] = anatomyMessage(t, i)
+	}
+	batchPayload := EncodeBatch(batch)
+	delivery := EncodeDelivery(7, 0, batch[0])
+	arena := NewMessageArena()
+	dst := make([]*jms.Message, 0, len(batch))
+	// Warm the intern cache: names are allocated once per connection.
+	if _, err := arena.AppendBatchMessages(dst, batchPayload); err != nil {
+		t.Fatal(err)
+	}
+
+	perBatch := testing.AllocsPerRun(200, func() {
+		if _, err := arena.AppendBatchMessages(dst, batchPayload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perBatch > 3 {
+		t.Errorf("16-message batch: %v allocs, budget 3", perBatch)
+	}
+	per64 := testing.AllocsPerRun(50, func() {
+		for i := 0; i < 64; i++ {
+			if _, _, _, err := arena.DecodeDeliveryArena(delivery); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if per64 > 16 {
+		t.Errorf("64 deliveries: %v allocs, budget 16 (chunks must amortize)", per64)
+	}
+}
+
+// TestArenaRetention: messages are carved from shared chunks, so one kept
+// while the arena moves on must not change when later messages are carved,
+// and the arena itself must hold on to no more than the unused tail of one
+// chunk per kind.
+func TestArenaRetention(t *testing.T) {
+	arena := NewMessageArena()
+	kept, err := arena.DecodeMessageArena(EncodeMessage(anatomyMessage(t, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := EncodeMessage(kept)
+	wantCorr, wantBody := kept.Header.CorrelationID, string(kept.Body)
+
+	// 8 chunks of every kind: messages are the slowest to turn over.
+	for i := 0; i < 8*msgChunk*4; i++ {
+		if _, err := arena.DecodeMessageArena(EncodeMessage(anatomyMessage(t, i))); err != nil {
+			t.Fatal(err)
+		}
+		if cap(arena.msgs) > msgChunk || cap(arena.props) > propChunk || cap(arena.bytes) > byteChunk {
+			t.Fatalf("after %d messages the arena holds more than one chunk per kind: %d msgs, %d props, %d bytes",
+				i, cap(arena.msgs), cap(arena.props), cap(arena.bytes))
+		}
+	}
+	if got := EncodeMessage(kept); !bytes.Equal(got, want) ||
+		kept.Header.CorrelationID != wantCorr || string(kept.Body) != wantBody {
+		t.Errorf("retained message changed while the arena moved on:\n%x\n%x", want, got)
+	}
+
+	// A holder appending to what it was given must not reach a neighbour.
+	next, err := arena.DecodeMessageArena(EncodeMessage(anatomyMessage(t, 2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nextWant := EncodeMessage(next)
+	kept.Body = append(kept.Body, 0xee)
+	if err := kept.SetStringProperty("added", "x"); err != nil {
+		t.Fatal(err)
+	}
+	last, err := arena.DecodeMessageArena(EncodeMessage(anatomyMessage(t, 3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(EncodeMessage(next), nextWant) || !bytes.Equal(EncodeMessage(last), EncodeMessage(anatomyMessage(t, 3))) {
+		t.Error("growing a retained message wrote into a neighbouring carving")
+	}
+}
+
+// TestArenaLargeValuesBypassChunks: a message over a quarter chunk gets its
+// own allocations, struct included, so a large body neither evicts the chunk
+// small messages are sharing nor is pinned by them.
+func TestArenaLargeValuesBypassChunks(t *testing.T) {
+	arena := NewMessageArena()
+	if _, err := arena.DecodeMessageArena(EncodeMessage(anatomyMessage(t, 1))); err != nil {
+		t.Fatal(err)
+	}
+	tail, structs := len(arena.bytes), len(arena.msgs)
+	big := jms.NewMessage("orders")
+	big.SetBody(bytes.Repeat([]byte{7}, byteChunk))
+	for i := 0; i < propChunk; i++ {
+		if err := big.SetInt64Property(fmt.Sprintf("p%03d", i), int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := arena.DecodeMessageArena(EncodeMessage(big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(EncodeMessage(got), EncodeMessage(big)) {
+		t.Error("large message diverges")
+	}
+	if len(arena.bytes) != tail || len(arena.msgs) != structs {
+		t.Errorf("large message went through the chunks: bytes tail %d -> %d, struct tail %d -> %d",
+			tail, len(arena.bytes), structs, len(arena.msgs))
+	}
+}
+
+// TestArenaRetainedMessagePinsBoundedBytes: a kept message keeps its chunk
+// of 32 message structs reachable, so nothing a chunk-mate references may be
+// large. One small message in 32 is kept from a stream of 64 KiB-body
+// deliveries; every large message must still be collected, which a finalizer
+// observes (and which only an allocation of its own can carry).
+func TestArenaRetainedMessagePinsBoundedBytes(t *testing.T) {
+	arena := NewMessageArena()
+	large := jms.NewMessage("orders")
+	large.SetBody(bytes.Repeat([]byte{9}, 64<<10))
+	largePayload := EncodeMessage(large)
+	smallPayload := EncodeMessage(anatomyMessage(t, 1))
+
+	var kept []*jms.Message
+	var collected atomic.Int64
+	const rounds, perRound = 8, 32
+	for r := 0; r < rounds; r++ {
+		for i := 0; i < perRound; i++ {
+			payload := largePayload
+			if i == perRound/2 {
+				payload = smallPayload
+			}
+			m, err := arena.DecodeMessageArena(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == perRound/2 {
+				kept = append(kept, m)
+			} else {
+				runtime.SetFinalizer(m, func(*jms.Message) { collected.Add(1) })
+			}
+		}
+	}
+	want := int64(rounds * (perRound - 1))
+	for deadline := time.Now().Add(10 * time.Second); collected.Load() < want && time.Now().Before(deadline); {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if got := collected.Load(); got != want {
+		t.Errorf("%d of %d large messages collected while %d small neighbours are retained", got, want, len(kept))
+	}
+	for _, m := range kept {
+		if !bytes.Equal(EncodeMessage(m), smallPayload) {
+			t.Fatal("retained message changed")
+		}
+	}
+}
+
+// manyPropertiesPayload encodes a message whose property section holds the
+// given names in the given order, each an int64 valued by its position.
+func manyPropertiesPayload(names []string) []byte {
+	var e encoder
+	e.u64(0)
+	e.str("t")
+	e.str("")
+	e.u8(1)
+	e.u8(4)
+	e.i64(0)
+	e.i64(0)
+	e.u64(0)
+	e.u32(uint32(len(names)))
+	for i, name := range names {
+		e.str(name)
+		e.u8(uint8(jms.TypeInt64))
+		e.i64(int64(i))
+	}
+	e.u32(0)
+	return e.buf
+}
+
+// TestDecodeManyPropertiesScales: the property count is bounded only by the
+// frame size, so decoding must stay near-linear in it — and allocate in
+// proportion to the frame, not to 64-byte entries per encoded property —
+// whatever order the names arrive in. The cases a peer could choose to hurt:
+// descending names (every set lands at the front), shuffled names with
+// repeats, and one name repeated throughout. Each is checked against a map
+// oracle, on both decoders.
+func TestDecodeManyPropertiesScales(t *testing.T) {
+	const n = 100_000
+	rng := rand.New(rand.NewSource(15))
+	descending := make([]string, n)
+	shuffled := make([]string, n)
+	repeated := make([]string, n)
+	for i := range descending {
+		descending[i] = fmt.Sprintf("p%06d", n-i)
+		shuffled[i] = fmt.Sprintf("p%06d", rng.Intn(n/2))
+		repeated[i] = "a"
+	}
+	decoders := map[string]func([]byte) (*jms.Message, error){
+		"DecodeMessage":      DecodeMessage,
+		"DecodeMessageArena": func(p []byte) (*jms.Message, error) { return NewMessageArena().DecodeMessageArena(p) },
+	}
+	for caseName, names := range map[string][]string{"descending": descending, "shuffled": shuffled, "repeated": repeated} {
+		payload := manyPropertiesPayload(names)
+		oracle := make(map[string]int64)
+		for i, name := range names {
+			oracle[name] = int64(i)
+		}
+		for decName, decode := range decoders {
+			t.Run(caseName+"/"+decName, func(t *testing.T) {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				start := time.Now()
+				m, err := decode(payload)
+				elapsed := time.Since(start)
+				runtime.ReadMemStats(&after)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Measured: 30-60 ms. The quadratic decode took over a minute.
+				if elapsed > 5*time.Second {
+					t.Errorf("decoding %d properties took %v", n, elapsed)
+				}
+				// One word per encoded property for the order; per distinct
+				// name a 64 B entry (times the slack of growing by append),
+				// its string and its intern-cache slot.
+				budget := uint64(2*len(payload) + 400*len(oracle))
+				if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+					t.Errorf("decoding a %d-byte payload with %d distinct names allocated %d bytes, budget %d",
+						len(payload), len(oracle), got, budget)
+				}
+				if m.NumProperties() != len(oracle) {
+					t.Fatalf("%d properties, want %d", m.NumProperties(), len(oracle))
+				}
+				prev := ""
+				for i := 0; i < m.NumProperties(); i++ {
+					name, p := m.PropertyAt(i)
+					if name <= prev {
+						t.Fatalf("section out of order at %d: %q after %q", i, name, prev)
+					}
+					if want, ok := oracle[name]; !ok || p.I != want {
+						t.Fatalf("%q = %d, want %d (last wins)", name, p.I, want)
+					}
+					prev = name
+				}
+			})
+		}
 	}
 }
