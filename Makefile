@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-benchmark race bench bench-all fuzz stress stress-smoke verify
+.PHONY: all build test test-benchmark race bench bench-all bench-pairs fuzz stress stress-smoke verify
 
 all: build test
 
@@ -49,6 +49,15 @@ bench:
 # bench-all runs every benchmark (figure regenerations + ablations) once.
 bench-all:
 	$(GO) test -run xxx -bench . -benchtime 300ms .
+
+# bench-pairs is how a performance claim is measured: N alternating runs of
+# one BENCHMARK.json workload on BASE (a commit-ish, exported beside the
+# checkout) and on this checkout, then `benchmark -compare` medians, each
+# side's quartiles and the pair win count. ~1 minute per pair at the default
+# run length. Example: make bench-pairs BASE=HEAD~1 WORKLOAD=fanout_large N=10
+N ?= 10
+bench-pairs:
+	bash scripts/bench-pairs.sh $(BASE) $(WORKLOAD) $(N)
 
 # fuzz smokes the parsing surfaces fed by the network: the frame codec,
 # the batch frame splitter, the lazy message-view decoder (held

@@ -265,7 +265,8 @@ func (c *Client) readLoop() {
 	defer close(c.done)
 	// Buffered ingress: frames are views into the reader's window (valid
 	// for one dispatch call, which materializes deliveries through the
-	// arena), and one Read syscall typically yields several frames.
+	// arena); the window sizes itself to the deliveries it sees, so one Read
+	// syscall yields several frames whenever that many are in flight.
 	fr := wire.NewFrameReader(c.conn)
 	arena := wire.NewMessageArena()
 	for {
@@ -523,9 +524,8 @@ func (c *Client) stampTrace(m *jms.Message) {
 func (c *Client) publishOne(ctx context.Context, m *jms.Message) error {
 	c.stampTrace(m)
 	reqID := c.reqID.Add(1)
-	bp := wire.GetBuffer()
-	buf := append((*bp)[:0], 0, 0, 0, 0, 0, 0, 0, 0)
-	binary.BigEndian.PutUint64(buf, reqID)
+	bp := wire.GetBufferSize(8 + wire.MessageSizeHint(m))
+	buf := binary.BigEndian.AppendUint64((*bp)[:0], reqID)
 	buf = wire.AppendMessage(buf, m)
 	*bp = buf
 	_, err := c.callPayload(ctx, reqID, wire.FramePublish, buf)
@@ -549,9 +549,8 @@ func (c *Client) PublishBatch(ctx context.Context, msgs []*jms.Message) error {
 		c.stampTrace(m)
 	}
 	reqID := c.reqID.Add(1)
-	bp := wire.GetBuffer()
-	buf := append((*bp)[:0], 0, 0, 0, 0, 0, 0, 0, 0)
-	binary.BigEndian.PutUint64(buf, reqID)
+	bp := wire.GetBufferSize(8 + wire.BatchSizeHint(msgs))
+	buf := binary.BigEndian.AppendUint64((*bp)[:0], reqID)
 	buf = wire.AppendBatch(buf, msgs)
 	*bp = buf
 	_, err := c.callPayload(ctx, reqID, wire.FrameBatch, buf)

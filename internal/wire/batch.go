@@ -28,14 +28,19 @@ func AppendBatch(buf []byte, msgs []*jms.Message) []byte {
 	return e.buf
 }
 
+// BatchSizeHint over-approximates the size of AppendBatch's encoding of msgs.
+func BatchSizeHint(msgs []*jms.Message) int {
+	hint := 4
+	for _, m := range msgs {
+		hint += 4 + MessageSizeHint(m)
+	}
+	return hint
+}
+
 // EncodeBatch serializes a batch into a pre-sized payload. Hot paths that
 // already hold a (pooled) buffer use AppendBatch instead.
 func EncodeBatch(msgs []*jms.Message) []byte {
-	hint := 4
-	for _, m := range msgs {
-		hint += 4 + messageSizeHint(m)
-	}
-	return AppendBatch(make([]byte, 0, hint), msgs)
+	return AppendBatch(make([]byte, 0, BatchSizeHint(msgs)), msgs)
 }
 
 // DecodeBatch parses a payload produced by EncodeBatch. The declared

@@ -28,6 +28,19 @@ const maxPooledBuffer = 64 << 10
 // PutBuffer once the encoded bytes have been written out.
 func GetBuffer() *[]byte { return bufPool.Get().(*[]byte) }
 
+// GetBufferSize is GetBuffer for an encoder that knows its final size n
+// (MessageSizeHint, a payload length). A size PutBuffer would not keep gets a
+// buffer of exactly that capacity, allocated once instead of doubled up to it
+// from the pool's 512 bytes on every call and then dropped; anything smaller
+// gets a pooled buffer, which grows to its working size by use and keeps it.
+func GetBufferSize(n int) *[]byte {
+	if n > maxPooledBuffer {
+		b := make([]byte, 0, n)
+		return &b
+	}
+	return GetBuffer()
+}
+
 // PutBuffer returns a buffer obtained from GetBuffer to the pool.
 func PutBuffer(b *[]byte) {
 	if cap(*b) > maxPooledBuffer {
@@ -53,11 +66,6 @@ func (e *encoder) f64(v float64) {
 func (e *encoder) str(s string) {
 	e.u32(uint32(len(s)))
 	e.buf = append(e.buf, s...)
-}
-
-func (e *encoder) bytes(b []byte) {
-	e.u32(uint32(len(b)))
-	e.buf = append(e.buf, b...)
 }
 
 // decoder consumes big-endian primitives from a payload.
@@ -135,17 +143,17 @@ func (d *decoder) bytesField() ([]byte, error) {
 	return b, nil
 }
 
-// messageSizeHint over-approximates the encoded size of m (the approximate
+// MessageSizeHint over-approximates the encoded size of m (the approximate
 // payload size plus the fixed-width field and length-prefix overhead), so
 // encode buffers can be pre-sized to append without growing.
-func messageSizeHint(m *jms.Message) int {
+func MessageSizeHint(m *jms.Message) int {
 	return m.Size() + 24 + 12*m.NumProperties()
 }
 
 // EncodeMessage serializes a message into a pre-sized frame payload. Hot
 // paths that already hold a (pooled) buffer use AppendMessage instead.
 func EncodeMessage(m *jms.Message) []byte {
-	return AppendMessage(make([]byte, 0, messageSizeHint(m)), m)
+	return AppendMessage(make([]byte, 0, MessageSizeHint(m)), m)
 }
 
 // AppendMessage appends the wire encoding of m to buf and returns the
@@ -156,6 +164,13 @@ func EncodeMessage(m *jms.Message) []byte {
 // (0 = untraced), property count u32, properties (name str, type u8,
 // value), body bytes.
 func AppendMessage(buf []byte, m *jms.Message) []byte {
+	return append(appendMessageHead(buf, m), m.Body...)
+}
+
+// appendMessageHead appends everything of m's encoding but the body bytes:
+// header, properties and the body's u32 length. The body follows verbatim, so
+// head + m.Body is the AppendMessage encoding.
+func appendMessageHead(buf []byte, m *jms.Message) []byte {
 	e := encoder{buf: buf}
 	e.u64(m.Header.MessageID)
 	e.str(m.Header.Topic)
@@ -195,7 +210,7 @@ func AppendMessage(buf []byte, m *jms.Message) []byte {
 			e.str(p.S)
 		}
 	}
-	e.bytes(m.Body)
+	e.u32(uint32(len(m.Body)))
 	return e.buf
 }
 
@@ -423,16 +438,22 @@ func DecodeU64(payload []byte) (uint64, error) {
 // sequence u64 (0 when the subscription is not acked), then the encoded
 // message.
 func EncodeDelivery(subID, seq uint64, m *jms.Message) []byte {
-	return AppendDelivery(make([]byte, 0, 16+messageSizeHint(m)), subID, seq, m)
+	return AppendDelivery(make([]byte, 0, 16+MessageSizeHint(m)), subID, seq, m)
 }
 
 // AppendDelivery appends a MESSAGE payload to buf and returns the extended
 // slice — the zero-extra-copy form of EncodeDelivery for pooled buffers.
 func AppendDelivery(buf []byte, subID, seq uint64, m *jms.Message) []byte {
+	return append(appendDeliveryHead(buf, subID, seq, m), m.Body...)
+}
+
+// appendDeliveryHead appends a MESSAGE payload up to and including the body's
+// length; AppendDelivery's bytes are this followed by m.Body.
+func appendDeliveryHead(buf []byte, subID, seq uint64, m *jms.Message) []byte {
 	e := encoder{buf: buf}
 	e.u64(subID)
 	e.u64(seq)
-	return AppendMessage(e.buf, m)
+	return appendMessageHead(e.buf, m)
 }
 
 // DecodeDelivery parses a MESSAGE payload.

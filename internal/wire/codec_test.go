@@ -367,10 +367,10 @@ func TestAppendMessageMatchesEncode(t *testing.T) {
 // allocated up front is large enough that encoding never grows it.
 func TestEncodeMessagePreSized(t *testing.T) {
 	m := testMessage(t)
-	buf := make([]byte, 0, messageSizeHint(m))
+	buf := make([]byte, 0, MessageSizeHint(m))
 	out := AppendMessage(buf, m)
 	if cap(out) != cap(buf) {
-		t.Errorf("encoding grew the pre-sized buffer: hint %d, need %d", messageSizeHint(m), len(out))
+		t.Errorf("encoding grew the pre-sized buffer: hint %d, need %d", MessageSizeHint(m), len(out))
 	}
 }
 

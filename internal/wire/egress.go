@@ -25,9 +25,10 @@ import (
 // subscriber buffer → blocked transmit stage.
 const writerQueueDepth = 256
 
-// writeCoalesce bounds how many queued frames one writev gathers. Past the
-// low tens the syscall amortization has flattened out and larger gathers
-// only add latency for the frames at the head.
+// writeCoalesce bounds how many queued frames one writev gathers — frames,
+// not buffers: a frame with a by-reference tail is two. Past the low tens the
+// syscall amortization has flattened out and larger gathers only add latency
+// for the frames at the head.
 const writeCoalesce = 32
 
 // errWriterClosed is returned by submit after the writer has shut down.
@@ -56,6 +57,12 @@ type wireCounters struct {
 // connection (which surfaces the failure to the read loop) and drains
 // subsequent submissions without writing, so producers never block on a
 // dead peer.
+//
+// A frame may carry the end of its payload by reference (egressFrame.tail,
+// today a delivery's message body). The tail is never pooled and never
+// written to: it belongs to the garbage collector, the producer guarantees
+// nobody writes into it while the frame is queued (jms.Message bodies are
+// replaced, not modified), and the writer drops its reference after the write.
 type connWriter struct {
 	conn   net.Conn
 	stats  *wireCounters   // nil disables counting
@@ -65,14 +72,15 @@ type connWriter struct {
 	done   chan struct{}
 }
 
-// egressFrame is one queued frame plus its optional flight-recorder
-// identity: a head-sampled delivery carries its TraceID and enqueue
-// instant through the queue so the writer can attribute the writer-queue
-// wait and this frame's share of the writev syscall — the components of
-// the socket-vs-dispatch t_tx gap (ROADMAP item 3). Plain frames carry a
-// zero ID and cost nothing extra.
+// egressFrame is one queued frame: a pooled buffer holding the prologue and
+// the payload, or the payload up to a tail that goes out by reference. A
+// head-sampled delivery also carries its TraceID and enqueue instant through
+// the queue so the writer can attribute the writer-queue wait and this
+// frame's share of the writev syscall — the socket half of t_tx. Plain
+// frames carry a zero ID and cost nothing extra.
 type egressFrame struct {
 	bp      *[]byte
+	tail    []byte
 	traceID uint64
 	enqNs   int64
 }
@@ -97,18 +105,8 @@ func (w *connWriter) submit(bp *[]byte) error {
 	return w.submitFrame(egressFrame{bp: bp})
 }
 
-// submitTraced is submit for a delivery frame carrying a TraceID: when
-// the message is head-sampled the frame is stamped with its enqueue
-// instant so the writer records the egress_queue and egress_write spans.
-func (w *connWriter) submitTraced(bp *[]byte, traceID uint64) error {
-	ef := egressFrame{bp: bp}
-	if w.tracer.Sampled(traceID) {
-		ef.traceID = traceID
-		ef.enqNs = time.Now().UnixNano()
-	}
-	return w.submitFrame(ef)
-}
-
+// submitFrame is submit for a frame with a by-reference tail or a
+// flight-recorder identity; see egressFrame.
 func (w *connWriter) submitFrame(ef egressFrame) error {
 	select {
 	case w.ch <- ef:
@@ -128,7 +126,7 @@ func (w *connWriter) close() {
 
 func (w *connWriter) run() {
 	defer close(w.done)
-	bufs := make(net.Buffers, 0, writeCoalesce)
+	bufs := make(net.Buffers, 0, 2*writeCoalesce)
 	frames := make([]egressFrame, 0, writeCoalesce)
 	dead := false
 	for {
@@ -147,22 +145,33 @@ func (w *connWriter) run() {
 		}
 		// Greedy gather: everything already queued, up to the coalesce
 		// bound, goes out in one vectored write.
-		bufs, frames = append(bufs[:0], *ef.bp), append(frames[:0], ef)
-		anyTraced := ef.traceID != 0
-		for len(bufs) < writeCoalesce {
+		frames = append(frames[:0], ef)
+		for len(frames) < writeCoalesce {
 			select {
-			case ef2 := <-w.ch:
-				bufs, frames = append(bufs, *ef2.bp), append(frames, ef2)
-				anyTraced = anyTraced || ef2.traceID != 0
+			case ef = <-w.ch:
+				frames = append(frames, ef)
 			default:
 				goto gathered
 			}
 		}
 	gathered:
 		if !dead {
+			bufs = bufs[:0]
 			var total int
-			for _, b := range bufs {
-				total += len(b)
+			anyTraced := false
+			for _, f := range frames {
+				bufs = append(bufs, *f.bp)
+				total += len(*f.bp) + len(f.tail)
+				if f.tail != nil {
+					bufs = append(bufs, f.tail)
+				}
+				anyTraced = anyTraced || f.traceID != 0
+			}
+			if w.stats != nil {
+				// Counted before the write, so a frame the peer has seen is
+				// never missing from the counters.
+				w.stats.framesOut.Add(uint64(len(frames)))
+				w.stats.bytesOut.Add(uint64(total))
 			}
 			start := time.Now()
 			var err error
@@ -178,15 +187,13 @@ func (w *connWriter) run() {
 			if w.stats != nil {
 				w.stats.writeCalls.Add(1)
 				w.stats.writeNanos.Add(uint64(elapsed))
-				w.stats.framesOut.Add(uint64(len(bufs)))
-				w.stats.bytesOut.Add(uint64(total))
 			}
 			if anyTraced {
 				// egress_queue is the frame's wait in this queue; its
 				// egress_write span is an equal share of the syscall, the
 				// same per-frame quantity WriteNanos/FramesOut averages.
 				startNs := start.UnixNano()
-				share := int64(elapsed) / int64(len(bufs))
+				share := int64(elapsed) / int64(len(frames))
 				for _, f := range frames {
 					if f.traceID != 0 {
 						w.tracer.RecordSpanNs(f.traceID, trace.StageEgressQueue, f.enqNs, startNs-f.enqNs)
@@ -205,6 +212,9 @@ func (w *connWriter) run() {
 		for _, f := range frames {
 			PutBuffer(f.bp)
 		}
+		// Neither array may keep a message body alive while the writer idles.
+		clear(frames)
+		clear(bufs)
 	}
 }
 
@@ -214,10 +224,9 @@ func frameBuffer(f Frame) (*[]byte, error) {
 	if len(f.Payload) > MaxFrameSize {
 		return nil, ErrFrameTooLarge
 	}
-	bp := GetBuffer()
-	buf := append((*bp)[:0], 0, 0, 0, 0, byte(f.Type))
-	buf = append(buf, f.Payload...)
-	binary.BigEndian.PutUint32(buf[:4], uint32(len(buf)-5))
-	*bp = buf
+	bp := GetBufferSize(prologueSize + len(f.Payload))
+	buf := binary.BigEndian.AppendUint32((*bp)[:0], uint32(len(f.Payload)))
+	buf = append(buf, byte(f.Type))
+	*bp = append(buf, f.Payload...)
 	return bp, nil
 }

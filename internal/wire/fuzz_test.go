@@ -280,6 +280,13 @@ func FuzzDecodeMessageView(f *testing.F) {
 		names = append(names, fmt.Sprintf("p%02d", i), fmt.Sprintf("p%02d", i))
 	}
 	f.Add(manyPropertiesPayload(names))
+	// The message section of a delivery whose body is exactly at the
+	// by-reference cut-over: on the wire it is a head and a body gathered
+	// from two buffers, and the decoders must not be able to tell.
+	cut := jms.NewMessage("orders")
+	_ = cut.SetStringProperty("region", "emea")
+	cut.SetBody(bytes.Repeat([]byte{0xb0}, bodyByRefMin))
+	f.Add(EncodeDelivery(7, 1, cut)[16:])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ref, refErr := DecodeMessage(data)

@@ -164,7 +164,7 @@ func (l *PeerLink) forward(ack *ForwardAck, batch bool, inner []byte) error {
 	if err != nil {
 		return err
 	}
-	bp := GetBuffer()
+	bp := GetBufferSize(prologueSize + 8 + forwardHeaderSize + len(inner))
 	buf := append((*bp)[:0], 0, 0, 0, 0, byte(FrameForward))
 	buf = binary.BigEndian.AppendUint64(buf, req)
 	buf = AppendForward(buf, ForwardHeader{Origin: l.origin, Hops: 1, Batch: batch}, inner)

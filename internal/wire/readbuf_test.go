@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"testing"
@@ -34,7 +35,7 @@ func (c *chunkReader) Read(p []byte) (int, error) {
 
 // testFrameStream encodes a mixed stream: empty-payload control frames,
 // small publishes, and one frame larger than maxPooledBuffer to force the
-// window to grow and shrink back.
+// window to grow.
 func testFrameStream(t testing.TB) ([]Frame, []byte) {
 	t.Helper()
 	big := jms.NewMessage("t")
@@ -92,22 +93,121 @@ func TestFrameReaderDifferential(t *testing.T) {
 	}
 }
 
-// TestFrameReaderShrinksAfterBigFrame: consuming a frame larger than
-// maxPooledBuffer must not pin the grown window for the connection's
-// lifetime.
-func TestFrameReaderShrinksAfterBigFrame(t *testing.T) {
-	_, stream := testFrameStream(t)
-	fr := NewFrameReader(&chunkReader{data: stream, chunk: 4096})
-	for {
+// loopReader is an always-ready peer: it repeats one encoded frame forever
+// and fills whatever buffer Read is offered.
+type loopReader struct {
+	frame []byte
+	off   int
+}
+
+func (l *loopReader) Read(p []byte) (int, error) {
+	for n := 0; n < len(p); {
+		c := copy(p[n:], l.frame[l.off:])
+		n += c
+		l.off = (l.off + c) % len(l.frame)
+	}
+	return len(p), nil
+}
+
+// loopStream is an endless stream of PUBLISH frames of wire bytes each,
+// prologue included; loopFrames reads it through a FrameReader.
+func loopStream(wire int) io.Reader {
+	frame := binary.BigEndian.AppendUint32(nil, uint32(wire-prologueSize))
+	frame = append(frame, byte(FramePublish))
+	frame = append(frame, make([]byte, wire-prologueSize)...)
+	return &loopReader{frame: frame}
+}
+
+func loopFrames(wire int) *FrameReader { return NewFrameReader(loopStream(wire)) }
+
+func mustNext(t testing.TB, fr *FrameReader, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
 		if _, err := fr.Next(); err != nil {
-			if err != io.EOF {
-				t.Fatal(err)
-			}
-			break
+			t.Fatal(err)
 		}
 	}
-	if len(fr.buf) > maxPooledBuffer {
-		t.Errorf("window still %d bytes after big frame, want <= %d", len(fr.buf), maxPooledBuffer)
+}
+
+// TestFrameReaderWindowFollowsFrameSize pins the receive-window policy in
+// counts over an always-ready peer: frames of a 4 KiB message are read
+// several to a Read call, a stationary stream of batch-sized frames never
+// reallocates the window, and small frames keep a small window.
+func TestFrameReaderWindowFollowsFrameSize(t *testing.T) {
+	t.Run("4.2 KB frames share Read calls", func(t *testing.T) {
+		fr := loopFrames(4200)
+		const n = 2000
+		mustNext(t, fr, n)
+		if reads, _ := fr.Stats(); float64(reads)/n > 0.15 {
+			t.Errorf("%d Read calls for %d frames (%.2f per frame), want <= 0.15", reads, n, float64(reads)/n)
+		}
+		if len(fr.buf) > maxWindow {
+			t.Errorf("window %d bytes, want <= %d", len(fr.buf), maxWindow)
+		}
+	})
+	t.Run("67 KB frames never reallocate", func(t *testing.T) {
+		fr := loopFrames(67 << 10)
+		mustNext(t, fr, 8) // growth: 4 KiB -> 128 KiB -> 256 KiB
+		if allocs := testing.AllocsPerRun(4*shrinkRun, func() { mustNext(t, fr, 1) }); allocs != 0 {
+			t.Errorf("%.2f allocations per frame in steady state, want 0", allocs)
+		}
+	})
+	t.Run("frames up to 2 KiB keep the window at 16 KiB", func(t *testing.T) {
+		for _, wire := range []int{prologueSize, 100, 513, 2 << 10} {
+			fr := loopFrames(wire)
+			mustNext(t, fr, 4*shrinkRun)
+			if len(fr.buf) > 16<<10 {
+				t.Errorf("%d-byte frames: window %d bytes, want <= 16 KiB", wire, len(fr.buf))
+			}
+		}
+	})
+	t.Run("a mix keeps the window of its largest frame", func(t *testing.T) {
+		// One batch-sized frame among shrinkRun-1 acks: the run never completes.
+		var stream bytes.Buffer
+		for i := 0; i < 4*shrinkRun; i++ {
+			f := Frame{Type: FramePubAck, Payload: EncodeU64(uint64(i))}
+			if i%shrinkRun == 0 {
+				f = Frame{Type: FrameBatch, Payload: make([]byte, 67<<10)}
+			}
+			if err := WriteFrame(&stream, f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fr := NewFrameReader(&stream)
+		mustNext(t, fr, 2*shrinkRun) // two big frames: 4 KiB -> 128 KiB -> 256 KiB
+		grown := len(fr.buf)
+		mustNext(t, fr, 2*shrinkRun)
+		if len(fr.buf) != grown {
+			t.Errorf("window went %d -> %d bytes over a stationary mix", grown, len(fr.buf))
+		}
+	})
+}
+
+// TestFrameReaderReleasesBigWindow: one 8 MiB frame must not pin its window
+// for the connection's lifetime. After shrinkRun frames that do not need it
+// the window is back under maxWindow, and once what the peer had already
+// sent is consumed it is back at the size small frames get.
+func TestFrameReaderReleasesBigWindow(t *testing.T) {
+	var big bytes.Buffer
+	if err := WriteFrame(&big, Frame{Type: FramePublish, Payload: make([]byte, 8<<20)}); err != nil {
+		t.Fatal(err)
+	}
+	fr := NewFrameReader(io.MultiReader(&big, loopStream(100)))
+	mustNext(t, fr, 1)
+	if len(fr.buf) < 8<<20 {
+		t.Fatalf("window %d bytes after an 8 MiB frame", len(fr.buf))
+	}
+	mustNext(t, fr, shrinkRun-1)
+	if len(fr.buf) < 8<<20 {
+		t.Errorf("window released after %d frames, before the run of %d was complete", shrinkRun-1, shrinkRun)
+	}
+	mustNext(t, fr, 1)
+	if len(fr.buf) > maxWindow {
+		t.Errorf("window still %d bytes %d frames after the big one, want <= %d", len(fr.buf), shrinkRun, maxWindow)
+	}
+	mustNext(t, fr, maxWindow/100+8*shrinkRun)
+	if len(fr.buf) != minWindow {
+		t.Errorf("window settled at %d bytes, want %d", len(fr.buf), minWindow)
 	}
 }
 

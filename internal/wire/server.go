@@ -839,9 +839,19 @@ func (sc *serverConn) writeDeliveries(cs *connSub, msgs []*jms.Message) error {
 	return nil
 }
 
+// bodyByRefMin is the body size from which a delivery hands its body to the
+// writer by reference instead of copying it behind the head. Below it the
+// second iovec costs more than the copy it saves (EXPERIMENTS.md X14 has the
+// sweep); from it on, delivery encode cost no longer depends on body size.
+const bodyByRefMin = 1 << 10
+
 // writeDelivery encodes one MESSAGE frame into a pooled buffer — prologue
 // and payload together, so the delivery fast path allocates nothing in
-// steady state — and hands it to the connection writer.
+// steady state — and hands it to the connection writer. A body of
+// bodyByRefMin bytes or more is not copied: the buffer ends at the body's
+// length field and the writer gathers m.Body itself behind it, the same
+// bytes every replica of the message already shares (see connWriter for why
+// that is safe). The bytes on the wire are the same either way.
 func (sc *serverConn) writeDelivery(subID, seq uint64, m *jms.Message) error {
 	tr := sc.server.tracer
 	traced := tr.Sampled(m.Header.TraceID)
@@ -851,18 +861,28 @@ func (sc *serverConn) writeDelivery(subID, seq uint64, m *jms.Message) error {
 	}
 	bp := GetBuffer()
 	buf := append((*bp)[:0], 0, 0, 0, 0, byte(FrameMessage))
-	buf = AppendDelivery(buf, subID, seq, m)
+	var tail []byte
+	if len(m.Body) >= bodyByRefMin {
+		buf = appendDeliveryHead(buf, subID, seq, m)
+		tail = m.Body
+	} else {
+		buf = AppendDelivery(buf, subID, seq, m)
+	}
 	*bp = buf
-	if len(buf)-5 > MaxFrameSize {
+	size := len(buf) - prologueSize + len(tail)
+	if size > MaxFrameSize {
 		PutBuffer(bp)
-		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(buf)-5)
+		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, size)
 	}
-	binary.BigEndian.PutUint32(buf[:4], uint32(len(buf)-5))
+	binary.BigEndian.PutUint32(buf[:4], uint32(size))
+	ef := egressFrame{bp: bp, tail: tail}
 	if traced {
-		tr.RecordSpanNs(m.Header.TraceID, trace.StageEncode, t0, time.Now().UnixNano()-t0)
-		return sc.w.submitTraced(bp, m.Header.TraceID)
+		// The end of the encode span is the frame's enqueue instant: the
+		// writer records egress_queue and egress_write from it.
+		ef.traceID, ef.enqNs = m.Header.TraceID, time.Now().UnixNano()
+		tr.RecordSpanNs(ef.traceID, trace.StageEncode, t0, ef.enqNs-t0)
 	}
-	return sc.w.submit(bp)
+	return sc.w.submitFrame(ef)
 }
 
 // buildFilter constructs the broker filter from a wire spec.
