@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-benchmark race bench bench-all bench-pairs fuzz stress stress-smoke verify
+.PHONY: all build test test-procs test-benchmark race bench bench-all bench-pairs fuzz stress stress-smoke verify
 
 all: build test
 
@@ -9,6 +9,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# test-procs is CI's matrix run locally: tier-1 and the race pass at
+# GOMAXPROCS 1, 2 and 4, because a failure that needs two cores (a sharded
+# pipeline reordering, a wall-clock envelope) is invisible on one.
+test-procs:
+	for p in 1 2 4; do GOMAXPROCS=$$p $(MAKE) test race || exit 1; done
 
 # test-benchmark tests the repository benchmark (BENCHMARK.json): a nested
 # module, so `go test ./...` above does not reach it. It checks the
@@ -20,8 +26,8 @@ test-benchmark:
 # the broker's dispatch engines (sharded fast path included), the lock-free
 # topic snapshots, the copy-on-write message views, the wire layer's pooled
 # buffers, the reliability stack (fault injection, reconnecting clients,
-# self-healing cluster bridges, conformance harness), and the telemetry
-# plane scraped while the broker dispatches.
+# the replication meshes under restart and kill, conformance harness), and
+# the telemetry plane scraped while the broker dispatches.
 race:
 	$(GO) test -race ./internal/jms/... ./internal/topic/... ./internal/broker/... ./internal/wire/... ./internal/client/... ./internal/faultnet/... ./internal/cluster/... ./internal/conformance/... ./internal/metrics/... ./internal/telemetry/... ./internal/trace/... ./internal/stress/... ./cmd/jmsd/...
 

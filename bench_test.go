@@ -463,7 +463,7 @@ func BenchmarkAblationPushbackWindow(b *testing.B) {
 }
 
 // BenchmarkAblationClusterMesh compares publish cost on a single broker
-// against a 3-member full mesh carrying the same filter population — the
+// against a 3-member SSR mesh carrying the same filter population — the
 // clustering extension's trade-off (extra receives vs. sharded scans).
 func BenchmarkAblationClusterMesh(b *testing.B) {
 	const totalFilters = 300
@@ -502,24 +502,30 @@ func BenchmarkAblationClusterMesh(b *testing.B) {
 		}
 	})
 	b.Run("mesh-3", func(b *testing.B) {
-		c, err := cluster.NewMesh(3, "t", broker.Options{InFlight: 1024, SubscriberBuffer: 1 << 12})
+		topo, err := cluster.NewTopology(cluster.TopologyConfig{
+			Kind:    cluster.TopologySSR,
+			Members: 3,
+			Topics:  []string{"t"},
+			Broker:  broker.Options{InFlight: 1024, SubscriberBuffer: 1 << 12},
+		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		defer func() { _ = c.Close() }()
-		for member := 0; member < 3; member++ {
-			for i := 0; i < totalFilters/3; i++ {
-				s, err := c.Subscribe(member, newFilter(b))
-				if err != nil {
-					b.Fatal(err)
-				}
-				drain(s)
+		defer func() { _ = topo.Close() }()
+		for i := 0; i < totalFilters; i++ {
+			s, err := topo.Subscribe("t", newFilter(b), i)
+			if err != nil {
+				b.Fatal(err)
 			}
+			go func() {
+				for range s.Chan() {
+				}
+			}()
 		}
 		ctx := context.Background()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := c.Publish(ctx, 0, jms.NewMessage("t")); err != nil {
+			if err := topo.Publish(ctx, 0, jms.NewMessage("t")); err != nil {
 				b.Fatal(err)
 			}
 		}

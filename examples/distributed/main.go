@@ -1,6 +1,7 @@
 // Distributed architectures: pick between publisher-side (PSR) and
 // subscriber-side (SSR) server replication with the paper's crossover rule
-// (Eq. 23), then actually run the chosen deployment with real brokers.
+// (Eq. 23), then actually run the chosen architecture as an in-process mesh
+// of real brokers.
 package main
 
 import (
@@ -10,8 +11,7 @@ import (
 	"time"
 
 	jmsperf "repro"
-	"repro/internal/broker"
-	"repro/internal/distrib"
+	"repro/internal/cluster"
 	"repro/internal/filter"
 )
 
@@ -64,18 +64,20 @@ func run() error {
 	return runSSR()
 }
 
-// runPSR demonstrates a small publisher-side deployment: 3 publishers with
-// local brokers; one subscriber registers its filter on all of them.
+// runPSR demonstrates a small publisher-side mesh: 3 publishers with
+// local brokers; one subscriber's filter is mirrored on all of them.
 func runPSR() error {
-	d, err := distrib.NewPSRDeployment(3, "events", broker.Options{})
+	topo, err := newMesh(jmsperf.TopologyPSR)
 	if err != nil {
 		return err
 	}
-	defer func() { _ = d.Close() }()
+	defer func() { _ = topo.Close() }()
 
-	subs, err := d.Subscribe(func() (filter.Filter, error) {
-		return filter.NewCorrelationID("order-*")
-	})
+	f, err := filter.NewCorrelationID("order-*")
+	if err != nil {
+		return err
+	}
+	sub, err := topo.Subscribe("events", f, 0)
 	if err != nil {
 		return err
 	}
@@ -87,42 +89,39 @@ func runPSR() error {
 		if err := m.SetCorrelationID(fmt.Sprintf("order-%d", p)); err != nil {
 			return err
 		}
-		if err := d.Publish(ctx, p, m); err != nil {
+		if err := topo.Publish(ctx, p, m); err != nil {
 			return err
 		}
-	}
-	for i, s := range subs {
-		m, err := s.Receive(ctx)
+		// Publisher p enters at broker p, whose mirror delivers.
+		got, err := receive(ctx, sub)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("  broker %d delivered %s\n", i, m.Header.CorrelationID)
+		fmt.Printf("  broker %d delivered %s\n", p, got.Header.CorrelationID)
 	}
-	st := d.Stats()
-	fmt.Printf("  PSR totals: received=%d dispatched=%d\n", st.Received, st.Dispatched)
+	received, dispatched := totals(topo)
+	fmt.Printf("  PSR totals: received=%d dispatched=%d\n", received, dispatched)
 	return nil
 }
 
-// runSSR demonstrates a small subscriber-side deployment: 3 subscribers
-// with local brokers; every publish is multicast to all of them.
+// runSSR demonstrates a small subscriber-side mesh: 3 subscribers, each
+// homed on its own broker; every publish is flooded to all of them.
 func runSSR() error {
-	d, err := distrib.NewSSRDeployment(3, "events", broker.Options{})
+	topo, err := newMesh(jmsperf.TopologySSR)
 	if err != nil {
 		return err
 	}
-	defer func() { _ = d.Close() }()
+	defer func() { _ = topo.Close() }()
 
-	subs := make([]*broker.Subscriber, 3)
+	subs := make([]*cluster.TopoSub, 3)
 	for i := range subs {
 		f, err := filter.NewCorrelationID(fmt.Sprintf("shard-%d", i))
 		if err != nil {
 			return err
 		}
-		s, err := d.Subscribe(i, f)
-		if err != nil {
+		if subs[i], err = topo.Subscribe("events", f, i); err != nil {
 			return err
 		}
-		subs[i] = s
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -131,15 +130,39 @@ func runSSR() error {
 	if err := m.SetCorrelationID("shard-1"); err != nil {
 		return err
 	}
-	if err := d.Publish(ctx, m); err != nil {
+	if err := topo.Publish(ctx, 0, m); err != nil {
 		return err
 	}
-	got, err := subs[1].Receive(ctx)
+	got, err := receive(ctx, subs[1])
 	if err != nil {
 		return err
 	}
 	fmt.Printf("  subscriber 1 received %s\n", got.Header.CorrelationID)
-	st := d.Stats()
-	fmt.Printf("  SSR totals: received=%d (multicast) dispatched=%d\n", st.Received, st.Dispatched)
+	received, dispatched := totals(topo)
+	fmt.Printf("  SSR totals: received=%d (multicast) dispatched=%d\n", received, dispatched)
 	return nil
+}
+
+func newMesh(kind cluster.TopologyKind) (*jmsperf.Topology, error) {
+	return jmsperf.NewTopology(jmsperf.TopologyConfig{Kind: kind, Members: 3, Topics: []string{"events"}})
+}
+
+// receive takes the next delivery off a mesh subscription.
+func receive(ctx context.Context, s *cluster.TopoSub) (*jmsperf.Message, error) {
+	select {
+	case m := <-s.Chan():
+		return m, nil
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
+// totals sums the member brokers' counters.
+func totals(topo *jmsperf.Topology) (received, dispatched uint64) {
+	for _, b := range topo.Brokers() {
+		st := b.Stats()
+		received += st.Received
+		dispatched += st.Dispatched
+	}
+	return received, dispatched
 }

@@ -56,8 +56,16 @@ type DispatchObserver interface {
 
 // Options configure a Broker.
 type Options struct {
-	// InFlight bounds the number of received-but-undispatched messages per
-	// topic. Publishers block when it is reached (push-back). Default 64.
+	// InFlight sizes each per-topic queue between Publish and the transmit
+	// stage; publishers block (push-back) once all of them are full. Default
+	// 64. The received-but-undispatched residency it allows is larger than
+	// the value itself: InFlight + 1 on the serial pipeline (the intake
+	// queue and the message in the loop), and 3·InFlight + Shards + 2 on the
+	// sharded one (intake, work and commit queues of InFlight each, one
+	// more held by the sequencer, by every shard and by the committer, and
+	// on top whatever the reorder buffer holds while a shard lags behind
+	// its neighbours) — in both cases plus SubscriberBuffer for each
+	// subscriber whose full queue blocks the transmit stage.
 	InFlight int
 	// SubscriberBuffer is the per-subscriber delivery queue length.
 	// Default 64.

@@ -121,45 +121,106 @@ func slowConsumerCases() []struct {
 	}
 }
 
+// TestSlowConsumerBlockSemantics pins the block policy by count, not by
+// clock: against a subscriber that does not drain, the publisher parks with
+// exactly the residency Options.InFlight documents accepted — every queue
+// and stage of the pipeline full — and stays parked until the subscriber
+// drains, which then yields every message in order.
 func TestSlowConsumerBlockSemantics(t *testing.T) {
+	const inFlight, shards = 2, 2 // pinned: the bound must not follow GOMAXPROCS
 	for _, ec := range slowConsumerCases() {
 		for _, batched := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/batched=%v", ec.name, batched), func(t *testing.T) {
+				bound := inFlight + 1 + slowBuf
+				if ec.engine == EngineFast {
+					bound = 3*inFlight + shards + 2 + slowBuf
+				}
+				total := bound + 1
 				b := newTestBroker(t, Options{
 					Engine:           ec.engine,
-					InFlight:         2,
+					InFlight:         inFlight,
+					Shards:           shards,
 					SubscriberBuffer: slowBuf,
 					SlowConsumer:     SlowConsumerBlock,
 				})
+				// probe subscribes first, so the transmit stage hands it each
+				// message before blocking on slow: Dispatched then counts how
+				// far the committer has got.
+				probe, err := b.SubscribeBuffered("t", nil, total)
+				if err != nil {
+					t.Fatal(err)
+				}
 				slow, err := b.Subscribe("t", nil)
 				if err != nil {
 					t.Fatal(err)
 				}
+				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+				defer cancel()
 				pubDone := make(chan struct{})
-				go func() {
-					defer close(pubDone)
-					if err := publishSlowSeq(b, batched); err != nil {
-						t.Error(err)
+				if batched {
+					// A batch occupies a single in-flight slot, so the batched
+					// publisher returns without blocking by design.
+					msgs := make([]*jms.Message, total)
+					for i := range msgs {
+						msgs[i] = seqMessage(t, i+1)
 					}
-				}()
-				if !batched {
-					// The publisher must stall: the slow queue fills, the
-					// transmit stage blocks, the in-flight window fills. (A
-					// batch occupies a single in-flight slot, so the batched
-					// publisher returns without blocking by design.)
+					if err := b.PublishBatch(ctx, msgs); err != nil {
+						t.Fatal(err)
+					}
+					close(pubDone)
+				} else {
+					// Fill slow's queue and park the committer on message
+					// slowBuf+1 one publish at a time, so nothing is in the
+					// reorder buffer when the rest floods in behind it.
+					next := 1
+					for ; next <= slowBuf+1; next++ {
+						if err := b.Publish(ctx, seqMessage(t, next)); err != nil {
+							t.Fatal(err)
+						}
+						waitDispatched(t, b, uint64(min(2*next, 2*slowBuf+1)))
+					}
+					rest := make([]*jms.Message, 0, total-slowBuf-1)
+					for ; next <= total; next++ {
+						rest = append(rest, seqMessage(t, next))
+					}
+					go func() {
+						defer close(pubDone)
+						for _, m := range rest {
+							if err := b.Publish(ctx, m); err != nil {
+								t.Error(err)
+								return
+							}
+						}
+					}()
+					// Push-back: the pipeline fills to the bound and the last
+					// Publish parks on the full in-flight window.
+					deadline := time.Now().Add(5 * time.Second)
+					for b.Stats().Received < uint64(bound) {
+						if time.Now().After(deadline) {
+							t.Fatalf("Received = %d, never reached the bound %d", b.Stats().Received, bound)
+						}
+						time.Sleep(time.Millisecond)
+					}
+					time.Sleep(10 * time.Millisecond) // room for an overrun to show
 					select {
 					case <-pubDone:
 						t.Fatal("publisher completed against a blocked subscriber; push-back did not propagate")
-					case <-time.After(100 * time.Millisecond):
+					default:
+					}
+					if got := b.Stats().Received; got != uint64(bound) {
+						t.Fatalf("Received = %d with the subscriber blocked, want the bound %d", got, bound)
 					}
 				}
 				// Draining releases the push-back and yields every message
 				// in order — the paper's lossless blocking regime.
-				want := make([]int64, slowMsgs)
+				want := make([]int64, total)
 				for i := range want {
 					want[i] = int64(i + 1)
 				}
 				if err := receiveSeqs(slow, want); err != nil {
+					t.Fatal(err)
+				}
+				if err := receiveSeqs(probe, want); err != nil {
 					t.Fatal(err)
 				}
 				select {
@@ -167,12 +228,14 @@ func TestSlowConsumerBlockSemantics(t *testing.T) {
 				case <-time.After(5 * time.Second):
 					t.Fatal("publisher still blocked after subscriber drained")
 				}
+				// A delivery is received before its transmit is counted.
+				waitDispatched(t, b, uint64(2*total))
 				st := b.Stats()
 				if st.SlowDropped != 0 || st.SlowDisconnects != 0 {
 					t.Errorf("block policy counted slow-consumer actions: %+v", st)
 				}
-				if st.Dispatched != slowMsgs {
-					t.Errorf("Dispatched = %d, want %d", st.Dispatched, slowMsgs)
+				if st.Dispatched != uint64(2*total) {
+					t.Errorf("Dispatched = %d, want %d", st.Dispatched, 2*total)
 				}
 			})
 		}

@@ -1,7 +1,13 @@
-package cluster
-
-// This file implements the replication topologies of the paper's Section
-// on distributed architectures (Eqs. 21–23) as a live multi-broker layer:
+// Package cluster implements broker clustering, the paper's stated ongoing
+// work ("we investigate the message throughput performance of server
+// clusters and work on concepts to achieve true JMS system scalability"):
+// one deterministic topic Ring (ring.go) and two replication meshes over it
+// — the in-process Topology below, with live membership changes, and the
+// static TCP WireMesh (wiremesh.go) that jmsd runs in production. Both
+// share TopologyKind, the member-id spelling and the package errors.
+//
+// Topology implements the replication topologies of the paper's Section on
+// distributed architectures (Eqs. 21–23) as a live multi-broker layer:
 //
 //   - PSR (publisher-side server replication): each publisher enters at
 //     its own broker and every subscriber's filter is mirrored on all n
@@ -19,8 +25,7 @@ package cluster
 //
 // The layer is deliberately in-process (brokers, not sockets): it is the
 // core artifact the conformance, metamorphic and chaos walls pin down.
-// WireMesh (wiremesh.go) carries the same routing rules between real
-// jmsd processes.
+// WireMesh carries the same routing rules between real jmsd processes.
 //
 // Rebalancing is lossless for accepted messages: publishes take the
 // topology's read lock, a membership change takes the write lock (so no
@@ -32,6 +37,7 @@ package cluster
 // broker guarantees: no new delivery is enqueued once Unsubscribe has
 // returned, and Close drains accepted messages into subscriber channels
 // before closing them.
+package cluster
 
 import (
 	"context"
@@ -44,6 +50,14 @@ import (
 	"repro/internal/broker"
 	"repro/internal/filter"
 	"repro/internal/jms"
+)
+
+// Errors of the cluster package.
+var (
+	// ErrParams is returned for invalid topology parameters.
+	ErrParams = errors.New("cluster: invalid parameters")
+	// ErrClosed is returned after Close.
+	ErrClosed = errors.New("cluster: closed")
 )
 
 // TopologyKind selects a replication architecture.
@@ -202,7 +216,7 @@ func NewTopology(cfg TopologyConfig) (*Topology, error) {
 
 // newMember creates and configures one broker slot.
 func (t *Topology) newMember() (*topoMember, error) {
-	m := &topoMember{id: fmt.Sprintf("m%d", t.nextID), b: broker.New(t.opts)}
+	m := &topoMember{id: meshMemberID(t.nextID), b: broker.New(t.opts)}
 	t.nextID++
 	for _, tp := range t.topics {
 		if err := m.b.ConfigureTopic(tp); err != nil {
@@ -500,35 +514,7 @@ func (t *Topology) RemoveMember(id string) error {
 		t.mu.Unlock()
 		return err
 	}
-	t.members = append(t.members[:idx], t.members[idx+1:]...)
-	var firstErr error
-	switch t.kind {
-	case TopologyPSR:
-		for s := range t.subs {
-			if err := s.dropLocked(id); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-	case TopologySSR:
-		heir := t.members[0]
-		t.rebalances.Add(1)
-		for s := range t.subs {
-			if _, ok := s.parts[id]; !ok {
-				continue
-			}
-			if err := s.moveLocked(id, heir); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-	case TopologyHash:
-		moved, err := t.ring.Leave(id)
-		if err == nil {
-			err = t.migrateLocked(moved, "")
-		}
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
+	firstErr := t.removeLocked(idx, id)
 	t.mu.Unlock()
 	if err := mem.b.Close(); err != nil && firstErr == nil {
 		firstErr = err
@@ -571,33 +557,40 @@ func (t *Topology) Kill(id string) error {
 	if cur == nil {
 		return fmt.Errorf("%w: member %q", ErrParams, id)
 	}
+	return t.removeLocked(idx, id)
+}
+
+// removeLocked splices member idx (id) out of the mesh and rebalances what
+// it carried: PSR drops its mirrors, SSR re-homes its subscribers on the
+// first remaining member, hash leaves the ring and migrates only the
+// leaver's topics. A refused re-attach does not strand the remaining
+// subscriptions; the first error is returned. Write lock held.
+func (t *Topology) removeLocked(idx int, id string) error {
 	t.members = append(t.members[:idx], t.members[idx+1:]...)
 	switch t.kind {
 	case TopologyPSR:
 		for s := range t.subs {
-			if err := s.dropLocked(id); err != nil {
-				return err
-			}
+			s.dropLocked(id)
 		}
 	case TopologySSR:
 		heir := t.members[0]
 		t.rebalances.Add(1)
+		var firstErr error
 		for s := range t.subs {
 			if _, ok := s.parts[id]; !ok {
 				continue
 			}
-			if err := s.moveLocked(id, heir); err != nil {
-				return err
+			if err := s.moveLocked(id, heir); err != nil && firstErr == nil {
+				firstErr = err
 			}
 		}
+		return firstErr
 	case TopologyHash:
 		moved, err := t.ring.Leave(id)
 		if err != nil {
 			return err
 		}
-		if err := t.migrateLocked(moved, ""); err != nil {
-			return err
-		}
+		return t.migrateLocked(moved, "")
 	}
 	return nil
 }
@@ -766,18 +759,17 @@ func (s *TopoSub) soleMemberID() string {
 }
 
 // dropLocked tears down the part on a member after flushing its residue.
-func (s *TopoSub) dropLocked(id string) error {
+func (s *TopoSub) dropLocked(id string) {
 	s.mu.Lock()
 	p := s.parts[id]
 	delete(s.parts, id)
 	s.mu.Unlock()
 	if p == nil {
-		return nil
+		return
 	}
 	_ = p.sub.Unsubscribe()
 	close(p.stop)
 	<-p.done
-	return nil
 }
 
 // moveLocked re-homes this subscription from member id `from` to member
@@ -785,9 +777,7 @@ func (s *TopoSub) dropLocked(id string) error {
 // merged channel before the new part's pump starts, preserving per-topic
 // order across a quiesced (graceful) move.
 func (s *TopoSub) moveLocked(from string, to *topoMember) error {
-	if err := s.dropLocked(from); err != nil {
-		return err
-	}
+	s.dropLocked(from)
 	s.mu.Lock()
 	closed := s.closed
 	s.mu.Unlock()

@@ -2,8 +2,10 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -584,85 +586,239 @@ func TestTopologySSRRestart(t *testing.T) {
 	}
 }
 
-// TestBridgeMaxHopsLine pins the hop-budget semantics on a line topology
-// (the loop-suppression edge case): with maxHops=1 a message crosses one
-// bridge only, so the far end of A→B→C stays silent; with maxHops=2 it
-// arrives there exactly once.
-func TestBridgeMaxHopsLine(t *testing.T) {
-	for _, tc := range []struct {
-		maxHops int
-		wantFar int
-	}{{1, 0}, {2, 1}} {
-		tc := tc
-		t.Run(fmt.Sprintf("maxHops=%d", tc.maxHops), func(t *testing.T) {
-			mk := func() *broker.Broker {
-				b := broker.New(broker.Options{})
-				if err := b.ConfigureTopic("x"); err != nil {
-					t.Fatal(err)
-				}
-				return b
-			}
-			a, bb, c := mk(), mk(), mk()
-			defer func() { _ = a.Close(); _ = bb.Close(); _ = c.Close() }()
-			ab, err := NewBridge(a, bb, "x", tc.maxHops)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer func() { _ = ab.Close() }()
-			bc, err := NewBridge(bb, c, "x", tc.maxHops)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer func() { _ = bc.Close() }()
-
-			mid, err := bb.Subscribe("x", nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			far, err := c.Subscribe("x", nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m := jms.NewMessage("x")
-			m.SetBody([]byte("hop"))
-			if err := a.Publish(context.Background(), m); err != nil {
-				t.Fatal(err)
-			}
-			// The middle broker always hears it (one hop).
-			select {
-			case <-mid.Chan():
-			case <-time.After(10 * time.Second):
-				t.Fatal("middle broker never received the message")
-			}
-			gotFar := 0
-			timeout := time.After(300 * time.Millisecond)
-		drain:
-			for {
-				select {
-				case <-far.Chan():
-					gotFar++
-				case <-timeout:
-					break drain
-				}
-			}
-			if gotFar != tc.wantFar {
-				t.Fatalf("far broker received %d messages, want %d", gotFar, tc.wantFar)
-			}
-		})
-	}
-}
-
-// TestClusterRestartConcurrent is the chaos-coverage satellite for the
-// bridge mesh: Cluster.Restart racing concurrent Publish and Subscribe
-// churn. The subscriber on the stable member must receive every message
-// accepted by that member, with no loss, dead-lock or race.
-func TestClusterRestartConcurrent(t *testing.T) {
-	c, err := NewMesh(3, "x", broker.Options{SubscriberBuffer: 8192})
+// newTestTopology builds a members-broker mesh of the given kind on topic
+// "t", closed with the test.
+func newTestTopology(t *testing.T, kind TopologyKind, members int) *Topology {
+	t.Helper()
+	topo, err := NewTopology(TopologyConfig{Kind: kind, Members: members, Topics: []string{"t"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = c.Close() }()
-	stable, err := c.Subscribe(0, nil)
+	t.Cleanup(func() { _ = topo.Close() })
+	return topo
+}
+
+// subscribePerMember homes one match-all subscriber on every member.
+func subscribePerMember(t *testing.T, topo *Topology) []*TopoSub {
+	t.Helper()
+	subs := make([]*TopoSub, len(topo.MemberIDs()))
+	for i := range subs {
+		s, err := topo.Subscribe("t", filter.All{}, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs[i] = s
+	}
+	return subs
+}
+
+// corrMessage builds a message on topic "t" with the given correlation ID.
+func corrMessage(t *testing.T, corrID string) *jms.Message {
+	t.Helper()
+	m := jms.NewMessage("t")
+	if err := m.SetCorrelationID(corrID); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// receive takes the next delivery off a merged channel.
+func receive(t *testing.T, s *TopoSub) *jms.Message {
+	t.Helper()
+	select {
+	case m, ok := <-s.Chan():
+		if !ok {
+			t.Fatal("subscription closed")
+		}
+		return m
+	case <-time.After(10 * time.Second):
+		t.Fatal("timed out waiting for a delivery")
+	}
+	return nil
+}
+
+// TestMeshReachesEveryMemberExactlyOnce: one SSR publish is accepted once
+// by every member (no echo) and heard once by each member's subscriber.
+func TestMeshReachesEveryMemberExactlyOnce(t *testing.T) {
+	topo := newTestTopology(t, TopologySSR, 3)
+	subs := subscribePerMember(t, topo)
+	if err := topo.Publish(context.Background(), 0, corrMessage(t, "only-once")); err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range subs {
+		if got := receive(t, s); got.Header.CorrelationID != "only-once" {
+			t.Errorf("member %d corrID = %q", i, got.Header.CorrelationID)
+		}
+	}
+	st := topo.Stats()
+	if st.Forwards != 2 {
+		t.Errorf("Forwards = %d, want 2 flood copies", st.Forwards)
+	}
+	for i, n := range st.MemberReceived {
+		if n != 1 {
+			t.Errorf("member %d accepted %d copies, want exactly 1", i, n)
+		}
+	}
+}
+
+// TestMeshFilterOnOneMember: a filter homed on one member sees matching
+// traffic entering at another, and nothing else.
+func TestMeshFilterOnOneMember(t *testing.T) {
+	topo := newTestTopology(t, TopologySSR, 3)
+	sub, err := topo.Subscribe("t", corrFilter(t, "#7")(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	// Member 2 commits in publish order, so the second #7 arriving next
+	// proves the #8 between them was filtered, not delayed.
+	for origin, corrID := range []string{"#7", "#8", "#7"} {
+		if err := topo.Publish(ctx, origin, corrMessage(t, corrID)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if got := receive(t, sub); got.Header.CorrelationID != "#7" {
+			t.Errorf("delivery %d corrID = %q", i, got.Header.CorrelationID)
+		}
+	}
+	if n := sub.Delivered(); n != 2 {
+		t.Errorf("Delivered = %d, want 2", n)
+	}
+}
+
+func TestMeshParamsAndClose(t *testing.T) {
+	for name, cfg := range map[string]TopologyConfig{
+		"no kind":      {Members: 2, Topics: []string{"t"}},
+		"unknown kind": {Kind: TopologyHash + 1, Members: 2, Topics: []string{"t"}},
+		"no members":   {Kind: TopologySSR, Topics: []string{"t"}},
+		"no topics":    {Kind: TopologySSR, Members: 2},
+	} {
+		if _, err := NewTopology(cfg); !errors.Is(err, ErrParams) {
+			t.Errorf("%s: err = %v, want ErrParams", name, err)
+		}
+	}
+	for _, kind := range []TopologyKind{TopologyPSR, TopologySSR, TopologyHash} {
+		topo, err := NewTopology(TopologyConfig{Kind: kind, Members: 2, Topics: []string{"t"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := topo.Publish(context.Background(), -1, jms.NewMessage("t")); !errors.Is(err, ErrParams) {
+			t.Errorf("%v: negative origin err = %v", kind, err)
+		}
+		if _, err := topo.Subscribe("t", filter.All{}, -1); !errors.Is(err, ErrParams) {
+			t.Errorf("%v: negative home err = %v", kind, err)
+		}
+		if len(topo.Brokers()) != 2 {
+			t.Errorf("%v: Brokers = %d", kind, len(topo.Brokers()))
+		}
+		if err := topo.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := topo.Close(); !errors.Is(err, ErrClosed) {
+			t.Errorf("%v: double Close err = %v", kind, err)
+		}
+		if err := topo.Publish(context.Background(), 0, jms.NewMessage("t")); !errors.Is(err, ErrClosed) {
+			t.Errorf("%v: Publish after Close err = %v", kind, err)
+		}
+	}
+}
+
+// TestMeshHealsAfterMemberRestart: after Restart the slot is a fresh
+// broker that both accepts floods and originates them — subscribers
+// installed after the restart on every member hear a publish entering at
+// the restarted one.
+func TestMeshHealsAfterMemberRestart(t *testing.T) {
+	topo := newTestTopology(t, TopologySSR, 3)
+	ctx := context.Background()
+	if err := topo.Publish(ctx, 0, corrMessage(t, "pre")); err != nil {
+		t.Fatal(err)
+	}
+	if err := topo.Restart("m1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := topo.Restart("m9"); !errors.Is(err, ErrParams) {
+		t.Errorf("Restart(unknown) err = %v", err)
+	}
+	subs := subscribePerMember(t, topo)
+	if err := topo.Publish(ctx, 1, corrMessage(t, "final")); err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range subs {
+		if got := receive(t, s); got.Header.CorrelationID != "final" {
+			t.Errorf("member %d corrID = %q", i, got.Header.CorrelationID)
+		}
+	}
+	// The replacement counts from zero; its neighbours kept their history.
+	if got, want := topo.Stats().MemberReceived, []uint64{2, 1, 2}; !reflect.DeepEqual(got, want) {
+		t.Errorf("MemberReceived = %v, want %v", got, want)
+	}
+}
+
+// TestMeshPreservesTraceID pins that Header.TraceID survives both ways a
+// message crosses a member boundary — the SSR flood's clone and the hash
+// route to a non-entry owner — so a flight record spans the whole mesh.
+func TestMeshPreservesTraceID(t *testing.T) {
+	const id = 0xA5A5A5A5
+	ctx := context.Background()
+	traced := func() *jms.Message {
+		m := jms.NewMessage("t")
+		m.Header.TraceID = id
+		return m
+	}
+
+	ssr := newTestTopology(t, TopologySSR, 3)
+	subs := subscribePerMember(t, ssr)
+	if err := ssr.Publish(ctx, 1, traced()); err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range subs {
+		if got := receive(t, s); got.Header.TraceID != id {
+			t.Errorf("ssr member %d TraceID = %#x, want %#x", i, got.Header.TraceID, id)
+		}
+	}
+
+	hash := newTestTopology(t, TopologyHash, 3)
+	sub, err := hash.Subscribe("t", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner, _ := hash.Owner("t")
+	origin := 0
+	for i, mid := range hash.MemberIDs() {
+		if mid != owner {
+			origin = i
+		}
+	}
+	if err := hash.Publish(ctx, origin, traced()); err != nil {
+		t.Fatal(err)
+	}
+	if got := receive(t, sub); got.Header.TraceID != id {
+		t.Errorf("hash TraceID = %#x, want %#x", got.Header.TraceID, id)
+	}
+	if n := hash.Stats().Forwards; n != 1 {
+		t.Errorf("hash Forwards = %d, want 1 cross-member route", n)
+	}
+}
+
+// TestClusterRestartConcurrent is the chaos-coverage leg for SSR restarts:
+// Restart of members 1 and 2 racing three publishers on origin 0 and
+// subscribe/unsubscribe churn homed on member 2. A flood that meets a
+// closing member fails after member 0 may already have accepted its copy,
+// so publishers retry and the stable subscriber on member 0 is checked as
+// a set: every accepted body arrives, with no loss, deadlock or race.
+func TestClusterRestartConcurrent(t *testing.T) {
+	topo, err := NewTopology(TopologyConfig{
+		Kind:    TopologySSR,
+		Members: 3,
+		Topics:  []string{"x"},
+		Broker:  broker.Options{SubscriberBuffer: 8192},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = topo.Close() }()
+	stable, err := topo.Subscribe("x", nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -679,9 +835,11 @@ func TestClusterRestartConcurrent(t *testing.T) {
 
 	ctx := context.Background()
 	const msgs = 300
-	var pubWG sync.WaitGroup
-	accepted := make([]string, 0, msgs)
-	var accMu sync.Mutex
+	var (
+		pubWG    sync.WaitGroup
+		accMu    sync.Mutex
+		accepted = make([]string, 0, msgs)
+	)
 	for p := 0; p < 3; p++ {
 		p := p
 		pubWG.Add(1)
@@ -689,12 +847,10 @@ func TestClusterRestartConcurrent(t *testing.T) {
 			defer pubWG.Done()
 			for i := 0; i < msgs/3; i++ {
 				body := fmt.Sprintf("m%d-%d", p, i)
-				m := jms.NewMessage("x")
-				m.SetBody([]byte(body))
-				// Publish on the stable member only: restarts of members
-				// 1 and 2 must not lose messages accepted by member 0.
 				for {
-					if err := c.Publish(ctx, 0, m); err == nil {
+					m := jms.NewMessage("x")
+					m.SetBody([]byte(body))
+					if err := topo.Publish(ctx, 0, m); err == nil {
 						break
 					}
 					time.Sleep(time.Millisecond)
@@ -705,7 +861,6 @@ func TestClusterRestartConcurrent(t *testing.T) {
 			}
 		}()
 	}
-	// Subscribe churn on a restarting member, racing Restart.
 	churnStop := make(chan struct{})
 	var churnWG sync.WaitGroup
 	churnWG.Add(1)
@@ -717,8 +872,9 @@ func TestClusterRestartConcurrent(t *testing.T) {
 				return
 			default:
 			}
-			s, err := c.Subscribe(2, nil)
-			if err == nil {
+			// Subscribe fails while member 2 is between Close and its
+			// replacement; that is part of the churn.
+			if s, err := topo.Subscribe("x", nil, 2); err == nil {
 				time.Sleep(2 * time.Millisecond)
 				_ = s.Unsubscribe()
 			}
@@ -726,8 +882,8 @@ func TestClusterRestartConcurrent(t *testing.T) {
 	}()
 	for r := 0; r < 4; r++ {
 		time.Sleep(10 * time.Millisecond)
-		if err := c.Restart(1 + r%2); err != nil {
-			t.Fatalf("restart: %v", err)
+		if err := topo.Restart(meshMemberID(1 + r%2)); err != nil {
+			t.Errorf("restart: %v", err)
 		}
 	}
 	pubWG.Wait()
@@ -737,13 +893,11 @@ func TestClusterRestartConcurrent(t *testing.T) {
 	deadline := time.Now().Add(20 * time.Second)
 	for {
 		missing := 0
-		accMu.Lock()
 		for _, body := range accepted {
 			if _, ok := delivered.Load(body); !ok {
 				missing++
 			}
 		}
-		accMu.Unlock()
 		if missing == 0 {
 			break
 		}
@@ -752,4 +906,6 @@ func TestClusterRestartConcurrent(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	_ = stable.Unsubscribe()
+	<-drainDone
 }

@@ -3,20 +3,17 @@
 // publisher runs its own broker that all subscribers register with, and
 // subscriber-side server replication (SSR), where every subscriber runs its
 // own broker that all publishers multicast to. It provides the capacity
-// formulas (Eqs. 21–22), the crossover rule (Eq. 23), and executable
-// deployments built from real broker instances for integration testing.
+// formulas (Eqs. 21–22), the crossover rule (Eq. 23) and their hash- and
+// mesh-capacity extensions as closed forms only; the running counterparts
+// are cluster.Topology (in-process) and cluster.WireMesh (TCP).
 package distrib
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
 
-	"repro/internal/broker"
 	"repro/internal/core"
-	"repro/internal/filter"
-	"repro/internal/jms"
 	"repro/internal/mg1"
 	"repro/internal/replication"
 )
@@ -233,168 +230,4 @@ func CrossoverN(s Scenario) (int, error) {
 		n = 1
 	}
 	return n, nil
-}
-
-// --- Executable deployments -------------------------------------------------
-
-// PSRDeployment is a running publisher-side replication system: one broker
-// per publisher; subscribers register on every broker.
-type PSRDeployment struct {
-	brokers []*broker.Broker
-	topic   string
-}
-
-// NewPSRDeployment starts n publisher-side brokers with the given topic.
-func NewPSRDeployment(n int, topicName string, opts broker.Options) (*PSRDeployment, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("%w: n=%d", ErrParams, n)
-	}
-	d := &PSRDeployment{topic: topicName}
-	for i := 0; i < n; i++ {
-		b := broker.New(opts)
-		if err := b.ConfigureTopic(topicName); err != nil {
-			_ = d.Close()
-			return nil, err
-		}
-		d.brokers = append(d.brokers, b)
-	}
-	return d, nil
-}
-
-// Brokers returns the per-publisher brokers.
-func (d *PSRDeployment) Brokers() []*broker.Broker {
-	out := make([]*broker.Broker, len(d.brokers))
-	copy(out, d.brokers)
-	return out
-}
-
-// Publish sends a message through publisher i's local broker.
-func (d *PSRDeployment) Publish(ctx context.Context, publisher int, m *jms.Message) error {
-	if publisher < 0 || publisher >= len(d.brokers) {
-		return fmt.Errorf("%w: publisher %d of %d", ErrParams, publisher, len(d.brokers))
-	}
-	return d.brokers[publisher].Publish(ctx, m)
-}
-
-// Subscribe registers the subscriber's filter on every publisher-side
-// broker — the paper's noted drawback that "all subscribers have to
-// register in parallel for n JMS servers".
-func (d *PSRDeployment) Subscribe(f func() (filter.Filter, error)) ([]*broker.Subscriber, error) {
-	subs := make([]*broker.Subscriber, 0, len(d.brokers))
-	for _, b := range d.brokers {
-		flt, err := f()
-		if err != nil {
-			return nil, err
-		}
-		s, err := b.Subscribe(d.topic, flt)
-		if err != nil {
-			return nil, err
-		}
-		subs = append(subs, s)
-	}
-	return subs, nil
-}
-
-// Stats aggregates the broker counters across the deployment.
-func (d *PSRDeployment) Stats() broker.Stats {
-	var total broker.Stats
-	for _, b := range d.brokers {
-		s := b.Stats()
-		total.Received += s.Received
-		total.Dispatched += s.Dispatched
-		total.FilterEvals += s.FilterEvals
-		total.Dropped += s.Dropped
-	}
-	return total
-}
-
-// Close shuts all brokers down.
-func (d *PSRDeployment) Close() error {
-	var firstErr error
-	for _, b := range d.brokers {
-		if err := b.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
-// SSRDeployment is a running subscriber-side replication system: one broker
-// per subscriber; every publish is multicast to all of them.
-type SSRDeployment struct {
-	brokers []*broker.Broker
-	topic   string
-}
-
-// NewSSRDeployment starts m subscriber-side brokers with the given topic.
-func NewSSRDeployment(m int, topicName string, opts broker.Options) (*SSRDeployment, error) {
-	if m < 1 {
-		return nil, fmt.Errorf("%w: m=%d", ErrParams, m)
-	}
-	d := &SSRDeployment{topic: topicName}
-	for i := 0; i < m; i++ {
-		b := broker.New(opts)
-		if err := b.ConfigureTopic(topicName); err != nil {
-			_ = d.Close()
-			return nil, err
-		}
-		d.brokers = append(d.brokers, b)
-	}
-	return d, nil
-}
-
-// Brokers returns the per-subscriber brokers.
-func (d *SSRDeployment) Brokers() []*broker.Broker {
-	out := make([]*broker.Broker, len(d.brokers))
-	copy(out, d.brokers)
-	return out
-}
-
-// Publish multicasts a message to every subscriber-side broker — the
-// paper's noted drawback that "every publisher needs to multicast its
-// messages to all JMS servers at m different subscriber sites". Each
-// broker gets its own deep copy.
-func (d *SSRDeployment) Publish(ctx context.Context, m *jms.Message) error {
-	for i, b := range d.brokers {
-		msg := m
-		if i < len(d.brokers)-1 {
-			msg = m.Clone()
-		}
-		if err := b.Publish(ctx, msg); err != nil {
-			return fmt.Errorf("broker %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// Subscribe installs subscriber i's filter on its own broker only.
-func (d *SSRDeployment) Subscribe(subscriber int, flt filter.Filter) (*broker.Subscriber, error) {
-	if subscriber < 0 || subscriber >= len(d.brokers) {
-		return nil, fmt.Errorf("%w: subscriber %d of %d", ErrParams, subscriber, len(d.brokers))
-	}
-	return d.brokers[subscriber].Subscribe(d.topic, flt)
-}
-
-// Stats aggregates the broker counters across the deployment.
-func (d *SSRDeployment) Stats() broker.Stats {
-	var total broker.Stats
-	for _, b := range d.brokers {
-		s := b.Stats()
-		total.Received += s.Received
-		total.Dispatched += s.Dispatched
-		total.FilterEvals += s.FilterEvals
-		total.Dropped += s.Dropped
-	}
-	return total
-}
-
-// Close shuts all brokers down.
-func (d *SSRDeployment) Close() error {
-	var firstErr error
-	for _, b := range d.brokers {
-		if err := b.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
 }

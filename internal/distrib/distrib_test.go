@@ -1,16 +1,11 @@
 package distrib
 
 import (
-	"context"
 	"errors"
 	"math"
 	"testing"
-	"time"
 
-	"repro/internal/broker"
 	"repro/internal/core"
-	"repro/internal/filter"
-	"repro/internal/jms"
 )
 
 // paperScenario is Fig. 15's setting: E[R]=1, rho=0.9, correlation ID
@@ -195,119 +190,6 @@ func TestScenarioValidation(t *testing.T) {
 		if _, err := SSRCapacity(s); err == nil {
 			t.Errorf("case %d: SSRCapacity accepted invalid scenario", i)
 		}
-	}
-}
-
-func TestPSRDeploymentEndToEnd(t *testing.T) {
-	const n = 3
-	d, err := NewPSRDeployment(n, "t", broker.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = d.Close() }()
-
-	// One subscriber filtering #0, registered on all n brokers.
-	subs, err := d.Subscribe(func() (filter.Filter, error) {
-		return filter.NewCorrelationID("#0")
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(subs) != n {
-		t.Fatalf("subscriber registered on %d brokers, want %d", len(subs), n)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	// Each publisher sends one matching message through its own broker.
-	for p := 0; p < n; p++ {
-		m := jms.NewMessage("t")
-		if err := m.SetCorrelationID("#0"); err != nil {
-			t.Fatal(err)
-		}
-		if err := d.Publish(ctx, p, m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The subscriber receives one message per publisher-side broker.
-	total := 0
-	for _, s := range subs {
-		if _, err := s.Receive(ctx); err != nil {
-			t.Fatal(err)
-		}
-		total++
-	}
-	if total != n {
-		t.Errorf("received %d, want %d", total, n)
-	}
-	if st := d.Stats(); st.Received != n || st.Dispatched != n {
-		t.Errorf("stats = %+v", st)
-	}
-	if err := d.Publish(ctx, n+1, jms.NewMessage("t")); !errors.Is(err, ErrParams) {
-		t.Errorf("out-of-range publisher err = %v", err)
-	}
-}
-
-func TestSSRDeploymentEndToEnd(t *testing.T) {
-	const m = 3
-	d, err := NewSSRDeployment(m, "t", broker.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = d.Close() }()
-
-	// Subscriber 0 matches, the others filter for something else.
-	s0, err := d.Subscribe(0, filter.MustProperty("kind = 'a'"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1, err := d.Subscribe(1, filter.MustProperty("kind = 'b'"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Subscribe(5, nil); !errors.Is(err, ErrParams) {
-		t.Errorf("out-of-range subscriber err = %v", err)
-	}
-
-	msg := jms.NewMessage("t")
-	if err := msg.SetStringProperty("kind", "a"); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := d.Publish(ctx, msg); err != nil {
-		t.Fatal(err)
-	}
-
-	got, err := s0.Receive(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := got.StringProperty("kind"); v != "a" {
-		t.Errorf("kind = %q", v)
-	}
-	if s1.Delivered() != 0 {
-		t.Error("non-matching subscriber received the message")
-	}
-	// Multicast: every broker received a copy (m copies received), only one dispatched.
-	st := d.Stats()
-	if st.Received != m {
-		t.Errorf("Received = %d, want %d (multicast to all brokers)", st.Received, m)
-	}
-	if st.Dispatched != 1 {
-		t.Errorf("Dispatched = %d, want 1", st.Dispatched)
-	}
-}
-
-func TestDeploymentParams(t *testing.T) {
-	if _, err := NewPSRDeployment(0, "t", broker.Options{}); !errors.Is(err, ErrParams) {
-		t.Error("n=0 accepted")
-	}
-	if _, err := NewSSRDeployment(0, "t", broker.Options{}); !errors.Is(err, ErrParams) {
-		t.Error("m=0 accepted")
-	}
-	if _, err := NewPSRDeployment(1, "", broker.Options{}); err == nil {
-		t.Error("empty topic accepted")
 	}
 }
 

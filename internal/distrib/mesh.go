@@ -10,6 +10,7 @@ package distrib
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/mg1"
 	"repro/internal/replication"
 )
@@ -37,6 +38,23 @@ func HashCapacity(s Scenario, k int) (float64, error) {
 	mLocal := float64(s.M) / float64(k)
 	perServer := s.Rho / (s.Model.TRcv + mLocal*float64(s.NFltrPerSub)*s.Model.TFltr + s.MeanR*s.Model.TTx)
 	return float64(k) * perServer, nil
+}
+
+// MeshCapacity is Eq. 22 with per-member shares: the received-message
+// capacity of a k-member SSR mesh carrying the workload of a single server
+// with n_fltr filters and replication E[R], when subscribers (and their
+// filters) are spread evenly across members. Each member processes every
+// message (k-1 extra receives system-wide per message) but scans only
+// n_fltr/k filters and transmits E[R]/k copies.
+func MeshCapacity(model core.CostModel, k, nFltr int, meanR, rho float64) (float64, error) {
+	if k < 1 || nFltr < 0 || meanR < 0 || rho <= 0 || rho > 1 {
+		return 0, fmt.Errorf("%w: k=%d nFltr=%d meanR=%g rho=%g", ErrParams, k, nFltr, meanR, rho)
+	}
+	if err := model.Valid(); err != nil {
+		return 0, err
+	}
+	perMember := model.TRcv + float64(nFltr)/float64(k)*model.TFltr + meanR/float64(k)*model.TTx
+	return rho / perMember, nil
 }
 
 // ssrServiceBase is the deterministic part of one subscriber-side

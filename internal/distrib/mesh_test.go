@@ -1,6 +1,7 @@
 package distrib
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -138,5 +139,48 @@ func TestWaitingAtRateMatchesUtilizationForm(t *testing.T) {
 	}
 	if _, _, err := SSRWaitingAtRate(s, -1); err == nil {
 		t.Fatal("want error for negative lambda")
+	}
+}
+
+func TestMeshCapacityModel(t *testing.T) {
+	model := core.TableICorrelationID
+	single, err := model.Capacity(0.9, 1000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mesh1, err := MeshCapacity(model, 1, 1000, 1, 0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// k=1 degenerates to the single-server formula.
+	if math.Abs(mesh1-single)/single > 1e-12 {
+		t.Errorf("MeshCapacity(k=1) = %g, single = %g", mesh1, single)
+	}
+	// For filter-dominated workloads, capacity grows with k.
+	mesh4, err := MeshCapacity(model, 4, 1000, 1, 0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mesh4 <= mesh1 {
+		t.Errorf("mesh capacity did not grow: k=4 %g vs k=1 %g", mesh4, mesh1)
+	}
+	// Sub-linear speed-up: the per-member t_rcv is not divided by k.
+	if mesh4 >= 4*mesh1 {
+		t.Errorf("mesh speed-up superlinear: %g vs %g", mesh4, 4*mesh1)
+	}
+	// Receive-dominated workloads (no filters) cannot scale this way: the
+	// mesh capacity stays within a receive-bound of the single server.
+	mesh4NoFltr, err := MeshCapacity(model, 4, 0, 1, 0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bound := 0.9 / model.TRcv; mesh4NoFltr > bound {
+		t.Errorf("no-filter mesh capacity %g exceeds receive bound %g", mesh4NoFltr, bound)
+	}
+	if _, err := MeshCapacity(model, 0, 1, 1, 0.9); !errors.Is(err, ErrParams) {
+		t.Error("k=0 accepted")
+	}
+	if _, err := MeshCapacity(core.CostModel{}, 2, 1, 1, 0.9); err == nil {
+		t.Error("invalid model accepted")
 	}
 }

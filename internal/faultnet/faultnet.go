@@ -1,8 +1,8 @@
 // Package faultnet wraps net.Conn and net.Listener with seeded,
 // schedulable faults: added latency, bandwidth caps, byte corruption,
 // mid-frame connection resets, and accept-time partitions. It is the
-// chaos harness the reliability layer (client.Reliable, cluster bridges)
-// is tested against: the paper's M/G/1-∞ analysis assumes a transport
+// chaos harness the reliability layer (client.Reliable) is tested
+// against: the paper's M/G/1-∞ analysis assumes a transport
 // that never drops or stalls, and faultnet is how we deviate from that
 // assumption on purpose, deterministically.
 //

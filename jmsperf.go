@@ -141,33 +141,27 @@ var (
 type (
 	// DistribScenario describes the symmetric PSR/SSR environment.
 	DistribScenario = distrib.Scenario
-	// PSRDeployment is a running publisher-side replication system.
-	PSRDeployment = distrib.PSRDeployment
-	// SSRDeployment is a running subscriber-side replication system.
-	SSRDeployment = distrib.SSRDeployment
+	// Topology is a running in-process replication mesh (PSR, SSR or hash).
+	Topology = cluster.Topology
+	// TopologyConfig parameterizes NewTopology.
+	TopologyConfig = cluster.TopologyConfig
 )
 
-// Capacity formulas and the crossover rule.
+// The replication architectures a Topology can run.
+const (
+	TopologyPSR  = cluster.TopologyPSR
+	TopologySSR  = cluster.TopologySSR
+	TopologyHash = cluster.TopologyHash
+)
+
+// Capacity formulas, the crossover rule and the mesh constructor.
 var (
 	PSRCapacity       = distrib.PSRCapacity
 	SSRCapacity       = distrib.SSRCapacity
 	PSROutperformsSSR = distrib.PSROutperformsSSR
 	CrossoverN        = distrib.CrossoverN
-)
-
-// Clustering extension (the paper's §V ongoing work).
-type (
-	// Bridge forwards one topic between two brokers with loop prevention.
-	Bridge = cluster.Bridge
-	// Cluster is a full mesh of bridged brokers.
-	Cluster = cluster.Cluster
-)
-
-// Cluster constructors and the mesh capacity model.
-var (
-	NewBridge    = cluster.NewBridge
-	NewMesh      = cluster.NewMesh
-	MeshCapacity = cluster.MeshCapacity
+	MeshCapacity      = distrib.MeshCapacity
+	NewTopology       = cluster.NewTopology
 )
 
 // Experiment harness.

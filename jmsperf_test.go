@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"os/exec"
+	"strings"
 	"testing"
 	"time"
 
@@ -135,4 +137,28 @@ func ExampleQueueAtUtilization() {
 	q9999, _ := dist.Quantile(0.9999)
 	fmt.Printf("Q99.99 = %.1f * E[B]\n", q9999/moments.M1)
 	// Output: Q99.99 = 43.4 * E[B]
+}
+
+// TestImportGraph keeps the deleted multi-broker forms from growing back:
+// distrib is closed forms only (a deployment type would pull the broker
+// in), and cluster members talk through broker calls or wire.PeerLink,
+// never through a reconnecting client as the bridges did.
+func TestImportGraph(t *testing.T) {
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("no go tool on PATH")
+	}
+	for pkg, forbidden := range map[string]string{
+		"repro/internal/distrib": "repro/internal/broker",
+		"repro/internal/cluster": "repro/internal/client",
+	} {
+		out, err := exec.Command("go", "list", "-deps", pkg).Output()
+		if err != nil {
+			t.Fatalf("go list -deps %s: %v", pkg, err)
+		}
+		for _, dep := range strings.Fields(string(out)) {
+			if dep == forbidden {
+				t.Errorf("%s depends on %s", pkg, forbidden)
+			}
+		}
+	}
 }
