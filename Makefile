@@ -67,14 +67,17 @@ bench-pairs:
 
 # fuzz smokes the parsing surfaces fed by the network: the frame codec,
 # the batch frame splitter, the lazy message-view decoder (held
-# differentially to DecodeMessage), the mesh FORWARD frame decoder, and
-# the JMS selector grammar. Seed corpora live under testdata/fuzz.
+# differentially to DecodeMessage), the mesh FORWARD frame decoder, the
+# JMS selector grammar, correlation-ID filter expressions against any ID
+# (range rules held to an independent reference), and the live filter index
+# held to a linear scan. Seed corpora live under testdata/fuzz.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeFrame -fuzztime=10s ./internal/wire/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeBatch -fuzztime=10s ./internal/wire/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeMessageView -fuzztime=10s ./internal/wire/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeForward -fuzztime=10s ./internal/wire/
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/selector/
+	$(GO) test -run='^$$' -fuzz=FuzzCorrelationIDMatch -fuzztime=10s ./internal/filter/
 	$(GO) test -run='^$$' -fuzz=FuzzInternMatch -fuzztime=10s ./internal/topic/
 
 # stress runs the full churn/soak wall: 10^5 churn storms plus the 10^6

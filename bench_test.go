@@ -8,6 +8,7 @@ package jmsperf_test
 
 import (
 	"context"
+	"fmt"
 	"strconv"
 	"testing"
 	"time"
@@ -242,60 +243,87 @@ func BenchmarkFig15PSRvsSSR(b *testing.B) {
 
 // BenchmarkAblationFilterIndex compares the paper's linear filter scan
 // (FioranoMQ's behaviour, §III-B) against the fast engine's FilterIndex
-// over the same subscription population: 160 exact correlation-ID filters
-// collapse into one hash probe. Run with -bench 'AblationFilterIndex' and
-// compare the two sub-benchmarks.
+// over the same subscription population, one leg per indexed filter form:
+// exact correlation IDs collapse into one hash probe, disjoint "dev-[lo;hi]"
+// ranges into one parse and a binary search, `zone = N` selectors into one
+// property lookup and one hash probe. The range and selector legs run at two
+// population sizes: the scan's ns/op scales with n, the index's must not.
+// Every message matches exactly one rule.
 func BenchmarkAblationFilterIndex(b *testing.B) {
-	const nFilters = 160
-	reg := topic.NewRegistry()
-	tp, err := reg.Configure("t")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < nFilters; i++ {
-		f, err := filter.NewCorrelationID("#" + strconv.Itoa(i))
+	corrID := func(expr string) filter.Filter {
+		f, err := filter.NewCorrelationID(expr)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := reg.Subscribe("t", f, nil); err != nil {
+		return f
+	}
+	leg := func(name string, n int, rule func(i int) filter.Filter, msg *jms.Message) {
+		reg := topic.NewRegistry()
+		tp, err := reg.Configure("t")
+		if err != nil {
 			b.Fatal(err)
 		}
-	}
-	msg := jms.NewMessage("t")
-	if err := msg.SetCorrelationID("#0"); err != nil {
-		b.Fatal(err)
-	}
-
-	b.Run("linear-scan", func(b *testing.B) {
-		subs, _ := tp.Snapshot()
-		b.ReportAllocs()
-		matches := 0
-		for i := 0; i < b.N; i++ {
-			matches = 0
-			for _, s := range subs {
-				if s.Filter == nil || s.Filter.Matches(msg) {
-					matches++
-				}
+		for i := 0; i < n; i++ {
+			if _, err := reg.Subscribe("t", rule(i), nil); err != nil {
+				b.Fatal(err)
 			}
 		}
-		if matches != 1 {
-			b.Fatalf("matches = %d, want 1", matches)
-		}
-	})
-	b.Run("filter-index", func(b *testing.B) {
-		idx, _ := tp.Index()
-		scratch := make([]*topic.Subscription, 0, 8)
-		b.ReportAllocs()
-		matches := 0
-		for i := 0; i < b.N; i++ {
-			var out []*topic.Subscription
-			out, _ = idx.Match(msg, scratch[:0])
-			matches = len(out)
-		}
-		if matches != 1 {
-			b.Fatalf("matches = %d, want 1", matches)
-		}
-	})
+		b.Run(name+"/linear-scan", func(b *testing.B) {
+			subs, _ := tp.Snapshot()
+			b.ReportAllocs()
+			matches := 0
+			for i := 0; i < b.N; i++ {
+				matches = 0
+				for _, s := range subs {
+					if s.Filter.Matches(msg) {
+						matches++
+					}
+				}
+			}
+			if matches != 1 {
+				b.Fatalf("matches = %d, want 1", matches)
+			}
+		})
+		b.Run(name+"/filter-index", func(b *testing.B) {
+			idx, _ := tp.Index()
+			scratch := make([]*topic.Subscription, 0, 8)
+			b.ReportAllocs()
+			matches, evals := 0, 0
+			for i := 0; i < b.N; i++ {
+				var out []*topic.Subscription
+				out, evals = idx.Match(msg, scratch[:0])
+				matches = len(out)
+			}
+			if matches != 1 {
+				b.Fatalf("matches = %d, want 1", matches)
+			}
+			b.ReportMetric(float64(evals), "evals/op")
+		})
+	}
+
+	msg := jms.NewMessage("t")
+	if err := msg.SetCorrelationID("dev-100250"); err != nil {
+		b.Fatal(err)
+	}
+	if err := msg.SetInt32Property("zone", 100); err != nil {
+		b.Fatal(err)
+	}
+	if err := msg.SetStringProperty("region", "us"); err != nil {
+		b.Fatal(err)
+	}
+	exact := jms.NewMessage("t")
+	if err := exact.SetCorrelationID("#0"); err != nil {
+		b.Fatal(err)
+	}
+	leg("exact/n=160", 160, func(i int) filter.Filter { return corrID("#" + strconv.Itoa(i)) }, exact)
+	for _, n := range []int{512, 8192} {
+		leg("ranges/n="+strconv.Itoa(n), n, func(i int) filter.Filter {
+			return corrID(fmt.Sprintf("dev-[%d;%d]", i*1000, i*1000+499))
+		}, msg)
+		leg("pivots/n="+strconv.Itoa(n), n, func(i int) filter.Filter {
+			return filter.MustProperty(fmt.Sprintf("region <> 'eu' AND zone = %d", i))
+		}, msg)
+	}
 }
 
 // BenchmarkAblationDispatchSharding compares the faithful single dispatch

@@ -134,7 +134,12 @@ type Stats struct {
 	// Dispatched counts message copies forwarded to subscribers; the sum
 	// over messages of their replication grade R.
 	Dispatched uint64
-	// FilterEvals counts individual filter evaluations.
+	// FilterEvals counts individual filter evaluations. The faithful engine
+	// counts n_fltr per message. The fast engine counts what
+	// topic.FilterIndex.Match reports: one for the exact-literal probe, one
+	// per range or equality-pivot bucket probed plus one per further rule
+	// looked at inside it, and one per remaining distinct rule — never more
+	// than n_fltr.
 	FilterEvals uint64
 	// Dropped counts non-persistent deliveries discarded on full queues.
 	Dropped uint64

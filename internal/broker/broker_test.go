@@ -536,6 +536,38 @@ func TestDynamicFilterInstallDuringOperation(t *testing.T) {
 	}
 }
 
+// TestShortIDAgainstOverlappingRangeAffixes: a correlation ID shorter than
+// a range rule's prefix plus suffix ("ab" against "ab[1;2]b") used to slice
+// out of bounds on the dispatch goroutine — one subscriber plus one
+// publisher took the broker down. Both engines must reject it and keep
+// dispatching.
+func TestShortIDAgainstOverlappingRangeAffixes(t *testing.T) {
+	for name, engine := range map[string]Engine{"faithful": EngineFaithful, "fast": EngineFast} {
+		t.Run(name, func(t *testing.T) {
+			b := newTestBroker(t, Options{Engine: engine})
+			f, err := filter.NewCorrelationID("ab[1;2]b")
+			if err != nil {
+				t.Fatal(err)
+			}
+			sub, err := b.Subscribe("t", f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			publishCorr(t, b, "ab")
+			publishCorr(t, b, "ab1b")
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			defer cancel()
+			m, err := sub.Receive(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.Header.CorrelationID != "ab1b" {
+				t.Errorf("received %q, want only ab1b", m.Header.CorrelationID)
+			}
+		})
+	}
+}
+
 func BenchmarkDispatchNoFilters(b *testing.B) {
 	br := New(Options{InFlight: 1024, SubscriberBuffer: 1 << 20})
 	if err := br.ConfigureTopic("t"); err != nil {

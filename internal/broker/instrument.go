@@ -10,7 +10,10 @@ import "repro/internal/metrics"
 // played in the authors' testbed:
 //
 //	t_rcv  ≈ Receive.Mean()
-//	t_fltr ≈ Match.Sum / FilterEvals   (time per filter evaluation)
+//	t_fltr ≈ Match.Sum / FilterEvals   (time per filter evaluation; under
+//	                                    the fast engine an evaluation is a
+//	                                    bucket probe or a rule looked at, see
+//	                                    Stats.FilterEvals)
 //	t_tx   ≈ (Replicate.Sum + Transmit.Sum) / Dispatched
 //
 // internal/bench turns windowed snapshots of these histograms into live

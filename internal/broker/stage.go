@@ -77,8 +77,10 @@ func (linearMatcher) Match(t *topic.Topic, m *jms.Message, dst []*Subscriber) ([
 }
 
 // indexedMatcher is the fast matching stage: a hash probe covers the exact
-// correlation-ID population, identical rules are deduplicated, and only the
-// remaining distinct rules are evaluated (topic.FilterIndex). The scratch
+// correlation-ID population, correlation-ID ranges are stabbed and
+// `ident = literal` selectors hashed per bucket, identical rules are
+// deduplicated, and only the remaining distinct rules are evaluated one by
+// one (topic.FilterIndex). The scratch
 // slice makes steady-state matching allocation-free; it is per-worker
 // state, which is why each worker gets its own Matcher.
 type indexedMatcher struct {

@@ -91,24 +91,11 @@ type CorrelationID struct {
 	lo, hi         int64
 	rangeSet       bool
 	// glob is the compiled '*'/'?' pattern when globSet is true.
-	glob    []globOp
+	glob    selector.Wildcard
 	globSet bool
 }
 
 var _ Filter = (*CorrelationID)(nil)
-
-type globOpKind int
-
-const (
-	globLit  globOpKind = iota + 1
-	globOne             // ?
-	globMany            // *
-)
-
-type globOp struct {
-	kind globOpKind
-	lit  string
-}
 
 // NewCorrelationID compiles a correlation-ID filter expression. Supported
 // forms:
@@ -151,8 +138,11 @@ func NewCorrelationID(expr string) (*CorrelationID, error) {
 	}
 
 	if strings.ContainsAny(expr, "*?") {
-		f.glob = compileGlob(expr)
-		f.globSet = true
+		glob, err := selector.CompileWildcard(expr, '*', '?', 0)
+		if err != nil {
+			return nil, fmt.Errorf("filter: correlation ID glob %q: %w", expr, err)
+		}
+		f.glob, f.globSet = glob, true
 		return f, nil
 	}
 
@@ -160,87 +150,42 @@ func NewCorrelationID(expr string) (*CorrelationID, error) {
 	return f, nil
 }
 
-func compileGlob(pattern string) []globOp {
-	var prog []globOp
-	var lit []byte
-	flush := func() {
-		if len(lit) > 0 {
-			prog = append(prog, globOp{kind: globLit, lit: string(lit)})
-			lit = lit[:0]
-		}
-	}
-	for i := 0; i < len(pattern); i++ {
-		switch pattern[i] {
-		case '*':
-			flush()
-			if len(prog) == 0 || prog[len(prog)-1].kind != globMany {
-				prog = append(prog, globOp{kind: globMany})
-			}
-		case '?':
-			flush()
-			prog = append(prog, globOp{kind: globOne})
-		default:
-			lit = append(lit, pattern[i])
-		}
-	}
-	flush()
-	return prog
-}
-
-func globMatch(prog []globOp, s string) bool {
-	if len(prog) == 0 {
-		return s == ""
-	}
-	op := prog[0]
-	switch op.kind {
-	case globLit:
-		if len(s) < len(op.lit) || s[:len(op.lit)] != op.lit {
-			return false
-		}
-		return globMatch(prog[1:], s[len(op.lit):])
-	case globOne:
-		if s == "" {
-			return false
-		}
-		return globMatch(prog[1:], s[1:])
-	case globMany:
-		if len(prog) == 1 {
-			return true
-		}
-		for i := 0; i <= len(s); i++ {
-			if globMatch(prog[1:], s[i:]) {
-				return true
-			}
-		}
-		return false
-	default:
-		return false
-	}
-}
-
 // Matches tests the message's correlation ID against the compiled rule.
 func (f *CorrelationID) Matches(m *jms.Message) bool {
 	id := m.Header.CorrelationID
 	switch {
 	case f.rangeSet:
-		if !strings.HasPrefix(id, f.prefix) || !strings.HasSuffix(id, f.suffix) {
-			return false
-		}
-		mid := id[len(f.prefix) : len(id)-len(f.suffix)]
-		n, err := strconv.ParseInt(mid, 10, 64)
-		if err != nil {
-			return false
-		}
-		return n >= f.lo && n <= f.hi
+		n, ok := RangeNumber(id, f.prefix, f.suffix)
+		return ok && n >= f.lo && n <= f.hi
 	case f.globSet:
-		return globMatch(f.glob, id)
+		return f.glob.Match(id)
 	default:
 		return id == f.exact
 	}
 }
 
+// RangeNumber cuts prefix and suffix off a correlation ID and parses what is
+// left as the number a "[lo;hi]" range rule compares. It is the one place
+// that decides what such a number is ("+5", "-3" and "007" are numbers; an
+// ID too short to hold both affixes, an empty middle and an int64 overflow
+// are not), shared by Matches and the dispatch index's interval buckets.
+func RangeNumber(id, prefix, suffix string) (int64, bool) {
+	if len(id) < len(prefix)+len(suffix) || !strings.HasPrefix(id, prefix) || !strings.HasSuffix(id, suffix) {
+		return 0, false
+	}
+	n, err := strconv.ParseInt(id[len(prefix):len(id)-len(suffix)], 10, 64)
+	return n, err == nil
+}
+
 // Kind returns KindCorrelationID.
 func (f *CorrelationID) Kind() Kind { return KindCorrelationID }
+
+// Range returns the affixes and inclusive bounds of a "pre[lo;hi]suf" rule
+// and true when the expression is one. Range rules sharing both affixes are
+// the interval-indexable population of the fast dispatch engine.
+func (f *CorrelationID) Range() (prefix, suffix string, lo, hi int64, ok bool) {
+	return f.prefix, f.suffix, f.lo, f.hi, f.rangeSet
+}
 
 // Exact returns the literal correlation ID the filter matches and true when
 // the expression is a plain string (no range, no glob). Exact filters are

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -98,6 +99,43 @@ func TestCorrelationIDRangeWithAffixes(t *testing.T) {
 	}
 }
 
+// TestCorrelationIDRangeAffixesOverlap: prefix and suffix may both be found
+// in an ID too short to hold them one after the other. That is a mismatch,
+// not a slice out of bounds.
+func TestCorrelationIDRangeAffixesOverlap(t *testing.T) {
+	f, err := NewCorrelationID("ab[1;2]b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, want := range map[string]bool{"ab": false, "abb": false, "b": false, "": false, "ab1b": true, "ab2b": true, "ab3b": false} {
+		if got := f.Matches(msgWithCorrID(t, id)); got != want {
+			t.Errorf("Matches(%q) = %v, want %v", id, got, want)
+		}
+	}
+}
+
+// TestRangeNumber pins what counts as the number of a range rule.
+func TestRangeNumber(t *testing.T) {
+	tests := []struct {
+		id   string
+		want int64
+		ok   bool
+	}{
+		{id: "p5s", want: 5, ok: true},
+		{id: "p+5s", want: 5, ok: true},
+		{id: "p-3s", want: -3, ok: true},
+		{id: "p007s", want: 7, ok: true},
+		{id: "p9223372036854775807s", want: 9223372036854775807, ok: true},
+		{id: "p9223372036854775808s"}, // overflow
+		{id: "ps"}, {id: "p"}, {id: "s"}, {id: ""}, {id: "p 5s"}, {id: "p5xs"}, {id: "q5s"}, {id: "p5t"},
+	}
+	for _, tt := range tests {
+		if got, ok := RangeNumber(tt.id, "p", "s"); ok != tt.ok || ok && got != tt.want {
+			t.Errorf("RangeNumber(%q) = %d, %v, want %d, %v", tt.id, got, ok, tt.want, tt.ok)
+		}
+	}
+}
+
 func TestCorrelationIDRangeNegativeBounds(t *testing.T) {
 	f, err := NewCorrelationID("[-5;5]")
 	if err != nil {
@@ -160,6 +198,28 @@ func TestCorrelationIDGlob(t *testing.T) {
 				t.Errorf("Matches(%q ~ %q) = %v, want %v", tt.id, tt.expr, got, tt.want)
 			}
 		})
+	}
+}
+
+// TestCorrelationIDGlobManyWildcards: matching cost is bounded by
+// len(pattern)·len(id) whatever the number of wildcards. A matcher that
+// retries every split of every '*' does not return from this within the
+// test timeout (3 wildcards against 100 bytes already took 28 ms).
+func TestCorrelationIDGlobManyWildcards(t *testing.T) {
+	id := strings.Repeat("a", jms.MaxCorrelationIDLen)
+	miss, err := NewCorrelationID(strings.Repeat("*a", 40) + "*b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if miss.Matches(msgWithCorrID(t, id)) {
+		t.Error("pattern ending in b matched an ID of a's")
+	}
+	hit, err := NewCorrelationID(strings.Repeat("*a", 40) + "*?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hit.Matches(msgWithCorrID(t, id)) {
+		t.Error("41 single characters between wildcards must fit into 128 a's")
 	}
 }
 

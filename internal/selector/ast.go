@@ -180,7 +180,7 @@ type Like struct {
 	Escape  byte // 0 when absent
 	Negate  bool
 	// prog is the compiled pattern, built by the parser.
-	prog likeProgram
+	prog Wildcard
 }
 
 func (n *Like) String() string {

@@ -183,7 +183,7 @@ func evalBool(n Node, m *jms.Message) Tri {
 			return Unknown
 		}
 		res := False
-		if x.prog.match(v.s) {
+		if x.prog.Match(v.s) {
 			res = True
 		}
 		if x.Negate {

@@ -1,34 +1,38 @@
 package selector
 
-import "fmt"
-
-// likeOpKind is the kind of a compiled LIKE pattern element.
-type likeOpKind int
-
-const (
-	likeLit  likeOpKind = iota + 1 // match a literal run
-	likeOne                        // '_' : exactly one character
-	likeMany                       // '%' : zero or more characters
+import (
+	"fmt"
+	"strings"
 )
 
-type likeOp struct {
-	kind likeOpKind
+// wildOpKind is the kind of a compiled wildcard pattern element.
+type wildOpKind int
+
+const (
+	wildLit  wildOpKind = iota + 1 // match a literal run
+	wildOne                        // exactly one character
+	wildMany                       // zero or more characters
+)
+
+type wildOp struct {
+	kind wildOpKind
 	lit  string
 }
 
-// likeProgram is a compiled LIKE pattern: a sequence of ops matched
-// greedily with backtracking on likeMany.
-type likeProgram []likeOp
+// Wildcard is a compiled wildcard pattern: SQL LIKE's '%' / '_' here, the
+// correlation-ID glob's '*' / '?' in package filter. It must match the
+// entire string.
+type Wildcard []wildOp
 
-// compileLike compiles a SQL LIKE pattern with optional escape character.
-// In the pattern '%' matches any sequence of characters, '_' exactly one;
-// esc (if non-zero) escapes '%', '_' or itself.
-func compileLike(pattern string, esc byte) (likeProgram, error) {
-	var prog likeProgram
+// CompileWildcard compiles a pattern in which many matches any sequence of
+// characters and one exactly one; esc (if non-zero) escapes many, one or
+// itself.
+func CompileWildcard(pattern string, many, one, esc byte) (Wildcard, error) {
+	var prog Wildcard
 	var lit []byte
 	flush := func() {
 		if len(lit) > 0 {
-			prog = append(prog, likeOp{kind: likeLit, lit: string(lit)})
+			prog = append(prog, wildOp{kind: wildLit, lit: string(lit)})
 			lit = lit[:0]
 		}
 	}
@@ -41,15 +45,15 @@ func compileLike(pattern string, esc byte) (likeProgram, error) {
 			}
 			i++
 			lit = append(lit, pattern[i])
-		case b == '%':
+		case b == many:
 			flush()
-			// Collapse consecutive '%' into one.
-			if len(prog) == 0 || prog[len(prog)-1].kind != likeMany {
-				prog = append(prog, likeOp{kind: likeMany})
+			// Collapse consecutive many-wildcards into one.
+			if len(prog) == 0 || prog[len(prog)-1].kind != wildMany {
+				prog = append(prog, wildOp{kind: wildMany})
 			}
-		case b == '_':
+		case b == one:
 			flush()
-			prog = append(prog, likeOp{kind: likeOne})
+			prog = append(prog, wildOp{kind: wildOne})
 		default:
 			lit = append(lit, b)
 		}
@@ -58,42 +62,44 @@ func compileLike(pattern string, esc byte) (likeProgram, error) {
 	return prog, nil
 }
 
-// match reports whether s matches the compiled pattern. LIKE must match the
-// entire string.
-func (prog likeProgram) match(s string) bool {
-	return likeMatch(prog, s)
+// compileLike compiles a SQL LIKE pattern with optional escape character.
+func compileLike(pattern string, esc byte) (Wildcard, error) {
+	return CompileWildcard(pattern, '%', '_', esc)
 }
 
-func likeMatch(prog likeProgram, s string) bool {
-	if len(prog) == 0 {
-		return s == ""
-	}
-	op := prog[0]
-	switch op.kind {
-	case likeLit:
-		if len(s) < len(op.lit) || s[:len(op.lit)] != op.lit {
-			return false
-		}
-		return likeMatch(prog[1:], s[len(op.lit):])
-	case likeOne:
-		if s == "" {
-			return false
-		}
-		return likeMatch(prog[1:], s[1:])
-	case likeMany:
-		// '%' at the end matches everything remaining.
-		if len(prog) == 1 {
-			return true
-		}
-		// Try every split point; because consecutive '%' are collapsed the
-		// next op consumes at least part of s deterministically.
-		for i := 0; i <= len(s); i++ {
-			if likeMatch(prog[1:], s[i:]) {
-				return true
+// Match reports whether s matches the compiled pattern. It keeps a single
+// backtrack point — the ops after the last many-wildcard passed, and where
+// in s they are being tried — so the cost is O(len(pattern)·len(s)) for any
+// number of wildcards: an earlier wildcard never needs to give back what it
+// took, because the last one can absorb the same bytes.
+func (prog Wildcard) Match(s string) bool {
+	pi, si := 0, 0
+	resume, mark := -1, 0
+	for pi < len(prog) || si < len(s) {
+		if pi < len(prog) {
+			switch op := prog[pi]; {
+			case op.kind == wildMany:
+				pi++
+				if pi == len(prog) {
+					return true // a trailing wildcard takes the rest
+				}
+				resume, mark = pi, si
+				continue
+			case op.kind == wildOne && si < len(s):
+				pi++
+				si++
+				continue
+			case op.kind == wildLit && strings.HasPrefix(s[si:], op.lit):
+				pi++
+				si += len(op.lit)
+				continue
 			}
 		}
-		return false
-	default:
-		return false
+		if resume < 0 || mark >= len(s) {
+			return false
+		}
+		mark++
+		pi, si = resume, mark
 	}
+	return true
 }

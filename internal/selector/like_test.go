@@ -6,7 +6,7 @@ import (
 	"testing/quick"
 )
 
-func mustCompile(t *testing.T, pattern string, esc byte) likeProgram {
+func mustCompile(t *testing.T, pattern string, esc byte) Wildcard {
 	t.Helper()
 	prog, err := compileLike(pattern, esc)
 	if err != nil {
@@ -62,7 +62,7 @@ func TestLikeMatch(t *testing.T) {
 		name := tt.pattern + "/" + tt.input
 		t.Run(name, func(t *testing.T) {
 			prog := mustCompile(t, tt.pattern, tt.esc)
-			if got := prog.match(tt.input); got != tt.want {
+			if got := prog.Match(tt.input); got != tt.want {
 				t.Errorf("match(%q ~ %q) = %v, want %v", tt.input, tt.pattern, got, tt.want)
 			}
 		})
@@ -79,12 +79,12 @@ func TestCompileLikeCollapsesPercents(t *testing.T) {
 	prog := mustCompile(t, "a%%%b", 0)
 	many := 0
 	for _, op := range prog {
-		if op.kind == likeMany {
+		if op.kind == wildMany {
 			many++
 		}
 	}
 	if many != 1 {
-		t.Errorf("got %d likeMany ops, want 1 (consecutive %% must collapse)", many)
+		t.Errorf("got %d wildMany ops, want 1 (consecutive %% must collapse)", many)
 	}
 }
 
@@ -99,7 +99,7 @@ func TestLikeLiteralProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return prog.match(input) == (pattern == input)
+		return prog.Match(input) == (pattern == input)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -117,7 +117,7 @@ func TestLikePercentPrefixProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return prog.match(input) == strings.HasPrefix(input, lit)
+		return prog.Match(input) == strings.HasPrefix(input, lit)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -131,7 +131,7 @@ func TestLikeUnderscoreLengthProperty(t *testing.T) {
 		prog := mustCompile(t, strings.Repeat("_", n), 0)
 		for l := 0; l <= 7; l++ {
 			input := strings.Repeat("x", l)
-			if got := prog.match(input); got != (l == n) {
+			if got := prog.Match(input); got != (l == n) {
 				t.Errorf("%d underscores vs len %d: match=%v", n, l, got)
 			}
 		}
@@ -146,8 +146,71 @@ func BenchmarkLikeMatch(b *testing.B) {
 	input := "user-12345-device-7"
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !prog.match(input) {
+		if !prog.Match(input) {
 			b.Fatal("no match")
 		}
+	}
+}
+
+// backtrackingMatch is the obvious matcher Match replaced: try every split
+// of every many-wildcard. Exponential, so only fit for short inputs — which
+// is all a reference needs.
+func backtrackingMatch(prog Wildcard, s string) bool {
+	if len(prog) == 0 {
+		return s == ""
+	}
+	switch op := prog[0]; op.kind {
+	case wildLit:
+		return strings.HasPrefix(s, op.lit) && backtrackingMatch(prog[1:], s[len(op.lit):])
+	case wildOne:
+		return s != "" && backtrackingMatch(prog[1:], s[1:])
+	default:
+		for i := 0; i <= len(s); i++ {
+			if backtrackingMatch(prog[1:], s[i:]) {
+				return true
+			}
+		}
+		return false
+	}
+}
+
+// TestWildcardAgreesWithBacktracking: the single-backtrack-point matcher
+// accepts exactly what exhaustive backtracking accepts, over every pattern
+// and input up to a small length from an alphabet small enough to collide.
+func TestWildcardAgreesWithBacktracking(t *testing.T) {
+	// words returns every word of up to n letters, each once.
+	var words func(alphabet string, n int) []string
+	words = func(alphabet string, n int) []string {
+		out := []string{""}
+		if n == 0 {
+			return out
+		}
+		for _, w := range words(alphabet, n-1) {
+			for _, c := range alphabet {
+				out = append(out, w+string(c))
+			}
+		}
+		return out
+	}
+	inputs := words("ab", 6)
+	for _, pattern := range words("ab%_", 5) {
+		prog := mustCompile(t, pattern, 0)
+		for _, in := range inputs {
+			if got, want := prog.Match(in), backtrackingMatch(prog, in); got != want {
+				t.Fatalf("%q LIKE %q = %v, backtracking reference says %v", in, pattern, got, want)
+			}
+		}
+	}
+}
+
+// TestWildcardManyWildcardsIsPolynomial: 40 wildcards against 128 bytes
+// return; exhaustive backtracking would not within any test timeout.
+func TestWildcardManyWildcardsIsPolynomial(t *testing.T) {
+	s := strings.Repeat("a", 128)
+	if mustCompile(t, strings.Repeat("%a", 40)+"%b", 0).Match(s) {
+		t.Error("pattern ending in b matched a string of a's")
+	}
+	if !mustCompile(t, strings.Repeat("%a", 40)+"%_", 0).Match(s) {
+		t.Error("41 single characters between wildcards must fit into 128 a's")
 	}
 }

@@ -42,18 +42,26 @@ func TestChurnStormSnapshotIntegrity(t *testing.T) {
 			for i := 0; i < perWriter; i++ {
 				if len(live) == 0 || rng.Intn(2) == 0 {
 					var f filter.Filter
-					switch rng.Intn(3) {
+					switch rng.Intn(5) {
 					case 0:
 						f = nil // All
-					case 1:
-						cf, err := filter.NewCorrelationID("lit-" + strconv.Itoa(rng.Intn(32)))
+					case 1, 2:
+						// Exact literals, and ranges around the readers' lit-5
+						// that come and go as whole rules.
+						expr := "lit-" + strconv.Itoa(rng.Intn(32))
+						if rng.Intn(2) == 0 {
+							expr = "lit-[" + strconv.Itoa(rng.Intn(8)) + ";" + strconv.Itoa(8+rng.Intn(8)) + "]"
+						}
+						cf, err := filter.NewCorrelationID(expr)
 						if err != nil {
 							errCh <- err.Error()
 							return
 						}
 						f = cf
-					default:
+					case 3:
 						f = filter.MustProperty("prop = " + strconv.Itoa(rng.Intn(8)))
+					default:
+						f = filter.MustProperty("prop >= 0 AND zone = " + strconv.Itoa(rng.Intn(4)))
 					}
 					s, err := r.Subscribe("t", f, nil)
 					if err != nil {
@@ -87,6 +95,14 @@ func TestChurnStormSnapshotIntegrity(t *testing.T) {
 			defer readerWG.Done()
 			m := jms.NewMessage("t")
 			if err := m.SetCorrelationID("lit-5"); err != nil {
+				errCh <- err.Error()
+				return
+			}
+			if err := m.SetInt32Property("prop", 3); err != nil {
+				errCh <- err.Error()
+				return
+			}
+			if err := m.SetInt32Property("zone", 1); err != nil {
 				errCh <- err.Error()
 				return
 			}
@@ -153,7 +169,9 @@ func TestChurnStormSnapshotIntegrity(t *testing.T) {
 // TestChurnPropertyIndexAgreesWithLinear interleaves random subscription
 // ops with index rebuilds and, after every batch, checks the indexed match
 // set against a linear scan of the same snapshot — the metamorphic
-// relation the fuzz target explores with arbitrary inputs.
+// relation the fuzz target explores with arbitrary inputs. A second
+// goroutine keeps matching throughout, so whole range and pivot rules are
+// built, stabbed and retired under a concurrent Match (make race).
 func TestChurnPropertyIndexAgreesWithLinear(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	r := NewRegistry()
@@ -166,11 +184,66 @@ func TestChurnPropertyIndexAgreesWithLinear(t *testing.T) {
 	if testing.Short() {
 		rounds = 20
 	}
+
+	stop := make(chan struct{})
+	matcherDone := make(chan string, 1)
+	go func() {
+		defer close(matcherDone)
+		m := jms.NewMessage("t")
+		m.Header.CorrelationID = "id4"
+		if err := m.SetInt32Property("prop", 2); err != nil {
+			matcherDone <- err.Error()
+			return
+		}
+		var scratch []*Subscription
+		seen := make(map[SubscriptionID]bool)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			idx, _ := tp.Index()
+			scratch, _ = idx.Match(m, scratch[:0])
+			clear(seen)
+			for _, s := range scratch {
+				if seen[s.ID] {
+					matcherDone <- "concurrent match returned subscription " + strconv.FormatUint(uint64(s.ID), 10) + " twice"
+					return
+				}
+				seen[s.ID] = true
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		if msg, failed := <-matcherDone; failed {
+			t.Error(msg)
+		}
+	}()
+
 	for round := 0; round < rounds; round++ {
 		for op := 0; op < 40; op++ {
 			if len(live) == 0 || rng.Intn(3) > 0 {
 				var f filter.Filter
-				switch rng.Intn(5) {
+				switch rng.Intn(8) {
+				case 5:
+					// Ranges in two affix families: nested, overlapping,
+					// single-point.
+					lo := rng.Intn(8)
+					expr := "id[" + strconv.Itoa(lo) + ";" + strconv.Itoa(lo+rng.Intn(3)) + "]"
+					if rng.Intn(2) == 0 {
+						expr += "-x"
+					}
+					cf, err := filter.NewCorrelationID(expr)
+					if err != nil {
+						t.Fatal(err)
+					}
+					f = cf
+				case 6:
+					f = filter.MustProperty("prop >= 1 AND tag = 't" + strconv.Itoa(rng.Intn(3)) + "'")
+				case 7:
+					f = filter.MustProperty("prop <> " + strconv.Itoa(rng.Intn(4)))
 				case 0:
 					f = nil
 				case 1:
@@ -209,7 +282,7 @@ func TestChurnPropertyIndexAgreesWithLinear(t *testing.T) {
 				}
 			}
 		}
-		probes := []string{"#0", "#5", "#9", "dev-3", "id4", "zzz"}
+		probes := []string{"#0", "#5", "#9", "dev-3", "id4", "id4-x", "id", "id-x", "zzz"}
 		idx, iEpoch := tp.Index()
 		subs, sEpoch := tp.Snapshot()
 		if iEpoch != sEpoch {
@@ -222,6 +295,11 @@ func TestChurnPropertyIndexAgreesWithLinear(t *testing.T) {
 			}
 			if rng.Intn(2) == 0 {
 				if err := m.SetInt32Property("prop", int32(rng.Intn(4))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if rng.Intn(2) == 0 {
+				if err := m.SetStringProperty("tag", "t"+strconv.Itoa(rng.Intn(3))); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -193,7 +193,9 @@ func (t *Topic) Index() (*FilterIndex, uint64) {
 
 // rebuildIndexLocked publishes dirty rule sets and assembles a fresh
 // FilterIndex. Cost is proportional to the sets touched since the last
-// rebuild (plus rare amortized map merges), not to the subscriber count.
+// rebuild (plus rare amortized map merges and, when the set of distinct
+// grouped rules changed, one classification and sort of those rules), not
+// to the subscriber count.
 func (t *Topic) rebuildIndexLocked(v uint64) *FilterIndex {
 	for _, s := range t.dirtySets {
 		s.publishLocked()
@@ -217,16 +219,10 @@ func (t *Topic) rebuildIndexLocked(v uint64) *FilterIndex {
 	prev := t.idx.Load()
 	if t.groupsMod || prev == nil {
 		t.compactGroupListLocked()
-		groups := make([]indexGroup, 0, len(t.groupList)-t.groupDead)
-		for _, s := range t.groupList {
-			if s != nil {
-				groups = append(groups, indexGroup{f: s.f, set: s})
-			}
-		}
-		idx.groups = groups
+		idx.grouped = buildGrouped(t.groupList)
 		t.groupsMod = false
 	} else {
-		idx.groups = prev.groups
+		idx.grouped = prev.grouped
 	}
 	return idx
 }
@@ -345,9 +341,8 @@ func (t *Topic) setForLocked(f filter.Filter, sub *Subscription) *subSet {
 		}
 	}
 	// Grouped evaluation: one set per distinct rule. Interned filters group
-	// by canonical instance; composites group by rendered rule text as in
-	// BuildIndex; unknown Filter implementations are conservatively given
-	// their own set.
+	// by canonical instance; composites group by rendered rule text; unknown
+	// Filter implementations are conservatively given their own set.
 	var key any
 	switch f.(type) {
 	case *filter.CorrelationID, *filter.Property:
