@@ -8,18 +8,23 @@
 // which measures the service capacity. With -rate the generator becomes a
 // paced Poisson source at the given aggregate arrival rate — the open
 // M/GI/1 arrival model of the analysis — which is the mode to use when
-// comparing against the broker's online drift monitor (jmsd -http).
+// comparing against the broker's online drift monitor (jmsd -http). The
+// arrivals come from internal/loadgen, and a "pacer" line reports its
+// self-check: release lag p99, the share of the schedule kept, and whether
+// the run is valid by the repository benchmark's rule.
 //
 // With -tracesample N every Nth published message carries a generator-
 // stamped trace ID through the wire protocol; the generator remembers the
-// send time per ID and the subscriber side reports the end-to-end
-// publish→deliver latency distribution of the sampled messages over the
-// measurement window. With -tracehttp pointing at the broker's telemetry
-// plane (jmsd -http), the run additionally fetches the sampled IDs from
-// /trace/{id} after the load stops and prints the server-side per-stage
-// breakdown — ingress→decode→enqueue-wait→match→replicate→transmit→
-// encode→egress — next to the end-to-end latency, so the flight
-// recorder's decomposition can be read against what the client measured.
+// send time per ID (with -rate, the arrival's due time, so a pacer or
+// publish stall is charged to the messages it delayed) and the subscriber
+// side reports the end-to-end publish→deliver latency distribution of the
+// sampled messages over the measurement window. With -tracehttp pointing
+// at the broker's telemetry plane (jmsd -http), the run additionally
+// fetches the sampled IDs from /trace/{id} after the load stops and prints
+// the server-side per-stage breakdown — ingress→decode→enqueue-wait→match→
+// replicate→transmit→encode→egress — next to the end-to-end latency, so
+// the flight recorder's decomposition can be read against what the client
+// measured.
 //
 // With -churn N the generator additionally runs N churner connections,
 // each cycling subscribe→unsubscribe with distinct correlation-ID filters
@@ -56,6 +61,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -71,6 +77,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/cluster"
 	"repro/internal/jms"
+	"repro/internal/loadgen"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/wire"
@@ -259,9 +266,10 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	// Publishers: pre-created message template. stamp gives every Nth
-	// clone a generator-owned trace ID and remembers its send time, so
-	// the subscriber side can compute publish→deliver spans and the
-	// post-run -tracehttp pass knows which IDs to ask the broker for.
+	// clone a generator-owned trace ID and remembers its send time — the
+	// arrival's due time when paced — so the subscriber side can compute
+	// publish→deliver spans and the post-run -tracehttp pass knows which
+	// IDs to ask the broker for.
 	template := jms.NewMessage(*topicName)
 	if *useSelectors {
 		if err := template.SetInt32Property("prop", 0); err != nil {
@@ -274,12 +282,12 @@ func run(args []string, stdout io.Writer) error {
 	}
 	var published, stamped, acked atomic.Uint64
 	traceBase := trace.NewID(uint64(time.Now().UnixNano()), uint64(*seed))
-	stamp := func(m *jms.Message) {
+	stamp := func(m *jms.Message, sent time.Time) {
 		if *traceSample > 0 && published.Add(1)%uint64(*traceSample) == 0 {
 			id := trace.NewID(traceBase, stamped.Add(1))
 			m.Header.TraceID = id
 			traceMu.Lock()
-			traceSent[id] = time.Now()
+			traceSent[id] = sent
 			traceMu.Unlock()
 			return
 		}
@@ -287,19 +295,13 @@ func run(args []string, stdout io.Writer) error {
 			published.Add(1)
 		}
 	}
-	// Publishers stop on stopPub, between calls. pubCtx only bounds the
+	// Publishers stop on stopCtx, between calls. pubCtx only bounds the
 	// call that is outstanding at that moment: cancelling it right away
 	// would abandon a publish the server has already accepted — delivered,
 	// but never counted in acked.
-	stopPub := make(chan struct{})
-	stopped := func() bool {
-		select {
-		case <-stopPub:
-			return true
-		default:
-			return false
-		}
-	}
+	stopCtx, stopPub := context.WithCancel(context.Background())
+	defer stopPub()
+	stopped := func() bool { return stopCtx.Err() != nil }
 	pubCtx, cancelPub := context.WithCancel(context.Background())
 	defer cancelPub()
 	var pubWG sync.WaitGroup
@@ -320,71 +322,33 @@ func run(args []string, stdout io.Writer) error {
 		pubConns = append(pubConns, c)
 	}
 
+	var (
+		pacing    loadgen.Result
+		pacingErr error
+	)
 	if *rate > 0 {
-		// Paced mode: one pacer goroutine releases arrivals at the absolute
-		// deadlines of a Poisson schedule (sleep overshoot displaces one
-		// arrival instead of accumulating as drift, and independently
-		// displaced Poisson points stay Poisson); the publisher pool drains
-		// the due channel so one slow publish does not stall the schedule.
-		rng := stats.NewRNG(*seed)
-		due := make(chan struct{}, 1024)
+		// Paced mode: the load generator releases Poisson arrivals at
+		// absolute deadlines and its lanes publish them round-robin over
+		// the connections — enough of them per connection for the client's
+		// coalescer to fill batches.
 		pubWG.Add(1)
 		go func() {
 			defer pubWG.Done()
-			defer close(due)
-			start := time.Now()
-			var at float64
-			for !stopped() {
-				at += rng.Exp(*rate)
-				if d := time.Until(start.Add(time.Duration(at * float64(time.Second)))); d > 0 {
-					select {
-					case <-time.After(d):
-					case <-stopPub:
-						return
-					}
+			defer func() {
+				for _, c := range pubConns {
+					_ = c.Close()
 				}
-				select {
-				case due <- struct{}{}:
-				case <-stopPub:
-					return
+			}()
+			pacing, pacingErr = loadgen.Run(stopCtx, stats.NewRNG(*seed), *rate, 0, func(_ context.Context, i int, due time.Time) error {
+				m := template.Clone()
+				stamp(m, due)
+				if err := pubConns[i%len(pubConns)].Publish(pubCtx, m); err != nil {
+					return err
 				}
-			}
+				acked.Add(1)
+				return nil
+			})
 		}()
-		// With coalescing on, each connection gets -batch drainers: a
-		// batch only fills when that many publishes can park on the
-		// connection concurrently, which is the many-threads-per-connection
-		// shape the client batcher exists for. One drainer would serialize
-		// on its own flush wait and cap the rate at 1/linger per connection.
-		drainers := 1
-		if pubOpts.BatchMax > 1 {
-			drainers = pubOpts.BatchMax
-		}
-		for _, c := range pubConns {
-			var connWG sync.WaitGroup
-			for w := 0; w < drainers; w++ {
-				pubWG.Add(1)
-				connWG.Add(1)
-				go func(c *client.Client) {
-					defer pubWG.Done()
-					defer connWG.Done()
-					for range due {
-						if stopped() {
-							return
-						}
-						m := template.Clone()
-						stamp(m)
-						if err := c.Publish(pubCtx, m); err != nil {
-							return
-						}
-						acked.Add(1)
-					}
-				}(c)
-			}
-			go func(c *client.Client) {
-				connWG.Wait()
-				_ = c.Close()
-			}(c)
-		}
 	} else if *batch > 1 {
 		// Saturated batched mode: each publisher sends explicit full
 		// batches — one MSG_BATCH frame and one broker in-flight slot per
@@ -400,7 +364,7 @@ func run(args []string, stdout io.Writer) error {
 					msgs := make([]*jms.Message, *batch)
 					for i := range msgs {
 						msgs[i] = template.Clone()
-						stamp(msgs[i])
+						stamp(msgs[i], time.Now())
 					}
 					if err := c.PublishBatch(pubCtx, msgs); err != nil {
 						return
@@ -418,7 +382,7 @@ func run(args []string, stdout io.Writer) error {
 				defer func() { _ = c.Close() }()
 				for !stopped() {
 					m := template.Clone()
-					stamp(m)
+					stamp(m, time.Now())
 					if err := c.Publish(pubCtx, m); err != nil {
 						return
 					}
@@ -471,7 +435,7 @@ func run(args []string, stdout io.Writer) error {
 
 	cancelChurn()
 	churnWG.Wait()
-	close(stopPub)
+	stopPub()
 	grace := time.AfterFunc(2*time.Second, cancelPub)
 	pubWG.Wait()
 	grace.Stop()
@@ -499,6 +463,17 @@ func run(args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "window   : %.2fs (after %v warmup)\n", elapsed, *warmup)
 	if *rate > 0 {
 		fmt.Fprintf(stdout, "target   : %10.0f msgs/s (Poisson, seed %d)\n", *rate, *seed)
+		// The generator's self-check over the whole run, warm-up included:
+		// invalid means its own lag, not the broker, shaped the latencies.
+		verdict := "invalid"
+		if pacing.Valid() {
+			verdict = "valid"
+		}
+		fmt.Fprintf(stdout, "pacer    : lag p99 %v, achieved %.3f of the schedule, %s", pacing.LagP99, pacing.Achieved, verdict)
+		if pacingErr != nil && !errors.Is(pacingErr, context.Canceled) {
+			fmt.Fprintf(stdout, "; stopped early: %v", pacingErr)
+		}
+		fmt.Fprintln(stdout)
 	}
 	fmt.Fprintf(stdout, "received : %10.0f msgs/s\n", recvRate)
 	fmt.Fprintf(stdout, "dispatched:%10.0f msgs/s (R = %.2f)\n", dispRate, dispRate/recvRate)

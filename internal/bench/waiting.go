@@ -3,12 +3,12 @@ package bench
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
 	"repro/internal/broker"
 	"repro/internal/filter"
+	"repro/internal/loadgen"
 	"repro/internal/stats"
 )
 
@@ -26,11 +26,11 @@ type WaitingResult struct {
 	// rho*E[B]/(2(1-rho)) using the measured E[B] (the native broker's
 	// service time is nearly deterministic for fixed n_fltr and R).
 	PredictedMeanWait float64
-	// IdealDuration is messages/lambda — how long the Poisson source
-	// should have taken. ActualDuration is the wall-clock it did take;
-	// a large ratio means the pacer was starved (noisy machine) and the
+	// Pacing is the load generator's self-check. Pacing.Achieved is the
+	// Poisson schedule's span over the time the generator took to release
+	// it; well below 1 means the pacer was starved (noisy machine) and the
 	// observed waits are not comparable to the analysis.
-	IdealDuration, ActualDuration time.Duration
+	Pacing loadgen.Result
 }
 
 // MeasureNativeWaiting runs the X3 experiment: calibrate E[B] by a
@@ -102,31 +102,12 @@ func MeasureNativeWaiting(cfg NativeConfig, n, r int, rho float64, messages int)
 	if err != nil {
 		return WaitingResult{}, err
 	}
-	rng := stats.NewRNG(42)
-	ctx := context.Background()
-	loadStart := time.Now()
-	next := loadStart
-	for i := 0; i < messages; i++ {
-		next = next.Add(time.Duration(rng.Exp(lambda) * float64(time.Second)))
-		// Hybrid pacing: coarse kernel timers oversleep sub-millisecond
-		// waits badly, so sleep only for the bulk and spin the rest.
-		for {
-			remain := time.Until(next)
-			if remain <= 0 {
-				break
-			}
-			if remain > 2*time.Millisecond {
-				time.Sleep(remain - 2*time.Millisecond)
-			} else {
-				runtime.Gosched()
-			}
-		}
-		m := template.Clone()
-		if err := b.Publish(ctx, m); err != nil {
-			return WaitingResult{}, err
-		}
+	pacing, err := loadgen.Run(context.Background(), stats.NewRNG(42), lambda, messages, func(ctx context.Context, _ int, _ time.Time) error {
+		return b.Publish(ctx, template.Clone())
+	})
+	if err != nil {
+		return WaitingResult{}, err
 	}
-	actual := time.Since(loadStart)
 	// Let the dispatcher drain before closing.
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
@@ -148,7 +129,6 @@ func MeasureNativeWaiting(cfg NativeConfig, n, r int, rho float64, messages int)
 		OfferedRho:        rho,
 		Waits:             waits,
 		PredictedMeanWait: rho * meanB / (2 * (1 - rho)),
-		IdealDuration:     time.Duration(float64(messages) / lambda * float64(time.Second)),
-		ActualDuration:    actual,
+		Pacing:            pacing,
 	}, nil
 }

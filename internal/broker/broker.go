@@ -44,16 +44,6 @@ var (
 	ErrQueueFull = errors.New("broker: topic queue full")
 )
 
-// DispatchObserver receives a callback for every dispatched message. The
-// benchmark harness uses it to record the per-message filter count and
-// replication grade that parameterize the paper's model.
-type DispatchObserver interface {
-	// ObserveDispatch is called once per message after the filter scan:
-	// nFilters is the number of installed filters tested and replication
-	// the number of subscribers the message was forwarded to.
-	ObserveDispatch(topicName string, nFilters, replication int)
-}
-
 // Options configure a Broker.
 type Options struct {
 	// InFlight sizes each per-topic queue between Publish and the transmit
@@ -77,8 +67,6 @@ type Options struct {
 	// on EngineFast. Default: GOMAXPROCS, capped at 8. Ignored by
 	// EngineFaithful.
 	Shards int
-	// Observer, when non-nil, is invoked on the dispatch path.
-	Observer DispatchObserver
 	// SlowConsumer selects what a persistent-mode transmit does when a
 	// subscriber's delivery queue is full: block (default, the paper's
 	// push-back), drop-oldest, or disconnect. See SlowConsumerPolicy.

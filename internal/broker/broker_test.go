@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -387,25 +386,12 @@ func TestTopicsIsolation(t *testing.T) {
 	}
 }
 
-type countingObserver struct {
-	calls       atomic.Int64
-	filters     atomic.Int64
-	replication atomic.Int64
-}
-
-func (o *countingObserver) ObserveDispatch(_ string, nFilters, replication int) {
-	o.calls.Add(1)
-	o.filters.Add(int64(nFilters))
-	o.replication.Add(int64(replication))
-}
-
+// TestObserverSeesFiltersAndReplication reads the two parameters of the
+// paper's model for one message off the faithful engine's counters:
+// FilterEvals is n_fltr (a linear scan tests every installed filter) and
+// Dispatched is R.
 func TestObserverSeesFiltersAndReplication(t *testing.T) {
-	obs := &countingObserver{}
-	b := New(Options{Observer: obs})
-	if err := b.ConfigureTopic("t"); err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = b.Close() }()
+	b := newTestBroker(t, Options{Engine: EngineFaithful})
 
 	f0, err := filter.NewCorrelationID("#0")
 	if err != nil {
@@ -427,12 +413,14 @@ func TestObserverSeesFiltersAndReplication(t *testing.T) {
 		}
 	}
 	publishCorr(t, b, "#0")
-	waitFor(t, func() bool { return obs.calls.Load() == 1 })
-	if obs.filters.Load() != 5 {
-		t.Errorf("observed n_fltr = %d, want 5", obs.filters.Load())
+	// The match stage counts its evaluations before the transmit stage
+	// counts deliveries, so once both copies are out n_fltr is final.
+	waitFor(t, func() bool { return b.Stats().Dispatched == 2 })
+	if got := b.Stats().FilterEvals; got != 5 {
+		t.Errorf("n_fltr = %d filter evaluations, want 5", got)
 	}
-	if obs.replication.Load() != 2 {
-		t.Errorf("observed R = %d, want 2", obs.replication.Load())
+	if got := b.Stats().Dispatched; got != 2 {
+		t.Errorf("R = %d deliveries, want 2", got)
 	}
 }
 

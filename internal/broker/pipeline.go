@@ -473,11 +473,7 @@ func (p *pipeline) commitBatchRuns(members []seqResult, btx batchTransmitter) {
 				}
 			}
 		}
-		obs := p.b.opts.Observer
 		for k := i; k < j; k++ {
-			if obs != nil {
-				obs.ObserveDispatch(p.d.topic.Name(), members[k].nFilters, 1)
-			}
 			p.traceCommit(&members[k])
 		}
 		i = j
@@ -573,8 +569,7 @@ func (p *pipeline) commitOrdered(res *seqResult) {
 }
 
 // commitStages runs the replicate and transmit stages — R copies for R
-// matching subscribers, Eq. 1's E[R]·t_tx — and fires the dispatch
-// observer. It returns its own wall time so the serial loop can compute
+// matching subscribers, Eq. 1's E[R]·t_tx. It returns its own wall time so the serial loop can compute
 // the receive-stage residual. The per-copy timing windows tile the whole
 // loop (each window ends where the next begins), so clock-read and loop
 // overhead is attributed to the per-replica stages it belongs to instead
@@ -589,9 +584,6 @@ func (p *pipeline) commitStages(res *seqResult) time.Duration {
 				copyMsg = p.st.replicator.Replicate(m)
 			}
 			p.tx.Transmit(h, copyMsg, m.Header.DeliveryMode)
-		}
-		if obs := p.b.opts.Observer; obs != nil {
-			obs.ObserveDispatch(p.d.topic.Name(), res.nFilters, len(res.matches))
 		}
 		p.traceCommit(res)
 		return 0
@@ -629,9 +621,6 @@ func (p *pipeline) commitStages(res *seqResult) time.Duration {
 			p.tracer.RecordSpan(id, trace.StageReplicate, start, replDur)
 		}
 		p.tracer.RecordSpan(id, trace.StageTransmit, start.Add(replDur), txDur)
-	}
-	if obs := p.b.opts.Observer; obs != nil {
-		obs.ObserveDispatch(p.d.topic.Name(), res.nFilters, len(res.matches))
 	}
 	p.traceCommit(res)
 	return time.Since(start)

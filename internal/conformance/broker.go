@@ -14,6 +14,7 @@ import (
 	"repro/internal/faultnet"
 	"repro/internal/filter"
 	"repro/internal/jms"
+	"repro/internal/loadgen"
 	"repro/internal/metrics"
 	"repro/internal/mg1"
 	"repro/internal/stats"
@@ -42,11 +43,6 @@ type BrokerConfig struct {
 	Seed int64
 	// Quantile is the compared tail quantile. Default 0.99.
 	Quantile float64
-	// Publishers is the number of concurrent senders draining the shared
-	// schedule. It must cover lambda times the publish RTT with room for
-	// Poisson bursts, or the send pool reshapes (smooths) the arrival
-	// process it is supposed to deliver. Default 32.
-	Publishers int
 	// Faults configures the transport; Seed defaults to Seed.
 	Faults faultnet.Config
 	// Calibration configures the saturated E[B] measurement. The
@@ -69,9 +65,6 @@ func (c BrokerConfig) withDefaults() BrokerConfig {
 	}
 	if c.Quantile <= 0 {
 		c.Quantile = 0.99
-	}
-	if c.Publishers <= 0 {
-		c.Publishers = 32
 	}
 	if c.Faults.Seed == 0 {
 		c.Faults.Seed = c.Seed
@@ -242,9 +235,15 @@ func RunBroker(cfg BrokerConfig) (BrokerResult, error) {
 			defer waitMu.Unlock()
 			return len(waits)
 		}()
-		elapsed, err := publishPoisson(pubCtx, p, topicName, rng, lambda, messages, cfg.Publishers)
+		paced, err := loadgen.Run(pubCtx, rng, lambda, messages, func(ctx context.Context, _ int, _ time.Time) error {
+			m := jms.NewMessage(topicName)
+			if err := m.SetCorrelationID("#0"); err != nil {
+				return err
+			}
+			return p.Publish(ctx, m)
+		})
 		if err != nil {
-			return Point{}, 0, err
+			return Point{}, 0, fmt.Errorf("conformance: publish: %w", err)
 		}
 		// Every accepted message is dispatched exactly once; wait for
 		// the observer to catch up with the tail of the queue.
@@ -274,7 +273,7 @@ func RunBroker(cfg BrokerConfig) (BrokerResult, error) {
 		if err != nil {
 			return Point{}, 0, err
 		}
-		return Point{MeanWait: mean, Quantile: qObs}, float64(messages) / elapsed.Seconds(), nil
+		return Point{MeanWait: mean, Quantile: qObs}, float64(messages) / paced.Elapsed.Seconds(), nil
 	}
 
 	// Zero-load baseline over the clean transport: at a few percent
@@ -325,61 +324,4 @@ func RunBroker(cfg BrokerConfig) (BrokerResult, error) {
 		PublishRetries: reg.Counter(client.MetricPublishRetries).Value(),
 		Duplicates:     srv.DuplicatesSuppressed(),
 	}, nil
-}
-
-// publishPoisson drives a Poisson arrival schedule with absolute
-// deadlines through a pool of senders, so one publish delayed by a
-// fault or a slow RPC does not push back every later arrival. Returns
-// the wall-clock span of the schedule.
-func publishPoisson(ctx context.Context, pub *client.Reliable, topicName string, rng *stats.RNG, lambda float64, messages, publishers int) (time.Duration, error) {
-	deadlines := make([]time.Duration, messages)
-	var at float64
-	for i := range deadlines {
-		at += rng.Exp(lambda)
-		deadlines[i] = time.Duration(at * float64(time.Second))
-	}
-	var (
-		wg      sync.WaitGroup
-		pubErr  error
-		pubOnce sync.Once
-		due     = make(chan struct{}, messages)
-	)
-	start := time.Now()
-	// Pacer: release each arrival at its absolute deadline. Absolute
-	// deadlines make sleep overshoot a per-arrival displacement instead
-	// of a cumulative drift, and independently displacing the points of
-	// a Poisson process leaves it Poisson. Spinning out the timer
-	// granularity instead would be more precise but monopolizes a core,
-	// which on small CI machines starves the very system under test.
-	go func() {
-		defer close(due)
-		for i := 0; i < messages; i++ {
-			if d := time.Until(start.Add(deadlines[i])); d > 0 {
-				time.Sleep(d)
-			}
-			due <- struct{}{}
-		}
-	}()
-	for w := 0; w < publishers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for range due {
-				m := jms.NewMessage(topicName)
-				if err := m.SetCorrelationID("#0"); err != nil {
-					pubOnce.Do(func() { pubErr = err })
-					return
-				}
-				if err := pub.Publish(ctx, m); err != nil {
-					pubOnce.Do(func() { pubErr = err })
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if pubErr != nil {
-		return 0, fmt.Errorf("conformance: publish: %w", pubErr)
-	}
-	return time.Since(start), nil
 }

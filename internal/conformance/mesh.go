@@ -40,6 +40,7 @@ import (
 	"repro/internal/distrib"
 	"repro/internal/filter"
 	"repro/internal/jms"
+	"repro/internal/loadgen"
 	"repro/internal/stats"
 )
 
@@ -77,8 +78,6 @@ type MeshConfig struct {
 	// Warmup drops the first loaded-phase wait observations. Default
 	// Messages/10.
 	Warmup int
-	// Publishers is the sender-pool size of the Poisson pacer. Default 4.
-	Publishers int
 	// SingleOrigin funnels every publish through member 0 instead of
 	// rotating origins. Under PSR this loads exactly one member while the
 	// others contribute only their mirrored filter burden — the
@@ -121,9 +120,6 @@ func (c MeshConfig) withDefaults() MeshConfig {
 	}
 	if c.Warmup <= 0 {
 		c.Warmup = c.Messages / 10
-	}
-	if c.Publishers <= 0 {
-		c.Publishers = 4
 	}
 	return c
 }
@@ -267,7 +263,7 @@ func measurePacedServiceTime(burden, r int, lambda float64, messages int, seed i
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	before := meshTelemetry(brokers)
-	if _, err := publishPoissonMesh(ctx, topo, stats.NewRNG(seed), lambda, messages, 4, 1, false); err != nil {
+	if _, err := publishMesh(ctx, topo, stats.NewRNG(seed), lambda, messages, false); err != nil {
 		return 0, err
 	}
 	if err := settleMesh(brokers); err != nil {
@@ -388,7 +384,7 @@ func RunMesh(cfg MeshConfig) (MeshResult, error) {
 		waitMu.Lock()
 		before := len(waits)
 		waitMu.Unlock()
-		elapsed, err = publishPoissonMesh(ctx, topo, rng, lambda, messages, cfg.Publishers, cfg.Members, cfg.SingleOrigin)
+		elapsed, err = publishMesh(ctx, topo, rng, lambda, messages, cfg.SingleOrigin)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -637,58 +633,24 @@ func settleMesh(brokers []*broker.Broker) error {
 	}
 }
 
-// publishPoissonMesh drives a Poisson schedule with absolute deadlines
-// through the topology, rotating the publisher origin across members
-// (or pinning it to member 0 with singleOrigin). Same pacer discipline
-// as publishPoisson: absolute deadlines turn sleep overshoot into
-// per-arrival displacement rather than cumulative drift.
-func publishPoissonMesh(ctx context.Context, topo *cluster.Topology, rng *stats.RNG, lambda float64, messages, publishers, members int, singleOrigin bool) (time.Duration, error) {
-	deadlines := make([]time.Duration, messages)
-	var at float64
-	for i := range deadlines {
-		at += rng.Exp(lambda)
-		deadlines[i] = time.Duration(at * float64(time.Second))
-	}
-	var (
-		wg      sync.WaitGroup
-		pubErr  error
-		pubOnce sync.Once
-		due     = make(chan int, messages)
-	)
-	start := time.Now()
-	go func() {
-		defer close(due)
-		for i := 0; i < messages; i++ {
-			if d := time.Until(start.Add(deadlines[i])); d > 0 {
-				time.Sleep(d)
-			}
-			due <- i
+// publishMesh offers a Poisson schedule to the topology, rotating the
+// publisher origin across members (or pinning it to member 0 with
+// singleOrigin), and returns the schedule's wall-clock span.
+func publishMesh(ctx context.Context, topo *cluster.Topology, rng *stats.RNG, lambda float64, messages int, singleOrigin bool) (time.Duration, error) {
+	members := len(topo.Brokers())
+	res, err := loadgen.Run(ctx, rng, lambda, messages, func(ctx context.Context, i int, _ time.Time) error {
+		origin := i % members
+		if singleOrigin {
+			origin = 0
 		}
-	}()
-	for w := 0; w < publishers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range due {
-				origin := i % members
-				if singleOrigin {
-					origin = 0
-				}
-				m := jms.NewMessage(meshTopic)
-				if err := m.SetCorrelationID("#0"); err != nil {
-					pubOnce.Do(func() { pubErr = err })
-					return
-				}
-				if err := topo.Publish(ctx, origin, m); err != nil {
-					pubOnce.Do(func() { pubErr = err })
-					return
-				}
-			}
-		}()
+		m := jms.NewMessage(meshTopic)
+		if err := m.SetCorrelationID("#0"); err != nil {
+			return err
+		}
+		return topo.Publish(ctx, origin, m)
+	})
+	if err != nil {
+		return 0, fmt.Errorf("conformance: mesh publish: %w", err)
 	}
-	wg.Wait()
-	if pubErr != nil {
-		return 0, fmt.Errorf("conformance: mesh publish: %w", pubErr)
-	}
-	return time.Since(start), nil
+	return res.Elapsed, nil
 }

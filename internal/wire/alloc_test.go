@@ -1,0 +1,62 @@
+//go:build !race
+
+// The race detector's sync.Pool drops a quarter of Puts on purpose, so the
+// pooled encode paths allocate under -race; their ceilings are measured
+// without it.
+
+package wire
+
+import (
+	"testing"
+
+	"repro/internal/jms"
+)
+
+// encodeMessage is BenchmarkRegressionBatchEncode's and
+// BenchmarkRegressionDeliver's message: a 128-byte body and one string
+// property.
+func encodeMessage(t *testing.T) *jms.Message {
+	m := jms.NewMessage("t")
+	m.SetBody(make([]byte, 128))
+	if err := m.SetStringProperty("region", "eu"); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestAppendBatchAllocs pins the client's PublishBatch encode: a 16-message
+// batch appended into a pooled buffer costs at most 2 allocations (none
+// measured once the buffer has grown).
+func TestAppendBatchAllocs(t *testing.T) {
+	msgs := make([]*jms.Message, 16)
+	for i := range msgs {
+		msgs[i] = encodeMessage(t)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		buf := GetBuffer()
+		*buf = AppendBatch((*buf)[:0], msgs)
+		PutBuffer(buf)
+	})
+	t.Logf("16-message batch encode: %v allocs", allocs)
+	if allocs > 2 {
+		t.Errorf("16-message batch encode: %v allocs, budget 2", allocs)
+	}
+}
+
+// TestAppendDeliveryAllocs pins what the server's delivery path builds per
+// replica — a MESSAGE frame's prologue, delivery header and message in a
+// pooled buffer — at zero allocations.
+func TestAppendDeliveryAllocs(t *testing.T) {
+	m := encodeMessage(t)
+	seq := uint64(0)
+	allocs := testing.AllocsPerRun(200, func() {
+		bp := GetBuffer()
+		buf := append((*bp)[:0], 0, 0, 0, 0, byte(FrameMessage))
+		seq++
+		*bp = AppendDelivery(buf, 7, seq, m)
+		PutBuffer(bp)
+	})
+	if allocs != 0 {
+		t.Errorf("delivery frame encode: %v allocs, budget 0", allocs)
+	}
+}
