@@ -28,9 +28,12 @@ test-benchmark:
 # buffers, the reliability stack (fault injection, reconnecting clients,
 # the replication meshes under restart and kill, conformance harness), and
 # the telemetry plane scraped while the broker dispatches, and the load
-# generator's lanes.
+# generator's lanes. internal/bench's scenario runner (publishers, drains
+# and the tape reader around one broker) runs its count-based tests under
+# -short; its wall-clock measurements skip there.
 race:
 	$(GO) test -race ./internal/jms/... ./internal/topic/... ./internal/broker/... ./internal/wire/... ./internal/client/... ./internal/faultnet/... ./internal/cluster/... ./internal/conformance/... ./internal/metrics/... ./internal/telemetry/... ./internal/trace/... ./internal/stress/... ./internal/loadgen/... ./cmd/jmsd/...
+	$(GO) test -race -short ./internal/bench/...
 
 # bench runs the regression benchmark set (publish, dispatch, batch
 # codec, end-to-end wire loop, mesh, subscription store) once and prints

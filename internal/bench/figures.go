@@ -17,10 +17,19 @@ var PaperNValues = []int{5, 10, 20, 40, 80, 160}
 // PaperRValues is the paper's grid of replication grades.
 var PaperRValues = []int{1, 2, 5, 10, 20, 40}
 
-// modelFor returns the Table I constants for the filter type.
-func modelFor(ft core.FilterType) (core.CostModel, error) {
-	return core.TableI(ft)
+// paperFilters are the paper's two filter families with their Table I
+// constants.
+var paperFilters = []struct {
+	ft    core.FilterType
+	model core.CostModel
+}{
+	{core.CorrelationIDFiltering, core.TableICorrelationID},
+	{core.ApplicationPropertyFiltering, core.TableIApplicationProperty},
 }
+
+// nFltrGrid is the n_fltr axis of the log-log figures, 1 to 10^4 (valid
+// constant arguments, so no error).
+var nFltrGrid, _ = LogSpaceInts(1, 10000, 12)
 
 // Fig4 regenerates Figure 4: the overall message throughput of the
 // saturated server depending on the number of installed filters
@@ -29,7 +38,7 @@ func modelFor(ft core.FilterType) (core.CostModel, error) {
 // constants — the stand-in for the paper's testbed measurement) and the
 // model prediction (Eq. 1).
 func Fig4(ft core.FilterType, messages int, seed int64) ([]Series, error) {
-	model, err := modelFor(ft)
+	model, err := core.TableI(ft)
 	if err != nil {
 		return nil, err
 	}
@@ -57,9 +66,7 @@ func Fig4(ft core.FilterType, messages int, seed int64) ([]Series, error) {
 				return nil, err
 			}
 			_, _, modelOverall := model.Throughput(nFltr, float64(r))
-			if err := s.Append(float64(nFltr), res.Overall, modelOverall); err != nil {
-				return nil, err
-			}
+			s.Rows = append(s.Rows, []float64{float64(nFltr), res.Overall, modelOverall})
 		}
 		out = append(out, s)
 	}
@@ -70,25 +77,16 @@ func Fig4(ft core.FilterType, messages int, seed int64) ([]Series, error) {
 // over the number of filters, for E[R] in {1, 10, 100} and both filter
 // types, on log-log axes.
 func Fig5() ([]Series, error) {
-	grid, err := LogSpaceInts(1, 10000, 12)
-	if err != nil {
-		return nil, err
-	}
 	var out []Series
-	for _, ft := range []core.FilterType{core.CorrelationIDFiltering, core.ApplicationPropertyFiltering} {
-		model, err := modelFor(ft)
-		if err != nil {
-			return nil, err
-		}
+	for _, pf := range paperFilters {
+		ft, model := pf.ft, pf.model
 		for _, r := range []float64{1, 10, 100} {
 			s := Series{
 				Name: fmt.Sprintf("Fig5 %v E[R]=%g", ft, r),
 				Cols: []string{"n_fltr", "mean_service_time_s"},
 			}
-			for _, n := range grid {
-				if err := s.Append(float64(n), model.MeanServiceTime(n, r)); err != nil {
-					return nil, err
-				}
+			for _, n := range nFltrGrid {
+				s.Rows = append(s.Rows, []float64{float64(n), model.MeanServiceTime(n, r)})
 			}
 			out = append(out, s)
 		}
@@ -102,39 +100,27 @@ func Fig5() ([]Series, error) {
 // n_fltr = 22 and 240 at E[R]=1).
 func Fig6() ([]Series, error) {
 	model := core.TableICorrelationID
-	grid, err := LogSpaceInts(1, 10000, 12)
-	if err != nil {
-		return nil, err
-	}
 	var out []Series
 	for _, r := range []float64{1, 10, 100} {
 		s := Series{
 			Name: fmt.Sprintf("Fig6 corrID E[R]=%g rho=0.9", r),
 			Cols: []string{"n_fltr", "capacity_msgs_per_s"},
 		}
-		for _, n := range grid {
+		for _, n := range nFltrGrid {
 			c, err := model.Capacity(0.9, n, r)
 			if err != nil {
 				return nil, err
 			}
-			if err := s.Append(float64(n), c); err != nil {
-				return nil, err
-			}
+			s.Rows = append(s.Rows, []float64{float64(n), c})
 		}
 		out = append(out, s)
 	}
 
-	eq := Series{
+	return append(out, Series{
 		Name: "Fig6 equivalence: E[R] vs n_fltr at equal capacity",
 		Cols: []string{"mean_R", "equivalent_n_fltr"},
-	}
-	for _, r := range []float64{10, 100} {
-		if err := eq.Append(r, model.EquivalentFilters(r)); err != nil {
-			return nil, err
-		}
-	}
-	out = append(out, eq)
-	return out, nil
+		Rows: [][]float64{{10, model.EquivalentFilters(10)}, {100, model.EquivalentFilters(100)}},
+	}), nil
 }
 
 // Eq3Table regenerates the Section IV-A.2 break-even analysis: for each
@@ -142,19 +128,14 @@ func Fig6() ([]Series, error) {
 // at which the filters still increase server capacity (Eq. 3).
 func Eq3Table() ([]Series, error) {
 	var out []Series
-	for _, ft := range []core.FilterType{core.CorrelationIDFiltering, core.ApplicationPropertyFiltering} {
-		model, err := modelFor(ft)
-		if err != nil {
-			return nil, err
-		}
+	for _, pf := range paperFilters {
+		ft, model := pf.ft, pf.model
 		s := Series{
 			Name: fmt.Sprintf("Eq3 break-even match probability, %v", ft),
 			Cols: []string{"n_fltr_q", "break_even_p_match"},
 		}
 		for nq := 1; nq <= 4; nq++ {
-			if err := s.Append(float64(nq), model.BreakEvenMatchProbability(nq)); err != nil {
-				return nil, err
-			}
+			s.Rows = append(s.Rows, []float64{float64(nq), model.BreakEvenMatchProbability(nq)})
 		}
 		out = append(out, s)
 	}
@@ -168,38 +149,9 @@ func Fig8(pMatches []float64) ([]Series, error) {
 	if len(pMatches) == 0 {
 		pMatches = []float64{0.1, 0.3, 0.5, 0.9}
 	}
-	grid, err := LogSpaceInts(1, 10000, 12)
-	if err != nil {
-		return nil, err
-	}
-	var out []Series
-	for _, ft := range []core.FilterType{core.CorrelationIDFiltering, core.ApplicationPropertyFiltering} {
-		model, err := modelFor(ft)
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range pMatches {
-			s := Series{
-				Name: fmt.Sprintf("Fig8 %v scaledBernoulli p=%g", ft, p),
-				Cols: []string{"n_fltr", "cvar_B"},
-			}
-			for _, n := range grid {
-				r, err := replication.NewScaledBernoulli(n, p)
-				if err != nil {
-					return nil, err
-				}
-				m, err := mg1.MomentsFromReplication(model.ConstantPart(n), model.TTx, r)
-				if err != nil {
-					return nil, err
-				}
-				if err := s.Append(float64(n), m.CVar()); err != nil {
-					return nil, err
-				}
-			}
-			out = append(out, s)
-		}
-	}
-	return out, nil
+	return cvarFigure("Fig8 %v scaledBernoulli p=%g", pMatches, func(n int, p float64) (replication.Distribution, error) {
+		return replication.NewScaledBernoulli(n, p)
+	})
 }
 
 // Fig9 regenerates Figure 9: like Fig8 but with the binomial replication
@@ -208,23 +160,22 @@ func Fig9(pMatches []float64) ([]Series, error) {
 	if len(pMatches) == 0 {
 		pMatches = []float64{0.1, 0.5, 0.9}
 	}
-	grid, err := LogSpaceInts(1, 10000, 12)
-	if err != nil {
-		return nil, err
-	}
+	return cvarFigure("Fig9 %v binomial p=%g", pMatches, func(n int, p float64) (replication.Distribution, error) {
+		return replication.NewBinomial(n, p)
+	})
+}
+
+// cvarFigure is Figs. 8 and 9: cvar[B] over n_fltr for each match
+// probability and both filter types, the replication grade drawn from the
+// family newR builds.
+func cvarFigure(name string, pMatches []float64, newR func(n int, p float64) (replication.Distribution, error)) ([]Series, error) {
 	var out []Series
-	for _, ft := range []core.FilterType{core.CorrelationIDFiltering, core.ApplicationPropertyFiltering} {
-		model, err := modelFor(ft)
-		if err != nil {
-			return nil, err
-		}
+	for _, pf := range paperFilters {
+		ft, model := pf.ft, pf.model
 		for _, p := range pMatches {
-			s := Series{
-				Name: fmt.Sprintf("Fig9 %v binomial p=%g", ft, p),
-				Cols: []string{"n_fltr", "cvar_B"},
-			}
-			for _, n := range grid {
-				r, err := replication.NewBinomial(n, p)
+			s := Series{Name: fmt.Sprintf(name, ft, p), Cols: []string{"n_fltr", "cvar_B"}}
+			for _, n := range nFltrGrid {
+				r, err := newR(n, p)
 				if err != nil {
 					return nil, err
 				}
@@ -232,9 +183,7 @@ func Fig9(pMatches []float64) ([]Series, error) {
 				if err != nil {
 					return nil, err
 				}
-				if err := s.Append(float64(n), m.CVar()); err != nil {
-					return nil, err
-				}
+				s.Rows = append(s.Rows, []float64{float64(n), m.CVar()})
 			}
 			out = append(out, s)
 		}
@@ -260,9 +209,7 @@ func Fig10(cvars []float64) ([]Series, error) {
 			if err != nil {
 				return nil, err
 			}
-			if err := s.Append(rho, w); err != nil {
-				return nil, err
-			}
+			s.Rows = append(s.Rows, []float64{rho, w})
 		}
 		out = append(out, s)
 	}
@@ -319,9 +266,7 @@ func Fig11(rho float64, cvars []float64, maxT float64, points int) ([]Series, er
 			if err != nil {
 				return nil, err
 			}
-			if err := s.Append(t, cc); err != nil {
-				return nil, err
-			}
+			s.Rows = append(s.Rows, []float64{t, cc})
 		}
 		out = append(out, s)
 	}
@@ -394,9 +339,7 @@ func Fig11DES(rho float64, cvars []float64, maxT float64, points, customers int,
 			if err != nil {
 				return nil, err
 			}
-			if err := s.Append(t, ana, emp); err != nil {
-				return nil, err
-			}
+			s.Rows = append(s.Rows, []float64{t, ana, emp})
 		}
 		out = append(out, s)
 	}
@@ -448,13 +391,17 @@ func Fig12(cvars []float64) ([]Series, error) {
 			if err != nil {
 				return nil, err
 			}
-			if err := s.Append(rho, q99, q9999); err != nil {
-				return nil, err
-			}
+			s.Rows = append(s.Rows, []float64{rho, q99, q9999})
 		}
 		out = append(out, s)
 	}
 	return out, nil
+}
+
+// paperScenario is §IV-C's distributed setting: n publisher-side servers,
+// m subscribers with 10 correlation-ID filters each, E[R]=1, rho=0.9.
+func paperScenario(n, m int) distrib.Scenario {
+	return distrib.Scenario{Model: core.TableICorrelationID, N: n, M: m, NFltrPerSub: 10, MeanR: 1, Rho: 0.9}
 }
 
 // PSRWaitTable quantifies the §IV-C.3 warning attached to Fig. 15: for
@@ -470,14 +417,7 @@ func PSRWaitTable(ms []int) ([]Series, error) {
 		Cols: []string{"m_subscribers", "per_server_capacity_msgs_per_s", "mean_wait_s", "q9999_wait_s"},
 	}
 	for _, m := range ms {
-		sc := distrib.Scenario{
-			Model:       core.TableICorrelationID,
-			N:           1,
-			M:           m,
-			NFltrPerSub: 10,
-			MeanR:       1,
-			Rho:         0.9,
-		}
+		sc := paperScenario(1, m)
 		per, err := distrib.PSRPerServerCapacity(sc)
 		if err != nil {
 			return nil, err
@@ -486,9 +426,7 @@ func PSRWaitTable(ms []int) ([]Series, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := s.Append(float64(m), per, meanW, q9999); err != nil {
-			return nil, err
-		}
+		s.Rows = append(s.Rows, []float64{float64(m), per, meanW, q9999})
 	}
 	return []Series{s}, nil
 }
@@ -501,34 +439,28 @@ func Fig15(ms []int) ([]Series, error) {
 	if len(ms) == 0 {
 		ms = []int{10, 100, 1000, 10000}
 	}
-	nGrid, err := LogSpaceInts(1, 10000, 8)
-	if err != nil {
-		return nil, err
-	}
-	scenario := func(n, m int) distrib.Scenario {
-		return distrib.Scenario{
-			Model:       core.TableICorrelationID,
-			N:           n,
-			M:           m,
-			NFltrPerSub: 10,
-			MeanR:       1,
-			Rho:         0.9,
-		}
+	nGrid, _ := LogSpaceInts(1, 10000, 8) // valid constant arguments
+	cross := Series{
+		Name: "Fig15 crossover n (Eq. 23): smallest n where PSR beats SSR",
+		Cols: []string{"m_subscribers", "crossover_n"},
 	}
 	var out []Series
 	for _, m := range ms {
+		nx, err := distrib.CrossoverN(paperScenario(1, m))
+		if err != nil {
+			return nil, err
+		}
+		cross.Rows = append(cross.Rows, []float64{float64(m), float64(nx)})
 		s := Series{
 			Name: fmt.Sprintf("Fig15 PSR m=%d", m),
 			Cols: []string{"n_publishers", "capacity_msgs_per_s"},
 		}
 		for _, n := range nGrid {
-			c, err := distrib.PSRCapacity(scenario(n, m))
+			c, err := distrib.PSRCapacity(paperScenario(n, m))
 			if err != nil {
 				return nil, err
 			}
-			if err := s.Append(float64(n), c); err != nil {
-				return nil, err
-			}
+			s.Rows = append(s.Rows, []float64{float64(n), c})
 		}
 		out = append(out, s)
 	}
@@ -536,30 +468,12 @@ func Fig15(ms []int) ([]Series, error) {
 		Name: "Fig15 SSR (independent of n and m)",
 		Cols: []string{"n_publishers", "capacity_msgs_per_s"},
 	}
-	ssrCap, err := distrib.SSRCapacity(scenario(1, 1))
+	ssrCap, err := distrib.SSRCapacity(paperScenario(1, 1))
 	if err != nil {
 		return nil, err
 	}
 	for _, n := range nGrid {
-		if err := ssr.Append(float64(n), ssrCap); err != nil {
-			return nil, err
-		}
+		ssr.Rows = append(ssr.Rows, []float64{float64(n), ssrCap})
 	}
-	out = append(out, ssr)
-
-	cross := Series{
-		Name: "Fig15 crossover n (Eq. 23): smallest n where PSR beats SSR",
-		Cols: []string{"m_subscribers", "crossover_n"},
-	}
-	for _, m := range ms {
-		n, err := distrib.CrossoverN(scenario(1, m))
-		if err != nil {
-			return nil, err
-		}
-		if err := cross.Append(float64(m), float64(n)); err != nil {
-			return nil, err
-		}
-	}
-	out = append(out, cross)
-	return out, nil
+	return append(out, ssr, cross), nil
 }

@@ -1,19 +1,12 @@
 package bench
 
 import (
-	"context"
 	"fmt"
-	"sort"
-	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/broker"
 	"repro/internal/core"
-	"repro/internal/filter"
 	"repro/internal/fit"
-	"repro/internal/jms"
-	"repro/internal/metrics"
 )
 
 // NativeConfig parameterizes a native measurement run against this
@@ -22,6 +15,9 @@ import (
 // the publishers/subscribers.
 type NativeConfig struct {
 	// FilterType selects correlation-ID or application-property filters.
+	// The zero value selects topic selection instead: every subscription
+	// matches everything and the n non-matching ones sit on topics of
+	// their own (the first mechanism of CompareMechanisms).
 	FilterType core.FilterType
 	// Publishers is the number of saturated publisher goroutines; the
 	// paper found at least 5 are needed to load the server.
@@ -118,223 +114,19 @@ func (st StageTimes) ServiceTime(nFltr int, r float64) float64 {
 	return st.TRcv + float64(nFltr)*st.TFltr + r*st.TTx
 }
 
-// matchingFilter builds the filter that matches the published messages.
-func matchingFilter(ft core.FilterType) (filter.Filter, error) {
-	switch ft {
-	case core.CorrelationIDFiltering:
-		return filter.NewCorrelationID("#0")
-	case core.ApplicationPropertyFiltering:
-		return filter.NewProperty("prop = 0")
-	default:
-		return nil, fmt.Errorf("%w: filter type %d", ErrBench, int(ft))
-	}
-}
-
-// nonMatchingFilter builds the i-th non-matching filter.
-func nonMatchingFilter(ft core.FilterType, i int, identical bool) (filter.Filter, error) {
-	v := i + 1
-	if identical {
-		v = 1
-	}
-	switch ft {
-	case core.CorrelationIDFiltering:
-		return filter.NewCorrelationID("#" + strconv.Itoa(v))
-	case core.ApplicationPropertyFiltering:
-		return filter.NewProperty("prop = " + strconv.Itoa(v))
-	default:
-		return nil, fmt.Errorf("%w: filter type %d", ErrBench, int(ft))
-	}
-}
-
-// benchMessage builds the message all publishers send: correlation ID #0
-// or property prop=0, zero-byte body as in the paper.
-func benchMessage(ft core.FilterType, topicName string) (*jms.Message, error) {
-	m := jms.NewMessage(topicName)
-	switch ft {
-	case core.CorrelationIDFiltering:
-		if err := m.SetCorrelationID("#0"); err != nil {
-			return nil, err
-		}
-	case core.ApplicationPropertyFiltering:
-		if err := m.SetInt32Property("prop", 0); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("%w: filter type %d", ErrBench, int(ft))
-	}
-	return m, nil
-}
-
 // MeasureScenario runs one native measurement: n non-matching filters plus
 // r matching subscribers (replication grade r), saturated publishers, and
 // returns the trimmed-window rates. With Repetitions > 1 the scenario is
 // repeated and the run with the median received rate is returned.
 func MeasureScenario(cfg NativeConfig, n, r int) (NativeResult, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Repetitions == 1 {
-		return measureOnce(cfg, n, r)
-	}
-	runs := make([]NativeResult, 0, cfg.Repetitions)
-	for i := 0; i < cfg.Repetitions; i++ {
-		res, err := measureOnce(cfg, n, r)
-		if err != nil {
-			return NativeResult{}, err
-		}
-		runs = append(runs, res)
-	}
-	sort.Slice(runs, func(i, j int) bool { return runs[i].ReceivedRate < runs[j].ReceivedRate })
-	return runs[len(runs)/2], nil
+	return measure(scenario{cfg: cfg, n: n, r: r})
 }
 
-func measureOnce(cfg NativeConfig, n, r int) (NativeResult, error) {
-	if n < 0 || r < 1 {
-		return NativeResult{}, fmt.Errorf("%w: n=%d r=%d", ErrBench, n, r)
-	}
-	const topicName = "bench"
-
-	b := broker.New(broker.Options{
-		InFlight:         cfg.InFlight,
-		SubscriberBuffer: cfg.SubscriberBuffer,
-		Engine:           cfg.Engine,
-		Shards:           cfg.Shards,
-		StageTiming:      cfg.StageTiming,
-	})
-	defer func() { _ = b.Close() }()
-	if err := b.ConfigureTopic(topicName); err != nil {
-		return NativeResult{}, err
-	}
-
-	// Install r matching + n non-matching subscribers, drain all of them.
-	var drainWG sync.WaitGroup
-	drain := func(s *broker.Subscriber) {
-		drainWG.Add(1)
-		go func() {
-			defer drainWG.Done()
-			for range s.Chan() {
-			}
-		}()
-	}
-	for i := 0; i < r; i++ {
-		f, err := matchingFilter(cfg.FilterType)
-		if err != nil {
-			return NativeResult{}, err
-		}
-		s, err := b.Subscribe(topicName, f)
-		if err != nil {
-			return NativeResult{}, err
-		}
-		drain(s)
-	}
-	for i := 0; i < n; i++ {
-		f, err := nonMatchingFilter(cfg.FilterType, i, cfg.NonMatchingIdentical)
-		if err != nil {
-			return NativeResult{}, err
-		}
-		s, err := b.Subscribe(topicName, f)
-		if err != nil {
-			return NativeResult{}, err
-		}
-		drain(s)
-	}
-
-	// Saturated publishers: all messages are created in advance (one
-	// template, cloned per send to keep ownership clear), mirroring the
-	// paper's pre-created message pools.
-	template, err := benchMessage(cfg.FilterType, topicName)
-	if err != nil {
-		return NativeResult{}, err
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	var pubWG sync.WaitGroup
-	for p := 0; p < cfg.Publishers; p++ {
-		pubWG.Add(1)
-		go func() {
-			defer pubWG.Done()
-			if cfg.Batch > 1 {
-				for ctx.Err() == nil {
-					// Fresh slice per call: PublishBatch retains it.
-					msgs := make([]*jms.Message, cfg.Batch)
-					for i := range msgs {
-						msgs[i] = template.Clone()
-					}
-					if err := b.PublishBatch(ctx, msgs); err != nil {
-						return
-					}
-				}
-				return
-			}
-			for ctx.Err() == nil {
-				if err := b.Publish(ctx, template.Clone()); err != nil {
-					return
-				}
-			}
-		}()
-	}
-
-	// Warm-up, then the trimmed observation window on the broker counters.
-	time.Sleep(cfg.Warmup)
-	var recvWin, dispWin metrics.Window
-	var recvCtr, dispCtr metrics.Counter
-	snapshot := func() {
-		s := b.Stats()
-		recvCtr.Add(s.Received - recvCtr.Value())
-		dispCtr.Add(s.Dispatched - dispCtr.Value())
-	}
-	snapshot()
-	statsStart := b.Stats()
-	stagesStart := b.StageStats()
-	start := time.Now()
-	recvWin.Start(&recvCtr, start)
-	dispWin.Start(&dispCtr, start)
-
-	time.Sleep(cfg.Measure)
-	snapshot()
-	statsEnd := b.Stats()
-	stagesEnd := b.StageStats()
-	end := time.Now()
-	recvWin.End(&recvCtr, end)
-	dispWin.End(&dispCtr, end)
-
-	cancel()
-	pubWG.Wait()
-	if err := b.Close(); err != nil {
-		return NativeResult{}, err
-	}
-	drainWG.Wait()
-
-	recvRate, err := recvWin.Rate()
-	if err != nil {
-		return NativeResult{}, err
-	}
-	dispRate, err := dispWin.Rate()
-	if err != nil {
-		return NativeResult{}, err
-	}
-	if recvRate <= 0 {
-		return NativeResult{}, fmt.Errorf("%w: zero received rate", ErrBench)
-	}
-	res := NativeResult{
-		NFltr:           n + r,
-		R:               r,
-		ReceivedRate:    recvRate,
-		DispatchedRate:  dispRate,
-		OverallRate:     recvRate + dispRate,
-		MeanServiceTime: 1 / recvRate,
-	}
-	if cfg.StageTiming {
-		st, err := stageTimes(stagesEnd.Sub(stagesStart), statsStart, statsEnd)
-		if err != nil {
-			return NativeResult{}, err
-		}
-		res.Stages = &st
-	}
-	return res, nil
-}
-
-// stageTimes normalizes the windowed per-stage histogram deltas into Eq. 1
-// cost components: receive time per message, match time per filter
-// evaluation, replicate+transmit time per delivered replica.
-func stageTimes(d broker.StageStats, s0, s1 broker.Stats) (StageTimes, error) {
+// stageTimes normalizes the windowed per-stage histogram deltas d into Eq.
+// 1 cost components over the counter deltas s of the same window: receive
+// time per message, match time per filter evaluation, replicate+transmit
+// time per delivered replica.
+func stageTimes(d broker.StageStats, s broker.Stats) (StageTimes, error) {
 	if !d.Enabled {
 		return StageTimes{}, fmt.Errorf("%w: broker recorded no stage timings", ErrBench)
 	}
@@ -345,11 +137,11 @@ func stageTimes(d broker.StageStats, s0, s1 broker.Stats) (StageTimes, error) {
 	st := StageTimes{
 		TRcv: float64(d.Receive.Sum) / float64(d.Receive.Count) / nsPerSec,
 	}
-	if evals := s1.FilterEvals - s0.FilterEvals; evals > 0 {
-		st.TFltr = float64(d.Match.Sum) / float64(evals) / nsPerSec
+	if s.FilterEvals > 0 {
+		st.TFltr = float64(d.Match.Sum) / float64(s.FilterEvals) / nsPerSec
 	}
-	if copies := s1.Dispatched - s0.Dispatched; copies > 0 {
-		st.TTx = float64(d.Replicate.Sum+d.Transmit.Sum) / float64(copies) / nsPerSec
+	if s.Dispatched > 0 {
+		st.TTx = float64(d.Replicate.Sum+d.Transmit.Sum) / float64(s.Dispatched) / nsPerSec
 	}
 	return st, nil
 }
@@ -391,11 +183,7 @@ func RunNativeStudy(cfg NativeConfig, grid StudyGrid) (StudyResult, error) {
 				return StudyResult{}, fmt.Errorf("scenario n=%d r=%d: %w", n, r, err)
 			}
 			res.Points = append(res.Points, p)
-			obs = append(obs, fit.Observation{
-				NFltr:       p.NFltr,
-				R:           float64(p.R),
-				ServiceTime: p.MeanServiceTime,
-			})
+			obs = append(obs, fit.Observation{NFltr: p.NFltr, R: float64(p.R), ServiceTime: p.MeanServiceTime})
 		}
 	}
 	f, err := fit.Fit(obs)
@@ -413,43 +201,33 @@ func Table1Series(res StudyResult, ft core.FilterType) (Series, error) {
 	if err != nil {
 		return Series{}, err
 	}
-	s := Series{
+	return Series{
 		Name: fmt.Sprintf("Table I (%v): native fit vs paper", ft),
 		Cols: []string{"t_rcv_s", "t_fltr_s", "t_tx_s", "R2"},
-	}
-	if err := s.Append(res.Fit.Model.TRcv, res.Fit.Model.TFltr, res.Fit.Model.TTx, res.Fit.R2); err != nil {
-		return Series{}, err
-	}
-	if err := s.Append(paper.TRcv, paper.TFltr, paper.TTx, 1); err != nil {
-		return Series{}, err
-	}
-	return s, nil
+		Rows: [][]float64{
+			{res.Fit.Model.TRcv, res.Fit.Model.TFltr, res.Fit.Model.TTx, res.Fit.R2},
+			{paper.TRcv, paper.TFltr, paper.TTx, 1},
+		},
+	}, nil
 }
 
 // Fig4Native renders measured native points in Fig. 4's format: one series
 // per replication grade with measured overall throughput and this fit's
 // model prediction.
 func Fig4Native(res StudyResult) ([]Series, error) {
-	byR := make(map[int]*Series)
-	var order []int
+	var out []Series
+	at := make(map[int]int) // replication grade → index in out
 	for _, p := range res.Points {
-		s, ok := byR[p.R]
+		i, ok := at[p.R]
 		if !ok {
-			s = &Series{
+			i, at[p.R] = len(out), len(out)
+			out = append(out, Series{
 				Name: fmt.Sprintf("Fig4(native) R=%d", p.R),
 				Cols: []string{"n_fltr", "measured_overall_msgs_per_s", "fit_model_overall_msgs_per_s"},
-			}
-			byR[p.R] = s
-			order = append(order, p.R)
+			})
 		}
 		_, _, modelOverall := res.Fit.Model.Throughput(p.NFltr, float64(p.R))
-		if err := s.Append(float64(p.NFltr), p.OverallRate, modelOverall); err != nil {
-			return nil, err
-		}
-	}
-	out := make([]Series, 0, len(order))
-	for _, r := range order {
-		out = append(out, *byR[r])
+		out[i].Rows = append(out[i].Rows, []float64{float64(p.NFltr), p.OverallRate, modelOverall})
 	}
 	return out, nil
 }

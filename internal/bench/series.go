@@ -98,19 +98,16 @@ func LogSpaceInts(lo, hi, pointsPerDecade int) ([]int, error) {
 		return nil, fmt.Errorf("%w: LogSpaceInts(%d, %d, %d)", ErrBench, lo, hi, pointsPerDecade)
 	}
 	var out []int
-	seen := make(map[int]struct{})
-	x := float64(lo)
 	factor := math.Pow(10, 1.0/float64(pointsPerDecade))
-	for x <= float64(hi)*1.0000001 {
+	for x := float64(lo); x <= float64(hi)*1.0000001; x *= factor {
 		v := int(x + 0.5)
 		if v > hi {
 			break
 		}
-		if _, dup := seen[v]; !dup {
-			seen[v] = struct{}{}
+		// x only grows, so a rounded duplicate is always the last value.
+		if len(out) == 0 || out[len(out)-1] != v {
 			out = append(out, v)
 		}
-		x *= factor
 	}
 	if len(out) == 0 || out[len(out)-1] != hi {
 		out = append(out, hi)

@@ -14,28 +14,36 @@ import (
 // constants the paper recovered offline from saturated-throughput sweeps
 // are the same numbers the pipeline measures stage by stage at runtime.
 
-// StageSummary averages the per-scenario stage times of a study into one
-// set of Eq. 1 constants. It fails unless the study ran with
-// NativeConfig.StageTiming.
-func StageSummary(res StudyResult) (StageTimes, error) {
-	var sum StageTimes
-	n := 0
+// staged returns the study's points that carry stage timings; it fails
+// unless the study ran with NativeConfig.StageTiming.
+func staged(res StudyResult) ([]NativeResult, error) {
+	var pts []NativeResult
 	for _, p := range res.Points {
-		if p.Stages == nil {
-			continue
+		if p.Stages != nil {
+			pts = append(pts, p)
 		}
+	}
+	if len(pts) == 0 {
+		return nil, fmt.Errorf("%w: study carries no stage timings (set NativeConfig.StageTiming)", ErrBench)
+	}
+	return pts, nil
+}
+
+// StageSummary averages the per-scenario stage times of a study into one
+// set of Eq. 1 constants.
+func StageSummary(res StudyResult) (StageTimes, error) {
+	pts, err := staged(res)
+	if err != nil {
+		return StageTimes{}, err
+	}
+	var sum StageTimes
+	for _, p := range pts {
 		sum.TRcv += p.Stages.TRcv
 		sum.TFltr += p.Stages.TFltr
 		sum.TTx += p.Stages.TTx
-		n++
 	}
-	if n == 0 {
-		return StageTimes{}, fmt.Errorf("%w: study carries no stage timings (set NativeConfig.StageTiming)", ErrBench)
-	}
-	sum.TRcv /= float64(n)
-	sum.TFltr /= float64(n)
-	sum.TTx /= float64(n)
-	return sum, nil
+	n := float64(len(pts))
+	return StageTimes{TRcv: sum.TRcv / n, TFltr: sum.TFltr / n, TTx: sum.TTx / n}, nil
 }
 
 // StageFit re-fits Eq. 1 on service times composed from the per-stage
@@ -43,19 +51,17 @@ func StageSummary(res StudyResult) (StageTimes, error) {
 // If the stage instrumentation is faithful, the recovered constants
 // reproduce the throughput fit.
 func StageFit(res StudyResult) (fit.Result, error) {
-	var obs []fit.Observation
-	for _, p := range res.Points {
-		if p.Stages == nil {
-			continue
-		}
+	pts, err := staged(res)
+	if err != nil {
+		return fit.Result{}, err
+	}
+	obs := make([]fit.Observation, 0, len(pts))
+	for _, p := range pts {
 		o, err := fit.FromStages(p.NFltr, float64(p.R), p.Stages.TRcv, p.Stages.TFltr, p.Stages.TTx)
 		if err != nil {
 			return fit.Result{}, err
 		}
 		obs = append(obs, o)
-	}
-	if len(obs) == 0 {
-		return fit.Result{}, fmt.Errorf("%w: study carries no stage timings (set NativeConfig.StageTiming)", ErrBench)
 	}
 	return fit.Fit(obs)
 }
@@ -64,26 +70,18 @@ func StageFit(res StudyResult) (fit.Result, error) {
 // measured components, the service time they compose to (Eq. 1), and the
 // externally measured service time (1/throughput) it should explain.
 func StageSeries(res StudyResult) (Series, error) {
+	pts, err := staged(res)
+	if err != nil {
+		return Series{}, err
+	}
 	s := Series{
 		Name: "Per-stage timing: measured Eq. 1 components",
 		Cols: []string{"n_fltr", "R", "t_rcv_us", "t_fltr_us", "t_tx_us", "staged_EB_us", "meas_EB_us"},
 	}
-	rows := 0
-	for _, p := range res.Points {
-		if p.Stages == nil {
-			continue
-		}
-		staged := p.Stages.ServiceTime(p.NFltr, float64(p.R))
-		err := s.Append(float64(p.NFltr), float64(p.R),
-			p.Stages.TRcv*1e6, p.Stages.TFltr*1e6, p.Stages.TTx*1e6,
-			staged*1e6, p.MeanServiceTime*1e6)
-		if err != nil {
-			return Series{}, err
-		}
-		rows++
-	}
-	if rows == 0 {
-		return Series{}, fmt.Errorf("%w: study carries no stage timings (set NativeConfig.StageTiming)", ErrBench)
+	for _, p := range pts {
+		eb := p.Stages.ServiceTime(p.NFltr, float64(p.R))
+		s.Rows = append(s.Rows, []float64{float64(p.NFltr), float64(p.R),
+			p.Stages.TRcv * 1e6, p.Stages.TFltr * 1e6, p.Stages.TTx * 1e6, eb * 1e6, p.MeanServiceTime * 1e6})
 	}
 	return s, nil
 }

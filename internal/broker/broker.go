@@ -71,11 +71,6 @@ type Options struct {
 	// subscriber's delivery queue is full: block (default, the paper's
 	// push-back), drop-oldest, or disconnect. See SlowConsumerPolicy.
 	SlowConsumer SlowConsumerPolicy
-	// WaitObserver, when non-nil, receives each message's waiting time:
-	// the span from Publish acceptance to dispatch start. Messages are
-	// timestamped on acceptance when it is set. This instruments the W of
-	// the paper's M/GI/1 analysis on the real broker.
-	WaitObserver func(wait time.Duration)
 	// StageTiming records every message's time in each pipeline stage
 	// (receive, match, replicate, transmit), exposed by StageStats. Off by
 	// default: the timing adds clock reads to the dispatch hot path, so
@@ -87,6 +82,10 @@ type Options struct {
 	// into per-topic histograms and raw-moment accumulators, exposed by
 	// Telemetry. This is the measured side of the live model-drift
 	// monitor; off by default for the same hot-path reason as StageTiming.
+	// The same stamps also feed each topic's service-time tape, one
+	// TapeEntry per committed message in a ring of TapeCapacity entries
+	// (~1.5 MiB per topic), allocated by the first TakeTape on the topic;
+	// until then recording costs one nil check (see tracing.go).
 	WaitTiming bool
 	// Tracer, when non-nil, is the per-message flight recorder: sampled
 	// messages (by TraceID hash) get queue/match/replicate/transmit spans
@@ -240,9 +239,6 @@ func (b *Broker) Publish(ctx context.Context, m *jms.Message) error {
 	if err != nil {
 		return err
 	}
-	if b.opts.WaitObserver != nil && m.Header.Timestamp.IsZero() {
-		m.Header.Timestamp = b.now()
-	}
 	if d.tt != nil || b.opts.Tracer != nil {
 		m.EnqueuedAt = b.now()
 	}
@@ -320,15 +316,10 @@ func (b *Broker) PublishBatch(ctx context.Context, msgs []*jms.Message) error {
 
 // sendUnit stamps and enqueues one same-topic run as a single pubUnit.
 func (b *Broker) sendUnit(ctx context.Context, d *dispatcher, msgs []*jms.Message) error {
-	if b.opts.WaitObserver != nil || d.tt != nil || b.opts.Tracer != nil {
+	if d.tt != nil || b.opts.Tracer != nil {
 		now := b.now()
 		for _, m := range msgs {
-			if b.opts.WaitObserver != nil && m.Header.Timestamp.IsZero() {
-				m.Header.Timestamp = now
-			}
-			if d.tt != nil || b.opts.Tracer != nil {
-				m.EnqueuedAt = now
-			}
+			m.EnqueuedAt = now
 		}
 	}
 	select {

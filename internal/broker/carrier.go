@@ -142,15 +142,10 @@ func (b *Broker) PublishBatchCarrier(ctx context.Context, c *BatchCarrier) error
 	if !ok {
 		return fmt.Errorf("%w: %q", topic.ErrNoSuchTopic, name)
 	}
-	if b.opts.WaitObserver != nil || d.tt != nil || b.opts.Tracer != nil {
+	if d.tt != nil || b.opts.Tracer != nil {
 		now := b.now()
 		for _, m := range msgs {
-			if b.opts.WaitObserver != nil && m.Header.Timestamp.IsZero() {
-				m.Header.Timestamp = now
-			}
-			if d.tt != nil || b.opts.Tracer != nil {
-				m.EnqueuedAt = now
-			}
+			m.EnqueuedAt = now
 		}
 	}
 	select {

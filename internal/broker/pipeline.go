@@ -491,9 +491,6 @@ func (p *pipeline) commitBatchRuns(members []seqResult, btx batchTransmitter) {
 func (p *pipeline) frontStages(mt Matcher, m *jms.Message, dst []*Subscriber) (seqResult, bool) {
 	b := p.b
 	// Receive-stage work: waiting-time observation and expiration check.
-	if obs := b.opts.WaitObserver; obs != nil && !m.Header.Timestamp.IsZero() {
-		obs(b.now().Sub(m.Header.Timestamp))
-	}
 	traced := p.tracer.Sampled(m.Header.TraceID)
 	var start time.Time
 	if tt := p.d.tt; (tt != nil || traced) && !m.EnqueuedAt.IsZero() {
@@ -534,15 +531,22 @@ func (p *pipeline) frontStages(mt Matcher, m *jms.Message, dst []*Subscriber) (s
 
 // traceCommit records the service and sojourn times of one committed
 // message — the end of the spans opened at enqueue and dispatch start —
-// and closes out its flight record: head-sampled messages get their
-// covariates (n_fltr, R) and sojourn attached, unsampled ones are offered
-// to the recorder's tail keeper as skeleton traces when slow enough.
+// appends it to the topic's tape once one has been taken, and closes out
+// its flight record: head-sampled messages get their covariates (n_fltr,
+// R) and sojourn attached, unsampled ones are offered to the recorder's
+// tail keeper as skeleton traces when slow enough.
 func (p *pipeline) traceCommit(res *seqResult) {
 	if res.start.IsZero() {
 		return
 	}
 	end := p.b.now()
 	if tt := p.d.tt; tt != nil {
+		if tp := tt.tape.Load(); tp != nil {
+			tp.record(TapeEntry{
+				Enqueued: res.m.EnqueuedAt, Start: res.start, End: end,
+				Evals: res.evals, R: len(res.matches), BodyBytes: len(res.m.Body),
+			})
+		}
 		tt.serviceM.Observe(end.Sub(res.start))
 		tt.sojourn.Observe(end.Sub(res.m.EnqueuedAt))
 	}

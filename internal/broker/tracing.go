@@ -1,6 +1,12 @@
 package broker
 
-import "repro/internal/metrics"
+import (
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"repro/internal/metrics"
+)
 
 // This file is the broker's per-topic waiting-time tracing: with
 // Options.WaitTiming enabled, every accepted message is stamped at enqueue
@@ -15,6 +21,14 @@ import "repro/internal/metrics"
 // Pollaczek–Khinchine closed forms (Eqs. 4–5) and the Gamma quantile
 // approximation (Eqs. 19–20) from measured moments over a rolling window —
 // the live counterpart of the offline conformance suite.
+//
+// The same three stamps, with the match stage's evaluation count, the
+// replica count and the body size, also go to the topic's tape: a ring of
+// TapeCapacity TapeEntry values (96 bytes each, ~1.5 MiB per topic) in
+// commit order, the recorded sample path an offline check replays. No
+// clock is read for it. The ring is allocated by the first TakeTape on
+// the topic, so a broker whose tape is never read (jmsd's telemetry plane)
+// pays one nil check per message for it.
 //
 // On the serial (faithful) engine B is the true single-resource service
 // time of the paper's model. On the sharded fast engine dispatch overlaps
@@ -33,6 +47,76 @@ type topicTimers struct {
 	// batchM accumulates the per-arrival batch size X (1 for every plain
 	// Publish), whose moments drive the M^X/G/1 batch-arrival extension.
 	batchM metrics.Moments
+	// tape is nil until the first TakeTape.
+	tape atomic.Pointer[tape]
+}
+
+// TapeCapacity is the number of entries a topic's tape holds between two
+// TakeTape calls; older entries are overwritten and counted.
+const TapeCapacity = 1 << 14
+
+// TapeEntry is one committed message on a topic's tape.
+type TapeEntry struct {
+	// Enqueued, Start and End are the message's broker enqueue, dispatch
+	// start and last transmit: W = Start − Enqueued, B = End − Start.
+	Enqueued, Start, End time.Time
+	// Evals is the match stage's filter evaluations (its share of
+	// Stats.FilterEvals), R the replicas it transmitted and BodyBytes the
+	// body size.
+	Evals, R, BodyBytes int
+}
+
+// tape is the bounded ring behind TakeTape. The topic's committing
+// goroutine is its only writer.
+type tape struct {
+	mu          sync.Mutex
+	ring        []TapeEntry
+	next, n     int // write index, entries held
+	overwritten uint64
+}
+
+func (tp *tape) record(e TapeEntry) {
+	tp.mu.Lock()
+	tp.ring[tp.next] = e
+	tp.next = (tp.next + 1) % len(tp.ring)
+	if tp.n < len(tp.ring) {
+		tp.n++
+	} else {
+		tp.overwritten++
+	}
+	tp.mu.Unlock()
+}
+
+// take returns the held entries oldest first and empties the ring.
+func (tp *tape) take() ([]TapeEntry, uint64) {
+	tp.mu.Lock()
+	defer tp.mu.Unlock()
+	out := make([]TapeEntry, tp.n)
+	first := (tp.next - tp.n + len(tp.ring)) % len(tp.ring)
+	k := copy(out, tp.ring[first:])
+	copy(out[k:], tp.ring[:tp.n-k])
+	overwritten := tp.overwritten
+	tp.n, tp.overwritten = 0, 0
+	return out, overwritten
+}
+
+// TakeTape returns the topic's tape entries committed since the previous
+// call, in commit order, with the number the ring overwrote in between,
+// and empties the tape. The first call allocates the ring and returns
+// nothing: recording starts there. Without Options.WaitTiming, or for an
+// unknown topic, it returns nil, 0.
+func (b *Broker) TakeTape(topicName string) ([]TapeEntry, uint64) {
+	b.mu.Lock()
+	d := b.dispatchers[topicName]
+	b.mu.Unlock()
+	if d == nil || d.tt == nil {
+		return nil, 0
+	}
+	if tp := d.tt.tape.Load(); tp != nil {
+		return tp.take()
+	}
+	d.tt.tape.CompareAndSwap(nil, &tape{ring: make([]TapeEntry, TapeCapacity)})
+	return nil, 0
 }
 
 // TopicTelemetry is a point-in-time snapshot of one topic's tracing state.

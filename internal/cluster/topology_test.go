@@ -734,6 +734,14 @@ func TestMeshHealsAfterMemberRestart(t *testing.T) {
 	if err := topo.Publish(ctx, 0, corrMessage(t, "pre")); err != nil {
 		t.Fatal(err)
 	}
+	// Every member commits "pre" before the subscribers below exist;
+	// otherwise one installed first would hear it.
+	for _, b := range topo.Brokers() {
+		deadline := time.Now().Add(5 * time.Second)
+		for b.Telemetry()["t"].ServiceMoments.N < 1 && time.Now().Before(deadline) {
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
 	if err := topo.Restart("m1"); err != nil {
 		t.Fatal(err)
 	}

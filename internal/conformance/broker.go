@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"sync"
 	"time"
 
 	"repro/internal/bench"
@@ -105,7 +104,8 @@ type BrokerResult struct {
 	// Lambda is the achieved arrival rate (msgs/s) and Rho the achieved
 	// utilization Lambda·E[B].
 	Lambda, Rho float64
-	// Waits is the number of post-warmup observations.
+	// Waits is the number of post-warmup tape entries the loaded phase's
+	// point was computed from.
 	Waits int
 	// Resets counts transport-injected connection kills.
 	Resets uint64
@@ -132,19 +132,12 @@ func RunBroker(cfg BrokerConfig) (BrokerResult, error) {
 	eb := cal.MeanServiceTime
 	lambda := cfg.Rho / eb
 
-	// Broker with the calibrated filter population and a wait observer.
-	var (
-		waitMu sync.Mutex
-		waits  []float64
-	)
+	// Broker with the calibrated filter population; waits come off its
+	// WaitTiming tape.
 	b := broker.New(broker.Options{
 		InFlight:         256,
 		SubscriberBuffer: 512,
-		WaitObserver: func(w time.Duration) {
-			waitMu.Lock()
-			waits = append(waits, w.Seconds())
-			waitMu.Unlock()
-		},
+		WaitTiming:       true,
 	})
 	defer func() { _ = b.Close() }()
 	const topicName = "conformance"
@@ -220,21 +213,9 @@ func RunBroker(cfg BrokerConfig) (BrokerResult, error) {
 	pubCtx, cancelPub := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancelPub()
 	rng := stats.NewRNG(cfg.Seed)
-	takeWaits := func(from, warmup int) (*stats.Summary, error) {
-		waitMu.Lock()
-		defer waitMu.Unlock()
-		s := stats.NewSummary()
-		for _, w := range waits[from+warmup:] {
-			s.Add(w)
-		}
-		return s, nil
-	}
+	b.TakeTape(topicName)
+	var used int // post-warm-up waits of the latest phase
 	phase := func(p *client.Reliable, lambda float64, messages, warmup int) (Point, float64, error) {
-		before := func() int {
-			waitMu.Lock()
-			defer waitMu.Unlock()
-			return len(waits)
-		}()
 		paced, err := loadgen.Run(pubCtx, rng, lambda, messages, func(ctx context.Context, _ int, _ time.Time) error {
 			m := jms.NewMessage(topicName)
 			if err := m.SetCorrelationID("#0"); err != nil {
@@ -245,26 +226,12 @@ func RunBroker(cfg BrokerConfig) (BrokerResult, error) {
 		if err != nil {
 			return Point{}, 0, fmt.Errorf("conformance: publish: %w", err)
 		}
-		// Every accepted message is dispatched exactly once; wait for
-		// the observer to catch up with the tail of the queue.
-		deadline := time.Now().Add(30 * time.Second)
-		for {
-			waitMu.Lock()
-			n := len(waits)
-			waitMu.Unlock()
-			if n >= before+messages {
-				break
-			}
-			if time.Now().After(deadline) {
-				return Point{}, 0, fmt.Errorf("conformance: broker dispatched %d of %d messages",
-					n-before, messages)
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		s, err := takeWaits(before, warmup)
+		tapes, err := awaitTapes([]*broker.Broker{b}, topicName, messages)
 		if err != nil {
 			return Point{}, 0, err
 		}
+		s := waitSummary(tapes, warmup, messages)
+		used = s.N()
 		mean, err := s.Mean()
 		if err != nil {
 			return Point{}, 0, err
@@ -318,10 +285,49 @@ func RunBroker(cfg BrokerConfig) (BrokerResult, error) {
 		MeanService:    eb,
 		Lambda:         achieved,
 		Rho:            q.Rho(),
-		Waits:          cfg.Messages - cfg.Warmup,
+		Waits:          used,
 		Resets:         fn.Stats().Resets,
 		Reconnects:     reg.Counter(client.MetricReconnects).Value(),
 		PublishRetries: reg.Counter(client.MetricPublishRetries).Value(),
 		Duplicates:     srv.DuplicatesSuppressed(),
 	}, nil
+}
+
+// awaitTapes collects the tapes of topicName on brokers until they hold
+// want entries between them — every accepted message is committed exactly
+// once, so this is the end of a phase — and returns them per broker.
+func awaitTapes(brokers []*broker.Broker, topicName string, want int) ([][]broker.TapeEntry, error) {
+	tapes := make([][]broker.TapeEntry, len(brokers))
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		got := 0
+		for i, b := range brokers {
+			entries, overwritten := b.TakeTape(topicName)
+			if overwritten > 0 {
+				return nil, fmt.Errorf("conformance: phase overran the tape by %d entries", overwritten)
+			}
+			tapes[i] = append(tapes[i], entries...)
+			got += len(tapes[i])
+		}
+		if got >= want {
+			return tapes, nil
+		}
+		if time.Now().After(deadline) {
+			return nil, fmt.Errorf("conformance: brokers committed %d of %d messages", got, want)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// waitSummary pools the waits of per-broker tapes of one phase of
+// messages, cutting each broker's share of the first warmup messages off
+// the front of its own tape.
+func waitSummary(tapes [][]broker.TapeEntry, warmup, messages int) *stats.Summary {
+	s := stats.NewSummary()
+	for _, tape := range tapes {
+		for _, e := range tape[len(tape)*warmup/messages:] {
+			s.Add(e.Start.Sub(e.Enqueued).Seconds())
+		}
+	}
+	return s
 }

@@ -13,8 +13,9 @@ package conformance
 // off wall-clock parallel throughput: n brokers saturating one CPU would
 // measure the scheduler, not the architecture. Instead the leg drives a
 // modest paced load and *implies* capacity from each member's measured
-// mean service time E[B_i] (the brokers' per-topic ServiceMoments
-// telemetry, the same instrument Table I's stage times come from):
+// mean service time E[B_i] (read off the members' WaitTiming tapes, the
+// same dispatch-start → last-transmit span the drift monitor's service
+// moments measure):
 //
 //	PSR: capacity = n * rho / E[B]   (Eq. 21, per-member E[B] averaged)
 //	SSR: capacity = rho / max_i E[B_i]  (Eq. 22, every member sees the
@@ -30,7 +31,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"repro/internal/bench"
@@ -75,8 +75,9 @@ type MeshConfig struct {
 	LoadRho float64
 	// Messages is the loaded-phase message count. Default 1200.
 	Messages int
-	// Warmup drops the first loaded-phase wait observations. Default
-	// Messages/10.
+	// Warmup is the number of leading loaded-phase messages whose waits
+	// are dropped, each member cutting its share off its own tape.
+	// Default Messages/10.
 	Warmup int
 	// SingleOrigin funnels every publish through member 0 instead of
 	// rotating origins. Under PSR this loads exactly one member while the
@@ -262,18 +263,25 @@ func measurePacedServiceTime(burden, r int, lambda float64, messages int, seed i
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	before := meshTelemetry(brokers)
+	brokers[0].TakeTape(meshTopic)
 	if _, err := publishMesh(ctx, topo, stats.NewRNG(seed), lambda, messages, false); err != nil {
 		return 0, err
 	}
-	if err := settleMesh(brokers); err != nil {
+	tapes, err := awaitTapes(brokers, meshTopic, messages)
+	if err != nil {
 		return 0, err
 	}
-	d := meshTelemetry(brokers)[0].Sub(before[0])
-	if d.ServiceMoments.N == 0 {
-		return 0, fmt.Errorf("conformance: paced reference measured no service times")
+	return meanService(tapes[0]), nil
+}
+
+// meanService is the mean service time B = last transmit − dispatch start
+// over a tape, in seconds.
+func meanService(tape []broker.TapeEntry) float64 {
+	var sum time.Duration
+	for _, e := range tape {
+		sum += e.End.Sub(e.Start)
 	}
-	return d.ServiceMoments.Mean(), nil
+	return sum.Seconds() / float64(len(tape))
 }
 
 // RunMesh runs one live replication-mesh conformance leg.
@@ -324,13 +332,6 @@ func RunMesh(cfg MeshConfig) (MeshResult, error) {
 		return MeshResult{}, err
 	}
 
-	// One pooled wait observer across members. The members are symmetric
-	// by construction (identical filter burden, near-identical rates), so
-	// the pooled stream estimates the common waiting-time distribution.
-	var (
-		waitMu sync.Mutex
-		waits  []float64
-	)
 	topo, err := cluster.NewTopology(cluster.TopologyConfig{
 		Kind:    cfg.Kind,
 		Members: cfg.Members,
@@ -341,11 +342,6 @@ func RunMesh(cfg MeshConfig) (MeshResult, error) {
 			// thousands of never-matching subscriptions per mesh, and the
 			// few matching ones are drained promptly.
 			SubscriberBuffer: 16,
-			WaitObserver: func(w time.Duration) {
-				waitMu.Lock()
-				waits = append(waits, w.Seconds())
-				waitMu.Unlock()
-			},
 		},
 	})
 	if err != nil {
@@ -379,76 +375,46 @@ func RunMesh(cfg MeshConfig) (MeshResult, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
 	rng := stats.NewRNG(cfg.Seed)
-
-	phase := func(lambda float64, messages, warmup int) (meanWait float64, elapsed time.Duration, err error) {
-		waitMu.Lock()
-		before := len(waits)
-		waitMu.Unlock()
-		elapsed, err = publishMesh(ctx, topo, rng, lambda, messages, cfg.SingleOrigin)
+	for _, b := range brokers {
+		b.TakeTape(meshTopic)
+	}
+	// phase returns the pooled mean wait of one paced phase, each member's
+	// warm-up cut off its own tape, with the members' tapes and the
+	// schedule's span.
+	phase := func(lambda float64, messages, warmup int) (float64, [][]broker.TapeEntry, time.Duration, error) {
+		elapsed, err := publishMesh(ctx, topo, rng, lambda, messages, cfg.SingleOrigin)
 		if err != nil {
-			return 0, 0, err
+			return 0, nil, 0, err
 		}
-		expected := before + messages*waitsPerMessage
-		deadline := time.Now().Add(30 * time.Second)
-		for {
-			waitMu.Lock()
-			n := len(waits)
-			waitMu.Unlock()
-			if n >= expected {
-				break
-			}
-			if time.Now().After(deadline) {
-				return 0, 0, fmt.Errorf("conformance: mesh dispatched %d of %d messages", n-before, expected-before)
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		s := stats.NewSummary()
-		waitMu.Lock()
-		for _, w := range waits[before+warmup*waitsPerMessage:] {
-			s.Add(w)
-		}
-		waitMu.Unlock()
-		meanWait, err = s.Mean()
+		tapes, err := awaitTapes(brokers, meshTopic, messages*waitsPerMessage)
 		if err != nil {
-			return 0, 0, err
+			return 0, nil, 0, err
 		}
-		return meanWait, elapsed, nil
+		meanWait, err := waitSummary(tapes, warmup, messages).Mean()
+		return meanWait, tapes, elapsed, err
 	}
 
 	// Zero-load baseline: the measured mean at a few percent utilization
 	// is the dispatch-latency floor, subtracted from the loaded mean.
 	baseMsgs := cfg.Messages / 4
-	baseline, _, err := phase(systemLambda/5, baseMsgs, baseMsgs/10)
+	baseline, _, _, err := phase(systemLambda/5, baseMsgs, baseMsgs/10)
 	if err != nil {
 		return MeshResult{}, err
 	}
-	if err := settleMesh(brokers); err != nil {
-		return MeshResult{}, err
-	}
-
-	beforeTel := meshTelemetry(brokers)
-	loadedWait, elapsed, err := phase(systemLambda, cfg.Messages, cfg.Warmup)
+	loadedWait, tapes, elapsed, err := phase(systemLambda, cfg.Messages, cfg.Warmup)
 	if err != nil {
 		return MeshResult{}, err
 	}
-	if err := settleMesh(brokers); err != nil {
-		return MeshResult{}, err
-	}
-	afterTel := meshTelemetry(brokers)
 
-	// Per-member loaded-phase deltas: measured E[B_i] and arrival rates.
-	var (
-		ebs, lambdas []float64
-		weights      []float64
-	)
-	for i := range brokers {
-		d := afterTel[i].Sub(beforeTel[i])
-		if d.ServiceMoments.N == 0 {
+	// Per-member loaded-phase E[B_i] and arrival rates, off each tape.
+	var ebs, lambdas, weights []float64
+	for _, tape := range tapes {
+		if len(tape) == 0 {
 			continue
 		}
-		ebs = append(ebs, d.ServiceMoments.Mean())
-		lambdas = append(lambdas, float64(d.Received)/elapsed.Seconds())
-		weights = append(weights, float64(d.Received))
+		ebs = append(ebs, meanService(tape))
+		lambdas = append(lambdas, float64(len(tape))/elapsed.Seconds())
+		weights = append(weights, float64(len(tape)))
 	}
 	if len(ebs) == 0 {
 		return MeshResult{}, fmt.Errorf("conformance: mesh measured no service times")
@@ -598,39 +564,6 @@ func meshPredictedWait(kind cluster.TopologyKind, s distrib.Scenario, lambdas, w
 		return 0, fmt.Errorf("conformance: mesh measured no arrivals")
 	}
 	return sum / total, nil
-}
-
-// meshTelemetry snapshots every member's telemetry for the mesh topic.
-func meshTelemetry(brokers []*broker.Broker) []broker.TopicTelemetry {
-	out := make([]broker.TopicTelemetry, len(brokers))
-	for i, b := range brokers {
-		out[i] = b.Telemetry()[meshTopic]
-	}
-	return out
-}
-
-// settleMesh waits until every member has serviced every message it
-// accepted, so phase boundaries do not bleed queued work into the next
-// window's telemetry delta.
-func settleMesh(brokers []*broker.Broker) error {
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		settled := true
-		for _, b := range brokers {
-			tel := b.Telemetry()[meshTopic]
-			if tel.ServiceMoments.N < tel.Received {
-				settled = false
-				break
-			}
-		}
-		if settled {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("conformance: mesh members did not settle")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
 }
 
 // publishMesh offers a Poisson schedule to the topology, rotating the

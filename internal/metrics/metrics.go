@@ -1,9 +1,6 @@
-// Package metrics provides the measurement-side bookkeeping the paper's
-// methodology requires: monotonic counters, rate computation over a trimmed
-// observation window, and busy-time utilization accounting — the role the
-// Linux tool "sar" played in the authors' testbed (verifying the server is
-// at ~100% CPU while no other resource saturates). It also supplies the
-// exposition primitives of the live telemetry plane: gauges, labeled
+// Package metrics provides the measurement-side bookkeeping of the broker
+// and its harnesses: monotonic counters and a named-counter registry, and
+// the exposition primitives of the live telemetry plane — gauges, labeled
 // counter/gauge families, raw-moment accumulators, and duration histograms.
 //
 // # Histogram bucket boundaries
@@ -17,8 +14,6 @@
 package metrics
 
 import (
-	"errors"
-	"fmt"
 	"math"
 	"math/bits"
 	"sync"
@@ -39,141 +34,6 @@ func (c *Counter) Add(delta uint64) { c.v.Add(delta) }
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Window measures a rate over an observation interval with warm-up and
-// cool-down trimming, the paper's "each experiment takes 100 s but we cut
-// off the first and last 5 s".
-type Window struct {
-	start, end     uint64
-	startT, endT   time.Time
-	started, ended bool
-}
-
-// Start records the counter value at the beginning of the trimmed window.
-func (w *Window) Start(c *Counter, now time.Time) {
-	w.start = c.Value()
-	w.startT = now
-	w.started = true
-}
-
-// End records the counter value at the end of the trimmed window.
-func (w *Window) End(c *Counter, now time.Time) {
-	w.end = c.Value()
-	w.endT = now
-	w.ended = true
-}
-
-// Errors of the metrics package.
-var (
-	// ErrWindow is returned for incomplete or inverted windows.
-	ErrWindow = errors.New("metrics: invalid observation window")
-)
-
-// Rate returns events per second within the window.
-func (w *Window) Rate() (float64, error) {
-	if !w.started || !w.ended {
-		return 0, fmt.Errorf("%w: not started/ended", ErrWindow)
-	}
-	dur := w.endT.Sub(w.startT).Seconds()
-	if dur <= 0 {
-		return 0, fmt.Errorf("%w: non-positive duration %g s", ErrWindow, dur)
-	}
-	if w.end < w.start {
-		return 0, fmt.Errorf("%w: counter decreased", ErrWindow)
-	}
-	return float64(w.end-w.start) / dur, nil
-}
-
-// Count returns the number of events within the window.
-func (w *Window) Count() (uint64, error) {
-	if !w.started || !w.ended {
-		return 0, fmt.Errorf("%w: not started/ended", ErrWindow)
-	}
-	if w.end < w.start {
-		return 0, fmt.Errorf("%w: counter decreased", ErrWindow)
-	}
-	return w.end - w.start, nil
-}
-
-// BusyMeter accumulates busy time to compute a utilization, like the CPU
-// column of sar: utilization = busy / elapsed.
-type BusyMeter struct {
-	mu       sync.Mutex
-	busy     time.Duration
-	openedAt time.Time
-	open     bool
-	epoch    time.Time
-	epochSet bool
-}
-
-// Reset restarts the measurement at now.
-func (b *BusyMeter) Reset(now time.Time) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.busy = 0
-	b.epoch = now
-	b.epochSet = true
-	b.open = false
-}
-
-// BeginBusy marks the server busy from now.
-func (b *BusyMeter) BeginBusy(now time.Time) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if !b.epochSet {
-		b.epoch = now
-		b.epochSet = true
-	}
-	if !b.open {
-		b.open = true
-		b.openedAt = now
-	}
-}
-
-// EndBusy marks the server idle from now.
-func (b *BusyMeter) EndBusy(now time.Time) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.open {
-		b.busy += now.Sub(b.openedAt)
-		b.open = false
-	}
-}
-
-// AddBusy accounts a busy span directly (for virtual-time callers).
-func (b *BusyMeter) AddBusy(d time.Duration) {
-	if d < 0 {
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.busy += d
-}
-
-// Utilization returns busy/elapsed in [0, 1] as of now.
-func (b *BusyMeter) Utilization(now time.Time) (float64, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if !b.epochSet {
-		return 0, fmt.Errorf("%w: meter never started", ErrWindow)
-	}
-	elapsed := now.Sub(b.epoch)
-	if elapsed <= 0 {
-		return 0, fmt.Errorf("%w: non-positive elapsed %v", ErrWindow, elapsed)
-	}
-	busy := b.busy
-	if b.open {
-		busy += now.Sub(b.openedAt)
-	}
-	u := float64(busy) / float64(elapsed)
-	if u < 0 {
-		u = 0
-	}
-	if u > 1 {
-		u = 1
-	}
-	return u, nil
-}
 
 // HistogramBuckets is the number of log-scale duration buckets of a
 // Histogram. Bucket i counts observations d with 2^(i-1) ns <= d < 2^i ns

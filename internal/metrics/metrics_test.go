@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"errors"
 	"math"
 	"sync"
 	"testing"
@@ -24,132 +23,6 @@ func TestCounterConcurrent(t *testing.T) {
 	wg.Wait()
 	if got := c.Value(); got != 8*1500 {
 		t.Errorf("Value = %d, want %d", got, 8*1500)
-	}
-}
-
-func TestWindowRate(t *testing.T) {
-	var c Counter
-	var w Window
-	t0 := time.Date(2026, 7, 4, 12, 0, 0, 0, time.UTC)
-
-	c.Add(100) // pre-window warm-up traffic, must be excluded
-	w.Start(&c, t0)
-	c.Add(900)
-	w.End(&c, t0.Add(90*time.Second)) // the paper's 90 s window
-
-	rate, err := w.Rate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rate != 10 {
-		t.Errorf("Rate = %g, want 10", rate)
-	}
-	n, err := w.Count()
-	if err != nil || n != 900 {
-		t.Errorf("Count = %d, %v", n, err)
-	}
-}
-
-func TestWindowErrors(t *testing.T) {
-	var w Window
-	if _, err := w.Rate(); !errors.Is(err, ErrWindow) {
-		t.Errorf("unstarted Rate err = %v", err)
-	}
-	var c Counter
-	t0 := time.Now()
-	w.Start(&c, t0)
-	if _, err := w.Rate(); !errors.Is(err, ErrWindow) {
-		t.Errorf("unended Rate err = %v", err)
-	}
-	w.End(&c, t0) // zero duration
-	if _, err := w.Rate(); !errors.Is(err, ErrWindow) {
-		t.Errorf("zero duration err = %v", err)
-	}
-	if _, err := w.Count(); err != nil {
-		t.Errorf("zero-duration Count err = %v (count itself is fine)", err)
-	}
-}
-
-func TestBusyMeterUtilization(t *testing.T) {
-	var b BusyMeter
-	t0 := time.Date(2026, 7, 4, 12, 0, 0, 0, time.UTC)
-	b.Reset(t0)
-	// Busy 30 of 100 seconds.
-	b.BeginBusy(t0.Add(10 * time.Second))
-	b.EndBusy(t0.Add(40 * time.Second))
-	u, err := b.Utilization(t0.Add(100 * time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(u-0.3) > 1e-12 {
-		t.Errorf("Utilization = %g, want 0.3", u)
-	}
-	// An open busy interval counts up to 'now'.
-	b.BeginBusy(t0.Add(100 * time.Second))
-	u, err = b.Utilization(t0.Add(130 * time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(u-60.0/130.0) > 1e-12 {
-		t.Errorf("Utilization with open span = %g", u)
-	}
-}
-
-func TestBusyMeterVirtualTime(t *testing.T) {
-	var b BusyMeter
-	t0 := time.Now()
-	b.Reset(t0)
-	b.AddBusy(900 * time.Millisecond)
-	b.AddBusy(-time.Second) // ignored
-	u, err := b.Utilization(t0.Add(time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(u-0.9) > 1e-9 {
-		t.Errorf("Utilization = %g, want 0.9", u)
-	}
-}
-
-func TestBusyMeterClamping(t *testing.T) {
-	var b BusyMeter
-	t0 := time.Now()
-	b.Reset(t0)
-	b.AddBusy(10 * time.Second)
-	u, err := b.Utilization(t0.Add(time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u != 1 {
-		t.Errorf("over-busy utilization = %g, want clamped to 1", u)
-	}
-}
-
-func TestBusyMeterErrors(t *testing.T) {
-	var b BusyMeter
-	if _, err := b.Utilization(time.Now()); !errors.Is(err, ErrWindow) {
-		t.Errorf("never-started err = %v", err)
-	}
-	t0 := time.Now()
-	b.Reset(t0)
-	if _, err := b.Utilization(t0); !errors.Is(err, ErrWindow) {
-		t.Errorf("zero elapsed err = %v", err)
-	}
-}
-
-func TestBusyMeterDoubleBegin(t *testing.T) {
-	var b BusyMeter
-	t0 := time.Date(2026, 7, 4, 12, 0, 0, 0, time.UTC)
-	b.Reset(t0)
-	b.BeginBusy(t0)
-	b.BeginBusy(t0.Add(time.Second)) // ignored: already open
-	b.EndBusy(t0.Add(2 * time.Second))
-	b.EndBusy(t0.Add(3 * time.Second)) // ignored: already closed
-	u, err := b.Utilization(t0.Add(4 * time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(u-0.5) > 1e-12 {
-		t.Errorf("Utilization = %g, want 0.5", u)
 	}
 }
 
