@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-procs test-benchmark race bench bench-all bench-pairs fuzz stress stress-smoke verify
+.PHONY: all build test test-procs test-benchmark race conformance-live bench bench-all bench-pairs fuzz stress stress-smoke verify
 
 all: build test
 
@@ -34,6 +34,16 @@ test-benchmark:
 race:
 	$(GO) test -race ./internal/jms/... ./internal/topic/... ./internal/broker/... ./internal/wire/... ./internal/client/... ./internal/faultnet/... ./internal/cluster/... ./internal/conformance/... ./internal/metrics/... ./internal/telemetry/... ./internal/trace/... ./internal/stress/... ./internal/loadgen/... ./cmd/jmsd/...
 	$(GO) test -race -short ./internal/bench/...
+
+# conformance-live asserts the wall-clock envelopes that tier-1 only logs:
+# each compares a measurement on this machine with a model or a band (the
+# broker and mesh waiting legs against their tapes' own M/G/1 prediction,
+# the mesh capacities and Eq. 23 crossover, the native Eq. 1 fit, X1 and
+# X3-X5). Five runs give the pass count recorded beside each test; tier-1
+# keeps their count-based halves and replays the checked-in tapes.
+# -record-tapes (on TestBrokerConformance) rewrites those tapes.
+conformance-live:
+	$(GO) test -tags live -count=5 ./internal/conformance/ ./internal/bench/
 
 # bench runs the regression benchmark set (publish, dispatch, batch
 # codec, end-to-end wire loop, mesh, subscription store) once and prints

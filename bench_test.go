@@ -327,21 +327,23 @@ func BenchmarkAblationFilterIndex(b *testing.B) {
 }
 
 // BenchmarkAblationDispatchSharding compares the faithful single dispatch
-// goroutine against the fast engine's sharded matchers on one topic. The
-// subscriber population is glob filters, which the FilterIndex cannot
-// collapse — both engines pay the per-filter evaluation, so the delta
-// isolates the sharded pipeline itself.
+// goroutine against the fast engine at 1, 2 and 4 match shards on one
+// topic of n glob filters. Globs are a residual rule the FilterIndex
+// cannot collapse, so every leg pays n evaluations per message and the
+// deltas isolate the sharded pipeline. Publishers run in parallel
+// (b.RunParallel, one per P), and an op ends when its message has been
+// dispatched, not when it was admitted.
 func BenchmarkAblationDispatchSharding(b *testing.B) {
-	run := func(b *testing.B, engine broker.Engine) {
+	run := func(b *testing.B, n int, engine broker.Engine, shards int) {
 		br := broker.New(broker.Options{
 			InFlight: 1024, SubscriberBuffer: 1 << 16,
-			Engine: engine, Shards: 4,
+			Engine: engine, Shards: shards,
 		})
 		defer func() { _ = br.Close() }()
 		if err := br.ConfigureTopic("t"); err != nil {
 			b.Fatal(err)
 		}
-		for i := 0; i < 512; i++ {
+		for i := 0; i < n; i++ {
 			f, err := filter.NewCorrelationID("#never-" + strconv.Itoa(i) + "-*")
 			if err != nil {
 				b.Fatal(err)
@@ -360,14 +362,32 @@ func BenchmarkAblationDispatchSharding(b *testing.B) {
 		}()
 		ctx := context.Background()
 		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := br.Publish(ctx, jms.NewMessage("t")); err != nil {
-				b.Fatal(err)
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				if err := br.Publish(ctx, jms.NewMessage("t")); err != nil {
+					b.Error(err)
+					return
+				}
 			}
+		})
+		for br.Stats().Dispatched < uint64(b.N) {
+			time.Sleep(50 * time.Microsecond)
 		}
 	}
-	b.Run("faithful", func(b *testing.B) { run(b, broker.EngineFaithful) })
-	b.Run("fast-4shards", func(b *testing.B) { run(b, broker.EngineFast) })
+	for _, n := range []int{64, 512, 4096} {
+		for _, leg := range []struct {
+			name   string
+			engine broker.Engine
+			shards int
+		}{
+			{"faithful", broker.EngineFaithful, 1},
+			{"fast-1shard", broker.EngineFast, 1},
+			{"fast-2shards", broker.EngineFast, 2},
+			{"fast-4shards", broker.EngineFast, 4},
+		} {
+			b.Run(fmt.Sprintf("n=%d/%s", n, leg.name), func(b *testing.B) { run(b, n, leg.engine, leg.shards) })
+		}
+	}
 }
 
 // BenchmarkAblationReplicationAllocs measures allocations per published

@@ -154,11 +154,16 @@ func run(sc scenario) (phase, error) {
 		}
 	}
 	ph.elapsed = time.Since(start)
-	if sc.rate > 0 {
-		// Close drains every accepted message onto the tape.
-		if err := b.Close(); err != nil {
-			return phase{}, err
+	// A paced phase ends once every message is on the tape. Closing the
+	// broker earlier would cut short a transmit blocked on a full
+	// subscriber queue and drop that copy.
+	for sc.rate > 0 {
+		entries, overwritten := b.TakeTape(loadedTopic)
+		ph.tape, ph.overwritten = append(ph.tape, entries...), ph.overwritten+overwritten
+		if len(ph.tape)+int(ph.overwritten) >= sc.messages {
+			break
 		}
+		time.Sleep(100 * time.Microsecond)
 	}
 	s1 := b.Stats()
 	ph.stats = broker.Stats{
@@ -168,10 +173,9 @@ func run(sc scenario) (phase, error) {
 		Expired:     s1.Expired - s0.Expired,
 	}
 	ph.stages = b.StageStats().Sub(st0)
-	ph.tape, ph.overwritten = b.TakeTape(loadedTopic)
 	cancel()
 	pubs.Wait()
-	_ = b.Close() // ErrClosed after a paced phase, which closed it above
+	_ = b.Close()
 	drained.Wait()
 	return ph, nil
 }

@@ -106,13 +106,5 @@ func SimulatedBatch(cfg BatchConfig) (Point, error) {
 	if err != nil {
 		return Point{}, err
 	}
-	mean, err := res.Waits.Mean()
-	if err != nil {
-		return Point{}, err
-	}
-	qt, err := res.Waits.Quantile(cfg.Quantile)
-	if err != nil {
-		return Point{}, err
-	}
-	return Point{MeanWait: mean, Quantile: qt}, nil
+	return point(res.Waits, cfg.Quantile)
 }

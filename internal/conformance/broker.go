@@ -6,16 +6,13 @@ import (
 	"net"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/broker"
 	"repro/internal/client"
-	"repro/internal/core"
 	"repro/internal/faultnet"
 	"repro/internal/filter"
 	"repro/internal/jms"
 	"repro/internal/loadgen"
 	"repro/internal/metrics"
-	"repro/internal/mg1"
 	"repro/internal/stats"
 	"repro/internal/wire"
 )
@@ -36,7 +33,7 @@ type BrokerConfig struct {
 	NFltr int
 	// Messages is the number of published messages. Default 3000.
 	Messages int
-	// Warmup initial waits are discarded. Default Messages/10.
+	// Warmup initial tape entries are discarded. Default Messages/10.
 	Warmup int
 	// Seed fixes the Poisson schedule and the fault schedule.
 	Seed int64
@@ -44,9 +41,6 @@ type BrokerConfig struct {
 	Quantile float64
 	// Faults configures the transport; Seed defaults to Seed.
 	Faults faultnet.Config
-	// Calibration configures the saturated E[B] measurement. The
-	// zero value uses short windows suitable for tests.
-	Calibration bench.NativeConfig
 }
 
 func (c BrokerConfig) withDefaults() BrokerConfig {
@@ -68,45 +62,18 @@ func (c BrokerConfig) withDefaults() BrokerConfig {
 	if c.Faults.Seed == 0 {
 		c.Faults.Seed = c.Seed
 	}
-	if c.Calibration.FilterType == 0 {
-		c.Calibration.FilterType = core.CorrelationIDFiltering
-	}
-	if c.Calibration.Warmup <= 0 {
-		c.Calibration.Warmup = 50 * time.Millisecond
-	}
-	if c.Calibration.Measure <= 0 {
-		c.Calibration.Measure = 200 * time.Millisecond
-	}
-	if c.Calibration.SubscriberBuffer <= 0 {
-		// The filter population is large and almost all of it never
-		// matches; small per-subscriber buffers keep memory bounded.
-		c.Calibration.SubscriberBuffer = 512
-	}
 	return c
 }
 
-// BrokerResult reports the live leg next to its prediction, plus the
-// fault and reliability counters proving the transport actually hurt.
+// BrokerResult reports the live leg's loaded phase, judged by its own
+// tape, plus the fault and reliability counters proving the transport
+// actually hurt.
 type BrokerResult struct {
-	// Observed is the broker's measured waiting-time point at the target
-	// load, with the zero-load Baseline mean subtracted: the broker's
-	// arrival-to-dispatch path has a constant scheduling-latency floor
-	// (channel handoff, goroutine wake-up) that the M/G/1 model of the
-	// queue does not describe, so it is calibrated out.
-	Observed Point
-	// Baseline is the raw zero-load point measuring that floor.
-	Baseline Point
-	// Predicted is the M/G/1 point at the achieved arrival rate with the
-	// calibrated (deterministic) service time.
-	Predicted Point
-	// MeanService is the calibrated E[B] in seconds.
-	MeanService float64
-	// Lambda is the achieved arrival rate (msgs/s) and Rho the achieved
-	// utilization Lambda·E[B].
-	Lambda, Rho float64
-	// Waits is the number of post-warmup tape entries the loaded phase's
-	// point was computed from.
-	Waits int
+	// TapeReport analyses the loaded phase's tape past its Warmup entries.
+	TapeReport
+	// ProbeService is the closed-loop probe's E[B], which set the load:
+	// lambda = Rho/ProbeService.
+	ProbeService float64
 	// Resets counts transport-injected connection kills.
 	Resets uint64
 	// Reconnects, PublishRetries and Duplicates count the reliability
@@ -115,25 +82,18 @@ type BrokerResult struct {
 	Reconnects, PublishRetries, Duplicates uint64
 }
 
-// RunBroker measures the live broker over a faulty transport and returns
-// the observed point next to the model prediction. The service time is
-// calibrated first from a saturated run (E[B] = 1/throughput, the
-// paper's Section III reading); the broker is then loaded at
-// lambda = Rho/E[B] by a reliable client whose publishes survive the
-// injected faults. Waiting times are observed broker-side (arrival to
-// dispatch), so the transport shapes only the arrival process.
+// probeMessages is the length of the closed-loop probe that paces a leg.
+const probeMessages = 100
+
+// RunBroker loads the live broker over a faulty transport and analyses
+// the tape it was served on. A short closed-loop probe of the same broker
+// measures E[B] first; the broker is then loaded at lambda = Rho/E[B] by
+// a reliable client whose publishes survive the injected faults. Waits
+// are recorded broker-side (arrival to dispatch), so the transport shapes
+// only the arrival process.
 func RunBroker(cfg BrokerConfig) (BrokerResult, error) {
 	cfg = cfg.withDefaults()
 
-	cal, err := bench.MeasureScenario(cfg.Calibration, cfg.NFltr, 1)
-	if err != nil {
-		return BrokerResult{}, fmt.Errorf("conformance: calibration: %w", err)
-	}
-	eb := cal.MeanServiceTime
-	lambda := cfg.Rho / eb
-
-	// Broker with the calibrated filter population; waits come off its
-	// WaitTiming tape.
 	b := broker.New(broker.Options{
 		InFlight:         256,
 		SubscriberBuffer: 512,
@@ -156,10 +116,6 @@ func RunBroker(cfg BrokerConfig) (BrokerResult, error) {
 		}
 	}
 
-	// Two front doors to the same broker: the loaded phase goes through
-	// the faulty transport; the zero-load baseline phase uses a clean
-	// one, so the measured dispatch-latency floor is not distorted by
-	// fault-induced arrival bursts.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return BrokerResult{}, err
@@ -167,17 +123,11 @@ func RunBroker(cfg BrokerConfig) (BrokerResult, error) {
 	fn := faultnet.New(cfg.Faults)
 	srv := wire.Serve(b, fn.Wrap(ln))
 	defer func() { _ = srv.Close() }()
-	lnBase, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return BrokerResult{}, err
-	}
-	srvBase := wire.Serve(b, lnBase)
-	defer func() { _ = srvBase.Close() }()
 
 	// Reliable publisher and subscriber sharing one metrics registry.
 	reg := metrics.NewRegistry()
-	dialCtx, cancelDial := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancelDial()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
+	defer cancel()
 	opts := client.ReliableOptions{
 		Metrics: reg,
 		Backoff: client.Backoff{Base: time.Millisecond, Max: 50 * time.Millisecond},
@@ -188,17 +138,12 @@ func RunBroker(cfg BrokerConfig) (BrokerResult, error) {
 		return BrokerResult{}, err
 	}
 	defer func() { _ = pub.Close() }()
-	pubBase, err := client.DialReliable(lnBase.Addr().String(), opts)
-	if err != nil {
-		return BrokerResult{}, err
-	}
-	defer func() { _ = pubBase.Close() }()
 	rcv, err := client.DialReliable(ln.Addr().String(), opts)
 	if err != nil {
 		return BrokerResult{}, err
 	}
 	defer func() { _ = rcv.Close() }()
-	rs, err := rcv.Subscribe(dialCtx, topicName, wire.FilterSpec{
+	rs, err := rcv.Subscribe(ctx, topicName, wire.FilterSpec{
 		Mode: wire.FilterCorrelationID,
 		Expr: "#0",
 	}, 1<<12)
@@ -209,88 +154,79 @@ func RunBroker(cfg BrokerConfig) (BrokerResult, error) {
 		for range rs.Chan() {
 		}
 	}()
+	message := func() (*jms.Message, error) {
+		m := jms.NewMessage(topicName)
+		return m, m.SetCorrelationID("#0")
+	}
 
-	pubCtx, cancelPub := context.WithTimeout(context.Background(), 5*time.Minute)
-	defer cancelPub()
-	rng := stats.NewRNG(cfg.Seed)
+	brokers := []*broker.Broker{b}
 	b.TakeTape(topicName)
-	var used int // post-warm-up waits of the latest phase
-	phase := func(p *client.Reliable, lambda float64, messages, warmup int) (Point, float64, error) {
-		paced, err := loadgen.Run(pubCtx, rng, lambda, messages, func(ctx context.Context, _ int, _ time.Time) error {
-			m := jms.NewMessage(topicName)
-			if err := m.SetCorrelationID("#0"); err != nil {
-				return err
-			}
-			return p.Publish(ctx, m)
-		})
+	eb, err := probeService(brokers, topicName, 1, func(int) error {
+		m, err := message()
 		if err != nil {
-			return Point{}, 0, fmt.Errorf("conformance: publish: %w", err)
+			return err
 		}
-		tapes, err := awaitTapes([]*broker.Broker{b}, topicName, messages)
-		if err != nil {
-			return Point{}, 0, err
-		}
-		s := waitSummary(tapes, warmup, messages)
-		used = s.N()
-		mean, err := s.Mean()
-		if err != nil {
-			return Point{}, 0, err
-		}
-		qObs, err := s.Quantile(cfg.Quantile)
-		if err != nil {
-			return Point{}, 0, err
-		}
-		return Point{MeanWait: mean, Quantile: qObs}, float64(messages) / paced.Elapsed.Seconds(), nil
-	}
-
-	// Zero-load baseline over the clean transport: at a few percent
-	// utilization the M/G/1 wait is negligible, so the measured mean is
-	// the constant dispatch-latency floor, calibrated out of the loaded
-	// observation below.
-	baseMsgs := cfg.Messages / 4
-	baseline, _, err := phase(pubBase, lambda/5, baseMsgs, baseMsgs/10)
+		return b.Publish(ctx, m)
+	})
 	if err != nil {
 		return BrokerResult{}, err
 	}
-
-	loaded, achieved, err := phase(pub, lambda, cfg.Messages, cfg.Warmup)
+	if _, err := loadgen.Run(ctx, stats.NewRNG(cfg.Seed), cfg.Rho/eb, cfg.Messages, func(ctx context.Context, _ int, _ time.Time) error {
+		m, err := message()
+		if err != nil {
+			return err
+		}
+		return pub.Publish(ctx, m)
+	}); err != nil {
+		return BrokerResult{}, fmt.Errorf("conformance: publish: %w", err)
+	}
+	tapes, err := awaitTapes(brokers, topicName, cfg.Messages)
 	if err != nil {
 		return BrokerResult{}, err
 	}
-
-	// Predict at the achieved rate: transport faults and send-path
-	// backpressure throttle arrivals below the target lambda, and the
-	// model must be asked about the load the broker actually saw.
-	moments := mg1.ServiceMoments{M1: eb, M2: eb * eb, M3: eb * eb * eb}
-	q, err := mg1.NewQueue(achieved, moments)
-	if err != nil {
-		return BrokerResult{}, fmt.Errorf("conformance: achieved rate %g unstable: %w", achieved, err)
-	}
-	dist, err := q.GammaApprox()
+	rep, err := AnalyzeTape(tapes[0], cfg.Warmup, cfg.Quantile)
 	if err != nil {
 		return BrokerResult{}, err
 	}
-	qPred, err := dist.Quantile(cfg.Quantile)
-	if err != nil {
-		return BrokerResult{}, err
-	}
-
 	return BrokerResult{
-		Observed: Point{
-			MeanWait: loaded.MeanWait - baseline.MeanWait,
-			Quantile: loaded.Quantile - baseline.MeanWait,
-		},
-		Baseline:       baseline,
-		Predicted:      Point{MeanWait: q.MeanWait(), Quantile: qPred},
-		MeanService:    eb,
-		Lambda:         achieved,
-		Rho:            q.Rho(),
-		Waits:          used,
+		TapeReport:     rep,
+		ProbeService:   eb,
 		Resets:         fn.Stats().Resets,
 		Reconnects:     reg.Counter(client.MetricReconnects).Value(),
 		PublishRetries: reg.Counter(client.MetricPublishRetries).Value(),
 		Duplicates:     srv.DuplicatesSuppressed(),
 	}, nil
+}
+
+// probeService measures E[B] closed-loop, one message in flight at a
+// time: publish(i) sends message i only once message i−1 is on the tapes
+// of all perMessage brokers that serve it. It returns the mean End − Start
+// over those tape entries.
+func probeService(brokers []*broker.Broker, topicName string, perMessage int, publish func(i int) error) (float64, error) {
+	var all []broker.TapeEntry
+	for i := 0; i < probeMessages; i++ {
+		if err := publish(i); err != nil {
+			return 0, fmt.Errorf("conformance: probe: %w", err)
+		}
+		tapes, err := awaitTapes(brokers, topicName, perMessage)
+		if err != nil {
+			return 0, err
+		}
+		for _, tape := range tapes {
+			all = append(all, tape...)
+		}
+	}
+	return meanService(all), nil
+}
+
+// meanService is the mean service time B = last transmit − dispatch start
+// over a tape, in seconds.
+func meanService(tape []broker.TapeEntry) float64 {
+	var sum time.Duration
+	for _, e := range tape {
+		sum += e.End.Sub(e.Start)
+	}
+	return sum.Seconds() / float64(len(tape))
 }
 
 // awaitTapes collects the tapes of topicName on brokers until they hold
@@ -315,19 +251,6 @@ func awaitTapes(brokers []*broker.Broker, topicName string, want int) ([][]broke
 		if time.Now().After(deadline) {
 			return nil, fmt.Errorf("conformance: brokers committed %d of %d messages", got, want)
 		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(100 * time.Microsecond)
 	}
-}
-
-// waitSummary pools the waits of per-broker tapes of one phase of
-// messages, cutting each broker's share of the first warmup messages off
-// the front of its own tape.
-func waitSummary(tapes [][]broker.TapeEntry, warmup, messages int) *stats.Summary {
-	s := stats.NewSummary()
-	for _, tape := range tapes {
-		for _, e := range tape[len(tape)*warmup/messages:] {
-			s.Add(e.Start.Sub(e.Enqueued).Seconds())
-		}
-	}
-	return s
 }

@@ -5,8 +5,10 @@
 // fault-injecting transport (internal/faultnet). Each leg produces the
 // same two statistics — E[W] and a high quantile of the waiting time —
 // so disagreements localize a defect to one layer: analytics vs
-// simulation isolates the formulas, simulation vs broker isolates the
-// implementation.
+// simulation isolates the formulas, and a live broker's tape (tape.go)
+// isolates the implementation, because its recorded waits are compared
+// with the same recursion and closed forms run on its own recorded
+// arrivals and services.
 package conformance
 
 import (
@@ -74,15 +76,7 @@ func Analytic(cfg Config) (Point, error) {
 	if err != nil {
 		return Point{}, err
 	}
-	dist, err := q.GammaApprox()
-	if err != nil {
-		return Point{}, err
-	}
-	qt, err := dist.Quantile(cfg.Quantile)
-	if err != nil {
-		return Point{}, err
-	}
-	return Point{MeanWait: q.MeanWait(), Quantile: qt}, nil
+	return queuePoint(q, cfg.Quantile)
 }
 
 // Simulated runs the Lindley-recursion M/G/1 simulator with per-message
@@ -105,15 +99,7 @@ func Simulated(cfg Config) (Point, error) {
 	if err != nil {
 		return Point{}, err
 	}
-	mean, err := res.Waits.Mean()
-	if err != nil {
-		return Point{}, err
-	}
-	qt, err := res.Waits.Quantile(cfg.Quantile)
-	if err != nil {
-		return Point{}, err
-	}
-	return Point{MeanWait: mean, Quantile: qt}, nil
+	return point(res.Waits, cfg.Quantile)
 }
 
 // CheckAgreement compares two legs' points. Each statistic must agree

@@ -83,7 +83,14 @@ type FloatLit struct {
 	Value float64
 }
 
-func (n *FloatLit) String() string { return strconv.FormatFloat(n.Value, 'g', -1, 64) }
+// String prints negative zero as "0": "-0" would re-parse as the integer
+// 0 and print differently, and the two compare equal.
+func (n *FloatLit) String() string {
+	if n.Value == 0 {
+		return "0"
+	}
+	return strconv.FormatFloat(n.Value, 'g', -1, 64)
+}
 
 // StringLit is a string literal.
 type StringLit struct {

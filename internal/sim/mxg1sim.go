@@ -28,16 +28,11 @@ type MXG1Config struct {
 	Seed int64
 }
 
-// SimulateMXG1 runs an M^X/G/1-∞ queue via the Lindley recursion applied
-// at the batch level,
-//
-//	Wb_{n+1} = max(0, Wb_n + S_n - A_{n+1}),
-//
-// where S_n is the whole batch's service (the super-customer of the
-// analytic model) and Wb the waiting time of the batch's first message.
-// The j-th message of a batch waits Wb plus the services of its j-1
-// batch-mates ahead, which is exactly the per-message FIFO waiting time
-// the closed forms describe. Results reuse MG1Result.
+// SimulateMXG1 runs an M^X/G/1-∞ queue on the same Lindley recursion as
+// SimulateMG1: a batch is a run of arrivals with zero gaps between them,
+// so the j-th message of a batch waits for its batch head plus the
+// services of its j-1 batch-mates ahead — exactly the per-message FIFO
+// waiting time the closed forms describe. Results reuse MG1Result.
 func SimulateMXG1(cfg MXG1Config) (MG1Result, error) {
 	if cfg.LambdaB <= 0 || math.IsNaN(cfg.LambdaB) {
 		return MG1Result{}, fmt.Errorf("%w: lambdaB=%g", ErrSim, cfg.LambdaB)
@@ -48,66 +43,26 @@ func SimulateMXG1(cfg MXG1Config) (MG1Result, error) {
 	if cfg.Service == nil {
 		return MG1Result{}, fmt.Errorf("%w: nil service sampler", ErrSim)
 	}
-	if cfg.Customers <= 0 {
-		return MG1Result{}, fmt.Errorf("%w: customers=%d", ErrSim, cfg.Customers)
+	s, err := newSampled(cfg.Customers, cfg.Warmup)
+	if err != nil {
+		return MG1Result{}, err
 	}
-	if cfg.Warmup < 0 || cfg.Warmup >= cfg.Customers {
-		return MG1Result{}, fmt.Errorf("%w: warmup=%d of %d", ErrSim, cfg.Warmup, cfg.Customers)
-	}
-
 	rng := stats.NewRNG(cfg.Seed)
-	waits := stats.NewSummary()
-
-	var (
-		wb          float64 // waiting time of the current batch's head
-		clock       float64 // arrival time of the current batch
-		totalWork   float64
-		lastDepart  float64
-		sumService  float64
-		numObserved int
-		served      int
-	)
-	for batchNo := 0; served < cfg.Customers; batchNo++ {
-		if batchNo > 0 {
-			interArrival := rng.Exp(cfg.LambdaB)
-			clock += interArrival
-			wb -= interArrival
-			if wb < 0 {
-				wb = 0
-			}
+	for s.served < cfg.Customers {
+		var gap float64
+		if s.served > 0 {
+			gap = rng.Exp(cfg.LambdaB)
 		}
 		k := cfg.Batch(rng)
 		if k < 1 {
 			return MG1Result{}, fmt.Errorf("%w: batch sample %d", ErrSim, k)
 		}
-		var prefix float64 // services of the batch-mates already served
 		for j := 0; j < k; j++ {
-			b := cfg.Service(rng)
-			if b < 0 || math.IsNaN(b) {
-				return MG1Result{}, fmt.Errorf("%w: service sample %g", ErrSim, b)
+			if err := s.serve(gap, cfg.Service(rng)); err != nil {
+				return MG1Result{}, err
 			}
-			if served >= cfg.Warmup {
-				waits.Add(wb + prefix)
-				sumService += b
-				numObserved++
-			}
-			served++
-			prefix += b
-			totalWork += b
+			gap = 0 // the batch-mates arrive with their head
 		}
-		depart := clock + wb + prefix
-		if depart > lastDepart {
-			lastDepart = depart
-		}
-		wb += prefix
 	}
-
-	res := MG1Result{Waits: waits}
-	if lastDepart > 0 {
-		res.ObservedRho = totalWork / lastDepart
-	}
-	if numObserved > 0 {
-		res.ObservedMeanService = sumService / float64(numObserved)
-	}
-	return res, nil
+	return s.result(), nil
 }

@@ -11,97 +11,6 @@ import (
 	"repro/internal/stats"
 )
 
-func TestCalendarOrdering(t *testing.T) {
-	c := NewCalendar()
-	var order []int
-	add := func(delay float64, id int) {
-		t.Helper()
-		if err := c.Schedule(delay, func() { order = append(order, id) }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	add(3, 3)
-	add(1, 1)
-	add(2, 2)
-	add(1, 11) // same time as id 1: FIFO tie-break
-	for c.Step() {
-	}
-	want := []int{1, 11, 2, 3}
-	if len(order) != len(want) {
-		t.Fatalf("order = %v", order)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
-	}
-	if c.Now() != 3 {
-		t.Errorf("Now = %g", c.Now())
-	}
-}
-
-func TestCalendarNestedScheduling(t *testing.T) {
-	c := NewCalendar()
-	hits := 0
-	var tick func()
-	tick = func() {
-		hits++
-		if hits < 5 {
-			if err := c.Schedule(1, tick); err != nil {
-				t.Error(err)
-			}
-		}
-	}
-	if err := c.Schedule(1, tick); err != nil {
-		t.Fatal(err)
-	}
-	n := c.Drain(100)
-	if n != 5 || hits != 5 {
-		t.Errorf("events=%d hits=%d", n, hits)
-	}
-	if c.Now() != 5 {
-		t.Errorf("Now = %g, want 5", c.Now())
-	}
-}
-
-func TestCalendarRunUntil(t *testing.T) {
-	c := NewCalendar()
-	hits := 0
-	for i := 1; i <= 10; i++ {
-		if err := c.Schedule(float64(i), func() { hits++ }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c.RunUntil(5.5); err != nil {
-		t.Fatal(err)
-	}
-	if hits != 5 {
-		t.Errorf("hits = %d, want 5", hits)
-	}
-	if c.Now() != 5.5 {
-		t.Errorf("Now = %g", c.Now())
-	}
-	if err := c.RunUntil(1); !errors.Is(err, ErrSim) {
-		t.Errorf("backwards RunUntil err = %v", err)
-	}
-	if c.Len() != 5 {
-		t.Errorf("Len = %d", c.Len())
-	}
-}
-
-func TestCalendarScheduleErrors(t *testing.T) {
-	c := NewCalendar()
-	if err := c.Schedule(-1, func() {}); !errors.Is(err, ErrSim) {
-		t.Errorf("negative delay err = %v", err)
-	}
-	if err := c.Schedule(math.NaN(), func() {}); !errors.Is(err, ErrSim) {
-		t.Errorf("NaN delay err = %v", err)
-	}
-	if err := c.Schedule(1, nil); !errors.Is(err, ErrSim) {
-		t.Errorf("nil fn err = %v", err)
-	}
-}
-
 func TestSimulateMM1AgainstTheory(t *testing.T) {
 	// M/M/1 at rho = 0.8: E[W] = rho/(1-rho) * E[B] = 4 * E[B].
 	const meanB = 0.01
@@ -187,6 +96,74 @@ func TestSimulateMG1Errors(t *testing.T) {
 	}
 	if _, err := SimulateMG1(bad); !errors.Is(err, ErrSim) {
 		t.Errorf("negative service err = %v", err)
+	}
+}
+
+// TestReplay pins the recursion on a hand-computed path, including an idle
+// period and two arrivals stamped out of order.
+func TestReplay(t *testing.T) {
+	for _, tc := range []struct {
+		arrivals, services, want []float64
+	}{
+		// W1 = 2-1, W2 = 1+1-0.5, W3 = max(0, 1.5+0.5-3.5).
+		{[]float64{0, 1, 1.5, 5}, []float64{2, 1, 0.5, 1}, []float64{0, 1, 1.5, 0}},
+		// The third customer was stamped 0.1 before the second: it starts
+		// when the second ends, at 2.0, after waiting 1.1.
+		{[]float64{0, 1, 0.9}, []float64{1, 1, 1}, []float64{0, 0, 1.1}},
+	} {
+		got, err := Replay(tc.arrivals, tc.services)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range tc.want {
+			if math.Abs(got[i]-tc.want[i]) > 1e-12 {
+				t.Errorf("Replay(%v, %v) = %v, want %v", tc.arrivals, tc.services, got, tc.want)
+				break
+			}
+		}
+	}
+	if _, err := Replay([]float64{0, 1}, []float64{1}); !errors.Is(err, ErrSim) {
+		t.Errorf("length mismatch err = %v", err)
+	}
+	if _, err := Replay([]float64{0, 1}, []float64{1, -1}); !errors.Is(err, ErrSim) {
+		t.Errorf("negative service err = %v", err)
+	}
+}
+
+// TestSimulateMG1IsReplayOfItsPath: the sampler and Replay run one
+// recursion, so replaying the path SimulateMG1 drew gives its waits.
+func TestSimulateMG1IsReplayOfItsPath(t *testing.T) {
+	const lambda, n = 800.0, 5000
+	svc, err := ExponentialService(0.001)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := SimulateMG1(MG1Config{Lambda: lambda, Service: svc, Customers: n, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := stats.NewRNG(3)
+	arrivals, services := make([]float64, n), make([]float64, n)
+	for i := range arrivals {
+		if i > 0 {
+			arrivals[i] = arrivals[i-1] + rng.Exp(lambda)
+		}
+		services[i] = svc(rng)
+	}
+	waits, err := Replay(arrivals, services)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed := stats.NewSummary()
+	for _, w := range waits {
+		replayed.Add(w)
+	}
+	for _, p := range []float64{0.5, 0.99} {
+		want, _ := res.Waits.Quantile(p)
+		got, _ := replayed.Quantile(p)
+		if math.Abs(got-want) > 1e-12 {
+			t.Errorf("q%g: replay %g, simulation %g", p, got, want)
+		}
 	}
 }
 

@@ -142,14 +142,17 @@ func ExampleQueueAtUtilization() {
 // TestImportGraph keeps the deleted multi-broker forms from growing back:
 // distrib is closed forms only (a deployment type would pull the broker
 // in), and cluster members talk through broker calls or wire.PeerLink,
-// never through a reconnecting client as the bridges did.
+// never through a reconnecting client as the bridges did. The conformance
+// gate judges the broker by its own tapes and must not depend on the
+// experiment harness.
 func TestImportGraph(t *testing.T) {
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("no go tool on PATH")
 	}
 	for pkg, forbidden := range map[string]string{
-		"repro/internal/distrib": "repro/internal/broker",
-		"repro/internal/cluster": "repro/internal/client",
+		"repro/internal/distrib":     "repro/internal/broker",
+		"repro/internal/cluster":     "repro/internal/client",
+		"repro/internal/conformance": "repro/internal/bench",
 	} {
 		out, err := exec.Command("go", "list", "-deps", pkg).Output()
 		if err != nil {
