@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-procs test-benchmark race conformance-live bench bench-all bench-pairs fuzz stress stress-smoke verify
+.PHONY: all build vet-live test test-procs test-benchmark race conformance-live bench bench-all bench-pairs fuzz stress stress-smoke verify
 
 all: build test
 
@@ -97,5 +97,11 @@ stress:
 stress-smoke:
 	$(GO) test -short ./internal/stress/
 
-# verify is the tier-1 gate plus the benchmark module's tests and the race pass.
-verify: build test test-benchmark race
+# vet-live vets the //go:build live files, which neither tier-1 nor a plain
+# go vet ./... compiles.
+vet-live:
+	$(GO) vet -tags live ./internal/conformance/ ./internal/bench/
+
+# verify is the tier-1 gate plus the live files' vet, the benchmark module's
+# tests and the race pass.
+verify: build vet-live test test-benchmark race

@@ -28,6 +28,7 @@ import (
 	"repro/internal/conformance"
 	"repro/internal/core"
 	"repro/internal/faultnet"
+	"repro/internal/fit"
 	"repro/internal/replication"
 )
 
@@ -49,7 +50,7 @@ func run(args []string, stdout io.Writer) error {
 	shards := fs.Int("shards", 0, "fast engine: filter-matching workers per topic (0 = auto)")
 	compare := fs.Bool("compare", false, "run the sweep on both engines and print a faithful-vs-fast comparison table plus a batched-vs-unbatched publish row")
 	batch := fs.Int("batch", 0, "coalesce publishes into batches of this size (0 or 1 = per-message); -compare uses it for its batched row (default 16)")
-	stages := fs.Bool("stages", false, "record per-stage pipeline timings and print measured t_rcv/t_fltr/t_tx next to the throughput fit")
+	stages := fs.Bool("stages", false, "tape each scenario's dispatch times and print the Eq. 1 fit of taped E[B] next to the throughput fit")
 	chaos := fs.Bool("chaos", false, "run the conformance suite: closed forms vs simulator, then the live broker over a fault-injecting transport")
 	gcPercent := fs.Int("gcpercent", -1, "GOGC target for the measurement process; -1 disables periodic GC behind a 2 GiB memory-limit backstop, 100 restores the Go default. The paper's FioranoMQ runs measured a fixed-heap JVM; pinning collector policy keeps the sweep measuring the dispatch path, not allocation policy.")
 	if err := fs.Parse(args); err != nil {
@@ -82,14 +83,14 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	cfg := bench.NativeConfig{
-		FilterType:  ft,
-		Publishers:  *publishers,
-		Warmup:      *warmup,
-		Measure:     *measure,
-		Engine:      engine,
-		Shards:      *shards,
-		Batch:       *batch,
-		StageTiming: *stages,
+		FilterType: ft,
+		Publishers: *publishers,
+		Warmup:     *warmup,
+		Measure:    *measure,
+		Engine:     engine,
+		Shards:     *shards,
+		Batch:      *batch,
+		Taped:      *stages,
 	}
 
 	if *identical {
@@ -149,37 +150,27 @@ func run(args []string, stdout io.Writer) error {
 	return bench.WriteAll(stdout, f4)
 }
 
-// printStages reports the per-stage Eq. 1 measurements: the per-scenario
-// components, their mean, and the fit over the stage-composed service
-// times, next to the throughput fit they should reproduce.
+// printStages reports Eq. 1 from the service-time tape: the per-scenario
+// series and the fit over taped E[B] next to the throughput fit (Table I)
+// of the same runs.
 func printStages(res bench.StudyResult, stdout io.Writer) error {
-	ss, err := bench.StageSeries(res)
+	series, taped, err := bench.TapedFit(res)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "\n%s", ss.String())
-
-	summary, err := bench.StageSummary(res)
-	if err != nil {
-		return err
+	fmt.Fprintf(stdout, "\n%s", series.String())
+	tput := res.Fit
+	fmt.Fprintf(stdout, "\nEq. 1 constants, two derivations (us):\n")
+	fmt.Fprintf(stdout, "  %-29s  %10s  %10s  %10s  %8s\n", "", "t_rcv", "t_fltr", "t_tx", "R2")
+	for _, row := range []struct {
+		name string
+		f    fit.Result
+	}{{"fit of taped E[B]", taped}, {"fit of 1/throughput (Table I)", tput}} {
+		m := row.f.Model
+		fmt.Fprintf(stdout, "  %-29s  %10.3f  %10.4f  %10.3f  %8.4f\n", row.name, m.TRcv*1e6, m.TFltr*1e6, m.TTx*1e6, row.f.R2)
 	}
-	sfit, err := bench.StageFit(res)
-	if err != nil {
-		return err
-	}
-	tput := res.Fit.Model
-	fmt.Fprintf(stdout, "\nEq. 1 constants, three derivations (us):\n")
-	fmt.Fprintf(stdout, "  %-28s  %10s  %10s  %10s\n", "", "t_rcv", "t_fltr", "t_tx")
-	fmt.Fprintf(stdout, "  %-28s  %10.3f  %10.3f  %10.3f\n", "stage means (direct)",
-		summary.TRcv*1e6, summary.TFltr*1e6, summary.TTx*1e6)
-	fmt.Fprintf(stdout, "  %-28s  %10.3f  %10.3f  %10.3f\n", "fit of staged E[B] (Eq. 1)",
-		sfit.Model.TRcv*1e6, sfit.Model.TFltr*1e6, sfit.Model.TTx*1e6)
-	fmt.Fprintf(stdout, "  %-28s  %10.3f  %10.3f  %10.3f\n", "fit of 1/throughput (Table I)",
-		tput.TRcv*1e6, tput.TFltr*1e6, tput.TTx*1e6)
-	if tput.TFltr > 0 && tput.TTx > 0 {
-		fmt.Fprintf(stdout, "  staged-fit / throughput-fit:  %10.3f  %10.3f  %10.3f\n",
-			ratio(sfit.Model.TRcv, tput.TRcv), ratio(sfit.Model.TFltr, tput.TFltr), ratio(sfit.Model.TTx, tput.TTx))
-	}
+	fmt.Fprintf(stdout, "  %-29s  %10.3f  %10.3f  %10.3f\n", "taped-fit / throughput-fit",
+		ratio(taped.Model.TRcv, tput.Model.TRcv), ratio(taped.Model.TFltr, tput.Model.TFltr), ratio(taped.Model.TTx, tput.Model.TTx))
 	return nil
 }
 

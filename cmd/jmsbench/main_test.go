@@ -89,8 +89,8 @@ func TestRunEngineErrors(t *testing.T) {
 	}
 }
 
-// TestRunStages checks that -stages prints the per-stage Eq. 1
-// measurements next to the throughput fit.
+// TestRunStages checks that -stages prints the taped series and the fit
+// of taped E[B] next to the throughput fit.
 func TestRunStages(t *testing.T) {
 	if testing.Short() {
 		t.Skip("native measurement is wall-clock bound")
@@ -105,8 +105,8 @@ func TestRunStages(t *testing.T) {
 	}
 	s := out.String()
 	for _, want := range []string{
-		"Per-stage timing", "t_rcv_us", "t_fltr_us", "t_tx_us", "staged_EB_us",
-		"three derivations", "stage means (direct)", "fit of staged E[B]", "fit of 1/throughput",
+		"Eq. 1 from the tape", "evals", "taped_EB_us", "meas_EB_us",
+		"two derivations", "fit of taped E[B]", "fit of 1/throughput", "taped-fit / throughput-fit",
 	} {
 		if !strings.Contains(s, want) {
 			t.Errorf("-stages output missing %q", want)

@@ -81,7 +81,6 @@ func run(args []string, stop <-chan struct{}, ready chan<- addrs) error {
 	engineName := fs.String("engine", "faithful", "dispatch engine: "+strings.Join(broker.EngineNames(), " or "))
 	slowName := fs.String("slow-consumer", "block", "slow-consumer policy: "+strings.Join(broker.SlowConsumerPolicyNames(), ", "))
 	shards := fs.Int("shards", 0, "fast engine: filter-matching workers per topic (0 = auto)")
-	stages := fs.Bool("stages", false, "record per-stage pipeline timings and log the Eq. 1 components at shutdown")
 	logLevel := fs.String("log-level", "info", "log level: debug, info, warn or error")
 	meshKind := fs.String("mesh", "", "replication topology: psr, ssr or hash; empty runs standalone")
 	peers := fs.String("peers", "", "comma-separated wire addresses of every mesh member, self included (with -mesh)")
@@ -120,7 +119,6 @@ func run(args []string, stop <-chan struct{}, ready chan<- addrs) error {
 		Engine:           engine,
 		Shards:           *shards,
 		SlowConsumer:     slowPolicy,
-		StageTiming:      *stages,
 		// The telemetry plane needs the per-topic waiting-time tracing.
 		WaitTiming: *httpAddr != "",
 		Tracer:     recorder,
@@ -254,13 +252,6 @@ func run(args []string, stop <-chan struct{}, ready chan<- addrs) error {
 		"expired", s.Expired,
 		"slow_dropped", s.SlowDropped,
 		"slow_disconnects", s.SlowDisconnects)
-	if st := b.StageStats(); st.Enabled {
-		logger.Info("stage means",
-			"receive", st.Receive.Mean().String(),
-			"match", st.Match.Mean().String(),
-			"replicate", st.Replicate.Mean().String(),
-			"transmit", st.Transmit.Mean().String())
-	}
 	if httpSrv != nil {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/broker"
@@ -48,11 +49,11 @@ type NativeConfig struct {
 	// cloned messages through Broker.PublishBatch as one arrival unit
 	// (one in-flight slot per batch). 0 or 1 publishes per message.
 	Batch int
-	// StageTiming additionally records per-stage dispatch times on the
-	// broker and reports measured t_rcv/t_fltr/t_tx per scenario (the
-	// Stages field of NativeResult). The clock reads perturb absolute
-	// throughput slightly, so leave it off for pure Table I runs.
-	StageTiming bool
+	// Taped runs the saturated phase with the broker's service-time tape
+	// on and reports its mean dispatch time per scenario
+	// (NativeResult.TapedService). The tape's clock reads lower the
+	// saturated throughput, so leave it off for pure Table I runs.
+	Taped bool
 }
 
 func (c NativeConfig) withDefaults() NativeConfig {
@@ -91,27 +92,12 @@ type NativeResult struct {
 	// MeanServiceTime is 1/ReceivedRate, the per-message processing time
 	// at saturation.
 	MeanServiceTime float64
-	// Stages holds the per-stage Eq. 1 components measured inside the
-	// dispatch pipeline during the same trimmed window; nil unless
-	// NativeConfig.StageTiming was set.
-	Stages *StageTimes
-}
-
-// StageTimes are the Eq. 1 cost components measured directly by the
-// broker's per-stage instrumentation (seconds), the quantities Table I
-// recovers indirectly from throughput:
-//
-//	TRcv  — mean receive-stage time per message,
-//	TFltr — match-stage time per filter evaluation,
-//	TTx   — replicate+transmit time per delivered replica.
-type StageTimes struct {
-	TRcv, TFltr, TTx float64
-}
-
-// ServiceTime composes the stage times into Eq. 1's E[B] for a scenario
-// with nFltr installed filters and replication grade r.
-func (st StageTimes) ServiceTime(nFltr int, r float64) float64 {
-	return st.TRcv + float64(nFltr)*st.TFltr + r*st.TTx
+	// Evals and TapedService are the mean filter evaluations and the mean
+	// dispatch time End − Start (E[B] timed on the dispatch goroutine, in
+	// seconds) over the same messages: the window's tape. With filters the
+	// faithful engine evaluates all NFltr. Both are zero unless
+	// NativeConfig.Taped was set.
+	Evals, TapedService float64
 }
 
 // MeasureScenario runs one native measurement: n non-matching filters plus
@@ -120,30 +106,6 @@ func (st StageTimes) ServiceTime(nFltr int, r float64) float64 {
 // repeated and the run with the median received rate is returned.
 func MeasureScenario(cfg NativeConfig, n, r int) (NativeResult, error) {
 	return measure(scenario{cfg: cfg, n: n, r: r})
-}
-
-// stageTimes normalizes the windowed per-stage histogram deltas d into Eq.
-// 1 cost components over the counter deltas s of the same window: receive
-// time per message, match time per filter evaluation, replicate+transmit
-// time per delivered replica.
-func stageTimes(d broker.StageStats, s broker.Stats) (StageTimes, error) {
-	if !d.Enabled {
-		return StageTimes{}, fmt.Errorf("%w: broker recorded no stage timings", ErrBench)
-	}
-	if d.Receive.Count == 0 {
-		return StageTimes{}, fmt.Errorf("%w: no messages in stage-timing window", ErrBench)
-	}
-	const nsPerSec = 1e9
-	st := StageTimes{
-		TRcv: float64(d.Receive.Sum) / float64(d.Receive.Count) / nsPerSec,
-	}
-	if s.FilterEvals > 0 {
-		st.TFltr = float64(d.Match.Sum) / float64(s.FilterEvals) / nsPerSec
-	}
-	if s.Dispatched > 0 {
-		st.TTx = float64(d.Replicate.Sum+d.Transmit.Sum) / float64(s.Dispatched) / nsPerSec
-	}
-	return st, nil
 }
 
 // StudyGrid is the sweep of a native study.
@@ -192,6 +154,27 @@ func RunNativeStudy(cfg NativeConfig, grid StudyGrid) (StudyResult, error) {
 	}
 	res.Fit = f
 	return res, nil
+}
+
+// TapedFit is Eq. 1 from the service-time tape: the per-scenario series
+// (n_fltr, R, filter evaluations per message, taped E[B], 1/throughput)
+// and the least-squares fit over taped E[B], with the evaluations as the
+// filter covariate. It fails unless the study ran with NativeConfig.Taped.
+func TapedFit(res StudyResult) (Series, fit.Result, error) {
+	s := Series{
+		Name: "Eq. 1 from the tape: taped E[B] vs 1/throughput",
+		Cols: []string{"n_fltr", "R", "evals", "taped_EB_us", "meas_EB_us"},
+	}
+	obs := make([]fit.Observation, 0, len(res.Points))
+	for _, p := range res.Points {
+		if p.TapedService <= 0 {
+			return Series{}, fit.Result{}, fmt.Errorf("%w: n_fltr=%d R=%d has no taped service time (set NativeConfig.Taped)", ErrBench, p.NFltr, p.R)
+		}
+		s.Rows = append(s.Rows, []float64{float64(p.NFltr), float64(p.R), p.Evals, p.TapedService * 1e6, p.MeanServiceTime * 1e6})
+		obs = append(obs, fit.Observation{NFltr: int(math.Round(p.Evals)), R: float64(p.R), ServiceTime: p.TapedService})
+	}
+	f, err := fit.Fit(obs)
+	return s, f, err
 }
 
 // Table1Series renders a study result as the repository's version of

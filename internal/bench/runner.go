@@ -43,12 +43,11 @@ type scenario struct {
 }
 
 // phase is what a scenario's measured phase returns: the broker counter
-// deltas, the wall time, and for a paced phase the loaded topic's tape
-// (with the number of entries its ring overwrote) and the load
-// generator's account.
+// deltas, the wall time, the loaded topic's tape for a paced or taped phase
+// (with the number of entries its ring overwrote) and for a paced phase the
+// load generator's account.
 type phase struct {
 	stats       broker.Stats
-	stages      broker.StageStats
 	elapsed     time.Duration
 	tape        []broker.TapeEntry
 	overwritten uint64
@@ -73,10 +72,9 @@ func run(sc scenario) (phase, error) {
 		SubscriberBuffer: cfg.SubscriberBuffer,
 		Engine:           cfg.Engine,
 		Shards:           cfg.Shards,
-		StageTiming:      cfg.StageTiming,
-		// Only a paced phase's tape is read. In a saturated one, WaitTiming's
-		// clock reads (~0.7 µs a message on a 2-core VM) would inflate t_rcv.
-		WaitTiming: sc.rate > 0,
+		// A saturated phase tapes only when asked: WaitTiming's clock reads
+		// (~0.7 µs a message on a 2-core VM) inflate 1/throughput.
+		WaitTiming: sc.rate > 0 || cfg.Taped,
 	})
 	defer func() { _ = b.Close() }()
 	if err := b.ConfigureTopic(loadedTopic); err != nil {
@@ -141,10 +139,12 @@ func run(sc scenario) (phase, error) {
 	}
 	// The first take allocates the tape, so recording starts here.
 	b.TakeTape(loadedTopic)
-	s0, st0, start := b.Stats(), b.StageStats(), time.Now()
+	s0, start := b.Stats(), time.Now()
 	var ph phase
 	if sc.rate == 0 {
 		time.Sleep(cfg.Measure)
+		// The ring keeps the window's last TapeCapacity messages.
+		ph.tape, ph.overwritten = b.TakeTape(loadedTopic)
 	} else {
 		ph.pacing, err = loadgen.Run(ctx, stats.NewRNG(42), sc.rate, sc.messages, func(ctx context.Context, _ int, _ time.Time) error {
 			return b.Publish(ctx, template.Clone())
@@ -172,7 +172,6 @@ func run(sc scenario) (phase, error) {
 		FilterEvals: s1.FilterEvals - s0.FilterEvals,
 		Expired:     s1.Expired - s0.Expired,
 	}
-	ph.stages = b.StageStats().Sub(st0)
 	cancel()
 	pubs.Wait()
 	_ = b.Close()
@@ -203,12 +202,16 @@ func measure(sc scenario) (NativeResult, error) {
 			OverallRate:     recv + disp,
 			MeanServiceTime: 1 / recv,
 		}
-		if sc.cfg.StageTiming {
-			st, err := stageTimes(ph.stages, ph.stats)
-			if err != nil {
-				return NativeResult{}, err
+		if sc.cfg.Taped {
+			if len(ph.tape) == 0 {
+				return NativeResult{}, fmt.Errorf("%w: empty tape", ErrBench)
 			}
-			res.Stages = &st
+			var evals int
+			for _, e := range ph.tape {
+				evals += e.Evals
+			}
+			res.Evals = float64(evals) / float64(len(ph.tape))
+			res.TapedService = broker.MeanService(ph.tape)
 		}
 		runs = append(runs, res)
 	}

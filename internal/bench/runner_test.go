@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -101,5 +102,68 @@ func TestRunnerHonoursEngine(t *testing.T) {
 				t.Errorf("fast: %.1f filter evaluations per message, want fewer than %d", perMsg, n)
 			}
 		}
+	}
+}
+
+// TestRunnerTapedSaturated: a taped saturated scenario on the faithful
+// engine reads its mean service time off the tape, and every taped message
+// evaluated the full scan of n + R filters.
+func TestRunnerTapedSaturated(t *testing.T) {
+	const n, r = 40, 3
+	cfg := NativeConfig{
+		FilterType: core.CorrelationIDFiltering,
+		Publishers: 2,
+		Warmup:     10 * time.Millisecond,
+		Measure:    30 * time.Millisecond,
+		Taped:      true,
+	}
+	res, err := MeasureScenario(cfg, n, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TapedService <= 0 {
+		t.Errorf("TapedService = %g, want > 0", res.TapedService)
+	}
+	if res.Evals != n+r {
+		t.Errorf("Evals = %g, want n + R = %d", res.Evals, n+r)
+	}
+}
+
+// TestTapedFit: the taped reduction recovers known Eq. 1 constants from
+// synthetic points whose filter evaluations differ from both the installed
+// filter count and R, so a reduction that fits the wrong covariate fails.
+func TestTapedFit(t *testing.T) {
+	const tRcv, tFltr, tTx = 4.1e-6, 6.3e-9, 2.9e-7
+	var res StudyResult
+	for _, n := range []int{0, 20, 80, 160} {
+		for _, r := range []int{1, 5, 20} {
+			evals := 3 + n/4 + 2*r
+			eb := tRcv + float64(evals)*tFltr + float64(r)*tTx
+			res.Points = append(res.Points, NativeResult{
+				NFltr: n + r, R: r, Evals: float64(evals), TapedService: eb, MeanServiceTime: 2 * eb,
+			})
+		}
+	}
+	s, f, err := TapedFit(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{{"t_rcv", f.Model.TRcv, tRcv}, {"t_fltr", f.Model.TFltr, tFltr}, {"t_tx", f.Model.TTx, tTx}} {
+		if math.Abs(c.got-c.want)/c.want > 1e-12 {
+			t.Errorf("%s = %.17g, want %.17g", c.name, c.got, c.want)
+		}
+	}
+	if len(s.Rows) != len(res.Points) {
+		t.Fatalf("series has %d rows, want %d", len(s.Rows), len(res.Points))
+	}
+	if p, row := res.Points[4], s.Rows[4]; row[2] != p.Evals || row[3] != p.TapedService*1e6 || row[4] != p.MeanServiceTime*1e6 {
+		t.Errorf("series row %v does not carry point %+v", row, p)
+	}
+	res.Points[0].TapedService = 0
+	if _, _, err := TapedFit(res); err == nil {
+		t.Error("a point without a taped service time was fitted")
 	}
 }

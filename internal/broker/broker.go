@@ -9,9 +9,9 @@
 // The pipeline loop is shared by every engine (pipeline.go); an Engine is a
 // configuration of the stage implementations (stage.go): the faithful
 // linear-scan/deep-copy pair the paper measures, or the fast indexed/
-// copy-on-write pair. With Options.StageTiming the per-stage times are
-// recorded per message (instrument.go), making the Eq. 1 terms directly
-// measurable on the running system.
+// copy-on-write pair. With Options.WaitTiming each committed message lands
+// on its topic's service-time tape (tracing.go); a least-squares fit of Eq.
+// 1 over taped service times recovers the constants.
 //
 // The broker operates in the paper's persistent, non-durable mode: messages
 // are delivered reliably and in order to the subscribers that are currently
@@ -71,17 +71,13 @@ type Options struct {
 	// subscriber's delivery queue is full: block (default, the paper's
 	// push-back), drop-oldest, or disconnect. See SlowConsumerPolicy.
 	SlowConsumer SlowConsumerPolicy
-	// StageTiming records every message's time in each pipeline stage
-	// (receive, match, replicate, transmit), exposed by StageStats. Off by
-	// default: the timing adds clock reads to the dispatch hot path, so
-	// paper-facing throughput runs should leave it disabled.
-	StageTiming bool
 	// WaitTiming stamps each message at broker enqueue and records its
 	// waiting time W (enqueue → dispatch start), service time B (dispatch
 	// start → last transmit) and sojourn time (enqueue → last transmit)
 	// into per-topic histograms and raw-moment accumulators, exposed by
 	// Telemetry. This is the measured side of the live model-drift
-	// monitor; off by default for the same hot-path reason as StageTiming.
+	// monitor; off by default, because it adds clock reads to the dispatch
+	// hot path.
 	// The same stamps also feed each topic's service-time tape, one
 	// TapeEntry per committed message in a ring of TapeCapacity entries
 	// (~1.5 MiB per topic), allocated by the first TakeTape on the topic;
@@ -168,16 +164,13 @@ type Broker struct {
 	slowDropped     atomic.Uint64
 	slowDisconnects atomic.Uint64
 
-	// timers are the per-stage histograms; nil unless Options.StageTiming.
-	timers *stageTimers
-
 	// now is the dispatch clock; injectable for expiration tests.
 	now func() time.Time
 }
 
 // New creates a broker with the given options.
 func New(opts Options) *Broker {
-	b := &Broker{
+	return &Broker{
 		opts:           opts.withDefaults(),
 		registry:       topic.NewRegistry(),
 		dispatchers:    make(map[string]*dispatcher),
@@ -186,10 +179,6 @@ func New(opts Options) *Broker {
 		durableHandles: make(map[*Subscriber]struct{}),
 		now:            time.Now,
 	}
-	if b.opts.StageTiming {
-		b.timers = &stageTimers{}
-	}
-	return b
 }
 
 // countAdd increments one broker counter under the read side of statsMu,
@@ -222,8 +211,7 @@ func (b *Broker) ConfigureTopic(name string) error {
 		d.tt = &topicTimers{}
 	}
 	b.dispatchers[name] = d
-	p := &pipeline{b: b, d: d, st: b.stages(b.opts.Engine), timers: b.timers, tracer: b.opts.Tracer}
-	p.tx = queueTransmitter{b: b, d: d}
+	p := &pipeline{b: b, d: d, st: b.stages(b.opts.Engine), tx: queueTransmitter{b: b, d: d}, tracer: b.opts.Tracer}
 	p.start()
 	return nil
 }

@@ -112,6 +112,53 @@ func TestFlightRecorderTiling(t *testing.T) {
 	}
 }
 
+// TestStageStatsCounts publishes a known workload on both engines with
+// every message traced and checks the recorder's per-stage span counts —
+// the per-stage view /metrics exposes as jms_trace_stage_* — against the
+// Eq. 1 bookkeeping: every message is queued and matched once, and its R
+// replicas get one aggregated replicate and one transmit span.
+func TestStageStatsCounts(t *testing.T) {
+	for _, engine := range []Engine{EngineFaithful, EngineFast} {
+		t.Run(engine.String(), func(t *testing.T) {
+			const msgs, replicas = 50, 3
+			rec := newTestRecorder(t, trace.Config{SampleEvery: 1})
+			b := newTestBroker(t, Options{Engine: engine, Shards: 2, Tracer: rec, SubscriberBuffer: msgs * replicas})
+			for i := 0; i < replicas; i++ {
+				if _, err := b.Subscribe("t", nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 1; i <= msgs; i++ {
+				m := jms.NewMessage("t")
+				m.Header.TraceID = trace.NewID(19, uint64(i))
+				if err := b.Publish(context.Background(), m); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// A message's spans are all recorded before its sojourn.
+			deadline := time.Now().Add(10 * time.Second)
+			for rec.Stats().Sojourn.Count < msgs {
+				if time.Now().After(deadline) {
+					t.Fatalf("finished %d of %d messages", rec.Stats().Sojourn.Count, msgs)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			st := rec.Stats()
+			for _, s := range []trace.Stage{trace.StageQueue, trace.StageMatch, trace.StageReplicate, trace.StageTransmit} {
+				if got := st.Stage(s).Count; got != msgs {
+					t.Errorf("%s spans = %d, want %d", s, got, msgs)
+				}
+			}
+			if st.Stage(trace.StageTransmit).SumNs == 0 {
+				t.Error("no time recorded in the transmit stage")
+			}
+			if d := st.Sub(st); d.Stage(trace.StageMatch).Count != 0 || d.Sojourn.SumNs != 0 {
+				t.Errorf("self-delta not empty: %+v", d)
+			}
+		})
+	}
+}
+
 // TestFlightRecorderShardedEngine checks the fast engine's out-of-order
 // front stages still produce complete traces with sojourns (the reorder
 // wait between match and commit is intentionally unattributed there).

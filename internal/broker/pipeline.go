@@ -16,9 +16,9 @@ import (
 //
 // which are exactly the terms of the paper's processing-time decomposition
 // (Eq. 1): E[B] = t_rcv + n_fltr·t_fltr + E[R]·t_tx. The stage
-// implementations (Matcher, Replicator, Transmitter — see stage.go) are
-// what distinguish the engines; the loop, the reorder buffer, the shutdown
-// drain and the per-stage instrumentation live here, once.
+// implementations (Matcher and Replicator — see stage.go) are what
+// distinguish the engines; the loop, the reorder buffer, the shutdown drain
+// and the tape and flight-recorder stamps live here, once.
 //
 // Two execution modes share the stage code:
 //
@@ -69,8 +69,7 @@ type pipeline struct {
 	b      *Broker
 	d      *dispatcher
 	st     stageSet
-	tx     Transmitter
-	timers *stageTimers    // nil when Options.StageTiming is off
+	tx     queueTransmitter
 	tracer *trace.Recorder // nil when Options.Tracer is unset
 	// runScratch backs commitBatchRuns' transmit runs. Only the pipeline's
 	// single committing goroutine (serial loop or sharded committer) touches
@@ -110,10 +109,6 @@ type seqResult struct {
 	// threshold, or every insert into the committer's reorder buffer
 	// allocates (pinned by TestSeqResultStaysInline).
 	traced bool
-	// matchDur is the wall time already attributed to the match stage,
-	// subtracted from the loop total when the receive stage is computed as
-	// the residual. Zero unless stage timing is on.
-	matchDur time.Duration
 	// start is the dispatch-start instant, the end of the message's
 	// waiting time W and the origin of its service time B. Zero unless
 	// waiting-time tracing or the flight recorder is on.
@@ -166,30 +161,15 @@ func (d *dispatcher) intakeUnits(fn func(pubUnit)) {
 	}
 }
 
-// intake is the per-message view of intakeUnits: batched units unfold
-// here, in slice order, so the caller sees a plain message sequence.
-func (d *dispatcher) intake(fn func(*jms.Message)) {
-	d.intakeUnits(func(u pubUnit) {
-		if u.m != nil {
-			fn(u.m)
-			return
-		}
-		for _, m := range u.batch {
-			fn(m)
-		}
-	})
-}
-
 // runSerial is the single-worker mode: all four stages inline, one message
 // at a time. matches is the per-pipeline scratch slice — the loop is
 // single-threaded, so reusing it across messages keeps the steady state of
 // the faithful path allocation-free for the filter scan.
 //
-// Batched units take a dedicated sub-loop (when stage timing is off and
-// the transmitter supports runs): members are matched against shared
-// scratch, the filter-evaluation counter folds once per batch, and the
-// commit coalesces same-subscriber runs through TransmitBatch — the serial
-// analogue of the sharded committer's batch handling, and where the
+// Batched units take a dedicated sub-loop: members are matched against
+// shared scratch, the filter-evaluation counter folds once per batch, and
+// the commit coalesces same-subscriber runs through TransmitBatch — the
+// serial analogue of the sharded committer's batch handling, and where the
 // batched publish path earns its per-message amortization on a
 // single-worker broker.
 func (p *pipeline) runSerial() {
@@ -197,42 +177,17 @@ func (p *pipeline) runSerial() {
 	defer close(p.d.done)
 	mt := p.st.newMatcher()
 	matches := make([]*Subscriber, 0, 16)
-	single := func(m *jms.Message) {
-		var t0 time.Time
-		if p.timers != nil {
-			t0 = time.Now()
-		}
-		res, ok := p.frontStages(mt, m, matches[:0])
-		matches = res.matches[:0]
-		p.b.countAdd(&p.b.filterEvals, uint64(res.evals))
-		var commitDur time.Duration
-		if ok {
-			commitDur = p.commitStages(&res)
-		}
-		if p.timers != nil {
-			// Receive stage = the full loop iteration minus what the other
-			// stages accounted for: the fixed per-message cost (dequeue
-			// bookkeeping, expiry check, counters, observers) the paper
-			// calls t_rcv.
-			p.timers.receive.Observe(time.Since(t0) - res.matchDur - commitDur)
-		}
-	}
-	btx, hasBatchTx := p.tx.(batchTransmitter)
 	// Per-batch scratch, reused across units: the loop is single-threaded
 	// and commitBatchRuns finishes with the members before returning.
 	var members []seqResult
 	var buf []*Subscriber
 	p.d.intakeUnits(func(u pubUnit) {
 		if u.m != nil {
-			single(u.m)
-			return
-		}
-		if p.timers != nil || !hasBatchTx {
-			for _, m := range u.batch {
-				single(m)
-			}
-			if u.carrier != nil {
-				u.carrier.recycle()
+			res, ok := p.frontStages(mt, u.m, matches[:0])
+			matches = res.matches[:0]
+			p.b.countAdd(&p.b.filterEvals, uint64(res.evals))
+			if ok {
+				p.commitStages(&res)
 			}
 			return
 		}
@@ -258,7 +213,7 @@ func (p *pipeline) runSerial() {
 			members[i] = res
 		}
 		p.b.countAdd(&p.b.filterEvals, evals)
-		p.commitBatchRuns(members, btx)
+		p.commitBatchRuns(members)
 		if u.carrier != nil {
 			// Recycle-after-transmit: the batch is fully committed and
 			// nothing downstream holds the carrier's slices.
@@ -305,18 +260,7 @@ func (p *pipeline) runSharded() {
 			defer workers.Done()
 			mt := p.st.newMatcher()
 			front := func(m *jms.Message, seq uint64, dst []*Subscriber) seqResult {
-				var t0 time.Time
-				if p.timers != nil {
-					t0 = time.Now()
-				}
 				res, ok := p.frontStages(mt, m, dst)
-				if p.timers != nil {
-					// Sharded receive residual: the worker's fixed
-					// per-message cost (the committer's overhead is
-					// concurrent and never on the per-message critical
-					// path the way it is in serial mode).
-					p.timers.receive.Observe(time.Since(t0) - res.matchDur)
-				}
 				res.seq = seq
 				res.expired = !ok
 				return res
@@ -404,25 +348,13 @@ func (p *pipeline) commitUnit(res seqResult) uint64 {
 		p.commitOrdered(&res)
 		return 1
 	}
-	span := res.span()
-	if p.timers == nil {
-		if btx, ok := p.tx.(batchTransmitter); ok {
-			p.commitBatchRuns(res.batch, btx)
-			if res.carrier != nil {
-				// Recycle-after-transmit: the last member is committed and
-				// nothing downstream holds the carrier's slices.
-				res.carrier.recycle()
-			}
-			return span
-		}
-	}
-	for i := range res.batch {
-		p.commitOrdered(&res.batch[i])
-	}
+	p.commitBatchRuns(res.batch)
 	if res.carrier != nil {
+		// Recycle-after-transmit: the last member is committed and nothing
+		// downstream holds the carrier's slices.
 		res.carrier.recycle()
 	}
-	return span
+	return res.span()
 }
 
 // commitBatchRuns commits a batch's members in order, coalescing
@@ -431,7 +363,7 @@ func (p *pipeline) commitUnit(res seqResult) uint64 {
 // update). Members outside the pattern — expired, fanned out to several
 // subscribers, or switching handles — fall back to the per-message path,
 // preserving order throughout.
-func (p *pipeline) commitBatchRuns(members []seqResult, btx batchTransmitter) {
+func (p *pipeline) commitBatchRuns(members []seqResult) {
 	if cap(p.runScratch) < len(members) {
 		p.runScratch = make([]*jms.Message, 0, len(members))
 	}
@@ -462,7 +394,7 @@ func (p *pipeline) commitBatchRuns(members []seqResult, btx batchTransmitter) {
 		if anyTraced {
 			t0 = time.Now()
 		}
-		btx.TransmitBatch(h, run, mode)
+		p.tx.TransmitBatch(h, run, mode)
 		if anyTraced {
 			// The run transmits as one unit; each traced member gets an
 			// equal share of its wall time as the transmit span.
@@ -483,11 +415,8 @@ func (p *pipeline) commitBatchRuns(members []seqResult, btx batchTransmitter) {
 
 // frontStages runs the receive and match stages for one message, appending
 // matches to dst. It returns ok=false for an expired message (already
-// counted; nothing to commit). The returned result aliases dst. The match
-// stage's wall time is observed here and carried in the result; the
-// receive stage is observed by the caller as the residual of the full loop
-// iteration, so it absorbs every fixed per-message cost — which is exactly
-// what the paper's throughput-derived t_rcv measures.
+// counted; nothing to commit). The returned result aliases dst. The clock
+// is read only for the tape's dispatch start and a traced message's spans.
 func (p *pipeline) frontStages(mt Matcher, m *jms.Message, dst []*Subscriber) (seqResult, bool) {
 	b := p.b
 	// Receive-stage work: waiting-time observation and expiration check.
@@ -512,21 +441,14 @@ func (p *pipeline) frontStages(mt Matcher, m *jms.Message, dst []*Subscriber) (s
 
 	// Match stage: n_fltr·t_fltr.
 	var t0 time.Time
-	if p.timers != nil || traced {
+	if traced {
 		t0 = time.Now()
 	}
 	matches, nFilters, evals := mt.Match(p.d.topic, m, dst)
-	var matchDur time.Duration
-	if p.timers != nil || traced {
-		matchDur = time.Since(t0)
-		if p.timers != nil {
-			p.timers.match.Observe(matchDur)
-		}
-		if traced {
-			p.tracer.RecordSpan(m.Header.TraceID, trace.StageMatch, t0, matchDur)
-		}
+	if traced {
+		p.tracer.RecordSpan(m.Header.TraceID, trace.StageMatch, t0, time.Since(t0))
 	}
-	return seqResult{m: m, matches: matches, nFilters: nFilters, evals: evals, matchDur: matchDur, start: start, traced: traced}, true
+	return seqResult{m: m, matches: matches, nFilters: nFilters, evals: evals, start: start, traced: traced}, true
 }
 
 // traceCommit records the service and sojourn times of one committed
@@ -573,15 +495,12 @@ func (p *pipeline) commitOrdered(res *seqResult) {
 }
 
 // commitStages runs the replicate and transmit stages — R copies for R
-// matching subscribers, Eq. 1's E[R]·t_tx. It returns its own wall time so the serial loop can compute
-// the receive-stage residual. The per-copy timing windows tile the whole
-// loop (each window ends where the next begins), so clock-read and loop
-// overhead is attributed to the per-replica stages it belongs to instead
-// of leaking into the per-message residual and faking an R-dependent
-// t_rcv.
-func (p *pipeline) commitStages(res *seqResult) time.Duration {
+// matching subscribers, Eq. 1's E[R]·t_tx. A traced message's per-copy
+// timing windows tile the whole loop (each window ends where the next
+// begins), so its replicate and transmit spans sum to the commit time.
+func (p *pipeline) commitStages(res *seqResult) {
 	m := res.m
-	if p.timers == nil && !res.traced {
+	if !res.traced {
 		for _, h := range res.matches {
 			copyMsg := m
 			if len(res.matches) > 1 {
@@ -590,7 +509,7 @@ func (p *pipeline) commitStages(res *seqResult) time.Duration {
 			p.tx.Transmit(h, copyMsg, m.Header.DeliveryMode)
 		}
 		p.traceCommit(res)
-		return 0
+		return
 	}
 	start := time.Now()
 	prev := start
@@ -600,32 +519,21 @@ func (p *pipeline) commitStages(res *seqResult) time.Duration {
 		if len(res.matches) > 1 {
 			copyMsg = p.st.replicator.Replicate(m)
 			now := time.Now()
-			d := now.Sub(prev)
-			replDur += d
-			if p.timers != nil {
-				p.timers.replicate.Observe(d)
-			}
+			replDur += now.Sub(prev)
 			prev = now
 		}
 		p.tx.Transmit(h, copyMsg, m.Header.DeliveryMode)
 		now := time.Now()
-		d := now.Sub(prev)
-		txDur += d
-		if p.timers != nil {
-			p.timers.transmit.Observe(d)
-		}
+		txDur += now.Sub(prev)
 		prev = now
 	}
-	if res.traced {
-		// Aggregated per-stage spans: exact summed durations; the
-		// replicate/transmit interleaving is flattened so the two spans
-		// tile the commit window.
-		id := m.Header.TraceID
-		if replDur > 0 {
-			p.tracer.RecordSpan(id, trace.StageReplicate, start, replDur)
-		}
-		p.tracer.RecordSpan(id, trace.StageTransmit, start.Add(replDur), txDur)
+	// Aggregated per-stage spans: exact summed durations; the
+	// replicate/transmit interleaving is flattened so the two spans tile
+	// the commit window.
+	id := m.Header.TraceID
+	if replDur > 0 {
+		p.tracer.RecordSpan(id, trace.StageReplicate, start, replDur)
 	}
+	p.tracer.RecordSpan(id, trace.StageTransmit, start.Add(replDur), txDur)
 	p.traceCommit(res)
-	return time.Since(start)
 }

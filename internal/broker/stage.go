@@ -49,15 +49,6 @@ type Replicator interface {
 	Replicate(m *jms.Message) *jms.Message
 }
 
-// Transmitter is the queue-handoff stage — the send component of Eq. 1's
-// t_tx term. It enforces the delivery mode: persistent sends block on a
-// full subscriber queue (publisher push-back propagates), non-persistent
-// sends drop.
-type Transmitter interface {
-	// Transmit forwards one replica to one subscriber.
-	Transmit(h *Subscriber, m *jms.Message, mode jms.DeliveryMode)
-}
-
 // linearMatcher is the faithful matching stage: every installed filter is
 // checked for every message — the measured FioranoMQ behaviour (no
 // optimization for identical filters, see §III-B of the paper).
@@ -112,9 +103,11 @@ type cowReplicator struct{}
 
 func (cowReplicator) Replicate(m *jms.Message) *jms.Message { return m.Shared() }
 
-// queueTransmitter is the standard transmit stage shared by both engines:
-// a channel send into the subscriber's delivery queue, honoring the
-// delivery mode. It serializes against Unsubscribe through the
+// queueTransmitter is the transmit stage shared by both engines — the send
+// component of Eq. 1's t_tx term: a channel send into the subscriber's
+// delivery queue, honoring the delivery mode. Persistent sends block on a
+// full subscriber queue (publisher push-back propagates), non-persistent
+// sends drop. It serializes against Unsubscribe through the
 // subscriber's send lock, so no delivery can be enqueued after Unsubscribe
 // has returned.
 type queueTransmitter struct {
@@ -122,6 +115,7 @@ type queueTransmitter struct {
 	d *dispatcher
 }
 
+// Transmit forwards one replica to one subscriber.
 func (tx queueTransmitter) Transmit(h *Subscriber, m *jms.Message, mode jms.DeliveryMode) {
 	b, d := tx.b, tx.d
 	h.sendMu.Lock()
@@ -177,16 +171,9 @@ func (tx queueTransmitter) Transmit(h *Subscriber, m *jms.Message, mode jms.Deli
 	}
 }
 
-// batchTransmitter is the optional batched form of a Transmitter: one
-// lock acquisition and one counter update for a run of replicas bound for
-// the same subscriber — the transmit-stage analogue of the batch's single
-// in-flight slot.
-type batchTransmitter interface {
-	TransmitBatch(h *Subscriber, msgs []*jms.Message, mode jms.DeliveryMode)
-}
-
 // TransmitBatch forwards a run of replicas to one subscriber under a
-// single send lock, counting deliveries once. Semantics per message match
+// single send lock, counting deliveries once — the transmit-stage analogue
+// of the batch's single in-flight slot. Semantics per message match
 // Transmit exactly.
 func (tx queueTransmitter) TransmitBatch(h *Subscriber, msgs []*jms.Message, mode jms.DeliveryMode) {
 	b, d := tx.b, tx.d

@@ -119,6 +119,16 @@ func (b *Broker) TakeTape(topicName string) ([]TapeEntry, uint64) {
 	return nil, 0
 }
 
+// MeanService is the mean service time B = End − Start over a tape, in
+// seconds.
+func MeanService(tape []TapeEntry) float64 {
+	var sum time.Duration
+	for _, e := range tape {
+		sum += e.End.Sub(e.Start)
+	}
+	return sum.Seconds() / float64(len(tape))
+}
+
 // TopicTelemetry is a point-in-time snapshot of one topic's tracing state.
 // Snapshots from two instants subtract (Sub) into a rolling window.
 type TopicTelemetry struct {

@@ -157,7 +157,10 @@ func TestWireMeshWindowOrder(t *testing.T) {
 // other: acked and present on all three members, or answered ERROR and
 // absent locally. While the peer is down nothing may be acked — an ack never
 // precedes its last forward-ack — and the retries of rejected batches are
-// not duplicated on the members that stayed up.
+// not duplicated on the members that stayed up. The kill is count-based:
+// every lane parks on a gate a third of the way in, the peer dies while all
+// of them are parked, and it is revived only once every lane has been
+// rejected at least once and 100 ms have passed.
 func TestWireMeshPeerKilledMidWindow(t *testing.T) {
 	nodes := startWireMesh(t, 3, TopologySSR, []string{"t"})
 	logs := make([]*memberLog, len(nodes))
@@ -172,16 +175,23 @@ func TestWireMeshPeerKilledMidWindow(t *testing.T) {
 
 	const lanes, batches, batchSize = 8, 30, 4
 	var (
-		ackedBatches atomic.Int64
-		rejected     atomic.Int64
-		down         atomic.Bool
-		wg           sync.WaitGroup
+		rejected      atomic.Int64
+		lanesRejected atomic.Int64
+		down          atomic.Bool
+		parked, wg    sync.WaitGroup
 	)
+	gate := make(chan struct{})
+	parked.Add(lanes)
 	for lane := 0; lane < lanes; lane++ {
 		wg.Add(1)
 		go func(lane int) {
 			defer wg.Done()
+			seenReject := false
 			for b := 0; b < batches; b++ {
+				if b == batches/3 {
+					parked.Done()
+					<-gate
+				}
 				for attempt := 0; ; attempt++ {
 					// A fresh encoding of the same stamped messages: the
 					// broker owns what it was handed.
@@ -191,10 +201,13 @@ func TestWireMeshPeerKilledMidWindow(t *testing.T) {
 						if wasDown && down.Load() {
 							t.Errorf("lane %d batch %d acked while a peer was down", lane, b)
 						}
-						ackedBatches.Add(1)
 						break
 					}
 					rejected.Add(1)
+					if !seenReject {
+						seenReject = true
+						lanesRejected.Add(1)
+					}
 					if attempt > 5000 {
 						t.Errorf("lane %d batch %d never accepted: %v", lane, b, err)
 						return
@@ -205,14 +218,21 @@ func TestWireMeshPeerKilledMidWindow(t *testing.T) {
 		}(lane)
 	}
 
-	// Kill member 2's server mid-stream (its broker, and so its subscriber's
-	// log, survive), hold it down, then revive it on the same address.
-	for ackedBatches.Load() < lanes*batches/3 {
-		time.Sleep(time.Millisecond)
-	}
+	// Kill member 2's server while every lane is parked (its broker, and so
+	// its subscriber's log, survive), release the lanes into the outage,
+	// then revive it on the same address.
+	parked.Wait()
 	_ = nodes[2].srv.Close()
 	down.Store(true)
-	time.Sleep(100 * time.Millisecond)
+	close(gate)
+	killed := time.Now()
+	for lanesRejected.Load() < lanes || time.Since(killed) < 100*time.Millisecond {
+		if time.Since(killed) > 10*time.Second {
+			t.Errorf("only %d of %d lanes rejected while the peer was down", lanesRejected.Load(), lanes)
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
 	down.Store(false)
 	ln, err := net.Listen("tcp", nodes[2].addr)
 	if err != nil {

@@ -216,17 +216,7 @@ func probeService(brokers []*broker.Broker, topicName string, perMessage int, pu
 			all = append(all, tape...)
 		}
 	}
-	return meanService(all), nil
-}
-
-// meanService is the mean service time B = last transmit − dispatch start
-// over a tape, in seconds.
-func meanService(tape []broker.TapeEntry) float64 {
-	var sum time.Duration
-	for _, e := range tape {
-		sum += e.End.Sub(e.Start)
-	}
-	return sum.Seconds() / float64(len(tape))
+	return broker.MeanService(all), nil
 }
 
 // awaitTapes collects the tapes of topicName on brokers until they hold

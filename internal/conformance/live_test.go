@@ -26,30 +26,37 @@ const liveEnvelopes = true
 var recordTapes = flag.Bool("record-tapes", false,
 	"TestBrokerConformance writes its clean and chaos legs' post-warm-up tapes to testdata/")
 
-// meshCalibration is the shared stage-time measurement config. The
-// small subscriber buffer matters: calibrations run at the legs' own
-// filter burdens (tens of thousands of subscriptions), where the default
-// buffer would allocate gigabytes of idle channel capacity.
+// meshCalibration is the shared taped-calibration config. The small
+// subscriber buffer matters: calibrations run at the legs' own filter
+// burdens (tens of thousands of subscriptions), where the default buffer
+// would allocate gigabytes of idle channel capacity.
 var meshCalibration = bench.NativeConfig{
 	FilterType:       core.CorrelationIDFiltering,
 	Repetitions:      3,
 	SubscriberBuffer: 8,
 }
 
-// calibrateMeshModel measures the broker's stage-time cost model on a
-// single broker: cal is run with StageTiming forced on, nFltr installed
-// filters and replication grade r, and the measured per-stage times
-// become the CostModel both capacity formulas are evaluated with.
+// calibrateMeshModel fits the broker's cost model on a single broker: the
+// Eq. 1 fit of taped E[B] over three scenarios of cal becomes the CostModel
+// both capacity formulas are evaluated with. At nFltr non-matching filters
+// the fixed terms are a percent of E[B], below the spread of a taped mean,
+// so they are measured where they dominate — no non-matching filters, at
+// replication grades r and 4r — and the filter slope at nFltr.
 func calibrateMeshModel(cal bench.NativeConfig, nFltr, r int) (core.CostModel, error) {
-	cal.StageTiming = true
-	res, err := bench.MeasureScenario(cal, nFltr, r)
+	cal.Taped = true
+	var res bench.StudyResult
+	for _, sc := range [][2]int{{0, r}, {0, 4 * r}, {nFltr, r}} {
+		p, err := bench.MeasureScenario(cal, sc[0], sc[1])
+		if err != nil {
+			return core.CostModel{}, fmt.Errorf("mesh calibration: %w", err)
+		}
+		res.Points = append(res.Points, p)
+	}
+	_, f, err := bench.TapedFit(res)
 	if err != nil {
 		return core.CostModel{}, fmt.Errorf("mesh calibration: %w", err)
 	}
-	if res.Stages == nil {
-		return core.CostModel{}, fmt.Errorf("mesh calibration returned no stage times")
-	}
-	return core.CostModel{TRcv: res.Stages.TRcv, TFltr: res.Stages.TFltr, TTx: res.Stages.TTx}, nil
+	return f.Model, nil
 }
 
 // calibrateMeshModelPaced builds the cost model from paced single-member
@@ -62,7 +69,7 @@ func calibrateMeshModel(cal bench.NativeConfig, nFltr, r int) (core.CostModel, e
 // burdens, each the tape E[B] of a 1-member PSR mesh driven exactly like
 // the mesh legs; the fitted intercept (receive plus replication, a
 // percent-level term at these burdens) is split into TRcv and TTx by the
-// saturated stage-time ratio. The linear fit also re-checks the model's
+// saturated taped fit's ratio. The linear fit also re-checks the model's
 // core premise — service time linear in the installed filter count —
 // across the whole burden range the legs span.
 func calibrateMeshModelPaced(cal bench.NativeConfig, burdens []int, r int, loadRho float64, messages int, seed int64) (core.CostModel, error) {
@@ -168,10 +175,11 @@ func impliedCapacity(kind cluster.TopologyKind, members int, rho float64, res Me
 // model, then replays the Eq. 23 crossover on the same runs: a
 // configuration where the model predicts PSR to win and one where it
 // predicts SSR to win, both confirmed by the measured ordering.
-// make conformance-live, 2-core host, 2026-10-15: 0/5 (ROADMAP item 4).
+// make conformance-live, 2-core host, 2026-10-15: 0/5, and 1/6 over three
+// more test binaries (ROADMAP item 4).
 func TestMeshCapacityConformance(t *testing.T) {
 	if raceEnabled {
-		t.Skip("race instrumentation skews the calibrated stage times the capacities are implied from")
+		t.Skip("race instrumentation skews the calibrated service times the capacities are implied from")
 	}
 
 	const (

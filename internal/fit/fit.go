@@ -1,13 +1,14 @@
 // Package fit recovers the cost-model constants (t_rcv, t_fltr, t_tx) from
-// measured throughput data, the step that produced Table I of the paper:
-// for each experiment with n_fltr installed filters and replication grade
-// R, the saturated server satisfies
+// measured service times, the step that produced Table I of the paper: for
+// each experiment with n_fltr installed filters and replication grade R,
 //
-//	1/throughput_rcv = E[B] = t_rcv + n_fltr*t_fltr + R*t_tx,
+//	E[B] = t_rcv + n_fltr*t_fltr + R*t_tx,
 //
 // a linear model in the unknowns, solved here by ordinary least squares on
 // the normal equations (3x3, solved by Gaussian elimination with partial
-// pivoting).
+// pivoting). E[B] is either the reciprocal of the saturated received
+// throughput, as in the paper, or the mean dispatch time read off the
+// broker's service-time tape.
 package fit
 
 import (
@@ -16,7 +17,6 @@ import (
 	"math"
 
 	"repro/internal/core"
-	"repro/internal/wire"
 )
 
 // Errors returned by the fitter.
@@ -35,7 +35,7 @@ type Observation struct {
 	// R is the replication grade during the run.
 	R float64
 	// ServiceTime is the measured mean per-message processing time in
-	// seconds (the reciprocal of the saturated received throughput).
+	// seconds.
 	ServiceTime float64
 }
 
@@ -149,60 +149,4 @@ func solve3(a [3][3]float64, b [3]float64) ([3]float64, error) {
 		x[i] = sum / m[i][i]
 	}
 	return x, nil
-}
-
-// FromThroughput converts a measured received throughput (msgs/s at a
-// saturated server) into an Observation.
-func FromThroughput(nFltr int, r float64, receivedPerSec float64) (Observation, error) {
-	if receivedPerSec <= 0 {
-		return Observation{}, fmt.Errorf("%w: throughput %g", ErrBadObservation, receivedPerSec)
-	}
-	return Observation{NFltr: nFltr, R: r, ServiceTime: 1 / receivedPerSec}, nil
-}
-
-// FromStages composes directly measured per-stage costs (seconds) into an
-// Observation with ServiceTime = tRcv + nFltr·tFltr + r·tTx — Eq. 1
-// assembled from its parts. Where FromThroughput infers E[B] from the
-// outside (the reciprocal of the saturated throughput), FromStages builds
-// it from the broker's per-stage instrumentation; fitting both kinds of
-// observation and comparing the constants closes the loop between the
-// running system and the model.
-func FromStages(nFltr int, r float64, tRcv, tFltr, tTx float64) (Observation, error) {
-	for _, v := range []float64{tRcv, tFltr, tTx} {
-		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-			return Observation{}, fmt.Errorf("%w: stage times (%g, %g, %g)", ErrBadObservation, tRcv, tFltr, tTx)
-		}
-	}
-	st := tRcv + float64(nFltr)*tFltr + r*tTx
-	if st <= 0 {
-		return Observation{}, fmt.Errorf("%w: non-positive composed service time %g", ErrBadObservation, st)
-	}
-	return Observation{NFltr: nFltr, R: r, ServiceTime: st}, nil
-}
-
-// TTxFromWire returns the mean per-frame transmit cost in seconds measured
-// directly at the socket: the wall time the wire server spent inside write
-// syscalls divided by the frames sent. Where the dispatch-stage transmit
-// histogram times the hand-off into subscriber queues, this is the t_tx the
-// paper actually models — the cost of pushing one replica's bytes out —
-// including the coalescing win when several frames leave in one writev.
-func TTxFromWire(ws wire.WireStats) (float64, error) {
-	if ws.FramesOut == 0 {
-		return 0, fmt.Errorf("%w: no frames sent", ErrBadObservation)
-	}
-	return float64(ws.WriteNanos) / float64(ws.FramesOut) / 1e9, nil
-}
-
-// FromWire is FromStages with t_tx taken from the wire server's egress
-// syscall timers instead of the dispatch-stage histogram: the receive and
-// filter costs come from the broker's stage instrumentation, the transmit
-// cost from the socket itself. Fitting wire-grounded observations next to
-// throughput-derived ones separates the queueing-model constants from the
-// syscall costs they absorb.
-func FromWire(nFltr int, r float64, tRcv, tFltr float64, ws wire.WireStats) (Observation, error) {
-	tTx, err := TTxFromWire(ws)
-	if err != nil {
-		return Observation{}, err
-	}
-	return FromStages(nFltr, r, tRcv, tFltr, tTx)
 }

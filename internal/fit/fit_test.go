@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/stats"
-	"repro/internal/wire"
 )
 
 // paperGrid is the paper's experiment grid: n additional non-matching
@@ -110,21 +109,8 @@ func TestFitErrors(t *testing.T) {
 	}
 }
 
-func TestFromThroughput(t *testing.T) {
-	o, err := FromThroughput(10, 2, 5000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.ServiceTime != 1.0/5000 || o.NFltr != 10 || o.R != 2 {
-		t.Errorf("obs = %+v", o)
-	}
-	if _, err := FromThroughput(10, 2, 0); !errors.Is(err, ErrBadObservation) {
-		t.Errorf("zero throughput err = %v", err)
-	}
-}
-
 func TestFitThroughputRoundTrip(t *testing.T) {
-	// End-to-end: generate throughputs from Table I, convert, fit, verify
+	// End-to-end: generate throughputs from Table I, invert, fit, verify
 	// the predicted throughput curve matches (the Fig. 4 validation loop).
 	model := core.TableICorrelationID
 	ns, rs := paperGrid()
@@ -133,11 +119,7 @@ func TestFitThroughputRoundTrip(t *testing.T) {
 		for _, r := range rs {
 			nFltr := n + r
 			recv, _, _ := model.Throughput(nFltr, float64(r))
-			o, err := FromThroughput(nFltr, float64(r), recv)
-			if err != nil {
-				t.Fatal(err)
-			}
-			obs = append(obs, o)
+			obs = append(obs, Observation{NFltr: nFltr, R: float64(r), ServiceTime: 1 / recv})
 		}
 	}
 	res, err := Fit(obs)
@@ -153,73 +135,5 @@ func TestFitThroughputRoundTrip(t *testing.T) {
 				t.Errorf("n=%d R=%d: throughput %g, want %g", nFltr, r, gotRecv, wantRecv)
 			}
 		}
-	}
-}
-
-func TestFromStages(t *testing.T) {
-	// Composing Table-I-like constants and fitting the composed points
-	// recovers the constants exactly (the fit is the inverse of Eq. 1).
-	const tRcv, tFltr, tTx = 1.5e-5, 1.1e-6, 5.9e-6
-	var obs []Observation
-	for _, n := range []int{0, 50, 150, 450} {
-		for _, r := range []float64{1, 10, 30} {
-			o, err := FromStages(n, r, tRcv, tFltr, tTx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := tRcv + float64(n)*tFltr + r*tTx
-			if math.Abs(o.ServiceTime-want)/want > 1e-12 {
-				t.Errorf("FromStages(%d,%g) ServiceTime = %g, want %g", n, r, o.ServiceTime, want)
-			}
-			obs = append(obs, o)
-		}
-	}
-	res, err := Fit(obs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.Model.TRcv-tRcv)/tRcv > 1e-9 ||
-		math.Abs(res.Model.TFltr-tFltr)/tFltr > 1e-9 ||
-		math.Abs(res.Model.TTx-tTx)/tTx > 1e-9 {
-		t.Errorf("fit of composed stages = %+v, want (%g, %g, %g)", res.Model, tRcv, tFltr, tTx)
-	}
-}
-
-func TestFromStagesErrors(t *testing.T) {
-	if _, err := FromStages(5, 1, -1e-6, 1e-6, 1e-6); err == nil {
-		t.Error("negative stage time accepted")
-	}
-	if _, err := FromStages(0, 0, 0, 0, 0); err == nil {
-		t.Error("zero composed service time accepted")
-	}
-	if _, err := FromStages(5, 1, math.NaN(), 1e-6, 1e-6); err == nil {
-		t.Error("NaN stage time accepted")
-	}
-}
-
-func TestFromWire(t *testing.T) {
-	// 2.5us/frame inside write syscalls, composed with stage-measured
-	// receive and filter costs.
-	ws := wire.WireStats{FramesOut: 4000, WriteNanos: 10_000_000}
-	tTx, err := TTxFromWire(ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(tTx-2.5e-6)/2.5e-6 > 1e-12 {
-		t.Errorf("TTxFromWire = %g, want 2.5e-6", tTx)
-	}
-	o, err := FromWire(10, 3, 20e-6, 1e-6, ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 20e-6 + 10*1e-6 + 3*2.5e-6
-	if math.Abs(o.ServiceTime-want)/want > 1e-12 {
-		t.Errorf("FromWire ServiceTime = %g, want %g", o.ServiceTime, want)
-	}
-	if _, err := TTxFromWire(wire.WireStats{}); err == nil {
-		t.Error("zero FramesOut accepted")
-	}
-	if _, err := FromWire(10, 3, 20e-6, 1e-6, wire.WireStats{}); err == nil {
-		t.Error("FromWire with no frames accepted")
 	}
 }

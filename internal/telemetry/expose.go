@@ -9,7 +9,7 @@
 // The HTTP surface (NewHandler) exposes:
 //
 //	/metrics       Prometheus text format (version 0.0.4)
-//	/stats         JSON: broker counters, stage timings, per-topic tracing,
+//	/stats         JSON: broker counters, per-topic tracing,
 //	               wire-server counters and drift estimates in one response
 //	/healthz       liveness probe ("ok")
 //	/debug/pprof/  net/http/pprof profiles
@@ -187,7 +187,7 @@ func WriteRegistry(w io.Writer, prefix string, snap metrics.Snapshot) {
 // Options configure the telemetry handler. Broker is required; everything
 // else is optional and simply absent from the output when nil.
 type Options struct {
-	// Broker supplies Stats, StageStats and per-topic Telemetry.
+	// Broker supplies Stats and per-topic Telemetry.
 	Broker *broker.Broker
 	// Wire supplies connection and dedupe counters.
 	Wire *wire.Server
@@ -247,23 +247,6 @@ func WriteMetrics(w io.Writer, opts Options) {
 					[]Label{{"topic", name}}, tel[name].Sojourn)
 			}
 		}
-
-		if ss := b.StageStats(); ss.Enabled {
-			stages := []struct {
-				name string
-				snap metrics.HistogramSnapshot
-			}{
-				{"receive", ss.Receive},
-				{"match", ss.Match},
-				{"replicate", ss.Replicate},
-				{"transmit", ss.Transmit},
-			}
-			for _, st := range stages {
-				WriteHistogram(bw, "jms_broker_stage_seconds",
-					"Per-stage dispatch pipeline time (the Eq. 1 terms).",
-					[]Label{{"stage", st.name}}, st.snap)
-			}
-		}
 	}
 
 	if s := opts.Wire; s != nil {
@@ -273,8 +256,8 @@ func WriteMetrics(w io.Writer, opts Options) {
 
 		// Wire-path counters: frame counts against syscall counts quantify
 		// the coalescing of the ingress window and egress queues, and
-		// write_seconds_total/frames_out_total is the measured per-frame
-		// t_tx (see fit.TTxFromWire).
+		// write_seconds_total/frames_out_total is the socket's per-frame
+		// write cost.
 		ws := s.WireStats()
 		WriteCounter(bw, "jms_wire_frames_in_total", "Frames received from clients.", ws.FramesIn)
 		WriteCounter(bw, "jms_wire_bytes_in_total", "Bytes received from clients (prologues included).", ws.BytesIn)
@@ -349,7 +332,6 @@ func WriteMetrics(w io.Writer, opts Options) {
 type Stats struct {
 	Time   time.Time                        `json:"time"`
 	Broker broker.Stats                     `json:"broker"`
-	Stages *broker.StageStats               `json:"stages,omitempty"`
 	Topics map[string]broker.TopicTelemetry `json:"topics,omitempty"`
 	Wire   *WireStats                       `json:"wire,omitempty"`
 	Mesh   *MeshStats                       `json:"mesh,omitempty"`
@@ -385,9 +367,6 @@ func CollectStats(opts Options) Stats {
 	out := Stats{Time: time.Now()}
 	if b := opts.Broker; b != nil {
 		out.Broker = b.Stats()
-		if ss := b.StageStats(); ss.Enabled {
-			out.Stages = &ss
-		}
 		if tel := b.Telemetry(); len(tel) > 0 {
 			out.Topics = tel
 		}

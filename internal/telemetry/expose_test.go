@@ -145,7 +145,7 @@ func checkExposition(t *testing.T, body string) {
 // "a" and returns it with its drift monitor.
 func newLiveSetup(t *testing.T) (*broker.Broker, *Monitor) {
 	t.Helper()
-	b := broker.New(broker.Options{WaitTiming: true, StageTiming: true})
+	b := broker.New(broker.Options{WaitTiming: true})
 	if err := b.ConfigureTopic("a"); err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,6 @@ func TestMetricsGrammar(t *testing.T) {
 	for _, want := range []string{
 		"jms_broker_received_total 100",
 		`jms_broker_wait_seconds_bucket{topic="a",le="+Inf"} 100`,
-		`jms_broker_stage_seconds_count{stage="transmit"}`,
 		"jms_model_drift_ratio",
 		"jms_registry_client_reconnects 1",
 	} {

@@ -64,8 +64,8 @@ const (
 	// submit → writev start.
 	StageEgressQueue
 	// StageEgressWrite is this frame's share of the writev syscall
-	// (syscall duration / frames coalesced) — the same per-frame quantity
-	// fit.TTxFromWire computes from the aggregate wire counters.
+	// (syscall duration / frames coalesced) — the per-frame quantity
+	// WireStats' WriteNanos / FramesOut gives in aggregate.
 	StageEgressWrite
 
 	numStages

@@ -35,8 +35,7 @@ const writeCoalesce = 32
 var errWriterClosed = errors.New("wire: connection writer closed")
 
 // wireCounters are a Server's aggregate wire-path counters, shared by all
-// connections and exported via Server.WireStats for telemetry and the
-// fine-grained Eq. 1 constant fit (fit.FromWire).
+// connections and exported via Server.WireStats for telemetry.
 type wireCounters struct {
 	framesIn  atomic.Uint64
 	bytesIn   atomic.Uint64

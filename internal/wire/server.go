@@ -59,7 +59,7 @@ type Server struct {
 // The syscall counts against the frame counts quantify the coalescing the
 // ingress window and egress queue achieve; WriteNanos over FramesOut is a
 // direct, per-frame measure of the transmit syscall cost that the paper's
-// t_tx constant had to absorb unobserved (see fit.FromWire).
+// t_tx constant had to absorb unobserved.
 type WireStats struct {
 	// FramesIn / BytesIn / ReadCalls count inbound frames, payload+prologue
 	// bytes, and Read syscalls on connection sockets.
