@@ -57,8 +57,8 @@ type Options struct {
 	// its neighbours) — in both cases plus SubscriberBuffer for each
 	// subscriber whose full queue blocks the transmit stage.
 	InFlight int
-	// SubscriberBuffer is the per-subscriber delivery queue length.
-	// Default 64.
+	// SubscriberBuffer is the per-subscriber delivery queue length; an
+	// Outbox holds this many deliveries per subscription. Default 64.
 	SubscriberBuffer int
 	// Engine selects the dispatch implementation. The zero value is
 	// EngineFaithful, keeping the paper reproduction the default.
@@ -372,17 +372,25 @@ func (b *Broker) dispatcherFor(m *jms.Message) (*dispatcher, error) {
 type Subscriber struct {
 	sub     *topic.Subscription
 	broker  *Broker
-	ch      chan *jms.Message
+	ch      chan *jms.Message // nil for an outbox subscription
 	gone    chan struct{}
 	once    sync.Once
 	durable *durableSub // nil for regular subscriptions
 
+	// out is the outbox an outbox subscription delivers to, tag the
+	// consumer's reference Tag returns, and queued the number of its
+	// deliveries out holds (guarded by out.mu).
+	out    *Outbox
+	tag    any
+	queued int
+
 	// sendMu serializes transmits against Unsubscribe: Unsubscribe closes
 	// gone (waking any transmit blocked on a full queue), then sets dead
 	// under the lock, so once Unsubscribe returns no in-flight dispatch
-	// can still enqueue a delivery.
+	// can still enqueue a delivery. An outbox subscription uses out.mu
+	// instead.
 	sendMu sync.Mutex
-	dead   bool // guarded by sendMu
+	dead   bool // guarded by sendMu, or by out.mu
 
 	// slow marks a handle force-removed by the disconnect slow-consumer
 	// policy; Receive then reports ErrSlowConsumer instead of ErrClosed.
@@ -408,6 +416,12 @@ func (b *Broker) Subscribe(topicName string, f filter.Filter) (*Subscriber, erro
 // regime the stress suite drives) want small buffers, while designated
 // fast consumers may need deeper ones.
 func (b *Broker) SubscribeBuffered(topicName string, f filter.Filter, buffer int) (*Subscriber, error) {
+	return b.subscribe(topicName, f, buffer, nil, nil)
+}
+
+// subscribe installs a subscription that delivers to a channel of buffer
+// entries, or, with o set, to o.
+func (b *Broker) subscribe(topicName string, f filter.Filter, buffer int, o *Outbox, tag any) (*Subscriber, error) {
 	if buffer <= 0 {
 		buffer = b.opts.SubscriberBuffer
 	}
@@ -416,10 +430,9 @@ func (b *Broker) SubscribeBuffered(topicName string, f filter.Filter, buffer int
 	if b.closed {
 		return nil, ErrClosed
 	}
-	h := &Subscriber{
-		broker: b,
-		ch:     make(chan *jms.Message, buffer),
-		gone:   make(chan struct{}),
+	h := &Subscriber{broker: b, gone: make(chan struct{}), out: o, tag: tag}
+	if o == nil {
+		h.ch = make(chan *jms.Message, buffer)
 	}
 	sub, err := b.registry.Subscribe(topicName, f, h)
 	if err != nil {
@@ -432,8 +445,12 @@ func (b *Broker) SubscribeBuffered(topicName string, f filter.Filter, buffer int
 
 // Chan returns the delivery channel. It is closed when the broker shuts
 // down. After Unsubscribe the channel stops receiving new messages but is
-// left open; use Receive, which also observes unsubscription.
+// left open; use Receive, which also observes unsubscription. An outbox
+// subscription has no channel: Chan returns nil.
 func (s *Subscriber) Chan() <-chan *jms.Message { return s.ch }
+
+// Tag returns the tag an outbox subscription was made with; nil otherwise.
+func (s *Subscriber) Tag() any { return s.tag }
 
 // Receive blocks for the next message. It returns ErrClosed after the
 // subscriber was unsubscribed or the broker shut down, and
@@ -523,17 +540,24 @@ func (s *Subscriber) unsubscribe(unacked []*jms.Message) error {
 			d.mu.Unlock()
 		}
 		close(s.gone)
+		if s.out != nil {
+			// Under the outbox lock, so nothing is queued for s after this,
+			// and a transmit parked on the full outbox wakes and skips s.
+			s.out.leave(s)
+		}
 		if s.durable != nil {
 			s.broker.detachDurable(s)
 			return
 		}
-		// Closing gone wakes a transmit blocked on this subscriber's full
-		// queue; taking the send lock then waits out any transmit already
-		// past its dead check, so after this point no dispatch — even one
-		// holding an older topic snapshot — can deliver to this handle.
-		s.sendMu.Lock()
-		s.dead = true
-		s.sendMu.Unlock()
+		if s.out == nil {
+			// Closing gone wakes a transmit blocked on this subscriber's full
+			// queue; taking the send lock then waits out any transmit already
+			// past its dead check, so after this point no dispatch — even one
+			// holding an older topic snapshot — can deliver to this handle.
+			s.sendMu.Lock()
+			s.dead = true
+			s.sendMu.Unlock()
+		}
 		s.removeOnce.Do(func() { err = s.broker.removeSubscriber(s) })
 	})
 	return err
@@ -628,7 +652,9 @@ func (b *Broker) Close() error {
 	//    their delivery goroutines.
 	for _, h := range handles {
 		h.once.Do(func() { close(h.gone) })
-		close(h.ch)
+		if h.ch != nil {
+			close(h.ch)
+		}
 	}
 	return nil
 }

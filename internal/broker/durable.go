@@ -83,6 +83,12 @@ type DurableOptions struct {
 // be identical across attaches of the same name; use UnsubscribeDurable to
 // change it.
 func (b *Broker) SubscribeDurable(topicName, name string, f filter.Filter, opts DurableOptions) (*Subscriber, error) {
+	return b.subscribeDurable(topicName, name, f, opts, nil, nil)
+}
+
+// subscribeDurable is SubscribeDurable for a consumer that delivers to o,
+// or, with o nil, to a channel of its own.
+func (b *Broker) subscribeDurable(topicName, name string, f filter.Filter, opts DurableOptions, o *Outbox, tag any) (*Subscriber, error) {
 	if name == "" {
 		return nil, errors.New("broker: empty durable subscription name")
 	}
@@ -104,7 +110,7 @@ func (b *Broker) SubscribeDurable(topicName, name string, f filter.Filter, opts 
 		if d.fltr.String() != f.String() {
 			return nil, fmt.Errorf("%w: %q", ErrDurableFilterMismatch, name)
 		}
-		return b.attachDurable(d)
+		return b.attachDurable(d, o, tag)
 	}
 	b.mu.Unlock()
 
@@ -136,7 +142,7 @@ func (b *Broker) SubscribeDurable(topicName, name string, f filter.Filter, opts 
 		if existing.fltr.String() != f.String() {
 			return nil, fmt.Errorf("%w: %q", ErrDurableFilterMismatch, name)
 		}
-		return b.attachDurable(existing)
+		return b.attachDurable(existing, o, tag)
 	}
 	if b.durables == nil {
 		b.durables = make(map[string]*durableSub)
@@ -146,7 +152,7 @@ func (b *Broker) SubscribeDurable(topicName, name string, f filter.Filter, opts 
 
 	b.wg.Add(1)
 	go b.durablePump(d)
-	return b.attachDurable(d)
+	return b.attachDurable(d, o, tag)
 }
 
 // durablePump appends relay deliveries to the backlog. It never delivers
@@ -200,14 +206,12 @@ func (b *Broker) finishPump(d *durableSub) {
 	d.mu.Unlock()
 }
 
-// attachDurable connects a consumer handle and starts its delivery
-// goroutine.
-func (b *Broker) attachDurable(d *durableSub) (*Subscriber, error) {
-	h := &Subscriber{
-		broker:  b,
-		ch:      make(chan *jms.Message, b.opts.SubscriberBuffer),
-		gone:    make(chan struct{}),
-		durable: d,
+// attachDurable connects a consumer handle, delivering to o when set, and
+// starts its delivery goroutine.
+func (b *Broker) attachDurable(d *durableSub, o *Outbox, tag any) (*Subscriber, error) {
+	h := &Subscriber{broker: b, gone: make(chan struct{}), durable: d, out: o, tag: tag}
+	if o == nil {
+		h.ch = make(chan *jms.Message, b.opts.SubscriberBuffer)
 	}
 	d.mu.Lock()
 	if d.deleted {
@@ -249,6 +253,7 @@ func (b *Broker) attachDurable(d *durableSub) (*Subscriber, error) {
 func (b *Broker) durableDeliver(d *durableSub, h *Subscriber) {
 	defer b.wg.Done()
 	done := d.deliverDone
+	one := [1]*Subscriber{h} // the run an outbox delivery is put as
 
 	// finish ends this consumer's stream. On detach (requeue=true) the
 	// messages still sitting unconsumed in the channel buffer — plus the
@@ -258,8 +263,11 @@ func (b *Broker) durableDeliver(d *durableSub, h *Subscriber) {
 	finish := func(requeue bool, inFlight *jms.Message) {
 		var residual []*jms.Message
 		if requeue {
+			if h.out != nil {
+				residual = h.out.takeFor(h)
+			}
 		drain:
-			for {
+			for h.ch != nil {
 				select {
 				case m := <-h.ch:
 					residual = append(residual, m)
@@ -282,7 +290,9 @@ func (b *Broker) durableDeliver(d *durableSub, h *Subscriber) {
 		d.active = nil
 		d.cond.Broadcast()
 		d.mu.Unlock()
-		close(h.ch)
+		if h.ch != nil {
+			close(h.ch)
+		}
 		close(done)
 	}
 	for {
@@ -306,6 +316,20 @@ func (b *Broker) durableDeliver(d *durableSub, h *Subscriber) {
 		d.backlog = d.backlog[:len(d.backlog)-1]
 		d.mu.Unlock()
 
+		if h.out != nil {
+			// Durable deliveries wait for room whatever the slow-consumer
+			// policy, like the channel send below. Nothing queued means h
+			// left, or the broker is shutting down and put counted a drop.
+			if h.out.put(m, one[:], jms.Persistent, SlowConsumerBlock, d.stop) == 0 {
+				select {
+				case <-h.gone:
+					finish(true, m)
+					return
+				default:
+				}
+			}
+			continue
+		}
 		select {
 		case h.ch <- m:
 			h.delivered.Add(1)

@@ -359,8 +359,7 @@ func (p *pipeline) commitUnit(res seqResult) uint64 {
 
 // commitBatchRuns commits a batch's members in order, coalescing
 // consecutive single-subscriber deliveries to the same handle and
-// delivery mode into one TransmitBatch run (one send lock, one counter
-// update). Members outside the pattern — expired, fanned out to several
+// delivery mode into one TransmitBatch run (one send lock). Members outside the pattern — expired, fanned out to several
 // subscribers, or switching handles — fall back to the per-message path,
 // preserving order throughout.
 func (p *pipeline) commitBatchRuns(members []seqResult) {
@@ -495,45 +494,54 @@ func (p *pipeline) commitOrdered(res *seqResult) {
 }
 
 // commitStages runs the replicate and transmit stages — R copies for R
-// matching subscribers, Eq. 1's E[R]·t_tx. A traced message's per-copy
+// matching subscribers, Eq. 1's E[R]·t_tx — except that a run of matches
+// sharing one connection's Outbox takes one copy and one append, and the
+// connection sends it once for all of them. A traced message's per-copy
 // timing windows tile the whole loop (each window ends where the next
 // begins), so its replicate and transmit spans sum to the commit time.
 func (p *pipeline) commitStages(res *seqResult) {
-	m := res.m
-	if !res.traced {
-		for _, h := range res.matches {
-			copyMsg := m
-			if len(res.matches) > 1 {
-				copyMsg = p.st.replicator.Replicate(m)
+	m, matches := res.m, res.matches
+	var start, prev time.Time
+	var replDur, txDur time.Duration
+	if res.traced {
+		start = time.Now()
+		prev = start
+	}
+	for i := 0; i < len(matches); {
+		h, j := matches[i], i+1
+		for h.out != nil && j < len(matches) && matches[j].out == h.out {
+			j++
+		}
+		copyMsg := m
+		if len(matches) > 1 {
+			copyMsg = p.st.replicator.Replicate(m)
+			if res.traced {
+				now := time.Now()
+				replDur += now.Sub(prev)
+				prev = now
 			}
+		}
+		if h.out != nil {
+			h.out.put(copyMsg, matches[i:j], m.Header.DeliveryMode, p.b.opts.SlowConsumer, p.d.stop)
+		} else {
 			p.tx.Transmit(h, copyMsg, m.Header.DeliveryMode)
 		}
-		p.traceCommit(res)
-		return
-	}
-	start := time.Now()
-	prev := start
-	var replDur, txDur time.Duration
-	for _, h := range res.matches {
-		copyMsg := m
-		if len(res.matches) > 1 {
-			copyMsg = p.st.replicator.Replicate(m)
+		if res.traced {
 			now := time.Now()
-			replDur += now.Sub(prev)
+			txDur += now.Sub(prev)
 			prev = now
 		}
-		p.tx.Transmit(h, copyMsg, m.Header.DeliveryMode)
-		now := time.Now()
-		txDur += now.Sub(prev)
-		prev = now
+		i = j
 	}
-	// Aggregated per-stage spans: exact summed durations; the
-	// replicate/transmit interleaving is flattened so the two spans tile
-	// the commit window.
-	id := m.Header.TraceID
-	if replDur > 0 {
-		p.tracer.RecordSpan(id, trace.StageReplicate, start, replDur)
+	if res.traced {
+		// Aggregated per-stage spans: exact summed durations; the
+		// replicate/transmit interleaving is flattened so the two spans
+		// tile the commit window.
+		id := m.Header.TraceID
+		if replDur > 0 {
+			p.tracer.RecordSpan(id, trace.StageReplicate, start, replDur)
+		}
+		p.tracer.RecordSpan(id, trace.StageTransmit, start.Add(replDur), txDur)
 	}
-	p.tracer.RecordSpan(id, trace.StageTransmit, start.Add(replDur), txDur)
 	p.traceCommit(res)
 }

@@ -101,14 +101,14 @@ func (b *Broker) sendDropOldest(h *Subscriber, m *jms.Message) {
 }
 
 // kickSlow force-unsubscribes a slow subscriber under the disconnect
-// policy. The caller holds h.sendMu and has verified the handle is alive
-// and non-durable (the transmit stage only ever sees non-durable handles —
+// policy. The caller has marked the handle dead under the lock that guards
+// it (h.sendMu, held across this call, or its outbox's) and verified it is
+// non-durable (the transmit stage only ever sees non-durable handles —
 // durable consumers are fed by their pump, not by the dispatch pipeline).
 // Safe against a concurrent Unsubscribe: gone-closing and registry removal
 // are both once-guarded, and the lock order (sendMu, then broker/registry
 // locks) matches the unsubscribe path.
 func (b *Broker) kickSlow(h *Subscriber) {
-	h.dead = true
 	h.slow.Store(true)
 	b.countAdd(&b.slowDisconnects, 1)
 	h.once.Do(func() { close(h.gone) })

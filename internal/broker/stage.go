@@ -117,9 +117,31 @@ type queueTransmitter struct {
 
 // Transmit forwards one replica to one subscriber.
 func (tx queueTransmitter) Transmit(h *Subscriber, m *jms.Message, mode jms.DeliveryMode) {
-	b, d := tx.b, tx.d
 	h.sendMu.Lock()
 	defer h.sendMu.Unlock()
+	tx.sendLocked(h, m, mode)
+}
+
+// TransmitBatch forwards a run of replicas to one subscriber, a channel one
+// under a single send lock. Semantics per message match Transmit exactly.
+func (tx queueTransmitter) TransmitBatch(h *Subscriber, msgs []*jms.Message, mode jms.DeliveryMode) {
+	if h.out != nil {
+		one := [1]*Subscriber{h}
+		for _, m := range msgs {
+			h.out.put(m, one[:], mode, tx.b.opts.SlowConsumer, tx.d.stop)
+		}
+		return
+	}
+	h.sendMu.Lock()
+	defer h.sendMu.Unlock()
+	for _, m := range msgs {
+		tx.sendLocked(h, m, mode)
+	}
+}
+
+// sendLocked is Transmit with h.sendMu held.
+func (tx queueTransmitter) sendLocked(h *Subscriber, m *jms.Message, mode jms.DeliveryMode) {
+	b, d := tx.b, tx.d
 	if h.dead {
 		return
 	}
@@ -142,6 +164,7 @@ func (tx queueTransmitter) Transmit(h *Subscriber, m *jms.Message, mode jms.Deli
 			b.sendDropOldest(h, m)
 			return
 		case SlowConsumerDisconnect:
+			h.dead = true
 			b.kickSlow(h)
 			return
 		}
@@ -168,78 +191,6 @@ func (tx queueTransmitter) Transmit(h *Subscriber, m *jms.Message, mode jms.Deli
 		default:
 			b.countAdd(&b.dropped, 1)
 		}
-	}
-}
-
-// TransmitBatch forwards a run of replicas to one subscriber under a
-// single send lock, counting deliveries once — the transmit-stage analogue
-// of the batch's single in-flight slot. Semantics per message match
-// Transmit exactly.
-func (tx queueTransmitter) TransmitBatch(h *Subscriber, msgs []*jms.Message, mode jms.DeliveryMode) {
-	b, d := tx.b, tx.d
-	h.sendMu.Lock()
-	defer h.sendMu.Unlock()
-	if h.dead {
-		return
-	}
-	sent := 0
-	for _, m := range msgs {
-		select {
-		case h.ch <- m:
-			sent++
-			continue
-		default:
-		}
-		if mode != jms.Persistent {
-			b.countAdd(&b.dropped, 1)
-			continue
-		}
-		switch b.opts.SlowConsumer {
-		case SlowConsumerDropOldest:
-			// Count the eviction-assisted send here; the shared counter
-			// update below only covers plain sends.
-			for {
-				select {
-				case h.ch <- m:
-				default:
-					select {
-					case <-h.ch:
-						b.countAdd(&b.slowDropped, 1)
-					default:
-					}
-					continue
-				}
-				break
-			}
-			sent++
-			continue
-		case SlowConsumerDisconnect:
-			// The handle is dead from here on; the rest of the batch is
-			// undeliverable to it.
-			if sent > 0 {
-				h.delivered.Add(uint64(sent))
-				b.countAdd(&b.dispatched, uint64(sent))
-			}
-			b.kickSlow(h)
-			return
-		}
-		select {
-		case h.ch <- m:
-			sent++
-		case <-h.gone:
-		case <-d.stop:
-			// Broker closing: best effort, do not block shutdown.
-			select {
-			case h.ch <- m:
-				sent++
-			default:
-				b.countAdd(&b.dropped, 1)
-			}
-		}
-	}
-	if sent > 0 {
-		h.delivered.Add(uint64(sent))
-		b.countAdd(&b.dispatched, uint64(sent))
 	}
 }
 

@@ -133,6 +133,10 @@ type Client struct {
 	ackQ    []pendingAck
 	ackKick chan struct{}
 
+	// fanout is the read loop's scratch for the subscriptions a
+	// MESSAGE_FANOUT frame names.
+	fanout []wire.DeliveryRef
+
 	done chan struct{}
 }
 
@@ -362,22 +366,23 @@ func (c *Client) dispatch(f wire.Frame, arena *wire.MessageArena) {
 		if err != nil {
 			return
 		}
-		c.mu.Lock()
-		sub := c.subs[subID]
-		c.mu.Unlock()
-		if sub != nil {
-			select {
-			case sub.ch <- m:
-				// Acked subscription (seq != 0): confirm once the message
-				// is safely in the local delivery queue. An unconfirmed
-				// delivery is requeued server-side on disconnect. The ack
-				// goes through ackLoop so a congested socket cannot block
-				// inbound frame processing.
-				if seq != 0 {
-					c.queueAck(subID, seq)
-				}
-			case <-sub.gone:
+		c.deliver(wire.DeliveryRef{SubID: subID, Seq: seq}, m)
+
+	case wire.FrameFanout:
+		refs, m, err := arena.AppendFanoutArena(c.fanout[:0], f.Payload)
+		c.fanout = refs
+		if err != nil {
+			return
+		}
+		// One message for several subscriptions of this connection, decoded
+		// once: each gets a copy-on-write view of its own, and the last the
+		// decoded message itself, once every view has been made from it.
+		for i, r := range refs {
+			msg := m
+			if i < len(refs)-1 {
+				msg = m.Shared()
 			}
+			c.deliver(r, msg)
 		}
 
 	case wire.FrameSubClosed:
@@ -406,6 +411,27 @@ func (c *Client) dispatch(f wire.Frame, arena *wire.MessageArena) {
 
 	case wire.FramePong:
 		// Liveness only.
+	}
+}
+
+// deliver queues m on the subscription r names, if this client still has
+// it. An acked delivery (Seq != 0) is confirmed once the message is safely
+// in the local delivery queue; an unconfirmed one is requeued server-side
+// on disconnect. The ack goes through ackLoop so a congested socket cannot
+// block inbound frame processing.
+func (c *Client) deliver(r wire.DeliveryRef, m *jms.Message) {
+	c.mu.Lock()
+	sub := c.subs[r.SubID]
+	c.mu.Unlock()
+	if sub == nil {
+		return
+	}
+	select {
+	case sub.ch <- m:
+		if r.Seq != 0 {
+			c.queueAck(r.SubID, r.Seq)
+		}
+	case <-sub.gone:
 	}
 }
 

@@ -44,8 +44,8 @@ func TestAppendBatchAllocs(t *testing.T) {
 }
 
 // TestAppendDeliveryAllocs pins what the server's delivery path builds per
-// replica — a MESSAGE frame's prologue, delivery header and message in a
-// pooled buffer — at zero allocations.
+// frame — a MESSAGE or MESSAGE_FANOUT frame's prologue, delivery header and
+// message in a pooled buffer — at zero allocations.
 func TestAppendDeliveryAllocs(t *testing.T) {
 	m := encodeMessage(t)
 	seq := uint64(0)
@@ -58,5 +58,14 @@ func TestAppendDeliveryAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("delivery frame encode: %v allocs, budget 0", allocs)
+	}
+	refs := []DeliveryRef{{SubID: 7}, {SubID: 8, Seq: 1}, {SubID: 9}}
+	allocs = testing.AllocsPerRun(200, func() {
+		bp := GetBuffer()
+		*bp = AppendFanout(append((*bp)[:0], 0, 0, 0, 0, byte(FrameFanout)), refs, m)
+		PutBuffer(bp)
+	})
+	if allocs != 0 {
+		t.Errorf("fanout frame encode: %v allocs, budget 0", allocs)
 	}
 }

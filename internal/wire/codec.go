@@ -469,6 +469,65 @@ func DecodeDelivery(payload []byte) (subID, seq uint64, m *jms.Message, err erro
 	return subID, seq, m, err
 }
 
+// DeliveryRef names one subscription a delivery frame is for: its
+// connection-local ID and its delivery sequence (0 unless the subscription
+// is acked).
+type DeliveryRef struct {
+	SubID, Seq uint64
+}
+
+// AppendFanout appends a MESSAGE_FANOUT payload to buf: the subscriptions
+// refs names, then m, encoded once for all of them.
+func AppendFanout(buf []byte, refs []DeliveryRef, m *jms.Message) []byte {
+	return append(appendFanoutHead(buf, refs, m), m.Body...)
+}
+
+// appendFanoutHead appends a MESSAGE_FANOUT payload up to and including the
+// body's length; AppendFanout's bytes are this followed by m.Body.
+func appendFanoutHead(buf []byte, refs []DeliveryRef, m *jms.Message) []byte {
+	e := encoder{buf: buf}
+	e.u32(uint32(len(refs)))
+	for _, r := range refs {
+		e.u64(r.SubID)
+		e.u64(r.Seq)
+	}
+	return appendMessageHead(e.buf, m)
+}
+
+// DecodeFanout parses a MESSAGE_FANOUT payload.
+func DecodeFanout(payload []byte) ([]DeliveryRef, *jms.Message, error) {
+	refs, off, err := appendFanoutRefs(nil, payload)
+	if err != nil {
+		return nil, nil, err
+	}
+	m, err := DecodeMessage(payload[off:])
+	if err != nil {
+		return nil, nil, err
+	}
+	return refs, m, nil
+}
+
+// appendFanoutRefs appends the subscriptions a MESSAGE_FANOUT payload names
+// to dst and returns it with the offset of the message encoding.
+func appendFanoutRefs(dst []DeliveryRef, payload []byte) ([]DeliveryRef, int, error) {
+	d := decoder{buf: payload}
+	n, err := d.u32()
+	if err != nil {
+		return dst, 0, err
+	}
+	if n == 0 {
+		return dst, 0, fmt.Errorf("wire: fanout to no subscription")
+	}
+	if int64(n)*16 > int64(d.remain()) {
+		return dst, 0, fmt.Errorf("%w: fanout count %d exceeds payload", ErrTruncated, n)
+	}
+	end := d.off + 16*int(n)
+	for refs := payload[d.off:end]; len(refs) > 0; refs = refs[16:] {
+		dst = append(dst, DeliveryRef{SubID: binary.BigEndian.Uint64(refs), Seq: binary.BigEndian.Uint64(refs[8:])})
+	}
+	return dst, end, nil
+}
+
 // EncodeAck builds a MSG_ACK payload: subscription id u64, delivery
 // sequence u64. MSG_ACK frames carry no request ID.
 func EncodeAck(subID, seq uint64) []byte {

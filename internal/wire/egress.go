@@ -12,17 +12,15 @@ import (
 
 // This file is the egress half of the zero-allocation wire path: a
 // per-connection write queue whose single writer goroutine gathers queued
-// frames — deliveries from every pump on the connection plus control
-// replies — into one vectored net.Buffers write. It replaces the
-// per-frame write-mutex pattern: instead of each delivery pump taking a
-// lock and issuing its own write, producers enqueue complete frames and
-// the writer coalesces across producers, so concurrent subscriptions on
-// one connection share syscalls instead of contending for them.
+// frames — the connection's deliveries plus control replies — into one
+// vectored net.Buffers write. Producers enqueue complete frames and the
+// writer coalesces across them, so they share syscalls instead of
+// contending for them.
 
 // writerQueueDepth bounds the per-connection egress queue. A full queue
-// blocks the producer (delivery pumps, control replies), which is exactly
-// the push-back chain: slow consumer connection → blocked pump → full
-// subscriber buffer → blocked transmit stage.
+// blocks the producer (the delivery pump, control replies), which is
+// exactly the push-back chain: slow consumer connection → blocked pump →
+// full outbox → blocked transmit stage.
 const writerQueueDepth = 256
 
 // writeCoalesce bounds how many queued frames one writev gathers — frames,

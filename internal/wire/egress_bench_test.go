@@ -56,8 +56,10 @@ func BenchmarkDeliveryEgress(b *testing.B) {
 			b.SetBytes(int64(size))
 			cpu0 := processCPU()
 			b.ResetTimer()
+			refs := []DeliveryRef{{}}
 			for i := 0; i < b.N; i++ {
-				if err := sc.writeDelivery(uint64(i&31), 0, m); err != nil {
+				refs[0].SubID = uint64(i & 31)
+				if err := sc.writeDelivery(refs, m); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -94,7 +94,7 @@ func TestDeliveryByReferenceByteIdentical(t *testing.T) {
 				// queue is deeper than that), so the writer gathers single-
 				// and two-buffer frames together.
 				for i, m := range msgs {
-					if err := h.sc.writeDelivery(7, seqOf(i), m); err != nil {
+					if err := h.sc.writeDelivery([]DeliveryRef{{SubID: 7, Seq: seqOf(i)}}, m); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -144,7 +144,7 @@ func TestDeliveryTooLargeCountsTheTail(t *testing.T) {
 	h := newDeliveryHarness(t, nil)
 	m := jms.NewMessage("t")
 	m.SetBody(make([]byte, MaxFrameSize))
-	if err := h.sc.writeDelivery(1, 0, m); err == nil {
+	if err := h.sc.writeDelivery([]DeliveryRef{{SubID: 1}}, m); err == nil {
 		t.Fatal("a delivery over MaxFrameSize was queued")
 	}
 }
@@ -161,10 +161,10 @@ func TestDeliveryBodyOwnership(t *testing.T) {
 
 	// Nothing reads the pipe yet: the writer blocks in its first Write with
 	// the sibling's frame still in the queue.
-	if err := h.sc.writeDelivery(1, 0, first); err != nil {
+	if err := h.sc.writeDelivery([]DeliveryRef{{SubID: 1}}, first); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.sc.writeDelivery(2, 0, sibling); err != nil {
+	if err := h.sc.writeDelivery([]DeliveryRef{{SubID: 2}}, sibling); err != nil {
 		t.Fatal(err)
 	}
 	first.SetBody(bytes.Repeat([]byte{0xee}, 4<<10))

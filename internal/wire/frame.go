@@ -77,6 +77,12 @@ const (
 	// it — structural loop suppression, no hop accounting on the hot
 	// path. Like PUBLISH it is answered with PUB_ACK.
 	FrameForward
+	// FrameFanout delivers one message to several subscriptions of one
+	// connection: a u32 count, count (subscription id u64, delivery
+	// sequence u64) pairs, then the encoded message. The server sends it
+	// in place of one MESSAGE frame per subscription whenever a message
+	// matches more than one subscription of the connection.
+	FrameFanout
 )
 
 // String names the frame type.
@@ -118,6 +124,8 @@ func (t FrameType) String() string {
 		return "SUB_CLOSED"
 	case FrameForward:
 		return "FORWARD"
+	case FrameFanout:
+		return "MESSAGE_FANOUT"
 	default:
 		return "FrameType(" + strconv.Itoa(int(t)) + ")"
 	}

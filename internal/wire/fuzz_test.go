@@ -27,6 +27,7 @@ func fuzzSeedFrames() []Frame {
 	return []Frame{
 		{Type: FramePublish, Payload: EncodeMessage(m)},
 		{Type: FrameMessage, Payload: EncodeDelivery(3, 41, m)},
+		{Type: FrameFanout, Payload: AppendFanout(nil, []DeliveryRef{{SubID: 3, Seq: 41}, {SubID: 4}}, m)},
 		{Type: FrameSubscribe, Payload: EncodeSubscribe("orders", FilterSpec{
 			Mode:        FilterSelector,
 			Expr:        "qty > 10 AND region = 'emea'",
@@ -108,6 +109,21 @@ func FuzzDecodeFrame(f *testing.F) {
 			}
 			if !bytes.Equal(EncodeMessage(m), EncodeMessage(m2)) {
 				t.Fatal("delivery message changed across round trip")
+			}
+		case FrameFanout:
+			refs, m, err := DecodeFanout(fr.Payload)
+			if err != nil {
+				return
+			}
+			refs2, m2, err := DecodeFanout(AppendFanout(nil, refs, m))
+			if err != nil {
+				t.Fatalf("re-decode of re-encoded fanout: %v", err)
+			}
+			if fmt.Sprint(refs2) != fmt.Sprint(refs) {
+				t.Fatalf("fanout subscriptions changed: %v vs %v", refs, refs2)
+			}
+			if !bytes.Equal(EncodeMessage(m), EncodeMessage(m2)) {
+				t.Fatal("fanout message changed across round trip")
 			}
 		case FrameSubscribe:
 			topic, spec, err := DecodeSubscribe(fr.Payload)

@@ -1,0 +1,196 @@
+package wire
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"repro/internal/jms"
+)
+
+// subscribe installs a subscription on topic t and returns its ID.
+func (rc *rawConn) subscribe(spec FilterSpec) uint64 {
+	rc.t.Helper()
+	rc.request(FrameSubscribe, EncodeSubscribe("t", spec))
+	f := rc.read()
+	if f.Type != FrameSubscribeOK {
+		rc.t.Fatalf("frame = %v, want SUBSCRIBE_OK", f.Type)
+	}
+	return binary.BigEndian.Uint64(f.Payload[8:])
+}
+
+// publishFor publishes a message with the given correlation ID, as body too,
+// and returns the one delivery frame that comes back beside its PUB_ACK.
+func (rc *rawConn) publishFor(corrID string) Frame {
+	rc.t.Helper()
+	m := jms.NewMessage("t")
+	if err := m.SetCorrelationID(corrID); err != nil {
+		rc.t.Fatal(err)
+	}
+	m.SetBody([]byte(corrID))
+	req := rc.request(FramePublish, EncodeMessage(m))
+	var delivery *Frame
+	for i := 0; i < 2; i++ {
+		f := rc.read()
+		switch {
+		case f.Type == FramePubAck && binary.BigEndian.Uint64(f.Payload) == req:
+		case delivery == nil:
+			delivery = &f
+		default:
+			rc.t.Fatalf("a second delivery frame (%v) for one message", f.Type)
+		}
+	}
+	if delivery == nil {
+		rc.t.Fatal("no delivery frame")
+	}
+	return *delivery
+}
+
+// TestServerFanoutOncePerConnection: a message matching several
+// subscriptions of one connection crosses it once, as one MESSAGE_FANOUT
+// frame naming each of them with its own delivery sequence; a message
+// matching one subscription is still a MESSAGE frame.
+func TestServerFanoutOncePerConnection(t *testing.T) {
+	rc, _, srv := startRawServer(t)
+	hot := FilterSpec{Mode: FilterCorrelationID, Expr: "#hot"}
+	first, second := rc.subscribe(hot), rc.subscribe(hot)
+	hot.Acked = true
+	acked := rc.subscribe(hot)
+	lone := rc.subscribe(FilterSpec{Mode: FilterCorrelationID, Expr: "#lone"})
+
+	framesOut := srv.WireStats().FramesOut
+	f := rc.publishFor("#hot")
+	if f.Type != FrameFanout {
+		t.Fatalf("frame = %v, want MESSAGE_FANOUT", f.Type)
+	}
+	refs, m, err := DecodeFanout(f.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []DeliveryRef{{SubID: first}, {SubID: second}, {SubID: acked, Seq: 1}}
+	if !reflect.DeepEqual(refs, want) || string(m.Body) != "#hot" {
+		t.Fatalf("fanout to %v with body %q, want %v and #hot", refs, m.Body, want)
+	}
+	if n := srv.WireStats().FramesOut - framesOut; n != 2 {
+		t.Errorf("%d frames out for one message to three subscriptions, want 2: the delivery and PUB_ACK", n)
+	}
+
+	f = rc.publishFor("#lone")
+	subID, seq, m, err := DecodeDelivery(f.Payload)
+	if f.Type != FrameMessage || err != nil || subID != lone || seq != 0 || string(m.Body) != "#lone" {
+		t.Fatalf("frame %v (err %v) for subscription %d seq %d, want a MESSAGE for %d", f.Type, err, subID, seq, lone)
+	}
+}
+
+// TestServerOnePumpPerConnection: a connection's deliveries leave through
+// one pump however many subscriptions it holds, so subscribing starts no
+// goroutine.
+func TestServerOnePumpPerConnection(t *testing.T) {
+	rc, _, _ := startRawServer(t)
+	spec := FilterSpec{Mode: FilterCorrelationID, Expr: "never"}
+	rc.subscribe(spec)
+	before := runtime.NumGoroutine()
+	for i := 0; i < 200; i++ {
+		rc.subscribe(spec)
+	}
+	if grown := runtime.NumGoroutine() - before; grown > 4 {
+		t.Errorf("200 subscriptions on one connection started %d goroutines", grown)
+	}
+}
+
+// TestFanoutRoundTrip: a MESSAGE_FANOUT payload names every subscription
+// with its sequence and decodes to the same message through both decoders;
+// a fanout to nobody, or one counting past its payload, is refused.
+func TestFanoutRoundTrip(t *testing.T) {
+	m := newRichMessage(t)
+	refs := []DeliveryRef{{SubID: 3}, {SubID: 9, Seq: 41}, {SubID: 12}}
+	payload := AppendFanout(nil, refs, m)
+	gotRefs, got, err := DecodeFanout(payload)
+	if err != nil || !reflect.DeepEqual(gotRefs, refs) || !bytes.Equal(EncodeMessage(got), EncodeMessage(m)) {
+		t.Fatalf("DecodeFanout: subscriptions %v, err %v", gotRefs, err)
+	}
+	arenaRefs, fromArena, err := NewMessageArena().AppendFanoutArena(nil, payload)
+	if err != nil || !reflect.DeepEqual(arenaRefs, refs) || !bytes.Equal(EncodeMessage(fromArena), EncodeMessage(m)) {
+		t.Fatalf("AppendFanoutArena: subscriptions %v, err %v", arenaRefs, err)
+	}
+	for name, bad := range map[string][]byte{
+		"no subscription":    AppendFanout(nil, nil, m),
+		"count past payload": binary.BigEndian.AppendUint32(nil, 1<<20),
+	} {
+		if _, _, err := DecodeFanout(bad); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestServerFanoutWithinFrameLimit: a message that fits a MESSAGE frame but
+// not a MESSAGE_FANOUT frame naming all of its subscriptions is split over
+// frames that fit. One too large for even a MESSAGE frame closes the
+// connection, whose subscriptions could receive nothing more, instead of
+// leaving it open with no delivery pump.
+func TestServerFanoutWithinFrameLimit(t *testing.T) {
+	rc, _, _ := startRawServer(t)
+	spec := FilterSpec{Mode: FilterCorrelationID, Expr: "#big"}
+	subs := []uint64{rc.subscribe(spec), rc.subscribe(spec), rc.subscribe(spec)}
+	// 40 bytes short of the limit: room for a fanout head of two
+	// subscriptions (4 + 2·16 bytes), not three.
+	m := jms.NewMessage("t")
+	if err := m.SetCorrelationID("#big"); err != nil {
+		t.Fatal(err)
+	}
+	m.SetBody(make([]byte, MaxFrameSize-40-len(EncodeMessage(m))))
+	req := rc.request(FramePublish, EncodeMessage(m))
+	var got [][]DeliveryRef
+	for acked := false; !acked || len(got) < 2; {
+		f := rc.read()
+		switch f.Type {
+		case FramePubAck:
+			acked = binary.BigEndian.Uint64(f.Payload) == req
+		case FrameFanout:
+			refs, _, err := DecodeFanout(f.Payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, refs)
+		case FrameMessage:
+			subID, seq, _, err := DecodeDelivery(f.Payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, []DeliveryRef{{SubID: subID, Seq: seq}})
+		default:
+			t.Fatalf("unexpected %v frame", f.Type)
+		}
+	}
+	want := [][]DeliveryRef{{{SubID: subs[0]}, {SubID: subs[1]}}, {{SubID: subs[2]}}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("delivered as %v, want %v", got, want)
+	}
+
+	// The largest publish the server accepts leaves no room for a
+	// delivery's subscription ID and sequence.
+	spec.Expr = "#huge"
+	rc.subscribe(spec)
+	if err := m.SetCorrelationID("#huge"); err != nil {
+		t.Fatal(err)
+	}
+	m.SetBody(nil)
+	m.SetBody(make([]byte, MaxFrameSize-8-len(EncodeMessage(m))))
+	rc.request(FramePublish, EncodeMessage(m))
+	for {
+		f, err := ReadFrame(rc.conn)
+		if err != nil {
+			if !errors.Is(err, io.EOF) {
+				t.Fatalf("read: %v, want the server to close the connection", err)
+			}
+			return
+		}
+		if f.Type != FramePubAck {
+			t.Fatalf("unexpected %v frame", f.Type)
+		}
+	}
+}

@@ -205,9 +205,18 @@ type serverConn struct {
 	done   chan struct{}
 
 	// w is the connection's coalescing egress queue (egress.go); every
-	// outbound frame — control replies and deliveries from all pumps —
-	// goes through it.
+	// outbound frame — control replies and the pump's deliveries — goes
+	// through it.
 	w *connWriter
+	// out is the broker-side queue all of this connection's subscriptions
+	// deliver to, drained by deliveryPump; pumpDone is closed when the pump
+	// has exited. pumpMu is held by the pump from taking deliveries off out
+	// until they are recorded in the unacked tables, by SUBSCRIBE until its
+	// reply is queued, and by finish, so no subscription is finished while
+	// one of its deliveries is neither queued nor recorded.
+	out      *broker.Outbox
+	pumpMu   sync.Mutex
+	pumpDone chan struct{}
 	// arena materializes inbound publishes from payload views; owned by
 	// the read loop (arenas are not concurrency-safe).
 	arena *MessageArena
@@ -235,12 +244,11 @@ type serverConn struct {
 }
 
 type connSub struct {
-	id   uint64
-	sub  *broker.Subscriber
-	stop chan struct{}
-	// pumpDone is closed when the delivery pump has exited, so teardown
-	// can read the unacked table without a writer racing it.
-	pumpDone chan struct{}
+	id  uint64
+	sub *broker.Subscriber
+	// closed is set once the subscription is finished on this connection;
+	// the pump drops what is still queued for it.
+	closed atomic.Bool
 
 	// Acked-delivery state. The pump records a delivery in unacked
 	// (keyed by its sequence number) before writing the frame; MSG_ACK
@@ -252,7 +260,7 @@ type connSub struct {
 }
 
 // takeUnacked removes and returns the unacked deliveries in delivery
-// order. Call only after the pump has exited.
+// order. Call with the connection's pumpMu held.
 func (cs *connSub) takeUnacked() []*jms.Message {
 	cs.ackMu.Lock()
 	defer cs.ackMu.Unlock()
@@ -272,11 +280,27 @@ func (cs *connSub) takeUnacked() []*jms.Message {
 	return msgs
 }
 
-// finish stops the pump, waits for it, and releases the subscription,
-// requeueing unacked deliveries on acked subscriptions.
-func (cs *connSub) finish() error {
-	close(cs.stop)
-	<-cs.pumpDone
+// record allocates the next delivery sequence of an acked subscription and
+// enters m in its unacked table; other subscriptions have no sequence (0).
+func (cs *connSub) record(m *jms.Message) uint64 {
+	if !cs.acked {
+		return 0
+	}
+	cs.ackMu.Lock()
+	defer cs.ackMu.Unlock()
+	cs.nextSeq++
+	cs.unacked[cs.nextSeq] = m
+	return cs.nextSeq
+}
+
+// finish releases a subscription of this connection, requeueing the
+// unacked deliveries of an acked one. It holds pumpMu, so every delivery
+// the pump took is in the unacked table by now, and a durable consumer's
+// detach takes back whatever is still queued in the outbox.
+func (sc *serverConn) finish(cs *connSub) error {
+	sc.pumpMu.Lock()
+	defer sc.pumpMu.Unlock()
+	cs.closed.Store(true)
 	if cs.acked {
 		return cs.sub.UnsubscribeRequeue(cs.takeUnacked())
 	}
@@ -287,28 +311,32 @@ func (s *Server) handleConn(conn net.Conn) {
 	defer s.wg.Done()
 	id := s.nextConnID.Add(1)
 	sc := &serverConn{
-		server: s,
-		conn:   conn,
-		id:     id,
-		log:    s.log.With("conn", id),
-		done:   make(chan struct{}),
-		w:      newConnWriter(conn, &s.counters, s.tracer),
-		arena:  NewMessageArena(),
-		subs:   make(map[uint64]*connSub),
+		server:   s,
+		conn:     conn,
+		id:       id,
+		log:      s.log.With("conn", id),
+		done:     make(chan struct{}),
+		w:        newConnWriter(conn, &s.counters, s.tracer),
+		out:      s.broker.NewOutbox(),
+		pumpDone: make(chan struct{}),
+		arena:    NewMessageArena(),
+		subs:     make(map[uint64]*connSub),
 	}
 	sc.log.Debug("connection accepted", "remote", conn.RemoteAddr().String())
+	go sc.deliveryPump()
 	sc.readLoop()
 	close(sc.done)
-	// Close the connection before waiting for the pumps: one of them may
-	// be blocked mid-write on the dead peer.
+	// Close the connection before waiting for the pump: it may be blocked
+	// mid-write on the dead peer.
 	_ = conn.Close()
-	// Every parked publish is committed or rejected, none abandoned.
-	sc.drainParked()
+	<-sc.pumpDone
 
 	// Tear down this connection's subscriptions. Non-durable mode: a
-	// disconnected subscriber is forgotten. Acked durable subscriptions:
-	// deliveries written but never acknowledged go back to the backlog,
-	// so a reconnecting consumer sees them again instead of losing them.
+	// disconnected subscriber is forgotten. Durable subscriptions: what is
+	// still queued for them, and on an acked one what was written but never
+	// acknowledged, goes back to the backlog, so a reconnecting consumer
+	// sees it again instead of losing it. This comes before the parked
+	// publishes, which may be waiting for room in this connection's outbox.
 	sc.subMu.Lock()
 	subs := make([]*connSub, 0, len(sc.subs))
 	for _, cs := range sc.subs {
@@ -317,9 +345,12 @@ func (s *Server) handleConn(conn net.Conn) {
 	sc.subs = nil
 	sc.subMu.Unlock()
 	for _, cs := range subs {
-		_ = cs.finish()
+		_ = sc.finish(cs)
 	}
-	// All producers (pumps, this read loop) are done; stop the writer.
+	// Every parked publish is committed or rejected, none abandoned.
+	sc.drainParked()
+	// All producers (the pump, this read loop, commitLoop) are done; stop
+	// the writer.
 	sc.w.close()
 	sc.log.Debug("connection closed", "subscriptions", len(subs))
 
@@ -429,39 +460,30 @@ func (sc *serverConn) handleFrame(f Frame) error {
 			sc.writeErr(reqID, err)
 			return nil
 		}
-		var sub *broker.Subscriber
+		// The pump holds off until SUBSCRIBE_OK is queued, so no delivery —
+		// a durable backlog replays at once — reaches the client before the
+		// subscription's ID does.
+		sc.pumpMu.Lock()
+		defer sc.pumpMu.Unlock()
+		sc.nextSubID++
+		cs := &connSub{id: sc.nextSubID, acked: spec.Acked}
+		if cs.acked {
+			cs.unacked = make(map[uint64]*jms.Message)
+		}
 		if spec.DurableName != "" {
-			sub, err = sc.server.broker.SubscribeDurable(topicName, spec.DurableName, flt, broker.DurableOptions{})
+			cs.sub, err = sc.out.SubscribeDurable(topicName, spec.DurableName, flt, broker.DurableOptions{}, cs)
 		} else {
-			sub, err = sc.server.broker.Subscribe(topicName, flt)
+			cs.sub, err = sc.out.Subscribe(topicName, flt, cs)
 		}
 		if err != nil {
 			sc.writeErr(reqID, err)
 			return nil
 		}
 		sc.subMu.Lock()
-		if sc.subs == nil { // connection tearing down
-			sc.subMu.Unlock()
-			_ = sub.Unsubscribe()
-			return errors.New("wire: connection closing")
-		}
-		sc.nextSubID++
-		cs := &connSub{
-			id:       sc.nextSubID,
-			sub:      sub,
-			stop:     make(chan struct{}),
-			pumpDone: make(chan struct{}),
-			acked:    spec.Acked,
-		}
-		if cs.acked {
-			cs.unacked = make(map[uint64]*jms.Message)
-		}
 		sc.subs[cs.id] = cs
 		sc.subMu.Unlock()
 		sc.log.Debug("subscribed", "sub", cs.id, "topic", topicName,
 			"durable", spec.DurableName, "acked", spec.Acked)
-
-		go sc.deliveryPump(cs)
 
 		var e encoder
 		e.u64(reqID)
@@ -484,7 +506,7 @@ func (sc *serverConn) handleFrame(f Frame) error {
 			sc.writeErr(reqID, fmt.Errorf("wire: unknown subscription %d", subID))
 			return nil
 		}
-		if err := cs.finish(); err != nil {
+		if err := sc.finish(cs); err != nil {
 			sc.writeErr(reqID, err)
 			return nil
 		}
@@ -726,117 +748,113 @@ func (s *Server) unclaim(m *jms.Message) {
 }
 
 // deliveryCoalesce bounds how many queued deliveries one pump iteration
-// gathers into a single vectored write. 16 matches the default batch
-// size the publish side is tuned for; past that the syscall amortization
-// has flattened out.
+// takes off the outbox (more only to finish the last message's run), so
+// the pump looks at the connection's state between bursts. 16 matches the
+// default batch size the publish side is tuned for.
 const deliveryCoalesce = 16
 
-// deliveryPump forwards broker deliveries for one subscription to the
-// network connection. After the first blocking receive it greedily drains
-// whatever else is already queued (up to deliveryCoalesce) and ships the
-// burst as one vectored write, so a batched publish that fans out to this
-// subscriber costs one syscall instead of one per message. On an acked
-// subscription every delivery is recorded in the unacked table before the
-// frame is written, so a connection cut between write and ack leaves the
-// message recoverable.
-func (sc *serverConn) deliveryPump(cs *connSub) {
-	defer close(cs.pumpDone)
-	batch := make([]*jms.Message, 0, deliveryCoalesce)
+// fanoutMaxRefs bounds the subscriptions one MESSAGE_FANOUT frame names, so
+// its head stays within a pooled buffer; a longer run goes out as several
+// frames. writeDelivery splits further where the head would push the frame
+// past MaxFrameSize.
+const fanoutMaxRefs = 1 << 11
+
+// pumpSend is one frame the pump staged: m for the subscriptions
+// refs[lo:hi], or, when m is nil, the SUB_CLOSED notice for cs.
+type pumpSend struct {
+	m      *jms.Message
+	cs     *connSub
+	lo, hi int
+}
+
+// deliveryPump is the connection's one delivery goroutine. It drains the
+// outbox all of the connection's subscriptions deliver to and sends each
+// message once per connection: its deliveries to several subscriptions go
+// out as one MESSAGE_FANOUT frame naming them all, a single delivery as a
+// MESSAGE frame. It exits once the connection is closed, and closes it when
+// a frame cannot be sent, since nothing else would deliver to the
+// connection's subscriptions: handleConn's teardown then finishes them.
+func (sc *serverConn) deliveryPump() {
+	defer close(sc.pumpDone)
+	var (
+		batch []broker.Delivery
+		refs  []DeliveryRef
+		sends []pumpSend
+	)
 	for {
 		select {
-		case m, ok := <-cs.sub.Chan():
-			if !ok {
-				return
-			}
-			batch = append(batch[:0], m)
-		drain:
-			for len(batch) < deliveryCoalesce {
-				select {
-				case m2, ok := <-cs.sub.Chan():
-					if !ok {
-						// Channel closed mid-drain: flush what we have,
-						// then exit.
-						_ = sc.writeDeliveries(cs, batch)
-						return
-					}
-					batch = append(batch, m2)
-				default:
-					break drain
-				}
-			}
-			if err := sc.writeDeliveries(cs, batch); err != nil {
-				return
-			}
-		case <-cs.sub.Gone():
-			// The broker ended the subscription server-side (today: the
-			// disconnect slow-consumer policy). Flush what is still queued,
-			// notify the client, and drop the entry so a later client
-			// UNSUBSCRIBE reports unknown-subscription instead of finishing
-			// a pump that already exited. finish() must NOT run here — the
-			// subscription is already gone and cs.stop stays open for it.
-			for {
-				select {
-				case m, ok := <-cs.sub.Chan():
-					if !ok {
-						break
-					}
-					if err := sc.writeDeliveries(cs, []*jms.Message{m}); err != nil {
-						return
-					}
-					continue
-				default:
-				}
-				break
-			}
-			reason := "unsubscribed"
-			if cs.sub.SlowDisconnected() {
-				reason = "slow-consumer"
-			}
-			_ = sc.write(Frame{Type: FrameSubClosed, Payload: EncodeSubClosed(cs.id, reason)})
-			sc.subMu.Lock()
-			if sc.subs != nil {
-				delete(sc.subs, cs.id)
-			}
-			sc.subMu.Unlock()
-			sc.log.Debug("subscription closed by broker", "sub", cs.id, "reason", reason)
-			return
-		case <-cs.stop:
-			return
 		case <-sc.done:
 			return
+		default:
 		}
+		sc.pumpMu.Lock()
+		batch = sc.out.Take(batch[:0], deliveryCoalesce)
+		refs, sends = stageDeliveries(batch, refs[:0], sends[:0])
+		sc.pumpMu.Unlock()
+		if len(batch) == 0 {
+			select {
+			case <-sc.out.Ready():
+			case <-sc.done:
+				return
+			}
+			continue
+		}
+		for _, s := range sends {
+			if err := sc.send(s, refs); err != nil {
+				sc.log.Warn("delivery failed; closing connection", "err", err)
+				_ = sc.conn.Close()
+				return
+			}
+		}
+		// Neither scratch slice may keep a message alive while the pump idles.
+		clear(batch)
+		clear(sends)
 	}
 }
 
-// writeDeliveries records and queues a burst of deliveries. Sequence
-// numbers for an acked subscription are allocated under one lock for the
-// whole burst; the frames are enqueued on the connection writer, which
-// gathers them — together with any other pump's frames — into vectored
-// writes.
-func (sc *serverConn) writeDeliveries(cs *connSub, msgs []*jms.Message) error {
-	if len(msgs) == 0 {
-		return nil
-	}
-	var seqBase uint64
-	if cs.acked {
-		cs.ackMu.Lock()
-		seqBase = cs.nextSeq
-		for i, m := range msgs {
-			cs.unacked[seqBase+uint64(i)+1] = m
+// stageDeliveries turns deliveries taken off the outbox into the frames
+// that carry them: consecutive deliveries of one message share a frame,
+// deliveries to a subscription finished here are dropped, and on an acked
+// subscription each delivery gets its sequence number and is recorded in
+// the unacked table before its frame is queued, so a connection cut
+// between write and ack leaves the message recoverable.
+func stageDeliveries(batch []broker.Delivery, refs []DeliveryRef, sends []pumpSend) ([]DeliveryRef, []pumpSend) {
+	for _, d := range batch {
+		cs := d.Sub.Tag().(*connSub)
+		if d.Msg == nil {
+			sends = append(sends, pumpSend{cs: cs})
+			continue
 		}
-		cs.nextSeq += uint64(len(msgs))
-		cs.ackMu.Unlock()
-	}
-	for i, m := range msgs {
-		var seq uint64
-		if cs.acked {
-			seq = seqBase + uint64(i) + 1
+		if cs.closed.Load() {
+			continue
 		}
-		if err := sc.writeDelivery(cs.id, seq, m); err != nil {
-			return err
+		if n := len(sends); n > 0 && sends[n-1].m == d.Msg && sends[n-1].hi-sends[n-1].lo < fanoutMaxRefs {
+			sends[n-1].hi++
+		} else {
+			sends = append(sends, pumpSend{m: d.Msg, lo: len(refs), hi: len(refs) + 1})
 		}
+		refs = append(refs, DeliveryRef{SubID: cs.id, Seq: cs.record(d.Msg)})
 	}
-	return nil
+	return refs, sends
+}
+
+// send queues one staged frame. A SUB_CLOSED notice means the broker ended
+// the subscription (the disconnect slow-consumer policy) after every
+// delivery queued before it, which are out by now. Its entry is dropped
+// first, so a later UNSUBSCRIBE reports an unknown subscription instead of
+// finishing one the broker already removed.
+func (sc *serverConn) send(s pumpSend, refs []DeliveryRef) error {
+	if s.m != nil {
+		return sc.writeDelivery(refs[s.lo:s.hi], s.m)
+	}
+	s.cs.closed.Store(true)
+	sc.subMu.Lock()
+	if sc.subs != nil {
+		delete(sc.subs, s.cs.id)
+	}
+	sc.subMu.Unlock()
+	sc.log.Debug("subscription closed by broker", "sub", s.cs.id, "reason", "slow-consumer")
+	return sc.write(Frame{Type: FrameSubClosed, Payload: EncodeSubClosed(s.cs.id, "slow-consumer")})
 }
 
 // bodyByRefMin is the body size from which a delivery hands its body to the
@@ -845,14 +863,15 @@ func (sc *serverConn) writeDeliveries(cs *connSub, msgs []*jms.Message) error {
 // sweep); from it on, delivery encode cost no longer depends on body size.
 const bodyByRefMin = 1 << 10
 
-// writeDelivery encodes one MESSAGE frame into a pooled buffer — prologue
+// writeDelivery encodes one delivery frame into a pooled buffer — prologue
 // and payload together, so the delivery fast path allocates nothing in
-// steady state — and hands it to the connection writer. A body of
+// steady state — and hands it to the connection writer: a MESSAGE frame for
+// one subscription, a MESSAGE_FANOUT frame for several. A body of
 // bodyByRefMin bytes or more is not copied: the buffer ends at the body's
 // length field and the writer gathers m.Body itself behind it, the same
 // bytes every replica of the message already shares (see connWriter for why
 // that is safe). The bytes on the wire are the same either way.
-func (sc *serverConn) writeDelivery(subID, seq uint64, m *jms.Message) error {
+func (sc *serverConn) writeDelivery(refs []DeliveryRef, m *jms.Message) error {
 	tr := sc.server.tracer
 	traced := tr.Sampled(m.Header.TraceID)
 	var t0 int64
@@ -860,19 +879,35 @@ func (sc *serverConn) writeDelivery(subID, seq uint64, m *jms.Message) error {
 		t0 = time.Now().UnixNano()
 	}
 	bp := GetBuffer()
-	buf := append((*bp)[:0], 0, 0, 0, 0, byte(FrameMessage))
+	buf := (*bp)[:0]
+	if len(refs) == 1 {
+		buf = appendDeliveryHead(append(buf, 0, 0, 0, 0, byte(FrameMessage)), refs[0].SubID, refs[0].Seq, m)
+	} else {
+		buf = appendFanoutHead(append(buf, 0, 0, 0, 0, byte(FrameFanout)), refs, m)
+	}
 	var tail []byte
 	if len(m.Body) >= bodyByRefMin {
-		buf = appendDeliveryHead(buf, subID, seq, m)
 		tail = m.Body
 	} else {
-		buf = AppendDelivery(buf, subID, seq, m)
+		buf = append(buf, m.Body...)
 	}
 	*bp = buf
 	size := len(buf) - prologueSize + len(tail)
 	if size > MaxFrameSize {
 		PutBuffer(bp)
-		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, size)
+		if len(refs) == 1 {
+			return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, size)
+		}
+		// The refs push the frame past the limit: split them over frames
+		// that fit, down to one MESSAGE frame per subscription.
+		msgLen := size - 4 - 16*len(refs)
+		per := max(1, (MaxFrameSize-4-msgLen)/16)
+		for lo := 0; lo < len(refs); lo += per {
+			if err := sc.writeDelivery(refs[lo:min(lo+per, len(refs))], m); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 	binary.BigEndian.PutUint32(buf[:4], uint32(size))
 	ef := egressFrame{bp: bp, tail: tail}

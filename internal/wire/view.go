@@ -507,6 +507,18 @@ func (a *MessageArena) DecodeDeliveryArena(payload []byte) (subID, seq uint64, m
 	return subID, seq, m, err
 }
 
+// AppendFanoutArena parses a MESSAGE_FANOUT payload like DecodeFanout,
+// appending the subscriptions it names to dst and materializing the message
+// once through the arena.
+func (a *MessageArena) AppendFanoutArena(dst []DeliveryRef, payload []byte) ([]DeliveryRef, *jms.Message, error) {
+	dst, off, err := appendFanoutRefs(dst, payload)
+	if err != nil {
+		return dst, nil, err
+	}
+	m, err := a.DecodeMessageArena(payload[off:])
+	return dst, m, err
+}
+
 // AppendBatchMessages decodes a MSG_BATCH payload, materializing every
 // message through the arena, and appends the results to dst (which the
 // caller typically draws from a pooled carrier). It accepts and rejects
