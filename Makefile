@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet-live test test-procs test-benchmark race conformance-live bench bench-all bench-pairs fuzz stress stress-smoke verify
+.PHONY: all build vet-live test test-procs test-queues test-benchmark race conformance-live bench bench-all bench-pairs fuzz stress stress-smoke verify
 
 all: build test
 
@@ -10,11 +10,19 @@ build:
 test:
 	$(GO) test ./...
 
-# test-procs is CI's matrix run locally: tier-1 and the race pass at
-# GOMAXPROCS 1, 2 and 4, because a failure that needs two cores (a sharded
-# pipeline reordering, a wall-clock envelope) is invisible on one.
+# test-procs is CI's matrix run locally: tier-1, the race pass and the
+# repeated queue tests at GOMAXPROCS 1, 2 and 4, because a failure that
+# needs two cores (a sharded pipeline reordering, a wall-clock envelope) is
+# invisible on one.
 test-procs:
-	for p in 1 2 4; do GOMAXPROCS=$$p $(MAKE) test race || exit 1; done
+	for p in 1 2 4; do GOMAXPROCS=$$p $(MAKE) test race test-queues || exit 1; done
+
+# test-queues runs the subscriber queue's count-based tests twenty times:
+# the outbox, the slow-consumer policies, durable backlogs across detach
+# cycles, the metamorphic walls, unsubscribe and churn races. An ordering or
+# counting race in the one delivery queue shows as a failure in some run.
+test-queues:
+	$(GO) test -count=20 -run 'Outbox|SlowConsumer|Durable|Metamorphic|Unsubscribe|Churn' ./internal/broker/
 
 # test-benchmark tests the repository benchmark (BENCHMARK.json): a nested
 # module, so `go test ./...` above does not reach it. It checks the

@@ -107,7 +107,10 @@ func run(sc scenario) (phase, error) {
 			drained.Add(1)
 			go func() {
 				defer drained.Done()
-				for range s.Chan() {
+				for {
+					if _, err := s.Receive(context.Background()); err != nil {
+						return
+					}
 				}
 			}()
 		}

@@ -107,8 +107,8 @@ func TestBatchPublishMetamorphic(t *testing.T) {
 		}
 		got := make([][]string, nSubs)
 		for i, s := range subs {
-			for len(s.Chan()) > 0 {
-				got[i] = append(got[i], string((<-s.Chan()).Body))
+			for _, m := range drainQueued(s) {
+				got[i] = append(got[i], string(m.Body))
 			}
 		}
 		return got

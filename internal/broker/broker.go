@@ -57,8 +57,8 @@ type Options struct {
 	// its neighbours) — in both cases plus SubscriberBuffer for each
 	// subscriber whose full queue blocks the transmit stage.
 	InFlight int
-	// SubscriberBuffer is the per-subscriber delivery queue length; an
-	// Outbox holds this many deliveries per subscription. Default 64.
+	// SubscriberBuffer is the number of deliveries an Outbox holds per
+	// subscription unless SubscribeBuffered says otherwise. Default 64.
 	SubscriberBuffer int
 	// Engine selects the dispatch implementation. The zero value is
 	// EngineFaithful, keeping the paper reproduction the default.
@@ -211,7 +211,7 @@ func (b *Broker) ConfigureTopic(name string) error {
 		d.tt = &topicTimers{}
 	}
 	b.dispatchers[name] = d
-	p := &pipeline{b: b, d: d, st: b.stages(b.opts.Engine), tx: queueTransmitter{b: b, d: d}, tracer: b.opts.Tracer}
+	p := &pipeline{b: b, d: d, st: b.stages(b.opts.Engine), tracer: b.opts.Tracer}
 	p.start()
 	return nil
 }
@@ -366,39 +366,35 @@ func (b *Broker) dispatcherFor(m *jms.Message) (*dispatcher, error) {
 	return d, nil
 }
 
-// Subscriber is a subscription handle with its delivery queue. It is
-// either a regular (non-durable) subscription backed by a registry entry,
-// or the attached consumer of a durable subscription.
+// Subscriber is a subscription handle. Its deliveries wait in an Outbox:
+// its own for a subscription made by Subscribe, read with Receive, or a
+// consumer connection's shared one. It is either a regular (non-durable)
+// subscription backed by a registry entry, or the attached consumer of a
+// durable subscription.
 type Subscriber struct {
-	sub     *topic.Subscription
-	broker  *Broker
-	ch      chan *jms.Message // nil for an outbox subscription
-	gone    chan struct{}
-	once    sync.Once
-	durable *durableSub // nil for regular subscriptions
-
-	// out is the outbox an outbox subscription delivers to, tag the
-	// consumer's reference Tag returns, and queued the number of its
-	// deliveries out holds (guarded by out.mu).
-	out    *Outbox
-	tag    any
-	queued int
-
-	// sendMu serializes transmits against Unsubscribe: Unsubscribe closes
-	// gone (waking any transmit blocked on a full queue), then sets dead
-	// under the lock, so once Unsubscribe returns no in-flight dispatch
-	// can still enqueue a delivery. An outbox subscription uses out.mu
-	// instead.
-	sendMu sync.Mutex
-	dead   bool // guarded by sendMu, or by out.mu
-
-	// slow marks a handle force-removed by the disconnect slow-consumer
-	// policy; Receive then reports ErrSlowConsumer instead of ErrClosed.
-	slow atomic.Bool
+	sub    *topic.Subscription
+	broker *Broker
+	gone   chan struct{}
+	once   sync.Once
 	// removeOnce guards registry removal, shared between Unsubscribe and
 	// the broker-initiated slow-consumer kick so the loser is a no-op
 	// instead of an error.
 	removeOnce sync.Once
+	durable    *durableSub // nil for regular subscriptions
+
+	// out is the outbox the subscription's deliveries wait in, tag the
+	// consumer's reference Tag returns. buffer bounds the deliveries out
+	// holds for it and queued counts them; dead, set by Unsubscribe or a
+	// slow-consumer kick, stops further ones. The last two are guarded by
+	// out.mu.
+	out    *Outbox
+	tag    any
+	buffer int
+	queued int
+	dead   bool
+	// slow marks a handle force-removed by the disconnect slow-consumer
+	// policy; Receive then reports ErrSlowConsumer instead of ErrClosed.
+	slow atomic.Bool
 
 	delivered atomic.Uint64
 }
@@ -419,21 +415,30 @@ func (b *Broker) SubscribeBuffered(topicName string, f filter.Filter, buffer int
 	return b.subscribe(topicName, f, buffer, nil, nil)
 }
 
-// subscribe installs a subscription that delivers to a channel of buffer
-// entries, or, with o set, to o.
-func (b *Broker) subscribe(topicName string, f filter.Filter, buffer int, o *Outbox, tag any) (*Subscriber, error) {
+// newHandle returns a handle delivering to o, or, with o nil, to an outbox
+// of its own, holding up to buffer deliveries (SubscriberBuffer when not
+// positive).
+func (b *Broker) newHandle(o *Outbox, buffer int, tag any) *Subscriber {
 	if buffer <= 0 {
 		buffer = b.opts.SubscriberBuffer
 	}
+	h := &Subscriber{broker: b, gone: make(chan struct{}), out: o, tag: tag, buffer: buffer}
+	if o == nil {
+		h.out = b.NewOutbox()
+		h.out.solo = h
+	}
+	return h
+}
+
+// subscribe installs a subscription delivering to o, or, with o nil, to an
+// outbox of its own holding up to buffer deliveries.
+func (b *Broker) subscribe(topicName string, f filter.Filter, buffer int, o *Outbox, tag any) (*Subscriber, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
 		return nil, ErrClosed
 	}
-	h := &Subscriber{broker: b, gone: make(chan struct{}), out: o, tag: tag}
-	if o == nil {
-		h.ch = make(chan *jms.Message, buffer)
-	}
+	h := b.newHandle(o, buffer, tag)
 	sub, err := b.registry.Subscribe(topicName, f, h)
 	if err != nil {
 		return nil, err
@@ -443,30 +448,82 @@ func (b *Broker) subscribe(topicName string, f filter.Filter, buffer int, o *Out
 	return h, nil
 }
 
-// Chan returns the delivery channel. It is closed when the broker shuts
-// down. After Unsubscribe the channel stops receiving new messages but is
-// left open; use Receive, which also observes unsubscription. An outbox
-// subscription has no channel: Chan returns nil.
-func (s *Subscriber) Chan() <-chan *jms.Message { return s.ch }
+// Chan returns a channel carrying what Receive would return, for a caller
+// that selects over several sources. The first call starts the one
+// goroutine feeding it from Receive; the channel holds up to the
+// subscription's buffer on top of its queue. Once the subscription has
+// ended, the goroutine moves what still fits into the channel, closes it
+// and exits, so an abandoned channel holds no goroutine after Unsubscribe
+// or Close.
+func (s *Subscriber) Chan() <-chan *jms.Message {
+	o := s.out
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.ch == nil {
+		o.ch = make(chan *jms.Message, s.buffer)
+		go s.feedChan(o.ch)
+	}
+	return o.ch
+}
 
-// Tag returns the tag an outbox subscription was made with; nil otherwise.
+func (s *Subscriber) feedChan(ch chan<- *jms.Message) {
+	defer close(ch)
+	for {
+		m, err := s.Receive(context.Background())
+		if err != nil {
+			return
+		}
+		select {
+		case ch <- m:
+			continue
+		default:
+		}
+		select {
+		case ch <- m:
+		case <-s.gone:
+			return // ended with the channel full
+		}
+	}
+}
+
+// Tag returns the tag given to Outbox.Subscribe or SubscribeDurable; nil
+// for a subscription with an outbox of its own.
 func (s *Subscriber) Tag() any { return s.tag }
 
-// Receive blocks for the next message. It returns ErrClosed after the
-// subscriber was unsubscribed or the broker shut down, and
-// ErrSlowConsumer (which wraps ErrClosed) after the broker force-removed
-// the subscription under the disconnect slow-consumer policy.
+// errShared is what Receive returns on a subscription of a shared Outbox,
+// whose deliveries are read with Take.
+var errShared = errors.New("broker: Receive on a shared outbox subscription")
+
+// Receive returns the next queued delivery, blocking until there is one.
+// A queued delivery is returned before ctx is looked at, so a done context
+// makes Receive a non-blocking poll. Once the subscription has ended and
+// its queue is empty it returns ErrClosed — after Unsubscribe or broker
+// shutdown — or ErrSlowConsumer (which wraps ErrClosed) after the broker
+// force-removed the subscription under the disconnect slow-consumer policy.
 func (s *Subscriber) Receive(ctx context.Context) (*jms.Message, error) {
-	select {
-	case m, ok := <-s.ch:
-		if !ok {
-			return nil, s.closeErr()
+	o := s.out
+	if o.solo != s {
+		return nil, errShared
+	}
+	for {
+		var one [1]Delivery
+		if got := o.Take(one[:0], 1); len(got) == 1 {
+			if got[0].Msg == nil {
+				return nil, s.closeErr()
+			}
+			return got[0].Msg, nil
 		}
-		return m, nil
-	case <-s.gone:
-		return nil, s.closeErr()
-	case <-ctx.Done():
-		return nil, ctx.Err()
+		select {
+		case <-s.gone:
+			return nil, s.closeErr()
+		default:
+		}
+		select {
+		case <-o.ready:
+		case <-s.gone: // take once more: what was queued before it closed
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
 	}
 }
 
@@ -505,11 +562,11 @@ func (s *Subscriber) Filter() filter.Filter {
 	return s.sub.Filter
 }
 
-// Unsubscribe removes the subscription. Messages already queued may be
-// drained from Chan, but no new delivery is enqueued once Unsubscribe has
-// returned; Receive returns ErrClosed. For a durable consumer handle this
-// detaches the consumer — the durable subscription itself keeps
-// accumulating messages until UnsubscribeDurable.
+// Unsubscribe removes the subscription. No new delivery is queued once
+// Unsubscribe has returned; Receive returns the ones already queued, then
+// ErrClosed. For a durable consumer handle this detaches the consumer —
+// the durable subscription itself keeps accumulating messages until
+// UnsubscribeDurable.
 func (s *Subscriber) Unsubscribe() error {
 	return s.unsubscribe(nil)
 }
@@ -517,7 +574,7 @@ func (s *Subscriber) Unsubscribe() error {
 // UnsubscribeRequeue is Unsubscribe for an acked consumer: the unacked
 // messages — delivered to the consumer but never acknowledged — are
 // returned to the head of the durable backlog (in their original
-// delivery order) before any residual still queued in the channel, so
+// delivery order) before any residual still queued for it, so
 // the next attach redelivers them. On a non-durable subscription the
 // list is discarded (a disconnected non-durable subscriber is
 // forgotten, unacked deliveries included).
@@ -528,36 +585,14 @@ func (s *Subscriber) UnsubscribeRequeue(unacked []*jms.Message) error {
 func (s *Subscriber) unsubscribe(unacked []*jms.Message) error {
 	var err error
 	s.once.Do(func() {
-		if s.durable != nil && len(unacked) > 0 {
-			// Stash before closing gone: closing gone can make the
-			// delivery goroutine run finish() immediately, and it must
-			// observe the requeue list there.
-			d := s.durable
-			d.mu.Lock()
-			if d.active == s {
-				d.preRequeue = unacked
-			}
-			d.mu.Unlock()
-		}
 		close(s.gone)
-		if s.out != nil {
-			// Under the outbox lock, so nothing is queued for s after this,
-			// and a transmit parked on the full outbox wakes and skips s.
-			s.out.leave(s)
-		}
 		if s.durable != nil {
-			s.broker.detachDurable(s)
+			s.broker.detachDurable(s, unacked)
 			return
 		}
-		if s.out == nil {
-			// Closing gone wakes a transmit blocked on this subscriber's full
-			// queue; taking the send lock then waits out any transmit already
-			// past its dead check, so after this point no dispatch — even one
-			// holding an older topic snapshot — can deliver to this handle.
-			s.sendMu.Lock()
-			s.dead = true
-			s.sendMu.Unlock()
-		}
+		// Under the outbox lock, so nothing is queued for s after this, and
+		// a transmit parked on its full queue wakes and skips it.
+		s.out.leave(s)
 		s.removeOnce.Do(func() { err = s.broker.removeSubscriber(s) })
 	})
 	return err
@@ -610,7 +645,7 @@ func (b *Broker) EffectiveServers() int {
 func (b *Broker) NumFilters() int { return b.registry.TotalSubscriptions() }
 
 // Close shuts the broker down: publishers get ErrClosed, accepted messages
-// are drained, dispatchers stop, and all subscriber channels are closed.
+// are dispatched, dispatchers stop, and every subscription ends.
 func (b *Broker) Close() error {
 	b.mu.Lock()
 	if b.closed {
@@ -622,8 +657,11 @@ func (b *Broker) Close() error {
 	for _, d := range b.dispatchers {
 		dispatchers = append(dispatchers, d)
 	}
-	handles := make([]*Subscriber, 0, len(b.handles))
+	handles := make([]*Subscriber, 0, len(b.handles)+len(b.durableHandles))
 	for _, h := range b.handles {
+		handles = append(handles, h)
+	}
+	for h := range b.durableHandles {
 		handles = append(handles, h)
 	}
 	durables := make([]*durableSub, 0, len(b.durables))
@@ -639,22 +677,18 @@ func (b *Broker) Close() error {
 	for _, d := range dispatchers {
 		<-d.done
 	}
-	// 2. Stop durable pumps (they drain their relays, set pumpDone and
-	//    wake delivery goroutines, which then drain best-effort and close
-	//    their consumer channels).
+	// 2. Stop durable pumps; each moves what its relay still holds into
+	//    the backlog and on to its consumer.
 	for _, d := range durables {
-		d.signalStop()
+		d.stop()
 	}
 	b.wg.Wait()
 
-	// 3. Close regular subscriber channels (dispatchers have exited, so
-	//    no sender remains). Durable consumer channels are closed by
-	//    their delivery goroutines.
+	// 3. End every subscription. Nothing more is queued for any of them;
+	//    Receive still returns what is, a durable consumer's backlog
+	//    included.
 	for _, h := range handles {
 		h.once.Do(func() { close(h.gone) })
-		if h.ch != nil {
-			close(h.ch)
-		}
 	}
 	return nil
 }

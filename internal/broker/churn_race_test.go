@@ -16,7 +16,7 @@ import (
 // TestChurnStormDuringPublish races subscribe/unsubscribe storms against a
 // continuous publisher on both engines and pins the unsubscribe contract:
 // once Unsubscribe has returned and the residual queue is drained, no
-// further message may appear on the handle's channel, and Receive reports
+// further message may appear in the handle's queue, and Receive reports
 // ErrClosed. A long-lived witness subscriber checks the storm never tears
 // delivery for bystanders: every message published while it was attached
 // arrives, in order. Run under -race this also exercises the lock-free
@@ -113,16 +113,9 @@ func TestChurnStormDuringPublish(t *testing.T) {
 							return
 						}
 						// Contract: residual messages may be drained, but once
-						// the channel is empty after Unsubscribe returned, it
+						// the queue is empty after Unsubscribe returned, it
 						// must stay empty forever.
-						for {
-							select {
-							case <-s.ch:
-								continue
-							default:
-							}
-							break
-						}
+						drainQueued(s)
 						if _, rerr := s.Receive(context.Background()); !errors.Is(rerr, ErrClosed) {
 							errCh <- errors.New("Receive after Unsubscribe: " +
 								"want ErrClosed, got " + errString(rerr))
@@ -153,12 +146,12 @@ func TestChurnStormDuringPublish(t *testing.T) {
 				time.Sleep(time.Millisecond)
 			}
 
-			// No ghost channel may have received anything after its
+			// No ghost queue may have received anything after its
 			// post-unsubscribe drain — not even from a dispatch that held
 			// an older index snapshot.
 			close(ghosts)
 			for s := range ghosts {
-				if n := len(s.ch); n != 0 {
+				if n := len(drainQueued(s)); n != 0 {
 					t.Fatalf("unsubscribed handle received %d messages after drain", n)
 				}
 			}

@@ -1,8 +1,10 @@
 package broker
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/filter"
@@ -18,9 +20,11 @@ import (
 // order on reattach. The buffering cost is exactly why the paper's
 // throughput study uses the non-durable mode.
 //
-// Structure: a hidden relay subscription feeds a per-name backlog; a
-// delivery goroutine per attached consumer drains the backlog strictly in
-// order, so replay and live traffic never interleave out of order.
+// Structure: a hidden relay subscription feeds a per-name backlog through
+// one pump goroutine per durable subscription. The attached consumer's
+// outbox is refilled from the backlog head as it makes room (see Outbox),
+// and a detach hands what is still queued there back to that head, so
+// replay and live traffic never interleave out of order.
 
 // Errors of the durable subsystem.
 var (
@@ -41,32 +45,18 @@ type durableSub struct {
 	topic string
 	fltr  filter.Filter
 	relay *Subscriber
+	// ctx ends the pump once it has drained the relay; stop cancels it.
+	ctx  context.Context
+	stop context.CancelFunc
 
+	// mu guards the fields below. Lock order: an outbox's mu before it,
+	// never the other way round (see Outbox).
 	mu       sync.Mutex
-	cond     *sync.Cond
 	backlog  []*jms.Message
 	limit    int
 	active   *Subscriber
 	overflow uint64
-	pumpDone bool
 	deleted  bool
-	// detachReq asks the current delivery goroutine to stop; deliverDone
-	// is closed when it has fully exited (so detach/attach serialize and
-	// in-flight messages are requeued before anyone else runs).
-	detachReq   bool
-	deliverDone chan struct{}
-	// preRequeue holds the active consumer's unacked deliveries handed in
-	// by UnsubscribeRequeue; finish() prepends them to the backlog ahead
-	// of the channel residual (they left the channel first, so that is
-	// their original order).
-	preRequeue []*jms.Message
-
-	stop     chan struct{}
-	stopOnce sync.Once
-}
-
-func (d *durableSub) signalStop() {
-	d.stopOnce.Do(func() { close(d.stop) })
 }
 
 // DurableOptions configure a durable subscription.
@@ -87,7 +77,7 @@ func (b *Broker) SubscribeDurable(topicName, name string, f filter.Filter, opts 
 }
 
 // subscribeDurable is SubscribeDurable for a consumer that delivers to o,
-// or, with o nil, to a channel of its own.
+// or, with o nil, to an outbox of its own.
 func (b *Broker) subscribeDurable(topicName, name string, f filter.Filter, opts DurableOptions, o *Outbox, tag any) (*Subscriber, error) {
 	if name == "" {
 		return nil, errors.New("broker: empty durable subscription name")
@@ -126,9 +116,8 @@ func (b *Broker) subscribeDurable(topicName, name string, f filter.Filter, opts 
 		fltr:  f,
 		relay: relay,
 		limit: opts.BacklogLimit,
-		stop:  make(chan struct{}),
 	}
-	d.cond = sync.NewCond(&d.mu)
+	d.ctx, d.stop = context.WithCancel(context.Background())
 
 	b.mu.Lock()
 	if b.closed {
@@ -144,23 +133,26 @@ func (b *Broker) subscribeDurable(topicName, name string, f filter.Filter, opts 
 		}
 		return b.attachDurable(existing, o, tag)
 	}
-	if b.durables == nil {
-		b.durables = make(map[string]*durableSub)
-	}
 	b.durables[key] = d
+	// Add under the lock: Close sets closed before waiting, so the Add
+	// cannot race a Wait that already started.
+	b.wg.Add(1)
 	b.mu.Unlock()
 
-	b.wg.Add(1)
 	go b.durablePump(d)
 	return b.attachDurable(d, o, tag)
 }
 
-// durablePump appends relay deliveries to the backlog. It never delivers
-// to consumers directly — the per-consumer delivery goroutine owns that —
-// so ordering is trivially the backlog order.
+// durablePump appends relay deliveries to the backlog and refills the
+// attached consumer's outbox from it. Once stopped it drains the relay
+// first, so nothing the dispatcher handed over is lost.
 func (b *Broker) durablePump(d *durableSub) {
 	defer b.wg.Done()
-	enqueue := func(m *jms.Message) {
+	for {
+		m, err := d.relay.Receive(d.ctx)
+		if err != nil {
+			return
+		}
 		d.mu.Lock()
 		if len(d.backlog) >= d.limit {
 			copy(d.backlog, d.backlog[1:])
@@ -169,204 +161,56 @@ func (b *Broker) durablePump(d *durableSub) {
 			b.countAdd(&b.dropped, 1)
 		}
 		d.backlog = append(d.backlog, m)
-		d.cond.Broadcast()
+		h := d.active
 		d.mu.Unlock()
-	}
-	for {
-		select {
-		case m, ok := <-d.relay.Chan():
-			if !ok {
-				b.finishPump(d)
-				return
-			}
-			enqueue(m)
-		case <-d.stop:
-			// Drain what the dispatcher already handed over.
-			for {
-				select {
-				case m, ok := <-d.relay.Chan():
-					if !ok {
-						b.finishPump(d)
-						return
-					}
-					enqueue(m)
-				default:
-					b.finishPump(d)
-					return
-				}
-			}
+		if h != nil {
+			h.out.refill(h)
 		}
 	}
 }
 
-func (b *Broker) finishPump(d *durableSub) {
-	d.mu.Lock()
-	d.pumpDone = true
-	d.cond.Broadcast()
-	d.mu.Unlock()
-}
-
 // attachDurable connects a consumer handle, delivering to o when set, and
-// starts its delivery goroutine.
+// fills its queue from the backlog.
 func (b *Broker) attachDurable(d *durableSub, o *Outbox, tag any) (*Subscriber, error) {
-	h := &Subscriber{broker: b, gone: make(chan struct{}), durable: d, out: o, tag: tag}
-	if o == nil {
-		h.ch = make(chan *jms.Message, b.opts.SubscriberBuffer)
+	h := b.newHandle(o, 0, tag)
+	h.durable = d
+	b.mu.Lock()
+	if b.closed {
+		b.mu.Unlock()
+		return nil, ErrClosed
 	}
 	d.mu.Lock()
 	if d.deleted {
 		d.mu.Unlock()
+		b.mu.Unlock()
 		return nil, fmt.Errorf("%w: %q on %q", ErrNoSuchDurable, d.name, d.topic)
 	}
 	if d.active != nil {
 		d.mu.Unlock()
+		b.mu.Unlock()
 		return nil, fmt.Errorf("%w: %q", ErrDurableActive, d.name)
 	}
 	d.active = h
-	d.detachReq = false
-	d.deliverDone = make(chan struct{})
-	d.cond.Broadcast()
 	d.mu.Unlock()
-
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		d.mu.Lock()
-		d.active = nil
-		d.mu.Unlock()
-		return nil, ErrClosed
-	}
 	b.durableHandles[h] = struct{}{}
-	// Add under the lock: Close sets closed before waiting, so the Add
-	// cannot race a Wait that already started.
-	b.wg.Add(1)
 	b.mu.Unlock()
-
-	go b.durableDeliver(d, h)
+	h.out.refill(h)
 	return h, nil
 }
 
-// durableDeliver drains the backlog into the consumer channel in order.
-// It is the sole writer of h.ch and the sole goroutine that clears
-// d.active, so attach/detach cycles cannot interleave deliveries out of
-// order. It closes h.ch on exit.
-func (b *Broker) durableDeliver(d *durableSub, h *Subscriber) {
-	defer b.wg.Done()
-	done := d.deliverDone
-	one := [1]*Subscriber{h} // the run an outbox delivery is put as
-
-	// finish ends this consumer's stream. On detach (requeue=true) the
-	// messages still sitting unconsumed in the channel buffer — plus the
-	// in-flight one, if any — are returned to the backlog head in their
-	// original order, so the next attach redelivers them (JMS durable
-	// semantics: undelivered messages survive the consumer).
-	finish := func(requeue bool, inFlight *jms.Message) {
-		var residual []*jms.Message
-		if requeue {
-			if h.out != nil {
-				residual = h.out.takeFor(h)
-			}
-		drain:
-			for h.ch != nil {
-				select {
-				case m := <-h.ch:
-					residual = append(residual, m)
-				default:
-					break drain
-				}
-			}
-			if inFlight != nil {
-				residual = append(residual, inFlight)
-			}
-		}
-		d.mu.Lock()
-		if requeue && len(d.preRequeue) > 0 {
-			residual = append(append([]*jms.Message{}, d.preRequeue...), residual...)
-		}
-		d.preRequeue = nil
-		if len(residual) > 0 {
-			d.backlog = append(residual, d.backlog...)
-		}
-		d.active = nil
-		d.cond.Broadcast()
-		d.mu.Unlock()
-		if h.ch != nil {
-			close(h.ch)
-		}
-		close(done)
-	}
-	for {
-		d.mu.Lock()
-		for len(d.backlog) == 0 && !d.pumpDone && !d.detachReq {
-			d.cond.Wait()
-		}
-		if d.detachReq {
-			d.mu.Unlock()
-			finish(true, nil)
-			return
-		}
-		if len(d.backlog) == 0 {
-			// pumpDone and drained: orderly end of stream (shutdown).
-			d.mu.Unlock()
-			finish(false, nil)
-			return
-		}
-		m := d.backlog[0]
-		copy(d.backlog, d.backlog[1:])
-		d.backlog = d.backlog[:len(d.backlog)-1]
-		d.mu.Unlock()
-
-		if h.out != nil {
-			// Durable deliveries wait for room whatever the slow-consumer
-			// policy, like the channel send below. Nothing queued means h
-			// left, or the broker is shutting down and put counted a drop.
-			if h.out.put(m, one[:], jms.Persistent, SlowConsumerBlock, d.stop) == 0 {
-				select {
-				case <-h.gone:
-					finish(true, m)
-					return
-				default:
-				}
-			}
-			continue
-		}
-		select {
-		case h.ch <- m:
-			h.delivered.Add(1)
-			b.countAdd(&b.dispatched, 1)
-		case <-h.gone:
-			finish(true, m)
-			return
-		case <-d.stop:
-			// Broker shutdown: deliver best-effort without blocking so
-			// Close can finish even with a stalled consumer.
-			select {
-			case h.ch <- m:
-				h.delivered.Add(1)
-				b.countAdd(&b.dispatched, 1)
-			default:
-				b.countAdd(&b.dropped, 1)
-			}
-		}
-	}
-}
-
-// detachDurable disconnects the consumer (called from Unsubscribe). It
-// waits for the delivery goroutine to exit, so a subsequent attach starts
-// from a quiesced backlog; new traffic keeps accumulating until then.
-func (b *Broker) detachDurable(s *Subscriber) {
-	d := s.durable
+// detachDurable disconnects the consumer (called from Unsubscribe). The
+// unacked deliveries, then those still queued for it, return to the head
+// of the backlog in their original order, so the next attach redelivers
+// them (JMS durable semantics: undelivered messages survive the consumer).
+func (b *Broker) detachDurable(s *Subscriber, unacked []*jms.Message) {
+	d, o := s.durable, s.out
+	o.mu.Lock()
+	residual := o.takeForLocked(s)
 	d.mu.Lock()
-	var done chan struct{}
-	if d.active == s {
-		d.detachReq = true
-		done = d.deliverDone
-		d.cond.Broadcast()
-	}
+	d.backlog = slices.Concat(unacked, residual, d.backlog)
+	d.active = nil
 	d.mu.Unlock()
-	if done != nil {
-		<-done
-	}
+	o.mu.Unlock()
 
 	b.mu.Lock()
 	delete(b.durableHandles, s)
@@ -419,13 +263,12 @@ func (b *Broker) UnsubscribeDurable(topicName, name string) error {
 	}
 	d.deleted = true
 	d.backlog = nil
-	d.cond.Broadcast()
 	d.mu.Unlock()
 
 	b.mu.Lock()
 	delete(b.durables, key)
 	b.mu.Unlock()
 
-	d.signalStop()
+	d.stop()
 	return d.relay.Unsubscribe()
 }

@@ -152,8 +152,8 @@ func TestEnginesDeliverIdentically(t *testing.T) {
 		}
 		got := make([][]string, nSubs)
 		for i, s := range subs {
-			for len(s.Chan()) > 0 {
-				got[i] = append(got[i], string((<-s.Chan()).Body))
+			for _, m := range drainQueued(s) {
+				got[i] = append(got[i], string(m.Body))
 			}
 			sort.Strings(got[i])
 		}
@@ -172,5 +172,26 @@ func TestEnginesDeliverIdentically(t *testing.T) {
 			t.Errorf("subscriber %d (%v): engines diverge\nfast     %v\nfaithful %v",
 				i, filters[i], fast[i], faithful[i])
 		}
+	}
+}
+
+// doneContext returns a context that is already done: Receive with it
+// returns a queued delivery or an error, and never waits.
+func doneContext() context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return ctx
+}
+
+// drainQueued returns the deliveries queued for s, oldest first.
+func drainQueued(s *Subscriber) []*jms.Message {
+	done := doneContext()
+	var msgs []*jms.Message
+	for {
+		m, err := s.Receive(done)
+		if err != nil {
+			return msgs
+		}
+		msgs = append(msgs, m)
 	}
 }

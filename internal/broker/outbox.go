@@ -7,32 +7,43 @@ import (
 	"repro/internal/jms"
 )
 
-// Outbox is the delivery queue one consumer connection shares among all of
-// its subscriptions, in place of a channel per subscription. The transmit
-// stage appends a message's deliveries to a run of subscriptions of one
-// outbox in one step, so the consumer — the wire server's one delivery pump
+// Outbox is the subscriber queue: the transmit stage of Eq. 1 puts every
+// delivery into one, and it is where the slow-consumer policy acts. An
+// in-process subscription (Broker.Subscribe) has an outbox of its own, read
+// by Receive. A consumer connection has one that all of its subscriptions
+// share: the transmit stage appends a message's deliveries to a run of
+// them in one step, so the consumer — the wire server's one delivery pump
 // per connection — takes them back to back and sends the message once for
 // all of them.
 //
-// Each subscription holds up to Options.SubscriberBuffer queued deliveries,
-// as its channel would, and the slow-consumer policy acts on the
-// subscriptions that are full and on no other: block waits until each has
-// room, drop-oldest evicts that subscription's own oldest delivery, and
-// disconnect ends it.
+// Each subscription holds up to its buffer of queued deliveries, and the
+// slow-consumer policy acts on the subscriptions that are full and on no
+// other: block waits until each has room, drop-oldest evicts that
+// subscription's own oldest delivery, and disconnect ends it.
+//
+// A durable consumer's deliveries come from its backlog instead: it is
+// refilled from the backlog head whenever a Take makes room. Lock order:
+// o.mu before the durable subscription's mu, and nothing takes o.mu while
+// it holds a durable subscription's mu.
 type Outbox struct {
 	b *Broker
+	// solo is the one subscription of an outbox made by Broker.Subscribe or
+	// SubscribeDurable, the one Receive may read; nil on a shared outbox.
+	solo *Subscriber
 
 	mu   sync.Mutex
 	q    []Delivery // queued deliveries, oldest first, from q[head]
 	head int
-	// waiting counts transmits parked on space. space is closed and
-	// replaced only when there are any, so Take allocates nothing in the
-	// steady state.
+	// waiting counts transmits parked on space, which is made by the first
+	// of them and closed and cleared by the next Take, so an outbox nobody
+	// waits on holds no channel for it.
 	waiting int
 	space   chan struct{}
 	// ready wakes the consumer after an append; one pending wake-up covers
 	// any number of appends.
 	ready chan struct{}
+	// ch is solo's Chan adapter, made by its first call.
+	ch chan *jms.Message
 }
 
 // Delivery is one queued delivery of Msg to the subscription Sub. A nil Msg
@@ -45,12 +56,13 @@ type Delivery struct {
 
 // NewOutbox returns an empty outbox for one consumer connection.
 func (b *Broker) NewOutbox() *Outbox {
-	return &Outbox{b: b, space: make(chan struct{}), ready: make(chan struct{}, 1)}
+	return &Outbox{b: b, ready: make(chan struct{}, 1)}
 }
 
 // Subscribe is Broker.Subscribe for a subscription whose deliveries go to
 // o. tag is what the handle's Tag returns, so the consumer can map a
-// Delivery back to its own state. The handle has no channel of its own.
+// Delivery back to its own state. The handle is read through o.Take, not
+// Receive.
 func (o *Outbox) Subscribe(topicName string, f filter.Filter, tag any) (*Subscriber, error) {
 	return o.b.subscribe(topicName, f, 0, o, tag)
 }
@@ -68,22 +80,22 @@ func (o *Outbox) Ready() <-chan struct{} { return o.ready }
 
 // Take moves queued deliveries, oldest first, into dst and returns it. It
 // takes up to max of them, and more only to finish the run of the last
-// message it took, so one message's deliveries are never split between two
-// calls. It never blocks; wait on Ready when it returns nothing.
+// message it took (one delivery per subscription), so one message's
+// deliveries are never split between two calls. What it takes from a
+// durable consumer is made up from that consumer's backlog. It never
+// blocks; wait on Ready when it returns nothing.
 func (o *Outbox) Take(dst []Delivery, max int) []Delivery {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	queued := o.q[o.head:]
 	n := min(len(queued), max)
-	for n > 0 && n < len(queued) && queued[n].Msg != nil && queued[n].Msg == queued[n-1].Msg {
+	for n > 0 && n < len(queued) && queued[n].Msg != nil && queued[n].Msg == queued[n-1].Msg && queued[n].Sub != queued[n-1].Sub {
 		n++
 	}
 	if n == 0 {
 		return dst
 	}
-	for _, d := range queued[:n] {
-		d.Sub.queued--
-	}
+	start := len(dst)
 	dst = append(dst, queued[:n]...)
 	clear(queued[:n])
 	o.head += n
@@ -95,6 +107,12 @@ func (o *Outbox) Take(dst []Delivery, max int) []Delivery {
 		k := copy(o.q, o.q[o.head:])
 		clear(o.q[k:])
 		o.q, o.head = o.q[:k], 0
+	}
+	for _, d := range dst[start:] {
+		d.Sub.queued--
+		if d.Sub.durable != nil {
+			o.refillLocked(d.Sub)
+		}
 	}
 	o.wakeSpaceLocked()
 	return dst
@@ -109,11 +127,10 @@ func (o *Outbox) leave(h *Subscriber) {
 	o.mu.Unlock()
 }
 
-// takeFor removes the deliveries still queued for h and returns their
-// messages in queue order.
-func (o *Outbox) takeFor(h *Subscriber) []*jms.Message {
-	o.mu.Lock()
-	defer o.mu.Unlock()
+// takeForLocked ends h's deliveries, removes the ones still queued for it
+// and returns their messages in queue order. o.mu is held.
+func (o *Outbox) takeForLocked(h *Subscriber) []*jms.Message {
+	h.dead = true
 	var msgs []*jms.Message
 	kept := o.q[:o.head]
 	for _, d := range o.q[o.head:] {
@@ -127,8 +144,48 @@ func (o *Outbox) takeFor(h *Subscriber) []*jms.Message {
 	clear(o.q[len(kept):])
 	o.q = kept
 	h.queued = 0
-	o.wakeSpaceLocked()
 	return msgs
+}
+
+// refill moves durable consumer h's backlog head into o as far as h has
+// room, and wakes the consumer if it moved any.
+func (o *Outbox) refill(h *Subscriber) {
+	o.mu.Lock()
+	n := o.refillLocked(h)
+	o.mu.Unlock()
+	if n > 0 {
+		o.wakeConsumer()
+	}
+}
+
+// refillLocked is refill with o.mu held, minus the wake-up; it takes the
+// durable subscription's mu inside o.mu. It returns the number moved, each
+// counted in Dispatched.
+func (o *Outbox) refillLocked(h *Subscriber) int {
+	d := h.durable
+	d.mu.Lock()
+	n := 0
+	if !h.dead && d.active == h {
+		n = min(h.buffer-h.queued, len(d.backlog))
+	}
+	if n <= 0 {
+		d.mu.Unlock()
+		return 0
+	}
+	for _, m := range d.backlog[:n] {
+		o.q = append(o.q, Delivery{Msg: m, Sub: h})
+	}
+	clear(d.backlog[:n])
+	if n == len(d.backlog) {
+		d.backlog = d.backlog[:0] // keep the array for the next appends
+	} else {
+		d.backlog = d.backlog[n:]
+	}
+	d.mu.Unlock()
+	h.queued += n
+	h.delivered.Add(uint64(n))
+	o.b.countAdd(&o.b.dispatched, uint64(n))
+	return n
 }
 
 // evictLocked drops h's oldest queued delivery.
@@ -147,7 +204,7 @@ func (o *Outbox) evictLocked(h *Subscriber) {
 // fullLocked reports whether a live subscription of subs has no room left.
 func (o *Outbox) fullLocked(subs []*Subscriber) bool {
 	for _, h := range subs {
-		if !h.dead && h.queued >= o.b.opts.SubscriberBuffer {
+		if !h.dead && h.queued >= h.buffer {
 			return true
 		}
 	}
@@ -157,7 +214,7 @@ func (o *Outbox) fullLocked(subs []*Subscriber) bool {
 func (o *Outbox) wakeSpaceLocked() {
 	if o.waiting > 0 {
 		close(o.space)
-		o.space = make(chan struct{})
+		o.space = nil
 		o.waiting = 0
 	}
 }
@@ -170,19 +227,23 @@ func (o *Outbox) wakeConsumer() {
 }
 
 // put queues m's deliveries to subs, every one of them attached to o, as one
-// run: the transmit stage of outbox subscriptions. Subscriptions already
-// ended are skipped, and the others get m unless they are full. To a full
-// one a non-persistent delivery is dropped; a persistent one meets policy:
-// block parks the whole run until every subscription in it has room,
-// drop-oldest first evicts that subscription's oldest delivery, and
-// disconnect ends it, its notice following the run. A put parked on a full
-// subscription gives up when stop closes (broker shutdown) and drops what
-// still does not fit. It returns the number of deliveries queued.
-func (o *Outbox) put(m *jms.Message, subs []*Subscriber, mode jms.DeliveryMode, policy SlowConsumerPolicy, stop <-chan struct{}) int {
+// run: the transmit stage. Subscriptions already ended are skipped, and the
+// others get m unless they are full. To a full one a non-persistent
+// delivery is dropped; a persistent one meets policy: block parks the whole
+// run until every subscription in it has room, drop-oldest first evicts
+// that subscription's oldest delivery, and disconnect ends it, its notice
+// following the run. A put parked on a full subscription gives up when stop
+// closes (broker shutdown) and drops what still does not fit. Every count
+// is taken before the consumer can see the run, so no delivery is received
+// before it is counted in Dispatched.
+func (o *Outbox) put(m *jms.Message, subs []*Subscriber, mode jms.DeliveryMode, policy SlowConsumerPolicy, stop <-chan struct{}) {
 	b := o.b
 	block := mode == jms.Persistent && policy == SlowConsumerBlock
 	o.mu.Lock()
 	for block && o.fullLocked(subs) {
+		if o.waiting == 0 {
+			o.space = make(chan struct{})
+		}
 		o.waiting++
 		space := o.space
 		o.mu.Unlock()
@@ -199,7 +260,7 @@ func (o *Outbox) put(m *jms.Message, subs []*Subscriber, mode jms.DeliveryMode, 
 		if h.dead {
 			continue
 		}
-		if h.queued >= b.opts.SubscriberBuffer {
+		if h.queued >= h.buffer {
 			switch {
 			case mode != jms.Persistent || policy == SlowConsumerBlock:
 				dropped++
@@ -210,6 +271,7 @@ func (o *Outbox) put(m *jms.Message, subs []*Subscriber, mode jms.DeliveryMode, 
 				evicted++
 			default:
 				h.dead = true
+				h.slow.Store(true)
 				kicked = append(kicked, h)
 				continue
 			}
@@ -223,10 +285,6 @@ func (o *Outbox) put(m *jms.Message, subs []*Subscriber, mode jms.DeliveryMode, 
 		o.q = append(o.q, Delivery{Sub: h})
 		h.queued++
 	}
-	o.mu.Unlock()
-	if queued+len(kicked) > 0 {
-		o.wakeConsumer()
-	}
 	if queued > 0 {
 		b.countAdd(&b.dispatched, uint64(queued))
 	}
@@ -236,8 +294,11 @@ func (o *Outbox) put(m *jms.Message, subs []*Subscriber, mode jms.DeliveryMode, 
 	if evicted > 0 {
 		b.countAdd(&b.slowDropped, uint64(evicted))
 	}
+	o.mu.Unlock()
+	if queued+len(kicked) > 0 {
+		o.wakeConsumer()
+	}
 	for _, h := range kicked {
 		b.kickSlow(h)
 	}
-	return queued
 }

@@ -60,8 +60,8 @@ func runsOf(lo, hi, k int) []int64 {
 
 // TestOutboxQueuesOneRunPerMessage: a message's deliveries to the
 // subscriptions of one outbox are queued back to back as one copy, in
-// publish order; a channel subscription on the same topic gets a copy of
-// its own, and Dispatched counts every subscription.
+// publish order; an in-process subscription on the same topic gets a copy
+// in its own outbox, and Dispatched counts every subscription.
 func TestOutboxQueuesOneRunPerMessage(t *testing.T) {
 	for _, ec := range slowConsumerCases() {
 		t.Run(ec.name, func(t *testing.T) {
@@ -251,10 +251,10 @@ func TestOutboxDropOldestSparesOtherSubscriptions(t *testing.T) {
 	if _, err := o.Subscribe("t", nil, "plain"); err != nil {
 		t.Fatal(err)
 	}
-	// One at a time, so the durable's relay — a channel subscription of
-	// the same buffer and policy — never falls behind. Once the durable
-	// consumer is full, its pump holds one message, in neither the backlog
-	// nor the outbox.
+	// One at a time, so the durable's relay — an in-process subscription
+	// of the same buffer and policy — never falls behind. Each message is
+	// then in the backlog or in the outbox, and at most the newest one
+	// still on its way from the relay.
 	for i := 0; i < msgs; i++ {
 		publishSeq(t, b, "t", i, i+1)
 		waitFor(t, func() bool {

@@ -69,12 +69,7 @@ type pipeline struct {
 	b      *Broker
 	d      *dispatcher
 	st     stageSet
-	tx     queueTransmitter
 	tracer *trace.Recorder // nil when Options.Tracer is unset
-	// runScratch backs commitBatchRuns' transmit runs. Only the pipeline's
-	// single committing goroutine (serial loop or sharded committer) touches
-	// it, and no callee retains it past the call.
-	runScratch []*jms.Message
 }
 
 // seqMsg is a sequence-stamped unit on its way to a match worker: one
@@ -167,18 +162,15 @@ func (d *dispatcher) intakeUnits(fn func(pubUnit)) {
 // the faithful path allocation-free for the filter scan.
 //
 // Batched units take a dedicated sub-loop: members are matched against
-// shared scratch, the filter-evaluation counter folds once per batch, and
-// the commit coalesces same-subscriber runs through TransmitBatch — the
-// serial analogue of the sharded committer's batch handling, and where the
-// batched publish path earns its per-message amortization on a
-// single-worker broker.
+// shared scratch and the filter-evaluation counter folds once per batch —
+// the serial analogue of the sharded committer's batch handling.
 func (p *pipeline) runSerial() {
 	defer p.b.wg.Done()
 	defer close(p.d.done)
 	mt := p.st.newMatcher()
 	matches := make([]*Subscriber, 0, 16)
 	// Per-batch scratch, reused across units: the loop is single-threaded
-	// and commitBatchRuns finishes with the members before returning.
+	// and commitBatch finishes with the members before returning.
 	var members []seqResult
 	var buf []*Subscriber
 	p.d.intakeUnits(func(u pubUnit) {
@@ -213,7 +205,7 @@ func (p *pipeline) runSerial() {
 			members[i] = res
 		}
 		p.b.countAdd(&p.b.filterEvals, evals)
-		p.commitBatchRuns(members)
+		p.commitBatch(members)
 		if u.carrier != nil {
 			// Recycle-after-transmit: the batch is fully committed and
 			// nothing downstream holds the carrier's slices.
@@ -348,7 +340,7 @@ func (p *pipeline) commitUnit(res seqResult) uint64 {
 		p.commitOrdered(&res)
 		return 1
 	}
-	p.commitBatchRuns(res.batch)
+	p.commitBatch(res.batch)
 	if res.carrier != nil {
 		// Recycle-after-transmit: the last member is committed and nothing
 		// downstream holds the carrier's slices.
@@ -357,59 +349,12 @@ func (p *pipeline) commitUnit(res seqResult) uint64 {
 	return res.span()
 }
 
-// commitBatchRuns commits a batch's members in order, coalescing
-// consecutive single-subscriber deliveries to the same handle and
-// delivery mode into one TransmitBatch run (one send lock). Members outside the pattern — expired, fanned out to several
-// subscribers, or switching handles — fall back to the per-message path,
-// preserving order throughout.
-func (p *pipeline) commitBatchRuns(members []seqResult) {
-	if cap(p.runScratch) < len(members) {
-		p.runScratch = make([]*jms.Message, 0, len(members))
+// commitBatch commits a batch's members in order, each like a single
+// message.
+func (p *pipeline) commitBatch(members []seqResult) {
+	for i := range members {
+		p.commitOrdered(&members[i])
 	}
-	run := p.runScratch[:0]
-	for i := 0; i < len(members); {
-		r := &members[i]
-		if r.expired || len(r.matches) != 1 {
-			p.commitOrdered(r)
-			i++
-			continue
-		}
-		h := r.matches[0]
-		mode := r.m.Header.DeliveryMode
-		run = run[:0]
-		j := i
-		anyTraced := false
-		for j < len(members) {
-			rj := &members[j]
-			if rj.expired || len(rj.matches) != 1 || rj.matches[0] != h ||
-				rj.m.Header.DeliveryMode != mode {
-				break
-			}
-			anyTraced = anyTraced || rj.traced
-			run = append(run, rj.m)
-			j++
-		}
-		var t0 time.Time
-		if anyTraced {
-			t0 = time.Now()
-		}
-		p.tx.TransmitBatch(h, run, mode)
-		if anyTraced {
-			// The run transmits as one unit; each traced member gets an
-			// equal share of its wall time as the transmit span.
-			share := time.Since(t0) / time.Duration(len(run))
-			for k := i; k < j; k++ {
-				if members[k].traced {
-					p.tracer.RecordSpan(members[k].m.Header.TraceID, trace.StageTransmit, t0, share)
-				}
-			}
-		}
-		for k := i; k < j; k++ {
-			p.traceCommit(&members[k])
-		}
-		i = j
-	}
-	p.runScratch = run[:0]
 }
 
 // frontStages runs the receive and match stages for one message, appending
@@ -495,7 +440,7 @@ func (p *pipeline) commitOrdered(res *seqResult) {
 
 // commitStages runs the replicate and transmit stages — R copies for R
 // matching subscribers, Eq. 1's E[R]·t_tx — except that a run of matches
-// sharing one connection's Outbox takes one copy and one append, and the
+// sharing one connection's Outbox takes one copy and one put, and the
 // connection sends it once for all of them. A traced message's per-copy
 // timing windows tile the whole loop (each window ends where the next
 // begins), so its replicate and transmit spans sum to the commit time.
@@ -509,7 +454,7 @@ func (p *pipeline) commitStages(res *seqResult) {
 	}
 	for i := 0; i < len(matches); {
 		h, j := matches[i], i+1
-		for h.out != nil && j < len(matches) && matches[j].out == h.out {
+		for j < len(matches) && matches[j].out == h.out {
 			j++
 		}
 		copyMsg := m
@@ -521,11 +466,7 @@ func (p *pipeline) commitStages(res *seqResult) {
 				prev = now
 			}
 		}
-		if h.out != nil {
-			h.out.put(copyMsg, matches[i:j], m.Header.DeliveryMode, p.b.opts.SlowConsumer, p.d.stop)
-		} else {
-			p.tx.Transmit(h, copyMsg, m.Header.DeliveryMode)
-		}
+		h.out.put(copyMsg, matches[i:j], m.Header.DeliveryMode, p.b.opts.SlowConsumer, p.d.stop)
 		if res.traced {
 			now := time.Now()
 			txDur += now.Sub(prev)

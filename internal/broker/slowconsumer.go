@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-
-	"repro/internal/jms"
 )
 
 // ErrSlowConsumer is returned by Receive after the broker force-removed
@@ -77,39 +75,13 @@ func ParseSlowConsumerPolicy(s string) (SlowConsumerPolicy, error) {
 		s, strings.Join(SlowConsumerPolicyNames(), ", "))
 }
 
-// sendDropOldest delivers m to a full subscriber queue by evicting the
-// oldest queued delivery. The caller holds h.sendMu and has verified the
-// handle is alive. The loop terminates because only the transmit stage
-// (serialized by sendMu) sends on the channel: each iteration either
-// enqueues m or frees a slot; a concurrent Receive can only help.
-func (b *Broker) sendDropOldest(h *Subscriber, m *jms.Message) {
-	for {
-		select {
-		case h.ch <- m:
-			h.delivered.Add(1)
-			b.countAdd(&b.dispatched, 1)
-			return
-		default:
-		}
-		select {
-		case <-h.ch:
-			b.countAdd(&b.slowDropped, 1)
-		default:
-			// The consumer drained between the two selects; retry the send.
-		}
-	}
-}
-
 // kickSlow force-unsubscribes a slow subscriber under the disconnect
-// policy. The caller has marked the handle dead under the lock that guards
-// it (h.sendMu, held across this call, or its outbox's) and verified it is
-// non-durable (the transmit stage only ever sees non-durable handles —
-// durable consumers are fed by their pump, not by the dispatch pipeline).
-// Safe against a concurrent Unsubscribe: gone-closing and registry removal
-// are both once-guarded, and the lock order (sendMu, then broker/registry
-// locks) matches the unsubscribe path.
+// policy. Outbox.put has marked the handle dead and slow under its outbox
+// lock, queued its notice and released the lock; the handle is
+// non-durable, since the transmit stage never puts to a durable consumer
+// (its backlog refills it). Safe against a concurrent Unsubscribe:
+// gone-closing and registry removal are both once-guarded.
 func (b *Broker) kickSlow(h *Subscriber) {
-	h.slow.Store(true)
 	b.countAdd(&b.slowDisconnects, 1)
 	h.once.Do(func() { close(h.gone) })
 	h.removeOnce.Do(func() { _ = b.removeSubscriber(h) })

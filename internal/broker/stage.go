@@ -19,7 +19,12 @@ import (
 //	receive     t_rcv            shared (pipeline.go)   shared (pipeline.go)
 //	match       n_fltr·t_fltr    linearMatcher          indexedMatcher
 //	replicate   part of t_tx     cloneReplicator        cowReplicator
-//	transmit    part of t_tx     queueTransmitter       queueTransmitter
+//	transmit    part of t_tx     Outbox.put             Outbox.put
+//
+// The transmit stage is the one subscriber queue (outbox.go): a put into
+// each matching subscription's Outbox, which applies the slow-consumer
+// policy to the full ones. Under the default block policy a full queue
+// parks the stage, and the push-back reaches publishers.
 //
 // The faithful pair reproduces the measured FioranoMQ behaviour the paper
 // models: a linear scan over every installed filter and a deep copy per
@@ -102,97 +107,6 @@ func (cloneReplicator) Replicate(m *jms.Message) *jms.Message { return m.Clone()
 type cowReplicator struct{}
 
 func (cowReplicator) Replicate(m *jms.Message) *jms.Message { return m.Shared() }
-
-// queueTransmitter is the transmit stage shared by both engines — the send
-// component of Eq. 1's t_tx term: a channel send into the subscriber's
-// delivery queue, honoring the delivery mode. Persistent sends block on a
-// full subscriber queue (publisher push-back propagates), non-persistent
-// sends drop. It serializes against Unsubscribe through the
-// subscriber's send lock, so no delivery can be enqueued after Unsubscribe
-// has returned.
-type queueTransmitter struct {
-	b *Broker
-	d *dispatcher
-}
-
-// Transmit forwards one replica to one subscriber.
-func (tx queueTransmitter) Transmit(h *Subscriber, m *jms.Message, mode jms.DeliveryMode) {
-	h.sendMu.Lock()
-	defer h.sendMu.Unlock()
-	tx.sendLocked(h, m, mode)
-}
-
-// TransmitBatch forwards a run of replicas to one subscriber, a channel one
-// under a single send lock. Semantics per message match Transmit exactly.
-func (tx queueTransmitter) TransmitBatch(h *Subscriber, msgs []*jms.Message, mode jms.DeliveryMode) {
-	if h.out != nil {
-		one := [1]*Subscriber{h}
-		for _, m := range msgs {
-			h.out.put(m, one[:], mode, tx.b.opts.SlowConsumer, tx.d.stop)
-		}
-		return
-	}
-	h.sendMu.Lock()
-	defer h.sendMu.Unlock()
-	for _, m := range msgs {
-		tx.sendLocked(h, m, mode)
-	}
-}
-
-// sendLocked is Transmit with h.sendMu held.
-func (tx queueTransmitter) sendLocked(h *Subscriber, m *jms.Message, mode jms.DeliveryMode) {
-	b, d := tx.b, tx.d
-	if h.dead {
-		return
-	}
-	// Fast path: a non-blocking send avoids the multi-case select machinery
-	// whenever the subscriber queue has room — the steady state of a
-	// correctly-sized buffer, and the dominant per-replica cost at full
-	// throughput.
-	select {
-	case h.ch <- m:
-		h.delivered.Add(1)
-		b.countAdd(&b.dispatched, 1)
-		return
-	default:
-	}
-	if mode == jms.Persistent {
-		// The queue is full: apply the slow-consumer policy. Block is the
-		// paper-faithful default (push-back propagates to publishers).
-		switch b.opts.SlowConsumer {
-		case SlowConsumerDropOldest:
-			b.sendDropOldest(h, m)
-			return
-		case SlowConsumerDisconnect:
-			h.dead = true
-			b.kickSlow(h)
-			return
-		}
-		select {
-		case h.ch <- m:
-			h.delivered.Add(1)
-			b.countAdd(&b.dispatched, 1)
-		case <-h.gone:
-		case <-d.stop:
-			// Broker closing: best effort, do not block shutdown.
-			select {
-			case h.ch <- m:
-				h.delivered.Add(1)
-				b.countAdd(&b.dispatched, 1)
-			default:
-				b.countAdd(&b.dropped, 1)
-			}
-		}
-	} else {
-		select {
-		case h.ch <- m:
-			h.delivered.Add(1)
-			b.countAdd(&b.dispatched, 1)
-		default:
-			b.countAdd(&b.dropped, 1)
-		}
-	}
-}
 
 // Engine selects the dispatch implementation of a Broker.
 type Engine int

@@ -35,8 +35,9 @@
 // owner, and only then drains the old subscription's residue into the
 // subscriber's merged channel. The drain protocol leans on two documented
 // broker guarantees: no new delivery is enqueued once Unsubscribe has
-// returned, and Close drains accepted messages into subscriber channels
-// before closing them.
+// returned, and Close dispatches accepted messages before it ends the
+// subscriptions; either way Receive returns what is queued before it
+// reports the end.
 package cluster
 
 import (
@@ -342,7 +343,7 @@ func (t *Topology) Publish(ctx context.Context, origin int, m *jms.Message) erro
 // Subscribe installs a subscriber according to the topology: mirrored on
 // every member for PSR, homed on one member (home mod members) for SSR,
 // and on the topic's ring owner for hash. The returned TopoSub merges all
-// underlying delivery channels; the caller must drain it.
+// underlying subscriptions into one channel; the caller must drain it.
 func (t *Topology) Subscribe(topicName string, f filter.Filter, home int) (*TopoSub, error) {
 	if home < 0 {
 		return nil, fmt.Errorf("%w: home %d", ErrParams, home)
@@ -693,7 +694,6 @@ func (t *Topology) Close() error {
 // topoPart is one underlying broker subscription with its pump goroutine.
 type topoPart struct {
 	sub  *broker.Subscriber
-	stop chan struct{} // drain residue non-blockingly, then exit
 	done chan struct{}
 }
 
@@ -736,7 +736,7 @@ func (s *TopoSub) attachLocked(mem *topoMember) error {
 	if err != nil {
 		return err
 	}
-	p := &topoPart{sub: sub, stop: make(chan struct{}), done: make(chan struct{})}
+	p := &topoPart{sub: sub, done: make(chan struct{})}
 	s.mu.Lock()
 	s.parts[mem.id] = p
 	s.mu.Unlock()
@@ -768,7 +768,6 @@ func (s *TopoSub) dropLocked(id string) {
 		return
 	}
 	_ = p.sub.Unsubscribe()
-	close(p.stop)
 	<-p.done
 }
 
@@ -787,36 +786,17 @@ func (s *TopoSub) moveLocked(from string, to *topoMember) error {
 	return s.attachLocked(to)
 }
 
-// pump forwards one underlying subscription into the merged channel. On
-// stop it drains what the broker has already enqueued (after a quiesce +
-// unsubscribe that is everything the old owner accepted) and exits; on a
-// closed delivery channel (broker shut down) the channel's residue has
-// been consumed by then, so the same guarantee holds for kills.
+// pump forwards one underlying subscription into the merged channel. Its
+// Receive returns everything the broker queued before the subscription
+// ended — after a quiesce + unsubscribe that is everything the old owner
+// accepted, after a kill what the closed broker had dispatched — so the
+// pump exits only once all of it is forwarded.
 func (s *TopoSub) pump(p *topoPart) {
 	defer close(p.done)
 	for {
-		select {
-		case m, ok := <-p.sub.Chan():
-			if !ok {
-				return
-			}
-			if !s.deliver(m) {
-				return
-			}
-		case <-p.stop:
-			for {
-				select {
-				case m, ok := <-p.sub.Chan():
-					if !ok {
-						return
-					}
-					if !s.deliver(m) {
-						return
-					}
-				default:
-					return
-				}
-			}
+		m, err := p.sub.Receive(context.Background())
+		if err != nil || !s.deliver(m) {
+			return
 		}
 	}
 }
@@ -858,7 +838,6 @@ func (s *TopoSub) close() {
 	close(s.dead)
 	for _, p := range parts {
 		_ = p.sub.Unsubscribe()
-		close(p.stop)
 	}
 	for _, p := range parts {
 		<-p.done

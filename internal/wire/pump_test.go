@@ -7,8 +7,10 @@ import (
 	"io"
 	"reflect"
 	"runtime"
+	"strconv"
 	"testing"
 
+	"repro/internal/broker"
 	"repro/internal/jms"
 )
 
@@ -88,17 +90,68 @@ func TestServerFanoutOncePerConnection(t *testing.T) {
 
 // TestServerOnePumpPerConnection: a connection's deliveries leave through
 // one pump however many subscriptions it holds, so subscribing starts no
-// goroutine.
+// goroutine. Nor does attaching a durable consumer, whose backlog refills
+// the connection's outbox, nor an in-process subscription until its Chan
+// adapter is asked for.
 func TestServerOnePumpPerConnection(t *testing.T) {
-	rc, _, _ := startRawServer(t)
+	rc, b, _ := startRawServer(t)
 	spec := FilterSpec{Mode: FilterCorrelationID, Expr: "never"}
 	rc.subscribe(spec)
-	before := runtime.NumGoroutine()
-	for i := 0; i < 200; i++ {
-		rc.subscribe(spec)
+	const n = 200
+	grows := func(what string, do func()) {
+		t.Helper()
+		before := runtime.NumGoroutine()
+		do()
+		if grown := runtime.NumGoroutine() - before; grown > 4 {
+			t.Errorf("%s started %d goroutines", what, grown)
+		}
 	}
-	if grown := runtime.NumGoroutine() - before; grown > 4 {
-		t.Errorf("200 subscriptions on one connection started %d goroutines", grown)
+	grows("200 subscriptions on one connection", func() {
+		for i := 0; i < n; i++ {
+			rc.subscribe(spec)
+		}
+	})
+
+	// Each durable subscription has one pump of its own, started when it is
+	// first made; its consumer's attach and detach start none.
+	durable := spec
+	ids := make([]uint64, n)
+	for i := range ids {
+		durable.DurableName = "d" + strconv.Itoa(i)
+		ids[i] = rc.subscribe(durable)
+	}
+	unsubscribeAll := func() {
+		for _, id := range ids {
+			req := rc.request(FrameUnsubscribe, EncodeU64(id))
+			if f := rc.read(); f.Type != FrameUnsubscribeOK || binary.BigEndian.Uint64(f.Payload) != req {
+				t.Fatalf("frame %v, want UNSUBSCRIBE_OK", f.Type)
+			}
+		}
+	}
+	unsubscribeAll()
+	grows("200 durable attaches on one connection", func() {
+		for i := range ids {
+			durable.DurableName = "d" + strconv.Itoa(i)
+			ids[i] = rc.subscribe(durable)
+		}
+	})
+	unsubscribeAll()
+
+	subs := make([]*broker.Subscriber, n)
+	grows("200 in-process subscriptions", func() {
+		for i := range subs {
+			var err error
+			if subs[i], err = b.Subscribe("t", nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	before := runtime.NumGoroutine()
+	for _, s := range subs[:n/2] {
+		s.Chan()
+	}
+	if grown := runtime.NumGoroutine() - before; grown < n/2 {
+		t.Errorf("Chan on %d in-process subscriptions started %d goroutines, want one each", n/2, grown)
 	}
 }
 
