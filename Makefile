@@ -12,17 +12,19 @@ test:
 
 # test-procs is CI's matrix run locally: tier-1, the race pass and the
 # repeated queue tests at GOMAXPROCS 1, 2 and 4, because a failure that
-# needs two cores (a sharded pipeline reordering, a wall-clock envelope) is
-# invisible on one.
+# needs two cores (two dispatch workers of one topic racing, a wall-clock
+# envelope) is invisible on one.
 test-procs:
 	for p in 1 2 4; do GOMAXPROCS=$$p $(MAKE) test race test-queues || exit 1; done
 
 # test-queues runs the subscriber queue's count-based tests twenty times:
 # the outbox, the slow-consumer policies, durable backlogs across detach
-# cycles, the metamorphic walls, unsubscribe and churn races. An ordering or
-# counting race in the one delivery queue shows as a failure in some run.
+# cycles, the metamorphic walls, unsubscribe and churn races, and the
+# pinned workers' per-worker tapes and per-publisher FIFO. An ordering or
+# counting race in the one delivery queue or between a topic's workers
+# shows as a failure in some run.
 test-queues:
-	$(GO) test -count=20 -run 'Outbox|SlowConsumer|Durable|Metamorphic|Unsubscribe|Churn' ./internal/broker/
+	$(GO) test -count=20 -run 'Outbox|SlowConsumer|Durable|Metamorphic|Unsubscribe|Churn|PinnedWorkers' ./internal/broker/
 
 # test-benchmark tests the repository benchmark (BENCHMARK.json): a nested
 # module, so `go test ./...` above does not reach it. It checks the
@@ -31,7 +33,7 @@ test-benchmark:
 	$(GO) test -C benchmark ./...
 
 # race runs the data-race detector over the packages with real concurrency:
-# the broker's dispatch engines (sharded fast path included), the lock-free
+# the broker's dispatch engines (the fast engine's several workers included), the lock-free
 # topic snapshots, the copy-on-write message views, the wire layer's pooled
 # buffers, the reliability stack (fault injection, reconnecting clients,
 # the replication meshes under restart and kill, conformance harness), and

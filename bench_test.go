@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -327,12 +328,13 @@ func BenchmarkAblationFilterIndex(b *testing.B) {
 }
 
 // BenchmarkAblationDispatchSharding compares the faithful single dispatch
-// goroutine against the fast engine at 1, 2 and 4 match shards on one
-// topic of n glob filters. Globs are a residual rule the FilterIndex
-// cannot collapse, so every leg pays n evaluations per message and the
-// deltas isolate the sharded pipeline. Publishers run in parallel
-// (b.RunParallel, one per P), and an op ends when its message has been
-// dispatched, not when it was admitted.
+// worker against the fast engine at 1, 2 and 4 workers on one topic of n
+// glob filters. Globs are a residual rule the FilterIndex cannot collapse,
+// so every leg pays n evaluations per message and the deltas isolate the
+// worker count. Publishers run in parallel (b.RunParallel, one per P), each
+// on a publisher key of its own, so with several workers they are
+// dispatched in parallel; an op ends when its message has been dispatched,
+// not when it was admitted.
 func BenchmarkAblationDispatchSharding(b *testing.B) {
 	run := func(b *testing.B, n int, engine broker.Engine, shards int) {
 		br := broker.New(broker.Options{
@@ -361,10 +363,12 @@ func BenchmarkAblationDispatchSharding(b *testing.B) {
 			}
 		}()
 		ctx := context.Background()
+		var keys atomic.Uint64
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {
+			pub := br.Publisher(keys.Add(1) - 1)
 			for pb.Next() {
-				if err := br.Publish(ctx, jms.NewMessage("t")); err != nil {
+				if err := pub.Publish(ctx, jms.NewMessage("t")); err != nil {
 					b.Error(err)
 					return
 				}
@@ -381,9 +385,9 @@ func BenchmarkAblationDispatchSharding(b *testing.B) {
 			shards int
 		}{
 			{"faithful", broker.EngineFaithful, 1},
-			{"fast-1shard", broker.EngineFast, 1},
-			{"fast-2shards", broker.EngineFast, 2},
-			{"fast-4shards", broker.EngineFast, 4},
+			{"fast-1worker", broker.EngineFast, 1},
+			{"fast-2workers", broker.EngineFast, 2},
+			{"fast-4workers", broker.EngineFast, 4},
 		} {
 			b.Run(fmt.Sprintf("n=%d/%s", n, leg.name), func(b *testing.B) { run(b, n, leg.engine, leg.shards) })
 		}

@@ -47,7 +47,7 @@ func run(args []string, stdout io.Writer) error {
 	gridName := fs.String("grid", "small", "sweep grid: small or paper")
 	identical := fs.Bool("identical", false, "run the identical-vs-different non-matching filters experiment")
 	engineName := fs.String("engine", "faithful", "dispatch engine: "+strings.Join(broker.EngineNames(), " or "))
-	shards := fs.Int("shards", 0, "fast engine: filter-matching workers per topic (0 = auto)")
+	shards := fs.Int("shards", 0, "fast engine: dispatch workers per topic, each publisher pinned to one (0 = auto)")
 	compare := fs.Bool("compare", false, "run the sweep on both engines and print a faithful-vs-fast comparison table plus a batched-vs-unbatched publish row")
 	batch := fs.Int("batch", 0, "coalesce publishes into batches of this size (0 or 1 = per-message); -compare uses it for its batched row (default 16)")
 	stages := fs.Bool("stages", false, "tape each scenario's dispatch times and print the Eq. 1 fit of taped E[B] next to the throughput fit")
@@ -183,7 +183,7 @@ func ratio(a, b float64) float64 {
 
 // runCompare measures every grid scenario on both engines and prints the
 // throughput side by side — what the paper's linear filter scan leaves on
-// the table against an indexed, sharded, copy-on-write dispatch path.
+// the table against an indexed, multi-worker, copy-on-write dispatch path.
 func runCompare(cfg bench.NativeConfig, grid bench.StudyGrid, batchSize int, stdout io.Writer) error {
 	cfg.Batch = 0
 	fmt.Fprintf(stdout, "engine comparison: %v, %d publishers, %v warmup, %v window\n\n",

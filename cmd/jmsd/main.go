@@ -76,11 +76,11 @@ func run(args []string, stop <-chan struct{}, ready chan<- addrs) error {
 	addr := fs.String("addr", "127.0.0.1:7650", "listen address")
 	httpAddr := fs.String("http", "", "telemetry listen address (/metrics, /stats, /healthz, /debug/pprof/); empty disables")
 	topics := fs.String("topics", "default", "comma-separated topics to configure at start")
-	inFlight := fs.Int("inflight", 64, "per-topic in-flight window (publisher push-back)")
+	inFlight := fs.Int("inflight", 64, "per-worker in-flight window (publisher push-back)")
 	subBuffer := fs.Int("subbuffer", 64, "per-subscriber delivery queue length")
 	engineName := fs.String("engine", "faithful", "dispatch engine: "+strings.Join(broker.EngineNames(), " or "))
 	slowName := fs.String("slow-consumer", "block", "slow-consumer policy: "+strings.Join(broker.SlowConsumerPolicyNames(), ", "))
-	shards := fs.Int("shards", 0, "fast engine: filter-matching workers per topic (0 = auto)")
+	shards := fs.Int("shards", 0, "fast engine: dispatch workers per topic, each publisher pinned to one (0 = auto)")
 	logLevel := fs.String("log-level", "info", "log level: debug, info, warn or error")
 	meshKind := fs.String("mesh", "", "replication topology: psr, ssr or hash; empty runs standalone")
 	peers := fs.String("peers", "", "comma-separated wire addresses of every mesh member, self included (with -mesh)")

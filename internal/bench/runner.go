@@ -121,6 +121,9 @@ func run(sc scenario) (phase, error) {
 	var pubs sync.WaitGroup
 	if sc.rate == 0 {
 		for p := 0; p < cfg.Publishers; p++ {
+			// Each publisher has a key of its own, so on the fast engine
+			// the publishers are spread over the topic's workers.
+			pub := b.Publisher(uint64(p))
 			pubs.Add(1)
 			go func() {
 				defer pubs.Done()
@@ -131,9 +134,9 @@ func run(sc scenario) (phase, error) {
 						for i := range msgs {
 							msgs[i] = template.Clone()
 						}
-						err = b.PublishBatch(ctx, msgs)
+						err = pub.PublishBatch(ctx, msgs)
 					} else {
-						err = b.Publish(ctx, template.Clone())
+						err = pub.Publish(ctx, template.Clone())
 					}
 				}
 			}()

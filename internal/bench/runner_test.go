@@ -56,11 +56,10 @@ func TestRunnerGoroutinesFollowMatching(t *testing.T) {
 	if ph.stats.Received == 0 {
 		t.Fatal("saturated phase received nothing")
 	}
-	// The sharded pipeline runs a sequencer, the shards, a committer and
-	// the goroutine closing the commit queue; one more is the sampler.
+	// The topic runs one goroutine per worker; one more is the sampler.
 	growth := int(peak.Load()) - base
-	if bound := cfg.Publishers + r + cfg.Shards + 3 + 1; growth > bound {
-		t.Errorf("goroutines grew by %d during the phase, want <= %d (publishers %d + R %d + shards %d + 4), not O(n=%d)",
+	if bound := cfg.Publishers + r + cfg.Shards + 1; growth > bound {
+		t.Errorf("goroutines grew by %d during the phase, want <= %d (publishers %d + R %d + workers %d + 1), not O(n=%d)",
 			growth, bound, cfg.Publishers, r, cfg.Shards, n)
 	}
 }

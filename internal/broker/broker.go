@@ -6,12 +6,15 @@
 //   - match it against the topic's installed filters (cost n_fltr*t_fltr),
 //   - replicate and transmit one copy per matching subscriber (cost R*t_tx).
 //
-// The pipeline loop is shared by every engine (pipeline.go); an Engine is a
-// configuration of the stage implementations (stage.go): the faithful
-// linear-scan/deep-copy pair the paper measures, or the fast indexed/
-// copy-on-write pair. With Options.WaitTiming each committed message lands
-// on its topic's service-time tape (tracing.go); a least-squares fit of Eq.
-// 1 over taped service times recovers the constants.
+// Each topic runs one or more dispatch workers that carry a message through
+// all three stages to completion; the worker loop is shared by every engine
+// (pipeline.go). An Engine is a configuration of the stage implementations
+// and the worker count (stage.go): the faithful linear-scan/deep-copy pair
+// on one worker, as the paper measures, or the fast indexed/copy-on-write
+// pair on Options.Shards workers. With Options.WaitTiming each committed
+// message lands on its topic's service-time tape (tracing.go); a
+// least-squares fit of Eq. 1 over taped service times recovers the
+// constants.
 //
 // The broker operates in the paper's persistent, non-durable mode: messages
 // are delivered reliably and in order to the subscribers that are currently
@@ -39,23 +42,18 @@ import (
 var (
 	// ErrClosed is returned after Close.
 	ErrClosed = errors.New("broker: closed")
-	// ErrQueueFull is returned by TryPublish when the topic's in-flight
+	// ErrQueueFull is returned by TryPublish when the worker's in-flight
 	// window is exhausted (the push-back condition).
 	ErrQueueFull = errors.New("broker: topic queue full")
 )
 
 // Options configure a Broker.
 type Options struct {
-	// InFlight sizes each per-topic queue between Publish and the transmit
-	// stage; publishers block (push-back) once all of them are full. Default
-	// 64. The received-but-undispatched residency it allows is larger than
-	// the value itself: InFlight + 1 on the serial pipeline (the intake
-	// queue and the message in the loop), and 3·InFlight + Shards + 2 on the
-	// sharded one (intake, work and commit queues of InFlight each, one
-	// more held by the sequencer, by every shard and by the committer, and
-	// on top whatever the reorder buffer holds while a shard lags behind
-	// its neighbours) — in both cases plus SubscriberBuffer for each
-	// subscriber whose full queue blocks the transmit stage.
+	// InFlight sizes each dispatch worker's intake queue; a publisher
+	// blocks (push-back) once its worker's queue is full. Default 64. A
+	// worker holds up to InFlight + 1 received-but-undispatched units (its
+	// queue and the one it is serving), plus SubscriberBuffer for each
+	// subscriber whose full queue blocks its transmit stage.
 	InFlight int
 	// SubscriberBuffer is the number of deliveries an Outbox holds per
 	// subscription unless SubscribeBuffered says otherwise. Default 64.
@@ -63,9 +61,9 @@ type Options struct {
 	// Engine selects the dispatch implementation. The zero value is
 	// EngineFaithful, keeping the paper reproduction the default.
 	Engine Engine
-	// Shards is the number of concurrent filter-matching workers per topic
-	// on EngineFast. Default: GOMAXPROCS, capped at 8. Ignored by
-	// EngineFaithful.
+	// Shards is the number of dispatch workers per topic on EngineFast;
+	// each publisher key is pinned to one (see Publisher). Default:
+	// GOMAXPROCS, capped at 8. EngineFaithful always runs one.
 	Shards int
 	// SlowConsumer selects what a persistent-mode transmit does when a
 	// subscriber's delivery queue is full: block (default, the paper's
@@ -80,7 +78,7 @@ type Options struct {
 	// hot path.
 	// The same stamps also feed each topic's service-time tape, one
 	// TapeEntry per committed message in a ring of TapeCapacity entries
-	// (~1.5 MiB per topic), allocated by the first TakeTape on the topic;
+	// (~1.6 MiB per topic), allocated by the first TakeTape on the topic;
 	// until then recording costs one nil check (see tracing.go).
 	WaitTiming bool
 	// Tracer, when non-nil, is the per-message flight recorder: sampled
@@ -202,51 +200,74 @@ func (b *Broker) ConfigureTopic(name string) error {
 		return err
 	}
 	d := &dispatcher{
-		topic: t,
-		in:    make(chan pubUnit, b.opts.InFlight),
-		stop:  make(chan struct{}),
-		done:  make(chan struct{}),
+		b:      b,
+		topic:  t,
+		st:     b.stages(b.opts.Engine),
+		tracer: b.opts.Tracer,
+		stop:   make(chan struct{}),
 	}
 	if b.opts.WaitTiming {
 		d.tt = &topicTimers{}
 	}
 	b.dispatchers[name] = d
-	p := &pipeline{b: b, d: d, st: b.stages(b.opts.Engine), tracer: b.opts.Tracer}
-	p.start()
+	d.start()
 	return nil
 }
 
 // Topics returns the names of all configured topics.
 func (b *Broker) Topics() []string { return b.registry.Topics() }
 
-// Publish delivers a message to the broker, blocking while the topic's
+// Publisher publishes for one publisher key. Every publish of a key goes
+// to the same dispatch worker of its topic — worker key mod k, where k is
+// Options.Shards on EngineFast and 1 on EngineFaithful — so one key's
+// messages are delivered in the order they were published, and publishers
+// on different keys can be dispatched in parallel. The wire server keys a
+// publish by its publisher identity or connection; the Broker's own
+// Publish methods use key 0.
+type Publisher struct {
+	b   *Broker
+	key uint64
+}
+
+// Publisher returns the publish handle of key.
+func (b *Broker) Publisher(key uint64) Publisher { return Publisher{b: b, key: key} }
+
+// Publish is Publisher(0).Publish.
+func (b *Broker) Publish(ctx context.Context, m *jms.Message) error {
+	return b.Publisher(0).Publish(ctx, m)
+}
+
+// PublishBatch is Publisher(0).PublishBatch.
+func (b *Broker) PublishBatch(ctx context.Context, msgs []*jms.Message) error {
+	return b.Publisher(0).PublishBatch(ctx, msgs)
+}
+
+// TryPublish is Publisher(0).TryPublish.
+func (b *Broker) TryPublish(m *jms.Message) error { return b.Publisher(0).TryPublish(m) }
+
+// Publish delivers a message to the broker, blocking while its worker's
 // in-flight window is full (publisher push-back). The message must not be
 // modified by the caller afterwards.
-func (b *Broker) Publish(ctx context.Context, m *jms.Message) error {
-	d, err := b.dispatcherFor(m)
+func (p Publisher) Publish(ctx context.Context, m *jms.Message) error {
+	d, err := p.b.dispatcherFor(m)
 	if err != nil {
 		return err
 	}
-	if d.tt != nil || b.opts.Tracer != nil {
-		m.EnqueuedAt = b.now()
+	return p.send(ctx, d, pubUnit{m: m}, 1, true)
+}
+
+// TryPublish is Publish without blocking: it returns ErrQueueFull when the
+// push-back window is exhausted.
+func (p Publisher) TryPublish(m *jms.Message) error {
+	d, err := p.b.dispatcherFor(m)
+	if err != nil {
+		return err
 	}
-	select {
-	case d.in <- pubUnit{m: m}:
-		b.countAdd(&b.received, 1)
-		if d.tt != nil {
-			d.tt.received.Inc()
-			d.tt.batchM.ObserveValue(1)
-		}
-		return nil
-	case <-d.stop:
-		return ErrClosed
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	return p.send(context.Background(), d, pubUnit{m: m}, 1, false)
 }
 
 // PublishBatch delivers several messages as one dispatch unit, blocking
-// like Publish while the topic's in-flight window is full. The whole batch
+// like Publish while the worker's in-flight window is full. The whole batch
 // occupies a single in-flight slot regardless of its size — amortizing the
 // push-back window is the point of batching — and its messages fan out to
 // subscribers individually, in slice order. A batch spanning topics is
@@ -255,12 +276,12 @@ func (b *Broker) Publish(ctx context.Context, m *jms.Message) error {
 // already-enqueued prefix is dispatched normally). The broker retains the
 // slice: neither it nor the messages may be modified by the caller
 // afterwards — hand over a fresh slice per call.
-func (b *Broker) PublishBatch(ctx context.Context, msgs []*jms.Message) error {
+func (p Publisher) PublishBatch(ctx context.Context, msgs []*jms.Message) error {
 	switch len(msgs) {
 	case 0:
 		return nil
 	case 1:
-		return b.Publish(ctx, msgs[0])
+		return p.Publish(ctx, msgs[0])
 	}
 	for _, m := range msgs {
 		if err := m.Validate(); err != nil {
@@ -273,6 +294,7 @@ func (b *Broker) PublishBatch(ctx context.Context, msgs []*jms.Message) error {
 		d    *dispatcher
 		msgs []*jms.Message
 	}
+	b := p.b
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
@@ -295,59 +317,50 @@ func (b *Broker) PublishBatch(ctx context.Context, msgs []*jms.Message) error {
 	}
 	b.mu.Unlock()
 	for _, r := range runs {
-		if err := b.sendUnit(ctx, r.d, r.msgs); err != nil {
+		if err := p.send(ctx, r.d, pubUnit{batch: r.msgs}, len(r.msgs), true); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// sendUnit stamps and enqueues one same-topic run as a single pubUnit.
-func (b *Broker) sendUnit(ctx context.Context, d *dispatcher, msgs []*jms.Message) error {
+// send stamps u's n messages and enqueues u on the intake queue of the
+// worker p's key selects. While the queue is full it blocks, or without
+// wait returns ErrQueueFull.
+func (p Publisher) send(ctx context.Context, d *dispatcher, u pubUnit, n int, wait bool) error {
+	b := p.b
 	if d.tt != nil || b.opts.Tracer != nil {
 		now := b.now()
-		for _, m := range msgs {
+		if u.m != nil {
+			u.m.EnqueuedAt = now
+		}
+		for _, m := range u.batch {
 			m.EnqueuedAt = now
 		}
 	}
+	in := d.intake(p.key)
 	select {
-	case d.in <- pubUnit{batch: msgs}:
-		b.countAdd(&b.received, uint64(len(msgs)))
-		if d.tt != nil {
-			d.tt.received.Add(uint64(len(msgs)))
-			d.tt.batchM.ObserveValue(float64(len(msgs)))
-		}
-		return nil
-	case <-d.stop:
-		return ErrClosed
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// TryPublish is Publish without blocking: it returns ErrQueueFull when the
-// push-back window is exhausted.
-func (b *Broker) TryPublish(m *jms.Message) error {
-	d, err := b.dispatcherFor(m)
-	if err != nil {
-		return err
-	}
-	if d.tt != nil || b.opts.Tracer != nil {
-		m.EnqueuedAt = b.now()
-	}
-	select {
-	case d.in <- pubUnit{m: m}:
-		b.countAdd(&b.received, 1)
-		if d.tt != nil {
-			d.tt.received.Inc()
-			d.tt.batchM.ObserveValue(1)
-		}
-		return nil
+	case in <- u:
 	case <-d.stop:
 		return ErrClosed
 	default:
-		return ErrQueueFull
+		if !wait {
+			return ErrQueueFull
+		}
+		select {
+		case in <- u:
+		case <-d.stop:
+			return ErrClosed
+		case <-ctx.Done():
+			return ctx.Err()
+		}
 	}
+	b.countAdd(&b.received, uint64(n))
+	if d.tt != nil {
+		d.tt.received.Add(uint64(n))
+		d.tt.batchM.ObserveValue(float64(n))
+	}
+	return nil
 }
 
 func (b *Broker) dispatcherFor(m *jms.Message) (*dispatcher, error) {
@@ -629,17 +642,6 @@ func (b *Broker) Stats() Stats {
 	}
 }
 
-// EffectiveServers returns the number of parallel dispatch workers the
-// engine runs per topic: 1 on EngineFaithful (the paper's single-server
-// pipeline), Options.Shards on EngineFast. This is the k fed to the M/G/k
-// drift model.
-func (b *Broker) EffectiveServers() int {
-	if b.opts.Engine == EngineFast {
-		return b.opts.Shards
-	}
-	return 1
-}
-
 // NumFilters returns the total number of installed filters — the paper's
 // n_fltr when a single topic is in use.
 func (b *Broker) NumFilters() int { return b.registry.TotalSubscriptions() }
@@ -675,7 +677,7 @@ func (b *Broker) Close() error {
 		close(d.stop)
 	}
 	for _, d := range dispatchers {
-		<-d.done
+		d.running.Wait()
 	}
 	// 2. Stop durable pumps; each moves what its relay still holds into
 	//    the backlog and on to its consumer.

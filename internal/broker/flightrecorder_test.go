@@ -8,23 +8,11 @@ import (
 	"sync"
 	"testing"
 	"time"
-	"unsafe"
 
 	"repro/internal/filter"
 	"repro/internal/jms"
 	"repro/internal/trace"
 )
-
-// TestSeqResultStaysInline pins sizeof(seqResult) at the runtime's
-// 128-byte map-element inline threshold. The sharded committer's reorder
-// buffer is a map[uint64]seqResult; one byte over the threshold makes the
-// runtime store elements indirectly, turning every out-of-order insert
-// into a heap allocation on the dispatch hot path.
-func TestSeqResultStaysInline(t *testing.T) {
-	if s := unsafe.Sizeof(seqResult{}); s > 128 {
-		t.Fatalf("sizeof(seqResult) = %d, exceeds the 128-byte map inline threshold", s)
-	}
-}
 
 func newTestRecorder(t testing.TB, cfg trace.Config) *trace.Recorder {
 	t.Helper()
@@ -159,9 +147,8 @@ func TestStageStatsCounts(t *testing.T) {
 	}
 }
 
-// TestFlightRecorderShardedEngine checks the fast engine's out-of-order
-// front stages still produce complete traces with sojourns (the reorder
-// wait between match and commit is intentionally unattributed there).
+// TestFlightRecorderShardedEngine checks the fast engine's several-worker
+// configuration still produces complete traces with sojourns.
 func TestFlightRecorderShardedEngine(t *testing.T) {
 	rec := newTestRecorder(t, trace.Config{SampleEvery: 1})
 	b := newTestBroker(t, Options{Engine: EngineFast, Shards: 4, Tracer: rec, SubscriberBuffer: 512})
@@ -202,8 +189,8 @@ func TestFlightRecorderShardedEngine(t *testing.T) {
 	}
 }
 
-// TestFlightRecorderBatchPath drives PublishBatch through the serial
-// batch-run committer with tracing on and checks every member's trace
+// TestFlightRecorderBatchPath drives PublishBatch through a worker's
+// batch path with tracing on and checks every member's trace
 // lands with a transmit span (the per-run share) and a sojourn.
 func TestFlightRecorderBatchPath(t *testing.T) {
 	rec := newTestRecorder(t, trace.Config{SampleEvery: 1})

@@ -76,10 +76,10 @@ func metamorphicMessage(t *testing.T, rng *rand.Rand, body string) *jms.Message 
 // TestEnginesDeliverIdentically is the end-to-end metamorphic check: the
 // same random subscription population fed the same random message stream
 // must produce, per subscriber, the same delivered multiset on
-// EngineFaithful (linear scan, serial) and EngineFast (indexed, sharded)
-// — and both must equal the ground truth computed by evaluating each
-// filter directly. Sharding may reorder deliveries between subscribers,
-// so the comparison is per-subscriber and order-insensitive.
+// EngineFaithful (linear scan, one worker) and EngineFast (indexed,
+// several workers) — and both must equal the ground truth computed by
+// evaluating each filter directly. The comparison is per-subscriber and
+// order-insensitive.
 func TestEnginesDeliverIdentically(t *testing.T) {
 	const (
 		nSubs     = 60

@@ -5,15 +5,19 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/broker"
+	"repro/internal/conformance"
 	"repro/internal/filter"
 	"repro/internal/jms"
 )
 
+// publishSeq publishes n messages tagged (pub, seq) with publisher key pub.
 func publishSeq(t *testing.T, b *broker.Broker, pub, n int) {
 	t.Helper()
 	ctx := context.Background()
+	p := b.Publisher(uint64(pub))
 	for i := 0; i < n; i++ {
 		m := jms.NewMessage("t")
 		if err := m.SetInt64Property("pub", int64(pub)); err != nil {
@@ -24,7 +28,7 @@ func publishSeq(t *testing.T, b *broker.Broker, pub, n int) {
 			t.Error(err)
 			return
 		}
-		if err := b.Publish(ctx, m); err != nil {
+		if err := p.Publish(ctx, m); err != nil {
 			t.Errorf("publisher %d: %v", pub, err)
 			return
 		}
@@ -59,12 +63,13 @@ func checkPerPublisherFIFO(t *testing.T, msgs []*jms.Message, publishers, perPub
 
 // engines enumerates both pipeline configurations; the shared FIFO/drain
 // suite below must hold on each (the faithful engine ignores Shards and
-// runs the serial loop, the fast engine runs the sharded reorder path).
+// runs one worker, the fast engine runs Shards workers with each publisher
+// key pinned to one).
 var engines = []broker.Engine{broker.EngineFaithful, broker.EngineFast}
 
 // TestPerPublisherFIFO checks that both engines preserve each publisher's
-// send order at the subscriber — on the fast engine while matching runs on
-// several workers concurrently.
+// send order at the subscriber — on the fast engine while the publishers'
+// messages are dispatched by several workers concurrently.
 func TestPerPublisherFIFO(t *testing.T) {
 	for _, engine := range engines {
 		t.Run(engine.String(), func(t *testing.T) {
@@ -104,6 +109,79 @@ func TestPerPublisherFIFO(t *testing.T) {
 			wg.Wait()
 			checkPerPublisherFIFO(t, msgs, publishers, perPublisher)
 		})
+	}
+}
+
+// TestPinnedWorkersTapeAndFIFO: on the fast engine every publisher key is
+// pinned to one run-to-completion worker, so each worker is one FIFO
+// server. Four publishers on keys 0–3 each send 500 tagged messages; every
+// worker's tape entries must pass the single-server identity on their own,
+// the subscriber must see each publisher's messages in order, and the tape
+// must hold one entry per accepted, unexpired message.
+func TestPinnedWorkersTapeAndFIFO(t *testing.T) {
+	const publishers, perPublisher = 4, 500
+	b := broker.New(broker.Options{
+		Engine:           broker.EngineFast,
+		Shards:           publishers,
+		WaitTiming:       true,
+		InFlight:         16,
+		SubscriberBuffer: publishers * perPublisher,
+	})
+	defer func() { _ = b.Close() }()
+	if err := b.ConfigureTopic("t"); err != nil {
+		t.Fatal(err)
+	}
+	b.TakeTape("t") // arm the tape
+	sub, err := b.Subscribe("t", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for p := 0; p < publishers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			publishSeq(t, b, p, perPublisher)
+		}(p)
+	}
+	var msgs []*jms.Message
+	ctx := context.Background()
+	for len(msgs) < publishers*perPublisher {
+		m, err := sub.Receive(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msgs = append(msgs, m)
+	}
+	wg.Wait()
+	checkPerPublisherFIFO(t, msgs, publishers, perPublisher)
+
+	st := b.Stats()
+	want := int(st.Received - st.Expired)
+	var tape []broker.TapeEntry
+	deadline := time.Now().Add(5 * time.Second)
+	for len(tape) < want && time.Now().Before(deadline) {
+		entries, overwritten := b.TakeTape("t")
+		if overwritten > 0 {
+			t.Fatalf("tape overwrote %d entries", overwritten)
+		}
+		tape = append(tape, entries...)
+		time.Sleep(time.Millisecond)
+	}
+	if len(tape) != want {
+		t.Fatalf("tape holds %d entries, want Received - Expired = %d", len(tape), want)
+	}
+	if err := conformance.CheckTape(tape); err != nil {
+		t.Error(err)
+	}
+	perWorker := make([]int, publishers)
+	for _, e := range tape {
+		perWorker[e.Worker]++
+	}
+	for w, n := range perWorker {
+		if n != perPublisher {
+			t.Errorf("worker %d served %d messages, want publisher %d's %d", w, n, w, perPublisher)
+		}
 	}
 }
 

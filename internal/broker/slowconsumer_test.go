@@ -123,8 +123,9 @@ func slowConsumerCases() []struct {
 
 // TestSlowConsumerBlockSemantics pins the block policy by count, not by
 // clock: against a subscriber that does not drain, the publisher parks with
-// exactly the residency Options.InFlight documents accepted — every queue
-// and stage of the pipeline full — and stays parked until the subscriber
+// exactly the residency Options.InFlight documents accepted — the worker's
+// intake queue full and the worker itself parked on the transmit — and
+// stays parked until the subscriber
 // drains, which then yields every message in order.
 func TestSlowConsumerBlockSemantics(t *testing.T) {
 	const inFlight, shards = 2, 2 // pinned: the bound must not follow GOMAXPROCS
@@ -132,9 +133,6 @@ func TestSlowConsumerBlockSemantics(t *testing.T) {
 		for _, batched := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/batched=%v", ec.name, batched), func(t *testing.T) {
 				bound := inFlight + 1 + slowBuf
-				if ec.engine == EngineFast {
-					bound = 3*inFlight + shards + 2 + slowBuf
-				}
 				total := bound + 1
 				b := newTestBroker(t, Options{
 					Engine:           ec.engine,
@@ -145,7 +143,7 @@ func TestSlowConsumerBlockSemantics(t *testing.T) {
 				})
 				// probe subscribes first, so the transmit stage hands it each
 				// message before blocking on slow: Dispatched then counts how
-				// far the committer has got.
+				// far the worker has got.
 				probe, err := b.SubscribeBuffered("t", nil, total)
 				if err != nil {
 					t.Fatal(err)
@@ -169,9 +167,9 @@ func TestSlowConsumerBlockSemantics(t *testing.T) {
 					}
 					close(pubDone)
 				} else {
-					// Fill slow's queue and park the committer on message
-					// slowBuf+1 one publish at a time, so nothing is in the
-					// reorder buffer when the rest floods in behind it.
+					// Fill slow's queue and park the worker on message
+					// slowBuf+1 one publish at a time, then flood the rest in
+					// behind it.
 					next := 1
 					for ; next <= slowBuf+1; next++ {
 						if err := b.Publish(ctx, seqMessage(t, next)); err != nil {

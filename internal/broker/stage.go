@@ -10,9 +10,10 @@ import (
 )
 
 // This file defines the stage interfaces of the dispatch pipeline and their
-// two implementations. Both engines are configurations of the same staged
-// pipeline (see pipeline.go); what distinguishes them is the stage
-// implementations plugged in here and the worker count:
+// two implementations. Both engines are configurations of the same
+// run-to-completion worker (see pipeline.go); what distinguishes them is
+// the stage implementations plugged in here and the number of workers per
+// topic:
 //
 //	stage       Eq. 1 term       EngineFaithful         EngineFast
 //	─────────   ──────────────   ────────────────────   ─────────────────────
@@ -33,7 +34,7 @@ import (
 
 // Matcher is the filter-matching stage of the dispatch pipeline — the
 // n_fltr·t_fltr term of Eq. 1. A Matcher instance belongs to exactly one
-// pipeline worker (it may keep per-worker scratch), so implementations need
+// dispatch worker (it may keep per-worker scratch), so implementations need
 // not be safe for concurrent use.
 type Matcher interface {
 	// Match appends the delivery handles of the subscribers matching m to
@@ -121,9 +122,10 @@ const (
 	EngineFaithful Engine = iota
 	// EngineFast is the optimized configuration: indexed filter matching
 	// (hash table over exact correlation-ID filters, deduplicated
-	// evaluation of identical rules), sharded match workers with
-	// sequence-stamped handoff preserving per-publisher FIFO order, and
-	// copy-on-write replication instead of deep clones.
+	// evaluation of identical rules), Options.Shards dispatch workers per
+	// topic with every publisher pinned to one of them (which keeps its
+	// messages in FIFO order), and copy-on-write replication instead of
+	// deep clones.
 	EngineFast
 )
 
@@ -169,8 +171,8 @@ func ParseEngine(s string) (Engine, error) {
 
 // stageSet is one engine's configuration of the pipeline stages.
 type stageSet struct {
-	// shards is the number of match workers; 1 selects the serial loop.
-	shards int
+	// workers is the number of dispatch workers per topic.
+	workers int
 	// newMatcher builds one matcher per worker (matchers hold scratch).
 	newMatcher func() Matcher
 	replicator Replicator
@@ -181,7 +183,7 @@ func (b *Broker) stages(e Engine) stageSet {
 	switch e {
 	case EngineFast:
 		return stageSet{
-			shards:     b.opts.Shards,
+			workers:    b.opts.Shards,
 			newMatcher: func() Matcher { return &indexedMatcher{} },
 			replicator: cowReplicator{},
 		}
@@ -189,7 +191,7 @@ func (b *Broker) stages(e Engine) stageSet {
 		// The faithful engine is strictly serial: Eq. 1 models a single
 		// message-processing resource.
 		return stageSet{
-			shards:     1,
+			workers:    1,
 			newMatcher: func() Matcher { return linearMatcher{} },
 			replicator: cloneReplicator{},
 		}

@@ -23,18 +23,19 @@ import (
 // the live counterpart of the offline conformance suite.
 //
 // The same three stamps, with the match stage's evaluation count, the
-// replica count and the body size, also go to the topic's tape: a ring of
-// TapeCapacity TapeEntry values (96 bytes each, ~1.5 MiB per topic) in
-// commit order, the recorded sample path an offline check replays. No
+// replica count, the body size and the serving worker, also go to the
+// topic's tape: a ring of TapeCapacity TapeEntry values (104 bytes each,
+// ~1.6 MiB per topic) in commit order, the recorded sample path an
+// offline check replays. No
 // clock is read for it. The ring is allocated by the first TakeTape on
 // the topic, so a broker whose tape is never read (jmsd's telemetry plane)
 // pays one nil check per message for it.
 //
-// On the serial (faithful) engine B is the true single-resource service
-// time of the paper's model. On the sharded fast engine dispatch overlaps
-// across messages, so B includes reorder-commit wait and the M/GI/1
-// prediction built from it is an approximation; the drift monitor surfaces
-// exactly that divergence.
+// Each dispatch worker is a single resource that serves its messages to
+// completion, one at a time, so on both engines B is the true
+// single-resource service time of the paper's model. Every entry names its
+// worker: a topic with k workers keeps one tape, and each worker's entries
+// are one FIFO server's sample path.
 
 // topicTimers is one topic's tracing state. All fields are lock-cheap and
 // sit on the dispatch path only when Options.WaitTiming is set.
@@ -64,10 +65,11 @@ type TapeEntry struct {
 	// Stats.FilterEvals), R the replicas it transmitted and BodyBytes the
 	// body size.
 	Evals, R, BodyBytes int
+	// Worker is the dispatch worker that served the message, in [0, k).
+	Worker int
 }
 
-// tape is the bounded ring behind TakeTape. The topic's committing
-// goroutine is its only writer.
+// tape is the bounded ring behind TakeTape, shared by the topic's workers.
 type tape struct {
 	mu          sync.Mutex
 	ring        []TapeEntry

@@ -149,11 +149,11 @@ func tapeMessage(t *testing.T, i int) *jms.Message {
 	return m
 }
 
-// TestTapeAccounting checks, on both engines, serial and sharded, and on
-// every publish path, that a phase's tape is the per-message account of
-// the broker counters over the same phase: one entry per committed
-// message, and the entries' R and evals summing to the Dispatched and
-// FilterEvals deltas. Counts only; no assertion reads the wall clock.
+// TestTapeAccounting checks, on both engines, with one worker and four,
+// and on every publish path, that a phase's tape is the per-message
+// account of the broker counters over the same phase: one entry per
+// committed message, and the entries' R and evals summing to the
+// Dispatched and FilterEvals deltas. Counts only; no assertion reads the wall clock.
 func TestTapeAccounting(t *testing.T) {
 	engines := []struct {
 		name string

@@ -13,8 +13,9 @@ import (
 )
 
 // A live leg is judged by the tape it was served on. Each broker.TapeEntry
-// records one message's enqueue, dispatch start and last transmit, so a
-// tape is a complete sample path of the serial dispatch loop: arrivals
+// records one message's enqueue, dispatch start and last transmit, so the
+// entries of one dispatch worker are a complete sample path of a single
+// server: arrivals
 // A_n = Enqueued, services B_n = End − Start, recorded waits Start −
 // Enqueued. On such a path the queueing side of the paper is arithmetic.
 // CheckTape asserts the path is one work-conserving FIFO server's, and
@@ -56,13 +57,28 @@ func samplePath(tape []broker.TapeEntry) (arrivals, services []float64) {
 }
 
 // CheckTape asserts the work-conservation identity of a single FIFO
-// server on a tape in commit order: each message starts no earlier than
-// its own enqueue and its predecessor's last transmit, Start_n ≥
+// server on each dispatch worker's entries of a tape in commit order:
+// each message starts no earlier than its own enqueue and its
+// predecessor's last transmit on the same worker, Start_n ≥
 // max(Enqueued_n, End_{n−1}), and ends no earlier than it starts. By
 // induction these give recorded W_n ≥ Lindley W_n for every entry, which
 // is checked too, to the tape's nanosecond resolution. Every comparison is
 // between stamps on the tape; no clock is read.
 func CheckTape(tape []broker.TapeEntry) error {
+	byWorker := make(map[int][]broker.TapeEntry)
+	for _, e := range tape {
+		byWorker[e.Worker] = append(byWorker[e.Worker], e)
+	}
+	for w, entries := range byWorker {
+		if err := checkServer(entries); err != nil {
+			return fmt.Errorf("worker %d: %w", w, err)
+		}
+	}
+	return nil
+}
+
+// checkServer is CheckTape on one worker's entries.
+func checkServer(tape []broker.TapeEntry) error {
 	for i, e := range tape {
 		if e.Start.Before(e.Enqueued) || e.End.Before(e.Start) {
 			return fmt.Errorf("conformance: tape entry %d out of order: enqueued %v, start %v, end %v",
@@ -90,10 +106,16 @@ func CheckTape(tape []broker.TapeEntry) error {
 // warmup, at the given tail quantile. The replay runs from the tape's
 // first entry, so the warm-up entries set the queue state the reported
 // ones start from: a tape that begins with an idle server is replayed
-// exactly. At least two entries must remain.
+// exactly. At least two entries must remain, and all must be one dispatch
+// worker's: a tape that mixes workers is several servers' paths.
 func AnalyzeTape(tape []broker.TapeEntry, warmup int, quantile float64) (TapeReport, error) {
 	if warmup < 0 || len(tape)-warmup < 2 {
 		return TapeReport{}, fmt.Errorf("conformance: tape of %d entries, %d of them warm-up", len(tape), warmup)
+	}
+	for i, e := range tape {
+		if e.Worker != tape[0].Worker {
+			return TapeReport{}, fmt.Errorf("conformance: tape mixes workers %d and %d (entry %d)", tape[0].Worker, e.Worker, i)
+		}
 	}
 	arrivals, services := samplePath(tape)
 	lindley, err := sim.Replay(arrivals, services)

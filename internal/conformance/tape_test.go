@@ -135,6 +135,19 @@ func TestCheckTape(t *testing.T) {
 			t.Errorf("%s: accepted", name)
 		}
 	}
+	// Two workers are two servers: their services may overlap, and each
+	// worker's entries are checked on their own.
+	second := func(e broker.TapeEntry) broker.TapeEntry { e.Worker = 1; return e }
+	twoWorkers := []broker.TapeEntry{entry(0, 5, 10), second(entry(1, 6, 8)), entry(1, 10, 12), second(entry(2, 8, 9))}
+	if err := CheckTape(twoWorkers); err != nil {
+		t.Errorf("two workers' tape rejected: %v", err)
+	}
+	if err := CheckTape(append(twoWorkers, second(entry(3, 8, 20)))); err == nil {
+		t.Error("overlap within worker 1: accepted")
+	}
+	if _, err := AnalyzeTape(twoWorkers, 0, 0.99); err == nil {
+		t.Error("AnalyzeTape accepted a tape that mixes workers")
+	}
 	rep, err := AnalyzeTape(good, 0, 0.99)
 	if err != nil {
 		t.Fatal(err)

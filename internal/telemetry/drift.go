@@ -25,6 +25,15 @@ import (
 // observed E[W]/q99 side by side with their ratio. A drift ratio far from
 // one is the operator's signal that reality has diverged from the model's
 // assumptions (overload, lost Poisson-ness, service-time inflation).
+//
+// The model is one pooled M^X/G/1 queue per topic. A topic's k dispatch
+// workers (broker.Options.Shards on the fast engine) are k independent
+// single servers, each fed by the publishers pinned to it. When one worker
+// takes all of a topic's arrivals — a single publisher, or every benchmark
+// workload — the pooled queue is that worker's queue and the prediction is
+// exact. When several workers share the arrivals, each sees a fraction of
+// λ, and since the Pollaczek–Khinchine wait grows with λ the pooled
+// prediction is an upper bound on each worker's mean wait.
 
 // MonitoredQuantile is the waiting-time quantile the monitor tracks, the
 // paper's q99 dashboard signal.
@@ -45,11 +54,6 @@ type Estimate struct {
 	// Lambda is the windowed arrival rate (msgs/s), Rho = Lambda*EB.
 	Lambda float64 `json:"lambda"`
 	Rho    float64 `json:"rho"`
-	// Servers is the effective parallel-server count k the prediction
-	// used: 1 on the faithful engine, the shard count on the fast engine.
-	// With k > 1 (and no batch moments) the prediction switches from
-	// Pollaczek-Khinchine to the M/G/k Lee-Longton approximation.
-	Servers int `json:"servers"`
 	// EX is the windowed mean batch size E[X] (messages per arrival
 	// unit). Set only when the window recorded batch sizes; when it is,
 	// the prediction uses the M^X/G/1 extension with the observed
@@ -76,14 +80,11 @@ type Estimate struct {
 }
 
 // Compute evaluates one topic's windowed estimate from a telemetry delta.
-// servers is the effective parallel-server count (values < 1 are treated
-// as 1). Model priority: measured batch moments select the M^X/G/1
-// extension; otherwise servers > 1 selects M/G/k; otherwise plain M/G/1.
-func Compute(topic string, delta broker.TopicTelemetry, window time.Duration, quantile float64, minSamples uint64, servers int) Estimate {
-	if servers < 1 {
-		servers = 1
-	}
-	e := Estimate{Topic: topic, Window: window, Messages: delta.ServiceMoments.N, Servers: servers}
+// Measured batch moments select the M^X/G/1 extension; a window without
+// them (every live broker records them) is read as plain M/G/1, its X ≡ 1
+// case.
+func Compute(topic string, delta broker.TopicTelemetry, window time.Duration, quantile float64, minSamples uint64) Estimate {
+	e := Estimate{Topic: topic, Window: window, Messages: delta.ServiceMoments.N}
 	if window <= 0 {
 		e.Reason = "empty window"
 		return e
@@ -101,8 +102,7 @@ func Compute(topic string, delta broker.TopicTelemetry, window time.Duration, qu
 	if e.EB2 < e.EB*e.EB {
 		e.EB2 = e.EB * e.EB
 	}
-	// Rho is the per-server utilization: offered load over k servers.
-	e.Rho = e.Lambda * e.EB / float64(servers)
+	e.Rho = e.Lambda * e.EB
 	if e.Messages < minSamples {
 		e.Reason = "too few samples"
 		return e
@@ -125,17 +125,6 @@ func Compute(topic string, delta broker.TopicTelemetry, window time.Duration, qu
 		e.EX = x1
 		lambdaB := float64(bm.N) / window.Seconds()
 		q, err := mg1.NewBatchQueue(lambdaB, mg1.BatchMoments{M1: x1, M2: x2, M3: x3}, b)
-		if err != nil {
-			e.Reason = err.Error()
-			return e
-		}
-		e.PredictedEW = q.MeanWait()
-		if dist, err = q.GammaApprox(); err != nil {
-			e.Reason = err.Error()
-			return e
-		}
-	} else if servers > 1 {
-		q, err := mg1.NewMGkQueue(e.Lambda, servers, b)
 		if err != nil {
 			e.Reason = err.Error()
 			return e
@@ -182,7 +171,7 @@ type Monitor struct {
 
 	gLambda, gRho, gServiceMean    *metrics.GaugeVec
 	gPredEW, gPredQ, gObsEW, gObsQ *metrics.GaugeVec
-	gDrift, gWindowMsgs, gServers  *metrics.GaugeVec
+	gDrift, gWindowMsgs            *metrics.GaugeVec
 
 	mu     sync.Mutex
 	prev   map[string]broker.TopicTelemetry
@@ -225,8 +214,6 @@ func NewMonitor(b *broker.Broker, interval time.Duration) *Monitor {
 			"Observed / predicted mean waiting time; 1 means the model holds.", "topic"),
 		gWindowMsgs: metrics.NewGaugeVec("jms_model_window_messages",
 			"Messages served in the evaluation window.", "topic"),
-		gServers: metrics.NewGaugeVec("jms_model_servers",
-			"Effective parallel-server count k the prediction used (M/G/k for k > 1).", "topic"),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
@@ -239,7 +226,7 @@ func (m *Monitor) GaugeVecs() []*metrics.GaugeVec {
 	out := []*metrics.GaugeVec{
 		m.gLambda, m.gRho, m.gServiceMean,
 		m.gPredEW, m.gPredQ, m.gObsEW, m.gObsQ,
-		m.gDrift, m.gWindowMsgs, m.gServers,
+		m.gDrift, m.gWindowMsgs,
 	}
 	return append(out, m.traceGaugeVecs()...)
 }
@@ -299,7 +286,7 @@ func (m *Monitor) Tick(now time.Time) {
 		if delta.Received == 0 && delta.ServiceMoments.N == 0 {
 			continue // idle topic: keep the previous estimate and gauges
 		}
-		e := Compute(topic, delta, window, MonitoredQuantile, m.minSamples, m.b.EffectiveServers())
+		e := Compute(topic, delta, window, MonitoredQuantile, m.minSamples)
 		m.est[topic] = e
 		m.publish(e)
 	}
@@ -317,7 +304,6 @@ func (m *Monitor) publish(e Estimate) {
 	m.gObsEW.With(e.Topic).Set(e.ObservedEW)
 	m.gObsQ.With(e.Topic).Set(e.ObservedQ)
 	m.gWindowMsgs.With(e.Topic).Set(float64(e.Messages))
-	m.gServers.With(e.Topic).Set(float64(e.Servers))
 	if e.Valid {
 		m.gPredEW.With(e.Topic).Set(e.PredictedEW)
 		m.gPredQ.With(e.Topic).Set(e.PredictedQ)

@@ -10,7 +10,6 @@ import (
 	"repro/internal/broker"
 	"repro/internal/jms"
 	"repro/internal/metrics"
-	"repro/internal/mg1"
 	"repro/internal/stats"
 )
 
@@ -56,7 +55,7 @@ func TestComputeMD1Agreement(t *testing.T) {
 		n      = 200000
 	)
 	delta, window := synthWindow(1, lambda, b, n)
-	e := Compute("t", delta, window, MonitoredQuantile, DefaultMinSamples, 1)
+	e := Compute("t", delta, window, MonitoredQuantile, DefaultMinSamples)
 	if !e.Valid {
 		t.Fatalf("estimate invalid: %q (%+v)", e.Reason, e)
 	}
@@ -133,7 +132,7 @@ func TestComputeBatchedWindow(t *testing.T) {
 	tel.BatchMoments = batchM.Snapshot()
 	window := time.Duration(clock * float64(time.Second))
 
-	e := Compute("t", tel, window, MonitoredQuantile, DefaultMinSamples, 1)
+	e := Compute("t", tel, window, MonitoredQuantile, DefaultMinSamples)
 	if !e.Valid {
 		t.Fatalf("estimate invalid: %q (%+v)", e.Reason, e)
 	}
@@ -167,7 +166,7 @@ func TestComputeDetectsDrift(t *testing.T) {
 	// Inflate the observed waits 3x while leaving the model inputs alone —
 	// reality got slower than the model believes.
 	delta.WaitMoments.S1 *= 3
-	e := Compute("t", delta, window, MonitoredQuantile, DefaultMinSamples, 1)
+	e := Compute("t", delta, window, MonitoredQuantile, DefaultMinSamples)
 	if !e.Valid {
 		t.Fatalf("estimate invalid: %q", e.Reason)
 	}
@@ -179,20 +178,20 @@ func TestComputeDetectsDrift(t *testing.T) {
 func TestComputeInvalidWindows(t *testing.T) {
 	delta, window := synthWindow(3, 500, time.Millisecond, 1000)
 
-	if e := Compute("t", delta, 0, MonitoredQuantile, DefaultMinSamples, 1); e.Valid || e.Reason != "empty window" {
+	if e := Compute("t", delta, 0, MonitoredQuantile, DefaultMinSamples); e.Valid || e.Reason != "empty window" {
 		t.Errorf("zero window: %+v", e)
 	}
-	if e := Compute("t", delta, window, MonitoredQuantile, 5000, 1); e.Valid || e.Reason != "too few samples" {
+	if e := Compute("t", delta, window, MonitoredQuantile, 5000); e.Valid || e.Reason != "too few samples" {
 		t.Errorf("small window: %+v", e)
 	}
 	// Observed values are still reported on an invalid estimate.
-	if e := Compute("t", delta, window, MonitoredQuantile, 5000, 1); e.ObservedEW <= 0 {
+	if e := Compute("t", delta, window, MonitoredQuantile, 5000); e.ObservedEW <= 0 {
 		t.Errorf("invalid estimate lost observed wait: %+v", e)
 	}
 
 	// An overloaded window (rho >= 1) cannot produce a finite prediction.
 	overload, span := synthWindow(4, 2000, time.Millisecond, 1000)
-	if e := Compute("t", overload, span, MonitoredQuantile, DefaultMinSamples, 1); e.Valid {
+	if e := Compute("t", overload, span, MonitoredQuantile, DefaultMinSamples); e.Valid {
 		t.Errorf("overloaded window produced a prediction: %+v", e)
 	} else if e.Reason == "" {
 		t.Error("overloaded window has no reason")
@@ -288,50 +287,45 @@ func TestMonitorStartStop(t *testing.T) {
 	m2.Stop() // never started: must not hang
 }
 
-// TestComputeMGkBranch pins the model-selection wiring: with servers > 1
-// (and no batch moments) Compute must predict with the M/G/k
-// approximation. The window is built at offered load a = 2 — unstable for
-// a single server, rho = 0.5 across four — so the branch choice is
-// observable as valid-vs-unstable, and the prediction must equal the
-// mg1.MGkQueue evaluation of the same measured inputs.
-func TestComputeMGkBranch(t *testing.T) {
-	const (
-		lambda = 2000.0
-		b      = time.Millisecond
-		n      = 100000
-	)
-	delta, window := synthWindow(7, lambda, b, n)
-
-	if e := Compute("t", delta, window, MonitoredQuantile, DefaultMinSamples, 1); e.Valid {
-		t.Fatalf("single server at offered load 2 must be unstable, got %+v", e)
+// TestMonitorRhoFastEngine: on a fast broker with several dispatch workers
+// the published utilization is the one the M^X/G/1 prediction beside it
+// uses, rho = lambda * E[B], not a per-worker share of it.
+func TestMonitorRhoFastEngine(t *testing.T) {
+	b := broker.New(broker.Options{Engine: broker.EngineFast, Shards: 4, WaitTiming: true, InFlight: 256, SubscriberBuffer: 256})
+	if err := b.ConfigureTopic("a"); err != nil {
+		t.Fatal(err)
 	}
-
-	e := Compute("t", delta, window, MonitoredQuantile, DefaultMinSamples, 4)
-	if !e.Valid {
-		t.Fatalf("estimate invalid: %q", e.Reason)
-	}
-	if e.Servers != 4 {
-		t.Errorf("Servers = %d, want 4", e.Servers)
-	}
-	if math.Abs(e.Rho-0.5) > 0.05 {
-		t.Errorf("per-server rho = %v, want ~0.5", e.Rho)
-	}
-	q, err := mg1.NewMGkQueue(e.Lambda, 4, mg1.ServiceMoments{M1: e.EB, M2: e.EB2, M3: e.EB3})
+	defer func() { _ = b.Close() }()
+	mon := NewMonitor(b, time.Second)
+	mon.Tick(time.Now()) // baseline
+	sub, err := b.Subscribe("a", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := q.MeanWait(); math.Abs(e.PredictedEW-want) > 1e-12*want {
-		t.Errorf("PredictedEW = %v, want M/G/k %v", e.PredictedEW, want)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	const n = 200
+	for i := 0; i < n; i++ {
+		if err := b.Publish(ctx, jms.NewMessage("a")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sub.Receive(ctx); err != nil {
+			t.Fatal(err)
+		}
 	}
-	dist, err := q.GammaApprox()
-	if err != nil {
-		t.Fatal(err)
+	deadline := time.Now().Add(5 * time.Second)
+	for b.Telemetry()["a"].ServiceMoments.N < n {
+		if time.Now().After(deadline) {
+			t.Fatal("tracing never caught up")
+		}
+		time.Sleep(time.Millisecond)
 	}
-	wantQ, err := dist.Quantile(MonitoredQuantile)
-	if err != nil {
-		t.Fatal(err)
+	mon.Tick(time.Now())
+	e := mon.Estimates()["a"]
+	if e.Messages != n || e.EB <= 0 {
+		t.Fatalf("estimate = %+v", e)
 	}
-	if math.Abs(e.PredictedQ-wantQ) > 1e-12*wantQ {
-		t.Errorf("PredictedQ = %v, want %v", e.PredictedQ, wantQ)
+	if e.Rho != e.Lambda*e.EB {
+		t.Errorf("Rho = %g, want Lambda*EB = %g", e.Rho, e.Lambda*e.EB)
 	}
 }

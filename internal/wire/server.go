@@ -586,7 +586,7 @@ func (sc *serverConn) handlePublishBody(reqID uint64, body []byte, fromClient bo
 		sc.server.duplicates.Add(1)
 		return sc.write(Frame{Type: FramePubAck, Payload: EncodeU64(reqID)})
 	}
-	p := parkedPublish{reqID: reqID, local: true, m: m}
+	p := parkedPublish{reqID: reqID, key: sc.publisherKey(pub, stamped), local: true, m: m}
 	if fw := sc.server.forwarder; fw != nil && fromClient {
 		p.local, p.ack = fw.StartPublish(m, body)
 	}
@@ -623,7 +623,11 @@ func (sc *serverConn) handleBatchBody(reqID uint64, body []byte, fromClient bool
 	// The forwarder sees the batch before dedupe compaction, so the raw
 	// bytes and the decoded messages agree; peers suppress any duplicate
 	// members with their own dedupe tables.
-	p := parkedPublish{reqID: reqID, local: true, c: c}
+	p := parkedPublish{reqID: reqID, key: sc.id, local: true, c: c}
+	if len(c.Msgs) > 0 {
+		pub, _, stamped := pubIdentity(c.Msgs[0])
+		p.key = sc.publisherKey(pub, stamped)
+	}
 	if fw := sc.server.forwarder; fw != nil && fromClient {
 		p.local, p.ack = fw.StartBatch(c.Msgs, body)
 	}
@@ -644,6 +648,23 @@ func (sc *serverConn) handleBatchBody(reqID uint64, body []byte, fromClient bool
 	return sc.admit(p)
 }
 
+// publisherKey is the broker.Publisher key of a publish, which pins it to
+// one dispatch worker of its topic: the FNV-1a hash of the publisher
+// identity of a stamped publish, so a reliable publisher's retry on a new
+// connection queues behind its older messages, and the connection's id
+// otherwise.
+func (sc *serverConn) publisherKey(pub string, stamped bool) uint64 {
+	if !stamped {
+		return sc.id
+	}
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(pub); i++ {
+		h ^= uint64(pub[i])
+		h *= 1099511628211
+	}
+	return h
+}
+
 // forwardWindow bounds how many publishes one connection may have parked
 // behind their forwards. A full window blocks the read loop, which is the
 // push-back chain of a forwarding server: commitLoop blocked in the broker
@@ -656,6 +677,7 @@ const forwardWindow = 64
 // committed.
 type parkedPublish struct {
 	reqID uint64
+	key   uint64      // the broker.Publisher key, see publisherKey
 	ack   *ForwardAck // nil when nothing was forwarded
 	local bool        // publish on this broker too
 	m     *jms.Message
@@ -712,11 +734,12 @@ func (sc *serverConn) commit(p parkedPublish) error {
 	published := false
 	if err == nil && p.local {
 		// The blocking publish implements push-back: the ack is delayed
-		// while the topic window is full, which throttles the publisher.
+		// while the worker's window is full, which throttles the publisher.
+		pub := sc.server.broker.Publisher(p.key)
 		if p.c != nil {
-			err = sc.server.broker.PublishBatchCarrier(context.Background(), p.c)
+			err = pub.PublishBatchCarrier(context.Background(), p.c)
 		} else {
-			err = sc.server.broker.Publish(context.Background(), p.m)
+			err = pub.Publish(context.Background(), p.m)
 		}
 		published = err == nil
 	}

@@ -263,3 +263,79 @@ func TestServerDoubleClose(t *testing.T) {
 	}
 	_ = b.Close()
 }
+
+// TestServerPublisherKeys: a publish is served by the dispatch worker its
+// publisher key selects. Two connections stamping one publisher identity
+// land on one worker, so a retry on a new connection queues behind the
+// older messages; two unstamped connections with consecutive ids land on
+// different workers of a two-worker topic.
+func TestServerPublisherKeys(t *testing.T) {
+	b := broker.New(broker.Options{Engine: broker.EngineFast, Shards: 2, WaitTiming: true})
+	if err := b.ConfigureTopic("t"); err != nil {
+		t.Fatal(err)
+	}
+	b.TakeTape("t") // arm the tape
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := Serve(b, ln)
+	t.Cleanup(func() {
+		_ = srv.Close()
+		_ = b.Close()
+	})
+	dial := func() *rawConn {
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = conn.Close() })
+		if err := conn.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		return &rawConn{t: t, conn: conn}
+	}
+	// workerOf publishes one message, stamped with (pub, seq) unless pub
+	// is empty, and returns the worker its tape entry names.
+	workerOf := func(rc *rawConn, pub string, seq int64) int {
+		t.Helper()
+		m := jms.NewMessage("t")
+		if pub != "" {
+			if err := m.SetStringProperty(PubIDProperty, pub); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.SetInt64Property(PubSeqProperty, seq); err != nil {
+				t.Fatal(err)
+			}
+		}
+		req := rc.request(FramePublish, EncodeMessage(m))
+		if f := rc.read(); f.Type != FramePubAck || binary.BigEndian.Uint64(f.Payload) != req {
+			t.Fatalf("frame = %v, want PUB_ACK %d", f.Type, req)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			if tape, _ := b.TakeTape("t"); len(tape) > 0 {
+				if len(tape) != 1 {
+					t.Fatalf("tape holds %d entries for one publish", len(tape))
+				}
+				return tape[0].Worker
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("publish never reached the tape")
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	// Each connection publishes before the next is dialled, so their ids
+	// are consecutive.
+	first := dial()
+	w1 := workerOf(first, "", 0)
+	second := dial()
+	if w2 := workerOf(second, "", 0); w1 == w2 {
+		t.Errorf("unstamped connections with consecutive ids both on worker %d", w1)
+	}
+	pinned := workerOf(first, "publisher-A", 1)
+	if w := workerOf(second, "publisher-A", 2); w != pinned {
+		t.Errorf("publisher-A on worker %d over one connection and %d over the other", pinned, w)
+	}
+}
