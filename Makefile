@@ -20,11 +20,12 @@ test-procs:
 # test-queues runs the subscriber queue's count-based tests twenty times:
 # the outbox, the slow-consumer policies, durable backlogs across detach
 # cycles, the metamorphic walls, unsubscribe and churn races, and the
-# pinned workers' per-worker tapes and per-publisher FIFO. An ordering or
-# counting race in the one delivery queue or between a topic's workers
-# shows as a failure in some run.
+# pinned workers' per-worker tapes and per-publisher FIFO, and a batch's
+# tape as one server's path. An ordering or counting race in the one
+# delivery queue or between a topic's workers shows as a failure in some
+# run.
 test-queues:
-	$(GO) test -count=20 -run 'Outbox|SlowConsumer|Durable|Metamorphic|Unsubscribe|Churn|PinnedWorkers' ./internal/broker/
+	$(GO) test -count=20 -run 'Outbox|SlowConsumer|Durable|Metamorphic|Unsubscribe|Churn|PinnedWorkers|BatchedTape' ./internal/broker/
 
 # test-benchmark tests the repository benchmark (BENCHMARK.json): a nested
 # module, so `go test ./...` above does not reach it. It checks the

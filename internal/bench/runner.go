@@ -217,7 +217,7 @@ func measure(sc scenario) (NativeResult, error) {
 				evals += e.Evals
 			}
 			res.Evals = float64(evals) / float64(len(ph.tape))
-			res.TapedService = broker.MeanService(ph.tape)
+			res.TapedService, _, _ = broker.ServiceMoments(ph.tape)
 		}
 		runs = append(runs, res)
 	}

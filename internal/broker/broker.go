@@ -70,16 +70,16 @@ type Options struct {
 	// push-back), drop-oldest, or disconnect. See SlowConsumerPolicy.
 	SlowConsumer SlowConsumerPolicy
 	// WaitTiming stamps each message at broker enqueue and records its
-	// waiting time W (enqueue → dispatch start), service time B (dispatch
-	// start → last transmit) and sojourn time (enqueue → last transmit)
-	// into per-topic histograms and raw-moment accumulators, exposed by
-	// Telemetry. This is the measured side of the live model-drift
-	// monitor; off by default, because it adds clock reads to the dispatch
-	// hot path.
-	// The same stamps also feed each topic's service-time tape, one
-	// TapeEntry per committed message in a ring of TapeCapacity entries
-	// (~1.6 MiB per topic), allocated by the first TakeTape on the topic;
-	// until then recording costs one nil check (see tracing.go).
+	// waiting time W (enqueue → dispatch start) and sojourn time (enqueue
+	// → last transmit) into per-topic histograms, exposed by Telemetry,
+	// and each committed message, with its service time B (dispatch start
+	// → last transmit), on its topic's tape, read by TakeTape. The tape is
+	// the measured side of the live model-drift monitor and of the
+	// conformance checks: a ring of TapeCapacity entries (~1.6 MiB per
+	// topic) allocated by the first TakeTape on the topic; until then
+	// recording costs one nil check, after it one lock per message (see
+	// tracing.go). Off by default, because it adds clock reads to the
+	// dispatch hot path.
 	WaitTiming bool
 	// Tracer, when non-nil, is the per-message flight recorder: sampled
 	// messages (by TraceID hash) get queue/match/replicate/transmit spans
@@ -358,7 +358,6 @@ func (p Publisher) send(ctx context.Context, d *dispatcher, u pubUnit, n int, wa
 	b.countAdd(&b.received, uint64(n))
 	if d.tt != nil {
 		d.tt.received.Add(uint64(n))
-		d.tt.batchM.ObserveValue(float64(n))
 	}
 	return nil
 }

@@ -140,7 +140,8 @@ func (w *worker) run() {
 // serve runs all four stages for one unit. A batch is matched member by
 // member against the worker's batch scratch, its filter evaluations fold
 // into the broker counter once, and then its members are committed in
-// order.
+// order. Member 0's tape start is its receive stamp, so its B covers every
+// member's match; each later member's B is its own commit.
 func (w *worker) serve(u pubUnit) {
 	b := w.d.b
 	if u.m != nil {
@@ -148,7 +149,7 @@ func (w *worker) serve(u pubUnit) {
 		w.matches = res.matches[:0]
 		b.countAdd(&b.filterEvals, uint64(res.evals))
 		if ok {
-			w.commitStages(&res)
+			w.commitStages(&res, time.Time{})
 		}
 		return
 	}
@@ -173,9 +174,12 @@ func (w *worker) serve(u pubUnit) {
 		members[i] = res
 	}
 	b.countAdd(&b.filterEvals, evals)
+	// The members are one service: each after the first starts, on the
+	// tape, where the one committed before it ended.
+	var prevEnd time.Time
 	for i := range members {
 		if !members[i].expired {
-			w.commitStages(&members[i])
+			prevEnd = w.commitStages(&members[i], prevEnd)
 		}
 	}
 	if u.carrier != nil {
@@ -199,7 +203,6 @@ func (w *worker) frontStages(m *jms.Message, dst []*Subscriber) (result, bool) {
 		wait := start.Sub(m.EnqueuedAt)
 		if tt != nil {
 			tt.wait.Observe(wait)
-			tt.waitM.Observe(wait)
 		}
 		if traced {
 			// The per-message sample of the model's E[W].
@@ -223,30 +226,35 @@ func (w *worker) frontStages(m *jms.Message, dst []*Subscriber) (result, bool) {
 	return result{m: m, matches: matches, nFilters: nFilters, evals: evals, start: start, traced: traced}, true
 }
 
-// traceCommit records the service and sojourn times of one committed
-// message — the end of the spans opened at enqueue and dispatch start —
-// appends it to the topic's tape once one has been taken, and closes out
-// its flight record: head-sampled messages get their covariates (n_fltr,
-// R) and sojourn attached, unsampled ones are offered to the recorder's
-// tail keeper as skeleton traces when slow enough.
-func (w *worker) traceCommit(res *result) {
+// traceCommit records the sojourn time of one committed message — the
+// end of the span opened at enqueue — appends it to the topic's tape once
+// one has been taken, and closes out its flight record: head-sampled
+// messages get their covariates (n_fltr, R) and sojourn attached,
+// unsampled ones are offered to the recorder's tail keeper as skeleton
+// traces when slow enough. A non-zero prevEnd replaces res.start as the
+// tape's dispatch start (see serve). It returns the commit end, zero when
+// the message was not stamped.
+func (w *worker) traceCommit(res *result, prevEnd time.Time) time.Time {
 	if res.start.IsZero() {
-		return
+		return time.Time{}
 	}
 	d := w.d
 	end := d.b.now()
 	if tt := d.tt; tt != nil {
 		if tp := tt.tape.Load(); tp != nil {
+			start := res.start
+			if !prevEnd.IsZero() {
+				start = prevEnd
+			}
 			tp.record(TapeEntry{
-				Enqueued: res.m.EnqueuedAt, Start: res.start, End: end,
+				Enqueued: res.m.EnqueuedAt, Start: start, End: end,
 				Evals: res.evals, R: len(res.matches), BodyBytes: len(res.m.Body), Worker: w.id,
 			})
 		}
-		tt.serviceM.Observe(end.Sub(res.start))
 		tt.sojourn.Observe(end.Sub(res.m.EnqueuedAt))
 	}
 	if d.tracer == nil {
-		return
+		return end
 	}
 	id := res.m.Header.TraceID
 	sojourn := end.Sub(res.m.EnqueuedAt)
@@ -256,6 +264,7 @@ func (w *worker) traceCommit(res *result) {
 		d.tracer.OfferTail(id, d.topic.Name(), res.nFilters, len(res.matches),
 			res.m.EnqueuedAt, res.start.Sub(res.m.EnqueuedAt), sojourn)
 	}
+	return end
 }
 
 // commitStages runs the replicate and transmit stages — R copies for R
@@ -264,7 +273,8 @@ func (w *worker) traceCommit(res *result) {
 // connection sends it once for all of them. A traced message's per-copy
 // timing windows tile the whole loop (each window ends where the next
 // begins), so its replicate and transmit spans sum to the commit time.
-func (w *worker) commitStages(res *result) {
+// prevEnd and the returned commit end are traceCommit's.
+func (w *worker) commitStages(res *result, prevEnd time.Time) time.Time {
 	d := w.d
 	m, matches := res.m, res.matches
 	var start, prev time.Time
@@ -305,5 +315,5 @@ func (w *worker) commitStages(res *result) {
 		}
 		d.tracer.RecordSpan(id, trace.StageTransmit, start.Add(replDur), txDur)
 	}
-	w.traceCommit(res)
+	return w.traceCommit(res, prevEnd)
 }

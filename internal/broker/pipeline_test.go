@@ -185,6 +185,69 @@ func TestPinnedWorkersTapeAndFIFO(t *testing.T) {
 	}
 }
 
+// TestBatchedTapeOneServer: a published batch is one unit of service on
+// its worker's path. Its members share one Enqueued stamp, and each member
+// after the first starts on the tape where the one before it ended, so the
+// tape passes the single-server identity and every unit's service times
+// sum exactly to its span, first start to last end.
+func TestBatchedTapeOneServer(t *testing.T) {
+	const units, size = 50, 16
+	for _, engine := range engines {
+		t.Run(engine.String(), func(t *testing.T) {
+			b := broker.New(broker.Options{Engine: engine, WaitTiming: true, SubscriberBuffer: units * size})
+			defer func() { _ = b.Close() }()
+			if err := b.ConfigureTopic("t"); err != nil {
+				t.Fatal(err)
+			}
+			b.TakeTape("t") // arm the tape
+			sub, err := b.Subscribe("t", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			for u := 0; u < units; u++ {
+				msgs := make([]*jms.Message, size)
+				for i := range msgs {
+					msgs[i] = jms.NewMessage("t")
+				}
+				if err := b.PublishBatch(ctx, msgs); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < units*size; i++ {
+				if _, err := sub.Receive(ctx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var tape []broker.TapeEntry
+			for deadline := time.Now().Add(5 * time.Second); len(tape) < units*size && time.Now().Before(deadline); {
+				entries, _ := b.TakeTape("t")
+				tape = append(tape, entries...)
+				time.Sleep(time.Millisecond)
+			}
+			if len(tape) != units*size {
+				t.Fatalf("tape holds %d entries, want %d", len(tape), units*size)
+			}
+			if err := conformance.CheckTape(tape); err != nil {
+				t.Error(err)
+			}
+			for u := 0; u < units; u++ {
+				unit := tape[u*size : (u+1)*size]
+				var sum time.Duration
+				for _, e := range unit {
+					if !e.Enqueued.Equal(unit[0].Enqueued) {
+						t.Fatalf("unit %d: members stamped %v and %v", u, unit[0].Enqueued, e.Enqueued)
+					}
+					sum += e.End.Sub(e.Start)
+				}
+				if span := unit[size-1].End.Sub(unit[0].Start); sum != span {
+					t.Errorf("unit %d: members' service times sum to %v, the unit's span is %v", u, sum, span)
+				}
+			}
+		})
+	}
+}
+
 // TestFIFOThroughShutdownDrain fills the pipeline, closes the broker, and
 // checks that every accepted message is delivered in per-publisher FIFO
 // order by the shutdown drain, on both engines.

@@ -13,29 +13,29 @@ import (
 // (jms.Message.EnqueuedAt) and the pipeline records, per topic,
 //
 //	W       = enqueue → dispatch start   (the paper's waiting time),
-//	B       = dispatch start → last transmit (the service time),
 //	sojourn = enqueue → last transmit    (W + B, the response time T),
 //
-// into histograms and raw-moment accumulators. The moment accumulators
-// keep exact Σx, Σx², Σx³ so a telemetry consumer can evaluate the
-// Pollaczek–Khinchine closed forms (Eqs. 4–5) and the Gamma quantile
-// approximation (Eqs. 19–20) from measured moments over a rolling window —
-// the live counterpart of the offline conformance suite.
+// into the cumulative histograms /metrics exposes, and counts the
+// messages accepted (Received).
 //
-// The same three stamps, with the match stage's evaluation count, the
-// replica count, the body size and the serving worker, also go to the
-// topic's tape: a ring of TapeCapacity TapeEntry values (104 bytes each,
-// ~1.6 MiB per topic) in commit order, the recorded sample path an
-// offline check replays. No
-// clock is read for it. The ring is allocated by the first TakeTape on
-// the topic, so a broker whose tape is never read (jmsd's telemetry plane)
-// pays one nil check per message for it.
+// The same stamps, with the match stage's evaluation count, the replica
+// count, the body size and the serving worker, also go to the topic's
+// tape: a ring of TapeCapacity TapeEntry values (104 bytes each, ~1.6 MiB
+// per topic) in commit order, the recorded sample path from which both the
+// live drift monitor and the offline conformance checks read W, the
+// service time B = End − Start and the batch sizes. No clock is read for
+// it: an entry reuses the stamps the histograms take. The ring is
+// allocated by the first TakeTape on the topic, so a broker whose tape is
+// never read pays one nil check per message for it.
 //
 // Each dispatch worker is a single resource that serves its messages to
 // completion, one at a time, so on both engines B is the true
 // single-resource service time of the paper's model. Every entry names its
 // worker: a topic with k workers keeps one tape, and each worker's entries
-// are one FIFO server's sample path.
+// are one FIFO server's sample path. A batch's members are one unit on
+// that path: they share one Enqueued stamp, and each member after the
+// first starts where the member committed before it ended, so the
+// members' B values sum to the unit's service span.
 
 // topicTimers is one topic's tracing state. All fields are lock-cheap and
 // sit on the dispatch path only when Options.WaitTiming is set.
@@ -43,11 +43,6 @@ type topicTimers struct {
 	received metrics.Counter // messages accepted into the topic queue
 	wait     metrics.Histogram
 	sojourn  metrics.Histogram
-	waitM    metrics.Moments
-	serviceM metrics.Moments
-	// batchM accumulates the per-arrival batch size X (1 for every plain
-	// Publish), whose moments drive the M^X/G/1 batch-arrival extension.
-	batchM metrics.Moments
 	// tape is nil until the first TakeTape.
 	tape atomic.Pointer[tape]
 }
@@ -107,6 +102,11 @@ func (tp *tape) take() ([]TapeEntry, uint64) {
 // and empties the tape. The first call allocates the ring and returns
 // nothing: recording starts there. Without Options.WaitTiming, or for an
 // unknown topic, it returns nil, 0.
+//
+// A tape has one reader: every call takes what the previous one left, so
+// two readers of one topic each see part of its path. In jmsd that reader
+// is the drift monitor (telemetry.Monitor); in tests it is the scenario
+// runner or the conformance leg.
 func (b *Broker) TakeTape(topicName string) ([]TapeEntry, uint64) {
 	b.mu.Lock()
 	d := b.dispatchers[topicName]
@@ -121,18 +121,21 @@ func (b *Broker) TakeTape(topicName string) ([]TapeEntry, uint64) {
 	return nil, 0
 }
 
-// MeanService is the mean service time B = End − Start over a tape, in
-// seconds.
-func MeanService(tape []TapeEntry) float64 {
-	var sum time.Duration
+// ServiceMoments returns the raw moments E[B], E[B²], E[B³] of the service
+// time B = End − Start over a non-empty tape, in seconds: the measured
+// inputs of the Pollaczek–Khinchine forms (Eqs. 4–5).
+func ServiceMoments(tape []TapeEntry) (m1, m2, m3 float64) {
 	for _, e := range tape {
-		sum += e.End.Sub(e.Start)
+		s := e.End.Sub(e.Start).Seconds()
+		m1 += s
+		m2 += s * s
+		m3 += s * s * s
 	}
-	return sum.Seconds() / float64(len(tape))
+	n := float64(len(tape))
+	return m1 / n, m2 / n, m3 / n
 }
 
 // TopicTelemetry is a point-in-time snapshot of one topic's tracing state.
-// Snapshots from two instants subtract (Sub) into a rolling window.
 type TopicTelemetry struct {
 	// Received counts messages accepted into the topic queue — the λ
 	// numerator of a windowed arrival-rate estimate.
@@ -143,45 +146,14 @@ type TopicTelemetry struct {
 	// Sojourn is the per-message sojourn-time histogram (enqueue → last
 	// transmit of the message's replicas).
 	Sojourn metrics.HistogramSnapshot
-	// WaitMoments are the raw moments of the waiting time in seconds.
-	WaitMoments metrics.MomentsSnapshot
-	// ServiceMoments are the raw moments of the service time in seconds —
-	// the measured E[B], E[B^2], E[B^3] of Eqs. 4–5.
-	ServiceMoments metrics.MomentsSnapshot
-	// BatchMoments are the raw moments of the arrival batch size X
-	// (dimensionless; 1 per plain Publish). N counts arrival units, so the
-	// windowed batch-arrival rate is BatchMoments.N / window while Received
-	// stays the per-message λ numerator.
-	BatchMoments metrics.MomentsSnapshot
-}
-
-// Sub returns the windowed delta s - prev, clamping on counter skew.
-func (s TopicTelemetry) Sub(prev TopicTelemetry) TopicTelemetry {
-	recv := s.Received
-	if prev.Received > recv {
-		recv = 0
-	} else {
-		recv -= prev.Received
-	}
-	return TopicTelemetry{
-		Received:       recv,
-		Wait:           s.Wait.Sub(prev.Wait),
-		Sojourn:        s.Sojourn.Sub(prev.Sojourn),
-		WaitMoments:    s.WaitMoments.Sub(prev.WaitMoments),
-		ServiceMoments: s.ServiceMoments.Sub(prev.ServiceMoments),
-		BatchMoments:   s.BatchMoments.Sub(prev.BatchMoments),
-	}
 }
 
 // snapshot copies the timer state.
 func (tt *topicTimers) snapshot() TopicTelemetry {
 	return TopicTelemetry{
-		Received:       tt.received.Value(),
-		Wait:           tt.wait.Snapshot(),
-		Sojourn:        tt.sojourn.Snapshot(),
-		WaitMoments:    tt.waitM.Snapshot(),
-		ServiceMoments: tt.serviceM.Snapshot(),
-		BatchMoments:   tt.batchM.Snapshot(),
+		Received: tt.received.Value(),
+		Wait:     tt.wait.Snapshot(),
+		Sojourn:  tt.sojourn.Snapshot(),
 	}
 }
 

@@ -56,30 +56,12 @@ func testWaitTracing(t *testing.T, opts Options) {
 	if tel.Received != n {
 		t.Errorf("Received = %d, want %d", tel.Received, n)
 	}
-	if tel.Wait.Count != n || tel.WaitMoments.N != n {
-		t.Errorf("wait counts = %d/%d, want %d", tel.Wait.Count, tel.WaitMoments.N, n)
-	}
-	if tel.Sojourn.Count != n || tel.ServiceMoments.N != n {
-		t.Errorf("sojourn/service counts = %d/%d, want %d", tel.Sojourn.Count, tel.ServiceMoments.N, n)
+	if tel.Wait.Count != n || tel.Sojourn.Count != n {
+		t.Errorf("wait/sojourn counts = %d/%d, want %d", tel.Wait.Count, tel.Sojourn.Count, n)
 	}
 	// Sojourn = wait + service per message, so the sums must order.
 	if tel.Sojourn.Sum < tel.Wait.Sum {
 		t.Errorf("sojourn sum %d < wait sum %d", tel.Sojourn.Sum, tel.Wait.Sum)
-	}
-	if tel.WaitMoments.Mean() < 0 || tel.ServiceMoments.Mean() <= 0 {
-		t.Errorf("moment means = %v/%v", tel.WaitMoments.Mean(), tel.ServiceMoments.Mean())
-	}
-
-	// Windowed delta: more traffic, subtract the first snapshot.
-	for i := 0; i < n; i++ {
-		publishCorr(t, b, "#0")
-	}
-	drainN(t, sub, n)
-	tel2 := waitTelemetry(t, b, "t", 2*n)
-	d := tel2.Sub(tel)
-	if d.Received != n || d.Wait.Count != n || d.ServiceMoments.N != n {
-		t.Errorf("delta = received %d wait %d service %d, want %d each",
-			d.Received, d.Wait.Count, d.ServiceMoments.N, n)
 	}
 }
 
@@ -107,7 +89,7 @@ func TestTelemetryOffByDefault(t *testing.T) {
 }
 
 // TestTracedExpiredMessage: an expired message contributes a wait
-// observation (it waited) but no service/sojourn (it was never committed).
+// observation (it waited) but no sojourn (it was never committed).
 func TestTracedExpiredMessage(t *testing.T) {
 	b := newTestBroker(t, Options{WaitTiming: true})
 	fixed := time.Date(2030, 1, 1, 0, 0, 0, 0, time.UTC)
@@ -121,8 +103,8 @@ func TestTracedExpiredMessage(t *testing.T) {
 	for {
 		tel := b.Telemetry()["t"]
 		if tel.Wait.Count == 1 {
-			if tel.Sojourn.Count != 0 || tel.ServiceMoments.N != 0 {
-				t.Errorf("expired message recorded service/sojourn: %+v", tel)
+			if tel.Sojourn.Count != 0 {
+				t.Errorf("expired message recorded a sojourn: %+v", tel)
 			}
 			return
 		}

@@ -388,7 +388,7 @@ func (t *Topology) Subscribe(topicName string, f filter.Filter, home int) (*Topo
 
 // quiesceMember blocks until every message accepted by the member for the
 // given topics has been committed (its deliveries enqueued), observable as
-// the per-topic service-moment count catching up with the accepted count.
+// the per-topic sojourn count catching up with the accepted count.
 // Expiring messages would break the equality; topology traffic sets no
 // expiration.
 func (t *Topology) quiesceMember(m *topoMember, topics []string) error {
@@ -397,7 +397,7 @@ func (t *Topology) quiesceMember(m *topoMember, topics []string) error {
 		tel := m.b.Telemetry()
 		settled := true
 		for _, tp := range topics {
-			if tt, ok := tel[tp]; ok && tt.ServiceMoments.N < tt.Received {
+			if tt, ok := tel[tp]; ok && tt.Sojourn.Count < tt.Received {
 				settled = false
 				break
 			}

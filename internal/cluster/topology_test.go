@@ -738,7 +738,7 @@ func TestMeshHealsAfterMemberRestart(t *testing.T) {
 	// otherwise one installed first would hear it.
 	for _, b := range topo.Brokers() {
 		deadline := time.Now().Add(5 * time.Second)
-		for b.Telemetry()["t"].ServiceMoments.N < 1 && time.Now().Before(deadline) {
+		for b.Telemetry()["t"].Sojourn.Count < 1 && time.Now().Before(deadline) {
 			time.Sleep(100 * time.Microsecond)
 		}
 	}

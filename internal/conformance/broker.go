@@ -216,7 +216,8 @@ func probeService(brokers []*broker.Broker, topicName string, perMessage int, pu
 			all = append(all, tape...)
 		}
 	}
-	return broker.MeanService(all), nil
+	eb, _, _ := broker.ServiceMoments(all)
+	return eb, nil
 }
 
 // awaitTapes collects the tapes of topicName on brokers until they hold

@@ -124,18 +124,15 @@ func AnalyzeTape(tape []broker.TapeEntry, warmup int, quantile float64) (TapeRep
 	}
 	recorded, replayed := stats.NewSummary(), stats.NewSummary()
 	var gap float64
-	var b mg1.ServiceMoments
 	for i, e := range tape[warmup:] {
-		w, l, s := e.Start.Sub(e.Enqueued).Seconds(), lindley[warmup+i], services[warmup+i]
+		w, l := e.Start.Sub(e.Enqueued).Seconds(), lindley[warmup+i]
 		recorded.Add(w)
 		replayed.Add(l)
 		gap += w - l
-		b.M1 += s
-		b.M2 += s * s
-		b.M3 += s * s * s
 	}
+	var b mg1.ServiceMoments
+	b.M1, b.M2, b.M3 = broker.ServiceMoments(tape[warmup:])
 	n := float64(len(tape) - warmup)
-	b.M1, b.M2, b.M3 = b.M1/n, b.M2/n, b.M3/n
 	span := arrivals[len(arrivals)-1] - arrivals[warmup]
 	if span <= 0 {
 		return TapeReport{}, fmt.Errorf("conformance: tape spans %v of arrivals", time.Duration(span*1e9))

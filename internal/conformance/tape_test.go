@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/broker"
+	"repro/internal/telemetry"
 )
 
 // envelope holds a wall-clock envelope, a measurement against a model or
@@ -112,6 +113,41 @@ func TestTapeReplay(t *testing.T) {
 		a.Start, a.End, b.Start, b.End = b.Start, b.End, a.Start, a.End
 		if err := CheckTape(mutated); err == nil {
 			t.Errorf("%s: CheckTape accepted entries %d and %d with swapped services", leg, i, i+1)
+		}
+	}
+}
+
+// TestComputeMatchesAnalyzeTape pins the one estimator: the live drift
+// monitor (telemetry.Compute) and the conformance report read the same
+// E[B], ρ, recorded waits and M/G/1 point off one tape. The clean tape is
+// plain publishes, so Compute's M^X/G/1 model runs at X ≡ 1.
+func TestComputeMatchesAnalyzeTape(t *testing.T) {
+	tape, err := readTape(tapePath("clean"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := AnalyzeTape(tape, 0, 0.99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	window := time.Duration(float64(len(tape)) / rep.Lambda * float64(time.Second))
+	e := telemetry.Compute("t", tape, 0, uint64(len(tape)), window, 0.99, 0)
+	if !e.Valid || e.EX != 1 {
+		t.Fatalf("estimate %+v, want valid at E[X] = 1", e)
+	}
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"EB", e.EB, rep.MeanService},
+		{"Rho", e.Rho, rep.Rho},
+		{"PredictedEW", e.PredictedEW, rep.Predicted.MeanWait},
+		{"PredictedQ", e.PredictedQ, rep.Predicted.Quantile},
+		{"ObservedEW", e.ObservedEW, rep.Recorded.MeanWait},
+		{"ObservedQ", e.ObservedQ, rep.Recorded.Quantile},
+	} {
+		if math.Abs(c.got-c.want) > 1e-6*math.Abs(c.want) {
+			t.Errorf("%s: Compute %g, AnalyzeTape %g", c.name, c.got, c.want)
 		}
 	}
 }

@@ -6,12 +6,10 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // This file holds the exposition-side primitives of the telemetry plane:
-// gauges, labeled counter/gauge families, and the raw-moment accumulator
-// behind the online M/G/1 model-drift monitor. The families are
+// gauges and labeled counter/gauge families. The families are
 // deliberately minimal — a name, a help string, fixed label names, and
 // children keyed by their label values — just enough structure for
 // internal/telemetry to render them in Prometheus text format.
@@ -132,92 +130,3 @@ func (v *CounterVec) With(labelValues ...string) *Counter {
 
 // Each visits every child in deterministic order.
 func (v *CounterVec) Each(fn func(labelValues []string, c *Counter)) { v.fam.each(fn) }
-
-// Moments accumulates the first three raw moments of a duration sample in
-// seconds: exactly the E[B], E[B^2], E[B^3] inputs of the paper's
-// Pollaczek–Khinchine formulas (Eqs. 4–5), measured instead of assumed.
-// A histogram's log2 buckets are too coarse for third moments, so the
-// sums are kept exactly. The zero value is ready for use.
-type Moments struct {
-	mu         sync.Mutex
-	n          uint64
-	s1, s2, s3 float64
-}
-
-// Observe records one duration. Negative durations are clamped to zero.
-func (m *Moments) Observe(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	m.ObserveValue(d.Seconds())
-}
-
-// ObserveValue records one dimensionless sample — e.g. a batch size, whose
-// first three moments parameterize the M^X/G/1 batch-arrival extension the
-// same way the duration moments parameterize Eqs. 4–5. Negative values are
-// clamped to zero.
-func (m *Moments) ObserveValue(x float64) {
-	if x < 0 {
-		x = 0
-	}
-	x2 := x * x
-	m.mu.Lock()
-	m.n++
-	m.s1 += x
-	m.s2 += x2
-	m.s3 += x2 * x
-	m.mu.Unlock()
-}
-
-// Snapshot returns a consistent point-in-time copy of the accumulator.
-func (m *Moments) Snapshot() MomentsSnapshot {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return MomentsSnapshot{N: m.n, S1: m.s1, S2: m.s2, S3: m.s3}
-}
-
-// MomentsSnapshot is a point-in-time copy of a Moments accumulator.
-type MomentsSnapshot struct {
-	// N is the number of observations.
-	N uint64
-	// S1, S2, S3 are the sums of x, x^2 and x^3 over all observations,
-	// with x in seconds.
-	S1, S2, S3 float64
-}
-
-// Sub returns the windowed delta s - prev, clamping each field at zero on
-// counter skew (see HistogramSnapshot.Sub).
-func (s MomentsSnapshot) Sub(prev MomentsSnapshot) MomentsSnapshot {
-	d := MomentsSnapshot{
-		N:  clampSub(s.N, prev.N),
-		S1: s.S1 - prev.S1,
-		S2: s.S2 - prev.S2,
-		S3: s.S3 - prev.S3,
-	}
-	if d.S1 < 0 {
-		d.S1 = 0
-	}
-	if d.S2 < 0 {
-		d.S2 = 0
-	}
-	if d.S3 < 0 {
-		d.S3 = 0
-	}
-	return d
-}
-
-// Raw returns the raw sample moments (E[x], E[x^2], E[x^3]) in seconds,
-// or zeros with no observations.
-func (s MomentsSnapshot) Raw() (m1, m2, m3 float64) {
-	if s.N == 0 {
-		return 0, 0, 0
-	}
-	n := float64(s.N)
-	return s.S1 / n, s.S2 / n, s.S3 / n
-}
-
-// Mean returns the sample mean in seconds.
-func (s MomentsSnapshot) Mean() float64 {
-	m1, _, _ := s.Raw()
-	return m1
-}

@@ -4,7 +4,6 @@ import (
 	"math"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestGaugeSetValue(t *testing.T) {
@@ -94,62 +93,4 @@ func TestVecArityPanics(t *testing.T) {
 		}
 	}()
 	NewGaugeVec("x", "", "a", "b").With("only-one")
-}
-
-func TestMoments(t *testing.T) {
-	var m Moments
-	for _, d := range []time.Duration{time.Second, 2 * time.Second, 3 * time.Second} {
-		m.Observe(d)
-	}
-	s := m.Snapshot()
-	if s.N != 3 {
-		t.Fatalf("N = %d", s.N)
-	}
-	m1, m2, m3 := s.Raw()
-	if m1 != 2 { // (1+2+3)/3
-		t.Errorf("E[x] = %v, want 2", m1)
-	}
-	if want := (1.0 + 4.0 + 9.0) / 3; math.Abs(m2-want) > 1e-12 {
-		t.Errorf("E[x^2] = %v, want %v", m2, want)
-	}
-	if want := (1.0 + 8.0 + 27.0) / 3; math.Abs(m3-want) > 1e-12 {
-		t.Errorf("E[x^3] = %v, want %v", m3, want)
-	}
-	if s.Mean() != 2 {
-		t.Errorf("Mean = %v", s.Mean())
-	}
-}
-
-func TestMomentsNegativeClamped(t *testing.T) {
-	var m Moments
-	m.Observe(-time.Second)
-	s := m.Snapshot()
-	if s.N != 1 || s.S1 != 0 || s.S2 != 0 || s.S3 != 0 {
-		t.Errorf("negative observation not clamped: %+v", s)
-	}
-}
-
-func TestMomentsSub(t *testing.T) {
-	var m Moments
-	m.Observe(time.Second)
-	before := m.Snapshot()
-	m.Observe(3 * time.Second)
-	d := m.Snapshot().Sub(before)
-	if d.N != 1 || d.S1 != 3 || d.S2 != 9 || d.S3 != 27 {
-		t.Errorf("delta = %+v", d)
-	}
-	// Skewed inputs (prev ahead of cur) clamp to zero instead of going
-	// negative.
-	skew := before.Sub(m.Snapshot())
-	if skew.N != 0 || skew.S1 != 0 || skew.S2 != 0 || skew.S3 != 0 {
-		t.Errorf("skewed delta not clamped: %+v", skew)
-	}
-}
-
-func TestMomentsZeroRaw(t *testing.T) {
-	var s MomentsSnapshot
-	m1, m2, m3 := s.Raw()
-	if m1 != 0 || m2 != 0 || m3 != 0 {
-		t.Errorf("empty Raw = %v %v %v", m1, m2, m3)
-	}
 }

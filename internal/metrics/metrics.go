@@ -1,7 +1,7 @@
 // Package metrics provides the measurement-side bookkeeping of the broker
 // and its harnesses: monotonic counters and a named-counter registry, and
 // the exposition primitives of the live telemetry plane — gauges, labeled
-// counter/gauge families, raw-moment accumulators, and duration histograms.
+// counter/gauge families, and duration histograms.
 //
 // # Histogram bucket boundaries
 //
@@ -107,7 +107,8 @@ type HistogramSnapshot struct {
 
 // Snapshot copies the histogram state. Concurrent observers may land
 // between the field reads, so totals are exact only while the histogram is
-// quiescent; for windowed measurement use two snapshots and Sub.
+// quiescent. The histogram is cumulative; windowed statistics are read off
+// the topic tape instead (broker.Broker.TakeTape).
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	var s HistogramSnapshot
 	s.Count = h.count.Load()
@@ -127,32 +128,6 @@ func (s HistogramSnapshot) Mean() time.Duration {
 	return time.Duration(s.Sum / s.Count)
 }
 
-// Sub returns the histogram delta s - prev for windowed measurement
-// (count, sum and buckets subtract; Max cannot be windowed and is kept
-// from s, i.e. it remains the running maximum). Because Snapshot is not
-// atomic across fields, two snapshots racing concurrent observers can be
-// mutually inconsistent (e.g. prev read a bucket after an Observe that s's
-// count read happened before); every subtraction therefore clamps at zero
-// instead of wrapping the unsigned counters around.
-func (s HistogramSnapshot) Sub(prev HistogramSnapshot) HistogramSnapshot {
-	d := s
-	d.Count = clampSub(s.Count, prev.Count)
-	d.Sum = clampSub(s.Sum, prev.Sum)
-	for i := range d.Buckets {
-		d.Buckets[i] = clampSub(s.Buckets[i], prev.Buckets[i])
-	}
-	return d
-}
-
-// clampSub returns a - b, clamped at zero when b > a (counter skew between
-// racing snapshots must not wrap around).
-func clampSub(a, b uint64) uint64 {
-	if b > a {
-		return 0
-	}
-	return a - b
-}
-
 // BucketBound returns the exclusive upper bound of histogram bucket i in
 // nanoseconds: 1 for bucket 0, 2^i for interior buckets, and +Inf for the
 // unbounded last bucket.
@@ -161,44 +136,6 @@ func BucketBound(i int) float64 {
 		return math.Inf(1)
 	}
 	return float64(uint64(1) << uint(i))
-}
-
-// Quantile estimates the p-quantile (0 <= p < 1) of the recorded
-// distribution by linear interpolation inside the log2 bucket holding the
-// rank. The unbounded last bucket is capped at Max. With no observations
-// the estimate is 0.
-func (s HistogramSnapshot) Quantile(p float64) time.Duration {
-	if s.Count == 0 || p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return time.Duration(s.Max)
-	}
-	rank := p * float64(s.Count)
-	var cum float64
-	for i, c := range s.Buckets {
-		if c == 0 {
-			continue
-		}
-		next := cum + float64(c)
-		if next >= rank {
-			lo := 0.0
-			if i > 0 {
-				lo = float64(uint64(1) << uint(i-1))
-			}
-			hi := BucketBound(i)
-			if math.IsInf(hi, 1) || hi > float64(s.Max) {
-				hi = float64(s.Max)
-			}
-			if hi < lo {
-				hi = lo
-			}
-			frac := (rank - cum) / float64(c)
-			return time.Duration(lo + frac*(hi-lo))
-		}
-		cum = next
-	}
-	return time.Duration(s.Max)
 }
 
 // Snapshot is a point-in-time view of a named counter set, for reporting.

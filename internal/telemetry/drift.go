@@ -7,24 +7,28 @@ import (
 	"repro/internal/broker"
 	"repro/internal/metrics"
 	"repro/internal/mg1"
+	"repro/internal/stats"
 )
 
 // This file is the online model-drift monitor: the paper's predicted-vs-
 // measured waiting-time comparison (Figs. 8–12) computed continuously on
-// the running broker instead of offline. Each tick takes a rolling window
-// over the broker's per-topic tracing state (broker.Telemetry), estimates
-// the M/GI/1 inputs from it —
+// the running broker instead of offline. Each tick takes every topic's
+// tape (broker.TakeTape), the record the conformance suite reads too, and
+// estimates the M^X/G/1 inputs —
 //
-//	λ      from the windowed arrival count,
-//	E[B^k] from the windowed raw service-time moments (Eqs. 7–9 measured
-//	       rather than constructed),
+//	λ      from the windowed arrival count (Received),
+//	E[B^k] from the entries' End − Start (Eqs. 7–9 measured),
+//	E[X^k] from the batch sizes (entries sharing an Enqueued stamp),
 //	ρ      = λ·E[B] (Eq. 6),
 //
-// — evaluates the Pollaczek–Khinchine mean wait (Eq. 4) and the Gamma
-// quantile approximation (Eqs. 19–20), and publishes predicted and
-// observed E[W]/q99 side by side with their ratio. A drift ratio far from
-// one is the operator's signal that reality has diverged from the model's
-// assumptions (overload, lost Poisson-ness, service-time inflation).
+// — evaluates the mean wait (Eq. 4) and the Gamma quantile approximation
+// (Eqs. 19–20), and publishes them beside the exact sample mean and
+// quantile of the entries' Start − Enqueued, with their ratio. A drift
+// ratio far from one is the operator's signal that reality has diverged
+// from the model's assumptions (overload, lost Poisson-ness, service-time
+// inflation). Above TapeCapacity messages per window (about 3 300 msgs/s
+// at the 5 s default) the ring overwrites, and the statistics cover the
+// window's last TapeCapacity messages.
 //
 // The model is one pooled M^X/G/1 queue per topic. A topic's k dispatch
 // workers (broker.Options.Shards on the fast engine) are k independent
@@ -48,16 +52,15 @@ const DefaultMinSamples = 50
 type Estimate struct {
 	Topic string `json:"topic"`
 	// Window is the wall-clock span of the rolling window; Messages the
-	// number of messages served in it.
+	// number of messages served in it, overwritten tape entries included.
 	Window   time.Duration `json:"window_ns"`
 	Messages uint64        `json:"messages"`
 	// Lambda is the windowed arrival rate (msgs/s), Rho = Lambda*EB.
 	Lambda float64 `json:"lambda"`
 	Rho    float64 `json:"rho"`
 	// EX is the windowed mean batch size E[X] (messages per arrival
-	// unit). Set only when the window recorded batch sizes; when it is,
-	// the prediction uses the M^X/G/1 extension with the observed
-	// batch-size moments instead of the per-message M/G/1 model.
+	// unit). The prediction is M^X/G/1 at the observed batch-size
+	// moments; without batched publishes X ≡ 1 and that is plain M/G/1.
 	EX float64 `json:"ex,omitempty"`
 	// EB, EB2, EB3 are the measured raw service-time moments (seconds).
 	EB  float64 `json:"eb"`
@@ -79,75 +82,50 @@ type Estimate struct {
 	Reason string `json:"reason,omitempty"`
 }
 
-// Compute evaluates one topic's windowed estimate from a telemetry delta.
-// Measured batch moments select the M^X/G/1 extension; a window without
-// them (every live broker records them) is read as plain M/G/1, its X ≡ 1
-// case.
-func Compute(topic string, delta broker.TopicTelemetry, window time.Duration, quantile float64, minSamples uint64) Estimate {
-	e := Estimate{Topic: topic, Window: window, Messages: delta.ServiceMoments.N}
+// Compute evaluates one topic's estimate from a window's tape entries, the
+// number the ring overwrote in it, and the messages it received.
+func Compute(topic string, tape []broker.TapeEntry, overwritten, received uint64, window time.Duration, quantile float64, minSamples uint64) Estimate {
+	e := Estimate{Topic: topic, Window: window, Messages: uint64(len(tape)) + overwritten}
 	if window <= 0 {
 		e.Reason = "empty window"
 		return e
 	}
-	if delta.WaitMoments.N > 0 {
-		e.ObservedEW = delta.WaitMoments.Mean()
-		e.ObservedQ = delta.Wait.Quantile(quantile).Seconds()
+	e.Lambda = float64(received) / window.Seconds()
+	if len(tape) == 0 {
+		e.Reason = "too few samples"
+		return e
 	}
-	e.Lambda = float64(delta.Received) / window.Seconds()
-	e.EB, e.EB2, e.EB3 = delta.ServiceMoments.Raw()
-	// Measured moments of a (near-)deterministic service time can land a
-	// few ulps below the E[B^2] >= E[B]^2 boundary through summation
-	// error; clamp to the boundary (zero variance) instead of letting the
-	// model reject the window.
+	waits := stats.NewSummary()
+	for _, en := range tape {
+		waits.Add(en.Start.Sub(en.Enqueued).Seconds())
+	}
+	// waits is not empty; a quantile outside [0, 1] fails the model below.
+	e.ObservedEW, _ = waits.Mean()
+	e.ObservedQ, _ = waits.Quantile(quantile)
+	e.EB, e.EB2, e.EB3 = broker.ServiceMoments(tape)
+	// Summation error can put a (near-)deterministic service's E[B^2] a
+	// few ulps below E[B]^2: clamp to zero variance rather than reject.
 	if e.EB2 < e.EB*e.EB {
 		e.EB2 = e.EB * e.EB
 	}
 	e.Rho = e.Lambda * e.EB
-	if e.Messages < minSamples {
+	if uint64(len(tape)) < minSamples {
 		e.Reason = "too few samples"
 		return e
 	}
-	b := mg1.ServiceMoments{M1: e.EB, M2: e.EB2, M3: e.EB3}
-	var dist mg1.WaitDist
-	if bm := delta.BatchMoments; bm.N > 0 {
-		// The window recorded arrival-unit batch sizes: predict with the
-		// M^X/G/1 extension. The batch-arrival rate is arrival units per
-		// second; the batch-size moments are measured, clamped the same
-		// way as the service moments (X >= 1 by construction, and
-		// E[X^2] >= E[X]^2 can be lost to summation error).
-		x1, x2, x3 := bm.Raw()
-		if x1 < 1 {
-			x1 = 1
-		}
-		if x2 < x1*x1 {
-			x2 = x1 * x1
-		}
-		e.EX = x1
-		lambdaB := float64(bm.N) / window.Seconds()
-		q, err := mg1.NewBatchQueue(lambdaB, mg1.BatchMoments{M1: x1, M2: x2, M3: x3}, b)
-		if err != nil {
-			e.Reason = err.Error()
-			return e
-		}
-		e.PredictedEW = q.MeanWait()
-		if dist, err = q.GammaApprox(); err != nil {
-			e.Reason = err.Error()
-			return e
-		}
-	} else {
-		q, err := mg1.NewQueue(e.Lambda, b)
-		if err != nil {
-			e.Reason = err.Error()
-			return e
-		}
-		e.PredictedEW = q.MeanWait()
-		if dist, err = q.GammaApprox(); err != nil {
-			e.Reason = err.Error()
-			return e
-		}
+	x := batchMoments(tape)
+	e.EX = x.M1
+	q, err := mg1.NewBatchQueue(e.Lambda/x.M1, x, mg1.ServiceMoments{M1: e.EB, M2: e.EB2, M3: e.EB3})
+	if err != nil {
+		e.Reason = err.Error()
+		return e
 	}
-	var err error
-	if e.PredictedQ, err = dist.Quantile(quantile); err != nil {
+	e.PredictedEW = q.MeanWait()
+	dist, err := q.GammaApprox()
+	if err == nil {
+		e.PredictedQ, err = dist.Quantile(quantile)
+	}
+	if err != nil {
 		e.Reason = err.Error()
 		return e
 	}
@@ -161,9 +139,33 @@ func Compute(topic string, delta broker.TopicTelemetry, window time.Duration, qu
 	return e
 }
 
+// batchMoments returns the raw moments of the arrival batch size X over a
+// tape. Publisher.send stamps a unit's members with one clock read, so a
+// batch is the entries of one worker that share an Enqueued stamp.
+func batchMoments(tape []broker.TapeEntry) mg1.BatchMoments {
+	type unit struct {
+		worker int
+		at     int64
+	}
+	sizes := make(map[unit]float64)
+	for _, en := range tape {
+		sizes[unit{en.Worker, en.Enqueued.UnixNano()}]++
+	}
+	var x mg1.BatchMoments
+	for _, k := range sizes { // integer sums: exact in any order
+		x.M1 += k
+		x.M2 += k * k
+		x.M3 += k * k * k
+	}
+	n := float64(len(sizes))
+	x.M1, x.M2, x.M3 = x.M1/n, x.M2/n, x.M3/n
+	return x
+}
+
 // Monitor periodically evaluates Compute over every topic of a broker and
 // publishes the results as labeled gauges. The broker must run with
-// Options.WaitTiming, otherwise there is nothing to monitor.
+// Options.WaitTiming, otherwise there is nothing to monitor, and no other
+// TakeTape caller: the monitor is the tapes' one reader.
 type Monitor struct {
 	b          *broker.Broker
 	interval   time.Duration
@@ -174,7 +176,7 @@ type Monitor struct {
 	gDrift, gWindowMsgs            *metrics.GaugeVec
 
 	mu     sync.Mutex
-	prev   map[string]broker.TopicTelemetry
+	prev   map[string]uint64 // Received at the previous tick
 	prevAt time.Time
 	est    map[string]Estimate
 	// tg is the flight recorder's windowed stage-decomposition state;
@@ -214,6 +216,7 @@ func NewMonitor(b *broker.Broker, interval time.Duration) *Monitor {
 			"Observed / predicted mean waiting time; 1 means the model holds.", "topic"),
 		gWindowMsgs: metrics.NewGaugeVec("jms_model_window_messages",
 			"Messages served in the evaluation window.", "topic"),
+		est:  make(map[string]Estimate),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
@@ -265,32 +268,28 @@ func (m *Monitor) Stop() {
 	}
 }
 
-// Tick evaluates one rolling window ending now. The first call only
-// establishes the baseline. Exported so tests and scrape-driven setups can
-// pace the monitor themselves.
+// Tick evaluates one rolling window ending now. The first tick on a topic
+// arms its tape and only establishes the baseline. Exported so tests and
+// scrape-driven setups can pace the monitor themselves.
 func (m *Monitor) Tick(now time.Time) {
 	cur := m.b.Telemetry()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.tickTrace()
-	if m.prev == nil || m.prevAt.IsZero() {
-		m.prev, m.prevAt = cur, now
-		return
-	}
-	window := now.Sub(m.prevAt)
-	if m.est == nil {
-		m.est = make(map[string]Estimate)
-	}
+	window, prev := now.Sub(m.prevAt), m.prev
+	m.prev, m.prevAt = make(map[string]uint64, len(cur)), now
 	for topic, c := range cur {
-		delta := c.Sub(m.prev[topic])
-		if delta.Received == 0 && delta.ServiceMoments.N == 0 {
-			continue // idle topic: keep the previous estimate and gauges
+		tape, overwritten := m.b.TakeTape(topic)
+		last, seen := prev[topic]
+		m.prev[topic] = c.Received
+		received := c.Received - last
+		if !seen || received == 0 && len(tape) == 0 && overwritten == 0 {
+			continue // first tick: the tape is armed; idle: keep the estimate
 		}
-		e := Compute(topic, delta, window, MonitoredQuantile, m.minSamples)
+		e := Compute(topic, tape, overwritten, received, window, MonitoredQuantile, m.minSamples)
 		m.est[topic] = e
 		m.publish(e)
 	}
-	m.prev, m.prevAt = cur, now
 }
 
 // publish moves one estimate into the gauge families. Observed values are

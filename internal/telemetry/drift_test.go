@@ -9,39 +9,36 @@ import (
 
 	"repro/internal/broker"
 	"repro/internal/jms"
-	"repro/internal/metrics"
 	"repro/internal/stats"
 )
 
-// synthWindow builds a TopicTelemetry window from an exact M/D/1 sample
-// path: Poisson arrivals at rate lambda, deterministic service b, waiting
-// times from the Lindley recursion W_{k+1} = max(0, W_k + B - A_{k+1}).
-// It returns the window and its wall-clock span.
-func synthWindow(seed int64, lambda float64, b time.Duration, n int) (broker.TopicTelemetry, time.Duration) {
+// tapeEpoch is the synthetic tapes' first enqueue.
+var tapeEpoch = time.Date(2030, 1, 1, 0, 0, 0, 0, time.UTC)
+
+// at converts a synthetic clock reading in seconds to a tape stamp.
+func at(sec float64) time.Time {
+	return tapeEpoch.Add(time.Duration(sec * float64(time.Second)))
+}
+
+// synthWindow builds one worker's tape from an exact M/D/1 sample path:
+// Poisson arrivals at rate lambda, deterministic service b, waiting times
+// from the Lindley recursion W_{k+1} = max(0, W_k + B - A_{k+1}). It
+// returns the tape and its wall-clock span.
+func synthWindow(seed int64, lambda float64, b time.Duration, n int) ([]broker.TapeEntry, time.Duration) {
 	rng := stats.NewRNG(seed)
 	bs := b.Seconds()
-	var tel broker.TopicTelemetry
+	tape := make([]broker.TapeEntry, n)
 	var wait, clock float64
-	var waitHist, sojournHist metrics.Histogram
-	var waitM, svcM metrics.Moments
-	for i := 0; i < n; i++ {
+	for i := range tape {
 		a := rng.Exp(lambda)
 		clock += a
 		if i > 0 {
 			wait = math.Max(0, wait+bs-a)
 		}
-		wd := time.Duration(wait * float64(time.Second))
-		waitHist.Observe(wd)
-		waitM.Observe(wd)
-		sojournHist.Observe(wd + b)
-		svcM.Observe(b)
+		start := at(clock + wait)
+		tape[i] = broker.TapeEntry{Enqueued: at(clock), Start: start, End: start.Add(b)}
 	}
-	tel.Received = uint64(n)
-	tel.Wait = waitHist.Snapshot()
-	tel.Sojourn = sojournHist.Snapshot()
-	tel.WaitMoments = waitM.Snapshot()
-	tel.ServiceMoments = svcM.Snapshot()
-	return tel, time.Duration(clock * float64(time.Second))
+	return tape, time.Duration(clock * float64(time.Second))
 }
 
 // TestComputeMD1Agreement is the acceptance check of the drift monitor:
@@ -54,8 +51,8 @@ func TestComputeMD1Agreement(t *testing.T) {
 		b      = time.Millisecond // rho = 0.5
 		n      = 200000
 	)
-	delta, window := synthWindow(1, lambda, b, n)
-	e := Compute("t", delta, window, MonitoredQuantile, DefaultMinSamples)
+	tape, window := synthWindow(1, lambda, b, n)
+	e := Compute("t", tape, 0, n, window, MonitoredQuantile, DefaultMinSamples)
 	if !e.Valid {
 		t.Fatalf("estimate invalid: %q (%+v)", e.Reason, e)
 	}
@@ -77,15 +74,14 @@ func TestComputeMD1Agreement(t *testing.T) {
 	if e.DriftRatio < 0.85 || e.DriftRatio > 1.15 {
 		t.Errorf("drift ratio = %v, want ~1", e.DriftRatio)
 	}
-	// The observed q99 comes out of a log2-bucketed histogram (factor-2
-	// resolution), so only a coarse agreement with the Gamma-approximated
-	// prediction is meaningful.
+	// The observed q99 is the exact sample quantile of the tape's waits,
+	// so it must meet the Gamma approximation (Eqs. 19–20) within 15%.
 	if e.PredictedQ <= 0 || e.ObservedQ <= 0 {
 		t.Fatalf("quantiles: predicted %v observed %v", e.PredictedQ, e.ObservedQ)
 	}
-	if e.ObservedQ < e.PredictedQ/2 || e.ObservedQ > e.PredictedQ*2 {
-		t.Errorf("q99 disagrees beyond histogram resolution: predicted %v observed %v",
-			e.PredictedQ, e.ObservedQ)
+	if rel := math.Abs(e.ObservedQ-e.PredictedQ) / e.PredictedQ; rel > 0.15 {
+		t.Errorf("q99 disagrees by %.1f%%: predicted %v observed %v",
+			100*rel, e.PredictedQ, e.ObservedQ)
 	}
 }
 
@@ -100,39 +96,27 @@ func TestComputeBatchedWindow(t *testing.T) {
 		b       = time.Millisecond // rho = lambdaB*k*b = 0.5
 		units   = 50000
 	)
+	// A batch's members share one Enqueued stamp and start back to back,
+	// each where the one before it ended: the broker's tape of a batch.
 	rng := stats.NewRNG(5)
 	bs := b.Seconds()
-	var tel broker.TopicTelemetry
+	tape := make([]broker.TapeEntry, 0, units*k)
 	var wb, clock float64
-	var waitHist, sojournHist metrics.Histogram
-	var waitM, svcM, batchM metrics.Moments
 	for i := 0; i < units; i++ {
 		if i > 0 {
 			a := rng.Exp(lambdaB)
 			clock += a
 			wb = math.Max(0, wb-a)
 		}
-		batchM.ObserveValue(k)
-		var prefix float64
 		for j := 0; j < k; j++ {
-			wd := time.Duration((wb + prefix) * float64(time.Second))
-			waitHist.Observe(wd)
-			waitM.Observe(wd)
-			sojournHist.Observe(wd + b)
-			svcM.Observe(b)
-			prefix += bs
+			start := at(clock + wb + float64(j)*bs)
+			tape = append(tape, broker.TapeEntry{Enqueued: at(clock), Start: start, End: start.Add(b)})
 		}
-		wb += prefix
+		wb += k * bs
 	}
-	tel.Received = uint64(units * k)
-	tel.Wait = waitHist.Snapshot()
-	tel.Sojourn = sojournHist.Snapshot()
-	tel.WaitMoments = waitM.Snapshot()
-	tel.ServiceMoments = svcM.Snapshot()
-	tel.BatchMoments = batchM.Snapshot()
 	window := time.Duration(clock * float64(time.Second))
 
-	e := Compute("t", tel, window, MonitoredQuantile, DefaultMinSamples)
+	e := Compute("t", tape, 0, units*k, window, MonitoredQuantile, DefaultMinSamples)
 	if !e.Valid {
 		t.Fatalf("estimate invalid: %q (%+v)", e.Reason, e)
 	}
@@ -157,16 +141,23 @@ func TestComputeBatchedWindow(t *testing.T) {
 	if e.DriftRatio < 0.85 || e.DriftRatio > 1.15 {
 		t.Errorf("drift ratio = %v, want ~1", e.DriftRatio)
 	}
+	if rel := math.Abs(e.ObservedQ-e.PredictedQ) / e.PredictedQ; rel > 0.15 {
+		t.Errorf("q99 disagrees by %.1f%%: predicted %v observed %v",
+			100*rel, e.PredictedQ, e.ObservedQ)
+	}
 }
 
 // TestComputeDetectsDrift: waits measured from a slower reality than the
 // moments fed to the model must push the drift ratio above 1.
 func TestComputeDetectsDrift(t *testing.T) {
-	delta, window := synthWindow(2, 500, time.Millisecond, 100000)
-	// Inflate the observed waits 3x while leaving the model inputs alone —
-	// reality got slower than the model believes.
-	delta.WaitMoments.S1 *= 3
-	e := Compute("t", delta, window, MonitoredQuantile, DefaultMinSamples)
+	tape, window := synthWindow(2, 500, time.Millisecond, 100000)
+	// Inflate the observed waits 3x while leaving the service times alone
+	// — reality got slower than the model believes.
+	for i, en := range tape {
+		shift := 2 * en.Start.Sub(en.Enqueued)
+		tape[i].Start, tape[i].End = en.Start.Add(shift), en.End.Add(shift)
+	}
+	e := Compute("t", tape, 0, uint64(len(tape)), window, MonitoredQuantile, DefaultMinSamples)
 	if !e.Valid {
 		t.Fatalf("estimate invalid: %q", e.Reason)
 	}
@@ -176,25 +167,57 @@ func TestComputeDetectsDrift(t *testing.T) {
 }
 
 func TestComputeInvalidWindows(t *testing.T) {
-	delta, window := synthWindow(3, 500, time.Millisecond, 1000)
+	tape, window := synthWindow(3, 500, time.Millisecond, 1000)
+	n := uint64(len(tape))
 
-	if e := Compute("t", delta, 0, MonitoredQuantile, DefaultMinSamples); e.Valid || e.Reason != "empty window" {
+	if e := Compute("t", tape, 0, n, 0, MonitoredQuantile, DefaultMinSamples); e.Valid || e.Reason != "empty window" {
 		t.Errorf("zero window: %+v", e)
 	}
-	if e := Compute("t", delta, window, MonitoredQuantile, 5000); e.Valid || e.Reason != "too few samples" {
+	if e := Compute("t", nil, 0, n, window, MonitoredQuantile, DefaultMinSamples); e.Valid || e.Reason != "too few samples" {
+		t.Errorf("empty tape: %+v", e)
+	}
+	if e := Compute("t", tape, 0, n, window, MonitoredQuantile, 5000); e.Valid || e.Reason != "too few samples" {
 		t.Errorf("small window: %+v", e)
 	}
 	// Observed values are still reported on an invalid estimate.
-	if e := Compute("t", delta, window, MonitoredQuantile, 5000); e.ObservedEW <= 0 {
+	if e := Compute("t", tape, 0, n, window, MonitoredQuantile, 5000); e.ObservedEW <= 0 {
 		t.Errorf("invalid estimate lost observed wait: %+v", e)
 	}
 
 	// An overloaded window (rho >= 1) cannot produce a finite prediction.
 	overload, span := synthWindow(4, 2000, time.Millisecond, 1000)
-	if e := Compute("t", overload, span, MonitoredQuantile, DefaultMinSamples); e.Valid {
+	if e := Compute("t", overload, 0, uint64(len(overload)), span, MonitoredQuantile, DefaultMinSamples); e.Valid {
 		t.Errorf("overloaded window produced a prediction: %+v", e)
 	} else if e.Reason == "" {
 		t.Error("overloaded window has no reason")
+	}
+}
+
+// TestComputeOverwrittenWindow: when the ring overwrote part of a window,
+// the estimate reads its statistics off the entries held, λ off the
+// arrival count, and counts the lost entries in Messages.
+func TestComputeOverwrittenWindow(t *testing.T) {
+	tape, window := synthWindow(6, 500, time.Millisecond, 4000)
+	held := tape[1000:]
+	e := Compute("t", held, 1000, uint64(len(tape)), window, MonitoredQuantile, DefaultMinSamples)
+	if !e.Valid {
+		t.Fatalf("estimate invalid: %q", e.Reason)
+	}
+	if e.Messages != uint64(len(tape)) {
+		t.Errorf("Messages = %d, want %d held + overwritten", e.Messages, len(tape))
+	}
+	if want := float64(len(tape)) / window.Seconds(); e.Lambda != want {
+		t.Errorf("Lambda = %v, want %v", e.Lambda, want)
+	}
+	if math.Abs(e.EB-time.Millisecond.Seconds()) > 1e-12 || math.Abs(e.Rho-e.Lambda*1e-3) > 1e-9 {
+		t.Errorf("EB = %v, Rho = %v, want 1 ms and Lambda * 1 ms", e.EB, e.Rho)
+	}
+	var sum time.Duration
+	for _, en := range held {
+		sum += en.Start.Sub(en.Enqueued)
+	}
+	if want := sum.Seconds() / float64(len(held)); math.Abs(e.ObservedEW-want) > 1e-12 {
+		t.Errorf("ObservedEW = %v, want the held entries' mean %v", e.ObservedEW, want)
 	}
 }
 
@@ -229,7 +252,7 @@ func TestMonitorLive(t *testing.T) {
 	// The sojourn of the last message lands just after its delivery; give
 	// the tracer a moment before closing the window.
 	deadline := time.Now().Add(5 * time.Second)
-	for b.Telemetry()["a"].ServiceMoments.N < n {
+	for b.Telemetry()["a"].Sojourn.Count < n {
 		if time.Now().After(deadline) {
 			t.Fatal("tracing never caught up")
 		}
@@ -314,7 +337,7 @@ func TestMonitorRhoFastEngine(t *testing.T) {
 		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for b.Telemetry()["a"].ServiceMoments.N < n {
+	for b.Telemetry()["a"].Sojourn.Count < n {
 		if time.Now().After(deadline) {
 			t.Fatal("tracing never caught up")
 		}
