@@ -608,6 +608,36 @@ func BenchmarkRegressionDeliveryDecode(b *testing.B) {
 
 var decodeSink *jms.Message
 
+// BenchmarkRegressionFanoutDecode is the client read loop's share of a
+// fan-out, fanout_large's subscriber side: one MESSAGE_FANOUT payload for 32
+// subscriptions with a 4 KiB body, decoded once through the connection arena
+// and split into the 31 copy-on-write views plus the decoded message itself.
+// The views fill one slice, so a fan-out costs the message, its body and that
+// slice whatever R is (internal/client's TestFanoutDispatchAllocs holds it).
+func BenchmarkRegressionFanoutDecode(b *testing.B) {
+	m := decodeBenchMessage(b)
+	m.SetBody(make([]byte, 4<<10))
+	refs := make([]wire.DeliveryRef, 32)
+	for i := range refs {
+		refs[i].SubID = uint64(i + 1)
+	}
+	payload := wire.AppendFanout(nil, refs, m)
+	arena := wire.NewMessageArena()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if refs, decodeSink, err = arena.AppendFanoutArena(refs[:0], payload); err != nil {
+			b.Fatal(err)
+		}
+		views := make([]jms.Message, len(refs)-1)
+		decodeSink.SharedInto(views)
+		viewSink = views
+	}
+}
+
+var viewSink []jms.Message
+
 // BenchmarkRegressionSubscriptionStore pins the subscription store's two
 // scale numbers at the 10^5 population: ns/op is the epoch-snapshot index
 // rebuild after a 64-op churn batch (lazy, batch-proportional — not

@@ -47,11 +47,16 @@ type Matcher interface {
 }
 
 // Replicator is the replication stage — the copy component of Eq. 1's
-// per-receiver t_tx term. The pipeline calls it once per matching
-// subscriber whenever a message has more than one receiver; a sole receiver
-// gets the original message without a copy.
+// per-receiver t_tx term. Whenever a message has more than one receiver, the
+// pipeline calls it once per outbox run: once per in-process subscriber
+// (each has an outbox of its own) and once per wire connection (whose
+// subscriptions share one). The last run gets a copy too; only a sole
+// receiver gets the original message. That last copy is required: an
+// in-process publisher keeps the original and may mutate it after Publish
+// returns, and TestFastEngineCopyOnWriteDelivery fails on a delivery that
+// aliases it ("view observed mutation").
 type Replicator interface {
-	// Replicate returns the copy of m to forward to one subscriber.
+	// Replicate returns the copy of m to forward to one outbox run.
 	Replicate(m *jms.Message) *jms.Message
 }
 
@@ -97,14 +102,18 @@ func (x *indexedMatcher) Match(t *topic.Topic, m *jms.Message, dst []*Subscriber
 }
 
 // cloneReplicator is the faithful replication stage: a deep copy per
-// replica, the R−1 clone cost the paper's t_tx includes.
+// replica, the clone cost the paper's t_tx includes. With R > 1 receivers
+// that is one clone per outbox run, the last run's included (Replicator
+// says why the last run cannot take the original).
 type cloneReplicator struct{}
 
 func (cloneReplicator) Replicate(m *jms.Message) *jms.Message { return m.Clone() }
 
 // cowReplicator is the fast replication stage: copy-on-write views aliasing
 // the received message's property section and body (jms.Message.Shared), so
-// the per-replica cost is a small header copy instead of a deep clone.
+// the per-replica cost is a small header copy instead of a deep clone. Like
+// cloneReplicator it makes one per outbox run when R > 1, the last run's
+// included, and for the same reason.
 type cowReplicator struct{}
 
 func (cowReplicator) Replicate(m *jms.Message) *jms.Message { return m.Shared() }

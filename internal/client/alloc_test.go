@@ -1,0 +1,52 @@
+//go:build !race
+
+// The race detector's sync.Pool drops a quarter of Puts on purpose, and the
+// race runtime allocates on its own; the ceilings here are measured without
+// it.
+
+package client
+
+import (
+	"testing"
+
+	"repro/internal/jms"
+	"repro/internal/wire"
+)
+
+// TestFanoutDispatchAllocs pins the subscriber side of a fan-out: decoding
+// one MESSAGE_FANOUT frame with a 4 KiB body and handing it to R
+// subscriptions costs the same for R = 2, 8 and 32, at most 3 allocations —
+// the message, its body, and one slice holding the R − 1 views.
+func TestFanoutDispatchAllocs(t *testing.T) {
+	m := jms.NewMessage("t")
+	m.SetBody(make([]byte, 4<<10))
+	if err := m.SetStringProperty("region", "eu"); err != nil {
+		t.Fatal(err)
+	}
+	var first float64
+	for _, r := range []int{2, 8, 32} {
+		c := &Client{subs: make(map[uint64]*Subscription)}
+		refs := make([]wire.DeliveryRef, r)
+		for i := range refs {
+			refs[i].SubID = uint64(i + 1)
+			c.subs[refs[i].SubID] = &Subscription{ch: make(chan *jms.Message, 1), gone: make(chan struct{})}
+		}
+		f := wire.Frame{Type: wire.FrameFanout, Payload: wire.AppendFanout(nil, refs, m)}
+		arena := wire.NewMessageArena()
+		allocs := testing.AllocsPerRun(200, func() {
+			c.dispatch(f, arena)
+			for _, s := range c.subs {
+				<-s.ch
+			}
+		})
+		t.Logf("R = %d: %v allocs per fan-out", r, allocs)
+		if allocs > 3 {
+			t.Errorf("R = %d: %v allocs per fan-out, budget 3", r, allocs)
+		}
+		if r == 2 {
+			first = allocs
+		} else if allocs != first {
+			t.Errorf("R = %d: %v allocs per fan-out, %v at R = 2: the cost depends on R", r, allocs, first)
+		}
+	}
+}

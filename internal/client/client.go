@@ -375,15 +375,14 @@ func (c *Client) dispatch(f wire.Frame, arena *wire.MessageArena) {
 			return
 		}
 		// One message for several subscriptions of this connection, decoded
-		// once: each gets a copy-on-write view of its own, and the last the
-		// decoded message itself, once every view has been made from it.
-		for i, r := range refs {
-			msg := m
-			if i < len(refs)-1 {
-				msg = m.Shared()
-			}
-			c.deliver(r, msg)
+		// once: each but the last gets a copy-on-write view of its own, all
+		// made in one slice, and the last the decoded message itself.
+		views := make([]jms.Message, len(refs)-1)
+		m.SharedInto(views)
+		for i := range views {
+			c.deliver(refs[i], &views[i])
 		}
+		c.deliver(refs[len(refs)-1], m)
 
 	case wire.FrameSubClosed:
 		subID, reason, err := wire.DecodeSubClosed(f.Payload)
@@ -455,35 +454,36 @@ func (c *Client) call(ctx context.Context, typ wire.FrameType, inner []byte) (wi
 // callWithID is call with a caller-allocated request ID, so the caller can
 // register request-scoped state (e.g. a pending subscription) first.
 func (c *Client) callWithID(ctx context.Context, reqID uint64, typ wire.FrameType, inner []byte) (wire.Frame, error) {
-	payload := make([]byte, 8, 8+len(inner))
-	binary.BigEndian.PutUint64(payload, reqID)
-	payload = append(payload, inner...)
-	return c.callPayload(ctx, reqID, typ, payload)
+	r := wire.NewRequest(typ, reqID)
+	r.AppendBytes(inner)
+	return c.callRequest(ctx, reqID, r)
 }
 
-// callPayload sends a caller-built payload whose first 8 bytes already
-// hold the request ID, and waits for the reply. The payload is written out
-// before the wait starts, so callers may hand in a pooled buffer and
-// recycle it after callPayload returns.
-func (c *Client) callPayload(ctx context.Context, reqID uint64, typ wire.FrameType, payload []byte) (wire.Frame, error) {
+// callRequest sends a request frame built for reqID and waits for the reply.
+// It releases r once r is written out, before the wait starts, so bodies r
+// carries by reference are read during the call only.
+func (c *Client) callRequest(ctx context.Context, reqID uint64, r *wire.Request) (wire.Frame, error) {
 	ch := make(chan result, 1)
 
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
+		r.Release()
 		return wire.Frame{}, ErrClosed
 	}
 	if c.readErr != nil {
 		readErr := c.readErr
 		c.mu.Unlock()
+		r.Release()
 		return wire.Frame{}, lostErr(readErr)
 	}
 	c.pending[reqID] = ch
 	c.mu.Unlock()
 
 	c.writeMu.Lock()
-	err := wire.WriteFrame(c.conn, wire.Frame{Type: typ, Payload: payload})
+	_, err := r.WriteTo(c.conn)
 	c.writeMu.Unlock()
+	r.Release()
 	if err != nil {
 		c.mu.Lock()
 		delete(c.pending, reqID)
@@ -520,7 +520,9 @@ func (c *Client) ConfigureTopic(ctx context.Context, name string) error {
 // the message is coalesced with concurrent publishes into one MSG_BATCH
 // frame and the shared acknowledgement is awaited instead. The request is
 // encoded into a pooled buffer, so the publish fast path allocates no
-// fresh buffer per message.
+// fresh buffer per message, and a body of 1 KiB or more is not copied at
+// all: it goes out by reference as its own iovec of the frame's one
+// vectored write (wire.Request). Bodies are read only during the call.
 func (c *Client) Publish(ctx context.Context, m *jms.Message) error {
 	if c.batch != nil {
 		return c.batch.publish(ctx, m)
@@ -550,12 +552,9 @@ func (c *Client) stampTrace(m *jms.Message) {
 func (c *Client) publishOne(ctx context.Context, m *jms.Message) error {
 	c.stampTrace(m)
 	reqID := c.reqID.Add(1)
-	bp := wire.GetBufferSize(8 + wire.MessageSizeHint(m))
-	buf := binary.BigEndian.AppendUint64((*bp)[:0], reqID)
-	buf = wire.AppendMessage(buf, m)
-	*bp = buf
-	_, err := c.callPayload(ctx, reqID, wire.FramePublish, buf)
-	wire.PutBuffer(bp)
+	r := wire.NewRequest(wire.FramePublish, reqID)
+	r.AppendMessage(m)
+	_, err := c.callRequest(ctx, reqID, r)
 	return err
 }
 
@@ -575,12 +574,9 @@ func (c *Client) PublishBatch(ctx context.Context, msgs []*jms.Message) error {
 		c.stampTrace(m)
 	}
 	reqID := c.reqID.Add(1)
-	bp := wire.GetBufferSize(8 + wire.BatchSizeHint(msgs))
-	buf := binary.BigEndian.AppendUint64((*bp)[:0], reqID)
-	buf = wire.AppendBatch(buf, msgs)
-	*bp = buf
-	_, err := c.callPayload(ctx, reqID, wire.FrameBatch, buf)
-	wire.PutBuffer(bp)
+	r := wire.NewRequest(wire.FrameBatch, reqID)
+	r.AppendBatch(msgs)
+	_, err := c.callRequest(ctx, reqID, r)
 	return err
 }
 
@@ -660,13 +656,17 @@ func (s *Subscription) ID() uint64 { return s.id }
 func (s *Subscription) Topic() string { return s.topic }
 
 // Chan returns the delivery channel. It is closed when the subscription is
-// torn down.
+// torn down. A message that matched R > 1 subscriptions of this connection
+// arrives as a copy-on-write view, made in one slice with the other
+// subscriptions' views: keeping it keeps that slice ((R − 1) × 192 bytes
+// beside the body they share) alive.
 func (s *Subscription) Chan() <-chan *jms.Message { return s.ch }
 
 // Receive blocks for the next message. It returns ErrClosed after the
 // subscription was removed or the connection failed, and *SubClosedError
 // after the broker ended the subscription server-side (e.g. under the
-// disconnect slow-consumer policy).
+// disconnect slow-consumer policy). A message it returns may keep its
+// fan-out's slice of views alive, as Chan describes.
 func (s *Subscription) Receive(ctx context.Context) (*jms.Message, error) {
 	select {
 	case m, ok := <-s.ch:

@@ -402,13 +402,25 @@ func (m *Message) Clone() *Message {
 // is its sole owner at that point), mirroring Publish's contract that the
 // caller stops mutating after publishing.
 func (m *Message) Shared() *Message {
+	v := make([]Message, 1)
+	m.SharedInto(v)
+	return &v[0]
+}
+
+// SharedInto fills views with copy-on-write views of m, each as Shared would
+// return it, so that R views cost the one allocation of the caller's slice
+// instead of R. The views live in that slice: holding any one of them keeps
+// the whole slice reachable. The safety contract is Shared's.
+func (m *Message) SharedInto(views []Message) {
 	atomic.StoreUint32(&m.shared, 1)
-	return &Message{
-		Header:     m.Header,
-		properties: m.properties,
-		Body:       m.Body,
-		shared:     1,
-		EnqueuedAt: m.EnqueuedAt,
+	for i := range views {
+		views[i] = Message{
+			Header:     m.Header,
+			properties: m.properties,
+			Body:       m.Body,
+			shared:     1,
+			EnqueuedAt: m.EnqueuedAt,
+		}
 	}
 }
 

@@ -356,6 +356,38 @@ func TestSharedAliasingInvariants(t *testing.T) {
 	}
 }
 
+// TestSharedIntoIsolation: views filled into one slice alias the original's
+// body and properties like Shared's, and a property set on one of them shows
+// neither on the original nor on a slice-mate.
+func TestSharedIntoIsolation(t *testing.T) {
+	m := NewMessage("t")
+	if err := m.SetStringProperty("user", "alice"); err != nil {
+		t.Fatal(err)
+	}
+	m.Body = []byte{1, 2, 3}
+	views := make([]Message, 4)
+	m.SharedInto(views)
+	for i := range views {
+		if &views[i].Body[0] != &m.Body[0] {
+			t.Errorf("view %d does not alias the body", i)
+		}
+		if got, _ := views[i].StringProperty("user"); got != "alice" {
+			t.Errorf("view %d: user = %q, want alice", i, got)
+		}
+	}
+	if err := views[1].SetStringProperty("user", "bob"); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.SetStringProperty("user", "carol"); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []string{"alice", "bob", "alice", "alice"} {
+		if got, _ := views[i].StringProperty("user"); got != want {
+			t.Errorf("view %d: user = %q, want %q", i, got, want)
+		}
+	}
+}
+
 func TestSharedClearPropertiesDetaches(t *testing.T) {
 	m := NewMessage("t")
 	if err := m.SetInt64Property("k", 1); err != nil {

@@ -7,6 +7,7 @@
 package wire
 
 import (
+	"io"
 	"testing"
 
 	"repro/internal/jms"
@@ -67,5 +68,32 @@ func TestAppendDeliveryAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("fanout frame encode: %v allocs, budget 0", allocs)
+	}
+}
+
+// TestRequestBatchAllocs pins the client's publish encode and send: a
+// 16-message MSG_BATCH request built in a pooled Request and written out
+// allocates nothing once the pool is warm — with 128-byte bodies, copied
+// into the buffer, and with 4 KiB bodies, which go by reference. The copied
+// 4 KiB batch would be a ~66 KiB buffer, over what the pool keeps, so every
+// call would allocate it afresh.
+func TestRequestBatchAllocs(t *testing.T) {
+	for _, size := range []int{128, 4 << 10} {
+		msgs := make([]*jms.Message, 16)
+		for i := range msgs {
+			msgs[i] = encodeMessage(t)
+			msgs[i].SetBody(make([]byte, size))
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			r := NewRequest(FrameBatch, 1)
+			r.AppendBatch(msgs)
+			if _, err := r.WriteTo(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+			r.Release()
+		})
+		if allocs != 0 {
+			t.Errorf("16 × %d B batch request: %v allocs, budget 0", size, allocs)
+		}
 	}
 }

@@ -17,13 +17,21 @@ import (
 // AppendBatch appends the wire encoding of a batch to buf and returns the
 // extended slice.
 func AppendBatch(buf []byte, msgs []*jms.Message) []byte {
+	return appendBatch(buf, msgs, nil)
+}
+
+// appendBatch is AppendBatch, placing each body with appendBody: with refs
+// non-nil, the bodies of bodyByRefMin bytes or more go to *refs instead of
+// into buf.
+func appendBatch(buf []byte, msgs []*jms.Message, refs *[]bodyRef) []byte {
 	e := encoder{buf: buf}
 	e.u32(uint32(len(msgs)))
 	for _, m := range msgs {
 		lenAt := len(e.buf)
 		e.u32(0) // length placeholder, patched below
-		e.buf = AppendMessage(e.buf, m)
-		binary.BigEndian.PutUint32(e.buf[lenAt:], uint32(len(e.buf)-lenAt-4))
+		e.buf = appendMessageHead(e.buf, m)
+		binary.BigEndian.PutUint32(e.buf[lenAt:], uint32(len(e.buf)-lenAt-4+len(m.Body)))
+		e.buf = appendBody(e.buf, m.Body, refs)
 	}
 	return e.buf
 }

@@ -24,6 +24,14 @@ var bufPool = sync.Pool{
 // huge frame's buffer to the pool would pin its memory.
 const maxPooledBuffer = 64 << 10
 
+// bodyByRefMin is the body size from which a frame carries a message body by
+// reference, as its own iovec of one vectored write, instead of copying it
+// behind the encoded head: deliveries (serverConn.writeDelivery) and publishes
+// (Request) alike. Below it the extra iovec costs more than the copy it saves
+// (EXPERIMENTS.md X14 has the sweep); from it on, encode cost no longer
+// depends on body size.
+const bodyByRefMin = 1 << 10
+
 // GetBuffer returns a pooled, zero-length encode buffer. Return it with
 // PutBuffer once the encoded bytes have been written out.
 func GetBuffer() *[]byte { return bufPool.Get().(*[]byte) }
@@ -165,6 +173,24 @@ func EncodeMessage(m *jms.Message) []byte {
 // value), body bytes.
 func AppendMessage(buf []byte, m *jms.Message) []byte {
 	return append(appendMessageHead(buf, m), m.Body...)
+}
+
+// bodyRef is a message body an encoding carries by reference: it follows
+// the first at bytes of the encoded buffer.
+type bodyRef struct {
+	at   int
+	body []byte
+}
+
+// appendBody places a message body behind its encoded head: appended to
+// buf, or, with refs non-nil and a body of bodyByRefMin bytes or more,
+// recorded in *refs at the end of buf instead.
+func appendBody(buf, body []byte, refs *[]bodyRef) []byte {
+	if refs == nil || len(body) < bodyByRefMin {
+		return append(buf, body...)
+	}
+	*refs = append(*refs, bodyRef{at: len(buf), body: body})
+	return buf
 }
 
 // appendMessageHead appends everything of m's encoding but the body bytes:

@@ -880,12 +880,6 @@ func (sc *serverConn) send(s pumpSend, refs []DeliveryRef) error {
 	return sc.write(Frame{Type: FrameSubClosed, Payload: EncodeSubClosed(s.cs.id, "slow-consumer")})
 }
 
-// bodyByRefMin is the body size from which a delivery hands its body to the
-// writer by reference instead of copying it behind the head. Below it the
-// second iovec costs more than the copy it saves (EXPERIMENTS.md X14 has the
-// sweep); from it on, delivery encode cost no longer depends on body size.
-const bodyByRefMin = 1 << 10
-
 // writeDelivery encodes one delivery frame into a pooled buffer — prologue
 // and payload together, so the delivery fast path allocates nothing in
 // steady state — and hands it to the connection writer: a MESSAGE frame for
