@@ -20,12 +20,13 @@ test-procs:
 # test-queues runs the subscriber queue's count-based tests twenty times:
 # the outbox, the slow-consumer policies, durable backlogs across detach
 # cycles, the metamorphic walls, unsubscribe and churn races, and the
-# pinned workers' per-worker tapes and per-publisher FIFO, and a batch's
-# tape as one server's path. An ordering or counting race in the one
+# pinned workers' per-worker tapes and per-publisher FIFO, a batch's tape
+# as one server's path, and the commit side's reads of a message before its
+# receiver owns it. An ordering or counting race in the one
 # delivery queue or between a topic's workers shows as a failure in some
 # run.
 test-queues:
-	$(GO) test -count=20 -run 'Outbox|SlowConsumer|Durable|Metamorphic|Unsubscribe|Churn|PinnedWorkers|BatchedTape' ./internal/broker/
+	$(GO) test -count=20 -run 'Outbox|SlowConsumer|Durable|Metamorphic|Unsubscribe|Churn|PinnedWorkers|BatchedTape|HandOff' ./internal/broker/
 
 # test-benchmark tests the repository benchmark (BENCHMARK.json): a nested
 # module, so `go test ./...` above does not reach it. It checks the
@@ -84,7 +85,8 @@ bench-pairs:
 
 # fuzz smokes the parsing surfaces fed by the network: the frame codec,
 # the batch frame splitter, the lazy message-view decoder (held
-# differentially to DecodeMessage), the mesh FORWARD frame decoder, the
+# differentially to DecodeMessage), the subscriber's into-slab fan-out decode
+# (held to DecodeFanout), the mesh FORWARD frame decoder, the
 # JMS selector grammar, correlation-ID filter expressions against any ID
 # (range rules held to an independent reference), and the live filter index
 # held to a linear scan. Seed corpora live under testdata/fuzz.
@@ -92,6 +94,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeFrame -fuzztime=10s ./internal/wire/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeBatch -fuzztime=10s ./internal/wire/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeMessageView -fuzztime=10s ./internal/wire/
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeFanout -fuzztime=10s ./internal/wire/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeForward -fuzztime=10s ./internal/wire/
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/selector/
 	$(GO) test -run='^$$' -fuzz=FuzzCorrelationIDMatch -fuzztime=10s ./internal/filter/

@@ -445,12 +445,22 @@ func run(args []string, stdout io.Writer) error {
 	// entry member's mirror, SSR floods to each home, hash routes to the
 	// owner). Forwarded copies can still be in flight after the last ack,
 	// so drain before comparing.
-	expected := acked.Load() * uint64(*matching)
+	nAcked := acked.Load()
+	expected := nAcked * uint64(*matching)
 	drainDeadline := time.Now().Add(10 * time.Second)
 	for delivered.Load() < expected && time.Now().Before(drainDeadline) {
 		time.Sleep(20 * time.Millisecond)
 	}
-	lost := int64(expected) - int64(delivered.Load())
+	nDelivered := delivered.Load()
+	lost := int64(expected) - int64(nDelivered)
+	// The replication grade is a count over the same drained ledger, not a
+	// ratio of the two windowed rates below: deliveries of publishes from
+	// before the window (a forward hop behind) land inside it and would move
+	// a short window's ratio.
+	var grade float64
+	if nAcked > 0 {
+		grade = float64(nDelivered) / float64(nAcked)
+	}
 
 	for _, c := range subConns {
 		_ = c.Close()
@@ -476,7 +486,7 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintln(stdout)
 	}
 	fmt.Fprintf(stdout, "received : %10.0f msgs/s\n", recvRate)
-	fmt.Fprintf(stdout, "dispatched:%10.0f msgs/s (R = %.2f)\n", dispRate, dispRate/recvRate)
+	fmt.Fprintf(stdout, "dispatched:%10.0f msgs/s (R = %.2f)\n", dispRate, grade)
 	fmt.Fprintf(stdout, "overall  : %10.0f msgs/s\n", recvRate+dispRate)
 	if *meshName != "" {
 		fmt.Fprintf(stdout, "mesh     : %s over %d members; lost %d of %d expected deliveries\n",

@@ -28,9 +28,12 @@ import (
 //     instead). Recycling zeroes every retained pointer so a pooled carrier
 //     never pins the previous batch's messages.
 type BatchCarrier struct {
-	// Msgs is the batch, in publish order. The broker retains it until the
-	// batch commits; like PublishBatch, neither the slice nor the messages
-	// may be modified after a successful hand-off.
+	// Msgs is the batch, in publish order, each message in it once. The
+	// broker retains it until the batch commits; like PublishBatch, neither
+	// the slice nor the messages may be modified after a successful
+	// hand-off. The messages are the broker's from then on: the fast
+	// engine delivers each one itself to its last outbox run instead of a
+	// replica (see Replicator).
 	Msgs []*jms.Message
 }
 

@@ -62,7 +62,10 @@ type dispatcher struct {
 // worker is one run-to-completion dispatch worker of a topic: its intake
 // queue, its matcher, and the scratch that keeps its steady state
 // allocation-free — matches for single messages, members and buf for
-// batches. Only the worker's goroutine touches the scratch.
+// batches. buf holds every member's matches of one batch back to back; it
+// grows to the largest batch total seen (up to maxBatchMatches) and stays
+// there, so a steady fan-out of R matches per member regrows nothing. Only
+// the worker's goroutine touches the scratch.
 type worker struct {
 	d       *dispatcher
 	id      int
@@ -72,6 +75,12 @@ type worker struct {
 	members []result
 	buf     []*Subscriber
 }
+
+// maxBatchMatches bounds the batch match scratch a worker keeps, as
+// maxCarrierMsgs bounds the carrier pool: a batch matching more
+// subscriptions than this in total is matched into slices of its own, so
+// one huge fan-out does not pin its scratch for the worker's life.
+const maxBatchMatches = 1 << 14
 
 // result is one matched message on its way to replicate and transmit.
 type result struct {
@@ -91,6 +100,12 @@ type result struct {
 	// waiting time W and the origin of its service time B. Zero unless
 	// waiting-time tracing or the flight recorder is on.
 	start time.Time
+	// enqueued, bodyLen and traceID are m's fields the commit side records
+	// after the transmit, read before it: once put, m may belong to a
+	// receiver that mutates it.
+	enqueued time.Time
+	bodyLen  int
+	traceID  uint64
 }
 
 // start launches the engine's workers, each with an intake queue of
@@ -149,16 +164,16 @@ func (w *worker) serve(u pubUnit) {
 		w.matches = res.matches[:0]
 		b.countAdd(&b.filterEvals, uint64(res.evals))
 		if ok {
-			w.commitStages(&res, time.Time{})
+			w.commitStages(&res, time.Time{}, false)
 		}
 		return
 	}
 	if cap(w.members) < len(u.batch) {
 		w.members = make([]result, len(u.batch))
-		w.buf = make([]*Subscriber, 0, len(u.batch))
 	}
 	members, buf := w.members[:len(u.batch)], w.buf[:0]
 	var evals uint64
+	var total int
 	for i, m := range u.batch {
 		start := len(buf)
 		res, ok := w.frontStages(m, buf[start:start:cap(buf)])
@@ -171,15 +186,24 @@ func (w *worker) serve(u pubUnit) {
 			res.matches = buf[start : start+n : start+n]
 		}
 		evals += uint64(res.evals)
+		total += len(res.matches)
 		members[i] = res
 	}
+	if total > cap(w.buf) && total <= maxBatchMatches {
+		// Some member overflowed the scratch into a slice of its own: size
+		// it for this batch's total, so the next batch like it fits.
+		w.buf = make([]*Subscriber, 0, total)
+	}
 	b.countAdd(&b.filterEvals, evals)
+	// A carrier's messages belong to the broker (see BatchCarrier), so an
+	// engine that allows it hands each one's last outbox run the original.
+	owned := u.carrier != nil && w.d.st.handOff
 	// The members are one service: each after the first starts, on the
 	// tape, where the one committed before it ended.
 	var prevEnd time.Time
 	for i := range members {
 		if !members[i].expired {
-			prevEnd = w.commitStages(&members[i], prevEnd)
+			prevEnd = w.commitStages(&members[i], prevEnd, owned)
 		}
 	}
 	if u.carrier != nil {
@@ -223,7 +247,10 @@ func (w *worker) frontStages(m *jms.Message, dst []*Subscriber) (result, bool) {
 	if traced {
 		d.tracer.RecordSpan(m.Header.TraceID, trace.StageMatch, t0, time.Since(t0))
 	}
-	return result{m: m, matches: matches, nFilters: nFilters, evals: evals, start: start, traced: traced}, true
+	return result{
+		m: m, matches: matches, nFilters: nFilters, evals: evals, start: start, traced: traced,
+		enqueued: m.EnqueuedAt, bodyLen: len(m.Body), traceID: m.Header.TraceID,
+	}, true
 }
 
 // traceCommit records the sojourn time of one committed message — the
@@ -247,22 +274,22 @@ func (w *worker) traceCommit(res *result, prevEnd time.Time) time.Time {
 				start = prevEnd
 			}
 			tp.record(TapeEntry{
-				Enqueued: res.m.EnqueuedAt, Start: start, End: end,
-				Evals: res.evals, R: len(res.matches), BodyBytes: len(res.m.Body), Worker: w.id,
+				Enqueued: res.enqueued, Start: start, End: end,
+				Evals: res.evals, R: len(res.matches), BodyBytes: res.bodyLen, Worker: w.id,
 			})
 		}
-		tt.sojourn.Observe(end.Sub(res.m.EnqueuedAt))
+		tt.sojourn.Observe(end.Sub(res.enqueued))
 	}
 	if d.tracer == nil {
 		return end
 	}
-	id := res.m.Header.TraceID
-	sojourn := end.Sub(res.m.EnqueuedAt)
+	id := res.traceID
+	sojourn := end.Sub(res.enqueued)
 	if res.traced {
 		d.tracer.FinishMessage(id, d.topic.Name(), res.nFilters, len(res.matches), sojourn)
 	} else if id != 0 {
 		d.tracer.OfferTail(id, d.topic.Name(), res.nFilters, len(res.matches),
-			res.m.EnqueuedAt, res.start.Sub(res.m.EnqueuedAt), sojourn)
+			res.enqueued, res.start.Sub(res.enqueued), sojourn)
 	}
 	return end
 }
@@ -270,13 +297,17 @@ func (w *worker) traceCommit(res *result, prevEnd time.Time) time.Time {
 // commitStages runs the replicate and transmit stages — R copies for R
 // matching subscribers, Eq. 1's E[R]·t_tx — except that a run of matches
 // sharing one connection's Outbox takes one copy and one put, and the
-// connection sends it once for all of them. A traced message's per-copy
-// timing windows tile the whole loop (each window ends where the next
-// begins), so its replicate and transmit spans sum to the commit time.
-// prevEnd and the returned commit end are traceCommit's.
-func (w *worker) commitStages(res *result, prevEnd time.Time) time.Time {
+// connection sends it once for all of them. With R > 1 every run gets a
+// replica, the last one included, unless owned is set: then the broker owns
+// m (a BatchCarrier's message on an engine with stageSet.handOff) and the
+// last run takes m itself (see Replicator). Nothing here reads m after its
+// last put. A traced message's per-copy timing windows tile the whole loop
+// (each window ends where the next begins), so its replicate and transmit
+// spans sum to the commit time. prevEnd and the returned commit end are
+// traceCommit's.
+func (w *worker) commitStages(res *result, prevEnd time.Time, owned bool) time.Time {
 	d := w.d
-	m, matches := res.m, res.matches
+	m, matches, mode := res.m, res.matches, res.m.Header.DeliveryMode
 	var start, prev time.Time
 	var replDur, txDur time.Duration
 	if res.traced {
@@ -289,7 +320,7 @@ func (w *worker) commitStages(res *result, prevEnd time.Time) time.Time {
 			j++
 		}
 		copyMsg := m
-		if len(matches) > 1 {
+		if len(matches) > 1 && !(owned && j == len(matches)) {
 			copyMsg = d.st.replicator.Replicate(m)
 			if res.traced {
 				now := time.Now()
@@ -297,7 +328,7 @@ func (w *worker) commitStages(res *result, prevEnd time.Time) time.Time {
 				prev = now
 			}
 		}
-		h.out.put(copyMsg, matches[i:j], m.Header.DeliveryMode, d.b.opts.SlowConsumer, d.stop)
+		h.out.put(copyMsg, matches[i:j], mode, d.b.opts.SlowConsumer, d.stop)
 		if res.traced {
 			now := time.Now()
 			txDur += now.Sub(prev)
@@ -309,11 +340,10 @@ func (w *worker) commitStages(res *result, prevEnd time.Time) time.Time {
 		// Aggregated per-stage spans: exact summed durations; the
 		// replicate/transmit interleaving is flattened so the two spans
 		// tile the commit window.
-		id := m.Header.TraceID
 		if replDur > 0 {
-			d.tracer.RecordSpan(id, trace.StageReplicate, start, replDur)
+			d.tracer.RecordSpan(res.traceID, trace.StageReplicate, start, replDur)
 		}
-		d.tracer.RecordSpan(id, trace.StageTransmit, start.Add(replDur), txDur)
+		d.tracer.RecordSpan(res.traceID, trace.StageTransmit, start.Add(replDur), txDur)
 	}
 	return w.traceCommit(res, prevEnd)
 }

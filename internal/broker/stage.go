@@ -50,11 +50,19 @@ type Matcher interface {
 // per-receiver t_tx term. Whenever a message has more than one receiver, the
 // pipeline calls it once per outbox run: once per in-process subscriber
 // (each has an outbox of its own) and once per wire connection (whose
-// subscriptions share one). The last run gets a copy too; only a sole
-// receiver gets the original message. That last copy is required: an
-// in-process publisher keeps the original and may mutate it after Publish
-// returns, and TestFastEngineCopyOnWriteDelivery fails on a delivery that
-// aliases it ("view observed mutation").
+// subscriptions share one). A sole receiver gets the original message.
+//
+// Who owns the original decides the last run. A message published in
+// process (Publish, PublishBatch) still belongs to its publisher, who may
+// mutate it after the call returns, so the last run gets a copy too:
+// TestFastEngineCopyOnWriteDelivery fails on a delivery that aliases it
+// ("view observed mutation"). A BatchCarrier's messages belong to the
+// broker from the hand-off on (the carrier contract forbids modifying them,
+// and only the wire server, which decoded them, makes carriers), so on the
+// fast engine the last run of a carrier's message takes the original and
+// only the earlier runs are replicated: a fan-out to one connection makes
+// no replica. The faithful engine clones for every run either way, because
+// the paper's t_tx includes that clone.
 type Replicator interface {
 	// Replicate returns the copy of m to forward to one outbox run.
 	Replicate(m *jms.Message) *jms.Message
@@ -103,17 +111,18 @@ func (x *indexedMatcher) Match(t *topic.Topic, m *jms.Message, dst []*Subscriber
 
 // cloneReplicator is the faithful replication stage: a deep copy per
 // replica, the clone cost the paper's t_tx includes. With R > 1 receivers
-// that is one clone per outbox run, the last run's included (Replicator
-// says why the last run cannot take the original).
+// that is one clone per outbox run, the last run's included, whoever owns
+// the original (the faithful engine does not set stageSet.handOff).
 type cloneReplicator struct{}
 
 func (cloneReplicator) Replicate(m *jms.Message) *jms.Message { return m.Clone() }
 
 // cowReplicator is the fast replication stage: copy-on-write views aliasing
 // the received message's property section and body (jms.Message.Shared), so
-// the per-replica cost is a small header copy instead of a deep clone. Like
-// cloneReplicator it makes one per outbox run when R > 1, the last run's
-// included, and for the same reason.
+// the per-replica cost is a small header copy instead of a deep clone. With
+// R > 1 it makes one per outbox run, except the last run of a BatchCarrier's
+// message, which takes the original (Replicator says why in-process
+// publishes still get one for every run).
 type cowReplicator struct{}
 
 func (cowReplicator) Replicate(m *jms.Message) *jms.Message { return m.Shared() }
@@ -185,6 +194,9 @@ type stageSet struct {
 	// newMatcher builds one matcher per worker (matchers hold scratch).
 	newMatcher func() Matcher
 	replicator Replicator
+	// handOff lets the last outbox run of a BatchCarrier's message take
+	// the original instead of a replica (see Replicator).
+	handOff bool
 }
 
 // stages returns the pipeline configuration of an engine.
@@ -195,6 +207,7 @@ func (b *Broker) stages(e Engine) stageSet {
 			workers:    b.opts.Shards,
 			newMatcher: func() Matcher { return &indexedMatcher{} },
 			replicator: cowReplicator{},
+			handOff:    true,
 		}
 	default:
 		// The faithful engine is strictly serial: Eq. 1 models a single

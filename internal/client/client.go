@@ -133,9 +133,10 @@ type Client struct {
 	ackQ    []pendingAck
 	ackKick chan struct{}
 
-	// fanout is the read loop's scratch for the subscriptions a
-	// MESSAGE_FANOUT frame names.
-	fanout []wire.DeliveryRef
+	// fanout and fanSubs are the read loop's scratch for the subscriptions
+	// a delivery frame names and the ones deliver found for them.
+	fanout  []wire.DeliveryRef
+	fanSubs []*Subscription
 
 	done chan struct{}
 }
@@ -366,23 +367,25 @@ func (c *Client) dispatch(f wire.Frame, arena *wire.MessageArena) {
 		if err != nil {
 			return
 		}
-		c.deliver(wire.DeliveryRef{SubID: subID, Seq: seq}, m)
+		c.fanout = append(c.fanout[:0], wire.DeliveryRef{SubID: subID, Seq: seq})
+		c.deliver(c.fanout, m, nil)
 
 	case wire.FrameFanout:
-		refs, m, err := arena.AppendFanoutArena(c.fanout[:0], f.Payload)
+		refs, v, err := wire.ParseFanout(c.fanout[:0], f.Payload)
 		c.fanout = refs
 		if err != nil {
 			return
 		}
 		// One message for several subscriptions of this connection, decoded
-		// once: each but the last gets a copy-on-write view of its own, all
-		// made in one slice, and the last the decoded message itself.
-		views := make([]jms.Message, len(refs)-1)
-		m.SharedInto(views)
-		for i := range views {
-			c.deliver(refs[i], &views[i])
+		// once into the last of R messages made in one slice: each other
+		// subscription gets a copy-on-write view of it in that slice.
+		msgs := make([]jms.Message, len(refs))
+		m := &msgs[len(refs)-1]
+		if arena.MaterializeInto(m, &v) != nil {
+			return
 		}
-		c.deliver(refs[len(refs)-1], m)
+		m.SharedInto(msgs[:len(refs)-1])
+		c.deliver(refs, m, msgs)
 
 	case wire.FrameSubClosed:
 		subID, reason, err := wire.DecodeSubClosed(f.Payload)
@@ -413,25 +416,43 @@ func (c *Client) dispatch(f wire.Frame, arena *wire.MessageArena) {
 	}
 }
 
-// deliver queues m on the subscription r names, if this client still has
-// it. An acked delivery (Seq != 0) is confirmed once the message is safely
-// in the local delivery queue; an unconfirmed one is requeued server-side
-// on disconnect. The ack goes through ackLoop so a congested socket cannot
-// block inbound frame processing.
-func (c *Client) deliver(r wire.DeliveryRef, m *jms.Message) {
+// deliver queues a message on each subscription refs names that this
+// client still has: m itself when msgs is nil (one subscription), else
+// &msgs[i] for refs[i]. The subscriptions are looked up under one c.mu
+// acquisition. An acked delivery (Seq != 0) is confirmed once the message is
+// safely in the local delivery queue; an unconfirmed one is requeued
+// server-side on disconnect. The ack goes through ackLoop so a congested
+// socket cannot block inbound frame processing.
+func (c *Client) deliver(refs []wire.DeliveryRef, m *jms.Message, msgs []jms.Message) {
+	subs := c.fanSubs[:0]
 	c.mu.Lock()
-	sub := c.subs[r.SubID]
+	for _, r := range refs {
+		subs = append(subs, c.subs[r.SubID])
+	}
 	c.mu.Unlock()
-	if sub == nil {
-		return
-	}
-	select {
-	case sub.ch <- m:
-		if r.Seq != 0 {
-			c.queueAck(r.SubID, r.Seq)
+	for i, sub := range subs {
+		if sub == nil {
+			continue
 		}
-	case <-sub.gone:
+		if msgs != nil {
+			m = &msgs[i]
+		}
+		select {
+		case sub.ch <- m:
+		default:
+			// A full queue: wait for room, or for the subscription to end.
+			select {
+			case sub.ch <- m:
+			case <-sub.gone:
+				continue
+			}
+		}
+		if refs[i].Seq != 0 {
+			c.queueAck(refs[i].SubID, refs[i].Seq)
+		}
 	}
+	clear(subs)
+	c.fanSubs = subs[:0]
 }
 
 func (c *Client) complete(reqID uint64, r result) {
@@ -657,8 +678,8 @@ func (s *Subscription) Topic() string { return s.topic }
 
 // Chan returns the delivery channel. It is closed when the subscription is
 // torn down. A message that matched R > 1 subscriptions of this connection
-// arrives as a copy-on-write view, made in one slice with the other
-// subscriptions' views: keeping it keeps that slice ((R − 1) × 192 bytes
+// arrives in one slice of R messages, the decoded one and its copy-on-write
+// views, one per subscription: keeping it keeps that slice (R × 192 bytes
 // beside the body they share) alive.
 func (s *Subscription) Chan() <-chan *jms.Message { return s.ch }
 
@@ -666,7 +687,7 @@ func (s *Subscription) Chan() <-chan *jms.Message { return s.ch }
 // subscription was removed or the connection failed, and *SubClosedError
 // after the broker ended the subscription server-side (e.g. under the
 // disconnect slow-consumer policy). A message it returns may keep its
-// fan-out's slice of views alive, as Chan describes.
+// fan-out's slice of messages alive, as Chan describes.
 func (s *Subscription) Receive(ctx context.Context) (*jms.Message, error) {
 	select {
 	case m, ok := <-s.ch:

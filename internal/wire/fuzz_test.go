@@ -2,10 +2,12 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -368,6 +370,61 @@ func FuzzDecodeMessageView(f *testing.F) {
 		// Both materializations must agree canonically.
 		if !bytes.Equal(EncodeMessage(ref), EncodeMessage(got)) {
 			t.Fatal("arena materialization diverges from DecodeMessage")
+		}
+		checkMessageFixpoint(t, got)
+	})
+}
+
+// FuzzDecodeFanout holds the subscriber's into-slab fan-out decode to
+// DecodeFanout: for arbitrary payloads, ParseFanout followed by
+// MaterializeInto the last message of a slab of R must accept exactly the
+// payloads DecodeFanout accepts, name the same subscriptions, and
+// materialize the same message — and the R − 1 views SharedInto fills the
+// rest of the slab with must encode as that message too.
+func FuzzDecodeFanout(f *testing.F) {
+	m := jms.NewMessage("orders")
+	_ = m.SetCorrelationID("#7")
+	_ = m.SetInt32Property("qty", 12)
+	_ = m.SetStringProperty("region", "emea")
+	m.SetBody([]byte("payload bytes"))
+	refs := []DeliveryRef{{SubID: 3}, {SubID: 9, Seq: 41}, {SubID: 12}}
+	valid := AppendFanout(nil, refs, m)
+	f.Add(valid)
+	f.Add(AppendFanout(nil, refs[:1], jms.NewMessage("t")))
+	// Malformed seeds: a fanout to nobody, a count past the payload, a
+	// truncated message and trailing garbage.
+	f.Add(AppendFanout(nil, nil, m))
+	f.Add(binary.BigEndian.AppendUint32(nil, 1<<20))
+	f.Add(valid[:len(valid)-1])
+	f.Add(append(append([]byte{}, valid...), 0xff))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		wantRefs, ref, refErr := DecodeFanout(data)
+		refs, v, err := ParseFanout(nil, data)
+		var msgs []jms.Message
+		if err == nil {
+			msgs = make([]jms.Message, len(refs))
+			err = NewMessageArena().MaterializeInto(&msgs[len(refs)-1], &v)
+		}
+		if (refErr == nil) != (err == nil) {
+			t.Fatalf("decoders disagree: DecodeFanout err=%v, ParseFanout + MaterializeInto err=%v", refErr, err)
+		}
+		if refErr != nil {
+			return
+		}
+		if !reflect.DeepEqual(refs, wantRefs) {
+			t.Fatalf("subscriptions %v, DecodeFanout names %v", refs, wantRefs)
+		}
+		got := &msgs[len(msgs)-1]
+		want := EncodeMessage(ref)
+		if !bytes.Equal(EncodeMessage(got), want) {
+			t.Fatal("into-slab materialization diverges from DecodeFanout")
+		}
+		got.SharedInto(msgs[:len(msgs)-1])
+		for i := range msgs[:len(msgs)-1] {
+			if !bytes.Equal(EncodeMessage(&msgs[i]), want) {
+				t.Fatalf("view %d diverges from the decoded message", i)
+			}
 		}
 		checkMessageFixpoint(t, got)
 	})

@@ -166,9 +166,13 @@ func TestFanoutRoundTrip(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(gotRefs, refs) || !bytes.Equal(EncodeMessage(got), EncodeMessage(m)) {
 		t.Fatalf("DecodeFanout: subscriptions %v, err %v", gotRefs, err)
 	}
-	arenaRefs, fromArena, err := NewMessageArena().AppendFanoutArena(nil, payload)
-	if err != nil || !reflect.DeepEqual(arenaRefs, refs) || !bytes.Equal(EncodeMessage(fromArena), EncodeMessage(m)) {
-		t.Fatalf("AppendFanoutArena: subscriptions %v, err %v", arenaRefs, err)
+	arenaRefs, v, err := ParseFanout(nil, payload)
+	var fromArena jms.Message
+	if err == nil {
+		err = NewMessageArena().MaterializeInto(&fromArena, &v)
+	}
+	if err != nil || !reflect.DeepEqual(arenaRefs, refs) || !bytes.Equal(EncodeMessage(&fromArena), EncodeMessage(m)) {
+		t.Fatalf("ParseFanout + MaterializeInto: subscriptions %v, err %v", arenaRefs, err)
 	}
 	for name, bad := range map[string][]byte{
 		"no subscription":    AppendFanout(nil, nil, m),

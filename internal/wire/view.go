@@ -409,6 +409,38 @@ func cutString(run *[]byte, b []byte) string {
 
 // materialize carves a message and fills it from v.
 func (a *MessageArena) materialize(v *MessageView) (*jms.Message, error) {
+	var m *jms.Message
+	if runLen, ownBody := v.runLen(); ownBody || runLen > byteChunk/4 || v.nProps > propChunk/4 {
+		// Too large for the chunks: this message is allocated on its own, so
+		// the messages that do share a chunk only ever reference chunks.
+		m = new(jms.Message)
+	} else {
+		m = &carve(&a.msgs, 1, msgChunk)[0]
+	}
+	if err := a.MaterializeInto(m, v); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// runLen returns the length of the one byte run that holds v's correlation
+// ID, string values and body, and whether the body is too large for the
+// chunks and is an allocation of its own instead, exactly sized (then the
+// run leaves it out).
+func (v *MessageView) runLen() (n int, ownBody bool) {
+	n, ownBody = v.corrLen+v.strLen, v.bodyLen > byteChunk/4
+	if !ownBody {
+		n += v.bodyLen
+	}
+	return n, ownBody
+}
+
+// MaterializeInto fills m, a zero message whose storage the caller owns,
+// from v: the property section and the byte run are carved from the arena
+// as for DecodeMessageArena, only the struct is the caller's. A subscriber
+// decodes a MESSAGE_FANOUT into the last element of the slab that holds its
+// R deliveries this way (ParseFanout).
+func (a *MessageArena) MaterializeInto(m *jms.Message, v *MessageView) error {
 	// The properties to set: all of them in wire order, or, for an order the
 	// encoder never writes, the surviving ones in name order.
 	n := v.nProps
@@ -417,21 +449,7 @@ func (a *MessageArena) materialize(v *MessageView) (*jms.Message, error) {
 		order = propertyOrder(v.payload, v.propsOff, n)
 		n = len(order)
 	}
-	// One run holds the correlation ID, the string values and the body; a
-	// body too large for the chunks is an allocation of its own instead,
-	// exactly sized.
-	runLen, ownBody := v.corrLen+v.strLen, v.bodyLen > byteChunk/4
-	if !ownBody {
-		runLen += v.bodyLen
-	}
-	var m *jms.Message
-	if ownBody || runLen > byteChunk/4 || n > propChunk/4 {
-		// Too large for the chunks: this message is allocated on its own, so
-		// the messages that do share a chunk only ever reference chunks.
-		m = new(jms.Message)
-	} else {
-		m = &carve(&a.msgs, 1, msgChunk)[0]
-	}
+	runLen, ownBody := v.runLen()
 	run := carve(&a.bytes, runLen, byteChunk)
 
 	m.Header.MessageID = v.msgID
@@ -472,7 +490,7 @@ func (a *MessageArena) materialize(v *MessageView) (*jms.Message, error) {
 			err = m.SetStringProperty(name, cutString(&run, p.Str))
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if ownBody {
@@ -480,7 +498,7 @@ func (a *MessageArena) materialize(v *MessageView) (*jms.Message, error) {
 	} else if v.bodyLen > 0 {
 		m.Body = cut(&run, v.Body())
 	}
-	return m, nil
+	return nil
 }
 
 // DecodeMessageArena materializes one message payload through the arena,
@@ -507,16 +525,19 @@ func (a *MessageArena) DecodeDeliveryArena(payload []byte) (subID, seq uint64, m
 	return subID, seq, m, err
 }
 
-// AppendFanoutArena parses a MESSAGE_FANOUT payload like DecodeFanout,
-// appending the subscriptions it names to dst and materializing the message
-// once through the arena.
-func (a *MessageArena) AppendFanoutArena(dst []DeliveryRef, payload []byte) ([]DeliveryRef, *jms.Message, error) {
+// ParseFanout validates a MESSAGE_FANOUT payload as DecodeFanout does,
+// appends the subscriptions it names to dst and returns a view of its
+// message, which is valid while payload is. Once R = len(refs) is known the
+// caller materializes the view into storage of its own
+// (MessageArena.MaterializeInto): a subscriber decodes it straight into the
+// slab that holds its R deliveries.
+func ParseFanout(dst []DeliveryRef, payload []byte) ([]DeliveryRef, MessageView, error) {
 	dst, off, err := appendFanoutRefs(dst, payload)
 	if err != nil {
-		return dst, nil, err
+		return dst, MessageView{}, err
 	}
-	m, err := a.DecodeMessageArena(payload[off:])
-	return dst, m, err
+	v, err := ParseMessageView(payload[off:])
+	return dst, v, err
 }
 
 // AppendBatchMessages decodes a MSG_BATCH payload, materializing every
