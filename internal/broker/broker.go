@@ -164,6 +164,8 @@ type Broker struct {
 
 	// now is the dispatch clock; injectable for expiration tests.
 	now func() time.Time
+	// epoch is the origin of the enqueue stamps (see stamp).
+	epoch time.Time
 }
 
 // New creates a broker with the given options.
@@ -176,8 +178,18 @@ func New(opts Options) *Broker {
 		durables:       make(map[string]*durableSub),
 		durableHandles: make(map[*Subscriber]struct{}),
 		now:            time.Now,
+		epoch:          time.Now(),
 	}
 }
+
+// stamp returns an enqueue stamp for the instant b.now() reads: the
+// nanoseconds since b.epoch plus one, so that 0 stays "unstamped". On the
+// real clock both instants carry a monotonic reading, which the
+// difference — and with it every waiting time — is taken on.
+func (b *Broker) stamp() int64 { return int64(b.now().Sub(b.epoch)) + 1 }
+
+// unstamp is the instant of a non-zero stamp, monotonic reading included.
+func (b *Broker) unstamp(s int64) time.Time { return b.epoch.Add(time.Duration(s - 1)) }
 
 // countAdd increments one broker counter under the read side of statsMu,
 // so Stats can exclude in-flight increments for a consistent snapshot.
@@ -274,8 +286,9 @@ func (p Publisher) TryPublish(m *jms.Message) error {
 // split into consecutive same-topic runs, each enqueued as its own unit in
 // slice order; on error a suffix of those runs was not accepted (the
 // already-enqueued prefix is dispatched normally). The broker retains the
-// slice: neither it nor the messages may be modified by the caller
-// afterwards — hand over a fresh slice per call.
+// messages, not the slice: each run's pointers are copied into a pooled
+// BatchCarrier, so the slice is the caller's again once PublishBatch
+// returns, but the messages may not be modified afterwards.
 func (p Publisher) PublishBatch(ctx context.Context, msgs []*jms.Message) error {
 	switch len(msgs) {
 	case 0:
@@ -317,26 +330,25 @@ func (p Publisher) PublishBatch(ctx context.Context, msgs []*jms.Message) error 
 	}
 	b.mu.Unlock()
 	for _, r := range runs {
-		if err := p.send(ctx, r.d, pubUnit{batch: r.msgs}, len(r.msgs), true); err != nil {
+		// Each run travels in a carrier of its own that borrows the
+		// caller's messages, so no dispatch worker hands one off.
+		c := GetBatchCarrier()
+		c.Msgs, c.borrowed = append(c.Msgs, r.msgs...), true
+		if err := p.send(ctx, r.d, pubUnit{carrier: c}, len(r.msgs), true); err != nil {
+			c.recycle()
 			return err
 		}
 	}
 	return nil
 }
 
-// send stamps u's n messages and enqueues u on the intake queue of the
+// send stamps u and enqueues it, n messages, on the intake queue of the
 // worker p's key selects. While the queue is full it blocks, or without
 // wait returns ErrQueueFull.
 func (p Publisher) send(ctx context.Context, d *dispatcher, u pubUnit, n int, wait bool) error {
 	b := p.b
 	if d.tt != nil || b.opts.Tracer != nil {
-		now := b.now()
-		if u.m != nil {
-			u.m.EnqueuedAt = now
-		}
-		for _, m := range u.batch {
-			m.EnqueuedAt = now
-		}
+		u.enqueued = b.stamp()
 	}
 	in := d.intake(p.key)
 	select {

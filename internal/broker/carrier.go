@@ -35,6 +35,9 @@ type BatchCarrier struct {
 	// engine delivers each one itself to its last outbox run instead of a
 	// replica (see Replicator).
 	Msgs []*jms.Message
+	// borrowed marks a carrier PublishBatch filled with its caller's
+	// messages: they stay the caller's, so every outbox run gets a replica.
+	borrowed bool
 }
 
 // maxCarrierMsgs bounds what the carrier pool retains, mirroring the
@@ -63,7 +66,7 @@ func (c *BatchCarrier) recycle() {
 	for i := range msgs {
 		msgs[i] = nil
 	}
-	c.Msgs = msgs[:0]
+	c.Msgs, c.borrowed = msgs[:0], false
 	carrierPool.Put(c)
 }
 
@@ -78,8 +81,8 @@ func (b *Broker) PublishBatchCarrier(ctx context.Context, c *BatchCarrier) error
 // the BatchCarrier ownership contract.
 //
 // A batch spanning several topics falls back to PublishBatch's run
-// splitting; the carrier is then abandoned to the GC, which keeps the rare
-// path correct and the common single-topic path allocation-free.
+// splitting, whose carriers borrow c's messages (no run hands one off), and
+// c is recycled once they are accepted.
 func (p Publisher) PublishBatchCarrier(ctx context.Context, c *BatchCarrier) error {
 	msgs := c.Msgs
 	switch len(msgs) {
@@ -96,8 +99,12 @@ func (p Publisher) PublishBatchCarrier(ctx context.Context, c *BatchCarrier) err
 	name := msgs[0].Header.Topic
 	for _, m := range msgs[1:] {
 		if m.Header.Topic != name {
-			// Multi-topic batch: split into runs, abandon the carrier.
-			return p.PublishBatch(ctx, msgs)
+			// Multi-topic batch: PublishBatch splits it into runs.
+			if err := p.PublishBatch(ctx, msgs); err != nil {
+				return err
+			}
+			c.recycle()
+			return nil
 		}
 	}
 	for _, m := range msgs {
@@ -116,5 +123,5 @@ func (p Publisher) PublishBatchCarrier(ctx context.Context, c *BatchCarrier) err
 	if !ok {
 		return fmt.Errorf("%w: %q", topic.ErrNoSuchTopic, name)
 	}
-	return p.send(ctx, d, pubUnit{batch: msgs, carrier: c}, len(msgs), true)
+	return p.send(ctx, d, pubUnit{carrier: c}, len(msgs), true)
 }

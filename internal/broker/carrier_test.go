@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/jms"
 	"repro/internal/topic"
@@ -188,5 +189,49 @@ func TestBatchCarrierOversizedNotPooled(t *testing.T) {
 	c.recycle()
 	if c.Msgs[0] == nil {
 		t.Error("oversized carrier was scrubbed; recycle should abandon it untouched")
+	}
+}
+
+// TestPublishBatchBorrowsMessages: PublishBatch's runs travel in pooled
+// carriers that borrow the caller's messages, so the fast engine, which
+// hands a wire batch's originals to their last outbox run, gives every run
+// of an in-process batch a replica; and the caller's slice is its own
+// again once the call returns.
+func TestPublishBatchBorrowsMessages(t *testing.T) {
+	const batch, subs = 4, 2
+	b := newTestBroker(t, Options{Engine: EngineFast})
+	o := b.NewOutbox()
+	for i := 0; i < subs; i++ {
+		if _, err := o.Subscribe("t", nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	published := make([]*jms.Message, batch)
+	for i := range published {
+		published[i] = jms.NewMessage("t")
+	}
+	msgs := append([]*jms.Message(nil), published...)
+	if err := b.PublishBatch(context.Background(), msgs); err != nil {
+		t.Fatal(err)
+	}
+	clear(msgs)
+	var got []Delivery
+	for len(got) < batch*subs {
+		if got = o.Take(got, batch*subs); len(got) < batch*subs {
+			<-o.Ready()
+		}
+	}
+	for i, d := range got {
+		if d.Msg == nil || d.Msg == published[i/subs] {
+			t.Fatalf("delivery %d: message %p, published %p; want a replica", i, d.Msg, published[i/subs])
+		}
+	}
+}
+
+// TestPubUnitSize: every worker preallocates Options.InFlight intake units,
+// so the unit must not grow; the enqueue stamp rides in it as an int64.
+func TestPubUnitSize(t *testing.T) {
+	if got := unsafe.Sizeof(pubUnit{}); got != 24 {
+		t.Errorf("unsafe.Sizeof(pubUnit{}) = %d, want 24", got)
 	}
 }

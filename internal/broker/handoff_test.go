@@ -39,7 +39,6 @@ func TestCommitReadsBeforeHandOff(t *testing.T) {
 						return
 					}
 					m.SetBody(nil)
-					m.EnqueuedAt = time.Time{}
 					m.Header.TraceID = 0
 				}
 			}()

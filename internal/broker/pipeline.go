@@ -33,15 +33,18 @@ import (
 // exit; d.running waits for them.
 
 // pubUnit is one intake-queue entry: either a single message (m non-nil)
-// or a batch accepted as one unit. A batch occupies a single in-flight
-// slot — amortizing the push-back window over its messages is the point of
-// batching — and fans out per message in the worker.
+// or a batch accepted as one unit, always in a pooled carrier, which the
+// worker recycles after the batch's last transmit (see carrier.go). A batch
+// occupies a single in-flight slot — amortizing the push-back window over
+// its messages is the point of batching — and fans out per message in the
+// worker. Every worker preallocates Options.InFlight units, so the unit is
+// kept at 24 bytes.
 type pubUnit struct {
-	m     *jms.Message
-	batch []*jms.Message
-	// carrier, when non-nil, is the pooled unit that owns batch; the worker
-	// recycles it after the batch's last transmit (see carrier.go).
+	m       *jms.Message
 	carrier *BatchCarrier
+	// enqueued is the enqueue stamp of every message of the unit
+	// (Broker.stamp), 0 when no instrument asked for one.
+	enqueued int64
 }
 
 // dispatcher is one topic's dispatch machinery: the engine's stage
@@ -100,9 +103,10 @@ type result struct {
 	// waiting time W and the origin of its service time B. Zero unless
 	// waiting-time tracing or the flight recorder is on.
 	start time.Time
-	// enqueued, bodyLen and traceID are m's fields the commit side records
-	// after the transmit, read before it: once put, m may belong to a
-	// receiver that mutates it.
+	// enqueued is the unit's enqueue instant, zero when start is. bodyLen
+	// and traceID are m's fields the commit side records after the
+	// transmit, read before it: once put, m may belong to a receiver that
+	// mutates it.
 	enqueued time.Time
 	bodyLen  int
 	traceID  uint64
@@ -160,7 +164,7 @@ func (w *worker) run() {
 func (w *worker) serve(u pubUnit) {
 	b := w.d.b
 	if u.m != nil {
-		res, ok := w.frontStages(u.m, w.matches[:0])
+		res, ok := w.frontStages(u.m, u.enqueued, w.matches[:0])
 		w.matches = res.matches[:0]
 		b.countAdd(&b.filterEvals, uint64(res.evals))
 		if ok {
@@ -168,15 +172,16 @@ func (w *worker) serve(u pubUnit) {
 		}
 		return
 	}
-	if cap(w.members) < len(u.batch) {
-		w.members = make([]result, len(u.batch))
+	batch := u.carrier.Msgs
+	if cap(w.members) < len(batch) {
+		w.members = make([]result, len(batch))
 	}
-	members, buf := w.members[:len(u.batch)], w.buf[:0]
+	members, buf := w.members[:len(batch)], w.buf[:0]
 	var evals uint64
 	var total int
-	for i, m := range u.batch {
+	for i, m := range batch {
 		start := len(buf)
-		res, ok := w.frontStages(m, buf[start:start:cap(buf)])
+		res, ok := w.frontStages(m, u.enqueued, buf[start:start:cap(buf)])
 		res.expired = !ok
 		got := res.matches
 		if n := len(got); n > 0 && start+n <= cap(buf) && &got[0] == &buf[:start+1][start] {
@@ -195,9 +200,10 @@ func (w *worker) serve(u pubUnit) {
 		w.buf = make([]*Subscriber, 0, total)
 	}
 	b.countAdd(&b.filterEvals, evals)
-	// A carrier's messages belong to the broker (see BatchCarrier), so an
-	// engine that allows it hands each one's last outbox run the original.
-	owned := u.carrier != nil && w.d.st.handOff
+	// A carrier's messages belong to the broker (see BatchCarrier) unless
+	// PublishBatch borrowed them, so an engine that allows it hands each
+	// one's last outbox run the original.
+	owned := !u.carrier.borrowed && w.d.st.handOff
 	// The members are one service: each after the first starts, on the
 	// tape, where the one committed before it ended.
 	var prevEnd time.Time
@@ -206,34 +212,34 @@ func (w *worker) serve(u pubUnit) {
 			prevEnd = w.commitStages(&members[i], prevEnd, owned)
 		}
 	}
-	if u.carrier != nil {
-		// Recycle-after-transmit: the batch is fully committed and nothing
-		// downstream holds the carrier's slices.
-		u.carrier.recycle()
-	}
+	// Recycle-after-transmit: the batch is fully committed and nothing
+	// downstream holds the carrier's slices.
+	u.carrier.recycle()
 }
 
-// frontStages runs the receive and match stages for one message, appending
-// matches to dst. It returns ok=false for an expired message (already
-// counted; nothing to commit). The returned result aliases dst. The clock
-// is read only for the tape's dispatch start and a traced message's spans.
-func (w *worker) frontStages(m *jms.Message, dst []*Subscriber) (result, bool) {
+// frontStages runs the receive and match stages for one message of a unit
+// stamped stamp, appending matches to dst. It returns ok=false for an
+// expired message (already counted; nothing to commit). The returned result
+// aliases dst. The clock is read only for the tape's dispatch start and a
+// traced message's spans.
+func (w *worker) frontStages(m *jms.Message, stamp int64, dst []*Subscriber) (result, bool) {
 	d, b := w.d, w.d.b
 	// Receive-stage work: waiting-time observation and expiration check.
 	traced := d.tracer.Sampled(m.Header.TraceID)
-	var start time.Time
-	if tt := d.tt; (tt != nil || traced) && !m.EnqueuedAt.IsZero() {
+	var start, enqueued time.Time
+	if tt := d.tt; (tt != nil || traced) && stamp != 0 {
+		enqueued = b.unstamp(stamp)
 		start = b.now()
-		wait := start.Sub(m.EnqueuedAt)
+		wait := start.Sub(enqueued)
 		if tt != nil {
 			tt.wait.Observe(wait)
 		}
 		if traced {
 			// The per-message sample of the model's E[W].
-			d.tracer.RecordSpan(m.Header.TraceID, trace.StageQueue, m.EnqueuedAt, wait)
+			d.tracer.RecordSpan(m.Header.TraceID, trace.StageQueue, enqueued, wait)
 		}
 	}
-	if !m.Header.Expiration.IsZero() && m.Expired(b.now()) {
+	if m.Header.Expiration != 0 && m.Expired(b.now()) {
 		b.countAdd(&b.expired, 1)
 		return result{m: m, matches: dst}, false
 	}
@@ -249,7 +255,7 @@ func (w *worker) frontStages(m *jms.Message, dst []*Subscriber) (result, bool) {
 	}
 	return result{
 		m: m, matches: matches, nFilters: nFilters, evals: evals, start: start, traced: traced,
-		enqueued: m.EnqueuedAt, bodyLen: len(m.Body), traceID: m.Header.TraceID,
+		enqueued: enqueued, bodyLen: len(m.Body), traceID: m.Header.TraceID,
 	}, true
 }
 

@@ -11,8 +11,8 @@ import (
 	"repro/internal/trace"
 )
 
-// TestPublishLeavesTimestampZero: the broker's enqueue stamp lives in
-// jms.Message.EnqueuedAt, never in the JMS Timestamp header, which
+// TestPublishLeavesTimestampZero: the broker's enqueue stamp lives in the
+// dispatch unit, never in the JMS Timestamp header, which
 // subscribers receive and JMSTimestamp selectors read. A message published
 // with a zero Timestamp arrives with a zero Timestamp on every publish path
 // and through an SSR mesh's flood, with both enqueue-stamping instruments
@@ -35,8 +35,8 @@ func TestPublishLeavesTimestampZero(t *testing.T) {
 		for i := 0; i < n; i++ {
 			select {
 			case m := <-ch:
-				if !m.Header.Timestamp.IsZero() {
-					t.Errorf("%s: delivery %d carries Timestamp %v, want zero", path, i, m.Header.Timestamp)
+				if m.Header.Timestamp != 0 {
+					t.Errorf("%s: delivery %d carries Timestamp %d, want zero", path, i, m.Header.Timestamp)
 				}
 			case <-ctx.Done():
 				t.Fatalf("%s: delivery %d never arrived", path, i)

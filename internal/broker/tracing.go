@@ -10,7 +10,7 @@ import (
 
 // This file is the broker's per-topic waiting-time tracing: with
 // Options.WaitTiming enabled, every accepted message is stamped at enqueue
-// (jms.Message.EnqueuedAt) and the pipeline records, per topic,
+// (pubUnit.enqueued) and the pipeline records, per topic,
 //
 //	W       = enqueue → dispatch start   (the paper's waiting time),
 //	sojourn = enqueue → last transmit    (W + B, the response time T),

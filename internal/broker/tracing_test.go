@@ -95,7 +95,7 @@ func TestTracedExpiredMessage(t *testing.T) {
 	fixed := time.Date(2030, 1, 1, 0, 0, 0, 0, time.UTC)
 	b.now = func() time.Time { return fixed }
 	m := jms.NewMessage("t")
-	m.Header.Expiration = fixed.Add(-time.Second)
+	m.Header.Expiration = fixed.Add(-time.Second).UnixNano()
 	if err := b.Publish(context.Background(), m); err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func tapeMessage(t *testing.T, i int) *jms.Message {
 	}
 	m.Body = make([]byte, i%5)
 	if i%7 == 6 {
-		m.Header.Expiration = time.Now().Add(-time.Hour)
+		m.Header.Expiration = time.Now().Add(-time.Hour).UnixNano()
 	}
 	return m
 }

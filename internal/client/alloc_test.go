@@ -50,3 +50,32 @@ func TestFanoutDispatchAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestPublishBatchRoundTripAllocs pins one PublishBatch round trip over
+// loopback TCP — the client's MSG_BATCH request, the server's decode and
+// publish, its PUB_ACK and the client's wait for that reply — at zero
+// allocations in AllocsPerRun's whole-number average. The one allocation
+// left is the server arena's struct chunk, which holds 31 messages: about
+// one every other 16-message batch, half a call's worth. The reply needs none:
+// its channel is a finished call's and the PUB_ACK is built in a pooled
+// frame buffer.
+func TestPublishBatchRoundTripAllocs(t *testing.T) {
+	addr, _ := startServer(t)
+	c := dialT(t, addr)
+	ctx := ctxT(t)
+	if err := c.ConfigureTopic(ctx, "t"); err != nil {
+		t.Fatal(err)
+	}
+	msgs := make([]*jms.Message, 16)
+	for i := range msgs {
+		msgs[i] = jms.NewMessage("t")
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := c.PublishBatch(ctx, msgs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("PublishBatch(16) round trip: %v allocs, budget 0", allocs)
+	}
+}

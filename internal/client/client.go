@@ -123,6 +123,13 @@ type Client struct {
 	pendingSubs map[uint64]*Subscription
 	closed      bool
 	readErr     error
+	// spare holds the reply channels of finished calls for the next calls
+	// to reuse. A channel goes back only once its reply was received: that
+	// was its one send (complete and failAll both take it out of pending
+	// first), so it is empty and nothing can send into it again. A
+	// cancelled or failed call drops its channel instead, since the read
+	// loop may still hold it.
+	spare []chan result
 
 	// Delivery acks are queued here and written by ackLoop, never from
 	// the read loop: a synchronous ack write could block on a full socket
@@ -150,6 +157,10 @@ type result struct {
 	frame wire.Frame
 	err   error
 }
+
+// maxSpareReplies bounds the reply channels a client keeps for reuse: the
+// calls it has had in flight at once, up to this many.
+const maxSpareReplies = 64
 
 // Dial connects to a broker at addr ("host:port").
 func Dial(addr string) (*Client, error) {
@@ -484,8 +495,6 @@ func (c *Client) callWithID(ctx context.Context, reqID uint64, typ wire.FrameTyp
 // It releases r once r is written out, before the wait starts, so bodies r
 // carries by reference are read during the call only.
 func (c *Client) callRequest(ctx context.Context, reqID uint64, r *wire.Request) (wire.Frame, error) {
-	ch := make(chan result, 1)
-
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -497,6 +506,12 @@ func (c *Client) callRequest(ctx context.Context, reqID uint64, r *wire.Request)
 		c.mu.Unlock()
 		r.Release()
 		return wire.Frame{}, lostErr(readErr)
+	}
+	var ch chan result
+	if n := len(c.spare); n > 0 {
+		ch, c.spare = c.spare[n-1], c.spare[:n-1]
+	} else {
+		ch = make(chan result, 1)
 	}
 	c.pending[reqID] = ch
 	c.mu.Unlock()
@@ -520,6 +535,11 @@ func (c *Client) callRequest(ctx context.Context, reqID uint64, r *wire.Request)
 
 	select {
 	case r := <-ch:
+		c.mu.Lock()
+		if len(c.spare) < maxSpareReplies {
+			c.spare = append(c.spare, ch)
+		}
+		c.mu.Unlock()
 		return r.frame, r.err
 	case <-ctx.Done():
 		c.mu.Lock()
@@ -679,7 +699,7 @@ func (s *Subscription) Topic() string { return s.topic }
 // Chan returns the delivery channel. It is closed when the subscription is
 // torn down. A message that matched R > 1 subscriptions of this connection
 // arrives in one slice of R messages, the decoded one and its copy-on-write
-// views, one per subscription: keeping it keeps that slice (R × 192 bytes
+// views, one per subscription: keeping it keeps that slice (R × 128 bytes
 // beside the body they share) alive.
 func (s *Subscription) Chan() <-chan *jms.Message { return s.ch }
 

@@ -2,7 +2,9 @@ package client
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
+	"errors"
 	"net"
 	"testing"
 
@@ -79,5 +81,63 @@ func TestPublishWireBytes(t *testing.T) {
 		if got := <-frames; !bytes.Equal(got, want(wire.FrameBatch, reqID, wire.EncodeBatch(msgs))) {
 			t.Errorf("16 × %d B MSG_BATCH: %d bytes on the wire differ from the encoding", size, len(got))
 		}
+	}
+}
+
+// TestCancelledCallLateReply: a call cancelled while its reply is on the way
+// drops its reply channel, so that reply, arriving late, never reaches the
+// next call, which reuses a finished call's channel. The read loop's two
+// steps for a reply — take the waiter out of pending, then send to it — are
+// replayed by hand around the cancellation: the one order in which a
+// channel reused too early would hand the next call the stale reply.
+func TestCancelledCallLateReply(t *testing.T) {
+	local, remote := net.Pipe()
+	c := NewClient(local)
+	t.Cleanup(func() { _ = c.Close() })
+	t.Cleanup(func() { _ = remote.Close() })
+	requests := make(chan uint64)
+	go func() {
+		for {
+			f, err := wire.ReadFrame(remote)
+			if err != nil {
+				return
+			}
+			requests <- binary.BigEndian.Uint64(f.Payload)
+		}
+	}()
+	reply := func(f wire.Frame) {
+		if err := wire.WriteFrame(remote, f); err != nil {
+			t.Error(err)
+		}
+	}
+	errs := make(chan error, 1)
+
+	// A finished call leaves its channel for reuse.
+	go func() { errs <- c.ConfigureTopic(context.Background(), "a") }()
+	id := <-requests
+	reply(wire.Frame{Type: wire.FrameConfigureTopicOK, Payload: wire.EncodeU64(id)})
+	if err := <-errs; err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() { errs <- c.ConfigureTopic(ctx, "b") }()
+	id = <-requests
+	c.mu.Lock()
+	late := c.pending[id]
+	delete(c.pending, id)
+	c.mu.Unlock()
+	cancel()
+	if err := <-errs; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled call: %v, want context.Canceled", err)
+	}
+
+	go func() { errs <- c.ConfigureTopic(context.Background(), "c") }()
+	id = <-requests
+	late <- result{frame: wire.Frame{Type: wire.FrameConfigureTopicOK}}
+	reply(wire.Frame{Type: wire.FrameError, Payload: wire.EncodeError(id, "third call's reply")})
+	var se *ServerError
+	if err := <-errs; !errors.As(err, &se) || se.Msg != "third call's reply" {
+		t.Fatalf("call after the cancelled one: %v, want its own reply, the server error", err)
 	}
 }

@@ -22,7 +22,7 @@ import (
 const MaxCorrelationIDLen = 128
 
 // DeliveryMode selects the JMS delivery mode of a message.
-type DeliveryMode int
+type DeliveryMode uint8
 
 // Delivery modes. The paper studies the persistent but non-durable mode, so
 // Persistent is the default used throughout this repository.
@@ -52,7 +52,7 @@ func (m DeliveryMode) Valid() bool {
 
 // PropertyType enumerates the JMS property value types supported in the
 // user-defined property header section.
-type PropertyType int
+type PropertyType uint8
 
 // Supported property types, mirroring the JMS typed property accessors.
 const (
@@ -105,7 +105,9 @@ var (
 	ErrPropertyType = errors.New("jms: property has different type")
 )
 
-// Header carries the fixed JMS header fields relevant to this study.
+// Header carries the fixed JMS header fields relevant to this study. The
+// times are int64 Unix nanoseconds, 0 meaning unset — what the wire
+// encodes — and the small fields are bytes, so a Message is 128 bytes.
 type Header struct {
 	// MessageID uniquely identifies the message within a broker.
 	MessageID uint64
@@ -118,16 +120,16 @@ type Header struct {
 	DeliveryMode DeliveryMode
 	// Priority is the JMS priority (0..9); unused by the model but carried
 	// for completeness.
-	Priority int
-	// Timestamp is the publisher-side send time.
-	Timestamp time.Time
-	// Expiration is the absolute expiry; zero means never.
-	Expiration time.Time
+	Priority int8
+	// Timestamp is the publisher-side send time in Unix nanoseconds
+	// (time.Time.UnixNano); 0 means unset.
+	Timestamp int64
+	// Expiration is the absolute expiry in Unix nanoseconds; 0 means never.
+	Expiration int64
 	// TraceID is an optional end-to-end trace identifier carried through
 	// the wire protocol and preserved across replication; zero means
 	// untraced. Load tools stamp sampled messages with it to measure
-	// publish→deliver latency without touching Timestamp (which the broker
-	// uses for its own waiting-time accounting).
+	// publish→deliver latency without touching Timestamp.
 	TraceID uint64
 }
 
@@ -147,6 +149,10 @@ type PropertyEntry struct {
 // allocation (none when its storage was reserved, see ReserveProperties).
 // Setting names in ascending order appends; any other order moves the
 // entries behind the new one, so bulk loaders sort first.
+//
+// A Message is 128 bytes, two cache lines and a size class of its own, and
+// a PropertyEntry 56: every replica, view slab and arena chunk carries
+// them, so a field added here costs on every message (TestMessageLayout).
 type Message struct {
 	Header     Header
 	properties []PropertyEntry
@@ -157,12 +163,6 @@ type Message struct {
 	// copy-on-write view (see Shared). The first mutation through a setter
 	// copies the section before writing, so views never observe it.
 	shared uint32
-	// EnqueuedAt is the broker-local enqueue stamp: the instant the broker
-	// accepted the message into its topic queue. It is not part of the wire
-	// encoding; the dispatch pipeline reads it to measure the per-message
-	// waiting time W (enqueue → dispatch start) and sojourn time (enqueue →
-	// last transmit) of the paper's M/GI/1 analysis on the live system.
-	EnqueuedAt time.Time
 }
 
 // NewMessage returns an empty persistent message for the given topic.
@@ -375,7 +375,7 @@ func (m *Message) SetBody(b []byte) { m.Body = b }
 // R times when dispatching it to R matching subscribers; Clone is the unit
 // of that replication.
 func (m *Message) Clone() *Message {
-	c := &Message{Header: m.Header, EnqueuedAt: m.EnqueuedAt}
+	c := &Message{Header: m.Header}
 	if len(m.properties) > 0 {
 		c.properties = append([]PropertyEntry(nil), m.properties...)
 	}
@@ -419,14 +419,13 @@ func (m *Message) SharedInto(views []Message) {
 			properties: m.properties,
 			Body:       m.Body,
 			shared:     1,
-			EnqueuedAt: m.EnqueuedAt,
 		}
 	}
 }
 
 // Expired reports whether the message has expired at time now.
 func (m *Message) Expired(now time.Time) bool {
-	return !m.Header.Expiration.IsZero() && now.After(m.Header.Expiration)
+	return m.Header.Expiration != 0 && now.UnixNano() > m.Header.Expiration
 }
 
 // Validate checks the message invariants enforced by the broker on receive.

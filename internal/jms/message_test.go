@@ -202,11 +202,15 @@ func TestExpired(t *testing.T) {
 	if m.Expired(now) {
 		t.Error("message with zero expiration must never expire")
 	}
-	m.Header.Expiration = now.Add(-time.Second)
+	m.Header.Expiration = now.Add(-time.Second).UnixNano()
 	if !m.Expired(now) {
 		t.Error("message past expiration should be expired")
 	}
-	m.Header.Expiration = now.Add(time.Second)
+	m.Header.Expiration = now.UnixNano()
+	if m.Expired(now) {
+		t.Error("message at its expiration instant should not be expired yet")
+	}
+	m.Header.Expiration = now.Add(time.Second).UnixNano()
 	if m.Expired(now) {
 		t.Error("message before expiration should not be expired")
 	}

@@ -394,6 +394,17 @@ const (
 	fieldType          = "JMSType"
 )
 
+// unixMilli is time.Unix(0, ns).UnixMilli() without the time.Time: the
+// floor of ns / 1e6, so an instant before 1970 rounds down as the time
+// package rounds it, where a plain division would round it up.
+func unixMilli(ns int64) int64 {
+	ms := ns / 1e6
+	if ns%1e6 < 0 {
+		ms--
+	}
+	return ms
+}
+
 // lookup resolves an identifier against the message: JMS header fields
 // first, then the user property section. Missing values are NULL.
 func lookup(name string, m *jms.Message) value {
@@ -408,7 +419,7 @@ func lookup(name string, m *jms.Message) value {
 	case fieldMessageID:
 		return value{kind: kindString, s: fmt.Sprintf("ID:%d", m.Header.MessageID)}
 	case fieldTimestamp:
-		return value{kind: kindInt, i: m.Header.Timestamp.UnixMilli()}
+		return value{kind: kindInt, i: unixMilli(m.Header.Timestamp)}
 	case fieldDeliveryMode:
 		return value{kind: kindString, s: m.Header.DeliveryMode.String()}
 	case fieldType:

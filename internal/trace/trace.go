@@ -49,7 +49,7 @@ const (
 	StageIngress Stage = iota
 	// StageDecode is arena materialization: wire bytes → *jms.Message.
 	StageDecode
-	// StageQueue is the enqueue wait: EnqueuedAt → dispatch start. This is
+	// StageQueue is the enqueue wait: enqueue stamp → dispatch start. This is
 	// the per-message sample of the model's E[W].
 	StageQueue
 	// StageMatch is the filter scan over the topic's subscriptions.

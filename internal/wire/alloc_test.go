@@ -8,6 +8,7 @@ package wire
 
 import (
 	"io"
+	"net"
 	"testing"
 
 	"repro/internal/jms"
@@ -95,5 +96,47 @@ func TestRequestBatchAllocs(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("16 × %d B batch request: %v allocs, budget 0", size, allocs)
 		}
+	}
+}
+
+// discardConn is a net.Conn that drops what is written to it and signals on
+// done each time another want bytes have gone through. It has no writev, so
+// a gathered write reaches it as one Write per buffer.
+type discardConn struct {
+	net.Conn
+	n, want int
+	done    chan struct{}
+}
+
+func (c *discardConn) Write(b []byte) (int, error) {
+	if c.n += len(b); c.n >= c.want {
+		c.n -= c.want
+		c.done <- struct{}{}
+	}
+	return len(b), nil
+}
+
+// TestEgressWriteAllocs pins the connection writer's vectored write: two
+// deliveries of a 4 KiB body, each a head and a by-reference tail, so every
+// write the writer makes gathers several buffers, cost nothing to encode,
+// queue and write once the pools are warm.
+func TestEgressWriteAllocs(t *testing.T) {
+	m := encodeMessage(t)
+	m.SetBody(make([]byte, 4<<10))
+	frame := prologueSize + len(EncodeDelivery(7, 0, m))
+	conn := &discardConn{want: 2 * frame, done: make(chan struct{}, 1)}
+	sc := &serverConn{server: &Server{}, conn: conn, w: newConnWriter(conn, &wireCounters{}, nil)}
+	defer sc.w.close()
+	refs := []DeliveryRef{{SubID: 7}}
+	allocs := testing.AllocsPerRun(200, func() {
+		for range 2 {
+			if err := sc.writeDelivery(refs, m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		<-conn.done
+	})
+	if allocs != 0 {
+		t.Errorf("two gathered delivery writes: %v allocs, budget 0", allocs)
 	}
 }

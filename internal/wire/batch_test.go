@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/jms"
 )
@@ -23,14 +22,14 @@ func randomMessage(rng *rand.Rand) *jms.Message {
 	if rng.Intn(2) == 0 {
 		m.Header.DeliveryMode = jms.NonPersistent
 	}
-	m.Header.Priority = rng.Intn(10)
+	m.Header.Priority = int8(rng.Intn(10))
 	m.Header.MessageID = rng.Uint64()
 	m.Header.TraceID = rng.Uint64() >> uint(rng.Intn(64))
 	if rng.Intn(2) == 0 {
-		m.Header.Timestamp = time.Unix(0, rng.Int63())
+		m.Header.Timestamp = rng.Int63()
 	}
 	if rng.Intn(4) == 0 {
-		m.Header.Expiration = time.Unix(0, rng.Int63())
+		m.Header.Expiration = rng.Int63()
 	}
 	for i, n := 0, rng.Intn(4); i < n; i++ {
 		name := string(rune('a' + i))

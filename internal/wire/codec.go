@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"time"
 
 	"repro/internal/jms"
 )
@@ -203,16 +202,8 @@ func appendMessageHead(buf []byte, m *jms.Message) []byte {
 	e.str(m.Header.CorrelationID)
 	e.u8(uint8(m.Header.DeliveryMode))
 	e.u8(uint8(m.Header.Priority))
-	if m.Header.Timestamp.IsZero() {
-		e.i64(0)
-	} else {
-		e.i64(m.Header.Timestamp.UnixNano())
-	}
-	if m.Header.Expiration.IsZero() {
-		e.i64(0)
-	} else {
-		e.i64(m.Header.Expiration.UnixNano())
-	}
+	e.i64(m.Header.Timestamp)
+	e.i64(m.Header.Expiration)
 	e.u64(m.Header.TraceID)
 	// The property section is kept in name order, which is the wire order.
 	n := m.NumProperties()
@@ -267,20 +258,12 @@ func DecodeMessage(payload []byte) (*jms.Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.Header.Priority = int(prio)
-	ts, err := d.i64()
-	if err != nil {
+	m.Header.Priority = int8(prio)
+	if m.Header.Timestamp, err = d.i64(); err != nil {
 		return nil, err
 	}
-	if ts != 0 {
-		m.Header.Timestamp = time.Unix(0, ts)
-	}
-	exp, err := d.i64()
-	if err != nil {
+	if m.Header.Expiration, err = d.i64(); err != nil {
 		return nil, err
-	}
-	if exp != 0 {
-		m.Header.Expiration = time.Unix(0, exp)
 	}
 	if m.Header.TraceID, err = d.u64(); err != nil {
 		return nil, err

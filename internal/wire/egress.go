@@ -67,6 +67,10 @@ type connWriter struct {
 	ch     chan egressFrame
 	stop   chan struct{}
 	done   chan struct{}
+	// out is the copy of the gather list a vectored write consumes
+	// (net.Buffers.WriteTo advances the slice it is given). A field, not a
+	// local, so that the write does not move a slice header to the heap.
+	out net.Buffers
 }
 
 // egressFrame is one queued frame: a pooled buffer holding the prologue and
@@ -175,10 +179,8 @@ func (w *connWriter) run() {
 			if len(bufs) == 1 {
 				_, err = w.conn.Write(bufs[0])
 			} else {
-				// WriteTo consumes the slice it is given; hand it a copy of
-				// the header so bufs keeps its backing array.
-				nb := bufs
-				_, err = nb.WriteTo(w.conn)
+				w.out = bufs
+				_, err = w.out.WriteTo(w.conn)
 			}
 			elapsed := time.Since(start)
 			if w.stats != nil {

@@ -371,6 +371,16 @@ func (sc *serverConn) write(f Frame) error {
 	return sc.w.submit(bp)
 }
 
+// writeU64 queues a frame whose payload is one u64 — PUB_ACK and the other
+// replies that carry only their request ID — built straight into a pooled
+// buffer, with no payload slice of its own to copy from.
+func (sc *serverConn) writeU64(typ FrameType, v uint64) error {
+	bp := GetBuffer()
+	buf := binary.BigEndian.AppendUint32((*bp)[:0], 8)
+	*bp = binary.BigEndian.AppendUint64(append(buf, byte(typ)), v)
+	return sc.w.submit(bp)
+}
+
 func (sc *serverConn) writeErr(reqID uint64, err error) {
 	sc.log.Debug("request failed", "req", reqID, "reason", err.Error())
 	_ = sc.write(Frame{Type: FrameError, Payload: EncodeError(reqID, err.Error())})
@@ -427,7 +437,7 @@ func (sc *serverConn) handleFrame(f Frame) error {
 			sc.writeErr(reqID, err)
 			return nil
 		}
-		return sc.write(Frame{Type: FrameConfigureTopicOK, Payload: EncodeU64(reqID)})
+		return sc.writeU64(FrameConfigureTopicOK, reqID)
 
 	case FramePublish:
 		return sc.handlePublishBody(reqID, rest, true)
@@ -511,7 +521,7 @@ func (sc *serverConn) handleFrame(f Frame) error {
 			return nil
 		}
 		sc.log.Debug("unsubscribed", "sub", subID)
-		return sc.write(Frame{Type: FrameUnsubscribeOK, Payload: EncodeU64(reqID)})
+		return sc.writeU64(FrameUnsubscribeOK, reqID)
 
 	case FrameMsgAck:
 		// No request ID, no reply: the payload is (subID, seq).
@@ -544,7 +554,7 @@ func (sc *serverConn) handleFrame(f Frame) error {
 			sc.writeErr(reqID, err)
 			return nil
 		}
-		return sc.write(Frame{Type: FrameDeleteDurableOK, Payload: EncodeU64(reqID)})
+		return sc.writeU64(FrameDeleteDurableOK, reqID)
 
 	default:
 		sc.writeErr(reqID, fmt.Errorf("wire: unexpected frame %s", f.Type))
@@ -584,7 +594,7 @@ func (sc *serverConn) handlePublishBody(reqID uint64, body []byte, fromClient bo
 	pub, seq, stamped := pubIdentity(m)
 	if stamped && !sc.server.dedupe.record(pub, seq) {
 		sc.server.duplicates.Add(1)
-		return sc.write(Frame{Type: FramePubAck, Payload: EncodeU64(reqID)})
+		return sc.writeU64(FramePubAck, reqID)
 	}
 	p := parkedPublish{reqID: reqID, key: sc.publisherKey(pub, stamped), local: true, m: m}
 	if fw := sc.server.forwarder; fw != nil && fromClient {
@@ -760,7 +770,7 @@ func (sc *serverConn) commit(p parkedPublish) error {
 		sc.writeErr(p.reqID, err)
 		return nil
 	}
-	return sc.write(Frame{Type: FramePubAck, Payload: EncodeU64(p.reqID)})
+	return sc.writeU64(FramePubAck, p.reqID)
 }
 
 // unclaim releases the dedupe sequence m claimed at ingress, if it is stamped.

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"time"
 	"unsafe"
 
 	"repro/internal/jms"
@@ -238,8 +237,8 @@ func (v *MessageView) CorrelationIDBytes() []byte {
 // DecodeMessage).
 func (v *MessageView) DeliveryMode() jms.DeliveryMode { return jms.DeliveryMode(v.mode) }
 
-// Priority returns the wire priority.
-func (v *MessageView) Priority() int { return int(v.prio) }
+// Priority returns the wire priority, as the decoded header holds it.
+func (v *MessageView) Priority() int8 { return int8(v.prio) }
 
 // TimestampNanos returns the send timestamp in unix nanos (0 = unset).
 func (v *MessageView) TimestampNanos() int64 { return v.ts }
@@ -313,11 +312,18 @@ const internCacheMax = 1024
 // Chunk sizes, per kind of storage a message needs. A chunk serves a few
 // dozen small messages; a message that needs over a quarter of a chunk gets
 // its own allocations, so an abandoned chunk tail wastes at most that
-// quarter.
+// quarter. The struct and property chunks each fill the 4 KiB size class:
+// their elements hold pointers, and Go puts an 8-byte header in front of
+// such an object over 512 bytes, so chunkBytes is what a chunk may hold —
+// 32 messages would take the 4 864-byte class.
 const (
-	msgChunk  = 32      // jms.Message structs
-	propChunk = 64      // property entries
-	byteChunk = 8 << 10 // runs of correlation ID + string property values + body
+	chunkBytes = 4<<10 - 8
+	// jms.Message structs: 31 of 128 bytes.
+	msgChunk = chunkBytes / int(unsafe.Sizeof(jms.Message{}))
+	// Property entries: 73 of 56 bytes.
+	propChunk = chunkBytes / int(unsafe.Sizeof(jms.PropertyEntry{}))
+	// Runs of correlation ID + string property values + body.
+	byteChunk = 8 << 10
 )
 
 // MessageArena materializes MessageViews into *jms.Message values without
@@ -333,14 +339,14 @@ const (
 // back, and never recycled or pooled: the arena only ever writes the part it
 // has not handed out yet, which is what makes the strings aliasing a byte
 // chunk immutable. The price is coupling: a retained message keeps its chunk
-// of 32 structs reachable, and through its 31 neighbours the byte and
+// of 31 structs reachable, and through its 30 neighbours the byte and
 // property chunks they were carved from. That is bounded because only small
 // messages share a struct chunk: one whose body, byte run or property
 // section is over a quarter chunk gets a struct, and that part, allocated on
 // their own, and no chunk-mate to pin them. For the paper's messages (about 150 bytes, a
 // property or two) a retained message pins one chunk of each kind, two
-// where its neighbours straddle a boundary — 18 to 30 KiB; the worst case,
-// 32 neighbours each just under the quarter-chunk limits, is about 150 KiB,
+// where its neighbours straddle a boundary — 16 to 28 KiB; the worst case,
+// 30 neighbours each just under the quarter-chunk limits, is under 150 KiB,
 // whatever the body sizes on the connection. An arena is not safe for
 // concurrent use; each connection (or pipeline stage) owns its own.
 type MessageArena struct {
@@ -457,13 +463,9 @@ func (a *MessageArena) MaterializeInto(m *jms.Message, v *MessageView) error {
 	// Length-checked by ParseMessageView.
 	m.Header.CorrelationID = cutString(&run, v.CorrelationIDBytes())
 	m.Header.DeliveryMode = jms.DeliveryMode(v.mode)
-	m.Header.Priority = int(v.prio)
-	if v.ts != 0 {
-		m.Header.Timestamp = time.Unix(0, v.ts)
-	}
-	if v.exp != 0 {
-		m.Header.Expiration = time.Unix(0, v.exp)
-	}
+	m.Header.Priority = int8(v.prio)
+	m.Header.Timestamp = v.ts
+	m.Header.Expiration = v.exp
 	m.Header.TraceID = v.traceID
 
 	if n > 0 {

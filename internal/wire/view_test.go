@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/jms"
 )
@@ -506,7 +507,7 @@ func TestArenaLargeValuesBypassChunks(t *testing.T) {
 }
 
 // TestArenaRetainedMessagePinsBoundedBytes: a kept message keeps its chunk
-// of 32 message structs reachable, so nothing a chunk-mate references may be
+// of message structs reachable, so nothing a chunk-mate references may be
 // large. One small message in 32 is kept from a stream of 64 KiB-body
 // deliveries; every large message must still be collected, which a finalizer
 // observes (and which only an allocation of its own can carry).
@@ -643,3 +644,43 @@ func TestDecodeManyPropertiesScales(t *testing.T) {
 		}
 	}
 }
+
+// TestArenaChunksFillSizeClass: a struct or property chunk is as many
+// elements as fit the 4 KiB size class, no more and not an element fewer.
+// Both element types hold pointers, so Go allocates such a chunk with an
+// 8-byte header in front: the elements get 4 088 bytes. What one chunk
+// allocation costs is measured too — 4 KiB, where a chunk one element
+// larger would take the 4 864-byte class.
+func TestArenaChunksFillSizeClass(t *testing.T) {
+	const class, header = 4 << 10, 8
+	for _, c := range []struct {
+		name    string
+		elem, n int
+		alloc   func()
+	}{
+		{"message", int(unsafe.Sizeof(jms.Message{})), msgChunk, func() { chunkSink = make([]jms.Message, msgChunk) }},
+		{"property", int(unsafe.Sizeof(jms.PropertyEntry{})), propChunk, func() { chunkSink = make([]jms.PropertyEntry, propChunk) }},
+	} {
+		if got := c.n*c.elem + header; got > class || class-got >= c.elem {
+			t.Errorf("%s chunk: %d × %d B + %d B header = %d B, want at most %d and within one element of it",
+				c.name, c.n, c.elem, header, got, class)
+		}
+		const runs = 100
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			c.alloc()
+		}
+		runtime.ReadMemStats(&after)
+		// Anything else allocating meanwhile only adds; the next class up
+		// is 768 bytes away.
+		if per := (after.TotalAlloc - before.TotalAlloc) / runs; per < class || per >= class+256 {
+			t.Errorf("%s chunk: %d B per allocation, want the %d B size class", c.name, per, class)
+		}
+	}
+	chunkSink = nil
+}
+
+// chunkSink keeps TestArenaChunksFillSizeClass's allocations from being
+// optimized away.
+var chunkSink any
