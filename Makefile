@@ -40,9 +40,10 @@ test-benchmark:
 # buffers, the reliability stack (fault injection, reconnecting clients,
 # the replication meshes under restart and kill, conformance harness), and
 # the telemetry plane scraped while the broker dispatches, and the load
-# generator's lanes. internal/bench's scenario runner (publishers, drains
-# and the tape reader around one broker) runs its count-based tests under
-# -short; its wall-clock measurements skip there.
+# generator's lanes. internal/bench's load loop (publishers, drains, the
+# window and the drain ledger) runs its count-based tests under -short, in
+# process around one broker and over a loopback wire server, the loop
+# cmd/jmsload drives; its wall-clock measurements skip there.
 race:
 	$(GO) test -race ./internal/jms/... ./internal/topic/... ./internal/broker/... ./internal/wire/... ./internal/client/... ./internal/faultnet/... ./internal/cluster/... ./internal/conformance/... ./internal/metrics/... ./internal/telemetry/... ./internal/trace/... ./internal/stress/... ./internal/loadgen/... ./cmd/jmsd/...
 	$(GO) test -race -short ./internal/bench/...

@@ -86,7 +86,8 @@ func BenchmarkRegressionPublishBatch16(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i += batch {
-		// Fresh slice per call: PublishBatch retains it.
+		// A fresh slice per call, as a producer building each batch would
+		// have; PublishBatch copies the pointers and hands the slice back.
 		msgs := make([]*jms.Message, batch)
 		for j := range msgs {
 			msgs[j] = jms.NewMessage("t")

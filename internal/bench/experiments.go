@@ -130,6 +130,6 @@ func MeasureNativeWaiting(cfg NativeConfig, n, r int, rho float64, messages int)
 		OfferedRho:        rho,
 		Waits:             waits,
 		PredictedMeanWait: rho * meanB / (2 * (1 - rho)),
-		Pacing:            ph.pacing,
+		Pacing:            ph.Pacing,
 	}, nil
 }

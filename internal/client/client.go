@@ -359,7 +359,7 @@ func (c *Client) dispatch(f wire.Frame, arena *wire.MessageArena) {
 		c.complete(reqID, result{frame: wire.Frame{Type: f.Type}})
 
 	case wire.FramePubAck, wire.FrameUnsubscribeOK,
-		wire.FrameConfigureTopicOK, wire.FrameDeleteDurableOK:
+		wire.FrameConfigureTopicOK, wire.FrameDeleteDurableOK, wire.FramePong:
 		if len(f.Payload) < 8 {
 			return
 		}
@@ -421,9 +421,6 @@ func (c *Client) dispatch(f wire.Frame, arena *wire.MessageArena) {
 		if c.opts.OnSubClosed != nil {
 			c.opts.OnSubClosed(sub, reason)
 		}
-
-	case wire.FramePong:
-		// Liveness only.
 	}
 }
 
@@ -767,14 +764,9 @@ func (c *Client) DeleteDurable(ctx context.Context, topicName, name string) erro
 	return err
 }
 
-// Ping round-trips a liveness probe. Note: pongs carry no request ID, so
-// Ping must not run concurrently with other Pings on one client.
+// Ping round-trips a liveness probe: it returns once the broker's PONG
+// echoes the ping's request ID, or with ctx's error.
 func (c *Client) Ping(ctx context.Context) error {
-	c.writeMu.Lock()
-	err := wire.WriteFrame(c.conn, wire.Frame{Type: wire.FramePing, Payload: wire.EncodeU64(0)})
-	c.writeMu.Unlock()
-	if err != nil {
-		return fmt.Errorf("client: ping: %w", err)
-	}
-	return nil
+	_, err := c.call(ctx, wire.FramePing, nil)
+	return err
 }

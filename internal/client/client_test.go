@@ -269,6 +269,43 @@ func TestPing(t *testing.T) {
 	}
 }
 
+// TestPingWaitsForPong: a peer that reads the PING but never answers leaves
+// Ping waiting until its context ends.
+func TestPingWaitsForPong(t *testing.T) {
+	local, remote := net.Pipe()
+	go func() {
+		for {
+			if _, err := wire.ReadFrame(remote); err != nil {
+				return
+			}
+		}
+	}()
+	c := NewClient(local)
+	defer func() { _ = c.Close(); _ = remote.Close() }()
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if err := c.Ping(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Ping against a silent peer = %v, want context.DeadlineExceeded", err)
+	}
+}
+
+// TestPingConcurrent: each PONG echoes its PING's request ID, so Pings on
+// one client may run side by side.
+func TestPingConcurrent(t *testing.T) {
+	addr, _ := startServer(t)
+	c := dialT(t, addr)
+	ctx := ctxT(t)
+	errs := make(chan error, 16)
+	for range 16 {
+		go func() { errs <- c.Ping(ctx) }()
+	}
+	for range 16 {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestPublishAfterClose(t *testing.T) {
 	addr, _ := startServer(t)
 	c, err := Dial(addr)

@@ -1,6 +1,7 @@
 // Package loadgen is the open-loop Poisson load generator every live check
-// of the paper's M/GI/1 analysis is driven by: cmd/jmsload's -rate mode,
-// the conformance legs and internal/bench's X3 waiting-time experiment.
+// of the paper's M/GI/1 analysis is driven by: the paced phase of
+// internal/bench's load loop, which cmd/jmsload's -rate mode and the X3
+// waiting-time experiment run, and the conformance legs.
 //
 // Arrivals are released at absolute deadlines drawn from a seeded
 // exponential schedule, so a late wake-up displaces one arrival instead of

@@ -44,7 +44,7 @@ const (
 	FrameError
 	// FramePing and FramePong are liveness probes.
 	FramePing
-	// FramePong answers a ping.
+	// FramePong answers a ping, echoing its request ID if it had one.
 	FramePong
 	// FrameConfigureTopic creates a topic on the broker.
 	FrameConfigureTopic

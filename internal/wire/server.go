@@ -425,7 +425,12 @@ func (sc *serverConn) handleFrame(f Frame) error {
 
 	switch f.Type {
 	case FramePing:
-		return sc.write(Frame{Type: FramePong})
+		// A PING with a request ID gets it echoed, so a client can wait
+		// for its own PONG; one without gets an empty PONG.
+		if err != nil {
+			return sc.write(Frame{Type: FramePong})
+		}
+		return sc.writeU64(FramePong, reqID)
 
 	case FrameConfigureTopic:
 		sc.drainParked()
@@ -465,7 +470,7 @@ func (sc *serverConn) handleFrame(f Frame) error {
 		if err != nil {
 			return err
 		}
-		flt, err := buildFilter(spec)
+		flt, err := spec.Filter()
 		if err != nil {
 			sc.writeErr(reqID, err)
 			return nil
@@ -947,8 +952,8 @@ func (sc *serverConn) writeDelivery(refs []DeliveryRef, m *jms.Message) error {
 	return sc.w.submitFrame(ef)
 }
 
-// buildFilter constructs the broker filter from a wire spec.
-func buildFilter(spec FilterSpec) (filter.Filter, error) {
+// Filter constructs the broker filter a SUBSCRIBE with this spec installs.
+func (spec FilterSpec) Filter() (filter.Filter, error) {
 	switch spec.Mode {
 	case FilterNone:
 		return filter.All{}, nil
