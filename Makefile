@@ -52,11 +52,12 @@ race:
 # each compares a measurement on this machine with a model or a band (the
 # broker and mesh waiting legs against their tapes' own M/G/1 prediction,
 # the mesh capacities and Eq. 23 crossover, the native Eq. 1 fit, X1 and
-# X3-X5). Five runs give the pass count recorded beside each test; tier-1
-# keeps their count-based halves and replays the checked-in tapes.
+# X3-X5, the 10^5 churn storm's 20 ms index rebuild). Five runs give the
+# pass count recorded beside each test; tier-1 keeps their count-based
+# halves and replays the checked-in tapes.
 # -record-tapes (on TestBrokerConformance) rewrites those tapes.
 conformance-live:
-	$(GO) test -tags live -count=5 ./internal/conformance/ ./internal/bench/
+	$(GO) test -tags live -count=5 ./internal/conformance/ ./internal/bench/ ./internal/stress/
 
 # bench runs the regression benchmark set (publish, dispatch, batch
 # codec, end-to-end wire loop, mesh, subscription store) once and prints
@@ -115,7 +116,7 @@ stress-smoke:
 # vet-live vets the //go:build live files, which neither tier-1 nor a plain
 # go vet ./... compiles.
 vet-live:
-	$(GO) vet -tags live ./internal/conformance/ ./internal/bench/
+	$(GO) vet -tags live ./internal/conformance/ ./internal/bench/ ./internal/stress/
 
 # verify is the tier-1 gate plus the live files' vet, the benchmark module's
 # tests and the race pass.

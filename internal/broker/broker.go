@@ -42,9 +42,6 @@ import (
 var (
 	// ErrClosed is returned after Close.
 	ErrClosed = errors.New("broker: closed")
-	// ErrQueueFull is returned by TryPublish when the worker's in-flight
-	// window is exhausted (the push-back condition).
-	ErrQueueFull = errors.New("broker: topic queue full")
 )
 
 // Options configure a Broker.
@@ -254,28 +251,11 @@ func (b *Broker) PublishBatch(ctx context.Context, msgs []*jms.Message) error {
 	return b.Publisher(0).PublishBatch(ctx, msgs)
 }
 
-// TryPublish is Publisher(0).TryPublish.
-func (b *Broker) TryPublish(m *jms.Message) error { return b.Publisher(0).TryPublish(m) }
-
 // Publish delivers a message to the broker, blocking while its worker's
-// in-flight window is full (publisher push-back). The message must not be
-// modified by the caller afterwards.
+// in-flight window is full (publisher push-back). It is PublishBatch of
+// one message. The message must not be modified by the caller afterwards.
 func (p Publisher) Publish(ctx context.Context, m *jms.Message) error {
-	d, err := p.b.dispatcherFor(m)
-	if err != nil {
-		return err
-	}
-	return p.send(ctx, d, pubUnit{m: m}, 1, true)
-}
-
-// TryPublish is Publish without blocking: it returns ErrQueueFull when the
-// push-back window is exhausted.
-func (p Publisher) TryPublish(m *jms.Message) error {
-	d, err := p.b.dispatcherFor(m)
-	if err != nil {
-		return err
-	}
-	return p.send(context.Background(), d, pubUnit{m: m}, 1, false)
+	return p.PublishBatch(ctx, []*jms.Message{m})
 }
 
 // PublishBatch delivers several messages as one dispatch unit, blocking
@@ -286,34 +266,47 @@ func (p Publisher) TryPublish(m *jms.Message) error {
 // split into consecutive same-topic runs, each enqueued as its own unit in
 // slice order; on error a suffix of those runs was not accepted (the
 // already-enqueued prefix is dispatched normally). The broker retains the
-// messages, not the slice: each run's pointers are copied into a pooled
-// BatchCarrier, so the slice is the caller's again once PublishBatch
-// returns, but the messages may not be modified afterwards.
+// messages, not the slice: their pointers are copied into a pooled
+// BatchCarrier that borrows them, so the slice is the caller's again once
+// PublishBatch returns, but the messages may not be modified afterwards.
 func (p Publisher) PublishBatch(ctx context.Context, msgs []*jms.Message) error {
-	switch len(msgs) {
-	case 0:
+	c := GetBatchCarrier()
+	c.Msgs, c.borrowed = append(c.Msgs, msgs...), true
+	err := p.admit(ctx, c)
+	if err != nil {
+		c.recycle() // the caller never held it
+	}
+	return err
+}
+
+// admit is the one admission path of every publish. It validates c's
+// messages, resolves their same-topic runs under one lock — so the publish
+// is admitted or rejected against a single broker state — and enqueues c
+// as one unit, or, when it spans topics, each run in a carrier of its own
+// that borrows c's messages (no dispatch worker hands one off), recycling c
+// once every run is accepted. On error c is still the caller's.
+func (p Publisher) admit(ctx context.Context, c *BatchCarrier) error {
+	msgs := c.Msgs
+	if len(msgs) == 0 {
+		c.recycle()
 		return nil
-	case 1:
-		return p.Publish(ctx, msgs[0])
 	}
 	for _, m := range msgs {
 		if err := m.Validate(); err != nil {
 			return err
 		}
 	}
-	// Resolve every run's dispatcher under one lock, so the batch is
-	// admitted or rejected against a single broker state.
 	type run struct {
 		d    *dispatcher
 		msgs []*jms.Message
 	}
+	runs := make([]run, 0, 1)
 	b := p.b
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
 		return ErrClosed
 	}
-	var runs []run
 	for start := 0; start < len(msgs); {
 		name := msgs[start].Header.Topic
 		end := start + 1
@@ -329,36 +322,36 @@ func (p Publisher) PublishBatch(ctx context.Context, msgs []*jms.Message) error 
 		start = end
 	}
 	b.mu.Unlock()
+	if len(runs) == 1 {
+		return p.send(ctx, runs[0].d, c)
+	}
 	for _, r := range runs {
-		// Each run travels in a carrier of its own that borrows the
-		// caller's messages, so no dispatch worker hands one off.
-		c := GetBatchCarrier()
-		c.Msgs, c.borrowed = append(c.Msgs, r.msgs...), true
-		if err := p.send(ctx, r.d, pubUnit{carrier: c}, len(r.msgs), true); err != nil {
-			c.recycle()
+		rc := GetBatchCarrier()
+		rc.Msgs, rc.borrowed = append(rc.Msgs, r.msgs...), true
+		if err := p.send(ctx, r.d, rc); err != nil {
+			rc.recycle()
 			return err
 		}
 	}
+	c.recycle()
 	return nil
 }
 
-// send stamps u and enqueues it, n messages, on the intake queue of the
-// worker p's key selects. While the queue is full it blocks, or without
-// wait returns ErrQueueFull.
-func (p Publisher) send(ctx context.Context, d *dispatcher, u pubUnit, n int, wait bool) error {
+// send stamps c and enqueues it as one unit on the intake queue of the
+// worker p's key selects, blocking while the queue is full.
+func (p Publisher) send(ctx context.Context, d *dispatcher, c *BatchCarrier) error {
 	b := p.b
+	u := pubUnit{c: c}
 	if d.tt != nil || b.opts.Tracer != nil {
 		u.enqueued = b.stamp()
 	}
+	n := uint64(len(c.Msgs))
 	in := d.intake(p.key)
 	select {
 	case in <- u:
 	case <-d.stop:
 		return ErrClosed
 	default:
-		if !wait {
-			return ErrQueueFull
-		}
 		select {
 		case in <- u:
 		case <-d.stop:
@@ -367,27 +360,11 @@ func (p Publisher) send(ctx context.Context, d *dispatcher, u pubUnit, n int, wa
 			return ctx.Err()
 		}
 	}
-	b.countAdd(&b.received, uint64(n))
+	b.countAdd(&b.received, n)
 	if d.tt != nil {
-		d.tt.received.Add(uint64(n))
+		d.tt.received.Add(n)
 	}
 	return nil
-}
-
-func (b *Broker) dispatcherFor(m *jms.Message) (*dispatcher, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed {
-		return nil, ErrClosed
-	}
-	d, ok := b.dispatchers[m.Header.Topic]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", topic.ErrNoSuchTopic, m.Header.Topic)
-	}
-	return d, nil
 }
 
 // Subscriber is a subscription handle. Its deliveries wait in an Outbox:

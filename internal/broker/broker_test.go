@@ -186,36 +186,6 @@ func TestPublishValidation(t *testing.T) {
 	}
 }
 
-func TestTryPublishPushBack(t *testing.T) {
-	// With no subscribers the dispatcher is fast, so block it with a slow
-	// subscriber to fill the in-flight window.
-	b := New(Options{InFlight: 2, SubscriberBuffer: 1})
-	if err := b.ConfigureTopic("t"); err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = b.Close() }()
-
-	if _, err := b.Subscribe("t", nil); err != nil {
-		t.Fatal(err)
-	}
-	// Do not consume: dispatcher blocks after SubscriberBuffer deliveries,
-	// then the in-flight window (2) fills, then TryPublish must fail.
-	sawFull := false
-	for i := 0; i < 100; i++ {
-		m := jms.NewMessage("t")
-		if err := b.TryPublish(m); errors.Is(err, ErrQueueFull) {
-			sawFull = true
-			break
-		} else if err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if !sawFull {
-		t.Error("TryPublish never reported ErrQueueFull despite blocked subscriber")
-	}
-}
-
 func TestPublishBlocksUntilContextCancel(t *testing.T) {
 	b := New(Options{InFlight: 1, SubscriberBuffer: 1})
 	if err := b.ConfigureTopic("t"); err != nil {

@@ -2,16 +2,15 @@ package broker
 
 import (
 	"context"
-	"fmt"
 	"sync"
 
 	"repro/internal/jms"
-	"repro/internal/topic"
 )
 
-// BatchCarrier is the pooled unit that moves one published batch through
-// the pipeline — intake, then the dispatch worker — with zero steady-state
-// allocations for the message slice the caller fills (Msgs).
+// BatchCarrier is the pooled unit that moves one publish through the
+// pipeline — intake, then the dispatch worker — with zero steady-state
+// allocations for the message slice the caller fills (Msgs). Every publish
+// is one carrier unit: a single message is a batch of one.
 //
 // Ownership/recycle contract:
 //
@@ -35,8 +34,9 @@ type BatchCarrier struct {
 	// engine delivers each one itself to its last outbox run instead of a
 	// replica (see Replicator).
 	Msgs []*jms.Message
-	// borrowed marks a carrier PublishBatch filled with its caller's
-	// messages: they stay the caller's, so every outbox run gets a replica.
+	// borrowed marks a carrier Publish or PublishBatch filled with its
+	// caller's messages: they stay the caller's, so every outbox run gets a
+	// replica.
 	borrowed bool
 }
 
@@ -70,58 +70,14 @@ func (c *BatchCarrier) recycle() {
 	carrierPool.Put(c)
 }
 
-// PublishBatchCarrier is Publisher(0).PublishBatchCarrier.
-func (b *Broker) PublishBatchCarrier(ctx context.Context, c *BatchCarrier) error {
-	return b.Publisher(0).PublishBatchCarrier(ctx, c)
-}
-
 // PublishBatchCarrier is PublishBatch for a pooled carrier: the batch in
 // c.Msgs is delivered as one dispatch unit and the carrier travels with it
 // to the dispatch worker, which recycles it after the last transmit. See
 // the BatchCarrier ownership contract.
 //
-// A batch spanning several topics falls back to PublishBatch's run
-// splitting, whose carriers borrow c's messages (no run hands one off), and
-// c is recycled once they are accepted.
+// A batch spanning several topics is split into runs like PublishBatch's,
+// whose carriers borrow c's messages (no run hands one off), and c is
+// recycled once they are accepted.
 func (p Publisher) PublishBatchCarrier(ctx context.Context, c *BatchCarrier) error {
-	msgs := c.Msgs
-	switch len(msgs) {
-	case 0:
-		c.recycle()
-		return nil
-	case 1:
-		if err := p.Publish(ctx, msgs[0]); err != nil {
-			return err
-		}
-		c.recycle()
-		return nil
-	}
-	name := msgs[0].Header.Topic
-	for _, m := range msgs[1:] {
-		if m.Header.Topic != name {
-			// Multi-topic batch: PublishBatch splits it into runs.
-			if err := p.PublishBatch(ctx, msgs); err != nil {
-				return err
-			}
-			c.recycle()
-			return nil
-		}
-	}
-	for _, m := range msgs {
-		if err := m.Validate(); err != nil {
-			return err
-		}
-	}
-	b := p.b
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		return ErrClosed
-	}
-	d, ok := b.dispatchers[name]
-	b.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %q", topic.ErrNoSuchTopic, name)
-	}
-	return p.send(ctx, d, pubUnit{carrier: c}, len(msgs), true)
+	return p.admit(ctx, c)
 }

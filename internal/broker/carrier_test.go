@@ -56,7 +56,7 @@ func TestPublishBatchCarrierDelivers(t *testing.T) {
 					defer wg.Done()
 					for i := 0; i < batches; i++ {
 						c := fillCarrier("t", batchSize)
-						if err := b.PublishBatchCarrier(ctx, c); err != nil {
+						if err := b.Publisher(0).PublishBatchCarrier(ctx, c); err != nil {
 							t.Error(err)
 							c.Release()
 							return
@@ -81,9 +81,9 @@ func TestPublishBatchCarrierDelivers(t *testing.T) {
 	}
 }
 
-// TestPublishBatchCarrierSmallBatches covers the degenerate sizes that
-// bypass the pipeline's batch path: empty (a no-op) and single-message
-// (routed through Publish). Both recycle the carrier immediately.
+// TestPublishBatchCarrierSmallBatches covers the degenerate sizes: empty
+// (a no-op that recycles the carrier at once) and single-message (a batch
+// of one, delivered like any other).
 func TestPublishBatchCarrierSmallBatches(t *testing.T) {
 	b := newTestBroker(t, Options{})
 	sub, err := b.Subscribe("t", nil)
@@ -91,10 +91,10 @@ func TestPublishBatchCarrierSmallBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if err := b.PublishBatchCarrier(ctx, fillCarrier("t", 0)); err != nil {
+	if err := b.Publisher(0).PublishBatchCarrier(ctx, fillCarrier("t", 0)); err != nil {
 		t.Fatalf("empty batch: %v", err)
 	}
-	if err := b.PublishBatchCarrier(ctx, fillCarrier("t", 1)); err != nil {
+	if err := b.Publisher(0).PublishBatchCarrier(ctx, fillCarrier("t", 1)); err != nil {
 		t.Fatalf("single message: %v", err)
 	}
 	rctx, cancel := context.WithTimeout(ctx, 2*time.Second)
@@ -104,8 +104,8 @@ func TestPublishBatchCarrierSmallBatches(t *testing.T) {
 	}
 }
 
-// TestPublishBatchCarrierMultiTopic: a batch spanning topics falls back to
-// PublishBatch's run splitting and must still deliver everything.
+// TestPublishBatchCarrierMultiTopic: a batch spanning topics is split into
+// same-topic runs and must still deliver everything.
 func TestPublishBatchCarrierMultiTopic(t *testing.T) {
 	b := newTestBroker(t, Options{})
 	if err := b.ConfigureTopic("u"); err != nil {
@@ -121,7 +121,7 @@ func TestPublishBatchCarrierMultiTopic(t *testing.T) {
 	}
 	c := GetBatchCarrier()
 	c.Msgs = append(c.Msgs, jms.NewMessage("t"), jms.NewMessage("u"), jms.NewMessage("t"))
-	if err := b.PublishBatchCarrier(context.Background(), c); err != nil {
+	if err := b.Publisher(0).PublishBatchCarrier(context.Background(), c); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
@@ -142,7 +142,7 @@ func TestPublishBatchCarrierErrorOwnership(t *testing.T) {
 	b := newTestBroker(t, Options{})
 	ctx := context.Background()
 	c := fillCarrier("no-such-topic", 2)
-	err := b.PublishBatchCarrier(ctx, c)
+	err := b.Publisher(0).PublishBatchCarrier(ctx, c)
 	if !errors.Is(err, topic.ErrNoSuchTopic) {
 		t.Fatalf("err = %v, want ErrNoSuchTopic", err)
 	}
@@ -152,7 +152,7 @@ func TestPublishBatchCarrierErrorOwnership(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.PublishBatchCarrier(ctx, fillCarrier("t", 2)); err != nil {
+	if err := b.Publisher(0).PublishBatchCarrier(ctx, fillCarrier("t", 2)); err != nil {
 		t.Fatal(err)
 	}
 	rctx, cancel := context.WithTimeout(ctx, 2*time.Second)
@@ -229,9 +229,9 @@ func TestPublishBatchBorrowsMessages(t *testing.T) {
 }
 
 // TestPubUnitSize: every worker preallocates Options.InFlight intake units,
-// so the unit must not grow; the enqueue stamp rides in it as an int64.
+// so the unit must not grow: a carrier pointer and the enqueue stamp.
 func TestPubUnitSize(t *testing.T) {
-	if got := unsafe.Sizeof(pubUnit{}); got != 24 {
-		t.Errorf("unsafe.Sizeof(pubUnit{}) = %d, want 24", got)
+	if got := unsafe.Sizeof(pubUnit{}); got != 16 {
+		t.Errorf("unsafe.Sizeof(pubUnit{}) = %d, want 16", got)
 	}
 }

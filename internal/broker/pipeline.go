@@ -32,16 +32,15 @@ import (
 // completely (persistent semantics: no loss for accepted messages) and
 // exit; d.running waits for them.
 
-// pubUnit is one intake-queue entry: either a single message (m non-nil)
-// or a batch accepted as one unit, always in a pooled carrier, which the
-// worker recycles after the batch's last transmit (see carrier.go). A batch
-// occupies a single in-flight slot — amortizing the push-back window over
-// its messages is the point of batching — and fans out per message in the
-// worker. Every worker preallocates Options.InFlight units, so the unit is
-// kept at 24 bytes.
+// pubUnit is one intake-queue entry: one publish in a pooled carrier —
+// every publish is one carrier unit, a single message a batch of one —
+// which the worker recycles after the unit's last transmit (see
+// carrier.go). A unit occupies a single in-flight slot — amortizing the
+// push-back window over its messages is the point of batching — and fans
+// out per message in the worker. Every worker preallocates
+// Options.InFlight units, so the unit is kept at 16 bytes.
 type pubUnit struct {
-	m       *jms.Message
-	carrier *BatchCarrier
+	c *BatchCarrier
 	// enqueued is the enqueue stamp of every message of the unit
 	// (Broker.stamp), 0 when no instrument asked for one.
 	enqueued int64
@@ -64,17 +63,15 @@ type dispatcher struct {
 
 // worker is one run-to-completion dispatch worker of a topic: its intake
 // queue, its matcher, and the scratch that keeps its steady state
-// allocation-free — matches for single messages, members and buf for
-// batches. buf holds every member's matches of one batch back to back; it
-// grows to the largest batch total seen (up to maxBatchMatches) and stays
-// there, so a steady fan-out of R matches per member regrows nothing. Only
-// the worker's goroutine touches the scratch.
+// allocation-free — members and buf. buf holds every member's matches of
+// one unit back to back; it grows to the largest unit total seen (up to
+// maxBatchMatches) and stays there, so a steady fan-out of R matches per
+// member regrows nothing. Only the worker's goroutine touches the scratch.
 type worker struct {
 	d       *dispatcher
 	id      int
 	in      chan pubUnit
 	mt      Matcher
-	matches []*Subscriber
 	members []result
 	buf     []*Subscriber
 }
@@ -119,7 +116,7 @@ func (d *dispatcher) start() {
 	for i := range d.workers {
 		d.workers[i] = &worker{
 			d: d, id: i, in: make(chan pubUnit, d.b.opts.InFlight),
-			mt: d.st.newMatcher(), matches: make([]*Subscriber, 0, 16),
+			mt: d.st.newMatcher(), buf: make([]*Subscriber, 0, 16),
 		}
 	}
 	d.running.Add(len(d.workers))
@@ -140,6 +137,14 @@ func (w *worker) run() {
 	d := w.d
 	defer d.running.Done()
 	for {
+		// A queued unit is taken without the select on d.stop, which would
+		// lock d.stop as well as w.in, the channel publishers contend for.
+		select {
+		case u := <-w.in:
+			w.serve(u)
+			continue
+		default:
+		}
 		select {
 		case u := <-w.in:
 			w.serve(u)
@@ -156,23 +161,14 @@ func (w *worker) run() {
 	}
 }
 
-// serve runs all four stages for one unit. A batch is matched member by
-// member against the worker's batch scratch, its filter evaluations fold
-// into the broker counter once, and then its members are committed in
-// order. Member 0's tape start is its receive stamp, so its B covers every
-// member's match; each later member's B is its own commit.
+// serve runs all four stages for one unit. Its messages are matched one
+// by one against the worker's scratch, their filter evaluations fold into
+// the broker counter once, and then they are committed in order. Message
+// 0's tape start is its receive stamp, so its B covers every message's
+// match; each later message's B is its own commit.
 func (w *worker) serve(u pubUnit) {
 	b := w.d.b
-	if u.m != nil {
-		res, ok := w.frontStages(u.m, u.enqueued, w.matches[:0])
-		w.matches = res.matches[:0]
-		b.countAdd(&b.filterEvals, uint64(res.evals))
-		if ok {
-			w.commitStages(&res, time.Time{}, false)
-		}
-		return
-	}
-	batch := u.carrier.Msgs
+	batch := u.c.Msgs
 	if cap(w.members) < len(batch) {
 		w.members = make([]result, len(batch))
 	}
@@ -201,9 +197,9 @@ func (w *worker) serve(u pubUnit) {
 	}
 	b.countAdd(&b.filterEvals, evals)
 	// A carrier's messages belong to the broker (see BatchCarrier) unless
-	// PublishBatch borrowed them, so an engine that allows it hands each
-	// one's last outbox run the original.
-	owned := !u.carrier.borrowed && w.d.st.handOff
+	// Publish or PublishBatch borrowed them, so an engine that allows it
+	// hands each one's last outbox run the original.
+	owned := !u.c.borrowed && w.d.st.handOff
 	// The members are one service: each after the first starts, on the
 	// tape, where the one committed before it ended.
 	var prevEnd time.Time
@@ -212,9 +208,9 @@ func (w *worker) serve(u pubUnit) {
 			prevEnd = w.commitStages(&members[i], prevEnd, owned)
 		}
 	}
-	// Recycle-after-transmit: the batch is fully committed and nothing
+	// Recycle-after-transmit: the unit is fully committed and nothing
 	// downstream holds the carrier's slices.
-	u.carrier.recycle()
+	u.c.recycle()
 }
 
 // frontStages runs the receive and match stages for one message of a unit

@@ -56,13 +56,14 @@ type Matcher interface {
 // process (Publish, PublishBatch) still belongs to its publisher, who may
 // mutate it after the call returns, so the last run gets a copy too:
 // TestFastEngineCopyOnWriteDelivery fails on a delivery that aliases it
-// ("view observed mutation"). A BatchCarrier's messages belong to the
-// broker from the hand-off on (the carrier contract forbids modifying them,
-// and only the wire server, which decoded them, makes carriers), so on the
-// fast engine the last run of a carrier's message takes the original and
-// only the earlier runs are replicated: a fan-out to one connection makes
-// no replica. The faithful engine clones for every run either way, because
-// the paper's t_tx includes that clone.
+// ("view observed mutation"). The messages of a BatchCarrier handed over
+// with PublishBatchCarrier — every wire publish, PUBLISH or BATCH — belong
+// to the broker from the hand-off on (the carrier contract forbids
+// modifying them, and only the wire server, which decoded them, hands
+// carriers over), so on the fast engine the last run of such a message
+// takes the original and only the earlier runs are replicated: a fan-out
+// to one connection makes no replica. The faithful engine clones for every
+// run either way, because the paper's t_tx includes that clone.
 type Replicator interface {
 	// Replicate returns the copy of m to forward to one outbox run.
 	Replicate(m *jms.Message) *jms.Message

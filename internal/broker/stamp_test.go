@@ -57,17 +57,13 @@ func TestPublishLeavesTimestampZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(t, "Publish", sub.Chan(), 1)
-	if err := b.TryPublish(msg()); err != nil {
-		t.Fatal(err)
-	}
-	check(t, "TryPublish", sub.Chan(), 1)
 	if err := b.PublishBatch(ctx, []*jms.Message{msg(), msg(), msg()}); err != nil {
 		t.Fatal(err)
 	}
 	check(t, "PublishBatch", sub.Chan(), 3)
 	c := broker.GetBatchCarrier()
 	c.Msgs = append(c.Msgs, msg(), msg(), msg())
-	if err := b.PublishBatchCarrier(ctx, c); err != nil {
+	if err := b.Publisher(0).PublishBatchCarrier(ctx, c); err != nil {
 		t.Fatal(err)
 	}
 	check(t, "PublishBatchCarrier", sub.Chan(), 3)

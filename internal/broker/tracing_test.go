@@ -171,7 +171,7 @@ func TestTapeAccounting(t *testing.T) {
 				for k := 0; k < 10; k++ {
 					c.Msgs = append(c.Msgs, tapeMessage(t, i+k))
 				}
-				if err := b.PublishBatchCarrier(context.Background(), c); err != nil {
+				if err := b.Publisher(0).PublishBatchCarrier(context.Background(), c); err != nil {
 					t.Fatal(err)
 				}
 			}

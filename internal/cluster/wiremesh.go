@@ -16,8 +16,8 @@ package cluster
 //     forwards to the owner and only publishes locally when it owns the
 //     topic itself.
 //
-// Forwarding is pipelined: StartPublish/StartBatch queue one FORWARD frame
-// per required peer on that peer's wire.PeerLink and return at once with a
+// Forwarding is pipelined: Start queues one FORWARD frame per required
+// peer on that peer's wire.PeerLink and returns at once with a
 // wire.ForwardAck; the wire server parks the publish, keeps reading, and
 // publishes locally and acks the client only when the last forward-ack is
 // in. A PUB_ACK to the client therefore still means the message is
@@ -220,65 +220,54 @@ func (wm *WireMesh) Close() error {
 	return nil
 }
 
-// StartPublish implements wire.Forwarder for single publishes.
-func (wm *WireMesh) StartPublish(m *jms.Message, raw []byte) (bool, *wire.ForwardAck) {
+// Start implements wire.Forwarder.
+func (wm *WireMesh) Start(msgs []*jms.Message, batch bool, raw []byte) (bool, *wire.ForwardAck) {
 	switch wm.kind {
 	case TopologyPSR:
 		// Publisher-side replication partitions publishers by the address
 		// they dialed; nothing to forward.
 		return true, nil
 	case TopologySSR:
-		return true, wm.flood(false, raw)
+		return true, wm.flood(batch, raw)
 	default: // TopologyHash
-		owner := wm.router.Owner(m.Header.Topic)
-		if owner == wm.self {
-			return true, nil
+		// Group the publish by owner. The common case — a single message,
+		// or a router-aware client's homogeneous batch — has one owner and
+		// forwards the raw bytes verbatim when that is a peer; mixed
+		// batches re-encode one sub-batch per remote owner. Self-owned
+		// messages stay in the local publish; when a mixed batch also
+		// carries remote-owned ones, the whole batch is published locally —
+		// the remote-owned extras match no local subscriber (subscribers
+		// only attach to a topic's owner), so this trades a little wasted
+		// matching for not re-slicing the carrier.
+		owner, mixed := wm.self, false
+		for i, m := range msgs {
+			if o := wm.router.Owner(m.Header.Topic); i == 0 {
+				owner = o
+			} else if o != owner {
+				mixed = true
+				break
+			}
 		}
-		ack := wire.NewForwardAck(1)
-		wm.links[owner].Forward(ack, false, raw)
-		return false, ack
-	}
-}
-
-// StartBatch implements wire.Forwarder for batch publishes.
-func (wm *WireMesh) StartBatch(msgs []*jms.Message, raw []byte) (bool, *wire.ForwardAck) {
-	switch wm.kind {
-	case TopologyPSR:
-		return true, nil
-	case TopologySSR:
-		return true, wm.flood(true, raw)
-	default: // TopologyHash
-		// Group the batch by owner. The common case — a router-aware
-		// client sent a homogeneous batch — forwards the raw bytes
-		// verbatim; mixed batches re-encode one sub-batch per remote
-		// owner. Self-owned messages stay in the local publish; when a
-		// mixed batch also carries remote-owned ones, the whole batch is
-		// published locally — the remote-owned extras match no local
-		// subscriber (subscribers only attach to a topic's owner), so this
-		// trades a little wasted matching for not re-slicing the carrier.
-		var groups map[int][]*jms.Message
+		if !mixed {
+			if owner == wm.self {
+				return true, nil
+			}
+			ack := wire.NewForwardAck(1)
+			wm.links[owner].Forward(ack, batch, raw)
+			return false, ack
+		}
+		groups := make(map[int][]*jms.Message)
 		anySelf := false
 		for _, m := range msgs {
-			owner := wm.router.Owner(m.Header.Topic)
-			if owner == wm.self {
+			if o := wm.router.Owner(m.Header.Topic); o == wm.self {
 				anySelf = true
-				continue
+			} else {
+				groups[o] = append(groups[o], m)
 			}
-			if groups == nil {
-				groups = make(map[int][]*jms.Message)
-			}
-			groups[owner] = append(groups[owner], m)
-		}
-		if groups == nil {
-			return true, nil
 		}
 		ack := wire.NewForwardAck(len(groups))
 		for owner, group := range groups {
-			inner := raw
-			if anySelf || len(groups) > 1 {
-				inner = wire.EncodeBatch(group)
-			}
-			wm.links[owner].Forward(ack, true, inner)
+			wm.links[owner].Forward(ack, true, wire.EncodeBatch(group))
 		}
 		return anySelf, ack
 	}
@@ -297,20 +286,20 @@ func (wm *WireMesh) flood(batch bool, inner []byte) *wire.ForwardAck {
 	return ack
 }
 
-// ForwardPublish forwards one publish and waits for the outcome: StartPublish
-// plus the wait the wire server does in its commit loop. It reports whether
-// the message is also to be published locally.
+// ForwardPublish forwards one publish and waits for the outcome: Start plus
+// the wait the wire server does in its commit loop. It reports whether the
+// message is also to be published locally.
 func (wm *WireMesh) ForwardPublish(m *jms.Message, raw []byte) (bool, error) {
-	local, ack := wm.StartPublish(m, raw)
-	if err := ack.Wait(); err != nil {
-		return false, err
-	}
-	return local, nil
+	return wm.forward([]*jms.Message{m}, false, raw)
 }
 
 // ForwardBatch is ForwardPublish for a batch.
 func (wm *WireMesh) ForwardBatch(msgs []*jms.Message, raw []byte) (bool, error) {
-	local, ack := wm.StartBatch(msgs, raw)
+	return wm.forward(msgs, true, raw)
+}
+
+func (wm *WireMesh) forward(msgs []*jms.Message, batch bool, raw []byte) (bool, error) {
+	local, ack := wm.Start(msgs, batch, raw)
 	if err := ack.Wait(); err != nil {
 		return false, err
 	}

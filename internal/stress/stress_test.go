@@ -3,6 +3,7 @@ package stress
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"sync"
@@ -37,7 +38,9 @@ func soak() bool { return os.Getenv("JMS_STRESS") == "1" }
 
 // TestChurnStorm100k is the tentpole leg: a 10^5-subscription population
 // survives churn storms with lazy, allocation-bounded index rebuilds and
-// a bounded interner.
+// a bounded interner. The allocation ceiling, the interner bound and the
+// post-storm probe are asserted always; the maxRebuildAfterBatch envelope
+// only under -tags live (make conformance-live) or JMS_STRESS=1.
 func TestChurnStorm100k(t *testing.T) {
 	n := 100_000
 	if testing.Short() {
@@ -78,8 +81,15 @@ func TestChurnStorm100k(t *testing.T) {
 			worstAllocs = allocs
 		}
 		if elapsed > maxRebuildAfterBatch {
-			t.Errorf("storm %d: rebuild after %d-op batch took %v (> %v)",
+			// A wall-clock envelope: asserted under -tags live and in the
+			// soak, logged in tier-1, where a loaded host can miss it.
+			msg := fmt.Sprintf("storm %d: rebuild after %d-op batch took %v (> %v)",
 				i, batch, elapsed, maxRebuildAfterBatch)
+			if liveEnvelopes || soak() {
+				t.Error(msg)
+			} else {
+				t.Log("envelope miss (asserted under -tags live): " + msg)
+			}
 		}
 		if allocs > batch*maxRebuildAllocsPerOp {
 			t.Errorf("storm %d: rebuild allocated %d times for a %d-op batch (> %d/op)",

@@ -91,10 +91,14 @@ func DecodeForward(payload []byte) (ForwardHeader, []byte, error) {
 }
 
 // Forwarder replicates client publishes to mesh peers. The wire server
-// consults it at PUBLISH/BATCH ingress — after decoding, before the local
-// broker publish — with both the decoded messages and the raw payload
-// bytes (after the request ID), so a forwarding implementation can
-// re-encapsulate without re-encoding.
+// consults it at PUBLISH/BATCH ingress — after decoding and dedupe, before
+// the local broker publish — with the publish's fresh messages and the raw
+// payload bytes (after the request ID), so a forwarding implementation can
+// re-encapsulate without re-encoding. Every publish is one carrier unit, so
+// a PUBLISH reaches it as a batch of one: batch says which encoding raw is,
+// a single message body or a BATCH body (count + length-prefixed
+// messages). raw may still carry members the server dropped as
+// duplicates; peers drop them with their own dedupe tables.
 //
 // Forwarding is asynchronous. A Start call queues whatever FORWARD frames
 // the publish needs (PeerLink.Forward does, and copies raw — it views the
@@ -109,7 +113,7 @@ func DecodeForward(payload []byte) (ForwardHeader, []byte, error) {
 // leave in read order on one connection per peer, local publishes happen
 // in read order.
 //
-// The returned local flag selects whether the message is also published
+// The returned local flag selects whether the messages are also published
 // on this broker (false for the hash topology's non-owner entry broker).
 // A nil ForwardAck means nothing was sent for this publish (PSR, a
 // self-owned hash topic); with nothing parked ahead of it, such a publish
@@ -119,10 +123,5 @@ func DecodeForward(payload []byte) (ForwardHeader, []byte, error) {
 // publish is applied locally only, which suppresses forwarding loops
 // structurally.
 type Forwarder interface {
-	// StartPublish handles one client publish. raw is the encoded
-	// message body.
-	StartPublish(m *jms.Message, raw []byte) (local bool, ack *ForwardAck)
-	// StartBatch handles one client batch publish. raw is the encoded
-	// BATCH body (count + length-prefixed messages).
-	StartBatch(msgs []*jms.Message, raw []byte) (local bool, ack *ForwardAck)
+	Start(msgs []*jms.Message, batch bool, raw []byte) (local bool, ack *ForwardAck)
 }

@@ -55,9 +55,10 @@ func TestForwardDecodeErrors(t *testing.T) {
 	}
 }
 
-// recordingForwarder captures ingress-hook invocations and vetoes the
-// local publish when local is false. Its forwards complete on their own:
-// at once, or when the test sends on hold if that is set.
+// recordingForwarder captures ingress-hook invocations, counted by the
+// batch flag, and vetoes the local publish when local is false. Its
+// forwards complete on their own: at once, or when the test sends on hold
+// if that is set.
 type recordingForwarder struct {
 	publishes atomic.Uint64
 	batches   atomic.Uint64
@@ -66,7 +67,12 @@ type recordingForwarder struct {
 	hold      chan struct{} // nil: complete synchronously
 }
 
-func (f *recordingForwarder) start() (bool, *ForwardAck) {
+func (f *recordingForwarder) Start(msgs []*jms.Message, batch bool, raw []byte) (bool, *ForwardAck) {
+	if batch {
+		f.batches.Add(1)
+	} else {
+		f.publishes.Add(1)
+	}
 	var err error
 	if f.fail.Load() {
 		err = errors.New("forward path down")
@@ -81,16 +87,6 @@ func (f *recordingForwarder) start() (bool, *ForwardAck) {
 		}()
 	}
 	return f.local.Load(), ack
-}
-
-func (f *recordingForwarder) StartPublish(m *jms.Message, raw []byte) (bool, *ForwardAck) {
-	f.publishes.Add(1)
-	return f.start()
-}
-
-func (f *recordingForwarder) StartBatch(msgs []*jms.Message, raw []byte) (bool, *ForwardAck) {
-	f.batches.Add(1)
-	return f.start()
 }
 
 func startForwardServer(t *testing.T, fw Forwarder) (*rawConn, *broker.Broker, *Server) {
@@ -220,6 +216,93 @@ func TestServerForwarderHook(t *testing.T) {
 	rc.expectError(rc.request(FrameBatch, EncodeBatch([]*jms.Message{m})))
 	if got := b.Stats().Received; got != 2 {
 		t.Fatalf("failed publish reached the broker: received %d", got)
+	}
+}
+
+// TestServerPublishShapesDeliverOnce sends one message in each shape that
+// reaches the publish ingress — PUBLISH, a one-message BATCH, and a
+// FORWARD of each — and checks that every one is delivered once and acked
+// once, and that only the two client frames reach the Forwarder, counted by
+// their batch flag.
+func TestServerPublishShapesDeliverOnce(t *testing.T) {
+	fw := &recordingForwarder{}
+	fw.local.Store(true)
+	rc, b, srv := startForwardServer(t, fw)
+	rc.request(FrameSubscribe, EncodeSubscribe("t", FilterSpec{Mode: FilterNone}))
+	if f := rc.read(); f.Type != FrameSubscribeOK {
+		t.Fatalf("reply = %v, want SUBSCRIBE_OK", f.Type)
+	}
+
+	var seq int64
+	single := func(body string) []byte {
+		seq++
+		return EncodeMessage(stamped("p", seq, body))
+	}
+	batch := func(body string) []byte {
+		seq++
+		return EncodeBatch([]*jms.Message{stamped("p", seq, body)})
+	}
+	reqs := map[uint64]string{}
+	reqs[rc.request(FramePublish, single("publish"))] = "publish"
+	reqs[rc.request(FrameBatch, batch("batch-of-one"))] = "batch-of-one"
+	reqs[rc.request(FrameForward, AppendForward(nil, ForwardHeader{Origin: 1, Hops: 1},
+		single("forward")))] = "forward"
+	reqs[rc.request(FrameForward, AppendForward(nil, ForwardHeader{Origin: 1, Hops: 1, Batch: true},
+		batch("forward-batch-of-one")))] = "forward-batch-of-one"
+	acks, delivered := map[string]int{}, map[string]int{}
+	for i := 0; i < 2*len(reqs); i++ {
+		f := rc.read()
+		switch f.Type {
+		case FramePubAck:
+			acks[reqs[binary.BigEndian.Uint64(f.Payload)]]++
+		case FrameMessage:
+			_, _, m, err := DecodeDelivery(f.Payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			delivered[string(m.Body)]++
+		default:
+			t.Fatalf("unexpected frame %v", f.Type)
+		}
+	}
+	for _, name := range reqs {
+		if acks[name] != 1 || delivered[name] != 1 {
+			t.Errorf("%s: %d acks, %d deliveries; want 1 and 1", name, acks[name], delivered[name])
+		}
+	}
+	if st := b.Stats(); st.Received != 4 || st.Dispatched != 4 {
+		t.Errorf("broker received %d, dispatched %d; want 4 and 4", st.Received, st.Dispatched)
+	}
+	if got := srv.ForwardsIn(); got != 2 {
+		t.Errorf("ForwardsIn = %d, want 2", got)
+	}
+	if p, bt := fw.publishes.Load(), fw.batches.Load(); p != 1 || bt != 1 {
+		t.Errorf("Forwarder saw %d publishes and %d batches, want 1 and 1", p, bt)
+	}
+}
+
+// TestServerDuplicateBatchSkipsForwarder resends a stamped BATCH whose
+// members were all published before: it is acked without reaching the
+// Forwarder or the broker, as a duplicate PUBLISH is.
+func TestServerDuplicateBatchSkipsForwarder(t *testing.T) {
+	fw := &recordingForwarder{}
+	fw.local.Store(true)
+	rc, b, srv := startForwardServer(t, fw)
+	body := EncodeBatch([]*jms.Message{stamped("p", 1, "one"), stamped("p", 2, "two")})
+	for i := 0; i < 2; i++ {
+		req := rc.request(FrameBatch, body)
+		if f := rc.read(); f.Type != FramePubAck || binary.BigEndian.Uint64(f.Payload) != req {
+			t.Fatalf("send %d: reply = %v, want PUB_ACK for %d", i, f.Type, req)
+		}
+	}
+	if got := fw.batches.Load(); got != 1 {
+		t.Errorf("Forwarder saw %d batches, want only the first", got)
+	}
+	if got := b.Stats().Received; got != 2 {
+		t.Errorf("broker received %d, want 2", got)
+	}
+	if got := srv.DuplicatesSuppressed(); got != 2 {
+		t.Errorf("DuplicatesSuppressed = %d, want 2", got)
 	}
 }
 
@@ -360,8 +443,7 @@ func TestServerTeardownCommitsParked(t *testing.T) {
 // nothingToForward is the PSR shape of a Forwarder: consulted, never sends.
 type nothingToForward struct{}
 
-func (nothingToForward) StartPublish(*jms.Message, []byte) (bool, *ForwardAck) { return true, nil }
-func (nothingToForward) StartBatch([]*jms.Message, []byte) (bool, *ForwardAck) { return true, nil }
+func (nothingToForward) Start([]*jms.Message, bool, []byte) (bool, *ForwardAck) { return true, nil }
 
 // TestServerNothingToForwardStaysInline pins the inline path: a forwarder
 // that never sends anything costs the connection no commit loop.

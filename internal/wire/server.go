@@ -444,11 +444,8 @@ func (sc *serverConn) handleFrame(f Frame) error {
 		}
 		return sc.writeU64(FrameConfigureTopicOK, reqID)
 
-	case FramePublish:
-		return sc.handlePublishBody(reqID, rest, true)
-
-	case FrameBatch:
-		return sc.handleBatchBody(reqID, rest, true)
+	case FramePublish, FrameBatch:
+		return sc.handlePublish(reqID, rest, f.Type == FrameBatch, true)
 
 	case FrameForward:
 		// A peer replicated a publish here. Apply it locally exactly like
@@ -459,10 +456,7 @@ func (sc *serverConn) handleFrame(f Frame) error {
 			return err
 		}
 		sc.server.forwardsIn.Add(1)
-		if h.Batch {
-			return sc.handleBatchBody(reqID, inner, false)
-		}
-		return sc.handlePublishBody(reqID, inner, false)
+		return sc.handlePublish(reqID, inner, h.Batch, false)
 
 	case FrameSubscribe:
 		sc.drainParked()
@@ -567,66 +561,38 @@ func (sc *serverConn) handleFrame(f Frame) error {
 	}
 }
 
-// handlePublishBody applies one encoded message body (a PUBLISH payload
-// after its request ID, or a FORWARD frame's inner bytes). fromClient
-// selects the mesh ingress: client publishes are offered to the
-// configured Forwarder, which may replicate them to peers and veto the
-// local publish; forwarded publishes are always applied locally only.
-func (sc *serverConn) handlePublishBody(reqID uint64, body []byte, fromClient bool) error {
-	// Materialize through the connection arena: the payload is a view
-	// into the read window, so the message must own its bytes before
-	// the next frame is read.
-	m, err := sc.arena.DecodeMessageArena(body)
-	if err != nil {
-		return err
-	}
-	if tr := sc.server.tracer; tr != nil && tr.Sampled(m.Header.TraceID) {
-		// ingress is the FrameReader read (it includes the socket wait
-		// for the publisher's bytes — arrival-side, reported but not
-		// part of the sojourn decomposition); decode is the arena
-		// materialization just performed.
-		decEnd := time.Now().UnixNano()
-		tr.RecordSpanNs(m.Header.TraceID, trace.StageIngress, sc.frameStartNs, sc.frameReadNs-sc.frameStartNs)
-		tr.RecordSpanNs(m.Header.TraceID, trace.StageDecode, sc.frameReadNs, decEnd-sc.frameReadNs)
-	}
-	// A publish stamped with a dedupe identity claims its (pub, seq)
-	// before it reaches the broker; a redelivery (the publisher resent
-	// because the ack was lost in a reconnect) is acknowledged without
-	// publishing again — at-least-once retry, effectively-once effect.
-	// Duplicates are suppressed before the forwarder sees them, so a
-	// retry is not replicated twice either (peer dedupe tables would
-	// catch it regardless — the identity is publisher-stamped).
-	pub, seq, stamped := pubIdentity(m)
-	if stamped && !sc.server.dedupe.record(pub, seq) {
-		sc.server.duplicates.Add(1)
-		return sc.writeU64(FramePubAck, reqID)
-	}
-	p := parkedPublish{reqID: reqID, key: sc.publisherKey(pub, stamped), local: true, m: m}
-	if fw := sc.server.forwarder; fw != nil && fromClient {
-		p.local, p.ack = fw.StartPublish(m, body)
-	}
-	return sc.admit(p)
-}
-
-// handleBatchBody applies one encoded BATCH body (after its request ID, or
-// a FORWARD frame's inner bytes). See handlePublishBody for the fromClient
-// contract.
-func (sc *serverConn) handleBatchBody(reqID uint64, body []byte, fromClient bool) error {
-	// Decode into a pooled carrier through the arena: the carrier's
-	// message slice and the match-stage scratch travel the pipeline as
-	// one unit and the carrier recycles after the batch's last transmit;
-	// the messages, carved from the arena's chunks, stay GC-owned.
+// handlePublish applies one encoded publish: a PUBLISH or BATCH payload
+// after its request ID, or a FORWARD frame's inner bytes; batch says which
+// body it is. Either decodes into a pooled carrier through the arena — a
+// PUBLISH is a carrier of one — because the payload is a view into the
+// read window, so the messages must own their bytes before the next frame
+// is read. The carrier travels the pipeline as one unit and recycles after
+// its last transmit; the messages, carved from the arena's chunks, stay
+// GC-owned. fromClient selects the mesh ingress: client publishes are
+// offered to the configured Forwarder, which may replicate them to peers
+// and veto the local publish; forwarded publishes are always applied
+// locally only.
+func (sc *serverConn) handlePublish(reqID uint64, body []byte, batch, fromClient bool) error {
 	var err error
 	c := broker.GetBatchCarrier()
-	c.Msgs, err = sc.arena.AppendBatchMessages(c.Msgs[:0], body)
+	if batch {
+		c.Msgs, err = sc.arena.AppendBatchMessages(c.Msgs, body)
+	} else {
+		var m *jms.Message
+		if m, err = sc.arena.DecodeMessageArena(body); err == nil {
+			c.Msgs = append(c.Msgs, m)
+		}
+	}
 	if err != nil {
 		c.Release()
 		return err
 	}
 	if tr := sc.server.tracer; tr != nil {
-		// Sampled batch members share the frame's ingress/decode cost:
-		// each records the full frame read and batch materialization
-		// window (one frame carried them all).
+		// ingress is the FrameReader read (it includes the socket wait for
+		// the publisher's bytes — arrival-side, reported but not part of
+		// the sojourn decomposition); decode is the arena materialization
+		// just performed. Sampled members of a batch share both: one frame
+		// carried them all.
 		decEnd := time.Now().UnixNano()
 		for _, m := range c.Msgs {
 			if tr.Sampled(m.Header.TraceID) {
@@ -635,22 +601,15 @@ func (sc *serverConn) handleBatchBody(reqID uint64, body []byte, fromClient bool
 			}
 		}
 	}
-	// The forwarder sees the batch before dedupe compaction, so the raw
-	// bytes and the decoded messages agree; peers suppress any duplicate
-	// members with their own dedupe tables.
-	p := parkedPublish{reqID: reqID, key: sc.id, local: true, c: c}
-	if len(c.Msgs) > 0 {
-		pub, _, stamped := pubIdentity(c.Msgs[0])
-		p.key = sc.publisherKey(pub, stamped)
-	}
-	if fw := sc.server.forwarder; fw != nil && fromClient {
-		p.local, p.ack = fw.StartBatch(c.Msgs, body)
-	}
-	// Per-message dedupe: a redelivered batch (its shared ack was lost
-	// in a reconnect) may overlap already-claimed sequences. Duplicates
-	// are compacted out in place, the fresh remainder is published as
-	// one unit, and the single PUB_ACK covers the whole batch either
-	// way.
+	p := parkedPublish{reqID: reqID, key: sc.publisherKey(c.Msgs), local: true, c: c}
+	// A member stamped with a dedupe identity claims its (pub, seq) before
+	// it reaches the broker; a redelivery (the publisher resent because the
+	// ack was lost in a reconnect) is compacted out in place — at-least-once
+	// retry, effectively-once effect. The fresh remainder is published as
+	// one unit and the single PUB_ACK covers the whole publish; one with no
+	// fresh member is acknowledged at once. Duplicates are dropped before
+	// the Forwarder sees the members, so a retry is not replicated twice
+	// either (peers' dedupe tables catch any the raw bytes still carry).
 	fresh := c.Msgs[:0]
 	for _, m := range c.Msgs {
 		if pub, seq, stamped := pubIdentity(m); stamped && !sc.server.dedupe.record(pub, seq) {
@@ -660,15 +619,26 @@ func (sc *serverConn) handleBatchBody(reqID uint64, body []byte, fromClient bool
 		fresh = append(fresh, m)
 	}
 	c.Msgs = fresh
+	if len(fresh) == 0 {
+		c.Release()
+		return sc.writeU64(FramePubAck, reqID)
+	}
+	if fw := sc.server.forwarder; fw != nil && fromClient {
+		p.local, p.ack = fw.Start(fresh, batch, body)
+	}
 	return sc.admit(p)
 }
 
-// publisherKey is the broker.Publisher key of a publish, which pins it to
-// one dispatch worker of its topic: the FNV-1a hash of the publisher
-// identity of a stamped publish, so a reliable publisher's retry on a new
-// connection queues behind its older messages, and the connection's id
-// otherwise.
-func (sc *serverConn) publisherKey(pub string, stamped bool) uint64 {
+// publisherKey is the broker.Publisher key of a publish of msgs, which pins
+// it to one dispatch worker of its topic: the FNV-1a hash of the publisher
+// identity of the first message when it is stamped, so a reliable
+// publisher's retry on a new connection queues behind its older messages,
+// and the connection's id otherwise.
+func (sc *serverConn) publisherKey(msgs []*jms.Message) uint64 {
+	if len(msgs) == 0 {
+		return sc.id
+	}
+	pub, _, stamped := pubIdentity(msgs[0])
 	if !stamped {
 		return sc.id
 	}
@@ -687,16 +657,14 @@ func (sc *serverConn) publisherKey(pub string, stamped bool) uint64 {
 // publisher.
 const forwardWindow = 64
 
-// parkedPublish is one decoded client publish — a single message or a
-// batch carrier — with its dedupe sequences claimed, waiting to be
-// committed.
+// parkedPublish is one decoded client publish, in its carrier, with its
+// dedupe sequences claimed, waiting to be committed.
 type parkedPublish struct {
 	reqID uint64
 	key   uint64      // the broker.Publisher key, see publisherKey
 	ack   *ForwardAck // nil when nothing was forwarded
 	local bool        // publish on this broker too
-	m     *jms.Message
-	c     *broker.BatchCarrier // set instead of m for a batch
+	c     *broker.BatchCarrier
 }
 
 // admit commits p inline when there is nothing to wait for — no forward of
@@ -750,25 +718,16 @@ func (sc *serverConn) commit(p parkedPublish) error {
 	if err == nil && p.local {
 		// The blocking publish implements push-back: the ack is delayed
 		// while the worker's window is full, which throttles the publisher.
-		pub := sc.server.broker.Publisher(p.key)
-		if p.c != nil {
-			err = pub.PublishBatchCarrier(context.Background(), p.c)
-		} else {
-			err = pub.Publish(context.Background(), p.m)
-		}
+		err = sc.server.broker.Publisher(p.key).PublishBatchCarrier(context.Background(), p.c)
 		published = err == nil
 	}
 	if err != nil {
-		if p.c != nil {
-			for _, m := range p.c.Msgs {
-				sc.server.unclaim(m)
-			}
-		} else {
-			sc.server.unclaim(p.m)
+		for _, m := range p.c.Msgs {
+			sc.server.unclaim(m)
 		}
 	}
 	// A published carrier belongs to the broker; otherwise it is still ours.
-	if p.c != nil && !published {
+	if !published {
 		p.c.Release()
 	}
 	if err != nil {
