@@ -22,11 +22,14 @@ test-procs:
 # cycles, the metamorphic walls, unsubscribe and churn races, and the
 # pinned workers' per-worker tapes and per-publisher FIFO, a batch's tape
 # as one server's path, and the commit side's reads of a message before its
-# receiver owns it. An ordering or counting race in the one
-# delivery queue or between a topic's workers shows as a failure in some
-# run.
+# receiver owns it. It does the same for a connection's egress: the
+# writer's swap under concurrent producers, the bound, the dead-connection
+# path, the delivery pump and the peer link. An ordering or counting race
+# in the one delivery queue, between a topic's workers or in the egress
+# double buffer shows as a failure in some run.
 test-queues:
 	$(GO) test -count=20 -run 'Outbox|SlowConsumer|Durable|Metamorphic|Unsubscribe|Churn|PinnedWorkers|BatchedTape|HandOff' ./internal/broker/
+	$(GO) test -count=20 -run 'Egress|Pump|PeerLink' ./internal/wire/
 
 # test-benchmark tests the repository benchmark (BENCHMARK.json): a nested
 # module, so `go test ./...` above does not reach it. It checks the
@@ -36,8 +39,8 @@ test-benchmark:
 
 # race runs the data-race detector over the packages with real concurrency:
 # the broker's dispatch engines (the fast engine's several workers included), the lock-free
-# topic snapshots, the copy-on-write message views, the wire layer's pooled
-# buffers, the reliability stack (fault injection, reconnecting clients,
+# topic snapshots, the copy-on-write message views, the wire layer's egress
+# double buffer and the client's pooled buffers, the reliability stack (fault injection, reconnecting clients,
 # the replication meshes under restart and kill, conformance harness), and
 # the telemetry plane scraped while the broker dispatches, and the load
 # generator's lanes. internal/bench's load loop (publishers, drains, the

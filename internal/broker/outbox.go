@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/filter"
@@ -34,11 +35,11 @@ type Outbox struct {
 	mu   sync.Mutex
 	q    []Delivery // queued deliveries, oldest first, from q[head]
 	head int
-	// waiting counts transmits parked on space, which is made by the first
-	// of them and closed and cleared by the next Take, so an outbox nobody
-	// waits on holds no channel for it.
-	waiting int
-	space   chan struct{}
+	// waiters are the transmits parked on space, each on a 1-slot channel
+	// of its own that the next Take (or leave) signals. idle keeps the
+	// channels of transmits no longer parked, so a park allocates nothing
+	// once the outbox has seen its most transmits parked at once.
+	waiters, idle []chan struct{}
 	// ready wakes the consumer after an append; one pending wake-up covers
 	// any number of appends.
 	ready chan struct{}
@@ -212,11 +213,14 @@ func (o *Outbox) fullLocked(subs []*Subscriber) bool {
 }
 
 func (o *Outbox) wakeSpaceLocked() {
-	if o.waiting > 0 {
-		close(o.space)
-		o.space = nil
-		o.waiting = 0
+	for _, space := range o.waiters {
+		select {
+		case space <- struct{}{}:
+		default:
+		}
 	}
+	clear(o.waiters)
+	o.waiters = o.waiters[:0]
 }
 
 func (o *Outbox) wakeConsumer() {
@@ -241,11 +245,13 @@ func (o *Outbox) put(m *jms.Message, subs []*Subscriber, mode jms.DeliveryMode, 
 	block := mode == jms.Persistent && policy == SlowConsumerBlock
 	o.mu.Lock()
 	for block && o.fullLocked(subs) {
-		if o.waiting == 0 {
-			o.space = make(chan struct{})
+		var space chan struct{}
+		if n := len(o.idle); n > 0 {
+			space, o.idle = o.idle[n-1], o.idle[:n-1]
+		} else {
+			space = make(chan struct{}, 1)
 		}
-		o.waiting++
-		space := o.space
+		o.waiters = append(o.waiters, space)
 		o.mu.Unlock()
 		select {
 		case <-space:
@@ -253,6 +259,18 @@ func (o *Outbox) put(m *jms.Message, subs []*Subscriber, mode jms.DeliveryMode, 
 			block = false // broker closing: one more try, then drop
 		}
 		o.mu.Lock()
+		if !block {
+			// Woken by stop: unlist space so nothing signals it again, and
+			// drain a signal that raced stop, so an idle channel is empty.
+			if i := slices.Index(o.waiters, space); i >= 0 {
+				o.waiters = slices.Delete(o.waiters, i, i+1)
+			}
+			select {
+			case <-space:
+			default:
+			}
+		}
+		o.idle = append(o.idle, space)
 	}
 	var queued, dropped, evicted int
 	var kicked []*Subscriber

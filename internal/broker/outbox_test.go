@@ -3,6 +3,7 @@ package broker
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -201,6 +202,67 @@ func TestOutboxUnsubscribeReleasesParkedTransmit(t *testing.T) {
 	if got := deliverySeqs(t, o.Take(nil, 8)); !reflect.DeepEqual(got, []int64{0}) {
 		t.Errorf("queued %v, want only the message that fitted before the unsubscribe", got)
 	}
+}
+
+// TestOutboxParkAllocs: a transmit parked on a full subscription and woken
+// by the Take that makes room costs no allocation once the outbox has parked
+// one: its wake channel is reused, not made per park. Closing stop still
+// unparks it. Count-based: the test waits for the park under the outbox's
+// lock, not for a duration.
+func TestOutboxParkAllocs(t *testing.T) {
+	b := newTestBroker(t, Options{SubscriberBuffer: 1})
+	o := b.NewOutbox()
+	h, err := o.Subscribe("t", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	subs, m, stop := []*Subscriber{h}, jms.NewMessage("t"), make(chan struct{})
+	put := func() { o.put(m, subs, jms.Persistent, SlowConsumerBlock, stop) }
+	put() // h is full from here on
+	kick, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		for range kick {
+			put()
+			done <- struct{}{}
+		}
+	}()
+	defer close(kick)
+	waitParked := func() {
+		for {
+			o.mu.Lock()
+			parked := len(o.waiters)
+			o.mu.Unlock()
+			if parked > 0 {
+				return
+			}
+			runtime.Gosched()
+		}
+	}
+	dst := make([]Delivery, 0, 1)
+	cycle := func() {
+		kick <- struct{}{}
+		waitParked()
+		if dst = o.Take(dst[:0], 1); len(dst) != 1 {
+			t.Fatalf("took %d deliveries, want 1", len(dst))
+		}
+		<-done
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("park/wake cycle: %v allocs, want 0", allocs)
+	}
+
+	kick <- struct{}{}
+	waitParked()
+	close(stop)
+	<-done
+	if st := b.Stats(); st.Dropped != 1 {
+		t.Errorf("Dropped = %d after stop unparked a full transmit, want 1", st.Dropped)
+	}
+	if o.mu.Lock(); len(o.waiters) != 0 {
+		t.Errorf("%d transmits still listed as parked", len(o.waiters))
+	}
+	o.mu.Unlock()
 }
 
 // TestOutboxDurableDetachRequeues: a durable consumer on an outbox detaches

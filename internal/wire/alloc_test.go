@@ -99,6 +99,31 @@ func TestRequestBatchAllocs(t *testing.T) {
 	}
 }
 
+// TestAppendBatchMessagesAllocs: a 16-message batch decoded into an empty
+// carrier costs one slice allocation more than into one with room, not a
+// regrowth per doubling (1, 2, 4, 8, 16). Each run decodes through a fresh
+// arena, so both sides pay the same chunks and interned names. Under -race
+// the grow itself costs two allocations, hence this file's build tag.
+func TestAppendBatchMessagesAllocs(t *testing.T) {
+	batch := make([]*jms.Message, 16)
+	for i := range batch {
+		batch[i] = anatomyMessage(t, i)
+	}
+	payload := EncodeBatch(batch)
+	decode := func(dst []*jms.Message) func() {
+		return func() {
+			if _, err := NewMessageArena().AppendBatchMessages(dst, payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	withRoom := testing.AllocsPerRun(20, decode(make([]*jms.Message, 0, len(batch))))
+	empty := testing.AllocsPerRun(20, decode(nil))
+	if empty-withRoom != 1 {
+		t.Errorf("16-message batch into an empty carrier: %v allocs beyond one with room, want 1", empty-withRoom)
+	}
+}
+
 // discardConn is a net.Conn that drops what is written to it and signals on
 // done each time another want bytes have gone through. It has no writev, so
 // a gathered write reaches it as one Write per buffer.
@@ -119,7 +144,7 @@ func (c *discardConn) Write(b []byte) (int, error) {
 // TestEgressWriteAllocs pins the connection writer's vectored write: two
 // deliveries of a 4 KiB body, each a head and a by-reference tail, so every
 // write the writer makes gathers several buffers, cost nothing to encode,
-// queue and write once the pools are warm.
+// queue and write once the connection's two batches have grown.
 func TestEgressWriteAllocs(t *testing.T) {
 	m := encodeMessage(t)
 	m.SetBody(make([]byte, 4<<10))
@@ -130,7 +155,7 @@ func TestEgressWriteAllocs(t *testing.T) {
 	refs := []DeliveryRef{{SubID: 7}}
 	allocs := testing.AllocsPerRun(200, func() {
 		for range 2 {
-			if err := sc.writeDelivery(refs, m); err != nil {
+			if err := deliver(sc, refs, m); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -138,5 +163,29 @@ func TestEgressWriteAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("two gathered delivery writes: %v allocs, budget 0", allocs)
+	}
+}
+
+// TestEgressBurstAllocs pins a pump burst: a copied 128-byte body, a 4 KiB
+// body by reference and a MESSAGE_FANOUT of it to three subscriptions,
+// appended in one hold of the writer and written in one gathered write,
+// cost nothing once the connection's two batches have grown.
+func TestEgressBurstAllocs(t *testing.T) {
+	small, large := encodeMessage(t), encodeMessage(t)
+	large.SetBody(make([]byte, 4<<10))
+	refs := []DeliveryRef{{SubID: 1}, {SubID: 2}, {SubID: 3, Seq: 9}, {SubID: 4}}
+	sends := []pumpSend{{m: small, lo: 0, hi: 1}, {m: large, lo: 0, hi: 1}, {m: large, lo: 1, hi: 4}}
+	burst := prologueSize*3 + len(EncodeDelivery(1, 0, small)) + len(EncodeDelivery(1, 0, large)) + len(AppendFanout(nil, refs[1:], large))
+	conn := &discardConn{want: burst, done: make(chan struct{}, 1)}
+	sc := &serverConn{server: &Server{}, conn: conn, w: newConnWriter(conn, &wireCounters{}, nil)}
+	defer sc.w.close()
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := sc.sendBurst(sends, refs); err != nil {
+			t.Fatal(err)
+		}
+		<-conn.done
+	})
+	if allocs != 0 {
+		t.Errorf("one pump burst: %v allocs, budget 0", allocs)
 	}
 }

@@ -25,7 +25,7 @@ const maxPooledBuffer = 64 << 10
 
 // bodyByRefMin is the body size from which a frame carries a message body by
 // reference, as its own iovec of one vectored write, instead of copying it
-// behind the encoded head: deliveries (serverConn.writeDelivery) and publishes
+// behind the encoded head: deliveries (serverConn.appendDelivery) and publishes
 // (Request) alike. Below it the extra iovec costs more than the copy it saves
 // (EXPERIMENTS.md X14 has the sweep); from it on, encode cost no longer
 // depends on body size.
@@ -34,19 +34,6 @@ const bodyByRefMin = 1 << 10
 // GetBuffer returns a pooled, zero-length encode buffer. Return it with
 // PutBuffer once the encoded bytes have been written out.
 func GetBuffer() *[]byte { return bufPool.Get().(*[]byte) }
-
-// GetBufferSize is GetBuffer for an encoder that knows its final size n
-// (MessageSizeHint, a payload length). A size PutBuffer would not keep gets a
-// buffer of exactly that capacity, allocated once instead of doubled up to it
-// from the pool's 512 bytes on every call and then dropped; anything smaller
-// gets a pooled buffer, which grows to its working size by use and keeps it.
-func GetBufferSize(n int) *[]byte {
-	if n > maxPooledBuffer {
-		b := make([]byte, 0, n)
-		return &b
-	}
-	return GetBuffer()
-}
 
 // PutBuffer returns a buffer obtained from GetBuffer to the pool.
 func PutBuffer(b *[]byte) {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"net"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -11,25 +12,25 @@ import (
 )
 
 // This file is the egress half of the zero-allocation wire path: a
-// per-connection write queue whose single writer goroutine gathers queued
-// frames — the connection's deliveries plus control replies — into one
-// vectored net.Buffers write. Producers enqueue complete frames and the
-// writer coalesces across them, so they share syscalls instead of
-// contending for them.
+// per-connection double buffer. Producers — the delivery pump, control
+// replies, a peer link's forwards — append complete frames into the fill
+// batch under one short mutex; the connection's writer goroutine swaps it
+// for the batch it wrote last and sends the one it took in one vectored
+// write, so one write is in flight while the next batch fills.
 
-// writerQueueDepth bounds the per-connection egress queue. A full queue
-// blocks the producer (the delivery pump, control replies), which is
-// exactly the push-back chain: slow consumer connection → blocked pump →
-// full outbox → blocked transmit stage.
-const writerQueueDepth = 256
+// fillMaxFrames and fillMaxBytes bound a fill batch in frames (EXPERIMENTS.md
+// X22 has the sweep) and in copied bytes. A producer at either waits for the
+// writer's next swap: the push-back chain slow consumer → blocked pump →
+// full outbox → blocked transmit stage. The bound is checked before a
+// producer appends, so one burst may take a batch past it; half of
+// maxPooledBuffer leaves room for that burst below the size at which the
+// writer drops a batch's buffer instead of reusing it.
+const (
+	fillMaxFrames = 256
+	fillMaxBytes  = maxPooledBuffer / 2
+)
 
-// writeCoalesce bounds how many queued frames one writev gathers — frames,
-// not buffers: a frame with a by-reference tail is two. Past the low tens the
-// syscall amortization has flattened out and larger gathers only add latency
-// for the frames at the head.
-const writeCoalesce = 32
-
-// errWriterClosed is returned by submit after the writer has shut down.
+// errWriterClosed is returned by begin after the writer has shut down.
 var errWriterClosed = errors.New("wire: connection writer closed")
 
 // wireCounters are a Server's aggregate wire-path counters, shared by all
@@ -45,187 +46,179 @@ type wireCounters struct {
 	writeNanos atomic.Uint64
 }
 
-// connWriter is one connection's coalescing egress queue.
+// connWriter is one connection's egress double buffer.
 //
-// Ownership contract: submit passes ownership of a pooled buffer holding
-// one complete frame (5-byte prologue + payload) to the writer, which
-// returns it to the pool after the write — the producer must not touch the
-// buffer afterwards. On the first write error the writer closes the
-// connection (which surfaces the failure to the read loop) and drains
-// subsequent submissions without writing, so producers never block on a
-// dead peer.
+// A producer calls begin, appends complete frames to the batch it returns
+// and calls end, which wakes the writer with a non-blocking send on a
+// 1-slot channel; the swap that wake leads to takes every frame appended
+// before it, so each producer's frames leave in the order it appended them.
+// On the first write error the writer closes the connection (which surfaces
+// the failure to the read loop) and discards what it swaps out from then
+// on, and begin no longer waits: producers never block on a dead peer.
 //
-// A frame may carry the end of its payload by reference (egressFrame.tail,
-// today a delivery's message body). The tail is never pooled and never
-// written to: it belongs to the garbage collector, the producer guarantees
-// nobody writes into it while the frame is queued (jms.Message bodies are
-// replaced, not modified), and the writer drops its reference after the write.
+// A frame may carry the end of its payload by reference (egressBatch.cuts,
+// a delivery's message body). The tail is never written to: nobody writes
+// into it while the frame is queued (jms.Message bodies are replaced, not
+// modified), and the writer drops its reference after the write.
 type connWriter struct {
 	conn   net.Conn
-	stats  *wireCounters   // nil disables counting
+	stats  *wireCounters
 	tracer *trace.Recorder // nil disables egress span recording
-	ch     chan egressFrame
-	stop   chan struct{}
-	done   chan struct{}
-	// out is the copy of the gather list a vectored write consumes
-	// (net.Buffers.WriteTo advances the slice it is given). A field, not a
-	// local, so that the write does not move a slice header to the heap.
-	out net.Buffers
+
+	mu   sync.Mutex
+	room sync.Cond // producers at the bound wait here for the next swap
+	fill *egressBatch
+	dead bool  // a write failed: batches are discarded, begin never waits
+	err  error // errWriterClosed once close has begun
+	wake chan struct{}
+	done chan struct{}
+	// iov is the writer's gather list and out the copy of it a vectored
+	// write consumes (net.Buffers.WriteTo advances the slice it is given).
+	// Fields, not locals, so that a write moves no slice header to the heap.
+	iov, out net.Buffers
 }
 
-// egressFrame is one queued frame: a pooled buffer holding the prologue and
-// the payload, or the payload up to a tail that goes out by reference. A
-// head-sampled delivery also carries its TraceID and enqueue instant through
-// the queue so the writer can attribute the writer-queue wait and this
-// frame's share of the writev syscall — the socket half of t_tx. Plain
-// frames carry a zero ID and cost nothing extra.
-type egressFrame struct {
-	bp      *[]byte
-	tail    []byte
-	traceID uint64
-	enqNs   int64
+// egressBatch is a run of complete frames back to back in buf. Each cut is a
+// by-reference tail that goes out as its own iovec after buf[:at]. A
+// head-sampled delivery's TraceID and enqueue instant ride in traced, so the
+// writer can attribute its wait in the batch and its share of the writev
+// syscall — the socket half of t_tx.
+type egressBatch struct {
+	buf    []byte
+	cuts   []egressCut
+	traced []tracedFrame
+	frames int
+}
+
+type egressCut struct {
+	at   int
+	tail []byte
+}
+
+type tracedFrame struct {
+	id    uint64
+	enqNs int64
 }
 
 func newConnWriter(conn net.Conn, stats *wireCounters, tracer *trace.Recorder) *connWriter {
-	w := &connWriter{
-		conn:   conn,
-		stats:  stats,
-		tracer: tracer,
-		ch:     make(chan egressFrame, writerQueueDepth),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
-	}
+	w := &connWriter{conn: conn, stats: stats, tracer: tracer, fill: new(egressBatch),
+		wake: make(chan struct{}, 1), done: make(chan struct{})}
+	w.room.L = &w.mu
 	go w.run()
 	return w
 }
 
-// submit queues one complete frame built in a pooled buffer, transferring
-// its ownership to the writer. It blocks while the queue is full
-// (push-back) and fails only after the writer has shut down.
-func (w *connWriter) submit(bp *[]byte) error {
-	return w.submitFrame(egressFrame{bp: bp})
+// begin locks the writer and returns the fill batch to append complete
+// frames to; end releases it. A fill at its bound makes begin wait for the
+// writer's next swap unless the connection is dead. It fails after close.
+func (w *connWriter) begin() (*egressBatch, error) {
+	w.mu.Lock()
+	for w.err == nil && !w.dead && (w.fill.frames >= fillMaxFrames || len(w.fill.buf) >= fillMaxBytes) {
+		w.room.Wait()
+	}
+	if err := w.err; err != nil {
+		w.mu.Unlock()
+		return nil, err
+	}
+	return w.fill, nil
 }
 
-// submitFrame is submit for a frame with a by-reference tail or a
-// flight-recorder identity; see egressFrame.
-func (w *connWriter) submitFrame(ef egressFrame) error {
+func (w *connWriter) end() {
+	w.mu.Unlock()
 	select {
-	case w.ch <- ef:
-		return nil
-	case <-w.done:
-		PutBuffer(ef.bp)
-		return errWriterClosed
+	case w.wake <- struct{}{}:
+	default:
 	}
 }
 
-// close stops the writer and waits for it; queued frames are discarded
-// (the connection is gone by the time teardown calls this).
+// close stops the writer and waits for it. Frames not yet written are
+// discarded (the connection is gone by the time teardown calls this).
 func (w *connWriter) close() {
-	close(w.stop)
+	w.mu.Lock()
+	w.err = errWriterClosed
+	w.room.Broadcast()
+	w.end()
 	<-w.done
 }
 
 func (w *connWriter) run() {
 	defer close(w.done)
-	bufs := make(net.Buffers, 0, 2*writeCoalesce)
-	frames := make([]egressFrame, 0, writeCoalesce)
-	dead := false
-	for {
-		var ef egressFrame
-		select {
-		case ef = <-w.ch:
-		case <-w.stop:
-			for {
-				select {
-				case ef := <-w.ch:
-					PutBuffer(ef.bp)
-				default:
-					return
-				}
-			}
+	taken, dead := new(egressBatch), false
+	for range w.wake {
+		w.mu.Lock()
+		if w.err != nil {
+			w.mu.Unlock()
+			return
 		}
-		// Greedy gather: everything already queued, up to the coalesce
-		// bound, goes out in one vectored write.
-		frames = append(frames[:0], ef)
-		for len(frames) < writeCoalesce {
-			select {
-			case ef = <-w.ch:
-				frames = append(frames, ef)
-			default:
-				goto gathered
-			}
+		// A producer waits only on a full fill, whose wake is pending, so
+		// the swap after a failed write publishes dead before any wedges.
+		taken, w.fill, w.dead = w.fill, taken, dead
+		w.room.Broadcast()
+		w.mu.Unlock()
+		if !dead && taken.frames > 0 && w.write(taken) != nil {
+			// Closing the connection wakes the read loop, which tears the
+			// connection down; from here on the writer only discards.
+			dead = true
+			_ = w.conn.Close()
 		}
-	gathered:
-		if !dead {
-			bufs = bufs[:0]
-			var total int
-			anyTraced := false
-			for _, f := range frames {
-				bufs = append(bufs, *f.bp)
-				total += len(*f.bp) + len(f.tail)
-				if f.tail != nil {
-					bufs = append(bufs, f.tail)
-				}
-				anyTraced = anyTraced || f.traceID != 0
-			}
-			if w.stats != nil {
-				// Counted before the write, so a frame the peer has seen is
-				// never missing from the counters.
-				w.stats.framesOut.Add(uint64(len(frames)))
-				w.stats.bytesOut.Add(uint64(total))
-			}
-			start := time.Now()
-			var err error
-			if len(bufs) == 1 {
-				_, err = w.conn.Write(bufs[0])
-			} else {
-				w.out = bufs
-				_, err = w.out.WriteTo(w.conn)
-			}
-			elapsed := time.Since(start)
-			if w.stats != nil {
-				w.stats.writeCalls.Add(1)
-				w.stats.writeNanos.Add(uint64(elapsed))
-			}
-			if anyTraced {
-				// egress_queue is the frame's wait in this queue; its
-				// egress_write span is an equal share of the syscall, the
-				// same per-frame quantity WriteNanos/FramesOut averages.
-				startNs := start.UnixNano()
-				share := int64(elapsed) / int64(len(frames))
-				for _, f := range frames {
-					if f.traceID != 0 {
-						w.tracer.RecordSpanNs(f.traceID, trace.StageEgressQueue, f.enqNs, startNs-f.enqNs)
-						w.tracer.RecordSpanNs(f.traceID, trace.StageEgressWrite, startNs, share)
-					}
-				}
-			}
-			if err != nil {
-				// Surface the failure: closing the connection wakes the read
-				// loop, which tears the connection down. From here on the
-				// writer only drains, so producers never wedge.
-				dead = true
-				_ = w.conn.Close()
-			}
+		if cap(taken.buf) > maxPooledBuffer {
+			taken.buf = nil // one huge frame must not pin its memory
 		}
-		for _, f := range frames {
-			PutBuffer(f.bp)
-		}
-		// Neither array may keep a message body alive while the writer idles.
-		clear(frames)
-		clear(bufs)
+		clear(taken.cuts) // nor may a batch keep a message body alive
+		taken.buf, taken.cuts, taken.traced, taken.frames = taken.buf[:0], taken.cuts[:0], taken.traced[:0], 0
 	}
 }
 
-// frameBuffer builds one complete frame (prologue + payload copy) in a
-// pooled buffer, ready for connWriter.submit.
-func frameBuffer(f Frame) (*[]byte, error) {
-	if len(f.Payload) > MaxFrameSize {
-		return nil, ErrFrameTooLarge
+// write sends b in one vectored write, buf cut at each by-reference tail.
+func (w *connWriter) write(b *egressBatch) error {
+	bufs := w.iov[:0]
+	at, total := 0, len(b.buf)
+	for _, c := range b.cuts {
+		bufs = append(bufs, b.buf[at:c.at], c.tail)
+		at = c.at
+		total += len(c.tail)
 	}
-	bp := GetBufferSize(prologueSize + len(f.Payload))
-	buf := binary.BigEndian.AppendUint32((*bp)[:0], uint32(len(f.Payload)))
-	buf = append(buf, byte(f.Type))
-	*bp = append(buf, f.Payload...)
-	return bp, nil
+	if at < len(b.buf) {
+		bufs = append(bufs, b.buf[at:])
+	}
+	// Counted before the write, so a frame the peer has seen is never
+	// missing from the counters.
+	w.stats.framesOut.Add(uint64(b.frames))
+	w.stats.bytesOut.Add(uint64(total))
+	start := time.Now()
+	w.out = bufs
+	_, err := w.out.WriteTo(w.conn)
+	elapsed := time.Since(start)
+	w.stats.writeCalls.Add(1)
+	w.stats.writeNanos.Add(uint64(elapsed))
+	// egress_queue is a traced frame's wait in the batch; its egress_write
+	// span is an equal share of the syscall, the same per-frame quantity
+	// WriteNanos/FramesOut averages.
+	startNs, share := start.UnixNano(), int64(elapsed)/int64(b.frames)
+	for _, f := range b.traced {
+		w.tracer.RecordSpanNs(f.id, trace.StageEgressQueue, f.enqNs, startNs-f.enqNs)
+		w.tracer.RecordSpanNs(f.id, trace.StageEgressWrite, startNs, share)
+	}
+	clear(bufs)
+	w.iov = bufs[:0]
+	return err
+}
+
+// open starts a frame of type typ whose payload the caller appends to buf,
+// and returns its start for seal.
+func (b *egressBatch) open(typ FrameType) int {
+	start := len(b.buf)
+	b.buf = append(b.buf, 0, 0, 0, 0, byte(typ))
+	return start
+}
+
+// seal completes the frame open started: its payload is buf[start+5:] and
+// then tail, which goes out by reference when non-nil. The caller has
+// checked the size against MaxFrameSize.
+func (b *egressBatch) seal(start int, tail []byte) {
+	binary.BigEndian.PutUint32(b.buf[start:], uint32(len(b.buf)-start-prologueSize+len(tail)))
+	if tail != nil {
+		b.cuts = append(b.cuts, egressCut{at: len(b.buf), tail: tail})
+	}
+	b.frames++
 }

@@ -19,7 +19,7 @@ func processCPU() int64 {
 }
 
 // BenchmarkDeliveryEgress is the delivery egress path over loopback TCP —
-// writeDelivery, the connection writer, the kernel and a peer that only
+// the pump's send path, the connection writer, the kernel and a peer that only
 // reads — per body size, with the process's CPU time per delivery beside the
 // wall time: the two constants of t_tx (per copy, per byte) are the intercept
 // and slope of that column. EXPERIMENTS.md X14 tables it, and the sweep that
@@ -51,7 +51,7 @@ func BenchmarkDeliveryEgress(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer conn.Close()
-			sc := &serverConn{server: &Server{}, conn: conn, w: newConnWriter(conn, nil, nil)}
+			sc := &serverConn{server: &Server{}, conn: conn, w: newConnWriter(conn, &wireCounters{}, nil)}
 			defer sc.w.close()
 			b.SetBytes(int64(size))
 			cpu0 := processCPU()
@@ -59,7 +59,7 @@ func BenchmarkDeliveryEgress(b *testing.B) {
 			refs := []DeliveryRef{{}}
 			for i := 0; i < b.N; i++ {
 				refs[0].SubID = uint64(i & 31)
-				if err := sc.writeDelivery(refs, m); err != nil {
+				if err := deliver(sc, refs, m); err != nil {
 					b.Fatal(err)
 				}
 			}

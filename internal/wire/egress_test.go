@@ -12,8 +12,9 @@ import (
 	"repro/internal/trace"
 )
 
-// deliveryHarness is a serverConn reduced to its egress half: writeDelivery
-// feeding a connWriter over one end of a net.Pipe, a FrameReader on the other.
+// deliveryHarness is a serverConn reduced to its egress half: the pump's
+// send path feeding a connWriter over one end of a net.Pipe, a FrameReader
+// on the other.
 // net.Pipe has no writev, so a two-buffer frame reaches the reader as two
 // Writes — the gather order is what is under test, not the syscall.
 type deliveryHarness struct {
@@ -47,6 +48,11 @@ func newDeliveryHarness(t *testing.T, tracer *trace.Recorder) *deliveryHarness {
 	return h
 }
 
+// deliver queues one delivery of m to refs as a pump burst of its own.
+func deliver(sc *serverConn, refs []DeliveryRef, m *jms.Message) error {
+	return sc.sendBurst([]pumpSend{{m: m, hi: len(refs)}}, refs)
+}
+
 func deliveryMessage(rng *rand.Rand, bodyLen int, traceID uint64) *jms.Message {
 	m := jms.NewMessage("orders")
 	m.Header.MessageID = rng.Uint64()
@@ -63,7 +69,7 @@ func deliveryMessage(rng *rand.Rand, bodyLen int, traceID uint64) *jms.Message {
 }
 
 // TestDeliveryByReferenceByteIdentical is the byte-identity wall for
-// by-reference bodies: whatever writeDelivery and the connection writer put
+// by-reference bodies: whatever appendDelivery and the connection writer put
 // on the wire — one buffer below the cut-over, head and body gathered from
 // it on — is the frame EncodeDelivery describes, and it decodes back to the
 // message. Frames, not buffers, are what the counters count.
@@ -91,10 +97,10 @@ func TestDeliveryByReferenceByteIdentical(t *testing.T) {
 					return 0
 				}
 				// All five frames are queued before the peer reads any (the
-				// queue is deeper than that), so the writer gathers single-
-				// and two-buffer frames together.
+				// fill batch holds more than that), so the writer gathers
+				// single- and two-buffer frames together.
 				for i, m := range msgs {
-					if err := h.sc.writeDelivery([]DeliveryRef{{SubID: 7, Seq: seqOf(i)}}, m); err != nil {
+					if err := deliver(h.sc, []DeliveryRef{{SubID: 7, Seq: seqOf(i)}}, m); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -144,7 +150,7 @@ func TestDeliveryTooLargeCountsTheTail(t *testing.T) {
 	h := newDeliveryHarness(t, nil)
 	m := jms.NewMessage("t")
 	m.SetBody(make([]byte, MaxFrameSize))
-	if err := h.sc.writeDelivery([]DeliveryRef{{SubID: 1}}, m); err == nil {
+	if err := deliver(h.sc, []DeliveryRef{{SubID: 1}}, m); err == nil {
 		t.Fatal("a delivery over MaxFrameSize was queued")
 	}
 }
@@ -160,11 +166,11 @@ func TestDeliveryBodyOwnership(t *testing.T) {
 	first, sibling := m.Shared(), m.Shared()
 
 	// Nothing reads the pipe yet: the writer blocks in its first Write with
-	// the sibling's frame still in the queue.
-	if err := h.sc.writeDelivery([]DeliveryRef{{SubID: 1}}, first); err != nil {
+	// the sibling's frame still in the fill batch, or in the batch it writes.
+	if err := deliver(h.sc, []DeliveryRef{{SubID: 1}}, first); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.sc.writeDelivery([]DeliveryRef{{SubID: 2}}, sibling); err != nil {
+	if err := deliver(h.sc, []DeliveryRef{{SubID: 2}}, sibling); err != nil {
 		t.Fatal(err)
 	}
 	first.SetBody(bytes.Repeat([]byte{0xee}, 4<<10))

@@ -15,7 +15,7 @@ import (
 // lazily-dialed connection to a peer server that carries a window of
 // FORWARD frames, and ForwardAck, the countdown a publish waits on until
 // the last of its forwards is acked. The link is built from the same parts
-// as a served connection — a connWriter gathers queued FORWARD frames into
+// as a served connection — a connWriter batches FORWARD frames into
 // vectored writes, a FrameReader drains the acks — so forwards of
 // successive publishes share syscalls in both directions.
 
@@ -164,15 +164,15 @@ func (l *PeerLink) forward(ack *ForwardAck, batch bool, inner []byte) error {
 	if err != nil {
 		return err
 	}
-	bp := GetBufferSize(prologueSize + 8 + forwardHeaderSize + len(inner))
-	buf := append((*bp)[:0], 0, 0, 0, 0, byte(FrameForward))
-	buf = binary.BigEndian.AppendUint64(buf, req)
-	buf = AppendForward(buf, ForwardHeader{Origin: l.origin, Hops: 1, Batch: batch}, inner)
-	binary.BigEndian.PutUint32(buf[:4], uint32(len(buf)-5))
-	*bp = buf
-	// A failed submit means the session is being torn down; its sweep
-	// completes the admitted forward.
-	_ = s.w.submit(bp)
+	b, err := s.w.begin()
+	if err != nil {
+		return nil // the session is closing; its sweep completes the forward
+	}
+	start := b.open(FrameForward)
+	b.buf = binary.BigEndian.AppendUint64(b.buf, req)
+	b.buf = AppendForward(b.buf, ForwardHeader{Origin: l.origin, Hops: 1, Batch: batch}, inner)
+	b.seal(start, nil)
+	s.w.end()
 	return nil
 }
 
@@ -267,7 +267,7 @@ func newPeerSession(l *PeerLink, conn net.Conn) *peerSession {
 	s := &peerSession{
 		link:    l,
 		conn:    conn,
-		w:       newConnWriter(conn, nil, nil),
+		w:       newConnWriter(conn, new(wireCounters), nil),
 		headReq: 1,
 		deadCh:  make(chan struct{}),
 		done:    make(chan struct{}),

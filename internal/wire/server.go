@@ -204,9 +204,8 @@ type serverConn struct {
 	log    *slog.Logger
 	done   chan struct{}
 
-	// w is the connection's coalescing egress queue (egress.go); every
-	// outbound frame — control replies and the pump's deliveries — goes
-	// through it.
+	// w is the connection's egress double buffer (egress.go): every
+	// outbound frame, control reply or delivery, goes through it.
 	w *connWriter
 	// out is the broker-side queue all of this connection's subscriptions
 	// deliver to, drained by deliveryPump; pumpDone is closed when the pump
@@ -364,21 +363,26 @@ func (s *Server) handleConn(conn net.Conn) {
 // write failure closes the connection, which this read loop observes as a
 // read error.
 func (sc *serverConn) write(f Frame) error {
-	bp, err := frameBuffer(f)
+	if len(f.Payload) > MaxFrameSize {
+		return ErrFrameTooLarge
+	}
+	b, err := sc.w.begin()
 	if err != nil {
 		return err
 	}
-	return sc.w.submit(bp)
+	start := b.open(f.Type)
+	b.buf = append(b.buf, f.Payload...)
+	b.seal(start, nil)
+	sc.w.end()
+	return nil
 }
 
 // writeU64 queues a frame whose payload is one u64 — PUB_ACK and the other
-// replies that carry only their request ID — built straight into a pooled
-// buffer, with no payload slice of its own to copy from.
+// replies that carry only their request ID.
 func (sc *serverConn) writeU64(typ FrameType, v uint64) error {
-	bp := GetBuffer()
-	buf := binary.BigEndian.AppendUint32((*bp)[:0], 8)
-	*bp = binary.BigEndian.AppendUint64(append(buf, byte(typ)), v)
-	return sc.w.submit(bp)
+	var p [8]byte
+	binary.BigEndian.PutUint64(p[:], v)
+	return sc.write(Frame{Type: typ, Payload: p[:]})
 }
 
 func (sc *serverConn) writeErr(reqID uint64, err error) {
@@ -751,9 +755,9 @@ func (s *Server) unclaim(m *jms.Message) {
 const deliveryCoalesce = 16
 
 // fanoutMaxRefs bounds the subscriptions one MESSAGE_FANOUT frame names, so
-// its head stays within a pooled buffer; a longer run goes out as several
-// frames. writeDelivery splits further where the head would push the frame
-// past MaxFrameSize.
+// its head stays within the 64 KiB a batch buffer is kept at; a longer run
+// goes out as several frames. appendDelivery splits further where the head
+// would push the frame past MaxFrameSize.
 const fanoutMaxRefs = 1 << 11
 
 // pumpSend is one frame the pump staged: m for the subscriptions
@@ -796,12 +800,10 @@ func (sc *serverConn) deliveryPump() {
 			}
 			continue
 		}
-		for _, s := range sends {
-			if err := sc.send(s, refs); err != nil {
-				sc.log.Warn("delivery failed; closing connection", "err", err)
-				_ = sc.conn.Close()
-				return
-			}
+		if err := sc.sendBurst(sends, refs); err != nil {
+			sc.log.Warn("delivery failed; closing connection", "err", err)
+			_ = sc.conn.Close()
+			return
 		}
 		// Neither scratch slice may keep a message alive while the pump idles.
 		clear(batch)
@@ -835,57 +837,65 @@ func stageDeliveries(batch []broker.Delivery, refs []DeliveryRef, sends []pumpSe
 	return refs, sends
 }
 
-// send queues one staged frame. A SUB_CLOSED notice means the broker ended
-// the subscription (the disconnect slow-consumer policy) after every
-// delivery queued before it, which are out by now. Its entry is dropped
-// first, so a later UNSUBSCRIBE reports an unknown subscription instead of
-// finishing one the broker already removed.
-func (sc *serverConn) send(s pumpSend, refs []DeliveryRef) error {
-	if s.m != nil {
-		return sc.writeDelivery(refs[s.lo:s.hi], s.m)
+// sendBurst appends a burst's staged frames to the fill batch in one hold of
+// the writer. A SUB_CLOSED notice (the disconnect slow-consumer policy)
+// follows the deliveries queued before it; its entry is dropped first, so a
+// later UNSUBSCRIBE reports an unknown subscription instead of finishing one
+// the broker already removed.
+func (sc *serverConn) sendBurst(sends []pumpSend, refs []DeliveryRef) error {
+	b, err := sc.w.begin()
+	if err != nil {
+		return err
 	}
-	s.cs.closed.Store(true)
-	sc.subMu.Lock()
-	if sc.subs != nil {
-		delete(sc.subs, s.cs.id)
+	defer sc.w.end()
+	for _, s := range sends {
+		if s.m != nil {
+			if err := sc.appendDelivery(b, refs[s.lo:s.hi], s.m); err != nil {
+				return err
+			}
+			continue
+		}
+		s.cs.closed.Store(true)
+		sc.subMu.Lock()
+		if sc.subs != nil {
+			delete(sc.subs, s.cs.id)
+		}
+		sc.subMu.Unlock()
+		sc.log.Debug("subscription closed by broker", "sub", s.cs.id, "reason", "slow-consumer")
+		start := b.open(FrameSubClosed)
+		b.buf = append(b.buf, EncodeSubClosed(s.cs.id, "slow-consumer")...)
+		b.seal(start, nil)
 	}
-	sc.subMu.Unlock()
-	sc.log.Debug("subscription closed by broker", "sub", s.cs.id, "reason", "slow-consumer")
-	return sc.write(Frame{Type: FrameSubClosed, Payload: EncodeSubClosed(s.cs.id, "slow-consumer")})
+	return nil
 }
 
-// writeDelivery encodes one delivery frame into a pooled buffer — prologue
-// and payload together, so the delivery fast path allocates nothing in
-// steady state — and hands it to the connection writer: a MESSAGE frame for
-// one subscription, a MESSAGE_FANOUT frame for several. A body of
-// bodyByRefMin bytes or more is not copied: the buffer ends at the body's
-// length field and the writer gathers m.Body itself behind it, the same
-// bytes every replica of the message already shares (see connWriter for why
-// that is safe). The bytes on the wire are the same either way.
-func (sc *serverConn) writeDelivery(refs []DeliveryRef, m *jms.Message) error {
+// appendDelivery encodes one delivery frame into the fill batch b: a MESSAGE
+// frame for one subscription, a MESSAGE_FANOUT frame for several. A body of
+// bodyByRefMin bytes or more is not copied: b is cut at the body's length
+// field and the writer gathers m.Body itself behind it, the bytes every
+// replica of the message already shares (see connWriter for why that is
+// safe). The bytes on the wire are the same either way.
+func (sc *serverConn) appendDelivery(b *egressBatch, refs []DeliveryRef, m *jms.Message) error {
 	tr := sc.server.tracer
 	traced := tr.Sampled(m.Header.TraceID)
 	var t0 int64
 	if traced {
 		t0 = time.Now().UnixNano()
 	}
-	bp := GetBuffer()
-	buf := (*bp)[:0]
+	start := len(b.buf)
 	if len(refs) == 1 {
-		buf = appendDeliveryHead(append(buf, 0, 0, 0, 0, byte(FrameMessage)), refs[0].SubID, refs[0].Seq, m)
+		b.buf = appendDeliveryHead(append(b.buf, 0, 0, 0, 0, byte(FrameMessage)), refs[0].SubID, refs[0].Seq, m)
 	} else {
-		buf = appendFanoutHead(append(buf, 0, 0, 0, 0, byte(FrameFanout)), refs, m)
+		b.buf = appendFanoutHead(append(b.buf, 0, 0, 0, 0, byte(FrameFanout)), refs, m)
 	}
 	var tail []byte
 	if len(m.Body) >= bodyByRefMin {
 		tail = m.Body
 	} else {
-		buf = append(buf, m.Body...)
+		b.buf = append(b.buf, m.Body...)
 	}
-	*bp = buf
-	size := len(buf) - prologueSize + len(tail)
-	if size > MaxFrameSize {
-		PutBuffer(bp)
+	if size := len(b.buf) - start - prologueSize + len(tail); size > MaxFrameSize {
+		b.buf = b.buf[:start]
 		if len(refs) == 1 {
 			return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, size)
 		}
@@ -894,21 +904,20 @@ func (sc *serverConn) writeDelivery(refs []DeliveryRef, m *jms.Message) error {
 		msgLen := size - 4 - 16*len(refs)
 		per := max(1, (MaxFrameSize-4-msgLen)/16)
 		for lo := 0; lo < len(refs); lo += per {
-			if err := sc.writeDelivery(refs[lo:min(lo+per, len(refs))], m); err != nil {
+			if err := sc.appendDelivery(b, refs[lo:min(lo+per, len(refs))], m); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	binary.BigEndian.PutUint32(buf[:4], uint32(size))
-	ef := egressFrame{bp: bp, tail: tail}
+	b.seal(start, tail)
 	if traced {
-		// The end of the encode span is the frame's enqueue instant: the
-		// writer records egress_queue and egress_write from it.
-		ef.traceID, ef.enqNs = m.Header.TraceID, time.Now().UnixNano()
-		tr.RecordSpanNs(ef.traceID, trace.StageEncode, t0, ef.enqNs-t0)
+		// The encode span ends where the frame's egress_queue span starts.
+		enqNs := time.Now().UnixNano()
+		tr.RecordSpanNs(m.Header.TraceID, trace.StageEncode, t0, enqNs-t0)
+		b.traced = append(b.traced, tracedFrame{id: m.Header.TraceID, enqNs: enqNs})
 	}
-	return sc.w.submitFrame(ef)
+	return nil
 }
 
 // Filter constructs the broker filter a SUBSCRIBE with this spec installs.

@@ -544,8 +544,9 @@ func ParseFanout(dst []DeliveryRef, payload []byte) ([]DeliveryRef, MessageView,
 
 // AppendBatchMessages decodes a MSG_BATCH payload, materializing every
 // message through the arena, and appends the results to dst (which the
-// caller typically draws from a pooled carrier). It accepts and rejects
-// exactly the payloads DecodeBatch does.
+// caller typically draws from a pooled carrier), grown once to the batch's
+// validated count. It accepts and rejects exactly the payloads DecodeBatch
+// does.
 func (a *MessageArena) AppendBatchMessages(dst []*jms.Message, payload []byte) ([]*jms.Message, error) {
 	d := decoder{buf: payload}
 	n, err := d.u32()
@@ -556,6 +557,7 @@ func (a *MessageArena) AppendBatchMessages(dst []*jms.Message, payload []byte) (
 	if int64(n)*4 > int64(d.remain()) {
 		return dst, fmt.Errorf("%w: batch count %d exceeds payload", ErrTruncated, n)
 	}
+	dst = slices.Grow(dst, int(n))
 	for i := 0; i < int(n); i++ {
 		sz, err := d.u32()
 		if err != nil {
