@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet-live test test-procs test-queues test-benchmark race conformance-live bench bench-all bench-pairs fuzz stress stress-smoke verify
+.PHONY: all build vet-live test test-procs test-queues test-jmsdebug test-benchmark race conformance-live bench bench-all bench-pairs fuzz stress stress-smoke verify
 
 all: build test
 
@@ -24,12 +24,23 @@ test-procs:
 # as one server's path, and the commit side's reads of a message before its
 # receiver owns it. It does the same for a connection's egress: the
 # writer's swap under concurrent producers, the bound, the dead-connection
-# path, the delivery pump and the peer link. An ordering or counting race
-# in the one delivery queue, between a topic's workers or in the egress
-# double buffer shows as a failure in some run.
+# path, the delivery pump and the peer link. And for recycled ingress
+# storage: the carrier holds a slab's reuse waits on, the escapes that keep
+# a retained message's slab from reuse, and a by-reference body held by a
+# blocked writer. An ordering or counting race in the one delivery queue,
+# between a topic's workers, in the egress double buffer or in a release
+# shows as a failure in some run.
 test-queues:
 	$(GO) test -count=20 -run 'Outbox|SlowConsumer|Durable|Metamorphic|Unsubscribe|Churn|PinnedWorkers|BatchedTape|HandOff' ./internal/broker/
 	$(GO) test -count=20 -run 'Egress|Pump|PeerLink' ./internal/wire/
+	$(GO) test -count=20 -run 'Recycle|Release' ./internal/wire/ ./internal/broker/
+
+# test-jmsdebug runs the packages a wire publish's storage crosses under the
+# jmsdebug build tag, which poisons a slab when its last reference is
+# dropped and gives every publish slabs of its own: a message read after
+# its storage was released shows as corrupted content.
+test-jmsdebug:
+	$(GO) test -tags jmsdebug ./internal/wire/ ./internal/broker/ ./internal/cluster/ ./internal/client/
 
 # test-benchmark tests the repository benchmark (BENCHMARK.json): a nested
 # module, so `go test ./...` above does not reach it. It checks the
@@ -40,7 +51,9 @@ test-benchmark:
 # race runs the data-race detector over the packages with real concurrency:
 # the broker's dispatch engines (the fast engine's several workers included), the lock-free
 # topic snapshots, the copy-on-write message views, the wire layer's egress
-# double buffer and the client's pooled buffers, the reliability stack (fault injection, reconnecting clients,
+# double buffer, its recycled ingress slabs (released by the delivery pump
+# and the writer while the read loop carves the next) and the client's
+# pooled buffers, the reliability stack (fault injection, reconnecting clients,
 # the replication meshes under restart and kill, conformance harness), and
 # the telemetry plane scraped while the broker dispatches, and the load
 # generator's lanes. internal/bench's load loop (publishers, drains, the
@@ -122,5 +135,5 @@ vet-live:
 	$(GO) vet -tags live ./internal/conformance/ ./internal/bench/ ./internal/stress/
 
 # verify is the tier-1 gate plus the live files' vet, the benchmark module's
-# tests and the race pass.
-verify: build vet-live test test-benchmark race
+# tests, the race pass and the poisoned-slab pass.
+verify: build vet-live test test-benchmark race test-jmsdebug

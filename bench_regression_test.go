@@ -564,13 +564,15 @@ func decodeBenchMessage(b *testing.B) *jms.Message {
 	return m
 }
 
-// BenchmarkRegressionBatchDecode measures the decode side as the server
-// actually runs it: view-parse + validate the 16-message batch frame, then
-// materialize through a connection arena into a reused destination slice.
-// The arena carves messages, property sections and bytes from chunks, so a
-// batch costs at most one chunk of each kind — three allocations, GC-owned
-// because subscribers retain the messages — held by internal/wire's
-// TestArenaAllocationBudget.
+// BenchmarkRegressionBatchDecode measures the decode side of a batch:
+// view-parse + validate the 16-message batch frame, then materialize
+// through a GC-owned connection arena into a reused destination slice. The
+// arena carves messages, property sections and bytes from chunks, so a
+// batch costs at most one chunk of each kind — three allocations — held by
+// internal/wire's TestArenaAllocationBudget. The server decodes through a
+// recycling arena instead, whose slabs come back once the batch's
+// deliveries are written; internal/wire's TestRecycleSteadyStateAllocs pins
+// that path, decode to write, at zero.
 func BenchmarkRegressionBatchDecode(b *testing.B) {
 	msgs := make([]*jms.Message, 16)
 	for i := range msgs {

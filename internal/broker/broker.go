@@ -284,11 +284,13 @@ func (p Publisher) PublishBatch(ctx context.Context, msgs []*jms.Message) error 
 // is admitted or rejected against a single broker state — and enqueues c
 // as one unit, or, when it spans topics, each run in a carrier of its own
 // that borrows c's messages (no dispatch worker hands one off), recycling c
-// once every run is accepted. On error c is still the caller's.
+// once every run is accepted. No run holds c's slabs, so a split c escapes
+// first: its storage is left to the GC, on success and on error alike. On
+// error c is still the caller's.
 func (p Publisher) admit(ctx context.Context, c *BatchCarrier) error {
 	msgs := c.Msgs
 	if len(msgs) == 0 {
-		c.recycle()
+		c.free()
 		return nil
 	}
 	for _, m := range msgs {
@@ -325,6 +327,7 @@ func (p Publisher) admit(ctx context.Context, c *BatchCarrier) error {
 	if len(runs) == 1 {
 		return p.send(ctx, runs[0].d, c)
 	}
+	c.escaped.Store(true)
 	for _, r := range runs {
 		rc := GetBatchCarrier()
 		rc.Msgs, rc.borrowed = append(rc.Msgs, r.msgs...), true

@@ -3,7 +3,9 @@ package broker
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
@@ -234,4 +236,104 @@ func TestPubUnitSize(t *testing.T) {
 	if got := unsafe.Sizeof(pubUnit{}); got != 16 {
 		t.Errorf("unsafe.Sizeof(pubUnit{}) = %d, want 16", got)
 	}
+}
+
+// countSlab is a Slab that counts the references dropped on it.
+type countSlab struct{ unrefs atomic.Int32 }
+
+func (s *countSlab) Unref() { s.unrefs.Add(1) }
+
+// publishSlab publishes one message in a carrier holding slab s. The
+// worker serves one carrier at a time, so taking a later carrier's
+// deliveries shows it is done with this one.
+func publishSlab(t *testing.T, b *Broker, s Slab) {
+	t.Helper()
+	c := fillCarrier("t", 1)
+	c.Retain(s)
+	if err := b.Publisher(0).PublishBatchCarrier(context.Background(), c); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReleaseLastHoldDropsSlabs: a carrier's slab reference is dropped by
+// the last hold on it and by no earlier one — the worker's, or any of the
+// deliveries queued in shared outboxes, whichever comes last — on both
+// engines (the faithful one's clones hold the carrier as the originals do).
+func TestReleaseLastHoldDropsSlabs(t *testing.T) {
+	for _, engine := range []Engine{EngineFaithful, EngineFast} {
+		t.Run(engine.String(), func(t *testing.T) {
+			b := newTestBroker(t, Options{Engine: engine})
+			o1, o2 := b.NewOutbox(), b.NewOutbox()
+			for _, o := range []*Outbox{o1, o1, o2} {
+				if _, err := o.Subscribe("t", nil, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s := &countSlab{}
+			publishSlab(t, b, s)
+			publishSlab(t, b, &countSlab{})
+			first, second := takeN(t, o1, 4), takeN(t, o2, 2)
+			holds := []Hold{first[0].Hold(), first[1].Hold(), second[0].Hold()}
+			holds[0].Join(holds[1])
+			if holds[0].n != 2 || holds[2].n != 1 {
+				t.Fatalf("holds of one message's deliveries: %d and %d, want 2 and 1", holds[0].n, holds[2].n)
+			}
+			holds[0].Release()
+			if n := s.unrefs.Load(); n != 0 {
+				t.Fatalf("slab dropped %d times while a delivery still holds it", n)
+			}
+			holds[2].Release()
+			if n := s.unrefs.Load(); n != 1 {
+				t.Fatalf("slab dropped %d times after the last hold, want 1", n)
+			}
+		})
+	}
+}
+
+// TestReleaseEscapes: a delivery kept past its release — in an outbox of a
+// subscription's own, which Receive reads, or taken back by a durable
+// consumer's detach — makes the carrier escape, so its slab reference is
+// never dropped however the other holds are released. An evicted delivery
+// releases its hold: nobody reads it.
+func TestReleaseEscapes(t *testing.T) {
+	t.Run("solo", func(t *testing.T) {
+		b := newTestBroker(t, Options{Engine: EngineFast})
+		o := b.NewOutbox()
+		if _, err := o.Subscribe("t", nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		solo, err := b.Subscribe("t", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := &countSlab{}
+		publishSlab(t, b, s)
+		publishSlab(t, b, &countSlab{})
+		for _, d := range takeN(t, o, 2) {
+			d.Hold().Release()
+		}
+		m, err := solo.Receive(context.Background())
+		if err != nil || m == nil {
+			t.Fatal(err)
+		}
+		if n := s.unrefs.Load(); n != 0 {
+			t.Errorf("slab of a message a solo subscriber keeps was dropped %d times", n)
+		}
+	})
+	t.Run("evicted", func(t *testing.T) {
+		b := newTestBroker(t, Options{Engine: EngineFast, SubscriberBuffer: 1, SlowConsumer: SlowConsumerDropOldest})
+		o := b.NewOutbox()
+		if _, err := o.Subscribe("t", nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		s := &countSlab{}
+		publishSlab(t, b, s)
+		publishSlab(t, b, &countSlab{}) // evicts the first
+		for b.Stats().SlowDropped == 0 {
+			runtime.Gosched()
+		}
+		if n := s.unrefs.Load(); n != 1 {
+			t.Errorf("slab of an evicted delivery dropped %d times, want 1", n)
+		}
+	})
 }

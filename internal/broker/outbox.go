@@ -50,9 +50,14 @@ type Outbox struct {
 // Delivery is one queued delivery of Msg to the subscription Sub. A nil Msg
 // is the broker's notice that it ended Sub under the disconnect
 // slow-consumer policy; it follows every delivery queued to Sub before it.
+// The consumer of a shared outbox releases the delivery's Hold once it has
+// read Msg for the last time (see BatchCarrier).
 type Delivery struct {
 	Msg *jms.Message
 	Sub *Subscriber
+	// hold is the carrier Msg's storage came from, holding one hold for
+	// this delivery; nil when there is nothing to release.
+	hold *BatchCarrier
 }
 
 // NewOutbox returns an empty outbox for one consumer connection.
@@ -129,7 +134,9 @@ func (o *Outbox) leave(h *Subscriber) {
 }
 
 // takeForLocked ends h's deliveries, removes the ones still queued for it
-// and returns their messages in queue order. o.mu is held.
+// and returns their messages in queue order. o.mu is held. The messages are
+// kept (a durable backlog takes them back), so their storage escapes; a
+// durable consumer's deliveries come from its backlog and hold none.
 func (o *Outbox) takeForLocked(h *Subscriber) []*jms.Message {
 	h.dead = true
 	var msgs []*jms.Message
@@ -139,6 +146,7 @@ func (o *Outbox) takeForLocked(h *Subscriber) []*jms.Message {
 		case d.Sub != h:
 			kept = append(kept, d)
 		case d.Msg != nil:
+			d.Hold().Escape()
 			msgs = append(msgs, d.Msg)
 		}
 	}
@@ -189,10 +197,12 @@ func (o *Outbox) refillLocked(h *Subscriber) int {
 	return n
 }
 
-// evictLocked drops h's oldest queued delivery.
+// evictLocked drops h's oldest queued delivery, releasing its hold: no
+// consumer reads it any more.
 func (o *Outbox) evictLocked(h *Subscriber) {
 	for i := o.head; i < len(o.q); i++ {
 		if o.q[i].Sub == h {
+			o.q[i].Hold().Release()
 			copy(o.q[i:], o.q[i+1:])
 			o.q[len(o.q)-1] = Delivery{}
 			o.q = o.q[:len(o.q)-1]
@@ -239,8 +249,9 @@ func (o *Outbox) wakeConsumer() {
 // following the run. A put parked on a full subscription gives up when stop
 // closes (broker shutdown) and drops what still does not fit. Every count
 // is taken before the consumer can see the run, so no delivery is received
-// before it is counted in Dispatched.
-func (o *Outbox) put(m *jms.Message, subs []*Subscriber, mode jms.DeliveryMode, policy SlowConsumerPolicy, stop <-chan struct{}) {
+// before it is counted in Dispatched, and no hold is released before it is
+// taken: with hold non-nil, each queued delivery holds that carrier.
+func (o *Outbox) put(m *jms.Message, hold *BatchCarrier, subs []*Subscriber, mode jms.DeliveryMode, policy SlowConsumerPolicy, stop <-chan struct{}) {
 	b := o.b
 	block := mode == jms.Persistent && policy == SlowConsumerBlock
 	o.mu.Lock()
@@ -294,10 +305,13 @@ func (o *Outbox) put(m *jms.Message, subs []*Subscriber, mode jms.DeliveryMode, 
 				continue
 			}
 		}
-		o.q = append(o.q, Delivery{Msg: m, Sub: h})
+		o.q = append(o.q, Delivery{Msg: m, Sub: h, hold: hold})
 		h.queued++
 		h.delivered.Add(1)
 		queued++
+	}
+	if hold != nil && queued > 0 {
+		hold.holds.Add(int32(queued))
 	}
 	for _, h := range kicked {
 		o.q = append(o.q, Delivery{Sub: h})

@@ -217,7 +217,7 @@ func TestOutboxParkAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	subs, m, stop := []*Subscriber{h}, jms.NewMessage("t"), make(chan struct{})
-	put := func() { o.put(m, subs, jms.Persistent, SlowConsumerBlock, stop) }
+	put := func() { o.put(m, nil, subs, jms.Persistent, SlowConsumerBlock, stop) }
 	put() // h is full from here on
 	kick, done := make(chan struct{}), make(chan struct{})
 	go func() {

@@ -34,11 +34,12 @@ import (
 
 // pubUnit is one intake-queue entry: one publish in a pooled carrier —
 // every publish is one carrier unit, a single message a batch of one —
-// which the worker recycles after the unit's last transmit (see
-// carrier.go). A unit occupies a single in-flight slot — amortizing the
-// push-back window over its messages is the point of batching — and fans
-// out per message in the worker. Every worker preallocates
-// Options.InFlight units, so the unit is kept at 16 bytes.
+// which the worker recycles after the unit's last transmit, or, when its
+// messages' slabs are to be reused, leaves to the unit's queued deliveries
+// to release (see carrier.go). A unit occupies a single in-flight slot —
+// amortizing the push-back window over its messages is the point of
+// batching — and fans out per message in the worker. Every worker
+// preallocates Options.InFlight units, so the unit is kept at 16 bytes.
 type pubUnit struct {
 	c *BatchCarrier
 	// enqueued is the enqueue stamp of every message of the unit
@@ -200,17 +201,25 @@ func (w *worker) serve(u pubUnit) {
 	// Publish or PublishBatch borrowed them, so an engine that allows it
 	// hands each one's last outbox run the original.
 	owned := !u.c.borrowed && w.d.st.handOff
+	// The worker holds a carrier with slabs until every member is
+	// committed, so no consumer's release can free it before the last put.
+	hold := u.c.hold()
 	// The members are one service: each after the first starts, on the
 	// tape, where the one committed before it ended.
 	var prevEnd time.Time
 	for i := range members {
 		if !members[i].expired {
-			prevEnd = w.commitStages(&members[i], prevEnd, owned)
+			prevEnd = w.commitStages(&members[i], prevEnd, owned, hold)
 		}
 	}
 	// Recycle-after-transmit: the unit is fully committed and nothing
-	// downstream holds the carrier's slices.
-	u.c.recycle()
+	// downstream holds the carrier's slices; the deliveries still queued
+	// may hold its slabs.
+	if hold != nil {
+		hold.unhold(1)
+	} else {
+		u.c.recycle()
+	}
 }
 
 // frontStages runs the receive and match stages for one message of a unit
@@ -303,11 +312,15 @@ func (w *worker) traceCommit(res *result, prevEnd time.Time) time.Time {
 // replica, the last one included, unless owned is set: then the broker owns
 // m (a BatchCarrier's message on an engine with stageSet.handOff) and the
 // last run takes m itself (see Replicator). Nothing here reads m after its
-// last put. A traced message's per-copy timing windows tile the whole loop
-// (each window ends where the next begins), so its replicate and transmit
-// spans sum to the commit time. prevEnd and the returned commit end are
+// last put. Each run's deliveries hold the carrier hold, the unit's when
+// its slabs are to be reused (else nil), except in an outbox of one
+// subscription's own, whose reader keeps what it receives: that run makes
+// the carrier escape instead.
+// A traced message's per-copy timing windows tile the whole loop (each
+// window ends where the next begins), so its replicate and transmit spans
+// sum to the commit time. prevEnd and the returned commit end are
 // traceCommit's.
-func (w *worker) commitStages(res *result, prevEnd time.Time, owned bool) time.Time {
+func (w *worker) commitStages(res *result, prevEnd time.Time, owned bool, hold *BatchCarrier) time.Time {
 	d := w.d
 	m, matches, mode := res.m, res.matches, res.m.Header.DeliveryMode
 	var start, prev time.Time
@@ -330,7 +343,12 @@ func (w *worker) commitStages(res *result, prevEnd time.Time, owned bool) time.T
 				prev = now
 			}
 		}
-		h.out.put(copyMsg, matches[i:j], mode, d.b.opts.SlowConsumer, d.stop)
+		held := hold
+		if held != nil && h.out.solo != nil {
+			held.escaped.Store(true)
+			held = nil
+		}
+		h.out.put(copyMsg, held, matches[i:j], mode, d.b.opts.SlowConsumer, d.stop)
 		if res.traced {
 			now := time.Now()
 			txDur += now.Sub(prev)

@@ -7,10 +7,14 @@
 package wire
 
 import (
+	"context"
+	"encoding/binary"
 	"io"
 	"net"
+	"sync"
 	"testing"
 
+	"repro/internal/broker"
 	"repro/internal/jms"
 )
 
@@ -187,5 +191,161 @@ func TestEgressBurstAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("one pump burst: %v allocs, budget 0", allocs)
+	}
+}
+
+// tallyConn is a net.Conn that drops what is written to it and counts the
+// bytes; waitFor blocks until the count reaches a total.
+type tallyConn struct {
+	net.Conn
+	mu   sync.Mutex
+	more sync.Cond
+	n    int
+}
+
+func newTallyConn() *tallyConn {
+	c := &tallyConn{}
+	c.more.L = &c.mu
+	return c
+}
+
+func (c *tallyConn) Write(b []byte) (int, error) {
+	c.mu.Lock()
+	c.n += len(b)
+	c.more.Broadcast()
+	c.mu.Unlock()
+	return len(b), nil
+}
+
+func (c *tallyConn) Close() error { return nil }
+
+func (c *tallyConn) waitFor(total int) {
+	c.mu.Lock()
+	for c.n < total {
+		c.more.Wait()
+	}
+	c.mu.Unlock()
+}
+
+// TestRecycleSteadyStateAllocs pins the server's side of a wire publish —
+// decode into the connection's arena, admit, match, the pump's encode and
+// the writer's write to a discarding conn — at zero allocations per 64
+// messages once slabs recycle, as 64 PUBLISH frames and as 4 BATCH(16)
+// frames. A GC-owned arena, the storage every wire publish had before slabs
+// recycled, needs a struct chunk per 31 messages here.
+//
+// A publish some keeper retains — an in-process subscriber, a durable
+// consumer, an acked wire subscription — escapes, and its slab is left to
+// the GC; that must allocate no more per message than the GC-owned arena
+// does on the same path.
+func TestRecycleSteadyStateAllocs(t *testing.T) {
+	if poisonSlabs {
+		t.Skip("under jmsdebug every publish takes slabs of its own")
+	}
+	m := jms.NewMessage("t")
+	if err := m.SetCorrelationID("dev-5123456"); err != nil {
+		t.Fatal(err)
+	}
+	m.SetBody(make([]byte, 16))
+	m.Header.TraceID = 1
+	const perRun, batch = 64, 16
+	msgs := make([]*jms.Message, batch)
+	for i := range msgs {
+		msgs[i] = m
+	}
+	shapes := []struct {
+		name   string
+		typ    FrameType
+		frames int
+		body   []byte
+	}{
+		{"PUBLISH", FramePublish, perRun, EncodeMessage(m)},
+		{"BATCH(16)", FrameBatch, perRun / batch, EncodeBatch(msgs)},
+	}
+	delivery := prologueSize + len(EncodeDelivery(1, 1, m))
+	const pubAck, subOK = prologueSize + 8, prologueSize + 16
+
+	// measure returns the allocations per run of perRun messages published
+	// through a served connection to the given keeper, on a GC-owned arena
+	// in place of the connection's own if gcOwned.
+	measure := func(t *testing.T, gcOwned bool, keeper string, typ FrameType, frames int, body []byte) float64 {
+		b := recycleBroker(t, broker.Options{Engine: broker.EngineFast, SubscriberBuffer: 1 << 12})
+		conn := newTallyConn()
+		sc := recycleConn(t, b, conn)
+		if gcOwned {
+			sc.arena = NewMessageArena()
+		}
+		total := 0
+		var sub *broker.Subscriber
+		var err error
+		switch keeper {
+		case "in-process":
+			sub, err = b.SubscribeBuffered("t", nil, 1<<12)
+		case "durable":
+			sub, err = b.SubscribeDurable("t", "kept", nil, broker.DurableOptions{})
+		default:
+			spec := FilterSpec{Mode: FilterNone}
+			if keeper == "acked" {
+				spec.DurableName, spec.Acked = "acked", true
+			}
+			sc.request(t, FrameSubscribe, 1, EncodeSubscribe("t", spec))
+			total += subOK
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload := binary.BigEndian.AppendUint64(nil, 2)
+		payload = append(payload, body...)
+		ack := EncodeAck(1, 0)
+		seq := uint64(0)
+		ctx := context.Background()
+		run := func() {
+			for range frames {
+				if err := sc.handleFrame(Frame{Type: typ, Payload: payload}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			total += frames * pubAck
+			if sub != nil {
+				for range perRun {
+					if _, err := sub.Receive(ctx); err != nil {
+						t.Fatal(err)
+					}
+				}
+				conn.waitFor(total)
+				return
+			}
+			total += perRun * delivery
+			conn.waitFor(total)
+			if keeper == "acked" {
+				for range perRun {
+					seq++
+					binary.BigEndian.PutUint64(ack[8:], seq)
+					if err := sc.handleFrame(Frame{Type: FrameMsgAck, Payload: ack}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		// Grow every buffer and warm the pools first.
+		for range 40 {
+			run()
+		}
+		return testing.AllocsPerRun(100, run)
+	}
+	for _, shape := range shapes {
+		t.Run(shape.name, func(t *testing.T) {
+			for _, keeper := range []string{"wire", "in-process", "durable", "acked"} {
+				slabs := measure(t, false, keeper, shape.typ, shape.frames, shape.body)
+				gcOwned := measure(t, true, keeper, shape.typ, shape.frames, shape.body)
+				t.Logf("%s: %v allocs per %d messages (GC-owned arena: %v)", keeper, slabs, perRun, gcOwned)
+				if keeper == "wire" && slabs != 0 {
+					t.Errorf("%s: %v allocs per %d messages, want 0", keeper, slabs, perRun)
+				}
+				if slabs > gcOwned {
+					t.Errorf("%s: %v allocs per %d messages, more than the GC-owned arena's %v", keeper, slabs, perRun, gcOwned)
+				}
+			}
+		})
 	}
 }

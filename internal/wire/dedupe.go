@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"strings"
 	"sync"
 
 	"repro/internal/jms"
@@ -70,8 +71,10 @@ func (pd *pubDedup) record(pub string, seq int64) bool {
 	}
 	w := pd.pubs[pub]
 	if w == nil {
+		// pub may alias a message's recycled storage (cutString); the
+		// table outlives the message, so it keeps a copy.
 		w = &pubWindow{seen: make(map[int64]struct{})}
-		pd.pubs[pub] = w
+		pd.pubs[strings.Clone(pub)] = w
 	}
 	if seq <= w.maxSeq-pubDedupWindow {
 		return false

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/jms"
 )
@@ -68,5 +69,24 @@ func TestPubIdentity(t *testing.T) {
 	pub, seq, ok := pubIdentity(m)
 	if !ok || pub != "pub-1" || seq != 7 {
 		t.Fatalf("pubIdentity = %q, %d, %v", pub, seq, ok)
+	}
+}
+
+// TestPubDedupKeyOwnsItsBytes: the publisher identity a server records
+// aliases the publish's arena bytes, which are reused once the message is
+// delivered. The table keeps its own copy of a new identity, so the same
+// publisher is still found after those bytes are overwritten.
+func TestPubDedupKeyOwnsItsBytes(t *testing.T) {
+	var pd pubDedup
+	buf := []byte("publisher-7")
+	if !pd.record(unsafe.String(&buf[0], len(buf)), 1) {
+		t.Fatal("first (publisher-7,1) classified duplicate")
+	}
+	copy(buf, "overwritten")
+	if pd.record("publisher-7", 1) {
+		t.Error("(publisher-7,1) classified new after the bytes it was read from were reused")
+	}
+	if !pd.record("overwritten", 1) {
+		t.Error("a publisher never seen was found in the table")
 	}
 }

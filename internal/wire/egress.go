@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/broker"
 	"repro/internal/trace"
 )
 
@@ -59,7 +60,9 @@ type wireCounters struct {
 // A frame may carry the end of its payload by reference (egressBatch.cuts,
 // a delivery's message body). The tail is never written to: nobody writes
 // into it while the frame is queued (jms.Message bodies are replaced, not
-// modified), and the writer drops its reference after the write.
+// modified, and a body in a recycled slab is held by the batch until the
+// write), and the writer drops its reference after the write and releases
+// the batch's holds.
 type connWriter struct {
 	conn   net.Conn
 	stats  *wireCounters
@@ -79,13 +82,15 @@ type connWriter struct {
 }
 
 // egressBatch is a run of complete frames back to back in buf. Each cut is a
-// by-reference tail that goes out as its own iovec after buf[:at]. A
+// by-reference tail that goes out as its own iovec after buf[:at]; holds
+// keep the storage of those tails from reuse until the batch is written. A
 // head-sampled delivery's TraceID and enqueue instant ride in traced, so the
 // writer can attribute its wait in the batch and its share of the writev
 // syscall — the socket half of t_tx.
 type egressBatch struct {
 	buf    []byte
 	cuts   []egressCut
+	holds  []broker.Hold
 	traced []tracedFrame
 	frames int
 }
@@ -165,7 +170,11 @@ func (w *connWriter) run() {
 			taken.buf = nil // one huge frame must not pin its memory
 		}
 		clear(taken.cuts) // nor may a batch keep a message body alive
-		taken.buf, taken.cuts, taken.traced, taken.frames = taken.buf[:0], taken.cuts[:0], taken.traced[:0], 0
+		for _, h := range taken.holds {
+			h.Release() // written or discarded: nothing reads the tails again
+		}
+		clear(taken.holds)
+		taken.buf, taken.cuts, taken.holds, taken.traced, taken.frames = taken.buf[:0], taken.cuts[:0], taken.holds[:0], taken.traced[:0], 0
 	}
 }
 

@@ -216,8 +216,9 @@ type serverConn struct {
 	out      *broker.Outbox
 	pumpMu   sync.Mutex
 	pumpDone chan struct{}
-	// arena materializes inbound publishes from payload views; owned by
-	// the read loop (arenas are not concurrency-safe).
+	// arena materializes inbound publishes from payload views into
+	// recycled slabs; owned by the read loop (arenas are not
+	// concurrency-safe).
 	arena *MessageArena
 	// frameStartNs/frameReadNs bracket the current frame's FrameReader
 	// read (entering fr.Next → frame buffered); set per iteration by the
@@ -306,10 +307,11 @@ func (sc *serverConn) finish(cs *connSub) error {
 	return cs.sub.Unsubscribe()
 }
 
-func (s *Server) handleConn(conn net.Conn) {
-	defer s.wg.Done()
+// newConn returns the state of a connection accepted on conn, its writer
+// started.
+func (s *Server) newConn(conn net.Conn) *serverConn {
 	id := s.nextConnID.Add(1)
-	sc := &serverConn{
+	return &serverConn{
 		server:   s,
 		conn:     conn,
 		id:       id,
@@ -318,12 +320,18 @@ func (s *Server) handleConn(conn net.Conn) {
 		w:        newConnWriter(conn, &s.counters, s.tracer),
 		out:      s.broker.NewOutbox(),
 		pumpDone: make(chan struct{}),
-		arena:    NewMessageArena(),
+		arena:    newSlabArena(),
 		subs:     make(map[uint64]*connSub),
 	}
+}
+
+func (s *Server) handleConn(conn net.Conn) {
+	defer s.wg.Done()
+	sc := s.newConn(conn)
 	sc.log.Debug("connection accepted", "remote", conn.RemoteAddr().String())
 	go sc.deliveryPump()
 	sc.readLoop()
+	sc.arena.drop()
 	close(sc.done)
 	// Close the connection before waiting for the pump: it may be blocked
 	// mid-write on the dead peer.
@@ -570,12 +578,12 @@ func (sc *serverConn) handleFrame(f Frame) error {
 // body it is. Either decodes into a pooled carrier through the arena — a
 // PUBLISH is a carrier of one — because the payload is a view into the
 // read window, so the messages must own their bytes before the next frame
-// is read. The carrier travels the pipeline as one unit and recycles after
-// its last transmit; the messages, carved from the arena's chunks, stay
-// GC-owned. fromClient selects the mesh ingress: client publishes are
-// offered to the configured Forwarder, which may replicate them to peers
-// and veto the local publish; forwarded publishes are always applied
-// locally only.
+// is read. The carrier travels the pipeline as one unit and references the
+// arena slabs its messages were carved from, which are reused once its
+// last delivery is released (see broker.BatchCarrier). fromClient selects
+// the mesh ingress: client publishes are offered to the configured
+// Forwarder, which may replicate them to peers and veto the local publish;
+// forwarded publishes are always applied locally only.
 func (sc *serverConn) handlePublish(reqID uint64, body []byte, batch, fromClient bool) error {
 	var err error
 	c := broker.GetBatchCarrier()
@@ -587,6 +595,7 @@ func (sc *serverConn) handlePublish(reqID uint64, body []byte, batch, fromClient
 			c.Msgs = append(c.Msgs, m)
 		}
 	}
+	sc.arena.claimSlabs(c)
 	if err != nil {
 		c.Release()
 		return err
@@ -761,11 +770,13 @@ const deliveryCoalesce = 16
 const fanoutMaxRefs = 1 << 11
 
 // pumpSend is one frame the pump staged: m for the subscriptions
-// refs[lo:hi], or, when m is nil, the SUB_CLOSED notice for cs.
+// refs[lo:hi], with the holds of their deliveries, or, when m is nil, the
+// SUB_CLOSED notice for cs.
 type pumpSend struct {
 	m      *jms.Message
 	cs     *connSub
 	lo, hi int
+	hold   broker.Hold
 }
 
 // deliveryPump is the connection's one delivery goroutine. It drains the
@@ -793,6 +804,10 @@ func (sc *serverConn) deliveryPump() {
 		refs, sends = stageDeliveries(batch, refs[:0], sends[:0])
 		sc.pumpMu.Unlock()
 		if len(batch) == 0 {
+			// Neither scratch slice may keep a message alive while the pump
+			// idles; while it is busy, each burst overwrites the last.
+			clear(batch[:cap(batch)])
+			clear(sends[:cap(sends)])
 			select {
 			case <-sc.out.Ready():
 			case <-sc.done:
@@ -805,18 +820,17 @@ func (sc *serverConn) deliveryPump() {
 			_ = sc.conn.Close()
 			return
 		}
-		// Neither scratch slice may keep a message alive while the pump idles.
-		clear(batch)
-		clear(sends)
 	}
 }
 
 // stageDeliveries turns deliveries taken off the outbox into the frames
 // that carry them: consecutive deliveries of one message share a frame,
-// deliveries to a subscription finished here are dropped, and on an acked
-// subscription each delivery gets its sequence number and is recorded in
-// the unacked table before its frame is queued, so a connection cut
-// between write and ack leaves the message recoverable.
+// deliveries to a subscription finished here are dropped (and their holds
+// released: nothing reads them), and on an acked subscription each
+// delivery gets its sequence number and is recorded in the unacked table
+// before its frame is queued, so a connection cut between write and ack
+// leaves the message recoverable. The table keeps the message, so its
+// storage escapes.
 func stageDeliveries(batch []broker.Delivery, refs []DeliveryRef, sends []pumpSend) ([]DeliveryRef, []pumpSend) {
 	for _, d := range batch {
 		cs := d.Sub.Tag().(*connSub)
@@ -824,13 +838,19 @@ func stageDeliveries(batch []broker.Delivery, refs []DeliveryRef, sends []pumpSe
 			sends = append(sends, pumpSend{cs: cs})
 			continue
 		}
+		hold := d.Hold()
 		if cs.closed.Load() {
+			hold.Release()
 			continue
+		}
+		if cs.acked {
+			hold.Escape()
 		}
 		if n := len(sends); n > 0 && sends[n-1].m == d.Msg && sends[n-1].hi-sends[n-1].lo < fanoutMaxRefs {
 			sends[n-1].hi++
+			sends[n-1].hold.Join(hold)
 		} else {
-			sends = append(sends, pumpSend{m: d.Msg, lo: len(refs), hi: len(refs) + 1})
+			sends = append(sends, pumpSend{m: d.Msg, lo: len(refs), hi: len(refs) + 1, hold: hold})
 		}
 		refs = append(refs, DeliveryRef{SubID: cs.id, Seq: cs.record(d.Msg)})
 	}
@@ -838,7 +858,9 @@ func stageDeliveries(batch []broker.Delivery, refs []DeliveryRef, sends []pumpSe
 }
 
 // sendBurst appends a burst's staged frames to the fill batch in one hold of
-// the writer. A SUB_CLOSED notice (the disconnect slow-consumer policy)
+// the writer. A delivery frame's holds are released once it is encoded, or,
+// when its body goes by reference, by the writer after the write that
+// gathers it. A SUB_CLOSED notice (the disconnect slow-consumer policy)
 // follows the deliveries queued before it; its entry is dropped first, so a
 // later UNSUBSCRIBE reports an unknown subscription instead of finishing one
 // the broker already removed.
@@ -852,6 +874,11 @@ func (sc *serverConn) sendBurst(sends []pumpSend, refs []DeliveryRef) error {
 		if s.m != nil {
 			if err := sc.appendDelivery(b, refs[s.lo:s.hi], s.m); err != nil {
 				return err
+			}
+			if len(s.m.Body) >= bodyByRefMin {
+				b.holds = append(b.holds, s.hold)
+			} else {
+				s.hold.Release()
 			}
 			continue
 		}

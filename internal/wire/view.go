@@ -329,36 +329,54 @@ const (
 // MessageArena materializes MessageViews into *jms.Message values without
 // a per-message allocation: the Message struct, its property section and
 // one run of bytes (correlation ID, string property values, body) are carved
-// from chunks — one per kind, allocated on first use and replaced when used
-// up — and topic/property-name strings are interned for the arena's
-// lifetime. A 16-message batch costs at most one chunk of each kind, three
-// allocations; a stream of single deliveries costs a fraction of one each.
+// from chunks — one per kind, replaced when used up — and topic/property-name
+// strings are interned for the arena's lifetime. A message needing over a
+// quarter chunk of any kind gets that part, and its struct, allocated on its
+// own. An arena is not safe for concurrent use; each connection owns its
+// own. It comes in two forms, which differ only in where chunks come from
+// and go to.
 //
-// Ownership contract: the returned messages are ordinary GC-owned values —
-// subscribers retain them indefinitely. A chunk is written once, front to
-// back, and never recycled or pooled: the arena only ever writes the part it
-// has not handed out yet, which is what makes the strings aliasing a byte
-// chunk immutable. The price is coupling: a retained message keeps its chunk
-// of 31 structs reachable, and through its 30 neighbours the byte and
-// property chunks they were carved from. That is bounded because only small
-// messages share a struct chunk: one whose body, byte run or property
-// section is over a quarter chunk gets a struct, and that part, allocated on
-// their own, and no chunk-mate to pin them. For the paper's messages (about 150 bytes, a
-// property or two) a retained message pins one chunk of each kind, two
-// where its neighbours straddle a boundary — 16 to 28 KiB; the worst case,
-// 30 neighbours each just under the quarter-chunk limits, is under 150 KiB,
-// whatever the body sizes on the connection. An arena is not safe for
-// concurrent use; each connection (or pipeline stage) owns its own.
+// NewMessageArena's arena is GC-owned, for a subscriber whose application
+// keeps what it receives: each chunk is its own allocation, written once,
+// front to back, and never recycled. A 16-message batch costs at most one
+// chunk of each kind, three allocations; a stream of single deliveries a
+// fraction of one each. The price is coupling: a retained message keeps its
+// chunk of 31 structs reachable, and through its 30 neighbours the byte and
+// property chunks they were carved from. Only small messages share a struct
+// chunk, so for the paper's messages (about 150 bytes, a property or two) a
+// retained message pins one chunk of each kind, two where its neighbours
+// straddle a boundary — 16 to 28 KiB; the worst case, 30 neighbours each
+// just under the quarter-chunk limits, is under 150 KiB.
+//
+// The server's arena (newSlabArena) recycles: it carves from slabs, each a
+// chunk of every kind in one allocation, taken from a pool and counted — one
+// reference for the arena while the slab is current, one for each publish
+// carrier carved from it (claimSlabs hands them over). A slab whose last reference is dropped is
+// scrubbed and pooled, so a steady publish stream allocates no storage; a
+// slab some escaped carrier still references is never pooled and the GC
+// reclaims it as before (see broker.BatchCarrier for who holds and who
+// releases). Either way a carving is written once, before it is handed out,
+// and not again while any message carved from it may be read: that is what
+// makes the strings aliasing a byte run as immutable as runtime-allocated
+// ones. A string that outlives its message — the dedupe table's publisher
+// key — is copied by whoever keeps it.
 type MessageArena struct {
 	cache map[string]string
 	// The unused tails of the current chunks.
 	msgs  []jms.Message
 	props []jms.PropertyEntry
 	bytes []byte
+	// slabs marks a recycling arena; cur is its current slab and taken the
+	// claims on it so far, claims the slabs carved from since claimSlabs
+	// last ran, each with a reference taken for the carrier.
+	slabs  bool
+	cur    *slab
+	taken  int32
+	claims []*slab
 }
 
-// NewMessageArena returns an empty arena. It holds no chunk until the first
-// message is materialized.
+// NewMessageArena returns an empty GC-owned arena. It holds no chunk until
+// the first message is materialized.
 func NewMessageArena() *MessageArena {
 	return &MessageArena{cache: make(map[string]string, 16)}
 }
@@ -377,16 +395,26 @@ func (a *MessageArena) intern(b []byte) string {
 	return s
 }
 
-// carve cuts n zero elements off the front of *tail, the unused part of the
-// current chunk, starting a new chunk when they do not fit. The result is
-// capacity-limited, so an append by its holder reallocates instead of
-// running into the next carving.
-func carve[T any](tail *[]T, n, chunk int) []T {
+// carve cuts n zero elements off the front of *tail, the unused part of one
+// of a's current chunks, starting a new chunk (a new slab, on a recycling
+// arena) when they do not fit. The result is capacity-limited, so an append
+// by its holder reallocates instead of running into the next carving.
+func carve[T any](a *MessageArena, tail *[]T, n, chunk int) []T {
+	if n == 0 {
+		return nil
+	}
 	if n > len(*tail) {
 		if n > chunk/4 {
 			return make([]T, n)
 		}
-		*tail = make([]T, chunk)
+		if a.slabs {
+			a.rotate()
+		} else {
+			*tail = make([]T, chunk)
+		}
+	}
+	if a.cur != nil {
+		a.claim()
 	}
 	s := (*tail)[:n:n]
 	*tail = (*tail)[n:]
@@ -402,9 +430,10 @@ func cut(run *[]byte, b []byte) []byte {
 	return c
 }
 
-// cutString is cut for a value handed out as a string. The bytes are never
-// written again (see the ownership contract), so the string is as immutable
-// as one the runtime allocated.
+// cutString is cut for a value handed out as a string. The bytes are not
+// written again while the message may be read (see MessageArena), so the
+// string is as immutable as one the runtime allocated for as long as the
+// message lives; a holder keeping it longer copies it.
 func cutString(run *[]byte, b []byte) string {
 	if len(b) == 0 {
 		return ""
@@ -421,7 +450,7 @@ func (a *MessageArena) materialize(v *MessageView) (*jms.Message, error) {
 		// the messages that do share a chunk only ever reference chunks.
 		m = new(jms.Message)
 	} else {
-		m = &carve(&a.msgs, 1, msgChunk)[0]
+		m = &carve(a, &a.msgs, 1, msgChunk)[0]
 	}
 	if err := a.MaterializeInto(m, v); err != nil {
 		return nil, err
@@ -456,7 +485,7 @@ func (a *MessageArena) MaterializeInto(m *jms.Message, v *MessageView) error {
 		n = len(order)
 	}
 	runLen, ownBody := v.runLen()
-	run := carve(&a.bytes, runLen, byteChunk)
+	run := carve(a, &a.bytes, runLen, byteChunk)
 
 	m.Header.MessageID = v.msgID
 	m.Header.Topic = a.intern(v.TopicBytes())
@@ -469,7 +498,7 @@ func (a *MessageArena) MaterializeInto(m *jms.Message, v *MessageView) error {
 	m.Header.TraceID = v.traceID
 
 	if n > 0 {
-		m.ReserveProperties(carve(&a.props, n, propChunk))
+		m.ReserveProperties(carve(a, &a.props, n, propChunk))
 	}
 	d := decoder{buf: v.payload, off: v.propsOff}
 	for i := 0; i < n; i++ {
