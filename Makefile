@@ -24,7 +24,9 @@ test-procs:
 # as one server's path, and the commit side's reads of a message before its
 # receiver owns it. It does the same for a connection's egress: the
 # writer's swap under concurrent producers, the bound, the dead-connection
-# path, the delivery pump and the peer link. And for recycled ingress
+# path, the delivery pump and the peer link, and at the client's end a
+# cancelled publish waiting out the write of its by-reference body and
+# delivery acks that never wait at the bound. And for recycled ingress
 # storage: the carrier holds a slab's reuse waits on, the escapes that keep
 # a retained message's slab from reuse, and a by-reference body held by a
 # blocked writer. An ordering or counting race in the one delivery queue,
@@ -33,6 +35,7 @@ test-procs:
 test-queues:
 	$(GO) test -count=20 -run 'Outbox|SlowConsumer|Durable|Metamorphic|Unsubscribe|Churn|PinnedWorkers|BatchedTape|HandOff' ./internal/broker/
 	$(GO) test -count=20 -run 'Egress|Pump|PeerLink' ./internal/wire/
+	$(GO) test -count=20 -run 'Egress|Ack' ./internal/client/
 	$(GO) test -count=20 -run 'Recycle|Release' ./internal/wire/ ./internal/broker/
 
 # test-jmsdebug runs the packages a wire publish's storage crosses under the
@@ -51,9 +54,10 @@ test-benchmark:
 # race runs the data-race detector over the packages with real concurrency:
 # the broker's dispatch engines (the fast engine's several workers included), the lock-free
 # topic snapshots, the copy-on-write message views, the wire layer's egress
-# double buffer, its recycled ingress slabs (released by the delivery pump
-# and the writer while the read loop carves the next) and the client's
-# pooled buffers, the reliability stack (fault injection, reconnecting clients,
+# double buffer at both ends of a connection (the client's requests,
+# publishes and delivery acks go through it too), its recycled ingress slabs
+# (released by the delivery pump and the writer while the read loop carves
+# the next), the reliability stack (fault injection, reconnecting clients,
 # the replication meshes under restart and kill, conformance harness), and
 # the telemetry plane scraped while the broker dispatches, and the load
 # generator's lanes. internal/bench's load loop (publishers, drains, the

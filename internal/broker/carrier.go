@@ -33,8 +33,9 @@ import (
 // last release drops the carrier's slab references, so a slab whose every
 // carrier is done is reused instead of left to the GC. A message kept past
 // its delivery makes the carrier escape: a delivery put into an outbox of
-// its own (in-process Receive or Chan, a durable subscription's relay), or
-// recorded in an acked subscription's unacked table. An escaped carrier
+// its own (in-process Receive or Chan, a durable subscription's relay). A
+// durable consumer's deliveries, an acked subscription's among them, are
+// refilled from its backlog and hold nothing. An escaped carrier
 // never drops its slab references, so that storage stays GC-owned; the
 // carrier struct itself still recycles. The rule is one-sided: a release
 // before the last read would let a reader see another message's bytes, a
@@ -134,8 +135,8 @@ func (c *BatchCarrier) recycle() {
 // Hold is a consumer's claim on the storage of a message it took off a
 // shared Outbox: Delivery.Hold returns one per delivery and Join merges
 // those of one message. Release it once the message has been read for the
-// last time; Escape it first when the message is kept beyond that. The zero
-// Hold — a message whose storage is not recycled — does nothing.
+// last time. The zero Hold — a message whose storage is not recycled —
+// does nothing.
 type Hold struct {
 	c *BatchCarrier
 	n int32
@@ -156,14 +157,6 @@ func (h *Hold) Join(o Hold) {
 		return
 	}
 	h.n += o.n
-}
-
-// Escape keeps the message's storage from ever being reused: the consumer
-// retains the message past its release.
-func (h Hold) Escape() {
-	if h.c != nil {
-		h.c.escaped.Store(true)
-	}
 }
 
 // Release drops the hold. Nothing may read the message through it after.

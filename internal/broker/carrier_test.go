@@ -291,10 +291,12 @@ func TestReleaseLastHoldDropsSlabs(t *testing.T) {
 }
 
 // TestReleaseEscapes: a delivery kept past its release — in an outbox of a
-// subscription's own, which Receive reads, or taken back by a durable
-// consumer's detach — makes the carrier escape, so its slab reference is
-// never dropped however the other holds are released. An evicted delivery
-// releases its hold: nobody reads it.
+// subscription's own, which Receive reads — makes the carrier escape, so its
+// slab reference is never dropped however the other holds are released. A
+// durable consumer's deliveries are refilled from its backlog, which its
+// relay (an outbox of its own) fed: they carry no hold, so neither an acked
+// consumer's unacked table nor its detach has anything to release. An
+// evicted delivery releases its hold: nobody reads it.
 func TestReleaseEscapes(t *testing.T) {
 	t.Run("solo", func(t *testing.T) {
 		b := newTestBroker(t, Options{Engine: EngineFast})
@@ -318,6 +320,24 @@ func TestReleaseEscapes(t *testing.T) {
 		}
 		if n := s.unrefs.Load(); n != 0 {
 			t.Errorf("slab of a message a solo subscriber keeps was dropped %d times", n)
+		}
+	})
+	t.Run("durable", func(t *testing.T) {
+		b := newTestBroker(t, Options{Engine: EngineFast})
+		o := b.NewOutbox()
+		if _, err := o.SubscribeDurable("t", "d", nil, DurableOptions{}, nil); err != nil {
+			t.Fatal(err)
+		}
+		s := &countSlab{}
+		publishSlab(t, b, s)
+		publishSlab(t, b, &countSlab{})
+		for _, d := range takeN(t, o, 2) {
+			if d.Hold() != (Hold{}) {
+				t.Errorf("a refilled durable delivery holds its carrier (%d holds)", d.Hold().n)
+			}
+		}
+		if n := s.unrefs.Load(); n != 0 {
+			t.Errorf("slab of a message a durable backlog kept was dropped %d times", n)
 		}
 	})
 	t.Run("evicted", func(t *testing.T) {

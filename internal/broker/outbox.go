@@ -135,8 +135,8 @@ func (o *Outbox) leave(h *Subscriber) {
 
 // takeForLocked ends h's deliveries, removes the ones still queued for it
 // and returns their messages in queue order. o.mu is held. The messages are
-// kept (a durable backlog takes them back), so their storage escapes; a
-// durable consumer's deliveries come from its backlog and hold none.
+// kept (a durable backlog takes them back); a durable consumer's deliveries
+// come from its backlog and hold no storage, so there is none to release.
 func (o *Outbox) takeForLocked(h *Subscriber) []*jms.Message {
 	h.dead = true
 	var msgs []*jms.Message
@@ -146,7 +146,6 @@ func (o *Outbox) takeForLocked(h *Subscriber) []*jms.Message {
 		case d.Sub != h:
 			kept = append(kept, d)
 		case d.Msg != nil:
-			d.Hold().Escape()
 			msgs = append(msgs, d.Msg)
 		}
 	}

@@ -57,10 +57,10 @@ func (b *batcher) flush() {
 
 // flushLocked hands the accumulated batch to a sender goroutine and resets
 // the buffer. The send happens off the caller's lock so a slow broker ack
-// never blocks further coalescing; FIFO order still holds because the
-// client writes the frame before waiting and writeMu serializes frames in
-// flush order only when sends don't race — with concurrent publishers the
-// broker's per-batch ordering (not cross-batch) is the guarantee.
+// never blocks further coalescing; frames leave in the order they reach
+// the client's egress batch, which is flush order only when sends don't
+// race — with concurrent publishers the broker's per-batch ordering (not
+// cross-batch) is the guarantee.
 func (b *batcher) flushLocked() {
 	if len(b.msgs) == 0 {
 		return

@@ -104,7 +104,10 @@ type Client struct {
 	// Options.BatchMax enables it.
 	batch *batcher
 
-	writeMu sync.Mutex
+	// w is the connection's egress: every frame the client sends —
+	// requests, publishes, delivery acks — goes into its fill batch, and
+	// its writer goroutine sends them, coalesced, in one vectored write.
+	w *wire.Egress
 
 	reqID atomic.Uint64
 
@@ -131,26 +134,12 @@ type Client struct {
 	// loop may still hold it.
 	spare []chan result
 
-	// Delivery acks are queued here and written by ackLoop, never from
-	// the read loop: a synchronous ack write could block on a full socket
-	// send buffer and stall all inbound frame processing. The queue is
-	// unbounded but its growth is bounded by deliveries the server sent,
-	// which the per-subscription buffers throttle.
-	ackMu   sync.Mutex
-	ackQ    []pendingAck
-	ackKick chan struct{}
-
 	// fanout and fanSubs are the read loop's scratch for the subscriptions
 	// a delivery frame names and the ones deliver found for them.
 	fanout  []wire.DeliveryRef
 	fanSubs []*Subscription
 
 	done chan struct{}
-}
-
-// pendingAck is one queued delivery acknowledgement.
-type pendingAck struct {
-	subID, seq uint64
 }
 
 type result struct {
@@ -187,70 +176,18 @@ func NewClientWith(conn net.Conn, opts Options) *Client {
 	c := &Client{
 		conn:        conn,
 		opts:        opts,
+		w:           wire.NewEgress(conn),
 		traceBase:   newTraceBase(),
 		pending:     make(map[uint64]chan result),
 		subs:        make(map[uint64]*Subscription),
 		pendingSubs: make(map[uint64]*Subscription),
-		ackKick:     make(chan struct{}, 1),
 		done:        make(chan struct{}),
 	}
 	if opts.BatchMax > 1 {
 		c.batch = &batcher{c: c, max: opts.BatchMax, linger: opts.BatchLinger}
 	}
 	go c.readLoop()
-	go c.ackLoop()
 	return c
-}
-
-// queueAck hands a delivery acknowledgement to ackLoop without blocking.
-func (c *Client) queueAck(subID, seq uint64) {
-	c.ackMu.Lock()
-	c.ackQ = append(c.ackQ, pendingAck{subID: subID, seq: seq})
-	c.ackMu.Unlock()
-	select {
-	case c.ackKick <- struct{}{}:
-	default:
-	}
-}
-
-// ackLoop drains queued delivery acks to the wire in order. It exits on
-// connection teardown or the first write error; acks pending then are
-// dropped — the server requeues the unacknowledged deliveries of a
-// durable subscription on disconnect, so a dropped ack only means a
-// redelivery the subscriber-side dedupe suppresses.
-func (c *Client) ackLoop() {
-	for {
-		select {
-		case <-c.ackKick:
-		case <-c.done:
-			return
-		}
-		for {
-			c.ackMu.Lock()
-			batch := c.ackQ
-			c.ackQ = nil
-			c.ackMu.Unlock()
-			if len(batch) == 0 {
-				break
-			}
-			// Coalesce the drained acks into one pooled buffer and one
-			// write: MSG_ACK frames are fixed-size, so the whole burst is
-			// appended back to back.
-			bp := wire.GetBuffer()
-			buf := (*bp)[:0]
-			for _, a := range batch {
-				buf = wire.AppendAckFrame(buf, a.subID, a.seq)
-			}
-			c.writeMu.Lock()
-			_, err := c.conn.Write(buf)
-			c.writeMu.Unlock()
-			*bp = buf
-			wire.PutBuffer(bp)
-			if err != nil {
-				return // connection dying; the read loop reports it
-			}
-		}
-	}
 }
 
 // Abandon terminates the connection while classifying in-flight and
@@ -288,7 +225,11 @@ func (c *Client) readLoop() {
 	for {
 		f, err := fr.Next()
 		if err != nil {
+			// A write still blocked on the connection fails at once, so
+			// the writer can stop.
+			_ = c.conn.SetWriteDeadline(time.Now())
 			c.failAll(err)
+			c.w.Close()
 			return
 		}
 		c.dispatch(f, arena)
@@ -429,8 +370,8 @@ func (c *Client) dispatch(f wire.Frame, arena *wire.MessageArena) {
 // &msgs[i] for refs[i]. The subscriptions are looked up under one c.mu
 // acquisition. An acked delivery (Seq != 0) is confirmed once the message is
 // safely in the local delivery queue; an unconfirmed one is requeued
-// server-side on disconnect. The ack goes through ackLoop so a congested
-// socket cannot block inbound frame processing.
+// server-side on disconnect. The ack never waits for the writer (see
+// wire.Egress.Ack), so a congested socket cannot block inbound frames.
 func (c *Client) deliver(refs []wire.DeliveryRef, m *jms.Message, msgs []jms.Message) {
 	subs := c.fanSubs[:0]
 	c.mu.Lock()
@@ -456,7 +397,7 @@ func (c *Client) deliver(refs []wire.DeliveryRef, m *jms.Message, msgs []jms.Mes
 			}
 		}
 		if refs[i].Seq != 0 {
-			c.queueAck(refs[i].SubID, refs[i].Seq)
+			c.w.Ack(refs[i].SubID, refs[i].Seq)
 		}
 	}
 	clear(subs)
@@ -483,26 +424,23 @@ func (c *Client) call(ctx context.Context, typ wire.FrameType, inner []byte) (wi
 // callWithID is call with a caller-allocated request ID, so the caller can
 // register request-scoped state (e.g. a pending subscription) first.
 func (c *Client) callWithID(ctx context.Context, reqID uint64, typ wire.FrameType, inner []byte) (wire.Frame, error) {
-	r := wire.NewRequest(typ, reqID)
-	r.AppendBytes(inner)
-	return c.callRequest(ctx, reqID, r)
+	ch, err := c.register(reqID)
+	if err != nil {
+		return wire.Frame{}, err
+	}
+	return c.await(ctx, reqID, ch, 0, c.w.Request(typ, reqID, inner))
 }
 
-// callRequest sends a request frame built for reqID and waits for the reply.
-// It releases r once r is written out, before the wait starts, so bodies r
-// carries by reference are read during the call only.
-func (c *Client) callRequest(ctx context.Context, reqID uint64, r *wire.Request) (wire.Frame, error) {
+// register enters a reply channel for the call reqID, unless the connection
+// is gone.
+func (c *Client) register(reqID uint64) (chan result, error) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.closed {
-		c.mu.Unlock()
-		r.Release()
-		return wire.Frame{}, ErrClosed
+		return nil, ErrClosed
 	}
 	if c.readErr != nil {
-		readErr := c.readErr
-		c.mu.Unlock()
-		r.Release()
-		return wire.Frame{}, lostErr(readErr)
+		return nil, lostErr(c.readErr)
 	}
 	var ch chan result
 	if n := len(c.spare); n > 0 {
@@ -511,12 +449,15 @@ func (c *Client) callRequest(ctx context.Context, reqID uint64, r *wire.Request)
 		ch = make(chan result, 1)
 	}
 	c.pending[reqID] = ch
-	c.mu.Unlock()
+	return ch, nil
+}
 
-	c.writeMu.Lock()
-	_, err := r.WriteTo(c.conn)
-	c.writeMu.Unlock()
-	r.Release()
+// await waits for the reply to the call reqID registered on ch, whose frame
+// went out as sent unless appending it failed with err. A call that returns
+// without its reply — ctx is done, the connection is gone — first waits for
+// its frame's batch to be written or discarded, so the bodies the frame
+// carries by reference are read during the call only.
+func (c *Client) await(ctx context.Context, reqID uint64, ch chan result, sent wire.Sent, err error) (wire.Frame, error) {
 	if err != nil {
 		c.mu.Lock()
 		delete(c.pending, reqID)
@@ -537,11 +478,15 @@ func (c *Client) callRequest(ctx context.Context, reqID uint64, r *wire.Request)
 			c.spare = append(c.spare, ch)
 		}
 		c.mu.Unlock()
+		if errors.Is(r.err, ErrClosed) {
+			c.w.Wait(sent) // failAll's, not a reply
+		}
 		return r.frame, r.err
 	case <-ctx.Done():
 		c.mu.Lock()
 		delete(c.pending, reqID)
 		c.mu.Unlock()
+		c.w.Wait(sent)
 		return wire.Frame{}, ctx.Err()
 	}
 }
@@ -557,10 +502,10 @@ func (c *Client) ConfigureTopic(ctx context.Context, name string) error {
 // network form of publisher push-back. On a client with Options.BatchMax
 // the message is coalesced with concurrent publishes into one MSG_BATCH
 // frame and the shared acknowledgement is awaited instead. The request is
-// encoded into a pooled buffer, so the publish fast path allocates no
-// fresh buffer per message, and a body of 1 KiB or more is not copied at
-// all: it goes out by reference as its own iovec of the frame's one
-// vectored write (wire.Request). Bodies are read only during the call.
+// encoded into the connection's egress batch (wire.Egress), so the publish
+// fast path allocates nothing per message, and a body of 1 KiB or more is
+// not copied at all: it goes out by reference as its own iovec of the
+// batch's one vectored write. Bodies are read only during the call.
 func (c *Client) Publish(ctx context.Context, m *jms.Message) error {
 	if c.batch != nil {
 		return c.batch.publish(ctx, m)
@@ -590,9 +535,12 @@ func (c *Client) stampTrace(m *jms.Message) {
 func (c *Client) publishOne(ctx context.Context, m *jms.Message) error {
 	c.stampTrace(m)
 	reqID := c.reqID.Add(1)
-	r := wire.NewRequest(wire.FramePublish, reqID)
-	r.AppendMessage(m)
-	_, err := c.callRequest(ctx, reqID, r)
+	ch, err := c.register(reqID)
+	if err != nil {
+		return err
+	}
+	sent, err := c.w.Publish(reqID, m)
+	_, err = c.await(ctx, reqID, ch, sent, err)
 	return err
 }
 
@@ -612,9 +560,12 @@ func (c *Client) PublishBatch(ctx context.Context, msgs []*jms.Message) error {
 		c.stampTrace(m)
 	}
 	reqID := c.reqID.Add(1)
-	r := wire.NewRequest(wire.FrameBatch, reqID)
-	r.AppendBatch(msgs)
-	_, err := c.callRequest(ctx, reqID, r)
+	ch, err := c.register(reqID)
+	if err != nil {
+		return err
+	}
+	sent, err := c.w.Batch(reqID, msgs)
+	_, err = c.await(ctx, reqID, ch, sent, err)
 	return err
 }
 

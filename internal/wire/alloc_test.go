@@ -9,7 +9,6 @@ package wire
 import (
 	"context"
 	"encoding/binary"
-	"io"
 	"net"
 	"sync"
 	"testing"
@@ -76,12 +75,11 @@ func TestAppendDeliveryAllocs(t *testing.T) {
 	}
 }
 
-// TestRequestBatchAllocs pins the client's publish encode and send: a
-// 16-message MSG_BATCH request built in a pooled Request and written out
-// allocates nothing once the pool is warm — with 128-byte bodies, copied
-// into the buffer, and with 4 KiB bodies, which go by reference. The copied
-// 4 KiB batch would be a ~66 KiB buffer, over what the pool keeps, so every
-// call would allocate it afresh.
+// TestRequestBatchAllocs pins the client's send of a 16-message MSG_BATCH
+// request: appended to a client Egress's fill batch and written out, it
+// allocates nothing once the connection's two batches have grown — with
+// 128-byte bodies, copied into the batch, and with 4 KiB bodies, which go
+// as 16 by-reference cuts of the one frame.
 func TestRequestBatchAllocs(t *testing.T) {
 	for _, size := range []int{128, 4 << 10} {
 		msgs := make([]*jms.Message, 16)
@@ -89,14 +87,18 @@ func TestRequestBatchAllocs(t *testing.T) {
 			msgs[i] = encodeMessage(t)
 			msgs[i].SetBody(make([]byte, size))
 		}
+		frame := prologueSize + 8 + len(AppendBatch(nil, msgs))
+		conn := &discardConn{want: frame, done: make(chan struct{}, 1)}
+		e := NewEgress(conn)
 		allocs := testing.AllocsPerRun(200, func() {
-			r := NewRequest(FrameBatch, 1)
-			r.AppendBatch(msgs)
-			if _, err := r.WriteTo(io.Discard); err != nil {
+			s, err := e.Batch(1, msgs)
+			if err != nil {
 				t.Fatal(err)
 			}
-			r.Release()
+			<-conn.done
+			e.Wait(s)
 		})
+		e.Close()
 		if allocs != 0 {
 			t.Errorf("16 × %d B batch request: %v allocs, budget 0", size, allocs)
 		}

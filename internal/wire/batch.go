@@ -17,23 +17,20 @@ import (
 // AppendBatch appends the wire encoding of a batch to buf and returns the
 // extended slice.
 func AppendBatch(buf []byte, msgs []*jms.Message) []byte {
-	return appendBatch(buf, msgs, nil)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(msgs)))
+	for _, m := range msgs {
+		buf = append(appendBatchHead(buf, m), m.Body...)
+	}
+	return buf
 }
 
-// appendBatch is AppendBatch, placing each body with appendBody: with refs
-// non-nil, the bodies of bodyByRefMin bytes or more go to *refs instead of
-// into buf.
-func appendBatch(buf []byte, msgs []*jms.Message, refs *[]bodyRef) []byte {
-	e := encoder{buf: buf}
-	e.u32(uint32(len(msgs)))
-	for _, m := range msgs {
-		lenAt := len(e.buf)
-		e.u32(0) // length placeholder, patched below
-		e.buf = appendMessageHead(e.buf, m)
-		binary.BigEndian.PutUint32(e.buf[lenAt:], uint32(len(e.buf)-lenAt-4+len(m.Body)))
-		e.buf = appendBody(e.buf, m.Body, refs)
-	}
-	return e.buf
+// appendBatchHead appends one batch member up to its body: the length
+// prefix, then appendMessageHead's encoding.
+func appendBatchHead(buf []byte, m *jms.Message) []byte {
+	lenAt := len(buf)
+	buf = appendMessageHead(append(buf, 0, 0, 0, 0), m)
+	binary.BigEndian.PutUint32(buf[lenAt:], uint32(len(buf)-lenAt-4+len(m.Body)))
+	return buf
 }
 
 // BatchSizeHint over-approximates the size of AppendBatch's encoding of msgs.

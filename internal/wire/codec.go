@@ -9,9 +9,8 @@ import (
 	"repro/internal/jms"
 )
 
-// bufPool recycles encode buffers on the per-frame hot paths (server-side
-// delivery, client-side publish), so the steady state of the TCP path
-// allocates no fresh buffer per frame.
+// bufPool recycles the encode buffers of WriteFrame, so a frame written
+// through it allocates no fresh buffer.
 var bufPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 512)
@@ -25,8 +24,8 @@ const maxPooledBuffer = 64 << 10
 
 // bodyByRefMin is the body size from which a frame carries a message body by
 // reference, as its own iovec of one vectored write, instead of copying it
-// behind the encoded head: deliveries (serverConn.appendDelivery) and publishes
-// (Request) alike. Below it the extra iovec costs more than the copy it saves
+// behind the encoded head (egressBatch.body): deliveries and publishes
+// alike. Below it the extra iovec costs more than the copy it saves
 // (EXPERIMENTS.md X14 has the sweep); from it on, encode cost no longer
 // depends on body size.
 const bodyByRefMin = 1 << 10
@@ -159,24 +158,6 @@ func EncodeMessage(m *jms.Message) []byte {
 // value), body bytes.
 func AppendMessage(buf []byte, m *jms.Message) []byte {
 	return append(appendMessageHead(buf, m), m.Body...)
-}
-
-// bodyRef is a message body an encoding carries by reference: it follows
-// the first at bytes of the encoded buffer.
-type bodyRef struct {
-	at   int
-	body []byte
-}
-
-// appendBody places a message body behind its encoded head: appended to
-// buf, or, with refs non-nil and a body of bodyByRefMin bytes or more,
-// recorded in *refs at the end of buf instead.
-func appendBody(buf, body []byte, refs *[]bodyRef) []byte {
-	if refs == nil || len(body) < bodyByRefMin {
-		return append(buf, body...)
-	}
-	*refs = append(*refs, bodyRef{at: len(buf), body: body})
-	return buf
 }
 
 // appendMessageHead appends everything of m's encoding but the body bytes:
@@ -356,7 +337,8 @@ type FilterSpec struct {
 	// delivery sequence number the consumer must answer with MSG_ACK, and
 	// deliveries that were written but never acked when the connection
 	// dies are requeued to the durable backlog instead of being lost.
-	// Only meaningful together with DurableName.
+	// Only meaningful together with DurableName: the server serves any
+	// other acked subscription as a plain one (sequence 0, no MSG_ACK).
 	Acked bool
 }
 
@@ -528,18 +510,6 @@ func appendFanoutRefs(dst []DeliveryRef, payload []byte) ([]DeliveryRef, int, er
 // sequence u64. MSG_ACK frames carry no request ID.
 func EncodeAck(subID, seq uint64) []byte {
 	var e encoder
-	e.u64(subID)
-	e.u64(seq)
-	return e.buf
-}
-
-// AppendAckFrame appends a complete MSG_ACK frame — prologue and payload —
-// to buf, so a burst of acks can be coalesced into one buffer and one
-// write.
-func AppendAckFrame(buf []byte, subID, seq uint64) []byte {
-	e := encoder{buf: buf}
-	e.u32(16)
-	e.u8(uint8(FrameMsgAck))
 	e.u64(subID)
 	e.u64(seq)
 	return e.buf

@@ -3,21 +3,25 @@ package wire
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/broker"
+	"repro/internal/jms"
 	"repro/internal/trace"
 )
 
 // This file is the egress half of the zero-allocation wire path: a
-// per-connection double buffer. Producers — the delivery pump, control
-// replies, a peer link's forwards — append complete frames into the fill
-// batch under one short mutex; the connection's writer goroutine swaps it
-// for the batch it wrote last and sends the one it took in one vectored
-// write, so one write is in flight while the next batch fills.
+// per-connection double buffer, the same at both ends of a connection.
+// Producers — the server's delivery pump and control replies, a peer link's
+// forwards, a client's requests, publishes and delivery acks (Egress) —
+// append complete frames into the fill batch under one short mutex; the
+// connection's writer goroutine swaps it for the batch it wrote last and
+// sends the one it took in one vectored write, so one write is in flight
+// while the next batch fills.
 
 // fillMaxFrames and fillMaxBytes bound a fill batch in frames (EXPERIMENTS.md
 // X22 has the sweep) and in copied bytes. A producer at either waits for the
@@ -57,24 +61,27 @@ type wireCounters struct {
 // the failure to the read loop) and discards what it swaps out from then
 // on, and begin no longer waits: producers never block on a dead peer.
 //
-// A frame may carry the end of its payload by reference (egressBatch.cuts,
-// a delivery's message body). The tail is never written to: nobody writes
-// into it while the frame is queued (jms.Message bodies are replaced, not
-// modified, and a body in a recycled slab is held by the batch until the
-// write), and the writer drops its reference after the write and releases
-// the batch's holds.
+// A frame may carry message bodies by reference (egressBatch.cuts). Nobody
+// writes into such a body while the frame is queued: a delivery's body is
+// replaced, not modified, and one in a recycled slab is held by the batch
+// until the write; a client's publish waits for its reply or, without one,
+// for its batch (wait). The writer drops its references after the write and
+// releases the batch's holds.
 type connWriter struct {
 	conn   net.Conn
 	stats  *wireCounters
 	tracer *trace.Recorder // nil disables egress span recording
 
 	mu   sync.Mutex
-	room sync.Cond // producers at the bound wait here for the next swap
+	room sync.Cond // producers at the bound, and callers of wait, wait here for the next swap
 	fill *egressBatch
 	dead bool  // a write failed: batches are discarded, begin never waits
 	err  error // errWriterClosed once close has begun
 	wake chan struct{}
 	done chan struct{}
+	// swaps counts the batches taken, so the fill goes out in swap
+	// swaps+1; written is the last swap whose batch is written or discarded.
+	swaps, written uint64
 	// iov is the writer's gather list and out the copy of it a vectored
 	// write consumes (net.Buffers.WriteTo advances the slice it is given).
 	// Fields, not locals, so that a write moves no slice header to the heap.
@@ -82,8 +89,8 @@ type connWriter struct {
 }
 
 // egressBatch is a run of complete frames back to back in buf. Each cut is a
-// by-reference tail that goes out as its own iovec after buf[:at]; holds
-// keep the storage of those tails from reuse until the batch is written. A
+// by-reference message body that goes out as its own iovec after buf[:at];
+// holds keep the storage of those bodies from reuse until the batch is written. A
 // head-sampled delivery's TraceID and enqueue instant ride in traced, so the
 // writer can attribute its wait in the batch and its share of the writev
 // syscall — the socket half of t_tx.
@@ -97,7 +104,7 @@ type egressBatch struct {
 
 type egressCut struct {
 	at   int
-	tail []byte
+	body []byte
 }
 
 type tracedFrame struct {
@@ -130,9 +137,32 @@ func (w *connWriter) begin() (*egressBatch, error) {
 
 func (w *connWriter) end() {
 	w.mu.Unlock()
+	w.kick()
+}
+
+// kick wakes the writer; one pending wake-up covers any number of kicks.
+func (w *connWriter) kick() {
 	select {
 	case w.wake <- struct{}{}:
 	default:
+	}
+}
+
+// wait returns once the batch swap s takes has been written or discarded, so
+// nothing reads the by-reference bodies of its frames any more. It kicks the
+// writer, whose next swap records a finished write. A failed writer reads
+// nothing from then on; a closing one may still be writing, so wait waits for
+// it to exit.
+func (w *connWriter) wait(s uint64) {
+	w.mu.Lock()
+	for w.written < s && !w.dead && w.err == nil {
+		w.kick()
+		w.room.Wait()
+	}
+	closing := w.written < s && !w.dead
+	w.mu.Unlock()
+	if closing {
+		<-w.done
 	}
 }
 
@@ -157,6 +187,9 @@ func (w *connWriter) run() {
 		}
 		// A producer waits only on a full fill, whose wake is pending, so
 		// the swap after a failed write publishes dead before any wedges.
+		// The batch taken last is done with by now.
+		w.written = w.swaps
+		w.swaps++
 		taken, w.fill, w.dead = w.fill, taken, dead
 		w.room.Broadcast()
 		w.mu.Unlock()
@@ -171,21 +204,21 @@ func (w *connWriter) run() {
 		}
 		clear(taken.cuts) // nor may a batch keep a message body alive
 		for _, h := range taken.holds {
-			h.Release() // written or discarded: nothing reads the tails again
+			h.Release() // written or discarded: nothing reads the bodies again
 		}
 		clear(taken.holds)
 		taken.buf, taken.cuts, taken.holds, taken.traced, taken.frames = taken.buf[:0], taken.cuts[:0], taken.holds[:0], taken.traced[:0], 0
 	}
 }
 
-// write sends b in one vectored write, buf cut at each by-reference tail.
+// write sends b in one vectored write, buf cut at each by-reference body.
 func (w *connWriter) write(b *egressBatch) error {
 	bufs := w.iov[:0]
 	at, total := 0, len(b.buf)
 	for _, c := range b.cuts {
-		bufs = append(bufs, b.buf[at:c.at], c.tail)
+		bufs = append(bufs, b.buf[at:c.at], c.body)
 		at = c.at
-		total += len(c.tail)
+		total += len(c.body)
 	}
 	if at < len(b.buf) {
 		bufs = append(bufs, b.buf[at:])
@@ -213,21 +246,152 @@ func (w *connWriter) write(b *egressBatch) error {
 	return err
 }
 
+// frameStart is where open started a frame: its offset in buf and its first
+// cut.
+type frameStart struct{ at, cuts int }
+
 // open starts a frame of type typ whose payload the caller appends to buf,
 // and returns its start for seal.
-func (b *egressBatch) open(typ FrameType) int {
-	start := len(b.buf)
+func (b *egressBatch) open(typ FrameType) frameStart {
+	f := frameStart{at: len(b.buf), cuts: len(b.cuts)}
 	b.buf = append(b.buf, 0, 0, 0, 0, byte(typ))
-	return start
+	return f
 }
 
-// seal completes the frame open started: its payload is buf[start+5:] and
-// then tail, which goes out by reference when non-nil. The caller has
-// checked the size against MaxFrameSize.
-func (b *egressBatch) seal(start int, tail []byte) {
-	binary.BigEndian.PutUint32(b.buf[start:], uint32(len(b.buf)-start-prologueSize+len(tail)))
-	if tail != nil {
-		b.cuts = append(b.cuts, egressCut{at: len(b.buf), tail: tail})
+// body appends a message body to the open frame: copied below bodyByRefMin
+// bytes, from it on as a cut, gathered where it lies by the write.
+func (b *egressBatch) body(p []byte) {
+	if len(p) < bodyByRefMin {
+		b.buf = append(b.buf, p...)
+		return
 	}
+	b.cuts = append(b.cuts, egressCut{at: len(b.buf), body: p})
+}
+
+// seal completes the frame open started, whose payload is buf[f.at+5:] with
+// the bodies cut from it, and returns the payload's size. A frame over
+// MaxFrameSize is taken back out, and seal fails with ErrFrameTooLarge.
+func (b *egressBatch) seal(f frameStart) (int, error) {
+	size := len(b.buf) - f.at - prologueSize
+	for _, c := range b.cuts[f.cuts:] {
+		size += len(c.body)
+	}
+	if size > MaxFrameSize {
+		b.buf = b.buf[:f.at]
+		clear(b.cuts[f.cuts:])
+		b.cuts = b.cuts[:f.cuts]
+		return size, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, size)
+	}
+	binary.BigEndian.PutUint32(b.buf[f.at:], uint32(size))
 	b.frames++
+	return size, nil
+}
+
+// Egress is a client connection's writer: the connWriter of the server's
+// connections and peer links behind the frames a client sends. Each method
+// appends one complete frame to the fill batch and returns; the writer
+// goroutine sends it, coalesced with the connection's other frames, in one
+// vectored write. Request, Publish and Batch wait while the fill is at its
+// bound; Ack never does.
+//
+// A message body of bodyByRefMin bytes or more is not copied but gathered
+// where it lies, so Publish and Batch return the Sent their frame went out
+// in: the caller must not write into such a body before the frame's reply
+// has arrived (the frame was written before it) or Wait has returned.
+type Egress struct{ w *connWriter }
+
+// Sent names the batch a frame went out in, for Egress.Wait; zero when the
+// frame copied every byte it sends.
+type Sent uint64
+
+// NewEgress starts the writer of a client connection on conn.
+func NewEgress(conn net.Conn) *Egress {
+	return &Egress{newConnWriter(conn, new(wireCounters), nil)}
+}
+
+// Request appends a request frame: reqID, then payload, copied.
+func (e *Egress) Request(typ FrameType, reqID uint64, payload []byte) error {
+	b, f, err := e.open(typ, reqID)
+	if err != nil {
+		return err
+	}
+	b.buf = append(b.buf, payload...)
+	_, err = e.seal(b, f)
+	return err
+}
+
+// Publish appends a PUBLISH request for m.
+func (e *Egress) Publish(reqID uint64, m *jms.Message) (Sent, error) {
+	b, f, err := e.open(FramePublish, reqID)
+	if err != nil {
+		return 0, err
+	}
+	b.buf = appendMessageHead(b.buf, m)
+	b.body(m.Body)
+	return e.seal(b, f)
+}
+
+// Batch appends a MSG_BATCH request for msgs, in AppendBatch's encoding.
+func (e *Egress) Batch(reqID uint64, msgs []*jms.Message) (Sent, error) {
+	b, f, err := e.open(FrameBatch, reqID)
+	if err != nil {
+		return 0, err
+	}
+	b.buf = binary.BigEndian.AppendUint32(b.buf, uint32(len(msgs)))
+	for _, m := range msgs {
+		b.buf = appendBatchHead(b.buf, m)
+		b.body(m.Body)
+	}
+	return e.seal(b, f)
+}
+
+// Ack appends a MSG_ACK frame. It never waits for room: a client's read
+// loop acks, and one blocked on its own writer would close a cycle through
+// the server — its writer blocked on this client's full socket, its pump and
+// outbox full, its intake full, its read loop blocked, so this client's
+// writer blocked too. The acks held meanwhile are bounded by the deliveries
+// the server sent.
+func (e *Egress) Ack(subID, seq uint64) {
+	w := e.w
+	w.mu.Lock()
+	if w.err == nil {
+		f := w.fill.open(FrameMsgAck)
+		w.fill.buf = binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(w.fill.buf, subID), seq)
+		_, _ = w.fill.seal(f) // 16 bytes: never too large
+	}
+	w.end()
+}
+
+// Wait returns once the batch s went out in has been written or discarded:
+// nothing reads the frame's by-reference bodies after. A call that returns
+// before its reply calls it first.
+func (e *Egress) Wait(s Sent) {
+	if s != 0 {
+		e.w.wait(uint64(s))
+	}
+}
+
+// Close stops the writer; frames not yet written are discarded.
+func (e *Egress) Close() { e.w.close() }
+
+// open locks the writer and starts a request frame of type typ with reqID.
+func (e *Egress) open(typ FrameType, reqID uint64) (*egressBatch, frameStart, error) {
+	b, err := e.w.begin()
+	if err != nil {
+		return nil, frameStart{}, err
+	}
+	f := b.open(typ)
+	b.buf = binary.BigEndian.AppendUint64(b.buf, reqID)
+	return b, f, nil
+}
+
+// seal completes the frame open started and unlocks the writer.
+func (e *Egress) seal(b *egressBatch, f frameStart) (Sent, error) {
+	var s Sent
+	_, err := b.seal(f)
+	if err == nil && len(b.cuts) > f.cuts {
+		s = Sent(e.w.swaps + 1)
+	}
+	e.w.end()
+	return s, err
 }

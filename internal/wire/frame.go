@@ -151,8 +151,8 @@ type Frame struct {
 // WriteFrame writes one frame to w with a single Write call: prologue and
 // payload are coalesced into one pooled buffer (small frames) or a vectored
 // net.Buffers write (frames too large to pool), so the plain per-frame path
-// costs one syscall per frame, not two. The client's requests go through
-// Request instead, which encodes the payload behind its prologue in the
+// costs one syscall per frame, not two. Connections write through a
+// connWriter instead, which encodes each payload behind its prologue in the
 // first place rather than copying it there.
 func WriteFrame(w io.Writer, f Frame) error {
 	if len(f.Payload) > MaxFrameSize {

@@ -171,7 +171,7 @@ func (l *PeerLink) forward(ack *ForwardAck, batch bool, inner []byte) error {
 	start := b.open(FrameForward)
 	b.buf = binary.BigEndian.AppendUint64(b.buf, req)
 	b.buf = AppendForward(b.buf, ForwardHeader{Origin: l.origin, Hops: 1, Batch: batch}, inner)
-	b.seal(start, nil)
+	_, _ = b.seal(start) // checked against MaxFrameSize above
 	s.w.end()
 	return nil
 }

@@ -2,9 +2,11 @@ package wire
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"io"
+	"log/slog"
 	"reflect"
 	"runtime"
 	"strconv"
@@ -54,8 +56,9 @@ func (rc *rawConn) publishFor(corrID string) Frame {
 
 // TestServerFanoutOncePerConnection: a message matching several
 // subscriptions of one connection crosses it once, as one MESSAGE_FANOUT
-// frame naming each of them with its own delivery sequence; a message
-// matching one subscription is still a MESSAGE frame.
+// frame naming each of them, with sequence 0 also for the one that asked
+// for acks without being durable; a message matching one subscription is
+// still a MESSAGE frame.
 func TestServerFanoutOncePerConnection(t *testing.T) {
 	rc, _, srv := startRawServer(t)
 	hot := FilterSpec{Mode: FilterCorrelationID, Expr: "#hot"}
@@ -73,7 +76,7 @@ func TestServerFanoutOncePerConnection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []DeliveryRef{{SubID: first}, {SubID: second}, {SubID: acked, Seq: 1}}
+	want := []DeliveryRef{{SubID: first}, {SubID: second}, {SubID: acked}}
 	if !reflect.DeepEqual(refs, want) || string(m.Body) != "#hot" {
 		t.Fatalf("fanout to %v with body %q, want %v and #hot", refs, m.Body, want)
 	}
@@ -85,6 +88,58 @@ func TestServerFanoutOncePerConnection(t *testing.T) {
 	subID, seq, m, err := DecodeDelivery(f.Payload)
 	if f.Type != FrameMessage || err != nil || subID != lone || seq != 0 || string(m.Body) != "#lone" {
 		t.Fatalf("frame %v (err %v) for subscription %d seq %d, want a MESSAGE for %d", f.Type, err, subID, seq, lone)
+	}
+}
+
+// TestServerAckedNeedsDurable: only a durable subscription is acked. A
+// SUBSCRIBE asking for acks without a durable name is served as a plain
+// subscription — no unacked table, deliveries with sequence 0, so its
+// client sends no MSG_ACK — while a durable one gets its table.
+func TestServerAckedNeedsDurable(t *testing.T) {
+	b := broker.New(broker.Options{})
+	t.Cleanup(func() { _ = b.Close() })
+	if err := b.ConfigureTopic("t"); err != nil {
+		t.Fatal(err)
+	}
+	h := newDeliveryHarness(t, nil)
+	sc := h.sc
+	sc.server.broker = b
+	sc.log = slog.New(slog.NewTextHandler(io.Discard, nil))
+	sc.out = b.NewOutbox()
+	sc.subs = map[uint64]*connSub{}
+	subscribe := func(spec FilterSpec) *connSub {
+		t.Helper()
+		payload := append(EncodeU64(1), EncodeSubscribe("t", spec)...)
+		if err := sc.handleFrame(Frame{Type: FrameSubscribe, Payload: payload}); err != nil {
+			t.Fatal(err)
+		}
+		f, err := h.fr.Next()
+		if err != nil || f.Type != FrameSubscribeOK {
+			t.Fatalf("frame %v (%v), want SUBSCRIBE_OK", f.Type, err)
+		}
+		return sc.subs[binary.BigEndian.Uint64(f.Payload[8:])]
+	}
+	plain := subscribe(FilterSpec{Mode: FilterNone, Acked: true})
+	durable := subscribe(FilterSpec{Mode: FilterCorrelationID, Expr: "never", DurableName: "d", Acked: true})
+	if plain.acked || plain.unacked != nil {
+		t.Errorf("non-durable acked subscription: acked %v with table %v, want a plain one", plain.acked, plain.unacked)
+	}
+	if !durable.acked || durable.unacked == nil {
+		t.Errorf("durable acked subscription: acked %v with table %v, want acked with a table", durable.acked, durable.unacked)
+	}
+
+	if err := b.Publish(context.Background(), jms.NewMessage("t")); err != nil {
+		t.Fatal(err)
+	}
+	<-sc.out.Ready()
+	refs, _ := stageDeliveries(sc.out.Take(nil, deliveryCoalesce), nil, nil)
+	if len(refs) != 1 || refs[0] != (DeliveryRef{SubID: plain.id}) || len(plain.unacked) != 0 {
+		t.Errorf("delivery refs %v, unacked %v; want one with sequence 0 and no table entry", refs, plain.unacked)
+	}
+	for _, cs := range sc.subs {
+		if err := sc.finish(cs); err != nil {
+			t.Error(err)
+		}
 	}
 }
 

@@ -371,18 +371,15 @@ func (s *Server) handleConn(conn net.Conn) {
 // write failure closes the connection, which this read loop observes as a
 // read error.
 func (sc *serverConn) write(f Frame) error {
-	if len(f.Payload) > MaxFrameSize {
-		return ErrFrameTooLarge
-	}
 	b, err := sc.w.begin()
 	if err != nil {
 		return err
 	}
 	start := b.open(f.Type)
 	b.buf = append(b.buf, f.Payload...)
-	b.seal(start, nil)
+	_, err = b.seal(start)
 	sc.w.end()
-	return nil
+	return err
 }
 
 // writeU64 queues a frame whose payload is one u64 — PUB_ACK and the other
@@ -486,8 +483,10 @@ func (sc *serverConn) handleFrame(f Frame) error {
 		// subscription's ID does.
 		sc.pumpMu.Lock()
 		defer sc.pumpMu.Unlock()
+		// Only a durable subscription can be acked: an unacked delivery goes
+		// back to the backlog, and any other subscription has none.
 		sc.nextSubID++
-		cs := &connSub{id: sc.nextSubID, acked: spec.Acked}
+		cs := &connSub{id: sc.nextSubID, acked: spec.Acked && spec.DurableName != ""}
 		if cs.acked {
 			cs.unacked = make(map[uint64]*jms.Message)
 		}
@@ -829,8 +828,9 @@ func (sc *serverConn) deliveryPump() {
 // released: nothing reads them), and on an acked subscription each
 // delivery gets its sequence number and is recorded in the unacked table
 // before its frame is queued, so a connection cut between write and ack
-// leaves the message recoverable. The table keeps the message, so its
-// storage escapes.
+// leaves the message recoverable. The table may keep the message: an acked
+// subscription is durable, so its deliveries come from its backlog and hold
+// no storage that could be reused.
 func stageDeliveries(batch []broker.Delivery, refs []DeliveryRef, sends []pumpSend) ([]DeliveryRef, []pumpSend) {
 	for _, d := range batch {
 		cs := d.Sub.Tag().(*connSub)
@@ -842,9 +842,6 @@ func stageDeliveries(batch []broker.Delivery, refs []DeliveryRef, sends []pumpSe
 		if cs.closed.Load() {
 			hold.Release()
 			continue
-		}
-		if cs.acked {
-			hold.Escape()
 		}
 		if n := len(sends); n > 0 && sends[n-1].m == d.Msg && sends[n-1].hi-sends[n-1].lo < fanoutMaxRefs {
 			sends[n-1].hi++
@@ -891,7 +888,7 @@ func (sc *serverConn) sendBurst(sends []pumpSend, refs []DeliveryRef) error {
 		sc.log.Debug("subscription closed by broker", "sub", s.cs.id, "reason", "slow-consumer")
 		start := b.open(FrameSubClosed)
 		b.buf = append(b.buf, EncodeSubClosed(s.cs.id, "slow-consumer")...)
-		b.seal(start, nil)
+		_, _ = b.seal(start) // a short fixed reason: never too large
 	}
 	return nil
 }
@@ -909,22 +906,18 @@ func (sc *serverConn) appendDelivery(b *egressBatch, refs []DeliveryRef, m *jms.
 	if traced {
 		t0 = time.Now().UnixNano()
 	}
-	start := len(b.buf)
+	var start frameStart
 	if len(refs) == 1 {
-		b.buf = appendDeliveryHead(append(b.buf, 0, 0, 0, 0, byte(FrameMessage)), refs[0].SubID, refs[0].Seq, m)
+		start = b.open(FrameMessage)
+		b.buf = appendDeliveryHead(b.buf, refs[0].SubID, refs[0].Seq, m)
 	} else {
-		b.buf = appendFanoutHead(append(b.buf, 0, 0, 0, 0, byte(FrameFanout)), refs, m)
+		start = b.open(FrameFanout)
+		b.buf = appendFanoutHead(b.buf, refs, m)
 	}
-	var tail []byte
-	if len(m.Body) >= bodyByRefMin {
-		tail = m.Body
-	} else {
-		b.buf = append(b.buf, m.Body...)
-	}
-	if size := len(b.buf) - start - prologueSize + len(tail); size > MaxFrameSize {
-		b.buf = b.buf[:start]
+	b.body(m.Body)
+	if size, err := b.seal(start); err != nil {
 		if len(refs) == 1 {
-			return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, size)
+			return err
 		}
 		// The refs push the frame past the limit: split them over frames
 		// that fit, down to one MESSAGE frame per subscription.
@@ -937,7 +930,6 @@ func (sc *serverConn) appendDelivery(b *egressBatch, refs []DeliveryRef, m *jms.
 		}
 		return nil
 	}
-	b.seal(start, tail)
 	if traced {
 		// The encode span ends where the frame's egress_queue span starts.
 		enqNs := time.Now().UnixNano()
