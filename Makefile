@@ -25,8 +25,9 @@ test-procs:
 # receiver owns it. It does the same for a connection's egress: the
 # writer's swap under concurrent producers, the bound, the dead-connection
 # path, the delivery pump and the peer link, and at the client's end a
-# cancelled publish waiting out the write of its by-reference body and
-# delivery acks that never wait at the bound. And for recycled ingress
+# cancelled publish waiting out the write of its by-reference body,
+# delivery acks that never wait at the bound, and coalesced publishes
+# joining the open MSG_BATCH frame until another frame or a swap closes it. And for recycled ingress
 # storage: the carrier holds a slab's reuse waits on, the escapes that keep
 # a retained message's slab from reuse, and a by-reference body held by a
 # blocked writer. An ordering or counting race in the one delivery queue,
@@ -35,7 +36,7 @@ test-procs:
 test-queues:
 	$(GO) test -count=20 -run 'Outbox|SlowConsumer|Durable|Metamorphic|Unsubscribe|Churn|PinnedWorkers|BatchedTape|HandOff' ./internal/broker/
 	$(GO) test -count=20 -run 'Egress|Pump|PeerLink' ./internal/wire/
-	$(GO) test -count=20 -run 'Egress|Ack' ./internal/client/
+	$(GO) test -count=20 -run 'Egress|Ack|Coalesc' ./internal/client/
 	$(GO) test -count=20 -run 'Recycle|Release' ./internal/wire/ ./internal/broker/
 
 # test-jmsdebug runs the packages a wire publish's storage crosses under the

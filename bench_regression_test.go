@@ -9,6 +9,7 @@ package jmsperf_test
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"net"
 	"runtime"
@@ -679,4 +680,41 @@ func BenchmarkRegressionSubscriptionStore(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(bytesPerSub, "bytes/sub")
+}
+
+// BenchmarkRegressionDialSubscribe is a connection's set-up cost against a
+// live wire server over TCP loopback: Dial, ConfigureTopic (a duplicate,
+// answered with an error, after the first op), one Subscribe and Close.
+// allocs/op and B/op, client and server together, are the deterministic
+// part of the benchmark's setup_s.
+func BenchmarkRegressionDialSubscribe(b *testing.B) {
+	br := broker.New(broker.Options{Engine: broker.EngineFast})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := wire.Serve(br, ln)
+	b.Cleanup(func() {
+		_ = srv.Close()
+		_ = br.Close()
+	})
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c, err := client.Dial(ln.Addr().String())
+		if err != nil {
+			b.Fatal(err)
+		}
+		var se *client.ServerError
+		if err := c.ConfigureTopic(ctx, "t"); err != nil && !errors.As(err, &se) {
+			b.Fatal(err)
+		}
+		if _, err := c.Subscribe(ctx, "t", wire.FilterSpec{Mode: wire.FilterNone}, 0); err != nil {
+			b.Fatal(err)
+		}
+		if err := c.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

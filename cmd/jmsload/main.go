@@ -48,8 +48,9 @@
 // With -batch B the generator exercises the batched publish path: in
 // saturated mode each publisher sends explicit PublishBatch chunks of B
 // messages (one MSG_BATCH frame, one broker in-flight slot per chunk); in
-// paced mode the Poisson arrivals auto-coalesce through the client's
-// size/linger batcher (-linger bounds the wait), producing the M^X/G/1
+// paced mode each Poisson arrival joins the MSG_BATCH frame of the
+// arrivals that came while its connection's write was in flight (at most
+// B, no timer: a lone arrival leaves at once), producing the M^X/G/1
 // batch-arrival pattern the drift monitor models.
 //
 // Usage:
@@ -106,8 +107,7 @@ func run(args []string, stdout io.Writer) error {
 	seed := fs.Int64("seed", 1, "RNG seed for the Poisson arrival schedule")
 	traceSample := fs.Int("tracesample", 0, "stamp every Nth published message with a trace ID and report publish-to-deliver latency (0 = off)")
 	traceHTTP := fs.String("tracehttp", "", "jmsd telemetry address (host:port); fetch sampled IDs from /trace/{id} after the run and print the server-side stage breakdown (needs -tracesample)")
-	batch := fs.Int("batch", 0, "batch size: saturated publishers send explicit PublishBatch chunks of this size, paced publishers auto-coalesce up to it (0 or 1 = per-message)")
-	linger := fs.Duration("linger", time.Millisecond, "paced mode: how long the first coalesced message waits for company before a short batch is flushed (needs -batch > 1)")
+	batch := fs.Int("batch", 0, "batch size: saturated publishers send explicit PublishBatch chunks of this size, paced publishers join the batch of arrivals made during their connection's write, up to it (0 or 1 = per-message)")
 	churn := fs.Int("churn", 0, "churner connections cycling subscribe/unsubscribe during the run (0 = off)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -120,8 +120,6 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("jmsload: negative rate %v", *rate)
 	case *batch < 0:
 		return fmt.Errorf("jmsload: negative batch %d", *batch)
-	case *linger <= 0:
-		return fmt.Errorf("jmsload: non-positive linger %v", *linger)
 	case *traceSample < 0:
 		return fmt.Errorf("jmsload: negative tracesample %d", *traceSample)
 	case *churn < 0:
@@ -222,7 +220,7 @@ func run(args []string, stdout io.Writer) error {
 		traceSent = make(map[uint64]time.Time)
 	)
 	wl := bench.WireLoad{
-		Topic: *topicName, Addrs: addrs, Homes: subHomes, Linger: *linger, Selectors: *useSelectors,
+		Topic: *topicName, Addrs: addrs, Homes: subHomes, Selectors: *useSelectors,
 		Publishers: *publishers, Matching: *matching, NonMatching: *nonMatching,
 		Phase: bench.Phase{Batch: *batch, Rate: *rate, Seed: *seed, Warmup: *warmup, Measure: *measure,
 			Mark: func(open bool) {
@@ -303,11 +301,12 @@ func run(args []string, stdout io.Writer) error {
 	if *traceSample > 0 {
 		// The load loop has returned, so no hook touches lat any more.
 		mean, _ := lat.Mean()
+		p50, _ := lat.Quantile(0.5)
 		if p99, err := lat.Quantile(0.99); err != nil {
 			fmt.Fprintf(stdout, "latency  : no traced deliveries in the window\n")
 		} else {
-			fmt.Fprintf(stdout, "latency  : mean %s  p99 %s  (%d traced deliveries, 1 in %d sampled)\n",
-				time.Duration(mean*float64(time.Second)),
+			fmt.Fprintf(stdout, "latency  : mean %s  p50 %s  p99 %s  (%d traced deliveries, 1 in %d sampled)\n",
+				time.Duration(mean*float64(time.Second)), time.Duration(p50*float64(time.Second)),
 				time.Duration(p99*float64(time.Second)), lat.N(), *traceSample)
 		}
 		if *traceHTTP != "" {

@@ -235,8 +235,9 @@ func benchMessage(topic string, ft core.FilterType, body int) (*jms.Message, err
 // member Homes(i) lists, on a connection of its own there. The first
 // Matching subscribers select the traffic, by correlation ID or, with
 // Selectors, by the property prop. Paced publishers with Batch > 1
-// coalesce through the client's batcher, a short batch waiting Linger;
-// saturated ones send explicit batches, where it would only add a handoff.
+// coalesce on the client (Options.BatchMax): a publish joins the batch of
+// those made while the connection's write was in flight. Saturated ones
+// send explicit batches of Batch messages.
 type WireLoad struct {
 	Phase
 	Topic                             string
@@ -244,7 +245,6 @@ type WireLoad struct {
 	Homes                             func(i int) []string
 	Publishers, Matching, NonMatching int
 	Selectors                         bool
-	Linger                            time.Duration
 }
 
 // RunWire runs a phase over the wire on a topic every member has: it dials
@@ -287,7 +287,7 @@ func RunWire(wl WireLoad) (Window, error) {
 	}
 	var opts client.Options
 	if wl.Rate > 0 && wl.Batch > 1 {
-		opts = client.Options{BatchMax: wl.Batch, BatchLinger: wl.Linger}
+		opts = client.Options{BatchMax: wl.Batch}
 	}
 	for p := 0; p < wl.Publishers; p++ {
 		c, err := client.DialWith(wl.Addrs[p%len(wl.Addrs)], opts)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/jms"
 	"repro/internal/wire"
@@ -79,9 +78,9 @@ func TestPublishBatchDegenerateSizes(t *testing.T) {
 	}
 }
 
-// TestBatchCoalescer exercises the Options.BatchMax auto-coalescing path:
+// TestBatchCoalescer exercises the Options.BatchMax coalescing path:
 // concurrent Publish calls on one client must all succeed and deliver
-// exactly once each, whether a flush was triggered by size or by linger.
+// exactly once each, and a lone publish after them leaves at once.
 func TestBatchCoalescer(t *testing.T) {
 	addr, _ := startServer(t)
 	cfg := dialT(t, addr)
@@ -90,7 +89,7 @@ func TestBatchCoalescer(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pub, err := DialWith(addr, Options{BatchMax: 8, BatchLinger: 2 * time.Millisecond})
+	pub, err := DialWith(addr, Options{BatchMax: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,8 +100,6 @@ func TestBatchCoalescer(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// 50 is deliberately not a multiple of BatchMax, so the tail flushes
-	// by linger rather than by size.
 	const n = 50
 	var wg sync.WaitGroup
 	errs := make([]error, n)
@@ -121,8 +118,14 @@ func TestBatchCoalescer(t *testing.T) {
 			t.Fatalf("publish %d: %v", i, err)
 		}
 	}
-	seen := make(map[string]bool, n)
-	for i := 0; i < n; i++ {
+	// A lone tail publish has no company to wait for.
+	tail := jms.NewMessage("co")
+	tail.SetBody([]byte("tail"))
+	if err := pub.Publish(ctx, tail); err != nil {
+		t.Fatalf("tail publish: %v", err)
+	}
+	seen := make(map[string]bool, n+1)
+	for i := 0; i <= n; i++ {
 		got, err := subscription.Receive(ctx)
 		if err != nil {
 			t.Fatalf("receive %d: %v", i, err)
@@ -132,7 +135,7 @@ func TestBatchCoalescer(t *testing.T) {
 		}
 		seen[string(got.Body)] = true
 	}
-	if len(seen) != n {
-		t.Fatalf("delivered %d distinct messages, want %d", len(seen), n)
+	if len(seen) != n+1 || !seen["tail"] {
+		t.Fatalf("delivered %d distinct messages (tail %v), want %d", len(seen), seen["tail"], n+1)
 	}
 }

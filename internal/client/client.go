@@ -69,17 +69,14 @@ func (e *ServerError) Error() string { return "client: server error: " + e.Msg }
 // Options configure optional client behaviour. The zero value is a plain
 // unbatched client.
 type Options struct {
-	// BatchMax, when > 1, turns on auto-coalescing publishes: Publish
-	// calls buffer their messages and flush as one MSG_BATCH frame once
-	// BatchMax messages have accumulated or BatchLinger has elapsed since
-	// the first buffered message, whichever comes first. One broker
-	// acknowledgement then covers the whole batch, amortizing the
-	// push-back round trip.
+	// BatchMax, when > 1, turns on coalescing publishes: a Publish joins
+	// the MSG_BATCH frame the client's last publish opened while that frame
+	// still waits for the connection's writer and holds fewer than BatchMax
+	// messages, and opens a new one otherwise. One broker acknowledgement
+	// then covers the whole frame, amortizing the push-back round trip. A
+	// batch forms only while the writer is writing or waking up: a lone
+	// publish leaves at once.
 	BatchMax int
-	// BatchLinger bounds how long the first buffered message waits for
-	// company before the batch is flushed anyway. Defaults to 1ms when
-	// BatchMax > 1.
-	BatchLinger time.Duration
 	// OnSubClosed, when non-nil, is called from the read loop whenever the
 	// broker ends a subscription server-side (a SUB_CLOSED notice, e.g.
 	// the disconnect slow-consumer policy). The callback must not block:
@@ -88,21 +85,10 @@ type Options struct {
 	OnSubClosed func(sub *Subscription, reason string)
 }
 
-func (o Options) withDefaults() Options {
-	if o.BatchMax > 1 && o.BatchLinger <= 0 {
-		o.BatchLinger = time.Millisecond
-	}
-	return o
-}
-
 // Client is one connection to a broker. It is safe for concurrent use.
 type Client struct {
 	conn net.Conn
 	opts Options
-
-	// batch is the auto-coalescing publish buffer; nil unless
-	// Options.BatchMax enables it.
-	batch *batcher
 
 	// w is the connection's egress: every frame the client sends —
 	// requests, publishes, delivery acks — goes into its fill batch, and
@@ -117,7 +103,7 @@ type Client struct {
 	traceSeq  atomic.Uint64
 
 	mu      sync.Mutex
-	pending map[uint64]chan result
+	pending map[uint64]chan error
 	subs    map[uint64]*Subscription
 	// pendingSubs holds pre-created subscriptions by request ID so the
 	// read loop can register them the moment SUBSCRIBE_OK arrives — a
@@ -132,7 +118,13 @@ type Client struct {
 	// first), so it is empty and nothing can send into it again. A
 	// cancelled or failed call drops its channel instead, since the read
 	// loop may still hold it.
-	spare []chan result
+	spare []chan error
+
+	// batchMu orders a batching client's publishes (Options.BatchMax);
+	// batchCh is the reply channel of the MSG_BATCH frame the last of them
+	// opened, which every publish in that frame waits on.
+	batchMu sync.Mutex
+	batchCh chan error
 
 	// fanout and fanSubs are the read loop's scratch for the subscriptions
 	// a delivery frame names and the ones deliver found for them.
@@ -140,11 +132,6 @@ type Client struct {
 	fanSubs []*Subscription
 
 	done chan struct{}
-}
-
-type result struct {
-	frame wire.Frame
-	err   error
 }
 
 // maxSpareReplies bounds the reply channels a client keeps for reuse: the
@@ -172,19 +159,15 @@ func NewClient(conn net.Conn) *Client {
 
 // NewClientWith is NewClient with client options.
 func NewClientWith(conn net.Conn, opts Options) *Client {
-	opts = opts.withDefaults()
 	c := &Client{
 		conn:        conn,
 		opts:        opts,
 		w:           wire.NewEgress(conn),
 		traceBase:   newTraceBase(),
-		pending:     make(map[uint64]chan result),
+		pending:     make(map[uint64]chan error),
 		subs:        make(map[uint64]*Subscription),
 		pendingSubs: make(map[uint64]*Subscription),
 		done:        make(chan struct{}),
-	}
-	if opts.BatchMax > 1 {
-		c.batch = &batcher{c: c, max: opts.BatchMax, linger: opts.BatchLinger}
 	}
 	go c.readLoop()
 	return c
@@ -248,7 +231,7 @@ func (c *Client) failAll(err error) {
 		failErr = lostErr(err)
 	}
 	for id, ch := range c.pending {
-		ch <- result{err: failErr}
+		ch <- failErr
 		delete(c.pending, id)
 	}
 	for _, sub := range c.subs {
@@ -297,7 +280,7 @@ func (c *Client) dispatch(f wire.Frame, arena *wire.MessageArena) {
 			}
 		}
 		c.mu.Unlock()
-		c.complete(reqID, result{frame: wire.Frame{Type: f.Type}})
+		c.complete(reqID, nil)
 
 	case wire.FramePubAck, wire.FrameUnsubscribeOK,
 		wire.FrameConfigureTopicOK, wire.FrameDeleteDurableOK, wire.FramePong:
@@ -305,14 +288,14 @@ func (c *Client) dispatch(f wire.Frame, arena *wire.MessageArena) {
 			return
 		}
 		reqID := binary.BigEndian.Uint64(f.Payload)
-		c.complete(reqID, result{frame: wire.Frame{Type: f.Type}})
+		c.complete(reqID, nil)
 
 	case wire.FrameError:
 		reqID, msg, err := wire.DecodeError(f.Payload)
 		if err != nil {
 			return
 		}
-		c.complete(reqID, result{err: &ServerError{Msg: msg}})
+		c.complete(reqID, &ServerError{Msg: msg})
 
 	case wire.FrameMessage:
 		subID, seq, m, err := arena.DecodeDeliveryArena(f.Payload)
@@ -404,7 +387,7 @@ func (c *Client) deliver(refs []wire.DeliveryRef, m *jms.Message, msgs []jms.Mes
 	c.fanSubs = subs[:0]
 }
 
-func (c *Client) complete(reqID uint64, r result) {
+func (c *Client) complete(reqID uint64, err error) {
 	c.mu.Lock()
 	ch, ok := c.pending[reqID]
 	if ok {
@@ -412,28 +395,31 @@ func (c *Client) complete(reqID uint64, r result) {
 	}
 	c.mu.Unlock()
 	if ok {
-		ch <- r
+		ch <- err
 	}
 }
 
-// call sends a request frame and waits for its reply.
-func (c *Client) call(ctx context.Context, typ wire.FrameType, inner []byte) (wire.Frame, error) {
-	return c.callWithID(ctx, c.reqID.Add(1), typ, inner)
-}
-
-// callWithID is call with a caller-allocated request ID, so the caller can
-// register request-scoped state (e.g. a pending subscription) first.
-func (c *Client) callWithID(ctx context.Context, reqID uint64, typ wire.FrameType, inner []byte) (wire.Frame, error) {
-	ch, err := c.register(reqID)
+// call sends a request frame and waits for its reply. A SUBSCRIBE passes
+// the subscription its reply installs, other requests nil.
+func (c *Client) call(ctx context.Context, typ wire.FrameType, inner []byte, sub *Subscription) error {
+	reqID := c.reqID.Add(1)
+	ch, err := c.register(reqID, sub)
 	if err != nil {
-		return wire.Frame{}, err
+		return err
 	}
-	return c.await(ctx, reqID, ch, 0, c.w.Request(typ, reqID, inner))
+	err = c.await(ctx, reqID, ch, 0, c.w.Request(typ, reqID, inner))
+	if err != nil && sub != nil {
+		c.mu.Lock()
+		delete(c.pendingSubs, reqID)
+		c.mu.Unlock()
+	}
+	return err
 }
 
-// register enters a reply channel for the call reqID, unless the connection
-// is gone.
-func (c *Client) register(reqID uint64) (chan result, error) {
+// register enters a reply channel for the call reqID, and sub, if not nil,
+// as the subscription its SUBSCRIBE_OK installs, unless the connection is
+// gone.
+func (c *Client) register(reqID uint64, sub *Subscription) (chan error, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
@@ -442,13 +428,16 @@ func (c *Client) register(reqID uint64) (chan result, error) {
 	if c.readErr != nil {
 		return nil, lostErr(c.readErr)
 	}
-	var ch chan result
+	var ch chan error
 	if n := len(c.spare); n > 0 {
 		ch, c.spare = c.spare[n-1], c.spare[:n-1]
 	} else {
-		ch = make(chan result, 1)
+		ch = make(chan error, 1)
 	}
 	c.pending[reqID] = ch
+	if sub != nil {
+		c.pendingSubs[reqID] = sub
+	}
 	return ch, nil
 }
 
@@ -456,59 +445,66 @@ func (c *Client) register(reqID uint64) (chan result, error) {
 // went out as sent unless appending it failed with err. A call that returns
 // without its reply — ctx is done, the connection is gone — first waits for
 // its frame's batch to be written or discarded, so the bodies the frame
-// carries by reference are read during the call only.
-func (c *Client) await(ctx context.Context, reqID uint64, ch chan result, sent wire.Sent, err error) (wire.Frame, error) {
+// carries by reference are read during the call only. reqID 0 marks ch as
+// the reply channel of a joined MSG_BATCH frame: each of its publishes
+// takes the one reply and puts it back for the next, and none removes the
+// frame's entry.
+func (c *Client) await(ctx context.Context, reqID uint64, ch chan error, sent wire.Sent, err error) error {
 	if err != nil {
 		c.mu.Lock()
 		delete(c.pending, reqID)
 		closed := c.closed
 		c.mu.Unlock()
 		if closed {
-			return wire.Frame{}, ErrClosed
+			return ErrClosed
 		}
 		// A failed send means the connection is dying under us — the
 		// same retryable class as a read-loop failure.
-		return wire.Frame{}, lostErr(fmt.Errorf("send: %w", err))
+		return lostErr(fmt.Errorf("send: %w", err))
 	}
 
 	select {
-	case r := <-ch:
-		c.mu.Lock()
-		if len(c.spare) < maxSpareReplies {
-			c.spare = append(c.spare, ch)
+	case err := <-ch:
+		if reqID == 0 {
+			ch <- err
+		} else {
+			c.mu.Lock()
+			if len(c.spare) < maxSpareReplies {
+				c.spare = append(c.spare, ch)
+			}
+			c.mu.Unlock()
 		}
-		c.mu.Unlock()
-		if errors.Is(r.err, ErrClosed) {
+		if errors.Is(err, ErrClosed) {
 			c.w.Wait(sent) // failAll's, not a reply
 		}
-		return r.frame, r.err
+		return err
 	case <-ctx.Done():
 		c.mu.Lock()
 		delete(c.pending, reqID)
 		c.mu.Unlock()
 		c.w.Wait(sent)
-		return wire.Frame{}, ctx.Err()
+		return ctx.Err()
 	}
 }
 
 // ConfigureTopic creates a topic on the broker.
 func (c *Client) ConfigureTopic(ctx context.Context, name string) error {
-	_, err := c.call(ctx, wire.FrameConfigureTopic, wire.EncodeString(name))
-	return err
+	return c.call(ctx, wire.FrameConfigureTopic, wire.EncodeString(name), nil)
 }
 
 // Publish sends a message and waits for the broker's acknowledgement. The
 // ack is delayed while the broker's in-flight window is full, which is the
 // network form of publisher push-back. On a client with Options.BatchMax
-// the message is coalesced with concurrent publishes into one MSG_BATCH
-// frame and the shared acknowledgement is awaited instead. The request is
-// encoded into the connection's egress batch (wire.Egress), so the publish
-// fast path allocates nothing per message, and a body of 1 KiB or more is
-// not copied at all: it goes out by reference as its own iovec of the
-// batch's one vectored write. Bodies are read only during the call.
+// the message joins the MSG_BATCH frame of the publishes made while the
+// connection's writer was busy, and that frame's one acknowledgement is
+// awaited instead. The request is encoded into the connection's egress
+// batch (wire.Egress), so the publish fast path allocates nothing per
+// message, and a body of 1 KiB or more is not copied at all: it goes out by
+// reference as its own iovec of the batch's one vectored write. Bodies are
+// read only during the call.
 func (c *Client) Publish(ctx context.Context, m *jms.Message) error {
-	if c.batch != nil {
-		return c.batch.publish(ctx, m)
+	if c.opts.BatchMax > 1 {
+		return c.publishJoin(ctx, m)
 	}
 	return c.publishOne(ctx, m)
 }
@@ -535,13 +531,34 @@ func (c *Client) stampTrace(m *jms.Message) {
 func (c *Client) publishOne(ctx context.Context, m *jms.Message) error {
 	c.stampTrace(m)
 	reqID := c.reqID.Add(1)
-	ch, err := c.register(reqID)
+	ch, err := c.register(reqID, nil)
 	if err != nil {
 		return err
 	}
 	sent, err := c.w.Publish(reqID, m)
-	_, err = c.await(ctx, reqID, ch, sent, err)
-	return err
+	return c.await(ctx, reqID, ch, sent, err)
+}
+
+// publishJoin sends m in the open MSG_BATCH frame of the egress fill batch
+// (wire.Egress.Join), or in a new one whose reply channel it registers
+// first, and waits for that frame's reply.
+func (c *Client) publishJoin(ctx context.Context, m *jms.Message) error {
+	c.stampTrace(m)
+	c.batchMu.Lock()
+	joined, sent, err := c.w.Join(0, m, c.opts.BatchMax)
+	ch, reqID := c.batchCh, uint64(0)
+	if err == nil && !joined {
+		reqID = c.reqID.Add(1)
+		if ch, err = c.register(reqID, nil); err != nil {
+			c.batchMu.Unlock()
+			return err
+		}
+		if _, sent, err = c.w.Join(reqID, m, c.opts.BatchMax); err == nil {
+			c.batchCh, reqID = ch, 0
+		}
+	}
+	c.batchMu.Unlock()
+	return c.await(ctx, reqID, ch, sent, err)
 }
 
 // PublishBatch sends several messages in one MSG_BATCH frame and waits for
@@ -560,13 +577,12 @@ func (c *Client) PublishBatch(ctx context.Context, msgs []*jms.Message) error {
 		c.stampTrace(m)
 	}
 	reqID := c.reqID.Add(1)
-	ch, err := c.register(reqID)
+	ch, err := c.register(reqID, nil)
 	if err != nil {
 		return err
 	}
 	sent, err := c.w.Batch(reqID, msgs)
-	_, err = c.await(ctx, reqID, ch, sent, err)
-	return err
+	return c.await(ctx, reqID, ch, sent, err)
 }
 
 // Subscription is a remote subscription's delivery stream.
@@ -607,34 +623,12 @@ func (c *Client) Subscribe(ctx context.Context, topicName string, spec wire.Filt
 		ch:     make(chan *jms.Message, buffer),
 		gone:   make(chan struct{}),
 	}
-	// Register the subscription under the request ID before sending: the
-	// read loop moves it into the live table when SUBSCRIBE_OK arrives,
-	// so deliveries following the reply on the wire can never be lost.
-	reqID := c.reqID.Add(1)
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, ErrClosed
-	}
-	if c.readErr != nil {
-		readErr := c.readErr
-		c.mu.Unlock()
-		return nil, lostErr(readErr)
-	}
-	c.pendingSubs[reqID] = sub
-	c.mu.Unlock()
-
-	f, err := c.callWithID(ctx, reqID, wire.FrameSubscribe, wire.EncodeSubscribe(topicName, spec))
-	if err != nil {
-		c.mu.Lock()
-		delete(c.pendingSubs, reqID)
-		c.mu.Unlock()
+	// call registers the subscription before it sends: the read loop moves
+	// it into the live table when SUBSCRIBE_OK arrives, setting its ID, so
+	// deliveries following the reply on the wire can never be lost.
+	if err := c.call(ctx, wire.FrameSubscribe, wire.EncodeSubscribe(topicName, spec), sub); err != nil {
 		return nil, err
 	}
-	// The read loop validated the SUBSCRIBE_OK payload and registered the
-	// subscription (setting its ID) before completing the call; the reply
-	// frame itself carries no payload across goroutines.
-	_ = f
 	return sub, nil
 }
 
@@ -702,8 +696,7 @@ func (s *Subscription) Unsubscribe(ctx context.Context) error {
 	c.mu.Unlock()
 
 	s.once.Do(func() { close(s.gone) })
-	_, err := c.call(ctx, wire.FrameUnsubscribe, wire.EncodeU64(s.id))
-	return err
+	return c.call(ctx, wire.FrameUnsubscribe, wire.EncodeU64(s.id), nil)
 }
 
 // DeleteDurable removes a named durable subscription from the broker,
@@ -711,13 +704,11 @@ func (s *Subscription) Unsubscribe(ctx context.Context) error {
 func (c *Client) DeleteDurable(ctx context.Context, topicName, name string) error {
 	payload := wire.EncodeString(topicName)
 	payload = append(payload, wire.EncodeString(name)...)
-	_, err := c.call(ctx, wire.FrameDeleteDurable, payload)
-	return err
+	return c.call(ctx, wire.FrameDeleteDurable, payload, nil)
 }
 
 // Ping round-trips a liveness probe: it returns once the broker's PONG
 // echoes the ping's request ID, or with ctx's error.
 func (c *Client) Ping(ctx context.Context) error {
-	_, err := c.call(ctx, wire.FramePing, nil)
-	return err
+	return c.call(ctx, wire.FramePing, nil, nil)
 }

@@ -88,8 +88,23 @@ func parkedIn(fn string) bool {
 // overwrites the body as soon as Publish returns, and the bytes on the wire
 // are still the original ones.
 func TestEgressCancelledPublishWaitsForWrite(t *testing.T) {
+	sent, m := cancelledPublishOnWire(t, Options{})
+	payload := wire.EncodeMessage(m)
+	if len(sent) != 13+len(payload) || binary.BigEndian.Uint32(sent) != uint32(8+len(payload)) ||
+		wire.FrameType(sent[4]) != wire.FramePublish || !bytes.Equal(sent[13:], payload) {
+		t.Fatalf("the PUBLISH frame on the wire (%d bytes) is not the message with its original body", len(sent))
+	}
+}
+
+// cancelledPublishOnWire publishes a 4 KiB body with a cancelled context on
+// a client with opts while the writer is held, checks that Publish waits for
+// the write of the frame, overwrites the body once it has returned, and
+// returns the bytes written after the held write and the message with its
+// original body.
+func cancelledPublishOnWire(t *testing.T, opts Options) ([]byte, *jms.Message) {
+	t.Helper()
 	gc, _ := newGateConn(t)
-	c := NewClient(gc)
+	c := NewClientWith(gc, opts)
 	t.Cleanup(func() { _ = c.Close() })
 	// Hold the writer in a write of its own: a PING nobody answers.
 	go func() { _ = c.Ping(context.Background()) }()
@@ -134,11 +149,7 @@ func TestEgressCancelledPublishWaitsForWrite(t *testing.T) {
 		break
 	}
 	m.SetBody(original)
-	payload := wire.EncodeMessage(m)
-	if len(sent) != 13+len(payload) || binary.BigEndian.Uint32(sent) != uint32(8+len(payload)) ||
-		wire.FrameType(sent[4]) != wire.FramePublish || !bytes.Equal(sent[13:], payload) {
-		t.Fatalf("the PUBLISH frame on the wire (%d bytes) is not the message with its original body", len(sent))
-	}
+	return sent, m
 }
 
 // TestEgressAcksNeverWait: with the client's writer held in a write, the
@@ -211,7 +222,8 @@ func TestEgressAcksNeverWait(t *testing.T) {
 }
 
 // TestDialStartsTwoGoroutines: a client connection runs two goroutines, its
-// read loop and its writer, and Close ends both.
+// read loop and its writer, and Close ends both; a coalescing client
+// (Options.BatchMax) starts no more, also once it has published.
 func TestDialStartsTwoGoroutines(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -232,26 +244,35 @@ func TestDialStartsTwoGoroutines(t *testing.T) {
 		}
 		return ours() == want
 	}
-	if !settled(0) {
-		t.Fatalf("%d client goroutines before Dial", ours())
-	}
-	before := runtime.NumGoroutine()
-	c, err := Dial(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := runtime.NumGoroutine() - before; n != 2 || !settled(2) {
-		t.Errorf("Dial started %d goroutines, %d of them the client's, want 2: the read loop and the writer", n, ours())
-	}
-	conn, err := ln.Accept()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !settled(0) {
-		t.Errorf("%d client goroutines left after Close", ours())
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, opts := range []Options{{}, {BatchMax: 8}} {
+		if !settled(0) {
+			t.Fatalf("BatchMax %d: %d client goroutines before Dial", opts.BatchMax, ours())
+		}
+		before := runtime.NumGoroutine()
+		c, err := DialWith(ln.Addr().String(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Nobody answers: the publish returns on its cancelled context.
+		if err := c.Publish(cancelled, jms.NewMessage("t")); !errors.Is(err, context.Canceled) {
+			t.Errorf("BatchMax %d: publish: %v, want context.Canceled", opts.BatchMax, err)
+		}
+		if n := runtime.NumGoroutine() - before; n != 2 || !settled(2) {
+			t.Errorf("BatchMax %d: Dial and Publish started %d goroutines, %d of them the client's, want 2: the read loop and the writer",
+				opts.BatchMax, n, ours())
+		}
+		conn, err := ln.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.Close()
+		if !settled(0) {
+			t.Errorf("BatchMax %d: %d client goroutines left after Close", opts.BatchMax, ours())
+		}
 	}
 }

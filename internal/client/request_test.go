@@ -134,7 +134,7 @@ func TestCancelledCallLateReply(t *testing.T) {
 
 	go func() { errs <- c.ConfigureTopic(context.Background(), "c") }()
 	id = <-requests
-	late <- result{frame: wire.Frame{Type: wire.FrameConfigureTopicOK}}
+	late <- nil // a stale reply, as the read loop would send it
 	reply(wire.Frame{Type: wire.FrameError, Payload: wire.EncodeError(id, "third call's reply")})
 	var se *ServerError
 	if err := <-errs; !errors.As(err, &se) || se.Msg != "third call's reply" {

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/jms"
 	"repro/internal/wire"
@@ -14,7 +13,7 @@ import (
 // These tests pin the TraceID lifecycle the flight recorder depends on:
 // the client stamps a nonzero ID on every publish that lacks one, caller
 // IDs pass through untouched, and the value survives every wire path —
-// single frames, explicit batches, the size/linger coalescer and the
+// single frames, explicit batches, coalesced publishes and the
 // server's arena/view materialization — unchanged.
 
 func subscribeAll(t *testing.T, addr, topic string) *Subscription {
@@ -82,7 +81,7 @@ func TestExplicitTraceIDPreserved(t *testing.T) {
 
 // TestTraceIDDifferentialAcrossPaths publishes the same labeled message
 // set through the single-frame path, the explicit batch path and the
-// size/linger coalescer, with caller-assigned IDs, and requires all three
+// coalescing client (Options.BatchMax), with caller-assigned IDs, and requires all three
 // to deliver the identical body→TraceID mapping — the differential check
 // that no wire path loses or rewrites the header.
 func TestTraceIDDifferentialAcrossPaths(t *testing.T) {
@@ -164,11 +163,11 @@ func TestTraceIDDifferentialAcrossPaths(t *testing.T) {
 		}
 	}
 
-	// Coalescer path: concurrent publishes auto-batch through the
-	// size/linger batcher.
+	// Coalescer path: concurrent publishes join each other's MSG_BATCH
+	// frames.
 	addr3, _ := startServer(t)
 	sub3 := subscribeAll(t, addr3, "t")
-	pub3, err := DialWith(addr3, Options{BatchMax: 8, BatchLinger: 2 * time.Millisecond})
+	pub3, err := DialWith(addr3, Options{BatchMax: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +200,7 @@ func TestTraceIDDifferentialAcrossPaths(t *testing.T) {
 func TestCoalescerAutoStamps(t *testing.T) {
 	addr, _ := startServer(t)
 	sub := subscribeAll(t, addr, "t")
-	pub, err := DialWith(addr, Options{BatchMax: 4, BatchLinger: 2 * time.Millisecond})
+	pub, err := DialWith(addr, Options{BatchMax: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,8 +77,15 @@ func (f FixedBatch) Moments() BatchMoments {
 func (f FixedBatch) Sample(*stats.RNG) int { return f.K }
 
 // GeometricBatch is the geometric batch size on {1, 2, ...} with success
-// probability P: P(X = k) = P(1-P)^(k-1) — the linger-flushed publisher
-// whose batch grows until an independent per-slot stop.
+// probability P: P(X = k) = P(1-P)^(k-1) — a batch that grows until an
+// independent per-slot stop. A coalescing client's MSG_BATCH frame is 1 +
+// the publishes that arrive while its join window (writer wake-up plus any
+// write in flight) stays open: for publishes at Poisson rate λ, E[X] = 1 +
+// λ·E[window] while that stays well under BatchMax. The frame is
+// geometric when the window is exponential. Measured frames keep that mean
+// but have a heavier tail than both this law at P = 1/E[X] and a fixed
+// window's 1 + Poisson: the window is mostly a microsecond wake-up with
+// rare long stalls (EXPERIMENTS.md X25).
 type GeometricBatch struct{ P float64 }
 
 // NewGeometricBatch validates P in (0, 1].

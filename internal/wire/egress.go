@@ -93,14 +93,23 @@ type connWriter struct {
 // holds keep the storage of those bodies from reuse until the batch is written. A
 // head-sampled delivery's TraceID and enqueue instant ride in traced, so the
 // writer can attribute its wait in the batch and its share of the writev
-// syscall — the socket half of t_tx.
+// syscall — the socket half of t_tx. joinable is the MSG_BATCH frame that
+// Egress.Join's publishes join.
 type egressBatch struct {
-	buf    []byte
-	cuts   []egressCut
-	holds  []broker.Hold
-	traced []tracedFrame
-	frames int
+	buf      []byte
+	cuts     []egressCut
+	holds    []broker.Hold
+	traced   []tracedFrame
+	frames   int
+	joinable joinable
 }
+
+// joinable is the offset of the MSG_BATCH frame the last Egress.Join
+// opened and the batch's frame count once that frame was sealed: the frame
+// is open to joins while no other frame has been sealed after it. A swap
+// clears it. Two int32s keep egressBatch, which every connection end has
+// two of, in its size class.
+type joinable struct{ at, frames int32 }
 
 type egressCut struct {
 	at   int
@@ -208,6 +217,7 @@ func (w *connWriter) run() {
 		}
 		clear(taken.holds)
 		taken.buf, taken.cuts, taken.holds, taken.traced, taken.frames = taken.buf[:0], taken.cuts[:0], taken.holds[:0], taken.traced[:0], 0
+		taken.joinable = joinable{}
 	}
 }
 
@@ -345,6 +355,48 @@ func (e *Egress) Batch(reqID uint64, msgs []*jms.Message) (Sent, error) {
 	return e.seal(b, f)
 }
 
+// Join appends m to the open MSG_BATCH frame of the fill batch — the one
+// the last Join opened, while no other frame has been sealed after it and
+// the writer has not taken it — if that frame holds fewer than max messages
+// and stays within MaxFrameSize with m, and reports true. Failing that, it
+// appends nothing when reqID is 0, and otherwise opens a MSG_BATCH frame
+// with reqID for m alone, which later calls may join. Either way the frame
+// is AppendBatch's encoding of its messages.
+func (e *Egress) Join(reqID uint64, m *jms.Message, max int) (bool, Sent, error) {
+	b, err := e.w.begin()
+	if err != nil {
+		return false, 0, err
+	}
+	f, n := frameStart{at: int(b.joinable.at), cuts: len(b.cuts)}, 0
+	if b.frames > 0 && int(b.joinable.frames) == b.frames {
+		for f.cuts > 0 && b.cuts[f.cuts-1].at > f.at {
+			f.cuts-- // the frame's own bodies by reference
+		}
+		n = int(binary.BigEndian.Uint32(b.buf[f.at+prologueSize+8:]))
+		if n >= max || int(binary.BigEndian.Uint32(b.buf[f.at:]))+4+MessageSizeHint(m) > MaxFrameSize {
+			n = 0
+		}
+	}
+	switch {
+	case n > 0:
+		b.frames-- // sealed again below, with m
+	case reqID == 0:
+		e.w.mu.Unlock()
+		return false, 0, nil
+	default:
+		f = b.open(FrameBatch)
+		b.buf = binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint64(b.buf, reqID), 0)
+	}
+	binary.BigEndian.PutUint32(b.buf[f.at+prologueSize+8:], uint32(n+1))
+	b.buf = appendBatchHead(b.buf, m)
+	b.body(m.Body)
+	if _, err = b.seal(f); err == nil {
+		b.joinable = joinable{int32(f.at), int32(b.frames)}
+	}
+	s, err := e.end(b, f.cuts, err)
+	return n > 0, s, err
+}
+
 // Ack appends a MSG_ACK frame. It never waits for room: a client's read
 // loop acks, and one blocked on its own writer would close a cycle through
 // the server — its writer blocked on this client's full socket, its pump and
@@ -387,9 +439,15 @@ func (e *Egress) open(typ FrameType, reqID uint64) (*egressBatch, frameStart, er
 
 // seal completes the frame open started and unlocks the writer.
 func (e *Egress) seal(b *egressBatch, f frameStart) (Sent, error) {
-	var s Sent
 	_, err := b.seal(f)
-	if err == nil && len(b.cuts) > f.cuts {
+	return e.end(b, f.cuts, err)
+}
+
+// end unlocks the writer. Unless err, it returns the batch's Sent when the
+// frame's bodies, from cut cuts on, include one by reference.
+func (e *Egress) end(b *egressBatch, cuts int, err error) (Sent, error) {
+	var s Sent
+	if err == nil && len(b.cuts) > cuts {
 		s = Sent(e.w.swaps + 1)
 	}
 	e.w.end()
