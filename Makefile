@@ -30,7 +30,7 @@ test-procs:
 # joining the open MSG_BATCH frame until another frame or a swap closes it. And for recycled ingress
 # storage: the carrier holds a slab's reuse waits on, the escapes that keep
 # a retained message's slab from reuse, and a by-reference body held by a
-# blocked writer. An ordering or counting race in the one delivery queue,
+# blocked writer, in the slab or, over 2 KiB, in pooled body storage. An ordering or counting race in the one delivery queue,
 # between a topic's workers, in the egress double buffer or in a release
 # shows as a failure in some run.
 test-queues:
@@ -41,8 +41,9 @@ test-queues:
 
 # test-jmsdebug runs the packages a wire publish's storage crosses under the
 # jmsdebug build tag, which poisons a slab when its last reference is
-# dropped and gives every publish slabs of its own: a message read after
-# its storage was released shows as corrupted content.
+# dropped and gives every publish slabs of its own, and poisons released
+# body storage (a body over 2 KiB, which has storage of its own anyway): a
+# message read after its storage was released shows as corrupted content.
 test-jmsdebug:
 	$(GO) test -tags jmsdebug ./internal/wire/ ./internal/broker/ ./internal/cluster/ ./internal/client/
 
@@ -57,8 +58,8 @@ test-benchmark:
 # topic snapshots, the copy-on-write message views, the wire layer's egress
 # double buffer at both ends of a connection (the client's requests,
 # publishes and delivery acks go through it too), its recycled ingress slabs
-# (released by the delivery pump and the writer while the read loop carves
-# the next), the reliability stack (fault injection, reconnecting clients,
+# and body storage (released by the delivery pump and the writer while the
+# read loop carves the next), the reliability stack (fault injection, reconnecting clients,
 # the replication meshes under restart and kill, conformance harness), and
 # the telemetry plane scraped while the broker dispatches, and the load
 # generator's lanes. internal/bench's load loop (publishers, drains, the

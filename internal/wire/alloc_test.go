@@ -9,6 +9,7 @@ package wire
 import (
 	"context"
 	"encoding/binary"
+	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -232,45 +233,45 @@ func (c *tallyConn) waitFor(total int) {
 // TestRecycleSteadyStateAllocs pins the server's side of a wire publish —
 // decode into the connection's arena, admit, match, the pump's encode and
 // the writer's write to a discarding conn — at zero allocations per 64
-// messages once slabs recycle, as 64 PUBLISH frames and as 4 BATCH(16)
-// frames. A GC-owned arena, the storage every wire publish had before slabs
-// recycled, needs a struct chunk per 31 messages here.
+// messages once slabs and body storage recycle, as 64 PUBLISH frames and as
+// 4 BATCH(16) frames, with a 16-byte body and with a 4 KiB one (pooled body
+// storage, written by reference). A GC-owned arena, the storage every wire
+// publish had before slabs recycled, needs a struct chunk per 31 small
+// messages here, and a struct and a body per large one.
 //
 // A publish some keeper retains — an in-process subscriber, a durable
-// consumer, an acked wire subscription — escapes, and its slab is left to
-// the GC; that must allocate no more per message than the GC-owned arena
-// does on the same path.
+// consumer, an acked wire subscription — escapes, and its slab and body
+// storage are left to the GC; that must allocate no more per message than
+// the GC-owned arena does on the same path.
 func TestRecycleSteadyStateAllocs(t *testing.T) {
 	if poisonSlabs {
 		t.Skip("under jmsdebug every publish takes slabs of its own")
 	}
-	m := jms.NewMessage("t")
-	if err := m.SetCorrelationID("dev-5123456"); err != nil {
-		t.Fatal(err)
-	}
-	m.SetBody(make([]byte, 16))
-	m.Header.TraceID = 1
 	const perRun, batch = 64, 16
-	msgs := make([]*jms.Message, batch)
-	for i := range msgs {
-		msgs[i] = m
-	}
 	shapes := []struct {
 		name   string
 		typ    FrameType
 		frames int
-		body   []byte
 	}{
-		{"PUBLISH", FramePublish, perRun, EncodeMessage(m)},
-		{"BATCH(16)", FrameBatch, perRun / batch, EncodeBatch(msgs)},
+		{"PUBLISH", FramePublish, perRun},
+		{"BATCH(16)", FrameBatch, perRun / batch},
 	}
-	delivery := prologueSize + len(EncodeDelivery(1, 1, m))
 	const pubAck, subOK = prologueSize + 8, prologueSize + 16
 
-	// measure returns the allocations per run of perRun messages published
-	// through a served connection to the given keeper, on a GC-owned arena
-	// in place of the connection's own if gcOwned.
-	measure := func(t *testing.T, gcOwned bool, keeper string, typ FrameType, frames int, body []byte) float64 {
+	// measure returns the allocations per run of perRun messages m, sent as
+	// frames of type typ, published through a served connection to the
+	// given keeper, on a GC-owned arena in place of the connection's own if
+	// gcOwned.
+	measure := func(t *testing.T, gcOwned bool, keeper string, typ FrameType, frames int, m *jms.Message) float64 {
+		body := EncodeMessage(m)
+		if typ == FrameBatch {
+			msgs := make([]*jms.Message, batch)
+			for i := range msgs {
+				msgs[i] = m
+			}
+			body = EncodeBatch(msgs)
+		}
+		delivery := prologueSize + len(EncodeDelivery(1, 1, m))
 		b := recycleBroker(t, broker.Options{Engine: broker.EngineFast, SubscriberBuffer: 1 << 12})
 		conn := newTallyConn()
 		sc := recycleConn(t, b, conn)
@@ -337,16 +338,26 @@ func TestRecycleSteadyStateAllocs(t *testing.T) {
 	}
 	for _, shape := range shapes {
 		t.Run(shape.name, func(t *testing.T) {
-			for _, keeper := range []string{"wire", "in-process", "durable", "acked"} {
-				slabs := measure(t, false, keeper, shape.typ, shape.frames, shape.body)
-				gcOwned := measure(t, true, keeper, shape.typ, shape.frames, shape.body)
-				t.Logf("%s: %v allocs per %d messages (GC-owned arena: %v)", keeper, slabs, perRun, gcOwned)
-				if keeper == "wire" && slabs != 0 {
-					t.Errorf("%s: %v allocs per %d messages, want 0", keeper, slabs, perRun)
-				}
-				if slabs > gcOwned {
-					t.Errorf("%s: %v allocs per %d messages, more than the GC-owned arena's %v", keeper, slabs, perRun, gcOwned)
-				}
+			for _, size := range []int{16, 4 << 10} {
+				t.Run(fmt.Sprintf("%dB", size), func(t *testing.T) {
+					m := jms.NewMessage("t")
+					if err := m.SetCorrelationID("dev-5123456"); err != nil {
+						t.Fatal(err)
+					}
+					m.SetBody(make([]byte, size))
+					m.Header.TraceID = 1
+					for _, keeper := range []string{"wire", "in-process", "durable", "acked"} {
+						slabs := measure(t, false, keeper, shape.typ, shape.frames, m)
+						gcOwned := measure(t, true, keeper, shape.typ, shape.frames, m)
+						t.Logf("%s: %v allocs per %d messages (GC-owned arena: %v)", keeper, slabs, perRun, gcOwned)
+						if keeper == "wire" && slabs != 0 {
+							t.Errorf("%s: %v allocs per %d messages, want 0", keeper, slabs, perRun)
+						}
+						if slabs > gcOwned {
+							t.Errorf("%s: %v allocs per %d messages, more than the GC-owned arena's %v", keeper, slabs, perRun, gcOwned)
+						}
+					}
+				})
 			}
 		})
 	}

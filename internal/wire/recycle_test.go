@@ -10,6 +10,7 @@ import (
 	"net"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/broker"
 	"repro/internal/filter"
@@ -88,33 +89,49 @@ func keptMessage(t *testing.T, topic, corrID string, body int) *jms.Message {
 // it, the slab stays referenced and unchanged, though the pump has long
 // encoded the frame, the worker is done with the publish and the arena has
 // moved on; the write's completion releases it.
-func TestRecycleByRefBodyHeldByWriter(t *testing.T) {
+func TestRecycleByRefBodyHeldByWriter(t *testing.T) { byRefBodyHeldByWriter(t, 1500) }
+
+// TestRecycleByRefLargeBodyHeldByWriter is its twin for a 4 KiB body, which
+// lives in pooled body storage of its own: the carrier that references the
+// slab holds the storage too, so it stays unchanged while the write that
+// gathers it is held, and the write's completion releases both. The probe
+// is a 4 KiB publish of other bytes, which would take the storage from its
+// pool had it been released before the write.
+func TestRecycleByRefLargeBodyHeldByWriter(t *testing.T) { byRefBodyHeldByWriter(t, 4<<10) }
+
+func byRefBodyHeldByWriter(t *testing.T, size int) {
 	b := recycleBroker(t, broker.Options{Engine: broker.EngineFast})
 	c := newGateConn()
 	sc := recycleConn(t, b, c)
 	sc.request(t, FrameSubscribe, 1, EncodeSubscribe("t", FilterSpec{Mode: FilterNone}))
 	<-c.writes // SUBSCRIBE_OK
 	c.release <- nil
-	probe, err := filter.NewCorrelationID("probe")
+	probeFilter, err := filter.NewCorrelationID("probe")
 	if err != nil {
 		t.Fatal(err)
 	}
-	worker, err := b.SubscribeBuffered("t", probe, 1)
+	worker, err := b.SubscribeBuffered("t", probeFilter, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	m := keptMessage(t, "t", "by-ref", 1500)
-	if len(m.Body) < bodyByRefMin || len(m.Body) > byteChunk/4 {
-		t.Fatalf("a %d-byte body is not a by-reference body carved from the slab", len(m.Body))
+	m := keptMessage(t, "t", "by-ref", size)
+	large := size > byteChunk/4
+	if size < bodyByRefMin || large && !sc.arena.pooledBody(size) {
+		t.Fatalf("a %d-byte body is not a by-reference body carved from the slab or its body storage", size)
+	}
+	probe := keptMessage(t, "t", "probe", 8)
+	if large {
+		probe = keptMessage(t, "t", "probe", size)
 	}
 	sc.arena.rotate() // m is carved from s
 	s := sc.arena.cur
 	sc.request(t, FramePublish, 2, EncodeMessage(m))
-	sc.arena.drop() // only m's carrier references s from here on
+	stored := s.msgs[0].Body // in the slab's bytes, or in body storage
+	sc.arena.drop()          // only m's carrier references s from here on
 	// The worker serves one publish at a time: once the probe reaches its
 	// subscriber, the worker is done with m's carrier too.
-	sc.request(t, FramePublish, 3, EncodeMessage(keptMessage(t, "t", "probe", 8)))
+	sc.request(t, FramePublish, 3, EncodeMessage(probe))
 	if _, err := worker.Receive(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -132,34 +149,44 @@ func TestRecycleByRefBodyHeldByWriter(t *testing.T) {
 		if got := s.refs.Load(); got != 1 {
 			t.Fatalf("slab references while its body is being written: %d, want 1", got)
 		}
-		if !bytes.Contains(s.bytes[:], m.Body) {
-			t.Fatal("slab rewritten while its body is being written")
+		if !bytes.Equal(stored, m.Body) {
+			t.Fatal("storage rewritten while its body is being written")
 		}
 		c.release <- nil
 		break
 	}
 	// The PONG goes out in a later batch, after the writer has released
-	// the delivery's hold.
+	// the delivery's hold. The probe's body may go out by reference before
+	// it, cutting its frame.
+	var pong bytes.Buffer
+	if err := WriteFrame(&pong, Frame{Type: FramePong, Payload: EncodeU64(4)}); err != nil {
+		t.Fatal(err)
+	}
 	sc.request(t, FramePing, 4, nil)
 	for {
 		w := <-c.writes
 		c.release <- nil
-		if f := frames(t, w); f[len(f)-1].Type == FramePong {
+		if bytes.HasSuffix(w, pong.Bytes()) {
 			break
 		}
 	}
 	if got := s.refs.Load(); got != 0 {
 		t.Errorf("slab references after the write returned: %d, want 0 (recycled)", got)
 	}
+	if poisonSlabs && !bytes.Equal(stored, bytes.Repeat([]byte{poisonByte}, len(stored))) {
+		t.Error("storage not poisoned after the write returned")
+	}
 }
 
 // TestRecycleRetainedDeliveries: three messages are each delivered to one
 // keeper — an in-process subscriber, a durable consumer, an acked wire
 // subscription — and to a plain wire subscription, which releases it; 10 000
-// other publishes on the same connection recycle slab after slab. Each
-// keeper reads its message back byte-identical, the acked one after its
-// unacknowledged delivery went back to the durable backlog. Both engines:
-// the faithful one's clones alias the slab's strings too.
+// other publishes on the same connection recycle slab after slab, a
+// quarter of them with bodies over 2 KiB, which recycle body storage too.
+// Each keeper reads its message back byte-identical, the acked one after
+// its unacknowledged delivery went back to the durable backlog; two kept
+// bodies are in body storage, one in the slab. Both engines: the faithful
+// one's clones alias the slab's strings too.
 func TestRecycleRetainedDeliveries(t *testing.T) {
 	for _, engine := range []broker.Engine{broker.EngineFaithful, broker.EngineFast} {
 		t.Run(engine.String(), func(t *testing.T) {
@@ -183,11 +210,12 @@ func TestRecycleRetainedDeliveries(t *testing.T) {
 			}
 
 			keepers := []string{"in-process", "durable", "acked"}
+			keptBody := map[string]int{"in-process": 4 << 10, "durable": 300, "acked": 3000}
 			want := make(map[string][]byte)
 			spec := make(map[string]FilterSpec)
 			flt := make(map[string]filter.Filter)
 			for _, k := range keepers {
-				want[k] = EncodeMessage(keptMessage(t, "t", "keep-"+k, 300))
+				want[k] = EncodeMessage(keptMessage(t, "t", "keep-"+k, keptBody[k]))
 				spec[k] = FilterSpec{Mode: FilterCorrelationID, Expr: "keep-" + k}
 				if flt[k], err = spec[k].Filter(); err != nil {
 					t.Fatal(err)
@@ -243,7 +271,11 @@ func TestRecycleRetainedDeliveries(t *testing.T) {
 					pub.request(FramePublish, want[keepers[k]])
 				}
 				for j := range msgs {
-					msgs[j] = keptMessage(t, "t", fmt.Sprintf("other-%d", i+j), 100+(i+j)%200)
+					size := 100 + (i+j)%200
+					if (i+j)%4 == 0 {
+						size += 3000 + (i+j)%1000
+					}
+					msgs[j] = keptMessage(t, "t", fmt.Sprintf("other-%d", i+j), size)
 				}
 				pub.request(FrameBatch, EncodeBatch(msgs))
 			}
@@ -359,5 +391,68 @@ func TestRecycleMultiTopicRefusedRun(t *testing.T) {
 	}
 	if m := EncodeMessage(got[0].Msg); !bytes.Equal(m, want) {
 		t.Errorf("t's run read a message whose storage was recycled:\n got %x\nwant %x", m, want)
+	}
+}
+
+// TestRecycleBodyStorage: the server's arena gives a body over a quarter
+// chunk, up to 64 KiB, pooled storage of the smallest power-of-two class
+// from 4 KiB that holds it, claimed for the publish's carrier beside the
+// slab its struct is carved from, and the carrier's release drops both. A
+// body of a quarter chunk or less takes none — a connection carrying only
+// small publishes allocates no body storage, not even its claim list, and
+// the arena stays in its 128-byte size class — nor does a body over
+// 64 KiB, which is GC-owned with a struct of its own.
+func TestRecycleBodyStorage(t *testing.T) {
+	if size := unsafe.Sizeof(MessageArena{}); size > 128 {
+		t.Errorf("MessageArena is %d bytes, over its 128-byte size class", size)
+	}
+	a := newSlabArena()
+	defer a.drop()
+	for _, tc := range []struct{ body, class int }{
+		{16, 0}, {1500, 0}, {byteChunk/4 + 1, 4 << 10}, {4 << 10, 4 << 10},
+		{4<<10 + 1, 8 << 10}, {16<<10 + 1, 32 << 10}, {64 << 10, 64 << 10}, {64<<10 + 1, 0},
+	} {
+		m := keptMessage(t, "t", "c", tc.body)
+		got, err := a.DecodeMessageArena(EncodeMessage(m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(EncodeMessage(got), EncodeMessage(m)) {
+			t.Fatalf("%d-byte body: message diverges", tc.body)
+		}
+		if cap(got.Body) != tc.body && tc.body <= maxPooledBody {
+			t.Errorf("%d-byte body: capacity %d, want it capacity-limited", tc.body, cap(got.Body))
+		}
+		slabbed := false
+		for _, s := range a.claims {
+			for i := range s.msgs {
+				slabbed = slabbed || &s.msgs[i] == got
+			}
+		}
+		if want := tc.body <= maxPooledBody; slabbed != want {
+			t.Errorf("%d-byte body: struct carved from the claimed slab: %v, want %v", tc.body, slabbed, want)
+		}
+		if tc.body <= byteChunk/4 && a.bodies != nil {
+			t.Errorf("%d-byte body: the arena allocated body claims after small publishes only", tc.body)
+		}
+		var stores []int
+		if a.bodies != nil {
+			for _, s := range *a.bodies {
+				stores = append(stores, len(s.(interface{ bytes() []byte }).bytes()))
+			}
+		}
+		switch {
+		case tc.class == 0 && len(stores) != 0:
+			t.Errorf("%d-byte body: claims body storage of %v bytes, want none", tc.body, stores)
+		case tc.class != 0 && (len(stores) != 1 || stores[0] != tc.class):
+			t.Errorf("%d-byte body: claims body storage of %v bytes, want one of %d", tc.body, stores, tc.class)
+		}
+		c := broker.GetBatchCarrier()
+		c.Msgs = append(c.Msgs, got)
+		a.claimSlabs(c)
+		if len(a.claims) != 0 || a.bodies != nil && len(*a.bodies) != 0 {
+			t.Fatalf("%d-byte body: claims left after claimSlabs", tc.body)
+		}
+		c.Release()
 	}
 }

@@ -104,15 +104,22 @@ func (a *MessageArena) claim() {
 	a.claims = append(a.claims, a.cur)
 }
 
-// claimSlabs hands c the slabs carved from since the last call, each with
-// the reference taken for it. The server calls it once per publish, after
-// decoding into c and before c can be released or published.
+// claimSlabs hands c the slabs and body storage carved from since the last
+// call, each with the reference taken for it. The server calls it once per
+// publish, after decoding into c and before c can be released or published.
 func (a *MessageArena) claimSlabs(c *broker.BatchCarrier) {
 	for _, s := range a.claims {
 		c.Retain(s)
 	}
 	clear(a.claims)
 	a.claims = a.claims[:0]
+	if a.bodies != nil {
+		for _, s := range *a.bodies {
+			c.Retain(s)
+		}
+		clear(*a.bodies)
+		*a.bodies = (*a.bodies)[:0]
+	}
 	if poisonSlabs {
 		// Each publish gets slabs of its own, so a slab is poisoned as soon
 		// as its one carrier lets go, not only once the arena moves on.

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"unsafe"
 
+	"repro/internal/broker"
 	"repro/internal/jms"
 )
 
@@ -310,12 +311,13 @@ func (v *MessageView) EachProperty(fn func(PropertyView) bool) {
 const internCacheMax = 1024
 
 // Chunk sizes, per kind of storage a message needs. A chunk serves a few
-// dozen small messages; a message that needs over a quarter of a chunk gets
-// its own allocations, so an abandoned chunk tail wastes at most that
-// quarter. The struct and property chunks each fill the 4 KiB size class:
-// their elements hold pointers, and Go puts an 8-byte header in front of
-// such an object over 512 bytes, so chunkBytes is what a chunk may hold —
-// 32 messages would take the 4 864-byte class.
+// dozen small messages; a part of a message that needs over a quarter of a
+// chunk is not carved (see carve and MessageArena.body), so an abandoned
+// chunk tail wastes at most that quarter. The struct and property chunks
+// each fill the 4 KiB size class: their elements hold pointers, and Go puts
+// an 8-byte header in front of such an object over 512 bytes, so
+// chunkBytes is what a chunk may hold — 32 messages would take the
+// 4 864-byte class.
 const (
 	chunkBytes = 4<<10 - 8
 	// jms.Message structs: 31 of 128 bytes.
@@ -332,9 +334,10 @@ const (
 // from chunks — one per kind, replaced when used up — and topic/property-name
 // strings are interned for the arena's lifetime. A message needing over a
 // quarter chunk of any kind gets that part, and its struct, allocated on its
-// own. An arena is not safe for concurrent use; each connection owns its
-// own. It comes in two forms, which differ only in where chunks come from
-// and go to.
+// own — except a recycling arena's large body, which takes pooled body
+// storage and leaves the struct in the slab. An arena is not safe for
+// concurrent use; each connection owns its own. It comes in two forms,
+// which differ only in where storage comes from and goes to.
 //
 // NewMessageArena's arena is GC-owned, for a subscriber whose application
 // keeps what it receives: each chunk is its own allocation, written once,
@@ -351,15 +354,18 @@ const (
 // The server's arena (newSlabArena) recycles: it carves from slabs, each a
 // chunk of every kind in one allocation, taken from a pool and counted — one
 // reference for the arena while the slab is current, one for each publish
-// carrier carved from it (claimSlabs hands them over). A slab whose last reference is dropped is
-// scrubbed and pooled, so a steady publish stream allocates no storage; a
-// slab some escaped carrier still references is never pooled and the GC
-// reclaims it as before (see broker.BatchCarrier for who holds and who
-// releases). Either way a carving is written once, before it is handed out,
-// and not again while any message carved from it may be read: that is what
-// makes the strings aliasing a byte run as immutable as runtime-allocated
-// ones. A string that outlives its message — the dedupe table's publisher
-// key — is copied by whoever keeps it.
+// carrier carved from it (claimSlabs hands them over). A slab whose last
+// reference is dropped is scrubbed and pooled, so a steady publish stream
+// allocates no storage; a slab some escaped carrier still references is
+// never pooled and the GC reclaims it as before (see broker.BatchCarrier
+// for who holds and who releases). A body over a quarter chunk, up to
+// 64 KiB, is pooled body storage of its own (bodyStore) that its carrier
+// holds the same way; a connection that never sees one holds none. Either
+// way a carving is written once, before it is handed out, and not again
+// while any message carved from it may be read: that is what makes the
+// strings aliasing a byte run as immutable as runtime-allocated ones. A
+// string that outlives its message — the dedupe table's publisher key — is
+// copied by whoever keeps it.
 type MessageArena struct {
 	cache map[string]string
 	// The unused tails of the current chunks.
@@ -368,11 +374,15 @@ type MessageArena struct {
 	bytes []byte
 	// slabs marks a recycling arena; cur is its current slab and taken the
 	// claims on it so far, claims the slabs carved from since claimSlabs
-	// last ran, each with a reference taken for the carrier.
-	slabs  bool
+	// last ran, each with a reference taken for the carrier, and bodies the
+	// body storage handed out since then. bodies is allocated at the first
+	// body over a quarter chunk, and is a pointer to keep the arena in its
+	// 128-byte size class.
 	cur    *slab
-	taken  int32
 	claims []*slab
+	bodies *[]broker.Slab
+	taken  int32
+	slabs  bool
 }
 
 // NewMessageArena returns an empty GC-owned arena. It holds no chunk until
@@ -397,8 +407,9 @@ func (a *MessageArena) intern(b []byte) string {
 
 // carve cuts n zero elements off the front of *tail, the unused part of one
 // of a's current chunks, starting a new chunk (a new slab, on a recycling
-// arena) when they do not fit. The result is capacity-limited, so an append
-// by its holder reallocates instead of running into the next carving.
+// arena) when they do not fit; over a quarter chunk it allocates them on
+// their own instead. The result is capacity-limited, so an append by its
+// holder reallocates instead of running into the next carving.
 func carve[T any](a *MessageArena, tail *[]T, n, chunk int) []T {
 	if n == 0 {
 		return nil
@@ -445,9 +456,11 @@ func cutString(run *[]byte, b []byte) string {
 // materialize carves a message and fills it from v.
 func (a *MessageArena) materialize(v *MessageView) (*jms.Message, error) {
 	var m *jms.Message
-	if runLen, ownBody := v.runLen(); ownBody || runLen > byteChunk/4 || v.nProps > propChunk/4 {
+	if runLen, bigBody := v.runLen(); runLen > byteChunk/4 || v.nProps > propChunk/4 ||
+		bigBody && !a.pooledBody(v.bodyLen) {
 		// Too large for the chunks: this message is allocated on its own, so
-		// the messages that do share a chunk only ever reference chunks.
+		// the messages that do share a chunk only ever reference chunks and
+		// pooled storage, and no retained neighbour pins a large allocation.
 		m = new(jms.Message)
 	} else {
 		m = &carve(a, &a.msgs, 1, msgChunk)[0]
@@ -459,16 +472,20 @@ func (a *MessageArena) materialize(v *MessageView) (*jms.Message, error) {
 }
 
 // runLen returns the length of the one byte run that holds v's correlation
-// ID, string values and body, and whether the body is too large for the
-// chunks and is an allocation of its own instead, exactly sized (then the
-// run leaves it out).
-func (v *MessageView) runLen() (n int, ownBody bool) {
-	n, ownBody = v.corrLen+v.strLen, v.bodyLen > byteChunk/4
-	if !ownBody {
+// ID, string values and body, and whether the body is over a quarter chunk
+// and is storage of its own instead (then the run leaves it out; see
+// MessageArena.body).
+func (v *MessageView) runLen() (n int, bigBody bool) {
+	n, bigBody = v.corrLen+v.strLen, v.bodyLen > byteChunk/4
+	if !bigBody {
 		n += v.bodyLen
 	}
-	return n, ownBody
+	return n, bigBody
 }
+
+// pooledBody reports whether a's body of n bytes, over a quarter chunk, is
+// pooled body storage rather than an allocation of its own.
+func (a *MessageArena) pooledBody(n int) bool { return a.slabs && n <= maxPooledBody }
 
 // MaterializeInto fills m, a zero message whose storage the caller owns,
 // from v: the property section and the byte run are carved from the arena
@@ -484,7 +501,7 @@ func (a *MessageArena) MaterializeInto(m *jms.Message, v *MessageView) error {
 		order = propertyOrder(v.payload, v.propsOff, n)
 		n = len(order)
 	}
-	runLen, ownBody := v.runLen()
+	runLen, bigBody := v.runLen()
 	run := carve(a, &a.bytes, runLen, byteChunk)
 
 	m.Header.MessageID = v.msgID
@@ -524,8 +541,8 @@ func (a *MessageArena) MaterializeInto(m *jms.Message, v *MessageView) error {
 			return err
 		}
 	}
-	if ownBody {
-		m.Body = append([]byte(nil), v.Body()...)
+	if bigBody {
+		m.Body = a.body(v.Body())
 	} else if v.bodyLen > 0 {
 		m.Body = cut(&run, v.Body())
 	}
