@@ -24,8 +24,15 @@ test-procs:
 # as one server's path, and the commit side's reads of a message before its
 # receiver owns it. It does the same for a connection's egress: the
 # writer's swap under concurrent producers, the bound, the dead-connection
-# path, the delivery pump and the peer link, and at the client's end a
-# cancelled publish waiting out the write of its by-reference body,
+# path, the served connection's writer taking its outbox (two goroutines
+# a connection; nothing taken after a failed write, so teardown returns
+# the rest to the durable backlog, and the outbox closed with it, so no
+# transmit waits on the dead connection; a durable refill inside its own
+# take taken too; SUBSCRIBE's replies never waiting at the bound holding
+# the lock the writer swaps under: the TestEgress{ServedConnTwoGoroutines,
+# TeardownRequeuesUntaken,DeadWriterReleasesTransmit,TakesDurableRefill,
+# SubscribeReplyNeverWaits} tests) and the peer link,
+# and at the client's end a cancelled publish waiting out the write of its by-reference body,
 # delivery acks that never wait at the bound, and coalesced publishes
 # joining the open MSG_BATCH frame until another frame or a swap closes it. And for recycled ingress
 # storage: the carrier holds a slab's reuse waits on, the escapes that keep
@@ -41,7 +48,8 @@ test-queues:
 
 # test-jmsdebug runs the packages a wire publish's storage crosses under the
 # jmsdebug build tag, which poisons a slab when its last reference is
-# dropped and gives every publish slabs of its own, and poisons released
+# dropped (by the connection writer, after its frame's encode or writev) and
+# gives every publish slabs of its own, and poisons released
 # body storage (a body over 2 KiB, which has storage of its own anyway): a
 # message read after its storage was released shows as corrupted content.
 test-jmsdebug:
@@ -58,8 +66,8 @@ test-benchmark:
 # topic snapshots, the copy-on-write message views, the wire layer's egress
 # double buffer at both ends of a connection (the client's requests,
 # publishes and delivery acks go through it too), its recycled ingress slabs
-# and body storage (released by the delivery pump and the writer while the
-# read loop carves the next), the reliability stack (fault injection, reconnecting clients,
+# and body storage (released by the connection writer, which also takes the
+# outbox's deliveries, while the read loop carves the next), the reliability stack (fault injection, reconnecting clients,
 # the replication meshes under restart and kill, conformance harness), and
 # the telemetry plane scraped while the broker dispatches, and the load
 # generator's lanes. internal/bench's load loop (publishers, drains, the

@@ -21,8 +21,8 @@ import (
 // BenchmarkRegressionIngressBody is the server's PUBLISH path against body
 // size, the payload sweep: per op the connection's read loop decodes one
 // PUBLISH frame into its arena, the fast engine matches it to the
-// connection's one subscription, and the delivery pump encodes it for the
-// writer, which writes to a conn that discards. The connection's peer is
+// connection's one subscription, and the connection's writer encodes it
+// and writes it to a conn that discards. The connection's peer is
 // the benchmark itself (ingressConn), so no client and no socket is
 // measured: allocs/op and B/op are the server's own per message, and
 // cpu-ns/op the process's user + system CPU time per message.

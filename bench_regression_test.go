@@ -138,8 +138,8 @@ func BenchmarkRegressionBatchEncode(b *testing.B) {
 
 // BenchmarkRegressionDeliver measures the delivery fast path's per-frame
 // cost: one MESSAGE frame (prologue + delivery header + message) encoded
-// into a pooled buffer, exactly what the server's delivery pump does per
-// replica. The steady state must be allocation-free — held at 0 by
+// into a pooled buffer, exactly what the server's connection writer does
+// per replica. The steady state must be allocation-free — held at 0 by
 // internal/wire's TestAppendDeliveryAllocs.
 func BenchmarkRegressionDeliver(b *testing.B) {
 	m := jms.NewMessage("t")
@@ -160,7 +160,7 @@ func BenchmarkRegressionDeliver(b *testing.B) {
 
 // BenchmarkRegressionEndToEnd is the full wire loop on TCP loopback:
 // batching publisher clients → server ingress → fast-engine dispatch →
-// delivery pump egress → subscriber client. ns/op is the end-to-end
+// connection writer egress → subscriber client. ns/op is the end-to-end
 // per-message cost; the msgs/s/core metric is the throughput headline the
 // IoT-edge broker benchmarking literature reports, normalized by
 // GOMAXPROCS so trajectory points from different hosts stay comparable.

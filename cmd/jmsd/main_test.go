@@ -319,14 +319,23 @@ func TestDaemonTelemetryPlane(t *testing.T) {
 	if code, body := get("/healthz"); code != http.StatusOK || body != "ok\n" {
 		t.Errorf("/healthz = %d %q", code, body)
 	}
-	if code, body := get("/metrics"); code != http.StatusOK {
+	// A message's sojourn is observed after its last transmit, so the last
+	// Receive can return before it is counted: scrape until it is, within
+	// ctx.
+	const sojourn = "jms_broker_sojourn_seconds_count{topic=\"a\"} 100"
+	code, body := get("/metrics")
+	for code == http.StatusOK && !strings.Contains(body, sojourn) && ctx.Err() == nil {
+		time.Sleep(5 * time.Millisecond)
+		code, body = get("/metrics")
+	}
+	if code != http.StatusOK {
 		t.Errorf("/metrics status %d", code)
 	} else {
 		for _, want := range []string{
 			"jms_broker_received_total 100",
 			"jms_broker_topic_received_total{topic=\"a\"} 100",
 			"jms_broker_wait_seconds_count{topic=\"a\"} 100",
-			"jms_broker_sojourn_seconds_count{topic=\"a\"} 100",
+			sojourn,
 			"jms_wire_connections_total",
 		} {
 			if !strings.Contains(body, want) {

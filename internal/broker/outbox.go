@@ -13,9 +13,8 @@ import (
 // in-process subscription (Broker.Subscribe) has an outbox of its own, read
 // by Receive. A consumer connection has one that all of its subscriptions
 // share: the transmit stage appends a message's deliveries to a run of
-// them in one step, so the consumer — the wire server's one delivery pump
-// per connection — takes them back to back and sends the message once for
-// all of them.
+// them in one step, so the consumer — the wire server's connection writer
+// — takes them back to back and sends the message once for all of them.
 //
 // Each subscription holds up to its buffer of queued deliveries, and the
 // slow-consumer policy acts on the subscriptions that are full and on no
@@ -43,6 +42,8 @@ type Outbox struct {
 	// ready wakes the consumer after an append; one pending wake-up covers
 	// any number of appends.
 	ready chan struct{}
+	// closed is set by Close: nothing is queued or taken from then on.
+	closed bool
 	// ch is solo's Chan adapter, made by its first call.
 	ch chan *jms.Message
 }
@@ -81,8 +82,9 @@ func (o *Outbox) SubscribeDurable(topicName, name string, f filter.Filter, opts 
 }
 
 // Ready returns a channel that receives after deliveries were appended.
-// Take may still find the outbox empty if an earlier Take got them.
-func (o *Outbox) Ready() <-chan struct{} { return o.ready }
+// Take may still find the outbox empty if an earlier Take got them. Its one
+// slot may carry the consumer's own wake-ups too, sent without blocking.
+func (o *Outbox) Ready() chan struct{} { return o.ready }
 
 // Take moves queued deliveries, oldest first, into dst and returns it. It
 // takes up to max of them, and more only to finish the run of the last
@@ -93,6 +95,9 @@ func (o *Outbox) Ready() <-chan struct{} { return o.ready }
 func (o *Outbox) Take(dst []Delivery, max int) []Delivery {
 	o.mu.Lock()
 	defer o.mu.Unlock()
+	if o.closed {
+		return dst
+	}
 	queued := o.q[o.head:]
 	n := min(len(queued), max)
 	for n > 0 && n < len(queued) && queued[n].Msg != nil && queued[n].Msg == queued[n-1].Msg && queued[n].Sub != queued[n-1].Sub {
@@ -122,6 +127,18 @@ func (o *Outbox) Take(dst []Delivery, max int) []Delivery {
 	}
 	o.wakeSpaceLocked()
 	return dst
+}
+
+// Close ends o's consumer: from then on Take returns nothing, the transmit
+// stage queues nothing in o, skipping its subscriptions as it does ended
+// ones, and a transmit parked on a full subscription of o wakes. What is
+// queued stays for the subscriptions' Unsubscribe, which returns a durable
+// consumer's to its backlog.
+func (o *Outbox) Close() {
+	o.mu.Lock()
+	o.closed = true
+	o.wakeSpaceLocked()
+	o.mu.Unlock()
 }
 
 // leave ends h's deliveries: nothing more is queued for it once leave
@@ -240,21 +257,22 @@ func (o *Outbox) wakeConsumer() {
 }
 
 // put queues m's deliveries to subs, every one of them attached to o, as one
-// run: the transmit stage. Subscriptions already ended are skipped, and the
-// others get m unless they are full. To a full one a non-persistent
-// delivery is dropped; a persistent one meets policy: block parks the whole
-// run until every subscription in it has room, drop-oldest first evicts
-// that subscription's oldest delivery, and disconnect ends it, its notice
-// following the run. A put parked on a full subscription gives up when stop
-// closes (broker shutdown) and drops what still does not fit. Every count
-// is taken before the consumer can see the run, so no delivery is received
-// before it is counted in Dispatched, and no hold is released before it is
-// taken: with hold non-nil, each queued delivery holds that carrier.
+// run: the transmit stage. Subscriptions already ended, and all of a closed
+// o's, are skipped, and the others get m unless they are full. To a full one
+// a non-persistent delivery is dropped; a persistent one meets policy: block
+// parks the whole run until every subscription in it has room, drop-oldest
+// first evicts that subscription's oldest delivery, and disconnect ends it,
+// its notice following the run. A put parked on a full subscription gives
+// up when stop closes (broker shutdown) and drops what still does not fit.
+// Every count is taken before the consumer can see the run, so no delivery
+// is received before it is counted in Dispatched, and no hold is released
+// before it is taken: with hold non-nil, each queued delivery holds that
+// carrier.
 func (o *Outbox) put(m *jms.Message, hold *BatchCarrier, subs []*Subscriber, mode jms.DeliveryMode, policy SlowConsumerPolicy, stop <-chan struct{}) {
 	b := o.b
 	block := mode == jms.Persistent && policy == SlowConsumerBlock
 	o.mu.Lock()
-	for block && o.fullLocked(subs) {
+	for block && !o.closed && o.fullLocked(subs) {
 		var space chan struct{}
 		if n := len(o.idle); n > 0 {
 			space, o.idle = o.idle[n-1], o.idle[:n-1]
@@ -285,7 +303,7 @@ func (o *Outbox) put(m *jms.Message, hold *BatchCarrier, subs []*Subscriber, mod
 	var queued, dropped, evicted int
 	var kicked []*Subscriber
 	for _, h := range subs {
-		if h.dead {
+		if h.dead || o.closed {
 			continue
 		}
 		if h.queued >= h.buffer {

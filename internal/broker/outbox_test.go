@@ -204,6 +204,29 @@ func TestOutboxUnsubscribeReleasesParkedTransmit(t *testing.T) {
 	}
 }
 
+// TestOutboxCloseReleasesParkedTransmit: closing an outbox whose consumer is
+// gone wakes a transmit parked on its full subscription, which skips it as
+// the transmits after it do, and the topic moves on; Take then returns
+// nothing.
+func TestOutboxCloseReleasesParkedTransmit(t *testing.T) {
+	b := newTestBroker(t, Options{SubscriberBuffer: 1})
+	o := b.NewOutbox()
+	if _, err := o.Subscribe("t", nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	plain, err := b.SubscribeBuffered("t", nil, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	publishSeq(t, b, "t", 0, 3)
+	receiveSeq(t, plain, 0)
+	o.Close()
+	receiveSeq(t, plain, 1, 2)
+	if got := o.Take(nil, 8); len(got) != 0 {
+		t.Errorf("took %d deliveries from a closed outbox", len(got))
+	}
+}
+
 // TestOutboxParkAllocs: a transmit parked on a full subscription and woken
 // by the Take that makes room costs no allocation once the outbox has parked
 // one: its wake channel is reused, not made per park. Closing stop still

@@ -58,7 +58,7 @@ const (
 	StageReplicate
 	// StageTransmit is the handoff into subscriber delivery queues.
 	StageTransmit
-	// StageEncode is the delivery frame encode in the server's pump.
+	// StageEncode is the delivery frame encode in the connection's writer.
 	StageEncode
 	// StageEgressQueue is the wait in the connection writer's queue:
 	// submit → writev start.

@@ -173,7 +173,7 @@ func TestEgressWriteAllocs(t *testing.T) {
 	}
 }
 
-// TestEgressBurstAllocs pins a pump burst: a copied 128-byte body, a 4 KiB
+// TestEgressBurstAllocs pins a delivery burst: a copied 128-byte body, a 4 KiB
 // body by reference and a MESSAGE_FANOUT of it to three subscriptions,
 // appended in one hold of the writer and written in one gathered write,
 // cost nothing once the connection's two batches have grown.
@@ -231,8 +231,8 @@ func (c *tallyConn) waitFor(total int) {
 }
 
 // TestRecycleSteadyStateAllocs pins the server's side of a wire publish —
-// decode into the connection's arena, admit, match, the pump's encode and
-// the writer's write to a discarding conn — at zero allocations per 64
+// decode into the connection's arena, admit, match, the writer's encode
+// and write to a discarding conn — at zero allocations per 64
 // messages once slabs and body storage recycle, as 64 PUBLISH frames and as
 // 4 BATCH(16) frames, with a 16-byte body and with a 4 KiB one (pooled body
 // storage, written by reference). A GC-owned arena, the storage every wire

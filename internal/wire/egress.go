@@ -16,20 +16,20 @@ import (
 
 // This file is the egress half of the zero-allocation wire path: a
 // per-connection double buffer, the same at both ends of a connection.
-// Producers — the server's delivery pump and control replies, a peer link's
-// forwards, a client's requests, publishes and delivery acks (Egress) —
-// append complete frames into the fill batch under one short mutex; the
-// connection's writer goroutine swaps it for the batch it wrote last and
-// sends the one it took in one vectored write, so one write is in flight
-// while the next batch fills.
+// Producers — the server's control replies, a peer link's forwards, a
+// client's requests, publishes and acks (Egress) — append complete frames
+// into the fill batch under one short mutex; the connection's writer
+// goroutine encodes a served connection's outbox deliveries into it too,
+// swaps it for the batch it wrote last and sends the one it took in one
+// vectored write, so one write is in flight while the next batch fills.
 
 // fillMaxFrames and fillMaxBytes bound a fill batch in frames (EXPERIMENTS.md
 // X22 has the sweep) and in copied bytes. A producer at either waits for the
-// writer's next swap: the push-back chain slow consumer → blocked pump →
-// full outbox → blocked transmit stage. The bound is checked before a
-// producer appends, so one burst may take a batch past it; half of
-// maxPooledBuffer leaves room for that burst below the size at which the
-// writer drops a batch's buffer instead of reusing it.
+// writer's next swap, and the writer takes no more deliveries: the push-back
+// chain slow consumer → blocked writer → full outbox → blocked transmit
+// stage. The bound is checked before an append, so one burst may take a
+// batch past it; half of maxPooledBuffer leaves room for that burst below
+// the size at which the writer drops a batch's buffer instead of reusing it.
 const (
 	fillMaxFrames = 256
 	fillMaxBytes  = maxPooledBuffer / 2
@@ -57,9 +57,10 @@ type wireCounters struct {
 // and calls end, which wakes the writer with a non-blocking send on a
 // 1-slot channel; the swap that wake leads to takes every frame appended
 // before it, so each producer's frames leave in the order it appended them.
-// On the first write error the writer closes the connection (which surfaces
-// the failure to the read loop) and discards what it swaps out from then
-// on, and begin no longer waits: producers never block on a dead peer.
+// On the first write error the writer ends the connection (fail), which
+// surfaces the failure to the read loop, and discards what it swaps out
+// from then on, and begin no longer waits: producers never block on a dead
+// peer.
 //
 // A frame may carry message bodies by reference (egressBatch.cuts). Nobody
 // writes into such a body while the frame is queued: a delivery's body is
@@ -71,13 +72,16 @@ type connWriter struct {
 	conn   net.Conn
 	stats  *wireCounters
 	tracer *trace.Recorder // nil disables egress span recording
+	// sc is the served connection whose outbox the writer drains, nil on a
+	// client's or a peer link's writer; wake is its outbox's Ready then.
+	sc   *serverConn
+	wake chan struct{}
 
 	mu   sync.Mutex
 	room sync.Cond // producers at the bound, and callers of wait, wait here for the next swap
 	fill *egressBatch
 	dead bool  // a write failed: batches are discarded, begin never waits
 	err  error // errWriterClosed once close has begun
-	wake chan struct{}
 	done chan struct{}
 	// swaps counts the batches taken, so the fill goes out in swap
 	// swaps+1; written is the last swap whose batch is written or discarded.
@@ -122,8 +126,12 @@ type tracedFrame struct {
 }
 
 func newConnWriter(conn net.Conn, stats *wireCounters, tracer *trace.Recorder) *connWriter {
-	w := &connWriter{conn: conn, stats: stats, tracer: tracer, fill: new(egressBatch),
-		wake: make(chan struct{}, 1), done: make(chan struct{})}
+	return (&connWriter{conn: conn, stats: stats, tracer: tracer, wake: make(chan struct{}, 1)}).start()
+}
+
+// start starts the writer goroutine of w, whose fields up to wake are set.
+func (w *connWriter) start() *connWriter {
+	w.fill, w.done = new(egressBatch), make(chan struct{})
 	w.room.L = &w.mu
 	go w.run()
 	return w
@@ -175,6 +183,20 @@ func (w *connWriter) wait(s uint64) {
 	}
 }
 
+// push appends a frame of type typ whose payload is a and b without waiting
+// for room, for a producer whose wait would close a cycle: a client's read
+// loop acking (see Ack), a SUBSCRIBE holding pumpMu, which a served
+// connection's writer takes before its swap. Nothing is appended after close.
+func (w *connWriter) push(typ FrameType, a, b uint64) {
+	w.mu.Lock()
+	if w.err == nil {
+		f := w.fill.open(typ)
+		w.fill.buf = binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(w.fill.buf, a), b)
+		_, _ = w.fill.seal(f) // 16 bytes: never too large
+	}
+	w.end()
+}
+
 // close stops the writer and waits for it. Frames not yet written are
 // discarded (the connection is gone by the time teardown calls this).
 func (w *connWriter) close() {
@@ -189,6 +211,10 @@ func (w *connWriter) run() {
 	defer close(w.done)
 	taken, dead := new(egressBatch), false
 	for range w.wake {
+		if w.sc != nil && !w.sc.takeBursts(w) {
+			dead = true
+			w.fail()
+		}
 		w.mu.Lock()
 		if w.err != nil {
 			w.mu.Unlock()
@@ -203,10 +229,8 @@ func (w *connWriter) run() {
 		w.room.Broadcast()
 		w.mu.Unlock()
 		if !dead && taken.frames > 0 && w.write(taken) != nil {
-			// Closing the connection wakes the read loop, which tears the
-			// connection down; from here on the writer only discards.
-			dead = true
-			_ = w.conn.Close()
+			dead = true // from here on the writer only discards
+			w.fail()
 		}
 		if cap(taken.buf) > maxPooledBuffer {
 			taken.buf = nil // one huge frame must not pin its memory
@@ -219,6 +243,18 @@ func (w *connWriter) run() {
 		taken.buf, taken.cuts, taken.holds, taken.traced, taken.frames = taken.buf[:0], taken.cuts[:0], taken.holds[:0], taken.traced[:0], 0
 		taken.joinable = joinable{}
 	}
+}
+
+// fail ends the connection of a writer that cannot send: closing it wakes
+// the read loop, which tears the connection down. A served connection's
+// outbox is closed first, so no transmit waits for room in it until then —
+// the read loop may itself wait on such a transmit, to commit a publish —
+// and teardown returns what is still queued there to a durable backlog.
+func (w *connWriter) fail() {
+	if w.sc != nil {
+		w.sc.out.Close()
+	}
+	_ = w.conn.Close()
 }
 
 // write sends b in one vectored write, buf cut at each by-reference body.
@@ -399,20 +435,11 @@ func (e *Egress) Join(reqID uint64, m *jms.Message, max int) (bool, Sent, error)
 
 // Ack appends a MSG_ACK frame. It never waits for room: a client's read
 // loop acks, and one blocked on its own writer would close a cycle through
-// the server — its writer blocked on this client's full socket, its pump and
-// outbox full, its intake full, its read loop blocked, so this client's
-// writer blocked too. The acks held meanwhile are bounded by the deliveries
+// the server — its writer blocked on this client's full socket, its outbox
+// full, its intake full, its read loop blocked, so this client's writer
+// blocked too. The acks held meanwhile are bounded by the deliveries
 // the server sent.
-func (e *Egress) Ack(subID, seq uint64) {
-	w := e.w
-	w.mu.Lock()
-	if w.err == nil {
-		f := w.fill.open(FrameMsgAck)
-		w.fill.buf = binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(w.fill.buf, subID), seq)
-		_, _ = w.fill.seal(f) // 16 bytes: never too large
-	}
-	w.end()
-}
+func (e *Egress) Ack(subID, seq uint64) { e.w.push(FrameMsgAck, subID, seq) }
 
 // Wait returns once the batch s went out in has been written or discarded:
 // nothing reads the frame's by-reference bodies after. A call that returns

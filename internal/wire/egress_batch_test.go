@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -13,6 +14,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/broker"
 	"repro/internal/jms"
@@ -126,7 +128,7 @@ func blocks(produce func() error) (bool, <-chan error) {
 	}
 }
 
-// TestEgressProducerOrder: the pump's bursts, control replies and peer-link
+// TestEgressProducerOrder: delivery bursts, control replies and peer-link
 // forwards append to one writer concurrently while it is held in its
 // writes; whatever the interleaving, each producer's frames leave in the
 // order it appended them, and every frame is counted once.
@@ -139,7 +141,7 @@ func TestEgressProducerOrder(t *testing.T) {
 	m := deliveryMessage(rand.New(rand.NewSource(1)), 16, 0)
 	var wg sync.WaitGroup
 	wg.Add(3)
-	go func() { // the delivery pump, in bursts
+	go func() { // deliveries, in bursts
 		defer wg.Done()
 		refs := make([]DeliveryRef, burst)
 		sends := make([]pumpSend, burst)
@@ -314,5 +316,287 @@ func TestPumpSubClosedFollowsDeliveries(t *testing.T) {
 	}
 	if _, ok := sc.subs[1]; ok {
 		t.Error("the closed subscription is still on the connection")
+	}
+}
+
+// TestEgressSubscribeReplyNeverWaits: SUBSCRIBE queues its reply holding
+// pumpMu, which a served connection's writer takes before its swap, so the
+// reply must not wait for room: with the writer held in a write and the
+// fill at its bound, SUBSCRIBE returns, and its reply goes out last in the
+// batch after the held one. A SUBSCRIBE that fails may wait for room to
+// reply, but not holding pumpMu: the writer's next swap frees room, and the
+// ERROR goes out in the batch after it.
+func TestEgressSubscribeReplyNeverWaits(t *testing.T) {
+	c := newGateConn()
+	b := recycleBroker(t, broker.Options{})
+	sc := recycleConn(t, b, c)
+	fillToBound(t, sc, c)
+	sub := append(EncodeU64(1), EncodeSubscribe("t", FilterSpec{Mode: FilterNone})...)
+	blocked, done := blocks(func() error { return sc.handleFrame(Frame{Type: FrameSubscribe, Payload: sub}) })
+	if blocked {
+		t.Fatal("SUBSCRIBE waited for room while holding pumpMu")
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	c.release <- nil
+	fs := frames(t, <-c.writes)
+	if len(fs) != fillMaxFrames+1 || fs[len(fs)-1].Type != FrameSubscribeOK {
+		t.Errorf("the batch after the held one has %d frames, the last %v; want %d, the last SUBSCRIBE_OK",
+			len(fs), fs[len(fs)-1].Type, fillMaxFrames+1)
+	}
+	c.release <- nil
+
+	if _, err := b.SubscribeDurable("t", "d", nil, broker.DurableOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	fillToBound(t, sc, c)
+	sub = append(EncodeU64(2), EncodeSubscribe("t", FilterSpec{Mode: FilterNone, DurableName: "d"})...)
+	_, done = blocks(func() error { return sc.handleFrame(Frame{Type: FrameSubscribe, Payload: sub}) })
+	c.release <- nil
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a failing SUBSCRIBE and the writer wait on each other")
+	}
+	if fs := frames(t, <-c.writes); len(fs) != fillMaxFrames {
+		t.Errorf("the batch after the held one has %d frames, want the bound %d", len(fs), fillMaxFrames)
+	}
+	c.release <- nil
+	if fs := frames(t, <-c.writes); len(fs) != 1 || fs[0].Type != FrameError {
+		t.Errorf("the batch after that has %d frames, want the failing SUBSCRIBE's ERROR alone", len(fs))
+	}
+	c.release <- nil
+}
+
+// TestEgressTakesDurableRefill: a durable consumer's outbox share is
+// refilled from its backlog inside the writer's own take, with no wake-up
+// posted, so the writer must keep taking past a short burst: with 4
+// deliveries a subscription and 40 in the backlog, it writes all 40 before
+// it idles.
+func TestEgressTakesDurableRefill(t *testing.T) {
+	const n = 40
+	b := recycleBroker(t, broker.Options{SubscriberBuffer: 4})
+	h, err := b.SubscribeDurable("t", "d", nil, broker.DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Unsubscribe(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if err := b.Publish(context.Background(), jms.NewMessage("t")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for backlog := 0; backlog < n; runtime.Gosched() {
+		if backlog, _, err = b.DurableBacklog("t", "d"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := newGateConn()
+	sc := recycleConn(t, b, c)
+	sc.request(t, FrameSubscribe, 1, EncodeSubscribe("t", FilterSpec{Mode: FilterNone, DurableName: "d"}))
+	for got := 0; got < n; {
+		select {
+		case p := <-c.writes:
+			for _, f := range frames(t, p) {
+				if f.Type == FrameMessage {
+					got++
+				}
+			}
+			c.release <- nil
+		default:
+			if writerParked() {
+				t.Fatalf("the writer idles with %d of %d deliveries written", got, n)
+			}
+			runtime.Gosched()
+		}
+	}
+}
+
+// writerParked reports whether every connection writer is parked in its
+// wait for a wake-up, so none has a kick or an outbox wake-up left to act on.
+func writerParked() bool {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "created by repro/internal/wire.(*connWriter).start") && !strings.Contains(g, "[chan receive") {
+			return false
+		}
+	}
+	return true
+}
+
+// readGate is a gateConn a server can serve: Read returns in, then blocks
+// until hangUp is closed and reports the end of the stream.
+type readGate struct {
+	*gateConn
+	in     io.Reader
+	hangUp chan struct{}
+}
+
+func (c *readGate) Read(p []byte) (int, error) {
+	if n, err := c.in.Read(p); err == nil {
+		return n, nil
+	}
+	<-c.hangUp
+	return 0, io.EOF
+}
+
+func (c *readGate) RemoteAddr() net.Addr { return &net.TCPAddr{} }
+
+// serveGate serves a readGate connection to b through handleConn itself,
+// with frames as the connection's input. The returned teardown ends the read
+// loop and waits for the connection's teardown; the test's cleanup calls it
+// too.
+func serveGate(t *testing.T, b *broker.Broker, frames ...Frame) (*readGate, func()) {
+	t.Helper()
+	var in bytes.Buffer
+	for _, f := range frames {
+		if err := WriteFrame(&in, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := &readGate{gateConn: newGateConn(), in: &in, hangUp: make(chan struct{})}
+	s := &Server{broker: b, log: slog.New(slog.NewTextHandler(io.Discard, nil))}
+	s.wg.Add(1)
+	go s.handleConn(c)
+	var once sync.Once
+	teardown := func() {
+		once.Do(func() { close(c.hangUp) })
+		s.wg.Wait()
+	}
+	t.Cleanup(func() {
+		_ = c.Close()
+		teardown()
+	})
+	return c, teardown
+}
+
+// TestEgressTeardownRequeuesUntaken: a durable, non-acked subscription's
+// backlog is more than the writer takes in one turn. Its first write fails
+// while the rest is still queued; from then on the writer takes nothing,
+// and the connection's teardown returns every delivery it had not taken to
+// the durable backlog, in order.
+func TestEgressTeardownRequeuesUntaken(t *testing.T) {
+	const n = fillMaxFrames + 3*deliveryCoalesce
+	b := recycleBroker(t, broker.Options{})
+	h, err := b.SubscribeDurable("t", "d", nil, broker.DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Unsubscribe(); err != nil { // detach: the backlog keeps what follows
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		m := jms.NewMessage("t")
+		if err := m.SetInt64Property("n", int64(i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Publish(context.Background(), m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for backlog := 0; backlog < n; runtime.Gosched() {
+		if backlog, _, err = b.DurableBacklog("t", "d"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nth := func(m *jms.Message) int64 {
+		v, _ := m.Int64Property("n")
+		return v
+	}
+
+	sub := append(EncodeU64(1), EncodeSubscribe("t", FilterSpec{Mode: FilterNone, DurableName: "d"})...)
+	c, teardown := serveGate(t, b, Frame{Type: FrameSubscribe, Payload: sub})
+	taken := 0
+	for failed := false; !failed; {
+		for _, f := range frames(t, <-c.writes) {
+			if f.Type != FrameMessage {
+				continue
+			}
+			_, _, m, err := DecodeDelivery(f.Payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := nth(m); got != int64(taken) {
+				t.Fatalf("delivery %d carries message %d", taken, got)
+			}
+			taken++
+			failed = true
+		}
+		if failed {
+			c.release <- errors.New("peer gone")
+		} else {
+			c.release <- nil
+		}
+	}
+	if taken >= n {
+		t.Fatalf("the writer took all %d deliveries in one turn; nothing is left to requeue", n)
+	}
+	<-c.closed // the writer closed the connection on the failed write
+	for !writerParked() {
+		runtime.Gosched()
+	}
+	teardown() // the read loop ends: the connection is torn down
+
+	if backlog, _, err := b.DurableBacklog("t", "d"); err != nil || backlog != n-taken {
+		t.Fatalf("backlog %d (%v) after teardown, want the %d deliveries never taken", backlog, err, n-taken)
+	}
+	if h, err = b.SubscribeDurable("t", "d", nil, broker.DurableOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for want := taken; want < n; want++ {
+		m, err := h.Receive(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := nth(m); got != int64(want) {
+			t.Fatalf("replay: message %d, want %d", got, want)
+		}
+	}
+}
+
+// TestEgressDeadWriterReleasesTransmit: a connection subscribes to a topic
+// and publishes to it, and its first write fails. Its writer takes nothing
+// more off its outbox, and its read loop has not reached teardown — here it
+// waits in Read; it might as well wait for its own publish's commit, which
+// waits for the topic's transmit. The failed write closes the outbox, so a
+// transmit to the connection's full subscription does not wait for it: the
+// topic's other subscriber receives every message, the connection's and
+// another publisher's.
+func TestEgressDeadWriterReleasesTransmit(t *testing.T) {
+	const n = 64
+	b := recycleBroker(t, broker.Options{SubscriberBuffer: 4})
+	other, err := b.SubscribeBuffered("t", nil, 2*n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := []Frame{{Type: FrameSubscribe, Payload: append(EncodeU64(1), EncodeSubscribe("t", FilterSpec{Mode: FilterNone})...)}}
+	for i := 0; i < n; i++ {
+		in = append(in, Frame{Type: FramePublish, Payload: append(EncodeU64(uint64(2+i)), EncodeMessage(jms.NewMessage("t"))...)})
+	}
+	c, _ := serveGate(t, b, in...)
+	<-c.writes
+	c.release <- errors.New("peer gone")
+	<-c.closed
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for i := 0; i < n; i++ {
+		if err := b.Publish(ctx, jms.NewMessage("t")); err != nil {
+			t.Fatalf("publish %d: %v", i, err)
+		}
+	}
+	for i := 0; i < 2*n; i++ {
+		if _, err := other.Receive(ctx); err != nil {
+			t.Fatalf("the other subscriber received %d of %d messages: %v", i, 2*n, err)
+		}
 	}
 }

@@ -19,8 +19,8 @@ func processCPU() int64 {
 }
 
 // BenchmarkDeliveryEgress is the delivery egress path over loopback TCP —
-// the pump's send path, the connection writer, the kernel and a peer that only
-// reads — per body size, with the process's CPU time per delivery beside the
+// the delivery append path, the connection writer, the kernel and a peer that
+// only reads — per body size, with the process's CPU time per delivery beside the
 // wall time: the two constants of t_tx (per copy, per byte) are the intercept
 // and slope of that column. EXPERIMENTS.md X14 tables it, and the sweep that
 // set bodyByRefMin is this benchmark with the constant forced to 0 and to

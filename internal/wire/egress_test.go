@@ -12,8 +12,8 @@ import (
 	"repro/internal/trace"
 )
 
-// deliveryHarness is a serverConn reduced to its egress half: the pump's
-// send path feeding a connWriter over one end of a net.Pipe, a FrameReader
+// deliveryHarness is a serverConn reduced to its egress half: the writer's
+// append path feeding a connWriter over one end of a net.Pipe, a FrameReader
 // on the other.
 // net.Pipe has no writev, so a two-buffer frame reaches the reader as two
 // Writes — the gather order is what is under test, not the syscall.
@@ -48,7 +48,18 @@ func newDeliveryHarness(t *testing.T, tracer *trace.Recorder) *deliveryHarness {
 	return h
 }
 
-// deliver queues one delivery of m to refs as a pump burst of its own.
+// sendBurst appends a staged burst to the fill batch in one hold of the
+// writer, as the writer's own take does, from outside the writer.
+func (sc *serverConn) sendBurst(sends []pumpSend, refs []DeliveryRef) error {
+	b, err := sc.w.begin()
+	if err != nil {
+		return err
+	}
+	defer sc.w.end()
+	return sc.appendBurst(b, sends, refs)
+}
+
+// deliver queues one delivery of m to refs as a burst of its own.
 func deliver(sc *serverConn, refs []DeliveryRef, m *jms.Message) error {
 	return sc.sendBurst([]pumpSend{{m: m, hi: len(refs)}}, refs)
 }

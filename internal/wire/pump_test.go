@@ -7,9 +7,11 @@ import (
 	"errors"
 	"io"
 	"log/slog"
+	"net"
 	"reflect"
 	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/broker"
@@ -144,8 +146,8 @@ func TestServerAckedNeedsDurable(t *testing.T) {
 }
 
 // TestServerOnePumpPerConnection: a connection's deliveries leave through
-// one pump however many subscriptions it holds, so subscribing starts no
-// goroutine. Nor does attaching a durable consumer, whose backlog refills
+// its one writer however many subscriptions it holds, so subscribing starts
+// no goroutine. Nor does attaching a durable consumer, whose backlog refills
 // the connection's outbox, nor an in-process subscription until its Chan
 // adapter is asked for.
 func TestServerOnePumpPerConnection(t *testing.T) {
@@ -210,6 +212,60 @@ func TestServerOnePumpPerConnection(t *testing.T) {
 	}
 }
 
+// TestEgressServedConnTwoGoroutines: a served connection runs two
+// goroutines, its read loop and its writer, which also takes the deliveries
+// off the connection's outbox; a subscription and a delivery start no more,
+// and the connection's end ends both. It is the server's twin of
+// client.TestDialStartsTwoGoroutines. (commitLoop, a connection's third,
+// starts only with its first forwarded publish.)
+func TestEgressServedConnTwoGoroutines(t *testing.T) {
+	rc, _, srv := startRawServer(t)
+	served := func() (n int) {
+		buf := make([]byte, 1<<20)
+		buf = buf[:runtime.Stack(buf, true)]
+		for _, g := range strings.Split(string(buf), "\n\n") {
+			if strings.Contains(g, "wire.(*Server).handleConn") || strings.Contains(g, "wire.(*serverConn)") || strings.Contains(g, "wire.(*connWriter).run") {
+				n++
+			}
+		}
+		return n
+	}
+	settled := func(want int) bool {
+		for i := 0; i < 10000 && served() != want; i++ {
+			runtime.Gosched()
+		}
+		return served() == want
+	}
+	ping := func(rc *rawConn) {
+		t.Helper()
+		req := rc.request(FramePing, nil)
+		if f := rc.read(); f.Type != FramePong || binary.BigEndian.Uint64(f.Payload) != req {
+			t.Fatalf("frame %v, want the PONG", f.Type)
+		}
+	}
+	ping(rc) // rc's connection is served
+	before := served()
+	conn, err := net.Dial("tcp", srv.ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	second := &rawConn{t: t, conn: conn}
+	ping(second)
+	if !settled(before + 2) {
+		t.Fatalf("a served connection runs %d goroutines, want 2: the read loop and the writer", served()-before)
+	}
+	second.subscribe(FilterSpec{Mode: FilterNone})
+	second.publishFor("#x")
+	if !settled(before + 2) {
+		t.Errorf("after a subscription and a delivery the connection runs %d goroutines, want 2", served()-before)
+	}
+	_ = conn.Close()
+	if !settled(before) {
+		t.Errorf("%d goroutines of a closed connection are still running", served()-before)
+	}
+}
+
 // TestFanoutRoundTrip: a MESSAGE_FANOUT payload names every subscription
 // with its sequence and decodes to the same message through both decoders;
 // a fanout to nobody, or one counting past its payload, is refused.
@@ -243,7 +299,7 @@ func TestFanoutRoundTrip(t *testing.T) {
 // not a MESSAGE_FANOUT frame naming all of its subscriptions is split over
 // frames that fit. One too large for even a MESSAGE frame closes the
 // connection, whose subscriptions could receive nothing more, instead of
-// leaving it open with no delivery pump.
+// leaving it open with no delivery path.
 func TestServerFanoutWithinFrameLimit(t *testing.T) {
 	rc, _, _ := startRawServer(t)
 	spec := FilterSpec{Mode: FilterCorrelationID, Expr: "#big"}

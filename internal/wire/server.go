@@ -202,20 +202,24 @@ type serverConn struct {
 	conn   net.Conn
 	id     uint64
 	log    *slog.Logger
-	done   chan struct{}
 
 	// w is the connection's egress double buffer (egress.go): every
 	// outbound frame, control reply or delivery, goes through it.
 	w *connWriter
 	// out is the broker-side queue all of this connection's subscriptions
-	// deliver to, drained by deliveryPump; pumpDone is closed when the pump
-	// has exited. pumpMu is held by the pump from taking deliveries off out
-	// until they are recorded in the unacked tables, by SUBSCRIBE until its
-	// reply is queued, and by finish, so no subscription is finished while
-	// one of its deliveries is neither queued nor recorded.
-	out      *broker.Outbox
-	pumpMu   sync.Mutex
-	pumpDone chan struct{}
+	// deliver to, drained by the writer (takeBursts) with takes, refs and
+	// sends for scratch. pumpMu is held by the writer from taking
+	// deliveries off out until they are recorded in the unacked tables, by
+	// SUBSCRIBE until its reply is queued, and by finish, so no subscription
+	// is finished while one of its deliveries is neither queued nor recorded.
+	// The writer holds pumpMu through its swap, which is what frees room in
+	// the fill batch, so a holder of pumpMu never waits for room: it queues
+	// its replies with w.push. Lock order: pumpMu before w's mu.
+	out    *broker.Outbox
+	pumpMu sync.Mutex
+	takes  []broker.Delivery
+	refs   []DeliveryRef
+	sends  []pumpSend
 	// arena materializes inbound publishes from payload views into
 	// recycled slabs; owned by the read loop (arenas are not
 	// concurrency-safe).
@@ -247,10 +251,10 @@ type connSub struct {
 	id  uint64
 	sub *broker.Subscriber
 	// closed is set once the subscription is finished on this connection;
-	// the pump drops what is still queued for it.
+	// the writer drops what is still queued for it.
 	closed atomic.Bool
 
-	// Acked-delivery state. The pump records a delivery in unacked
+	// Acked-delivery state. The writer records a delivery in unacked
 	// (keyed by its sequence number) before writing the frame; MSG_ACK
 	// deletes it; whatever remains at teardown is requeued.
 	acked   bool
@@ -295,7 +299,7 @@ func (cs *connSub) record(m *jms.Message) uint64 {
 
 // finish releases a subscription of this connection, requeueing the
 // unacked deliveries of an acked one. It holds pumpMu, so every delivery
-// the pump took is in the unacked table by now, and a durable consumer's
+// the writer took is in the unacked table by now, and a durable consumer's
 // detach takes back whatever is still queued in the outbox.
 func (sc *serverConn) finish(cs *connSub) error {
 	sc.pumpMu.Lock()
@@ -308,35 +312,32 @@ func (sc *serverConn) finish(cs *connSub) error {
 }
 
 // newConn returns the state of a connection accepted on conn, its writer
-// started.
+// started on its outbox.
 func (s *Server) newConn(conn net.Conn) *serverConn {
 	id := s.nextConnID.Add(1)
-	return &serverConn{
-		server:   s,
-		conn:     conn,
-		id:       id,
-		log:      s.log.With("conn", id),
-		done:     make(chan struct{}),
-		w:        newConnWriter(conn, &s.counters, s.tracer),
-		out:      s.broker.NewOutbox(),
-		pumpDone: make(chan struct{}),
-		arena:    newSlabArena(),
-		subs:     make(map[uint64]*connSub),
+	sc := &serverConn{
+		server: s,
+		conn:   conn,
+		id:     id,
+		log:    s.log.With("conn", id),
+		out:    s.broker.NewOutbox(),
+		arena:  newSlabArena(),
+		subs:   make(map[uint64]*connSub),
 	}
+	sc.w = (&connWriter{conn: conn, stats: &s.counters, tracer: s.tracer, sc: sc, wake: sc.out.Ready()}).start()
+	return sc
 }
 
 func (s *Server) handleConn(conn net.Conn) {
 	defer s.wg.Done()
 	sc := s.newConn(conn)
 	sc.log.Debug("connection accepted", "remote", conn.RemoteAddr().String())
-	go sc.deliveryPump()
 	sc.readLoop()
 	sc.arena.drop()
-	close(sc.done)
-	// Close the connection before waiting for the pump: it may be blocked
-	// mid-write on the dead peer.
+	// Closed, the outbox gives the writer nothing more and takes no more
+	// deliveries. The writer may be blocked mid-write on the dead peer.
+	sc.out.Close()
 	_ = conn.Close()
-	<-sc.pumpDone
 
 	// Tear down this connection's subscriptions. Non-durable mode: a
 	// disconnected subscriber is forgotten. Durable subscriptions: what is
@@ -356,8 +357,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 	// Every parked publish is committed or rejected, none abandoned.
 	sc.drainParked()
-	// All producers (the pump, this read loop, commitLoop) are done; stop
-	// the writer.
+	// The other producers, this read loop and commitLoop, are done.
 	sc.w.close()
 	sc.log.Debug("connection closed", "subscriptions", len(subs))
 
@@ -478,11 +478,10 @@ func (sc *serverConn) handleFrame(f Frame) error {
 			sc.writeErr(reqID, err)
 			return nil
 		}
-		// The pump holds off until SUBSCRIBE_OK is queued, so no delivery —
+		// The writer holds off until SUBSCRIBE_OK is queued, so no delivery —
 		// a durable backlog replays at once — reaches the client before the
 		// subscription's ID does.
 		sc.pumpMu.Lock()
-		defer sc.pumpMu.Unlock()
 		// Only a durable subscription can be acked: an unacked delivery goes
 		// back to the backlog, and any other subscription has none.
 		sc.nextSubID++
@@ -496,6 +495,7 @@ func (sc *serverConn) handleFrame(f Frame) error {
 			cs.sub, err = sc.out.Subscribe(topicName, flt, cs)
 		}
 		if err != nil {
+			sc.pumpMu.Unlock()
 			sc.writeErr(reqID, err)
 			return nil
 		}
@@ -505,10 +505,9 @@ func (sc *serverConn) handleFrame(f Frame) error {
 		sc.log.Debug("subscribed", "sub", cs.id, "topic", topicName,
 			"durable", spec.DurableName, "acked", spec.Acked)
 
-		var e encoder
-		e.u64(reqID)
-		e.u64(cs.id)
-		return sc.write(Frame{Type: FrameSubscribeOK, Payload: e.buf})
+		sc.w.push(FrameSubscribeOK, reqID, cs.id)
+		sc.pumpMu.Unlock()
+		return nil
 
 	case FrameUnsubscribe:
 		sc.drainParked()
@@ -756,10 +755,10 @@ func (s *Server) unclaim(m *jms.Message) {
 	}
 }
 
-// deliveryCoalesce bounds how many queued deliveries one pump iteration
-// takes off the outbox (more only to finish the last message's run), so
-// the pump looks at the connection's state between bursts. 16 matches the
-// default batch size the publish side is tuned for.
+// deliveryCoalesce bounds how many queued deliveries one take off the
+// outbox moves (more only to finish the last message's run), so the writer
+// looks at the connection's state between bursts. 16 matches the default
+// batch size the publish side is tuned for.
 const deliveryCoalesce = 16
 
 // fanoutMaxRefs bounds the subscriptions one MESSAGE_FANOUT frame names, so
@@ -768,7 +767,7 @@ const deliveryCoalesce = 16
 // would push the frame past MaxFrameSize.
 const fanoutMaxRefs = 1 << 11
 
-// pumpSend is one frame the pump staged: m for the subscriptions
+// pumpSend is one frame the writer staged: m for the subscriptions
 // refs[lo:hi], with the holds of their deliveries, or, when m is nil, the
 // SUB_CLOSED notice for cs.
 type pumpSend struct {
@@ -778,46 +777,37 @@ type pumpSend struct {
 	hold   broker.Hold
 }
 
-// deliveryPump is the connection's one delivery goroutine. It drains the
-// outbox all of the connection's subscriptions deliver to and sends each
-// message once per connection: its deliveries to several subscriptions go
-// out as one MESSAGE_FANOUT frame naming them all, a single delivery as a
-// MESSAGE frame. It exits once the connection is closed, and closes it when
-// a frame cannot be sent, since nothing else would deliver to the
-// connection's subscriptions: handleConn's teardown then finishes them.
-func (sc *serverConn) deliveryPump() {
-	defer close(sc.pumpDone)
-	var (
-		batch []broker.Delivery
-		refs  []DeliveryRef
-		sends []pumpSend
-	)
+// takeBursts is the writer's turn at the outbox on each of its wake-ups,
+// before its swap: it stages bursts of deliveries and appends their frames
+// to the fill batch until a take comes back empty — a short burst does not
+// mean the outbox is drained, since a take refills a durable consumer's
+// share from its backlog and posts no wake-up — or the fill reaches its
+// bound, whose room its own swap frees; there it kicks the writer, as more
+// may be queued. A closed outbox gives it nothing (see handleConn and
+// connWriter.fail). It reports false when a frame cannot be sent: the
+// writer then ends the connection, which nothing else would deliver to.
+func (sc *serverConn) takeBursts(w *connWriter) bool {
+	sc.pumpMu.Lock()
+	defer sc.pumpMu.Unlock()
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	for {
-		select {
-		case <-sc.done:
-			return
-		default:
+		sc.takes = sc.out.Take(sc.takes[:0], deliveryCoalesce)
+		if len(sc.takes) == 0 {
+			// Neither scratch slice may keep a message alive while the
+			// writer idles; while it is busy, each burst overwrites the last.
+			clear(sc.takes[:cap(sc.takes)])
+			clear(sc.sends[:cap(sc.sends)])
+			return true
 		}
-		sc.pumpMu.Lock()
-		batch = sc.out.Take(batch[:0], deliveryCoalesce)
-		refs, sends = stageDeliveries(batch, refs[:0], sends[:0])
-		sc.pumpMu.Unlock()
-		if len(batch) == 0 {
-			// Neither scratch slice may keep a message alive while the pump
-			// idles; while it is busy, each burst overwrites the last.
-			clear(batch[:cap(batch)])
-			clear(sends[:cap(sends)])
-			select {
-			case <-sc.out.Ready():
-			case <-sc.done:
-				return
-			}
-			continue
-		}
-		if err := sc.sendBurst(sends, refs); err != nil {
+		sc.refs, sc.sends = stageDeliveries(sc.takes, sc.refs[:0], sc.sends[:0])
+		if err := sc.appendBurst(w.fill, sc.sends, sc.refs); err != nil {
 			sc.log.Warn("delivery failed; closing connection", "err", err)
-			_ = sc.conn.Close()
-			return
+			return false
+		}
+		if w.fill.frames >= fillMaxFrames || len(w.fill.buf) >= fillMaxBytes {
+			w.kick()
+			return true
 		}
 	}
 }
@@ -854,19 +844,14 @@ func stageDeliveries(batch []broker.Delivery, refs []DeliveryRef, sends []pumpSe
 	return refs, sends
 }
 
-// sendBurst appends a burst's staged frames to the fill batch in one hold of
-// the writer. A delivery frame's holds are released once it is encoded, or,
-// when its body goes by reference, by the writer after the write that
-// gathers it. A SUB_CLOSED notice (the disconnect slow-consumer policy)
-// follows the deliveries queued before it; its entry is dropped first, so a
-// later UNSUBSCRIBE reports an unknown subscription instead of finishing one
-// the broker already removed.
-func (sc *serverConn) sendBurst(sends []pumpSend, refs []DeliveryRef) error {
-	b, err := sc.w.begin()
-	if err != nil {
-		return err
-	}
-	defer sc.w.end()
+// appendBurst appends a burst's staged frames to the fill batch b, with the
+// writer's mu held. A delivery frame's holds are released once it is
+// encoded, or, when its body goes by reference, by the writer after the
+// write that gathers it. A SUB_CLOSED notice (the disconnect slow-consumer
+// policy) follows the deliveries queued before it; its entry is dropped
+// first, so a later UNSUBSCRIBE reports an unknown subscription instead of
+// finishing one the broker already removed.
+func (sc *serverConn) appendBurst(b *egressBatch, sends []pumpSend, refs []DeliveryRef) error {
 	for _, s := range sends {
 		if s.m != nil {
 			if err := sc.appendDelivery(b, refs[s.lo:s.hi], s.m); err != nil {
